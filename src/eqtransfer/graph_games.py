@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional
 
-from .errors import (CyclicPreferenceError, NotDeterminedError,
-                     UnboundedHeightError)
+from .errors import (BadIndexError, CyclicPreferenceError,
+                     NotDeterminedError, UnboundedHeightError)
 from .normal_form import SubsetWord
 from .prefs import OutcomeSet, PreferenceProfile, height, is_acyclic
 from .transfer import (CallCounter, OracleStrategy, WinLoseOracle,
@@ -24,7 +24,8 @@ class Arena:
     """A finite sink-free coloured graph with a vertex partition.
 
     ``owned`` lists the vertices where player 1 moves; everything else
-    belongs to player 2.
+    belongs to player 2.  ``succ`` and ``pred`` hold each vertex's distinct
+    successors and predecessors.
     """
 
     def __init__(self, num_vertices: int, owned: Iterable[int],
@@ -49,6 +50,7 @@ class Arena:
             if not out:
                 raise ValueError(f"vertex {u} is a sink; arenas must be sink-free")
         self.succ = tuple(tuple(s) for s in succ)
+        self.pred = _predecessors(self.succ)
 
     def owner(self, v: int) -> int:
         return 1 if v in self.owned else 2
@@ -136,91 +138,137 @@ def play_of(arena: Arena, start: int, s1, s2) -> Play:
     return Play(tuple(trail[:cut]), tuple(trail[cut:]))
 
 
-# ---------------------------------------------------------------------------
-# Parity: recursive attractor decomposition.
+def _predecessors(succ) -> tuple[tuple[int, ...], ...]:
+    pred: list[list[int]] = [[] for _ in succ]
+    for u, out in enumerate(succ):
+        for w in out:
+            pred[w].append(u)
+    return tuple(tuple(p) for p in pred)
 
-def _attractor(succ, owner, region: set[int], target: set[int],
+
+def _check_start(arena: Arena, start: int) -> None:
+    if not 0 <= start < arena.num_vertices:
+        raise BadIndexError(f"start vertex {start} out of range "
+                            f"0..{arena.num_vertices - 1}")
+
+
+# ---------------------------------------------------------------------------
+# Parity: Zielonka's attractor decomposition on bare successor and
+# predecessor lists, so that oracles reuse one topology for many colourings.
+
+def _attractor(succ, pred, owned, region: set[int], target: set[int],
                player: int) -> tuple[set[int], dict[int, int]]:
     """Player's attractor to ``target`` inside ``region``, with the forced
-    moves for the player's vertices outside the target."""
+    moves for the player's vertices outside the target.  A worklist over
+    predecessors; an opponent vertex joins once none of its successors in
+    the region is left outside, so the cost is linear in the region."""
+    mine = player == 1
     attr = set(target)
     strategy: dict[int, int] = {}
-    changed = True
-    while changed:
-        changed = False
-        for v in region - attr:
-            inside = [w for w in succ[v] if w in region]
-            if owner(v) == player:
-                hit = next((w for w in inside if w in attr), None)
-                if hit is not None:
-                    attr.add(v)
-                    strategy[v] = hit
-                    changed = True
+    left: dict[int, int] = {}
+    queue = list(target)
+    for w in queue:
+        for v in pred[w]:
+            if v in attr or v not in region:
+                continue
+            if (v in owned) == mine:
+                strategy[v] = w
             else:
-                if all(w in attr for w in inside):
-                    attr.add(v)
-                    changed = True
+                n = left.get(v)
+                if n is None:
+                    n = sum(1 for x in succ[v] if x in region)
+                left[v] = n = n - 1
+                if n:
+                    continue
+            attr.add(v)
+            queue.append(v)
     return attr, strategy
+
+
+def _compress(colors) -> list[int]:
+    """Merge consecutive occurring priorities of equal parity.  The map is
+    monotone and keeps parity, so every play keeps its winner."""
+    rank: dict[int, int] = {}
+    r = None
+    for c in sorted(set(colors)):
+        r = c % 2 if r is None else r + (c - r) % 2
+        rank[c] = r
+    return [rank[c] for c in colors]
+
+
+def _zielonka(succ, pred, owned, colors):
+    """Winning regions and partial positional strategies of both players.
+
+    Each frame of the explicit stack is one call of the recursive algorithm.
+    The frames share ``region``: a frame removes an attractor from it before
+    its child runs and puts it back when the child returns, so memory stays
+    linear in the arena however deep the recursion goes.
+    """
+    colors = _compress(colors)
+    region = set(range(len(succ)))
+    # [player, attractor, its moves, opponent's attractor, opponent's moves]
+    frames: list[list] = []
+    result = None
+    while True:
+        if result is None:
+            if region:
+                p = min(colors[v] for v in region)
+                i = 1 if p % 2 == 0 else 2
+                target = {v for v in region if colors[v] == p}
+                attr, astrat = _attractor(succ, pred, owned, region, target, i)
+                for v in target:
+                    if (v in owned) == (i == 1):
+                        astrat[v] = next(w for w in succ[v] if w in region)
+                region -= attr
+                frames.append([i, attr, astrat, None, None])
+                continue
+            result = (set(), set(), {}, {})
+        if not frames:
+            return result
+        i, attr, astrat, battr, so = frames[-1]
+        w1, w2, s1, s2 = result
+        if battr is None:
+            region |= attr
+            wo, so, si = (w2, s2, s1) if i == 1 else (w1, s1, s2)
+            if wo:
+                battr, bstrat = _attractor(succ, pred, owned, region, wo, 3 - i)
+                so |= bstrat
+                frames[-1][3:] = [battr, so]
+                region -= battr
+                result = None
+                continue
+            si |= astrat
+            result = ((set(region), set(), si, {}) if i == 1
+                      else (set(), set(region), {}, si))
+        else:
+            region |= battr
+            so |= s2 if i == 1 else s1
+            result = ((w1, w2 | battr, s1, so) if i == 1
+                      else (w1 | battr, w2, so, s2))
+        frames.pop()
 
 
 def parity_regions(arena: Arena) -> tuple[set[int], set[int],
                                           dict[int, int], dict[int, int]]:
     """Winning regions and positional winning strategies for both players."""
-    succ = arena.succ
-    owner = arena.owner
-    colors = arena.colors
-
-    def solve(region: set[int]):
-        if not region:
-            return set(), set(), {}, {}
-        p = min(colors[v] for v in region)
-        i = 1 if p % 2 == 0 else 2
-        opp = 2 if i == 1 else 1
-        target = {v for v in region if colors[v] == p}
-        attr, astrat = _attractor(succ, owner, region, target, i)
-        w1, w2, s1, s2 = solve(region - attr)
-        wi, wo = (w1, w2) if i == 1 else (w2, w1)
-        si, so = (s1, s2) if i == 1 else (s2, s1)
-        if not wo:
-            strat = dict(si)
-            strat.update(astrat)
-            for v in target:
-                if owner(v) == i:
-                    strat.setdefault(v, next(w for w in succ[v] if w in region))
-            if i == 1:
-                return set(region), set(), strat, {}
-            return set(), set(region), {}, strat
-        battr, bstrat = _attractor(succ, owner, region, wo, opp)
-        w1c, w2c, s1c, s2c = solve(region - battr)
-        woc = w2c if i == 1 else w1c
-        soc = s2c if i == 1 else s1c
-        opp_region = woc | battr
-        opp_strat = {v: so[v] for v in so}
-        opp_strat.update(bstrat)
-        opp_strat.update(soc)
-        if i == 1:
-            return w1c, opp_region, s1c, opp_strat
-        return opp_region, w2c, opp_strat, s2c
-
-    return solve(set(range(arena.num_vertices)))
+    return _zielonka(arena.succ, arena.pred, arena.owned, arena.colors)
 
 
-def _complete_positional(arena: Arena, player: int,
-                         partial: dict[int, int]) -> PositionalStrategy:
-    moves = dict(partial)
-    mine = arena.owned if player == 1 else \
-        set(range(arena.num_vertices)) - arena.owned
-    for v in mine:
-        moves.setdefault(v, arena.succ[v][0])
-    return PositionalStrategy(player, moves)
+def _solve_parity_colored(arena: Arena, start: int, colors
+                          ) -> tuple[int, PositionalStrategy]:
+    w1, w2, s1, s2 = _zielonka(arena.succ, arena.pred, arena.owned, colors)
+    winner = 1 if start in w1 else 2
+    moves = s1 if winner == 1 else s2
+    for v in range(arena.num_vertices):
+        if arena.owner(v) == winner:
+            moves.setdefault(v, arena.succ[v][0])
+    return winner, PositionalStrategy(winner, moves)
 
 
 def solve_parity(arena: Arena, start: int) -> tuple[int, PositionalStrategy]:
     """Winner from ``start`` plus a positional winning strategy for them."""
-    w1, w2, s1, s2 = parity_regions(arena)
-    winner = 1 if start in w1 else 2
-    partial = s1 if winner == 1 else s2
-    return winner, _complete_positional(arena, winner, partial)
+    _check_start(arena, start)
+    return _solve_parity_colored(arena, start, arena.colors)
 
 
 def parity_winner_of_play(arena: Arena, play: Play) -> int:
@@ -250,57 +298,43 @@ def muller_memory_bound(arena: Arena) -> int:
     return math.factorial(c) * c
 
 
-def _lar_product(arena: Arena, start: int, win_sets: frozenset[frozenset[int]]):
-    """Reachable LAR product arena as index-based structures."""
+def _lar_product(arena: Arena, start: int):
+    """Reachable LAR product: nodes ``(vertex, (perm, hit))`` from node 0,
+    successor lists and player-1 nodes; it does not depend on the win sets."""
     base = tuple(sorted(arena.color_set()))
     init = (start, lar_update(base, arena.colors[start]))
-    index: dict[tuple, int] = {}
-    nodes: list[tuple] = []
+    index: dict[tuple, int] = {init: 0}
+    nodes: list[tuple] = [init]
     succ: list[list[int]] = []
-    stack = [init]
-    index[init] = 0
-    nodes.append(init)
-    succ.append([])
-    while stack:
-        node = stack.pop()
-        v, (perm, hit) = node
+    for v, (perm, _) in nodes:  # breadth first: grows while it is read
         out = []
         for w in arena.succ[v]:
             nxt = (w, lar_update(perm, arena.colors[w]))
             if nxt not in index:
                 index[nxt] = len(nodes)
                 nodes.append(nxt)
-                succ.append([])
-                stack.append(nxt)
             out.append(index[nxt])
-        succ[index[node]] = out
-    owned = [i for i, (v, _) in enumerate(nodes) if v in arena.owned]
+        succ.append(out)
+    owned = frozenset(i for i, (v, _) in enumerate(nodes) if v in arena.owned)
+    return nodes, succ, owned
+
+
+def _solve_lar(arena: Arena, product, win_sets: frozenset[frozenset[int]]
+               ) -> tuple[int, FiniteMemoryStrategy]:
+    """Colour the LAR product for ``win_sets``, solve it from node 0 and
+    project the winner's positional product strategy onto a memory machine."""
+    nodes, succ, owned = product
     colors = []
     for v, (perm, hit) in nodes:
         suffix = frozenset(perm[hit - 1:])
         colors.append(2 * hit if suffix in win_sets else 2 * hit + 1)
-    edges = [(u, w) for u, out in enumerate(succ) for w in out]
-    product = Arena(len(nodes), owned, edges, colors)
-    return product, nodes, index[init]
-
-
-def solve_muller(arena: Arena, start: int,
-                 win_sets: Iterable[Iterable[int]]
-                 ) -> tuple[int, FiniteMemoryStrategy]:
-    """Winner (player 1 wins iff the cluster set is a winning set) and a
-    finite-memory winning strategy with at most |C|!*|C| states."""
-    wsets = frozenset(frozenset(s) for s in win_sets)
-    product, nodes, init = _lar_product(arena, start, wsets)
-    w1, w2, s1, s2 = parity_regions(product)
-    winner = 1 if init in w1 else 2
+    w1, w2, s1, s2 = _zielonka(succ, _predecessors(succ), owned, colors)
+    winner = 1 if 0 in w1 else 2
     partial = s1 if winner == 1 else s2
-    complete = _complete_positional(product, winner, partial)
-    # project the positional product strategy back onto a memory machine
     move_of: dict[tuple, int] = {}
     for i, (v, lar) in enumerate(nodes):
-        if (v in arena.owned) == (winner == 1):
-            target_v = nodes[complete.moves[i]][0]
-            move_of[(lar, v)] = target_v
+        if (i in owned) == (winner == 1):
+            move_of[(lar, v)] = nodes[partial.get(i, succ[i][0])][0]
     base = tuple(sorted(arena.color_set()))
 
     def update(mem, vertex):
@@ -313,6 +347,16 @@ def solve_muller(arena: Arena, start: int,
     machine = FiniteMemoryStrategy(winner, None, update, choice,
                                    num_states=muller_memory_bound(arena) + 1)
     return winner, machine
+
+
+def solve_muller(arena: Arena, start: int,
+                 win_sets: Iterable[Iterable[int]]
+                 ) -> tuple[int, FiniteMemoryStrategy]:
+    """Winner (player 1 wins iff the cluster set is a winning set) and a
+    finite-memory winning strategy with at most |C|!*|C| states."""
+    _check_start(arena, start)
+    wsets = frozenset(frozenset(s) for s in win_sets)
+    return _solve_lar(arena, _lar_product(arena, start), wsets)
 
 
 def muller_winner_of_play(arena: Arena, play: Play,
@@ -352,6 +396,7 @@ class MultiOutcomeGraphGame:
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.preferences.players != 2:
             raise ValueError("two players required")
+        _check_start(self.arena, self.start)
         occurring = self.arena.color_set()
         if self.kind == PRIORITY:
             if self.priority_map is None:
@@ -378,31 +423,15 @@ class MultiOutcomeGraphGame:
         return self.outcome_of_cluster(play.cluster_colors(self.arena))
 
 
-class PriorityOracle(WinLoseOracle):
-    """Win-lose oracle for a multi-outcome priority game.
+class _ArenaOracle(WinLoseOracle):
+    """Queries shared by the arena oracles; ``_solve`` answers one label
+    with the winner and their winning strategy."""
 
-    Renames each colour c to 2c or 2c+1 so that even colours are exactly the
-    ones whose outcome the label grants to player 1, then solves the parity
-    game.  Strategies are positional.
-    """
-
-    def __init__(self, game: MultiOutcomeGraphGame):
-        if game.kind != PRIORITY:
-            raise ValueError("priority oracle needs a priority game")
-        self.game = game
+    game: MultiOutcomeGraphGame
 
     @property
     def n_outcomes(self) -> int:
         return self.game.outcomes.size
-
-    def _solve(self, label: SubsetWord) -> tuple[int, PositionalStrategy]:
-        arena = self.game.arena
-        renamed_colors = [
-            2 * c if self.game.priority_map[c] in label else 2 * c + 1
-            for c in arena.colors]
-        renamed = Arena(arena.num_vertices, arena.owned, arena.edges,
-                        renamed_colors)
-        return solve_parity(renamed, self.game.start)
 
     def winner(self, label: SubsetWord) -> int:
         return self._solve(label)[0]
@@ -412,32 +441,45 @@ class PriorityOracle(WinLoseOracle):
         return OracleStrategy(winner, strat, True)
 
 
-class MullerOracle(WinLoseOracle):
+class PriorityOracle(_ArenaOracle):
+    """Win-lose oracle for a multi-outcome priority game.
+
+    Renames each colour c to 2c or 2c+1 so that even colours are exactly the
+    ones whose outcome the label grants to player 1, then solves the parity
+    game on the game's own arena under the renamed colours; the topology is
+    shared by every query.  Strategies are positional.
+    """
+
+    def __init__(self, game: MultiOutcomeGraphGame):
+        if game.kind != PRIORITY:
+            raise ValueError("priority oracle needs a priority game")
+        self.game = game
+
+    def _solve(self, label: SubsetWord) -> tuple[int, PositionalStrategy]:
+        pmap = self.game.priority_map
+        renamed = [2 * c if pmap[c] in label else 2 * c + 1
+                   for c in self.game.arena.colors]
+        return _solve_parity_colored(self.game.arena, self.game.start, renamed)
+
+
+class MullerOracle(_ArenaOracle):
     """Win-lose oracle for a multi-outcome Muller game, via the LAR reduction.
 
-    Strategies are finite-memory machines.
+    The LAR product does not depend on the label, so it is built once here;
+    each query only recolours it from the label's winning sets.  Strategies
+    are finite-memory machines.
     """
 
     def __init__(self, game: MultiOutcomeGraphGame):
         if game.kind != MULLER:
             raise ValueError("Muller oracle needs a Muller game")
         self.game = game
+        self._product = _lar_product(game.arena, game.start)
 
-    @property
-    def n_outcomes(self) -> int:
-        return self.game.outcomes.size
-
-    def _win_sets(self, label: SubsetWord) -> list[frozenset[int]]:
-        return [s for s, o in self.game.muller_map.items() if o in label]
-
-    def winner(self, label: SubsetWord) -> int:
-        return solve_muller(self.game.arena, self.game.start,
-                            self._win_sets(label))[0]
-
-    def strategy(self, label: SubsetWord) -> OracleStrategy:
-        winner, strat = solve_muller(self.game.arena, self.game.start,
-                                     self._win_sets(label))
-        return OracleStrategy(winner, strat, True)
+    def _solve(self, label: SubsetWord) -> tuple[int, FiniteMemoryStrategy]:
+        win_sets = frozenset(s for s, o in self.game.muller_map.items()
+                             if o in label)
+        return _solve_lar(self.game.arena, self._product, win_sets)
 
 
 def _tarjan_sccs(n: int, succ: list[list[int]]) -> list[list[int]]:

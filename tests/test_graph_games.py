@@ -2,11 +2,14 @@
 
 import itertools
 import random
+import sys
 
 import pytest
 
 import eqtransfer as et
+from eqtransfer import graph_games
 from conftest import random_acyclic_preference, random_arena, random_memory_machine
+from reference_graph import recursive_regions, region_certificate
 
 
 def brute_parity_winner(arena, start):
@@ -121,6 +124,121 @@ class TestParity:
             assert not (w1 & w2)
             for v, target in s1.items():
                 assert target in arena.succ[v]
+
+
+def chain_arena(n):
+    """A cycle plus self-loops with sorted colours 0..n-1: Zielonka peels
+    one colour per level, so the solver goes n levels deep."""
+    edges = [(u, (u + 1) % n) for u in range(n)] + [(u, u) for u in range(n)]
+    return et.Arena(n, range(0, n, 2), edges, range(n))
+
+
+def certify(arena, regions):
+    return region_certificate(arena.succ, arena.owned, arena.colors, regions)
+
+
+class TestParityCrossCheck:
+    def test_matches_recursive_reference(self):
+        rng = random.Random(4041)
+        for _ in range(300):
+            nv = rng.randint(2, 40)
+            palette = rng.sample(range(-8, 9), rng.randint(1, 8))
+            edges = [(u, w) for u in range(nv)
+                     for w in rng.sample(range(nv), rng.randint(1, min(nv, 4)))]
+            arena = et.Arena(nv, [v for v in range(nv) if rng.random() < 0.5],
+                             edges, [rng.choice(palette) for _ in range(nv)])
+            regions = et.parity_regions(arena)
+            reference = recursive_regions(arena.succ, arena.owned, arena.colors)
+            assert regions[:2] == reference[:2]
+            assert certify(arena, regions) == []
+            assert certify(arena, reference) == []
+            compressed = graph_games._compress(arena.colors)
+            assert recursive_regions(arena.succ, arena.owned,
+                                     compressed)[:2] == reference[:2]
+
+    def test_certificate_rejects_wrong_regions(self):
+        arena = chain_arena(6)
+        w1, w2, s1, s2 = et.parity_regions(arena)
+        assert certify(arena, (w2, w1, s1, s2)) != []
+        assert certify(arena, (w1 | w2, set(), s1, s2)) != []
+
+    def test_deep_chain_needs_no_recursion(self):
+        arena = chain_arena(400)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(150)
+        try:
+            regions = et.parity_regions(arena)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert certify(arena, regions) == []
+
+
+def all_label_words(n):
+    return [et.SubsetWord(bits) for bits in itertools.product((0, 1), repeat=n)]
+
+
+class TestOracles:
+    def test_priority_oracle_matches_fresh_solves(self, rng):
+        for _ in range(10):
+            game = random_priority_game(rng)
+            oracle = et.PriorityOracle(game)
+            arena = game.arena
+            for label in all_label_words(game.outcomes.size):
+                colors = [2 * c if game.priority_map[c] in label else 2 * c + 1
+                          for c in arena.colors]
+                fresh = et.Arena(arena.num_vertices, arena.owned, arena.edges,
+                                 colors)
+                winner = et.solve_parity(fresh, game.start)[0]
+                assert oracle.winner(label) == winner
+                assert oracle.strategy(label).player == winner
+
+    def test_muller_oracle_matches_fresh_solves(self, rng):
+        for _ in range(10):
+            game = random_muller_game(rng)
+            oracle = et.MullerOracle(game)
+            arena = game.arena
+            for label in all_label_words(game.outcomes.size):
+                win_sets = [s for s, o in game.muller_map.items() if o in label]
+                fresh = et.Arena(arena.num_vertices, arena.owned, arena.edges,
+                                 arena.colors)
+                winner = et.solve_muller(fresh, game.start, win_sets)[0]
+                assert oracle.winner(label) == winner
+                assert oracle.strategy(label).player == winner
+
+    def test_lar_product_built_once_per_oracle(self, rng, monkeypatch):
+        builds = []
+        real = graph_games._lar_product
+
+        def counting(*args):
+            builds.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(graph_games, "_lar_product", counting)
+        game = random_muller_game(rng)
+        oracle = et.MullerOracle(game)
+        for label in all_label_words(game.outcomes.size):
+            oracle.winner(label)
+            oracle.strategy(label)
+        assert len(builds) == 1
+        et.multi_outcome_ne(game)
+        assert len(builds) == 2
+
+
+class TestStartVertex:
+    @pytest.mark.parametrize("start", [2, 7, -1])
+    def test_out_of_range_start_rejected(self, start):
+        arena = et.Arena(2, [0], [(0, 1), (1, 0)], [0, 1])
+        with pytest.raises(et.BadIndexError):
+            et.solve_parity(arena, start)
+        with pytest.raises(et.BadIndexError):
+            et.solve_muller(arena, start, [[0]])
+        prefs = et.PreferenceProfile((
+            et.Preference.from_pairs(1, []), et.Preference.from_pairs(1, [])))
+        with pytest.raises(et.BadIndexError):
+            et.MultiOutcomeGraphGame(
+                arena=arena, start=start, kind="priority",
+                outcomes=et.OutcomeSet(1), preferences=prefs,
+                priority_map={0: 0, 1: 0})
 
 
 class TestMuller:
