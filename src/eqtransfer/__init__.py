@@ -15,25 +15,22 @@ from .prefs import (OutcomeSet, Preference, PreferenceProfile, RankFunction,
                     lift_less_existential, linear_extension, rank, upward_cone)
 from .normal_form import (DEFAULT_OUTCOME_CAP, DEFAULT_PROFILE_CAP,
                           GameStructure, NormalFormGame, Profile, SubsetWord,
-                          WinLoseGame, all_labels, can_enforce, deviations,
-                          derive_win_lose, enforcing_strategy, find_all_ne,
-                          is_determined, is_determined_by_enforcement,
-                          is_nash_equilibrium, merge_players, slice_structure,
-                          winning_strategy)
-from .transfer import (CallCounter, CountingOracle, OracleStrategy,
-                       StructureOracle, TransferResult, WinLoseOracle,
-                       eliminate_dominated_outcomes, enforceable_finite_cone,
+                          all_labels, deviations, enforcing_strategy,
+                          find_all_ne, is_determined, is_nash_equilibrium,
+                          merge_players, slice_structure)
+from .transfer import (CallCounter, CountingOracle, GameBackend,
+                       OracleStrategy, StructureOracle, TransferResult,
+                       WinLoseOracle, eliminate_dominated_outcomes,
+                       enforceable_finite_cone, equilibrium,
                        finite_height_reduce, max_enforceable_word,
                        minimax_transfer, run_transfer, transfer_equilibrium)
 from .extensive import (GameTree, Leaf, Node, TreeOracle, TreeStrategy,
-                        backward_induction_oracle, kuhn_via_transfer,
-                        play_tree, strategy_from_index, strategy_to_index,
-                        to_normal_form)
+                        kuhn_via_transfer, play_tree, strategy_from_index,
+                        strategy_to_index, to_normal_form)
 from .graph_games import (Arena, FiniteMemoryStrategy, GraphEquilibrium,
                           MullerOracle, MultiOutcomeGraphGame, Play,
                           PositionalStrategy, PriorityOracle,
-                          achievable_deviation_outcomes,
-                          all_positional_strategies, as_finite_memory,
+                          achievable_deviation_outcomes, as_finite_memory,
                           multi_outcome_ne, muller_memory_bound,
                           muller_winner_of_play, parity_regions,
                           parity_winner_of_play, play_of, solve_muller,

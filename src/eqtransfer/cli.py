@@ -15,13 +15,15 @@ from . import corpus as corpus_mod
 from . import jsonio
 from .errors import (EqTransferError, NotDeterminedError, SchemaError,
                      TooLargeError, UnknownNameError)
-from .extensive import GameTree, kuhn_via_transfer, to_normal_form
-from .graph_games import (MultiOutcomeGraphGame, PositionalStrategy,
-                          multi_outcome_ne, solve_muller, solve_parity)
+from .extensive import (GameTree, TreeOracle, TreeStrategy,
+                        strategy_from_index, to_normal_form)
+from .graph_games import (MullerOracle, MultiOutcomeGraphGame,
+                          PositionalStrategy, PriorityOracle, solve_muller,
+                          solve_parity)
 from .normal_form import (DEFAULT_OUTCOME_CAP, DEFAULT_PROFILE_CAP,
                           GameStructure, NormalFormGame, find_all_ne,
                           is_determined, is_nash_equilibrium)
-from .transfer import transfer_equilibrium
+from .transfer import OracleStrategy, StructureOracle, equilibrium
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -109,68 +111,68 @@ def _counter_lines(counter, n: int) -> list[str]:
     ]
 
 
-def _cmd_transfer(args) -> int:
-    value = _load(args.input)
-    oracle_kind = args.oracle
-    if oracle_kind in ("brute", "tree"):
-        if oracle_kind == "tree":
-            if not (isinstance(value, tuple) and isinstance(value[0], GameTree)):
-                raise SchemaError("tree oracle needs a tree with preferences")
-            tree, prefs = value
-            profile, counter = kuhn_via_transfer(tree, prefs,
-                                                 cap=_profile_cap(args))
-            n = tree.outcomes.size
-            outcome = to_normal_form(tree).outcome(profile)
-            label = tree.outcomes.label(outcome)
-        else:
-            game = _require_game(value)
-            profile, counter = transfer_equilibrium(game)
-            n = game.structure.outcomes.size
-            outcome = game.structure.outcome(profile)
-            label = game.structure.outcomes.label(outcome)
-        report = {
-            "command": "transfer",
-            "oracle": oracle_kind,
-            "profile": list(profile),
-            "outcome": outcome,
-            "outcome_label": label,
-            "winner_calls": counter.winner_calls,
-            "strategy_calls": counter.strategy_calls,
-            "lines": [f"Nash equilibrium: {tuple(profile)} "
-                      f"-> outcome {label}"] + _counter_lines(counter, n),
-        }
-        _emit(report, args.json)
-        return EXIT_OK
+def _backend(value, oracle_kind: str):
+    """Game backend, preferences and outcome set for the chosen oracle."""
+    if oracle_kind == "brute":
+        game = _require_game(value)
+        return (StructureOracle(game.structure), game.preferences,
+                game.structure.outcomes)
+    if oracle_kind == "tree":
+        if not (isinstance(value, tuple) and isinstance(value[0], GameTree)):
+            raise SchemaError("tree oracle needs a tree with preferences")
+        tree, prefs = value
+        return TreeOracle(tree), prefs, tree.outcomes
     if not isinstance(value, MultiOutcomeGraphGame):
         raise SchemaError(f"{oracle_kind} oracle needs a graph game input")
     wanted_kind = "priority" if oracle_kind == "parity" else "muller"
     if value.kind != wanted_kind:
         raise SchemaError(f"input is a {value.kind} game, oracle is "
                           f"{oracle_kind}")
-    eq = multi_outcome_ne(value)
-    n = value.outcomes.size
+    oracle = PriorityOracle if oracle_kind == "parity" else MullerOracle
+    return oracle(value), value.preferences, value.outcomes
+
+
+def _cmd_transfer(args) -> int:
+    backend, prefs, outcomes = _backend(_load(args.input), args.oracle)
+    result = equilibrium(backend, prefs)
+    label = outcomes.label(result.outcome)
+    restricted = result.strategy_1.restricted and result.strategy_2.restricted
     report = {
         "command": "transfer",
-        "oracle": oracle_kind,
-        "outcome": eq.outcome,
-        "outcome_label": value.outcomes.label(eq.outcome),
-        "winner_calls": eq.counter.winner_calls,
-        "strategy_calls": eq.counter.strategy_calls,
-        "restricted": eq.restricted,
-        "strategies": [_strategy_obj(eq.strategy_1), _strategy_obj(eq.strategy_2)],
-        "lines": [f"Nash equilibrium outcome: "
-                  f"{value.outcomes.label(eq.outcome)}",
-                  f"strategy class respected: {eq.restricted}"]
-                 + _counter_lines(eq.counter, n),
+        "oracle": args.oracle,
+        "outcome": result.outcome,
+        "outcome_label": label,
+        "winner_calls": result.counter.winner_calls,
+        "strategy_calls": result.counter.strategy_calls,
+        "restricted": restricted,
+        "strategies": [_oracle_strategy_obj(backend, s)
+                       for s in (result.strategy_1, result.strategy_2)],
+        "lines": [f"Nash equilibrium outcome: {label}",
+                  f"strategy class respected: {restricted}"]
+                 + _counter_lines(result.counter, outcomes.size),
     }
     _emit(report, args.json)
     return EXIT_OK
+
+
+def _oracle_strategy_obj(backend, s: OracleStrategy) -> dict:
+    """Tree handles are printed as per-node choices: as normal-form indices
+    they run to thousands of digits on large trees."""
+    if isinstance(backend, TreeOracle):
+        return _strategy_obj(strategy_from_index(backend.tree, s.player,
+                                                 s.handle))
+    if isinstance(s.handle, int):
+        return {"type": "index", "player": s.player, "index": s.handle}
+    return _strategy_obj(s.handle)
 
 
 def _strategy_obj(strategy) -> dict:
     if isinstance(strategy, PositionalStrategy):
         return {"type": "positional", "player": strategy.player,
                 "moves": {str(v): w for v, w in sorted(strategy.moves.items())}}
+    if isinstance(strategy, TreeStrategy):
+        return {"type": "tree", "player": strategy.player,
+                "choices": {str(n): c for n, c in strategy.choices}}
     return {"type": "finite-memory", "player": strategy.player,
             "memory_bound": strategy.num_states}
 

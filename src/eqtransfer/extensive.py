@@ -2,20 +2,23 @@
 
 Strategies are full choice functions: one child per owned internal node,
 including nodes the play never reaches.  Nodes are numbered by preorder
-traversal so strategy enumeration is reproducible.
+traversal so strategy enumeration is reproducible; every traversal runs on
+the preorder arrays without recursion, so depth is bounded only by memory.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Union
+
+import numpy as np
 
 from .errors import TooLargeError
-from .normal_form import (DEFAULT_PROFILE_CAP, GameStructure, NormalFormGame,
-                          Profile, SubsetWord)
+from .normal_form import (DEFAULT_PROFILE_CAP, GameStructure, Profile,
+                          SubsetWord)
 from .prefs import OutcomeSet, PreferenceProfile
-from .transfer import (CallCounter, OracleStrategy, WinLoseOracle,
-                       transfer_equilibrium)
+from .transfer import CallCounter, GameBackend, OracleStrategy, equilibrium
 
 
 @dataclass(frozen=True)
@@ -36,22 +39,42 @@ class Node:
 
 
 class GameTree:
-    """A finite rooted tree with owned internal nodes and outcome-bearing leaves."""
+    """A finite rooted tree with owned internal nodes and outcome-bearing leaves.
+
+    The tree is indexed once, in preorder: ``owners[i]`` is the owner of
+    internal node i and ``children[i]`` its child codes, where a code k >= 0
+    names internal node k and a code ~o (that is, -1 - o) a leaf with outcome
+    o.  ``root_code`` codes the root the same way.  Children come after their
+    parent in preorder, so a reverse sweep visits them first.
+    """
 
     def __init__(self, root: Union[Node, Leaf], outcomes: OutcomeSet):
         self.root = root
         self.outcomes = outcomes
         self._nodes: list[Node] = []
-        self._collect(root)
-        for leaf in self.leaves():
-            if not (0 <= leaf.outcome < outcomes.size):
-                raise ValueError(f"leaf outcome {leaf.outcome} out of range")
-
-    def _collect(self, t: Union[Node, Leaf]) -> None:
-        if isinstance(t, Node):
-            self._nodes.append(t)
-            for child in t.children:
-                self._collect(child)
+        self._leaves: list[Leaf] = []
+        kids: list[list[int]] = []
+        # (subtree, (parent index, child slot) or None for the root)
+        stack: list = [(root, None)]
+        while stack:
+            sub, slot = stack.pop()
+            if isinstance(sub, Leaf):
+                if not (0 <= sub.outcome < outcomes.size):
+                    raise ValueError(f"leaf outcome {sub.outcome} out of range")
+                self._leaves.append(sub)
+                code = ~sub.outcome
+            else:
+                code = len(kids)
+                self._nodes.append(sub)
+                kids.append([0] * len(sub.children))
+                stack.extend((child, (code, k)) for k, child
+                             in reversed(list(enumerate(sub.children))))
+            if slot is None:
+                self.root_code = code
+            else:
+                kids[slot[0]][slot[1]] = code
+        self.owners = tuple(n.owner for n in self._nodes)
+        self.children = tuple(map(tuple, kids))
 
     def internal_nodes(self) -> list[Node]:
         """Internal nodes in preorder."""
@@ -59,25 +82,15 @@ class GameTree:
 
     def owned_nodes(self, player: int) -> list[int]:
         """Preorder indices of the internal nodes the player owns."""
-        return [i for i, n in enumerate(self._nodes) if n.owner == player]
+        return [i for i, owner in enumerate(self.owners) if owner == player]
 
     def leaves(self) -> list[Leaf]:
-        out: list[Leaf] = []
-
-        def walk(t):
-            if isinstance(t, Leaf):
-                out.append(t)
-            else:
-                for c in t.children:
-                    walk(c)
-
-        walk(self.root)
-        return out
+        return list(self._leaves)
 
     def strategy_count(self, player: int) -> int:
         count = 1
         for i in self.owned_nodes(player):
-            count *= len(self._nodes[i].children)
+            count *= len(self.children[i])
         return count
 
 
@@ -88,140 +101,136 @@ class TreeStrategy:
     player: int
     choices: tuple[tuple[int, int], ...]  # (node index, child index) pairs
 
-    def choice(self, node_index: int) -> int:
-        for n, c in self.choices:
-            if n == node_index:
-                return c
-        raise KeyError(f"no choice recorded for node {node_index}")
-
 
 def strategy_from_index(t: GameTree, player: int, index: int) -> TreeStrategy:
     """Decode a strategy index (mixed radix, first owned node most significant)."""
     owned = t.owned_nodes(player)
-    radices = [len(t.internal_nodes()[i].children) for i in owned]
     digits = [0] * len(owned)
     rest = index
     for pos in range(len(owned) - 1, -1, -1):
-        digits[pos] = rest % radices[pos]
-        rest //= radices[pos]
+        rest, digits[pos] = divmod(rest, len(t.children[owned[pos]]))
     if rest:
         raise ValueError(f"strategy index {index} out of range")
     return TreeStrategy(player, tuple(zip(owned, digits)))
 
 
 def strategy_to_index(t: GameTree, s: TreeStrategy) -> int:
-    owned = t.owned_nodes(s.player)
-    radices = [len(t.internal_nodes()[i].children) for i in owned]
+    choice = dict(s.choices)
     index = 0
-    for node, radix in zip(owned, radices):
-        index = index * radix + s.choice(node)
+    for node in t.owned_nodes(s.player):
+        index = index * len(t.children[node]) + choice[node]
     return index
 
 
 def play_tree(t: GameTree, s1: TreeStrategy, s2: TreeStrategy) -> int:
     """Outcome at the unique leaf reached by following both strategies."""
-    by_player = {1: s1, 2: s2}
-    node_index = {id(n): i for i, n in enumerate(t.internal_nodes())}
-    cur: Union[Node, Leaf] = t.root
-    while isinstance(cur, Node):
-        strat = by_player[cur.owner]
-        cur = cur.children[strat.choice(node_index[id(cur)])]
-    return cur.outcome
+    choice = {1: dict(s1.choices), 2: dict(s2.choices)}
+    code = t.root_code
+    while code >= 0:
+        code = t.children[code][choice[t.owners[code]][code]]
+    return ~code
 
 
 def to_normal_form(t: GameTree, cap: int = DEFAULT_PROFILE_CAP) -> GameStructure:
-    """Embed the tree into a two-player structure over full choice functions."""
+    """Embed the tree into a two-player structure over full choice functions.
+
+    Each internal node's outcome table over all profiles is composed from its
+    children's tables, selected by the owner's digit at that node."""
     n1, n2 = t.strategy_count(1), t.strategy_count(2)
     if n1 * n2 > cap:
         raise TooLargeError(f"{n1 * n2} strategy profiles exceed cap {cap}")
-    table = [[play_tree(t, strategy_from_index(t, 1, i), strategy_from_index(t, 2, j))
-              for j in range(n2)]
-             for i in range(n1)]
+    digit = {}
+    for player, count in ((1, n1), (2, n2)):
+        stride = count
+        for i in t.owned_nodes(player):
+            stride //= len(t.children[i])
+            d = (np.arange(count) // stride) % len(t.children[i])
+            digit[i] = d[:, None] if player == 1 else d[None, :]
+    tables: dict[int, np.ndarray] = {}
+    for i in range(len(t.owners) - 1, -1, -1):
+        out = np.empty((n1, n2), dtype=np.int64)
+        for k, code in enumerate(t.children[i]):
+            np.copyto(out, tables.pop(code) if code >= 0 else ~code,
+                      where=digit[i] == k)
+        tables[i] = out
+    root = t.root_code
+    table = tables[root] if root >= 0 else np.full((1, 1), ~root)
     return GameStructure((n1, n2), t.outcomes, table)
 
 
-def _winner_map(t: GameTree, label: SubsetWord) -> dict[int, int]:
-    """Backward induction: winning player at every internal node (by preorder id)."""
-    node_index = {id(n): i for i, n in enumerate(t.internal_nodes())}
-    winners: dict[int, int] = {}
+def _backward_induction(t: GameTree, label: SubsetWord) -> Callable[[int], int]:
+    """One reverse preorder sweep; returns the winner at each node code."""
+    bits = label.bits
+    won = [0] * len(t.owners)
 
-    def solve(sub: Union[Node, Leaf]) -> int:
-        if isinstance(sub, Leaf):
-            return 1 if sub.outcome in label else 2
-        results = [solve(c) for c in sub.children]
-        won = sub.owner if sub.owner in results else (2 if sub.owner == 1 else 1)
-        winners[node_index[id(sub)]] = won
-        return won
+    def winner(code: int) -> int:
+        return won[code] if code >= 0 else 2 - bits[~code]
 
-    solve(t.root)
-    return winners
+    for i in range(len(won) - 1, -1, -1):
+        me = t.owners[i]
+        won[i] = me if any(winner(c) == me for c in t.children[i]) else 3 - me
+    return winner
 
 
-class TreeOracle(WinLoseOracle):
-    """Backward-induction win-lose oracle over a game tree.
+class TreeOracle(GameBackend):
+    """Backward-induction game backend over a game tree, linear in its size.
 
     Strategy handles are indices into the tree's normal-form embedding, so
-    transfer results plug directly into the converted game.
+    transfer results plug directly into the converted game; the embedding
+    itself is built only when ``structure`` is read.
     """
 
     def __init__(self, tree: GameTree):
         self.tree = tree
-        self.structure = to_normal_form(tree)
+
+    @functools.cached_property
+    def structure(self) -> GameStructure:
+        return to_normal_form(self.tree)
 
     @property
     def n_outcomes(self) -> int:
         return self.tree.outcomes.size
 
-    def root_winner(self, label: SubsetWord) -> int:
-        root = self.tree.root
-        if isinstance(root, Leaf):
-            return 1 if root.outcome in label else 2
-        winners = _winner_map(self.tree, label)
-        return winners[0]
-
     def winner(self, label: SubsetWord) -> int:
-        return self.root_winner(label)
-
-    def winning_tree_strategy(self, label: SubsetWord) -> tuple[int, TreeStrategy]:
-        """Full strategy for the root winner: at won nodes move to a won child,
-        elsewhere default to the first child."""
-        winners = _winner_map(self.tree, label)
-        root = self.tree.root
-        if isinstance(root, Leaf):
-            champion = 1 if root.outcome in label else 2
-        else:
-            champion = winners[0]
-        nodes = self.tree.internal_nodes()
-        node_index = {id(n): i for i, n in enumerate(nodes)}
-        choices = []
-        for i in self.tree.owned_nodes(champion):
-            node = nodes[i]
-            pick = 0
-            if winners[i] == champion:
-                for ci, child in enumerate(node.children):
-                    child_w = (1 if child.outcome in label else 2) \
-                        if isinstance(child, Leaf) else winners[node_index[id(child)]]
-                    if child_w == champion:
-                        pick = ci
-                        break
-            choices.append((i, pick))
-        return champion, TreeStrategy(champion, tuple(choices))
+        return _backward_induction(self.tree, label)(self.tree.root_code)
 
     def strategy(self, label: SubsetWord) -> OracleStrategy:
-        champion, strat = self.winning_tree_strategy(label)
-        return OracleStrategy(champion, strategy_to_index(self.tree, strat), True)
+        """Full strategy for the root winner: at each owned node move to the
+        first child they win, or to the first child where they win none."""
+        t = self.tree
+        winner = _backward_induction(t, label)
+        champion = winner(t.root_code)
+        choices = tuple((i, next((k for k, c in enumerate(t.children[i])
+                                  if winner(c) == champion), 0))
+                        for i in t.owned_nodes(champion))
+        strat = TreeStrategy(champion, choices)
+        return OracleStrategy(champion, strategy_to_index(t, strat), True)
+
+    def play_outcome(self, h1: int, h2: int) -> int:
+        t = self.tree
+        return play_tree(t, strategy_from_index(t, 1, h1),
+                         strategy_from_index(t, 2, h2))
+
+    def deviation_outcomes(self, fixed: int, deviator: int) -> set[int]:
+        """One sweep from the root: every child at the deviator's nodes, the
+        fixed strategy's choice at the other player's."""
+        t = self.tree
+        forced = dict(strategy_from_index(t, 3 - deviator, fixed).choices)
+        reached: set[int] = set()
+        stack = [t.root_code]
+        while stack:
+            code = stack.pop()
+            if code < 0:
+                reached.add(~code)
+            elif t.owners[code] == deviator:
+                stack.extend(t.children[code])
+            else:
+                stack.append(t.children[code][forced[code]])
+        return reached
 
 
-def backward_induction_oracle(t: GameTree) -> TreeOracle:
-    return TreeOracle(t)
-
-
-def kuhn_via_transfer(t: GameTree, prefs: PreferenceProfile,
-                      cap: int = DEFAULT_PROFILE_CAP
+def kuhn_via_transfer(t: GameTree, prefs: PreferenceProfile
                       ) -> tuple[Profile, CallCounter]:
     """Nash equilibrium of the tree game via transfer with backward induction."""
-    oracle = backward_induction_oracle(t)
-    if oracle.structure.profile_count > cap:
-        raise TooLargeError("tree too large for normal-form verification")
-    game = NormalFormGame(oracle.structure, prefs)
-    return transfer_equilibrium(game, oracle)
+    result = equilibrium(TreeOracle(t), prefs)
+    return result.profile, result.counter

@@ -10,14 +10,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional
+from typing import Callable, Hashable, Iterable, Mapping, Optional
 
-from .errors import (BadIndexError, CyclicPreferenceError,
-                     NotDeterminedError, UnboundedHeightError)
+from .errors import BadIndexError, NotDeterminedError, UnboundedHeightError
 from .normal_form import SubsetWord
-from .prefs import OutcomeSet, PreferenceProfile, height, is_acyclic
-from .transfer import (CallCounter, OracleStrategy, WinLoseOracle,
-                       run_transfer)
+from .prefs import OutcomeSet, PreferenceProfile, height
+from .transfer import CallCounter, GameBackend, OracleStrategy, equilibrium
 
 
 class Arena:
@@ -276,14 +274,6 @@ def parity_winner_of_play(arena: Arena, play: Play) -> int:
     return 1 if min(cluster) % 2 == 0 else 2
 
 
-def all_positional_strategies(arena: Arena, player: int
-                              ) -> Iterator[PositionalStrategy]:
-    mine = sorted(arena.owned if player == 1 else
-                  set(range(arena.num_vertices)) - arena.owned)
-    for picks in itertools.product(*(arena.succ[v] for v in mine)):
-        yield PositionalStrategy(player, dict(zip(mine, picks)))
-
-
 # ---------------------------------------------------------------------------
 # Muller: latest-appearance-record reduction to parity.
 
@@ -423,7 +413,7 @@ class MultiOutcomeGraphGame:
         return self.outcome_of_cluster(play.cluster_colors(self.arena))
 
 
-class _ArenaOracle(WinLoseOracle):
+class _ArenaOracle(GameBackend):
     """Queries shared by the arena oracles; ``_solve`` answers one label
     with the winner and their winning strategy."""
 
@@ -439,6 +429,13 @@ class _ArenaOracle(WinLoseOracle):
     def strategy(self, label: SubsetWord) -> OracleStrategy:
         winner, strat = self._solve(label)
         return OracleStrategy(winner, strat, True)
+
+    def play_outcome(self, h1, h2) -> int:
+        game = self.game
+        return game.outcome_of_play(play_of(game.arena, game.start, h1, h2))
+
+    def deviation_outcomes(self, fixed, deviator: int) -> set[int]:
+        return achievable_deviation_outcomes(self.game, fixed, deviator)
 
 
 class PriorityOracle(_ArenaOracle):
@@ -634,27 +631,12 @@ def multi_outcome_ne(game: MultiOutcomeGraphGame) -> GraphEquilibrium:
     result is verified exactly against all deviations via the residual-graph
     cycle analysis.
     """
-    for p in game.preferences.prefs:
-        if game.kind == PRIORITY:
-            if height(p) is None:
-                raise UnboundedHeightError(
-                    "priority transfer needs finite-height preferences")
-        elif not is_acyclic(p):
-            raise CyclicPreferenceError(
-                "Muller transfer needs acyclic preferences")
+    if game.kind == PRIORITY and any(height(p) is None
+                                     for p in game.preferences.prefs):
+        raise UnboundedHeightError(
+            "priority transfer needs finite-height preferences")
     oracle = PriorityOracle(game) if game.kind == PRIORITY else MullerOracle(game)
-    result = run_transfer(oracle, game.preferences)
-    s1, s2 = result.strategy_1.handle, result.strategy_2.handle
-    play = play_of(game.arena, game.start, s1, s2)
-    played = game.outcome_of_play(play)
-    if played != result.outcome:
-        raise NotDeterminedError(
-            f"profile plays outcome {played}, transfer promised {result.outcome}")
-    for deviator, fixed in ((1, s2), (2, s1)):
-        pref = game.preferences[deviator - 1]
-        for alt in achievable_deviation_outcomes(game, fixed, deviator):
-            if pref.less(played, alt):
-                raise NotDeterminedError(
-                    f"player {deviator} can deviate to a preferred outcome {alt}")
+    result = equilibrium(oracle, game.preferences)
     restricted = result.strategy_1.restricted and result.strategy_2.restricted
-    return GraphEquilibrium(s1, s2, played, result.counter, restricted)
+    return GraphEquilibrium(*result.profile, result.outcome, result.counter,
+                            restricted)

@@ -2,15 +2,17 @@
 
 Every document carries ``"format": 1``.  Loaders raise SchemaError with a
 human-readable reason; syntactically broken JSON keeps the parser's
-line/column information.
+line/column information, and JSON nested deeper than the parser can go
+raises TooLargeError.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from typing import Any, Optional, Union
 
-from .errors import SchemaError
+from .errors import SchemaError, TooLargeError
 from .extensive import GameTree, Leaf, Node
 from .graph_games import Arena, MultiOutcomeGraphGame
 from .normal_form import GameStructure, NormalFormGame
@@ -115,17 +117,30 @@ _OWNER_LABELS = {1: "a", 2: "b"}
 
 
 def _tree_node_from_obj(obj: Any) -> Union[Node, Leaf]:
-    _require(isinstance(obj, dict), "tree node must be an object")
-    if "leaf" in obj:
-        _require(isinstance(obj["leaf"], int), "leaf must hold an outcome index")
-        return Leaf(obj["leaf"])
-    owner = obj.get("owner")
-    _require(owner in _OWNER_NAMES, f"node owner must be 'a' or 'b', got {owner!r}")
-    children = obj.get("children")
-    _require(isinstance(children, list) and children,
-             "internal node needs a non-empty children list")
-    return Node(_OWNER_NAMES[owner],
-                tuple(_tree_node_from_obj(c) for c in children))
+    """Check every node, parents before children, then build the nodes
+    children before parents; no recursion, so depth is not limited."""
+    order, stack = [], [obj]
+    while stack:
+        node = stack.pop()
+        _require(isinstance(node, dict), "tree node must be an object")
+        order.append(node)
+        if "leaf" in node:
+            _require(isinstance(node["leaf"], int),
+                     "leaf must hold an outcome index")
+            continue
+        owner = node.get("owner")
+        _require(owner in _OWNER_NAMES,
+                 f"node owner must be 'a' or 'b', got {owner!r}")
+        children = node.get("children")
+        _require(isinstance(children, list) and children,
+                 "internal node needs a non-empty children list")
+        stack.extend(children)
+    built: dict[int, Union[Node, Leaf]] = {}  # id(JSON object) -> subtree
+    for node in reversed(order):
+        built[id(node)] = (Leaf(node["leaf"]) if "leaf" in node else Node(
+            _OWNER_NAMES[node["owner"]],
+            tuple(built[id(c)] for c in node["children"])))
+    return built[id(obj)]
 
 
 def tree_from_obj(obj: dict) -> tuple[GameTree, Optional[PreferenceProfile]]:
@@ -141,17 +156,22 @@ def tree_from_obj(obj: dict) -> tuple[GameTree, Optional[PreferenceProfile]]:
     return tree, prefs
 
 
-def _tree_node_to_obj(t: Union[Node, Leaf]) -> dict:
-    if isinstance(t, Leaf):
-        return {"leaf": t.outcome}
-    return {"owner": _OWNER_LABELS[t.owner],
-            "children": [_tree_node_to_obj(c) for c in t.children]}
+def _tree_node_to_obj(tree: GameTree) -> dict:
+    made: dict[int, dict] = {}
+
+    def obj(code: int) -> dict:
+        return made.pop(code) if code >= 0 else {"leaf": ~code}
+
+    for i in range(len(tree.owners) - 1, -1, -1):
+        made[i] = {"owner": _OWNER_LABELS[tree.owners[i]],
+                   "children": [obj(c) for c in tree.children[i]]}
+    return obj(tree.root_code)
 
 
 def tree_to_obj(tree: GameTree,
                 prefs: Optional[PreferenceProfile] = None) -> dict:
     doc = {"format": FORMAT,
-           "tree": _tree_node_to_obj(tree.root),
+           "tree": _tree_node_to_obj(tree),
            "outcomes": _outcomes_obj(tree.outcomes)}
     if prefs is not None:
         doc["preferences"] = [{"pairs": sorted([x, y] for x, y in p.pairs)}
@@ -265,6 +285,10 @@ def loads(text: str) -> Loadable:
         raise SchemaError(
             f"malformed JSON: {exc.msg} at line {exc.lineno} "
             f"column {exc.colno}") from exc
+    except RecursionError as exc:
+        raise TooLargeError(
+            "JSON nested deeper than the parser's limit of about "
+            f"{sys.getrecursionlimit()} levels") from exc
     return from_obj(obj)
 
 

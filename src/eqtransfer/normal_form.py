@@ -118,20 +118,6 @@ class NormalFormGame:
             raise ValueError("preferences must range over the structure's outcomes")
 
 
-@dataclass(frozen=True)
-class WinLoseGame:
-    """Two-player structure plus a label word: bit 1 marks a player-1 win."""
-
-    structure: GameStructure
-    label: SubsetWord
-
-    def __post_init__(self):
-        if self.structure.players != 2:
-            raise ValueError("win-lose games have exactly two players")
-        if len(self.label) != self.structure.outcomes.size:
-            raise ValueError("label length must equal the outcome count")
-
-
 def deviations(structure: GameStructure, s: Profile, player: int) -> Iterator[Profile]:
     """All profiles differing from s at most in the given player's component."""
     for alt in range(structure.strategy_counts[player]):
@@ -159,28 +145,6 @@ def find_all_ne(g: NormalFormGame, cap: int = DEFAULT_PROFILE_CAP) -> list[Profi
     return [s for s in st.profiles() if is_nash_equilibrium(g, s)]
 
 
-def winning_strategy(w: WinLoseGame) -> Optional[tuple[int, int]]:
-    """A (player, strategy) guaranteeing that player's win, or None.
-
-    Scans player 1's strategies in ascending index order first, then player 2's.
-    """
-    table = w.structure.table
-    bits = np.asarray(w.label.bits, dtype=bool)
-    wins = bits[table]  # True where player 1 wins
-    for i in range(w.structure.strategy_counts[0]):
-        if wins[i, :].all():
-            return (1, i)
-    for j in range(w.structure.strategy_counts[1]):
-        if not wins[:, j].any():
-            return (2, j)
-    return None
-
-
-def can_enforce(st: GameStructure, player: int, subset: SubsetWord) -> bool:
-    """True iff the player has a strategy keeping the outcome inside the subset."""
-    return enforcing_strategy(st, player, subset) is not None
-
-
 def enforcing_strategy(st: GameStructure, player: int,
                        subset: SubsetWord) -> Optional[int]:
     """Lowest-index strategy of the player enforcing the subset, or None."""
@@ -194,10 +158,6 @@ def enforcing_strategy(st: GameStructure, player: int,
     return int(hits[0]) if hits.size else None
 
 
-def derive_win_lose(st: GameStructure, label: SubsetWord) -> WinLoseGame:
-    return WinLoseGame(st, label)
-
-
 def all_labels(n: int) -> Iterator[SubsetWord]:
     for bits in itertools.product((0, 1), repeat=n):
         yield SubsetWord(bits)
@@ -206,26 +166,25 @@ def all_labels(n: int) -> Iterator[SubsetWord]:
 def is_determined(st: GameStructure, cap: int = DEFAULT_OUTCOME_CAP) -> bool:
     """Every derived win-lose game has a winning strategy.
 
-    Exponential in the outcome count; guarded by a cap.
+    With outcome o as bit o, player 1 wins label L iff the outcome mask R of
+    some row has R & ~L == 0, and player 2 iff the mask C of some column has
+    C & L == 0.  All 2^n labels are tested at once, one distinct mask at a
+    time; the cap, never above 31, keeps the labels within uint32.
     """
     n = st.outcomes.size
     if st.players != 2:
         raise ValueError("determinacy is defined for two-player structures")
-    if n > cap:
-        raise TooLargeError(f"{n} outcomes exceed determinacy cap {cap}")
-    return all(winning_strategy(derive_win_lose(st, lab)) is not None
-               for lab in all_labels(n))
-
-
-def is_determined_by_enforcement(st: GameStructure,
-                                 cap: int = DEFAULT_OUTCOME_CAP) -> bool:
-    """Equivalent characterisation: each subset is enforced by player 1 or
-    its complement is enforced by player 2."""
-    n = st.outcomes.size
-    if n > cap:
-        raise TooLargeError(f"{n} outcomes exceed determinacy cap {cap}")
-    return all(can_enforce(st, 1, lab) or can_enforce(st, 2, lab.complement())
-               for lab in all_labels(n))
+    limit = min(cap, 31)
+    if n > limit:
+        raise TooLargeError(f"{n} outcomes exceed determinacy cap {limit}")
+    reach = np.left_shift(np.uint32(1), st.table.astype(np.uint32))
+    labels = np.arange(1 << n, dtype=np.uint32)
+    won = np.zeros(1 << n, dtype=bool)
+    for row in np.unique(np.bitwise_or.reduce(reach, axis=1)):
+        won |= (labels & row) == row
+    for col in np.unique(np.bitwise_or.reduce(reach, axis=0)):
+        won |= (labels & col) == 0
+    return bool(won.all())
 
 
 def slice_structure(st: GameStructure, player: int, strategy: int) -> GameStructure:

@@ -3,13 +3,14 @@
 A pluggable win-lose oracle answers, for any subset of the outcomes, which
 player wins the derived win-lose game and with which strategy.  The transfer
 routine turns such an oracle into a Nash equilibrium of the multi-outcome
-game using at most n winner queries and 2 strategy queries.
+game using at most n winner queries and 2 strategy queries; ``equilibrium``
+verifies the result through any game backend (normal form, tree, arena).
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
 from .errors import (CyclicPreferenceError, HypothesisViolatedError,
@@ -78,7 +79,20 @@ class CountingOracle(WinLoseOracle):
         return self.inner.strategy(label)
 
 
-class StructureOracle(WinLoseOracle):
+class GameBackend(WinLoseOracle):
+    """A win-lose oracle that can also play its own strategy handles in the
+    multi-outcome game, which is all that verifying a transfer needs."""
+
+    @abc.abstractmethod
+    def play_outcome(self, h1: Any, h2: Any) -> int:
+        """Outcome of the play of player 1's handle against player 2's."""
+
+    @abc.abstractmethod
+    def deviation_outcomes(self, fixed: Any, deviator: int) -> set[int]:
+        """Every outcome the deviator can reach against the fixed handle."""
+
+
+class StructureOracle(GameBackend):
     """Brute-force oracle over a finite two-player game structure.
 
     On a non-determined structure some derived games have no winner; this
@@ -86,11 +100,10 @@ class StructureOracle(WinLoseOracle):
     equilibrium verification catches the lie.
     """
 
-    def __init__(self, structure: GameStructure, restricted: bool = True):
+    def __init__(self, structure: GameStructure):
         if structure.players != 2:
             raise ValueError("oracle expects a two-player structure")
         self.structure = structure
-        self.restricted = restricted
 
     @property
     def n_outcomes(self) -> int:
@@ -102,9 +115,16 @@ class StructureOracle(WinLoseOracle):
     def strategy(self, label: SubsetWord) -> OracleStrategy:
         row = enforcing_strategy(self.structure, 1, label)
         if row is not None:
-            return OracleStrategy(1, row, self.restricted)
+            return OracleStrategy(1, row, True)
         col = enforcing_strategy(self.structure, 2, label.complement())
-        return OracleStrategy(2, col if col is not None else 0, self.restricted)
+        return OracleStrategy(2, col if col is not None else 0, True)
+
+    def play_outcome(self, h1: int, h2: int) -> int:
+        return self.structure.outcome((h1, h2))
+
+    def deviation_outcomes(self, fixed: int, deviator: int) -> set[int]:
+        table = self.structure.table
+        return set((table[:, fixed] if deviator == 1 else table[fixed]).tolist())
 
 
 def _label_from_linear_bits(linear: Sequence[int], bits: Sequence[int]) -> SubsetWord:
@@ -141,13 +161,17 @@ class TransferResult:
     enforced: SubsetWord
     counter: CallCounter
 
+    @property
+    def profile(self) -> tuple[Any, Any]:
+        return (self.strategy_1.handle, self.strategy_2.handle)
+
 
 def run_transfer(oracle: WinLoseOracle, prefs: PreferenceProfile) -> TransferResult:
     """Core of the transfer: compute the equilibrium pair of oracle strategies.
 
     The expected played outcome is the preferred-by-player-2 maximum of the
-    lift-greatest enforceable set; the caller is responsible for verifying
-    the resulting profile in its own game.
+    lift-greatest enforceable set; ``equilibrium`` verifies the resulting
+    profile in the game.
     """
     if prefs.players != 2:
         raise ValueError("transfer works on two-player games")
@@ -180,31 +204,32 @@ def run_transfer(oracle: WinLoseOracle, prefs: PreferenceProfile) -> TransferRes
     return TransferResult(s1, s2, m, enforced, counting.counter)
 
 
-def transfer_equilibrium(g: NormalFormGame,
-                         oracle: Optional[WinLoseOracle] = None
-                         ) -> tuple[Profile, CallCounter]:
-    """Nash equilibrium of a two-player game via a win-lose oracle.
+def equilibrium(backend: GameBackend, prefs: PreferenceProfile) -> TransferResult:
+    """Transfer, then verify the profile in the backend's own game.
 
-    Determinacy of the structure is not re-checked (that would cost 2^n
-    oracle calls); instead the final profile is verified and
-    NotDeterminedError is raised when it fails.
+    Determinacy is not re-checked (that would cost 2^n oracle calls);
+    NotDeterminedError is raised instead when the profile misses the promised
+    outcome or a player can deviate to an outcome they strictly prefer.
     """
-    if g.structure.players != 2:
-        raise ValueError("transfer works on two-player games")
-    if oracle is None:
-        oracle = StructureOracle(g.structure)
-    result = run_transfer(oracle, g.preferences)
-    profile = (result.strategy_1.handle, result.strategy_2.handle)
-    if (not isinstance(profile[0], int)) or (not isinstance(profile[1], int)):
-        raise ValueError("oracle handles must be strategy indices for this game")
-    if g.structure.outcome(profile) != result.outcome:
+    result = run_transfer(backend, prefs)
+    h1, h2 = result.profile
+    played = backend.play_outcome(h1, h2)
+    if played != result.outcome:
         raise NotDeterminedError(
-            f"profile yields outcome {g.structure.outcome(profile)}, "
-            f"expected {result.outcome}")
-    if not is_nash_equilibrium(g, profile):
-        raise NotDeterminedError("transfer produced a non-equilibrium profile; "
-                                 "the structure is not determined")
-    return profile, result.counter
+            f"profile plays outcome {played}, transfer promised {result.outcome}")
+    for deviator, fixed in ((1, h2), (2, h1)):
+        pref = prefs[deviator - 1]
+        for alt in sorted(backend.deviation_outcomes(fixed, deviator)):
+            if pref.less(played, alt):
+                raise NotDeterminedError(
+                    f"player {deviator} can deviate to a preferred outcome {alt}")
+    return result
+
+
+def transfer_equilibrium(g: NormalFormGame) -> tuple[Profile, CallCounter]:
+    """Nash equilibrium of a two-player game via the brute-force oracle."""
+    result = equilibrium(StructureOracle(g.structure), g.preferences)
+    return result.profile, result.counter
 
 
 def enforceable_finite_cone(g: NormalFormGame, player: int) -> Optional[set[int]]:

@@ -1,9 +1,23 @@
 """Reference parity solving for the tests: the plain fixed-point attractor
 and the recursive form of Zielonka's algorithm, with no priority
 compression, plus a certificate that checks claimed winning regions and
-strategies without trusting any solver."""
+strategies without trusting any solver, and the enumeration of positional
+strategies that the brute-force checks range over."""
 
 from __future__ import annotations
+
+import itertools
+from typing import Iterator
+
+import eqtransfer as et
+
+
+def all_positional_strategies(arena: et.Arena, player: int
+                              ) -> Iterator[et.PositionalStrategy]:
+    mine = sorted(arena.owned if player == 1 else
+                  set(range(arena.num_vertices)) - arena.owned)
+    for picks in itertools.product(*(arena.succ[v] for v in mine)):
+        yield et.PositionalStrategy(player, dict(zip(mine, picks)))
 
 
 def fixed_point_attractor(succ, owned, region: set[int], target: set[int],

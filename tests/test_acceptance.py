@@ -11,6 +11,10 @@ import eqtransfer as et
 from conftest import (random_acyclic_preference, random_arena,
                       random_determined_structure, random_memory_machine,
                       random_structure)
+from reference_graph import all_positional_strategies
+from reference_normal_form import (can_enforce, derive_win_lose,
+                                   is_determined_by_enforcement,
+                                   winning_strategy)
 from test_corpus import letters
 from test_graph_games import (brute_parity_winner, random_muller_game,
                               random_priority_game)
@@ -70,8 +74,8 @@ def test_c03_winning_strategy_iff_ne():
         et.Preference.from_pairs(2, [(0, 1)])))
     for _ in range(200):
         st = random_structure(rng, (rng.randint(1, 5), rng.randint(1, 5)), 2)
-        w = et.derive_win_lose(st, et.SubsetWord((1, 0)))
-        has_winner = et.winning_strategy(w) is not None
+        w = derive_win_lose(st, et.SubsetWord((1, 0)))
+        has_winner = winning_strategy(w) is not None
         assert has_winner == bool(
             et.find_all_ne(et.NormalFormGame(st, prefs)))
     report("criterion 3 — 200/200 win-lose games: winning strategy "
@@ -85,14 +89,14 @@ def test_c04_three_way_determinacy_equivalence():
                               rng.randint(1, 4))
         n = st.outcomes.size
         via_winners = all(
-            et.winning_strategy(et.derive_win_lose(st, label)) is not None
+            winning_strategy(derive_win_lose(st, label)) is not None
             for label in et.all_labels(n))
         via_cones = all(
-            et.can_enforce(st, 1, label)
-            or et.can_enforce(st, 2, label.complement())
+            can_enforce(st, 1, label)
+            or can_enforce(st, 2, label.complement())
             for label in et.all_labels(n))
         assert et.is_determined(st) == via_winners == via_cones
-        assert et.is_determined_by_enforcement(st) == via_cones
+        assert is_determined_by_enforcement(st) == via_cones
     report("criterion 4 — 100/100 structures: determinacy, per-label "
            "winners, and enforce-or-exclude all agree")
 
@@ -157,7 +161,7 @@ def test_c07_parity_solver_against_brute_force():
         winner, strat = et.solve_parity(arena, start)
         assert winner == brute_parity_winner(arena, start)
         opp = 2 if winner == 1 else 1
-        for other in et.all_positional_strategies(arena, opp):
+        for other in all_positional_strategies(arena, opp):
             play = (et.play_of(arena, start, strat, other) if winner == 1
                     else et.play_of(arena, start, other, strat))
             assert et.parity_winner_of_play(arena, play) == winner
@@ -168,7 +172,7 @@ def test_c07_parity_solver_against_brute_force():
 def _stable(game, eq, rng, sampled_machines):
     for deviator, fixed in ((1, eq.strategy_2), (2, eq.strategy_1)):
         pref = game.preferences[deviator - 1]
-        deviations = list(et.all_positional_strategies(game.arena, deviator))
+        deviations = list(all_positional_strategies(game.arena, deviator))
         deviations += [random_memory_machine(rng, game.arena, deviator, 3)
                        for _ in range(sampled_machines)]
         for dev in deviations:
@@ -263,7 +267,7 @@ def test_c11_introduction_end_to_end():
     st = et.to_normal_form(jsonio.load(fixture_path("intro_structure.json")))
     assert et.is_determined(st)
     for label in et.all_labels(3):
-        assert et.winning_strategy(et.derive_win_lose(st, label)) is not None
+        assert winning_strategy(derive_win_lose(st, label)) is not None
     report("criterion 11 — introductory examples: transfer equilibrium "
            "verified, right-right equilibrium found, all 8 instantiations "
            "determined")

@@ -14,6 +14,19 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def caterpillar_text(depth: int) -> str:
+    """A tree game whose spine of ``depth`` nodes nests twice as deep in
+    JSON; built as text, since the encoder is recursive too."""
+    tree = '{"leaf": 0}'
+    for d in range(depth):
+        tree = (f'{{"owner": "{"ab"[d % 2]}", '
+                f'"children": [{{"leaf": {1 + d % 2}}}, {tree}]}}')
+    prefs = ('[{"pairs": [[0, 1], [1, 2], [0, 2]]}, '
+             '{"pairs": [[2, 0], [0, 1], [2, 1]]}]')
+    return (f'{{"format": 1, "outcomes": 3, "tree": {tree}, '
+            f'"preferences": {prefs}}}')
+
+
 class TestSolve:
     def test_solve_tree_with_preferences(self, capsys):
         code, out, _ = run(capsys, "solve", fixture_path("intro_payoff_tree.json"))
@@ -55,6 +68,18 @@ class TestTransfer:
         assert code == cli.EXIT_OK
         assert "Nash equilibrium" in out
         assert "winner_calls" in out
+
+    def test_deep_tree_prints_per_node_choices(self, capsys, tmp_path):
+        path = tmp_path / "caterpillar.json"
+        path.write_text(caterpillar_text(300))
+        code, out, _ = run(capsys, "--json", "transfer", "--oracle", "tree",
+                           str(path))
+        assert code == cli.EXIT_OK
+        report = json.loads(out)
+        for player, strategy in enumerate(report["strategies"], 1):
+            assert strategy["type"] == "tree"
+            assert strategy["player"] == player
+            assert len(strategy["choices"]) == 150
 
     def test_brute_oracle_json(self, capsys):
         code, out, _ = run(capsys, "--json", "transfer",
@@ -181,6 +206,14 @@ class TestErrorPaths:
         code, _, err = run(capsys, "solve", str(path))
         assert code == cli.EXIT_INPUT
         assert "malformed JSON" in err
+
+    def test_too_deeply_nested_json(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text(caterpillar_text(600))
+        code, _, err = run(capsys, "transfer", "--oracle", "tree", str(path))
+        assert code == cli.EXIT_INPUT
+        assert "nested deeper" in err
+        assert "Traceback" not in err
 
     def test_bad_subcommand(self, capsys):
         code, _, _ = run(capsys, "frobnicate")

@@ -1,11 +1,15 @@
 """Game trees, backward induction, and transfer over tree oracles."""
 
+import sys
+
 import pytest
 
 import eqtransfer as et
 from conftest import random_tree
 from eqtransfer import jsonio
 from conftest import fixture_path
+from reference_normal_form import (backward_induction_oracle, derive_win_lose,
+                                   winning_strategy)
 
 
 def intro_tree(leaves, n_outcomes, labels=None):
@@ -82,17 +86,17 @@ class TestTreeOracle:
     def test_agrees_with_brute_force_on_all_labels(self, rng):
         for _ in range(30):
             t = random_tree(rng, rng.randint(1, 4))
-            oracle = et.backward_induction_oracle(t)
+            oracle = backward_induction_oracle(t)
             st = oracle.structure
             for label in et.all_labels(t.outcomes.size):
-                winner = et.winning_strategy(et.derive_win_lose(st, label))
+                winner = winning_strategy(derive_win_lose(st, label))
                 assert winner is not None, "tree games are determined"
                 assert oracle.winner(label) == winner[0]
 
     def test_strategy_handles_win_in_normal_form(self, rng):
         for _ in range(20):
             t = random_tree(rng, 3)
-            oracle = et.backward_induction_oracle(t)
+            oracle = backward_induction_oracle(t)
             st = oracle.structure
             for label in et.all_labels(3):
                 s = oracle.strategy(label)
@@ -101,6 +105,51 @@ class TestTreeOracle:
                 enforced = (st.table[s.handle, :] if s.player == 1
                             else st.table[:, s.handle])
                 assert all(int(o) in word for o in enforced)
+
+
+class TestTreeBackend:
+    def test_plays_and_deviations_match_normal_form(self, rng):
+        for _ in range(200):
+            t = random_tree(rng, rng.randint(1, 5))
+            st = et.to_normal_form(t)
+            oracle = et.TreeOracle(t)
+            i = rng.randrange(st.strategy_counts[0])
+            j = rng.randrange(st.strategy_counts[1])
+            assert oracle.play_outcome(i, j) == st.outcome((i, j))
+            assert oracle.deviation_outcomes(j, 1) == set(st.table[:, j].tolist())
+            assert oracle.deviation_outcomes(i, 2) == set(st.table[i].tolist())
+
+    def test_normal_form_built_only_when_read(self, rng):
+        t = random_tree(rng, 3)
+        prefs = et.PreferenceProfile((et.Preference.from_ranking([0, 1, 2]),
+                                      et.Preference.from_ranking([2, 0, 1])))
+        oracle = et.TreeOracle(t)
+        et.equilibrium(oracle, prefs)
+        assert "structure" not in vars(oracle)
+        assert oracle.structure == et.to_normal_form(t)
+
+    def test_deep_caterpillar_needs_no_recursion(self):
+        # 10^4 internal nodes; nodes are compared by preorder index only,
+        # since Node equality and hashing recurse
+        prefs = et.PreferenceProfile((et.Preference.from_ranking([0, 1, 2, 3]),
+                                      et.Preference.from_ranking([3, 1, 0, 2])))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(150)
+        try:
+            sub = et.Leaf(0)
+            for d in range(10_000):
+                sub = et.Node(1 + d % 2, (et.Leaf(1 + d % 3), sub))
+            tree = et.GameTree(sub, et.OutcomeSet(4))
+            oracle = et.TreeOracle(tree)
+            result = et.equilibrium(oracle, prefs)
+            played = oracle.play_outcome(*result.profile)
+            copy, _ = jsonio.from_obj(jsonio.to_obj((tree, prefs)))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert played == result.outcome
+        assert result.counter.winner_calls <= 4
+        assert result.counter.strategy_calls == 2
+        assert (copy.owners, copy.children) == (tree.owners, tree.children)
 
 
 class TestKuhnViaTransfer:
@@ -143,5 +192,5 @@ class TestIntroductionEndToEnd:
         st = et.to_normal_form(tree)
         assert et.is_determined(st)
         for label in et.all_labels(3):
-            assert et.winning_strategy(et.derive_win_lose(st, label)) \
+            assert winning_strategy(derive_win_lose(st, label)) \
                 is not None

@@ -9,14 +9,15 @@ import pytest
 import eqtransfer as et
 from eqtransfer import graph_games
 from conftest import random_acyclic_preference, random_arena, random_memory_machine
-from reference_graph import recursive_regions, region_certificate
+from reference_graph import (all_positional_strategies, recursive_regions,
+                             region_certificate)
 
 
 def brute_parity_winner(arena, start):
-    for s1 in et.all_positional_strategies(arena, 1):
+    for s1 in all_positional_strategies(arena, 1):
         if all(et.parity_winner_of_play(
                 arena, et.play_of(arena, start, s1, s2)) == 1
-               for s2 in et.all_positional_strategies(arena, 2)):
+               for s2 in all_positional_strategies(arena, 2)):
             return 1
     return 2
 
@@ -111,7 +112,7 @@ class TestParity:
             winner, strat = et.solve_parity(arena, start)
             assert winner == brute_parity_winner(arena, start)
             opp = 2 if winner == 1 else 1
-            for other in et.all_positional_strategies(arena, opp):
+            for other in all_positional_strategies(arena, opp):
                 play = (et.play_of(arena, start, strat, other) if winner == 1
                         else et.play_of(arena, start, other, strat))
                 assert et.parity_winner_of_play(arena, play) == winner
@@ -256,7 +257,7 @@ class TestMuller:
             win_sets = [s for s in subsets if rng.random() < 0.5]
             winner, machine = et.solve_muller(arena, start, win_sets)
             opp = 2 if winner == 1 else 1
-            opponents = list(et.all_positional_strategies(arena, opp))
+            opponents = list(all_positional_strategies(arena, opp))
             opponents += [random_memory_machine(rng, arena, opp, 3)
                           for _ in range(20)]
             for other in opponents:
@@ -294,7 +295,7 @@ class TestDeviationOutcomes:
                 reachable = et.achievable_deviation_outcomes(
                     game, fixed, deviator)
                 assert eq.outcome in reachable
-                for dev in et.all_positional_strategies(game.arena, deviator):
+                for dev in all_positional_strategies(game.arena, deviator):
                     play = (et.play_of(game.arena, game.start, dev, fixed)
                             if deviator == 1
                             else et.play_of(game.arena, game.start, fixed, dev))
@@ -305,7 +306,7 @@ class TestMultiOutcomeNE:
     def check_stability(self, game, eq, rng, n_machines=50):
         for deviator, fixed in ((1, eq.strategy_2), (2, eq.strategy_1)):
             pref = game.preferences[deviator - 1]
-            deviations = list(et.all_positional_strategies(game.arena, deviator))
+            deviations = list(all_positional_strategies(game.arena, deviator))
             deviations += [random_memory_machine(rng, game.arena, deviator, 3)
                            for _ in range(n_machines)]
             for dev in deviations:

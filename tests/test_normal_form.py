@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 import eqtransfer as et
-from conftest import random_structure
+from conftest import random_determined_structure, random_structure, random_tree
+from reference_normal_form import (brute_is_determined, can_enforce,
+                                   derive_win_lose,
+                                   is_determined_by_enforcement,
+                                   winning_strategy)
 
 PAYOFF_LABELS = ("(1,0)", "(5,0)", "(2,4)", "(5,3)")
 
@@ -94,16 +98,16 @@ class TestWinLose:
         # outcome 0 is the player-1 win
         outs = et.OutcomeSet(2, ("(1,0)", "(0,1)"))
         st = et.GameStructure((2, 2), outs, rows)
-        return et.derive_win_lose(st, et.SubsetWord((1, 0)))
+        return derive_win_lose(st, et.SubsetWord((1, 0)))
 
     def test_player_1_wins_with_second_row(self):
-        assert et.winning_strategy(self.wl([[1, 1], [0, 0]])) == (1, 1)
+        assert winning_strategy(self.wl([[1, 1], [0, 0]])) == (1, 1)
 
     def test_player_2_wins_with_second_column(self):
-        assert et.winning_strategy(self.wl([[0, 1], [0, 1]])) == (2, 1)
+        assert winning_strategy(self.wl([[0, 1], [0, 1]])) == (2, 1)
 
     def test_undetermined_square(self):
-        assert et.winning_strategy(self.wl([[1, 0], [0, 1]])) is None
+        assert winning_strategy(self.wl([[1, 0], [0, 1]])) is None
 
     def test_winning_strategy_iff_ne(self, rng):
         # the win-lose preferences: player 1 wants outcome 0, player 2 wants 1
@@ -114,15 +118,15 @@ class TestWinLose:
         ))
         for _ in range(200):
             st = random_structure(rng, (rng.randint(1, 4), rng.randint(1, 4)), 2)
-            w = et.derive_win_lose(st, et.SubsetWord((1, 0)))
+            w = derive_win_lose(st, et.SubsetWord((1, 0)))
             game = et.NormalFormGame(st, prefs)
-            assert (et.winning_strategy(w) is not None) \
+            assert (winning_strategy(w) is not None) \
                 == bool(et.find_all_ne(game))
 
     def test_label_length_checked(self):
         st = et.GameStructure((2, 2), et.OutcomeSet(3), [[0, 1], [2, 0]])
         with pytest.raises(ValueError):
-            et.derive_win_lose(st, et.SubsetWord((1, 0)))
+            derive_win_lose(st, et.SubsetWord((1, 0)))
 
 
 class TestEnforcement:
@@ -131,7 +135,7 @@ class TestEnforcement:
         st = et.GameStructure((3, 2), outs, [[1, 1], [0, 0], [0, 0]])
         target = et.SubsetWord((1, 0))
         assert et.enforcing_strategy(st, 1, target) == 1
-        assert et.can_enforce(st, 1, target)
+        assert can_enforce(st, 1, target)
         assert et.enforcing_strategy(st, 2, target) is None
 
     def test_bad_player_raises(self):
@@ -158,12 +162,46 @@ class TestDeterminacy:
         for _ in range(100):
             st = random_structure(rng, (rng.randint(1, 4), rng.randint(1, 4)),
                                   rng.randint(1, 4))
-            assert et.is_determined(st) == et.is_determined_by_enforcement(st)
+            assert et.is_determined(st) == is_determined_by_enforcement(st)
+
+    def test_matches_reference_on_random_structures(self, rng):
+        verdicts = []
+        for _ in range(3000):
+            st = random_structure(rng, (rng.randint(1, 5), rng.randint(1, 5)),
+                                  rng.randint(1, 6))
+            verdicts.append(brute_is_determined(st))
+            assert et.is_determined(st) == verdicts[-1]
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_matches_reference_on_tree_normal_forms(self, rng):
+        # tree normal forms as the tests build them, and as large as the
+        # benchmark's: 8-12 outcomes, at most 10 strategies a player
+        structures = [random_determined_structure(rng) for _ in range(300)]
+        while len(structures) < 330:
+            t = random_tree(rng, rng.randint(8, 12), max_depth=4)
+            if max(t.strategy_count(1), t.strategy_count(2)) <= 10:
+                structures.append(et.to_normal_form(t))
+        for st in structures:
+            assert et.is_determined(st) and brute_is_determined(st)
+
+    def test_matches_reference_on_planted_non_determined(self, rng):
+        # every row and column meets both the last outcome and the others
+        for n in (8, 10, 12):
+            rows, cols = rng.randint(4, 8), rng.randint(4, 8)
+            table = [[n - 1 if (i + j) % 2 == 0 else rng.randrange(n - 1)
+                      for j in range(cols)] for i in range(rows)]
+            st = et.GameStructure((rows, cols), et.OutcomeSet(n), table)
+            assert not et.is_determined(st)
+            assert not brute_is_determined(st)
 
     def test_outcome_cap(self):
         st = random_structure(__import__("random").Random(0), (2, 2), 4)
         with pytest.raises(et.TooLargeError):
             et.is_determined(st, cap=3)
+        # a raised cap still stops where the labels no longer fit in uint32
+        wide = et.GameStructure((1, 1), et.OutcomeSet(32), [[0]])
+        with pytest.raises(et.TooLargeError):
+            et.is_determined(wide, cap=40)
 
 
 class TestSliceMerge:
