@@ -15,9 +15,9 @@ from .prefs import (OutcomeSet, Preference, PreferenceProfile, RankFunction,
                     lift_less_existential, linear_extension, rank, upward_cone)
 from .normal_form import (DEFAULT_OUTCOME_CAP, DEFAULT_PROFILE_CAP,
                           GameStructure, NormalFormGame, Profile, SubsetWord,
-                          all_labels, deviations, enforcing_strategy,
-                          find_all_ne, is_determined, is_nash_equilibrium,
-                          merge_players, slice_structure)
+                          all_labels, enforcing_strategy, find_all_ne,
+                          is_determined, is_nash_equilibrium, merge_players,
+                          slice_structure)
 from .transfer import (CallCounter, CountingOracle, GameBackend,
                        OracleStrategy, StructureOracle, TransferResult,
                        WinLoseOracle, eliminate_dominated_outcomes,
@@ -37,11 +37,10 @@ from .graph_games import (Arena, FiniteMemoryStrategy, GraphEquilibrium,
                           solve_parity)
 from .corpus import (PROP_5_6_NE_TABLE, PROP_5_6_PROOF_PREFS,
                      PROP_5_6_STATEMENT_PREFS, Claim, ClaimReport,
-                     CorpusEntry, bit_instantiation,
-                     build, list_entries, prop_5_4_game, prop_5_4_structure,
-                     prop_5_5_structure, prop_5_6_structure,
-                     remark_5_3_game, remark_5_3_structure, unit_vector_game,
-                     verify)
+                     CorpusEntry, build, list_entries, prop_5_4_game,
+                     prop_5_4_structure, prop_5_5_structure,
+                     prop_5_6_structure, remark_5_3_game,
+                     remark_5_3_structure, unit_vector_game, verify)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

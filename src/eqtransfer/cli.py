@@ -38,11 +38,18 @@ def _emit(report: dict, as_json: bool) -> None:
         print(line)
 
 
-def _load(path: str):
+def _load_doc(path: str):
+    """The input's decoded JSON document and the value built from it."""
     try:
-        return jsonio.load(path)
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = jsonio.parse(fh.read())
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
+    return doc, jsonio.from_obj(doc)
+
+
+def _load(path: str):
+    return _load_doc(path)[1]
 
 
 def _require_game(value) -> NormalFormGame:
@@ -178,12 +185,10 @@ def _strategy_obj(strategy) -> dict:
 
 
 def _cmd_solve_parity(args) -> int:
-    value = _load(args.input)
+    doc, value = _load_doc(args.input)
     if not hasattr(value, "succ"):
         raise SchemaError("solve-parity needs a plain arena input")
-    with open(args.input, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    start = raw["start"]
+    start = doc["start"]
     winner, strat = solve_parity(value, start)
     report = {
         "command": "solve-parity",
@@ -198,15 +203,16 @@ def _cmd_solve_parity(args) -> int:
 
 
 def _cmd_solve_muller(args) -> int:
-    value = _load(args.input)
+    doc, value = _load_doc(args.input)
     if not hasattr(value, "succ"):
         raise SchemaError("solve-muller needs a plain arena input")
-    with open(args.input, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    win_sets = raw.get("win_sets")
-    if not isinstance(win_sets, list):
-        raise SchemaError("solve-muller needs a win_sets list in the input")
-    start = raw["start"]
+    win_sets = doc.get("win_sets")
+    if not (isinstance(win_sets, list)
+            and all(isinstance(s, list) and all(isinstance(c, int) for c in s)
+                    for s in win_sets)):
+        raise SchemaError("solve-muller needs win_sets, a list of colour "
+                          "lists, in the input")
+    start = doc["start"]
     winner, machine = solve_muller(value, start, [frozenset(s) for s in win_sets])
     report = {
         "command": "solve-muller",

@@ -12,12 +12,13 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import UnknownNameError
-from .normal_form import (GameStructure, NormalFormGame, find_all_ne,
+from .normal_form import (GameStructure, NormalFormGame, _better_masks,
+                          _deviation_lines, _ne_mask, _words, find_all_ne,
                           is_determined, is_nash_equilibrium, merge_players,
                           slice_structure)
 from .prefs import (OutcomeSet, Preference, PreferenceProfile, height,
@@ -52,10 +53,6 @@ class CorpusEntry:
     claims: tuple[Claim, ...]
 
 
-def _has_ne(game: NormalFormGame) -> bool:
-    return any(is_nash_equilibrium(game, s) for s in game.structure.profiles())
-
-
 def _prefers_only(n: int, best: int, labels=None) -> Preference:
     """Everything else strictly below ``best``; no other comparabilities."""
     return Preference.from_pairs(
@@ -83,44 +80,35 @@ def remark_5_3_game() -> NormalFormGame:
     return NormalFormGame(remark_5_3_structure(), prefs)
 
 
-_BITS = OutcomeSet(8, tuple(f"{i:03b}" for i in range(8)))
+def _no_ne_claim(name: str, description: str, game: NormalFormGame) -> Claim:
+    def check(rng, samples):
+        nes = find_all_ne(game)
+        return ClaimReport(name, not nes, True, f"{len(nes)} equilibria found")
 
-
-def _bit_preferences() -> PreferenceProfile:
-    """Outcomes are triples of win bits; each player compares their own bit."""
-    prefs = []
-    for player in range(3):
-        shift = 2 - player
-        pairs = {(o, p) for o in range(8) for p in range(8)
-                 if (o >> shift) & 1 == 0 and (p >> shift) & 1 == 1}
-        prefs.append(Preference(_BITS, frozenset(pairs)))
-    return PreferenceProfile(tuple(prefs))
-
-
-def bit_instantiation(st: GameStructure, wl: tuple[int, ...]) -> NormalFormGame:
-    """Replace outcome o by the bit triple wl[o] (coded as an index 0..7)."""
-    table = np.asarray(wl, dtype=np.int64)[st.table]
-    return NormalFormGame(GameStructure(st.strategy_counts, _BITS, table),
-                          _bit_preferences())
+    return Claim(name, description, check)
 
 
 def _remark_5_3_claims(game: NormalFormGame) -> tuple[Claim, ...]:
-    def no_ne(rng, samples):
-        nes = find_all_ne(game)
-        return ClaimReport("no-ne", not nes, True,
-                           f"{len(nes)} equilibria found")
-
     def instantiations(rng, samples):
-        total = ok = 0
-        for wl in itertools.product(range(8), repeat=3):
-            total += 1
-            if _has_ne(bit_instantiation(game.structure, wl)):
-                ok += 1
+        # outcome o becomes the triple of win bits wl[o], coded 0..7 with
+        # player 1's bit highest, and each player prefers exactly the codes
+        # carrying their own bit; all 512 relabellings wl form one table
+        relabel = np.array(list(itertools.product(range(8), repeat=3)))
+        tables = relabel[:, game.structure.table]
+        betters = []
+        for shift in (2, 1, 0):
+            won = sum(1 << q for q in range(8) if q >> shift & 1)
+            betters.append(_words([0 if o >> shift & 1 else won
+                                   for o in range(8)], 8))
+        ne = _ne_mask(tables, _deviation_lines(tables, 8, 3), betters)
+        total = len(relabel)
+        ok = int(ne.reshape(total, -1).any(axis=1).sum())
         return ClaimReport("bit-instantiations-have-ne", ok == total, True,
                            f"{ok}/{total} instantiations have an equilibrium")
 
     return (
-        Claim("no-ne", "the rotating-preference game has no equilibrium", no_ne),
+        _no_ne_claim("no-ne", "the rotating-preference game has no equilibrium",
+                     game),
         Claim("bit-instantiations-have-ne",
               "every win-bit relabelling of the outcomes yields a game "
               "with an equilibrium", instantiations),
@@ -177,45 +165,50 @@ def _short_chain_relations(size: int, max_height: int) -> list[frozenset]:
     return found
 
 
-def _random_short_chain(rng: random.Random, size: int,
-                        max_height: int) -> Preference:
+def _random_short_chain(rng: random.Random, pairs: list[tuple[int, int]],
+                        size: int, max_height: int) -> list[int]:
+    """A random relation of height <= max_height as better masks: bit y of
+    entry x for each pair (x, y).  ``pairs`` lists the position pairs i < j
+    in the order their coins are tossed.  Every drawn pair points forward
+    along a shuffled order, so the longest chain is a DP along that order."""
     while True:
         order = list(range(size))
         rng.shuffle(order)
-        pairs = [(order[i], order[j])
-                 for i in range(size) for j in range(i + 1, size)
-                 if rng.random() < 0.3]
-        p = Preference.from_pairs(size, pairs)
-        if height(p) <= max_height:
-            return p
+        better = [0] * size
+        chain = [1] * size
+        coins = [rng.random() < 0.3 for _ in pairs]
+        for i, j in itertools.compress(pairs, coins):
+            x, y = order[i], order[j]
+            better[x] |= 1 << y
+            if chain[y] <= chain[x]:
+                chain[y] = chain[x] + 1
+        if max(chain) <= max_height:
+            return better
 
 
-def _short_chain_claim(st: GameStructure, max_height: int,
-                       exhaustive_limit: int = 3) -> Claim:
+def _short_chain_claim(st: GameStructure, max_height: int) -> Claim:
     size = st.outcomes.size
 
     def check(rng, samples):
-        if size <= exhaustive_limit:
-            rels = _short_chain_relations(size, max_height)
-            total = ok = 0
-            for triple in itertools.product(rels, repeat=3):
-                total += 1
-                prefs = PreferenceProfile(tuple(
-                    Preference(st.outcomes, r) for r in triple))
-                if _has_ne(NormalFormGame(st, prefs)):
-                    ok += 1
-            return ClaimReport("short-chain-ne", ok == total, True,
-                               f"{ok}/{total} short-chain preference triples "
-                               f"have an equilibrium")
-        ok = 0
-        for _ in range(samples):
-            prefs = PreferenceProfile(tuple(
-                _random_short_chain(rng, size, max_height) for _ in range(3)))
-            if _has_ne(NormalFormGame(st, prefs)):
-                ok += 1
-        return ClaimReport("short-chain-ne", ok == samples, False,
-                           f"{ok}/{samples} sampled short-chain preference "
-                           f"triples have an equilibrium")
+        exhaustive = size <= 3
+        if exhaustive:
+            rels = [_words(_better_masks(Preference(st.outcomes, r)), size)
+                    for r in _short_chain_relations(size, max_height)]
+            triples = itertools.product(rels, repeat=3)
+        else:
+            pairs = [(i, j) for i in range(size) for j in range(i + 1, size)]
+            triples = ([_words(_random_short_chain(rng, pairs, size,
+                                                   max_height), size)
+                        for _ in range(3)] for _ in range(samples))
+        lines = _deviation_lines(st.table, size, st.players)
+        total = ok = 0
+        for triple in triples:
+            total += 1
+            ok += bool(_ne_mask(st.table, lines, triple).any())
+        return ClaimReport("short-chain-ne", ok == total, exhaustive,
+                           f"{ok}/{total} {'' if exhaustive else 'sampled '}"
+                           f"short-chain preference triples have an "
+                           f"equilibrium")
 
     return Claim("short-chain-ne",
                  f"every preference triple without a {max_height + 1}-outcome "
@@ -223,11 +216,6 @@ def _short_chain_claim(st: GameStructure, max_height: int,
 
 
 def _prop_5_4_claims(n: int, game: NormalFormGame) -> tuple[Claim, ...]:
-    def no_ne(rng, samples):
-        nes = find_all_ne(game)
-        return ClaimReport("no-ne", not nes, True,
-                           f"{len(nes)} equilibria found")
-
     def zero_sum(rng, samples):
         # payoffs (-2o, o, o) sum to zero and order outcomes exactly like
         # the stated preferences, so the zero-sum variant has no equilibrium
@@ -245,8 +233,8 @@ def _prop_5_4_claims(n: int, game: NormalFormGame) -> tuple[Claim, ...]:
                            f"{len(nes)} equilibria found")
 
     return (
-        Claim("no-ne", "no equilibrium under the stated linear preferences",
-              no_ne),
+        _no_ne_claim("no-ne", "no equilibrium under the stated linear "
+                     "preferences", game),
         Claim("zero-sum-variant",
               "the payoff version (-2o, o, o) is zero-sum and still has "
               "no equilibrium", zero_sum),
@@ -330,16 +318,9 @@ def _determinacy_claims(st: GameStructure) -> tuple[Claim, Claim]:
 
 
 def _prop_5_5_claims(st: GameStructure) -> tuple[Claim, ...]:
-    game = unit_vector_game(st)
-
-    def no_ne(rng, samples):
-        nes = find_all_ne(game)
-        return ClaimReport("unit-vector-no-ne", not nes, True,
-                           f"{len(nes)} equilibria found")
-
     return (
-        Claim("unit-vector-no-ne",
-              "the unit-payoff instantiation has no equilibrium", no_ne),
+        _no_ne_claim("unit-vector-no-ne", "the unit-payoff instantiation has "
+                     "no equilibrium", unit_vector_game(st)),
     ) + _determinacy_claims(st)
 
 
@@ -402,16 +383,6 @@ PROP_5_6_NE_TABLE: tuple[tuple[tuple[int, int, int], tuple[int, int, int]], ...]
 
 
 def _prop_5_6_claims(st: GameStructure) -> tuple[Claim, ...]:
-    def no_ne_statement(rng, samples):
-        nes = find_all_ne(NormalFormGame(st, PROP_5_6_STATEMENT_PREFS))
-        return ClaimReport("statement-prefs-no-ne", not nes, True,
-                           f"{len(nes)} equilibria found")
-
-    def no_ne_proof(rng, samples):
-        nes = find_all_ne(NormalFormGame(st, PROP_5_6_PROOF_PREFS))
-        return ClaimReport("proof-prefs-no-ne", not nes, True,
-                           f"{len(nes)} equilibria found")
-
     def ne_table(rng, samples):
         ok = 0
         details = []
@@ -429,12 +400,13 @@ def _prop_5_6_claims(st: GameStructure) -> tuple[Claim, ...]:
                            + (f"; failing: {details}" if details else ""))
 
     return (
-        Claim("statement-prefs-no-ne",
-              "no equilibrium under the three stated linear preferences",
-              no_ne_statement),
-        Claim("proof-prefs-no-ne",
-              "no equilibrium under the single-favourite variant for "
-              "players 2 and 3", no_ne_proof),
+        _no_ne_claim("statement-prefs-no-ne",
+                     "no equilibrium under the three stated linear preferences",
+                     NormalFormGame(st, PROP_5_6_STATEMENT_PREFS)),
+        _no_ne_claim("proof-prefs-no-ne",
+                     "no equilibrium under the single-favourite variant for "
+                     "players 2 and 3",
+                     NormalFormGame(st, PROP_5_6_PROOF_PREFS)),
         Claim("ne-table",
               "each listed profile is an equilibrium when the players "
               "favour the corresponding distinct outcomes", ne_table),

@@ -60,9 +60,8 @@ def preference_from_obj(obj: Any,
         raise SchemaError(str(exc)) from exc
 
 
-def preference_to_obj(p: Preference) -> dict:
-    return {"outcomes": _outcomes_obj(p.outcomes),
-            "pairs": sorted([x, y] for x, y in p.pairs)}
+def _profile_obj(prefs: PreferenceProfile) -> list:
+    return [{"pairs": sorted([x, y] for x, y in p.pairs)} for p in prefs.prefs]
 
 
 def _profile_from_obj(obj: Any, outcomes: OutcomeSet) -> PreferenceProfile:
@@ -107,8 +106,7 @@ def game_to_obj(g: Union[GameStructure, NormalFormGame]) -> dict:
         "v": [int(x) for x in st.table.reshape(-1)],
     }
     if isinstance(g, NormalFormGame):
-        doc["preferences"] = [{"pairs": sorted([x, y] for x, y in p.pairs)}
-                              for p in g.preferences.prefs]
+        doc["preferences"] = _profile_obj(g.preferences)
     return doc
 
 
@@ -174,8 +172,7 @@ def tree_to_obj(tree: GameTree,
            "tree": _tree_node_to_obj(tree),
            "outcomes": _outcomes_obj(tree.outcomes)}
     if prefs is not None:
-        doc["preferences"] = [{"pairs": sorted([x, y] for x, y in p.pairs)}
-                              for p in prefs.prefs]
+        doc["preferences"] = _profile_obj(prefs)
     return doc
 
 
@@ -246,8 +243,7 @@ def arena_to_obj(obj: Union[Arena, MultiOutcomeGraphGame],
         doc["r"] = [[sorted(s), o]
                     for s, o in sorted(game.muller_map.items(),
                                        key=lambda kv: sorted(kv[0]))]
-    doc["preferences"] = [{"pairs": sorted([x, y] for x, y in p.pairs)}
-                          for p in game.preferences.prefs]
+    doc["preferences"] = _profile_obj(game.preferences)
     return doc
 
 
@@ -278,9 +274,11 @@ def to_obj(value: Loadable) -> dict:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def loads(text: str) -> Loadable:
+def parse(text: str) -> Any:
+    """Decode JSON text, with broken or too deeply nested JSON mapped to
+    SchemaError and TooLargeError."""
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(
             f"malformed JSON: {exc.msg} at line {exc.lineno} "
@@ -289,7 +287,10 @@ def loads(text: str) -> Loadable:
         raise TooLargeError(
             "JSON nested deeper than the parser's limit of about "
             f"{sys.getrecursionlimit()} levels") from exc
-    return from_obj(obj)
+
+
+def loads(text: str) -> Loadable:
+    return from_obj(parse(text))
 
 
 def load(path: str) -> Loadable:
@@ -298,9 +299,17 @@ def load(path: str) -> Loadable:
 
 
 def dumps(value: Loadable) -> str:
-    return json.dumps(to_obj(value), indent=2) + "\n"
+    """JSON text of the value; a tree too deep for the encoder raises
+    TooLargeError, as reading it back would."""
+    try:
+        return json.dumps(to_obj(value), indent=2) + "\n"
+    except RecursionError as exc:
+        raise TooLargeError(
+            "value nested deeper than the JSON encoder's limit of about "
+            f"{sys.getrecursionlimit()} levels") from exc
 
 
 def dump(value: Loadable, path: str) -> None:
+    text = dumps(value)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(value))
+        fh.write(text)

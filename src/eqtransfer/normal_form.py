@@ -13,7 +13,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import BadIndexError, TooLargeError
-from .prefs import OutcomeSet, PreferenceProfile
+from .prefs import OutcomeSet, Preference, PreferenceProfile
 
 Profile = tuple[int, ...]
 
@@ -118,31 +118,79 @@ class NormalFormGame:
             raise ValueError("preferences must range over the structure's outcomes")
 
 
-def deviations(structure: GameStructure, s: Profile, player: int) -> Iterator[Profile]:
-    """All profiles differing from s at most in the given player's component."""
-    for alt in range(structure.strategy_counts[player]):
-        if alt != s[player]:
-            yield s[:player] + (alt,) + s[player + 1:]
+def _words(masks: Sequence[int], n: int) -> list[np.ndarray]:
+    """Bit masks over n outcomes cut into 64-bit words: word w holds bits
+    64w..64w+63 of every mask."""
+    if n <= 64:
+        return [np.array(masks, dtype=np.uint64)]
+    return [np.array([m >> k & 0xFFFF_FFFF_FFFF_FFFF for m in masks],
+                     dtype=np.uint64) for k in range(0, n, 64)]
+
+
+def _better_masks(pref: Preference) -> list[int]:
+    """Entry o has bit y for every pair (o, y): the outcomes above o."""
+    masks = [0] * pref.outcomes.size
+    for x, y in pref.pairs:
+        masks[x] |= 1 << y
+    return masks
+
+
+def _deviation_lines(table: np.ndarray, n: int,
+                     players: int) -> list[list[np.ndarray]]:
+    """Per player (the last ``players`` axes of the table) and per word, the
+    outcomes on each cell's line along that player's axis with the cell
+    itself left out: what the player reaches by deviating alone.  Leaving
+    the cell out keeps a self-pair (o, o) from blocking an equilibrium."""
+    reach = [w[table] for w in _words([1 << o for o in range(n)], n)]
+    lines = []
+    for axis in range(table.ndim - players, table.ndim):
+        lines.append([])
+        for r in (np.moveaxis(w, axis, 0) for w in reach):
+            before = np.bitwise_or.accumulate(r)
+            after = np.bitwise_or.accumulate(r[::-1])[::-1]
+            line = np.zeros_like(r)
+            line[1:] = before[:-1]
+            line[:-1] |= after[1:]
+            lines[-1].append(np.moveaxis(line, 0, axis))
+    return lines
+
+
+def _ne_mask(table: np.ndarray, lines: Sequence[Sequence[np.ndarray]],
+             betters: Sequence[Sequence[np.ndarray]]) -> np.ndarray:
+    """True where ``better[table] & line == 0`` for every player and word:
+    no unilateral deviation reaches a strictly better outcome."""
+    hit = np.zeros(table.shape, dtype=np.uint64)
+    for line, better in zip(lines, betters):
+        for lw, bw in zip(line, better):
+            hit |= bw[table] & lw
+    return hit == 0
 
 
 def is_nash_equilibrium(g: NormalFormGame, s: Profile) -> bool:
-    """No player can unilaterally reach a strictly preferred outcome."""
+    """No player can unilaterally reach a strictly preferred outcome.
+
+    The kernel's deviation lines at the one profile s, the profile's own
+    cell left out; for one profile, looking each distinct outcome up in the
+    relation is cheaper than building the better masks."""
     st = g.structure
     base = st.outcome(s)
-    for player in range(st.players):
-        pref = g.preferences[player]
-        for s2 in deviations(st, s, player):
-            if pref.less(base, st.outcome(s2)):
-                return False
+    for player, pref in enumerate(g.preferences.prefs):
+        line = st.table[tuple(s[:player]) + (slice(None),)
+                        + tuple(s[player + 1:])].tolist()
+        del line[s[player]]
+        if any(pref.less(base, o) for o in set(line)):
+            return False
     return True
 
 
 def find_all_ne(g: NormalFormGame, cap: int = DEFAULT_PROFILE_CAP) -> list[Profile]:
-    """Brute-force enumeration in lexicographic profile order."""
-    st = g.structure
+    """All pure equilibria in lexicographic profile order."""
+    st, n = g.structure, g.structure.outcomes.size
     if st.profile_count > cap:
         raise TooLargeError(f"{st.profile_count} profiles exceed cap {cap}")
-    return [s for s in st.profiles() if is_nash_equilibrium(g, s)]
+    ok = _ne_mask(st.table, _deviation_lines(st.table, n, st.players),
+                  [_words(_better_masks(p), n) for p in g.preferences.prefs])
+    return [tuple(p) for p in np.argwhere(ok).tolist()]
 
 
 def enforcing_strategy(st: GameStructure, player: int,

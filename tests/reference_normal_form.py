@@ -1,11 +1,15 @@
-"""Reference determinacy for the tests: win-lose games checked label by
-label, by scanning for a winning row or column.  The package decides
-determinacy on reach masks instead; these are what it is compared with."""
+"""Reference solvers for the tests, checked profile by profile and label
+by label: Nash equilibria by trying every unilateral deviation, determinacy
+by scanning for a winning row or column, and the corpus claims built on
+them.  The package decides all of these on outcome bit masks instead; these
+are what it is compared with."""
 
 from __future__ import annotations
 
+import itertools
+import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -72,3 +76,109 @@ def brute_is_determined(st: et.GameStructure) -> bool:
 
 def backward_induction_oracle(t: et.GameTree) -> et.TreeOracle:
     return et.TreeOracle(t)
+
+
+def deviations(structure: et.GameStructure, s: et.Profile,
+               player: int) -> Iterator[et.Profile]:
+    """All profiles differing from s at most in the given player's component."""
+    for alt in range(structure.strategy_counts[player]):
+        if alt != s[player]:
+            yield s[:player] + (alt,) + s[player + 1:]
+
+
+def brute_is_nash_equilibrium(g: et.NormalFormGame, s: et.Profile) -> bool:
+    """No player can unilaterally reach a strictly preferred outcome."""
+    st = g.structure
+    base = st.outcome(s)
+    for player in range(st.players):
+        pref = g.preferences[player]
+        for s2 in deviations(st, s, player):
+            if pref.less(base, st.outcome(s2)):
+                return False
+    return True
+
+
+def brute_find_all_ne(g: et.NormalFormGame,
+                      cap: int = et.DEFAULT_PROFILE_CAP) -> list[et.Profile]:
+    """Brute-force enumeration in lexicographic profile order."""
+    st = g.structure
+    if st.profile_count > cap:
+        raise et.TooLargeError(f"{st.profile_count} profiles exceed cap {cap}")
+    return [s for s in st.profiles() if brute_is_nash_equilibrium(g, s)]
+
+
+def brute_has_ne(g: et.NormalFormGame) -> bool:
+    return any(brute_is_nash_equilibrium(g, s) for s in g.structure.profiles())
+
+
+def random_short_chain(rng: random.Random, size: int,
+                       max_height: int) -> et.Preference:
+    """The corpus's short-chain sampler, built as a Preference and measured
+    with ``height``; the package emits the same draws as bit masks."""
+    while True:
+        order = list(range(size))
+        rng.shuffle(order)
+        pairs = [(order[i], order[j])
+                 for i in range(size) for j in range(i + 1, size)
+                 if rng.random() < 0.3]
+        p = et.Preference.from_pairs(size, pairs)
+        if et.height(p) <= max_height:
+            return p
+
+
+def short_chain_report(st: et.GameStructure, max_height: int,
+                       rng: random.Random, samples: int) -> et.ClaimReport:
+    """The ``short-chain-ne`` claim, one Preference triple at a time; up to
+    three outcomes it runs over every relation of bounded height."""
+    size = st.outcomes.size
+    if size <= 3:
+        rels = et.corpus._short_chain_relations(size, max_height)
+        total = ok = 0
+        for triple in itertools.product(rels, repeat=3):
+            total += 1
+            prefs = et.PreferenceProfile(tuple(
+                et.Preference(st.outcomes, r) for r in triple))
+            ok += brute_has_ne(et.NormalFormGame(st, prefs))
+        return et.ClaimReport("short-chain-ne", ok == total, True,
+                              f"{ok}/{total} short-chain preference triples "
+                              f"have an equilibrium")
+    ok = 0
+    for _ in range(samples):
+        prefs = et.PreferenceProfile(tuple(
+            random_short_chain(rng, size, max_height) for _ in range(3)))
+        ok += brute_has_ne(et.NormalFormGame(st, prefs))
+    return et.ClaimReport("short-chain-ne", ok == samples, False,
+                          f"{ok}/{samples} sampled short-chain preference "
+                          f"triples have an equilibrium")
+
+
+BITS = et.OutcomeSet(8, tuple(f"{i:03b}" for i in range(8)))
+
+
+def bit_preferences() -> et.PreferenceProfile:
+    """Outcomes are triples of win bits; each player compares their own bit."""
+    prefs = []
+    for player in range(3):
+        shift = 2 - player
+        pairs = {(o, p) for o in range(8) for p in range(8)
+                 if (o >> shift) & 1 == 0 and (p >> shift) & 1 == 1}
+        prefs.append(et.Preference(BITS, frozenset(pairs)))
+    return et.PreferenceProfile(tuple(prefs))
+
+
+def bit_instantiation(st: et.GameStructure,
+                      wl: tuple[int, ...]) -> et.NormalFormGame:
+    """Replace outcome o by the bit triple wl[o] (coded as an index 0..7)."""
+    table = np.asarray(wl, dtype=np.int64)[st.table]
+    return et.NormalFormGame(et.GameStructure(st.strategy_counts, BITS, table),
+                             bit_preferences())
+
+
+def bit_instantiations_report(st: et.GameStructure) -> et.ClaimReport:
+    """The ``bit-instantiations-have-ne`` claim, one relabelling at a time."""
+    total = ok = 0
+    for wl in itertools.product(range(8), repeat=3):
+        total += 1
+        ok += brute_has_ne(bit_instantiation(st, wl))
+    return et.ClaimReport("bit-instantiations-have-ne", ok == total, True,
+                          f"{ok}/{total} instantiations have an equilibrium")

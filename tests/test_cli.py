@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, text output, and JSON reports."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -138,6 +139,17 @@ class TestArenaCommands:
         report = json.loads(out)
         assert report["winner"] in (1, 2)
         assert report["strategy"]["type"] == "finite-memory"
+
+    @pytest.mark.parametrize("win_sets", [[1], "12", [[1, "2"]], None])
+    def test_solve_muller_malformed_win_sets(self, capsys, tmp_path, win_sets):
+        doc = json.loads(Path(fixture_path("arena_small.json")).read_text())
+        doc["win_sets"] = win_sets
+        path = tmp_path / "arena.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "solve-muller", str(path))
+        assert code == cli.EXIT_INPUT
+        assert "win_sets" in err
+        assert "Traceback" not in err
 
 
 class TestVerifyNe:

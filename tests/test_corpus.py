@@ -1,9 +1,16 @@
 """The three-player counterexample corpus: constructors and claims."""
 
+import random
+
 import numpy as np
 import pytest
 
 import eqtransfer as et
+from conftest import random_structure
+from reference_normal_form import (bit_instantiations_report,
+                                   brute_find_all_ne,
+                                   brute_is_nash_equilibrium,
+                                   random_short_chain, short_chain_report)
 
 X, Y, Z = 0, 1, 2
 
@@ -135,3 +142,71 @@ class TestCuboidGame:
                 for best in favourites))
             game = et.NormalFormGame(st, prefs)
             assert et.is_nash_equilibrium(game, tuple(s - 1 for s in profile))
+
+
+def reference_verify(entry, seed, samples, monkeypatch):
+    """corpus.verify with every equilibrium question answered profile by
+    profile, and the two family claims run on Preference objects."""
+    monkeypatch.setattr(et.corpus, "find_all_ne", brute_find_all_ne)
+    monkeypatch.setattr(et.corpus, "is_nash_equilibrium",
+                        brute_is_nash_equilibrium)
+    reports = []
+    for i, claim in enumerate(entry.claims):
+        rng = random.Random(f"{seed}:{entry.name}:{i}")
+        if claim.name == "short-chain-ne":
+            st = entry.structure
+            reports.append(short_chain_report(st, st.outcomes.size - 1,
+                                              rng, samples))
+        elif claim.name == "bit-instantiations-have-ne":
+            reports.append(bit_instantiations_report(entry.structure))
+        else:
+            reports.append(claim.check(rng, samples))
+    return reports
+
+
+class TestMaskKernelParity:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sampler_draws_the_reference_relations(self, seed):
+        for size in range(1, 10):
+            for max_height in {max(1, size - 2), max(1, size - 1), size}:
+                fast = random.Random(f"{seed}/{size}/{max_height}")
+                slow = random.Random(f"{seed}/{size}/{max_height}")
+                pairs = [(i, j) for i in range(size)
+                         for j in range(i + 1, size)]
+                for _ in range(20):
+                    better = et.corpus._random_short_chain(
+                        fast, pairs, size, max_height)
+                    pref = random_short_chain(slow, size, max_height)
+                    assert {(x, y) for x in range(size) for y in range(size)
+                            if better[x] >> y & 1} == pref.pairs
+                assert fast.getstate() == slow.getstate()
+
+    @pytest.mark.parametrize("name,n", [("remark_5_3", None),
+                                        ("prop_5_5", None),
+                                        ("prop_5_6", None)]
+                             + [("prop_5_4", n) for n in range(2, 9)])
+    def test_verify_reports_match_reference(self, name, n, monkeypatch):
+        entry = et.build(name, n)
+        for seed in (0, 3):
+            fast = et.verify(entry, seed=seed, samples=60)
+            assert fast == reference_verify(entry, seed, 60, monkeypatch)
+            monkeypatch.undo()
+
+    def test_short_chain_counts_match_reference_below_total(self):
+        # the rotating game lacks equilibria under 24 of the 15,625 triples,
+        # and a few small random structures under some sampled triples, so
+        # the counts in the detail strings fall below their totals
+        st = et.remark_5_3_structure()
+        claim = et.corpus._short_chain_claim(st, max_height=3)
+        exhaustive = claim.check(random.Random(0), 0)
+        assert exhaustive == short_chain_report(st, 3, random.Random(0), 0)
+        assert exhaustive.detail.startswith("15601/15625")
+        rng = random.Random(3)
+        failing = 0
+        for _ in range(30):
+            st = random_structure(rng, (2, 2, 2), 4)
+            claim = et.corpus._short_chain_claim(st, max_height=3)
+            sampled = claim.check(random.Random(1), 100)
+            assert sampled == short_chain_report(st, 3, random.Random(1), 100)
+            failing += not sampled.passed
+        assert failing == 2

@@ -47,6 +47,20 @@ class TestRoundTrip:
         jsonio.dump(st, str(path))
         assert jsonio.load(str(path)) == st
 
+    def test_too_deep_tree_is_not_written(self, tmp_path):
+        # a 600-deep spine nests 1,200 levels in JSON, past both the
+        # encoder and the parser, so writing it fails as reading it would
+        sub = et.Leaf(0)
+        for d in range(600):
+            sub = et.Node(1 + d % 2, (et.Leaf(1), sub))
+        tree = et.GameTree(sub, et.OutcomeSet(2))
+        with pytest.raises(et.TooLargeError, match="limit of about"):
+            jsonio.dumps(tree)
+        path = tmp_path / "deep.json"
+        with pytest.raises(et.TooLargeError, match="limit of about"):
+            jsonio.dump(tree, str(path))
+        assert not path.exists()
+
 
 class TestErrors:
     def test_malformed_json_reports_position(self):

@@ -7,8 +7,10 @@ import pytest
 
 import eqtransfer as et
 from conftest import random_determined_structure, random_structure, random_tree
-from reference_normal_form import (brute_is_determined, can_enforce,
-                                   derive_win_lose,
+from reference_normal_form import (brute_find_all_ne,
+                                   brute_is_determined,
+                                   brute_is_nash_equilibrium, can_enforce,
+                                   derive_win_lose, deviations,
                                    is_determined_by_enforcement,
                                    winning_strategy)
 
@@ -82,15 +84,66 @@ class TestNashEquilibrium:
 
     def test_deviations_vary_one_component(self):
         st = random_structure(__import__("random").Random(1), (3, 4), 2)
-        devs = list(et.deviations(st, (1, 2), 0))
+        devs = list(deviations(st, (1, 2), 0))
         assert devs == [(0, 2), (2, 2)]
-        devs = list(et.deviations(st, (1, 2), 1))
+        devs = list(deviations(st, (1, 2), 1))
         assert devs == [(1, 0), (1, 1), (1, 3)]
 
     def test_cap_enforced(self, rng):
         g = payoff_game([[0, 1], [1, 0]], [(0, 1), (1, 0)])
         with pytest.raises(et.TooLargeError):
             et.find_all_ne(g, cap=2)
+
+    def test_self_pair_never_blocks(self):
+        # a deviation must leave the profile's own cell: with player 1
+        # holding only (0, 0), every profile is stable, although player 1's
+        # line through (0, 1) meets outcome 0 in the other row
+        st = et.GameStructure((2, 2), et.OutcomeSet(2), [[0, 1], [1, 1]])
+        g = et.NormalFormGame(st, et.PreferenceProfile((
+            et.Preference.from_pairs(2, [(0, 0)]),
+            et.Preference.from_pairs(2, []))))
+        everything = [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert brute_find_all_ne(g) == everything
+        assert et.find_all_ne(g) == everything
+        assert all(et.is_nash_equilibrium(g, s) for s in everything)
+
+
+def random_relation_game(rng, players: int) -> et.NormalFormGame:
+    """Arbitrary relations (cycles and self-pairs included) over 1..70
+    outcomes, so that outcomes and pairs fall on both sides of bit 64."""
+    n = rng.randint(1, 70) if rng.random() < 0.5 else rng.randint(60, 70)
+    counts = [rng.randint(1, 6 if players == 2 else 4) for _ in range(players)]
+    used = rng.sample(range(n), min(n, rng.randint(1, 6))) + [n - 1]
+    total = int(np.prod(counts))
+    table = [rng.choice(used) for _ in range(total)]
+    st = et.GameStructure(tuple(counts), et.OutcomeSet(n), table)
+    density = rng.random()
+    prefs = []
+    for _ in range(players):
+        pairs = [(x, y) for x in used for y in used if rng.random() < density]
+        pairs += [(rng.randrange(n), rng.randrange(n)) for _ in range(3)]
+        prefs.append(et.Preference.from_pairs(n, pairs))
+    return et.NormalFormGame(st, et.PreferenceProfile(tuple(prefs)))
+
+
+class TestNashKernel:
+    """The mask kernel against the deviation-by-deviation reference."""
+
+    @pytest.mark.parametrize("players", [2, 3])
+    def test_matches_reference_on_arbitrary_relations(self, rng, players):
+        with_ne = high_outcomes = 0
+        for _ in range(600):
+            g = random_relation_game(rng, players)
+            nes = et.find_all_ne(g)
+            assert nes == brute_find_all_ne(g)
+            for s in g.structure.profiles():
+                assert et.is_nash_equilibrium(g, s) \
+                    == brute_is_nash_equilibrium(g, s)
+            with_ne += bool(nes)
+            high_outcomes += int(g.structure.table.max()) >= 64
+        # both verdicts and the upper word occur often
+        assert 100 < with_ne < 500
+        assert high_outcomes > 30
 
 
 class TestWinLose:
