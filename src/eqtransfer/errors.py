@@ -18,7 +18,14 @@ class TooLargeError(EqTransferError):
 
 
 class NotDeterminedError(EqTransferError):
-    """A computation that presumes a determined structure detected a violation."""
+    """A computation that presumes a determined structure detected a violation.
+
+    A profitable deviation names its ``deviator`` and the strictly preferred
+    ``outcome`` they reach; both are None for every other violation."""
+
+    def __init__(self, message: str, deviator=None, outcome=None):
+        super().__init__(message)
+        self.deviator, self.outcome = deviator, outcome
 
 
 class NotZeroSumError(EqTransferError):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import AbstractSet, Callable, Optional, Union
 
 import numpy as np
 
@@ -211,22 +211,23 @@ class TreeOracle(GameBackend):
         return play_tree(t, strategy_from_index(t, 1, h1),
                          strategy_from_index(t, 2, h2))
 
-    def deviation_outcomes(self, fixed: int, deviator: int) -> set[int]:
-        """One sweep from the root: every child at the deviator's nodes, the
-        fixed strategy's choice at the other player's."""
+    def better_deviation(self, fixed: int, deviator: int,
+                         better: AbstractSet[int]) -> Optional[int]:
+        """One sweep from the root, every child at the deviator's nodes and
+        the fixed strategy's choice elsewhere, up to a leaf in ``better``."""
         t = self.tree
         forced = dict(strategy_from_index(t, 3 - deviator, fixed).choices)
-        reached: set[int] = set()
         stack = [t.root_code]
         while stack:
             code = stack.pop()
             if code < 0:
-                reached.add(~code)
+                if ~code in better:
+                    return ~code
             elif t.owners[code] == deviator:
                 stack.extend(t.children[code])
             else:
                 stack.append(t.children[code][forced[code]])
-        return reached
+        return None
 
 
 def kuhn_via_transfer(t: GameTree, prefs: PreferenceProfile

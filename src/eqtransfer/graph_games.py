@@ -288,23 +288,32 @@ def muller_memory_bound(arena: Arena) -> int:
     return math.factorial(c) * c
 
 
-def _lar_product(arena: Arena, start: int):
-    """Reachable LAR product: nodes ``(vertex, (perm, hit))`` from node 0,
-    successor lists and player-1 nodes; it does not depend on the win sets."""
-    base = tuple(sorted(arena.color_set()))
-    init = (start, lar_update(base, arena.colors[start]))
-    index: dict[tuple, int] = {init: 0}
-    nodes: list[tuple] = [init]
+def _explore(init, step) -> tuple[list, list[list[int]]]:
+    """Nodes reachable from ``init``, numbered breadth first from 0, and
+    their successor lists; ``step(node)`` lists a node's successors."""
+    index = {init: 0}
+    nodes = [init]
     succ: list[list[int]] = []
-    for v, (perm, _) in nodes:  # breadth first: grows while it is read
+    for node in nodes:  # grows while it is read
         out = []
-        for w in arena.succ[v]:
-            nxt = (w, lar_update(perm, arena.colors[w]))
+        for nxt in step(node):
             if nxt not in index:
                 index[nxt] = len(nodes)
                 nodes.append(nxt)
             out.append(index[nxt])
         succ.append(out)
+    return nodes, succ
+
+
+def _lar_product(arena: Arena, start: int):
+    """Reachable LAR product: nodes ``(vertex, (perm, hit))`` from node 0,
+    successor lists and player-1 nodes; it does not depend on the win sets."""
+    def step(node):
+        v, (perm, _) = node
+        return [(w, lar_update(perm, arena.colors[w])) for w in arena.succ[v]]
+
+    base = tuple(sorted(arena.color_set()))
+    nodes, succ = _explore((start, lar_update(base, arena.colors[start])), step)
     owned = frozenset(i for i, (v, _) in enumerate(nodes) if v in arena.owned)
     return nodes, succ, owned
 
@@ -434,8 +443,9 @@ class _ArenaOracle(GameBackend):
         game = self.game
         return game.outcome_of_play(play_of(game.arena, game.start, h1, h2))
 
-    def deviation_outcomes(self, fixed, deviator: int) -> set[int]:
-        return achievable_deviation_outcomes(self.game, fixed, deviator)
+    def better_deviation(self, fixed, deviator: int, better) -> Optional[int]:
+        return next(_reachable_outcomes(self.game, fixed, deviator, better),
+                    None)
 
 
 class PriorityOracle(_ArenaOracle):
@@ -479,87 +489,102 @@ class MullerOracle(_ArenaOracle):
         return _solve_lar(self.game.arena, self._product, win_sets)
 
 
-def _tarjan_sccs(n: int, succ: list[list[int]]) -> list[list[int]]:
-    index = [0] * n
-    low = [0] * n
-    on_stack = [False] * n
-    visited = [False] * n
-    stack: list[int] = []
-    sccs: list[list[int]] = []
-    counter = itertools.count(1)
-
-    def strongconnect(root: int) -> None:
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                visited[v] = True
-                index[v] = low[v] = next(counter)
-                stack.append(v)
-                on_stack[v] = True
-            recurse = False
-            for i in range(pi, len(succ[v])):
-                w = succ[v][i]
-                if not visited[w]:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    recurse = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if recurse:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(comp)
-
-    for v in range(n):
-        if not visited[v]:
-            strongconnect(v)
-    return sccs
-
-
 def _residual_graph(game: MultiOutcomeGraphGame, fixed, deviator: int):
     """One-player product graph: the fixed player's moves are forced by their
     machine, every other choice belongs to the deviator."""
     arena = game.arena
     fm = as_finite_memory(fixed)
-    fixed_player = fm.player
-    if fixed_player == deviator:
+    if fm.player == deviator:
         raise ValueError("fixed player and deviator must differ")
-    init = (game.start, fm.update(fm.initial, game.start))
-    index: dict[tuple, int] = {init: 0}
-    nodes: list[tuple] = [init]
-    succ: list[list[int]] = [[]]
-    stack = [init]
-    while stack:
-        node = stack.pop()
+
+    def step(node):
         v, mem = node
-        if arena.owner(v) == fixed_player:
-            targets = [fm.choice(mem, v)]
-        else:
-            targets = list(arena.succ[v])
-        out = []
-        for w in targets:
-            nxt = (w, fm.update(mem, w))
-            if nxt not in index:
-                index[nxt] = len(nodes)
-                nodes.append(nxt)
-                succ.append([])
-                stack.append(nxt)
-            out.append(index[nxt])
-        succ[index[node]] = out
-    return nodes, succ
+        targets = ((fm.choice(mem, v),) if arena.owner(v) == fm.player
+                   else arena.succ[v])
+        return [(w, fm.update(mem, w)) for w in targets]
+
+    return _explore((game.start, fm.update(fm.initial, game.start)), step)
+
+
+def _cyclic_sccs(succ, part):
+    """Tarjan's algorithm on the subgraph that ``part`` induces, on the
+    graph's own node numbers; yields every component that holds a cycle."""
+    inside = set(part)
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    stack: list[int] = []
+    done = len(succ)  # above every index, so a finished node lowers nothing
+    for root in part:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if w not in inside:
+                    continue
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    comp = [stack.pop()]
+                    while comp[-1] != v:
+                        comp.append(stack.pop())
+                    index.update(dict.fromkeys(comp, done))
+                    if len(comp) > 1 or v in succ[v]:
+                        yield comp
+
+
+def _reachable_outcomes(game: MultiOutcomeGraphGame, fixed, deviator: int,
+                        wanted: Iterable[int]):
+    """Yield, once each, the outcomes in ``wanted`` that the deviator can
+    reach against the fixed strategy, by one nested SCC decomposition of the
+    residual graph: a component with a cycle realises its colour set K, and
+    every other cycle in it misses a colour of K (for priority games, K's
+    minimum), so it lies in the subgraph on K without that colour.  Colour
+    sets are visited largest first, once each, on the union of the
+    components that lead there, and only while a colour set inside maps to
+    an outcome still wanted."""
+    nodes, succ = _residual_graph(game, fixed, deviator)
+    arena = game.arena
+    bit = {c: 1 << i for i, c in enumerate(sorted(arena.color_set()))}
+    mask = [bit[arena.colors[v]] for v, _ in nodes]
+    priority = game.kind == PRIORITY
+    if priority:
+        outcome_of = {b: game.priority_map[c] for c, b in bit.items()}
+    else:
+        outcome_of = {sum(bit[c] for c in s): o
+                      for s, o in game.muller_map.items() if s <= bit.keys()}
+    wanted = set(wanted)
+    pending: dict[int, list[int]] = {2 ** len(bit) - 1: list(range(len(nodes)))}
+    while pending:
+        allowed = max(pending, key=int.bit_count)
+        part = pending.pop(allowed)
+        if not any(o in wanted and k & ~allowed == 0
+                   for k, o in outcome_of.items()):
+            continue
+        for comp in _cyclic_sccs(succ, part):
+            k = sum({mask[v] for v in comp})  # distinct bits: sum is OR
+            o = outcome_of[k & -k if priority else k]
+            if o in wanted:
+                wanted.discard(o)
+                yield o
+            for drop in (k & -k,) if priority else (b for b in bit.values()
+                                                    if k & b):
+                rest = k ^ drop
+                if rest:
+                    pending.setdefault(rest, []).extend(
+                        v for v in comp if mask[v] & rest)
 
 
 def achievable_deviation_outcomes(game: MultiOutcomeGraphGame, fixed,
@@ -569,49 +594,8 @@ def achievable_deviation_outcomes(game: MultiOutcomeGraphGame, fixed,
     Exact over all (arbitrary-memory) deviations: an outcome is achievable
     iff some reachable cycle of the residual one-player graph induces it.
     """
-    nodes, succ = _residual_graph(game, fixed, deviator)
-    arena = game.arena
-    node_colors = [arena.colors[v] for v, _ in nodes]
-    achievable: set[int] = set()
-    occurring = sorted(set(node_colors))
-    if game.kind == PRIORITY:
-        for c in occurring:
-            keep = [i for i, col in enumerate(node_colors) if col >= c]
-            if _has_cycle_through_color(keep, succ, node_colors, {c},
-                                        require_exact=False):
-                achievable.add(game.priority_map[c])
-        return achievable
-    for r in range(1, len(occurring) + 1):
-        for combo in itertools.combinations(occurring, r):
-            colors = set(combo)
-            keep = [i for i, col in enumerate(node_colors) if col in colors]
-            if _has_cycle_through_color(keep, succ, node_colors, colors,
-                                        require_exact=True):
-                achievable.add(game.muller_map[frozenset(colors)])
-    return achievable
-
-
-def _has_cycle_through_color(keep: list[int], succ: list[list[int]],
-                             node_colors: list[int], colors: set[int],
-                             require_exact: bool) -> bool:
-    """Does the subgraph induced by ``keep`` contain a cycle whose colour set
-    covers ``colors`` (exactly, when required)?"""
-    keep_set = set(keep)
-    remap = {v: i for i, v in enumerate(keep)}
-    sub_succ = [[remap[w] for w in succ[v] if w in keep_set] for v in keep]
-    for comp in _tarjan_sccs(len(keep), sub_succ):
-        comp_set = set(comp)
-        has_edge = any(w in comp_set for v in comp for w in sub_succ[v])
-        if not has_edge:
-            continue
-        comp_colors = {node_colors[keep[v]] for v in comp}
-        if require_exact:
-            if colors <= comp_colors:
-                return True
-        else:
-            if colors & comp_colors:
-                return True
-    return False
+    return set(_reachable_outcomes(game, fixed, deviator,
+                                   range(game.outcomes.size)))
 
 
 @dataclass
@@ -628,8 +612,8 @@ def multi_outcome_ne(game: MultiOutcomeGraphGame) -> GraphEquilibrium:
 
     Priority games yield positional profiles (preferences of finite height);
     Muller games yield finite-memory profiles (acyclic preferences).  The
-    result is verified exactly against all deviations via the residual-graph
-    cycle analysis.
+    result is verified against all deviations by a nested SCC decomposition
+    of each residual graph that stops at the first preferred outcome.
     """
     if game.kind == PRIORITY and any(height(p) is None
                                      for p in game.preferences.prefs):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from typing import AbstractSet, Any, Optional, Sequence
 
 from .errors import (CyclicPreferenceError, HypothesisViolatedError,
                      NotDeterminedError, NotZeroSumError, UnboundedHeightError)
@@ -81,15 +81,18 @@ class CountingOracle(WinLoseOracle):
 
 class GameBackend(WinLoseOracle):
     """A win-lose oracle that can also play its own strategy handles in the
-    multi-outcome game, which is all that verifying a transfer needs."""
+    multi-outcome game and search for a profitable deviation, which is all
+    that verifying a transfer needs."""
 
     @abc.abstractmethod
     def play_outcome(self, h1: Any, h2: Any) -> int:
         """Outcome of the play of player 1's handle against player 2's."""
 
     @abc.abstractmethod
-    def deviation_outcomes(self, fixed: Any, deviator: int) -> set[int]:
-        """Every outcome the deviator can reach against the fixed handle."""
+    def better_deviation(self, fixed: Any, deviator: int,
+                         better: AbstractSet[int]) -> Optional[int]:
+        """An outcome in ``better`` that the deviator reaches against the
+        fixed handle, by a search that stops at the first; else None."""
 
 
 class StructureOracle(GameBackend):
@@ -122,9 +125,11 @@ class StructureOracle(GameBackend):
     def play_outcome(self, h1: int, h2: int) -> int:
         return self.structure.outcome((h1, h2))
 
-    def deviation_outcomes(self, fixed: int, deviator: int) -> set[int]:
+    def better_deviation(self, fixed: int, deviator: int,
+                         better: AbstractSet[int]) -> Optional[int]:
         table = self.structure.table
-        return set((table[:, fixed] if deviator == 1 else table[fixed]).tolist())
+        line = table[:, fixed] if deviator == 1 else table[fixed]
+        return next((o for o in line.tolist() if o in better), None)
 
 
 def _label_from_linear_bits(linear: Sequence[int], bits: Sequence[int]) -> SubsetWord:
@@ -209,7 +214,9 @@ def equilibrium(backend: GameBackend, prefs: PreferenceProfile) -> TransferResul
 
     Determinacy is not re-checked (that would cost 2^n oracle calls);
     NotDeterminedError is raised instead when the profile misses the promised
-    outcome or a player can deviate to an outcome they strictly prefer.
+    outcome or a player can deviate to an outcome they strictly prefer: one
+    stop-early ``better_deviation`` query per player looks for such an
+    outcome, and the error carries the deviator and it as a certificate.
     """
     result = run_transfer(backend, prefs)
     h1, h2 = result.profile
@@ -218,11 +225,12 @@ def equilibrium(backend: GameBackend, prefs: PreferenceProfile) -> TransferResul
         raise NotDeterminedError(
             f"profile plays outcome {played}, transfer promised {result.outcome}")
     for deviator, fixed in ((1, h2), (2, h1)):
-        pref = prefs[deviator - 1]
-        for alt in sorted(backend.deviation_outcomes(fixed, deviator)):
-            if pref.less(played, alt):
-                raise NotDeterminedError(
-                    f"player {deviator} can deviate to a preferred outcome {alt}")
+        better = set(prefs[deviator - 1].successors(played))
+        alt = backend.better_deviation(fixed, deviator, better) if better else None
+        if alt is not None:
+            raise NotDeterminedError(
+                f"player {deviator} can deviate to a preferred outcome {alt}",
+                deviator=deviator, outcome=alt)
     return result
 
 

@@ -1,8 +1,10 @@
 """Reference parity solving for the tests: the plain fixed-point attractor
 and the recursive form of Zielonka's algorithm, with no priority
 compression, plus a certificate that checks claimed winning regions and
-strategies without trusting any solver, and the enumeration of positional
-strategies that the brute-force checks range over."""
+strategies without trusting any solver, the enumeration of positional
+strategies that the brute-force checks range over, and the deviation
+outcomes of a residual graph found by one Tarjan run per colour (priority)
+or per colour subset (Muller)."""
 
 from __future__ import annotations
 
@@ -10,6 +12,7 @@ import itertools
 from typing import Iterator
 
 import eqtransfer as et
+from eqtransfer.graph_games import _residual_graph
 
 
 def all_positional_strategies(arena: et.Arena, player: int
@@ -129,3 +132,104 @@ def region_certificate(succ, owned, colors, regions) -> list[str]:
             if colors[u] % 2 == bad_parity and _on_bad_cycle(u, inside, colors):
                 problems.append(f"player {player} loses on a cycle through {u}")
     return problems
+
+
+def _tarjan_sccs(n: int, succ: list[list[int]]) -> list[list[int]]:
+    index = [0] * n
+    low = [0] * n
+    on_stack = [False] * n
+    visited = [False] * n
+    stack: list[int] = []
+    sccs: list[list[int]] = []
+    counter = itertools.count(1)
+
+    def strongconnect(root: int) -> None:
+        work = [(root, 0)]
+        while work:
+            v, pi = work[-1]
+            if pi == 0:
+                visited[v] = True
+                index[v] = low[v] = next(counter)
+                stack.append(v)
+                on_stack[v] = True
+            recurse = False
+            for i in range(pi, len(succ[v])):
+                w = succ[v][i]
+                if not visited[w]:
+                    work[-1] = (v, i + 1)
+                    work.append((w, 0))
+                    recurse = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            if recurse:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.append(w)
+                    if w == v:
+                        break
+                sccs.append(comp)
+
+    for v in range(n):
+        if not visited[v]:
+            strongconnect(v)
+    return sccs
+
+
+def _has_cycle_through_color(keep: list[int], succ: list[list[int]],
+                             node_colors: list[int], colors: set[int],
+                             require_exact: bool) -> bool:
+    """Does the subgraph induced by ``keep`` contain a cycle whose colour set
+    covers ``colors`` (exactly, when required)?"""
+    keep_set = set(keep)
+    remap = {v: i for i, v in enumerate(keep)}
+    sub_succ = [[remap[w] for w in succ[v] if w in keep_set] for v in keep]
+    for comp in _tarjan_sccs(len(keep), sub_succ):
+        comp_set = set(comp)
+        has_edge = any(w in comp_set for v in comp for w in sub_succ[v])
+        if not has_edge:
+            continue
+        comp_colors = {node_colors[keep[v]] for v in comp}
+        if require_exact:
+            if colors <= comp_colors:
+                return True
+        else:
+            if colors & comp_colors:
+                return True
+    return False
+
+
+def reference_deviation_outcomes(game: et.MultiOutcomeGraphGame, fixed,
+                                 deviator: int) -> set[int]:
+    """Every outcome the deviator can reach against the fixed strategy: a
+    colour c is a reachable minimum iff the subgraph on the colours >= c
+    has a cycle through c, and a colour set K is a reachable cluster set
+    iff the subgraph on K has a cycle through all of K."""
+    nodes, succ = _residual_graph(game, fixed, deviator)
+    arena = game.arena
+    node_colors = [arena.colors[v] for v, _ in nodes]
+    achievable: set[int] = set()
+    occurring = sorted(set(node_colors))
+    if game.kind == "priority":
+        for c in occurring:
+            keep = [i for i, col in enumerate(node_colors) if col >= c]
+            if _has_cycle_through_color(keep, succ, node_colors, {c},
+                                        require_exact=False):
+                achievable.add(game.priority_map[c])
+        return achievable
+    for r in range(1, len(occurring) + 1):
+        for combo in itertools.combinations(occurring, r):
+            colors = set(combo)
+            keep = [i for i, col in enumerate(node_colors) if col in colors]
+            if _has_cycle_through_color(keep, succ, node_colors, colors,
+                                        require_exact=True):
+                achievable.add(game.muller_map[frozenset(colors)])
+    return achievable

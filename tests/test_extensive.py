@@ -116,8 +116,29 @@ class TestTreeBackend:
             i = rng.randrange(st.strategy_counts[0])
             j = rng.randrange(st.strategy_counts[1])
             assert oracle.play_outcome(i, j) == st.outcome((i, j))
-            assert oracle.deviation_outcomes(j, 1) == set(st.table[:, j].tolist())
-            assert oracle.deviation_outcomes(i, 2) == set(st.table[i].tolist())
+            column, row = set(st.table[:, j].tolist()), set(st.table[i].tolist())
+            for o in range(st.outcomes.size):
+                assert (oracle.better_deviation(j, 1, {o}) == o) == (o in column)
+                assert (oracle.better_deviation(i, 2, {o}) == o) == (o in row)
+
+    def test_non_winning_strategy_certificate(self):
+        # player 2 moves at the root to player 1's node or to outcome 1;
+        # player 1 moves there to outcome 0 or 2.  The oracle hands out the
+        # move to 2 for player 1, which wins no label without 2: the play
+        # still ends in 1, and player 2 deviates to reach 2.
+        class NonWinning(et.TreeOracle):
+            def strategy(self, label):
+                s = super().strategy(label)
+                return et.OracleStrategy(1, 1, True) if s.player == 1 else s
+
+        t = et.GameTree(et.Node(2, (et.Node(1, (et.Leaf(0), et.Leaf(2))),
+                                    et.Leaf(1))), et.OutcomeSet(3))
+        prefs = et.PreferenceProfile((et.Preference.from_ranking([2, 1, 0]),
+                                      et.Preference.from_ranking([0, 1, 2])))
+        assert et.equilibrium(et.TreeOracle(t), prefs).outcome == 1
+        with pytest.raises(et.NotDeterminedError, match="player 2") as info:
+            et.equilibrium(NonWinning(t), prefs)
+        assert (info.value.deviator, info.value.outcome) == (2, 2)
 
     def test_normal_form_built_only_when_read(self, rng):
         t = random_tree(rng, 3)

@@ -10,6 +10,7 @@ import eqtransfer as et
 from eqtransfer import graph_games
 from conftest import random_acyclic_preference, random_arena, random_memory_machine
 from reference_graph import (all_positional_strategies, recursive_regions,
+                             reference_deviation_outcomes,
                              region_certificate)
 
 
@@ -300,6 +301,132 @@ class TestDeviationOutcomes:
                             if deviator == 1
                             else et.play_of(game.arena, game.start, fixed, dev))
                     assert game.outcome_of_play(play) in reachable
+
+
+def sized_game(rng, kind, n_vertices, n_colors, n_out=8):
+    """A game shaped like the benchmark's arenas: a shuffled Hamiltonian
+    cycle plus up to two random edges per vertex, random linear orders."""
+    order = list(range(n_vertices))
+    rng.shuffle(order)
+    edges = {(order[i], order[(i + 1) % n_vertices]) for i in order}
+    edges |= {(u, w) for u in range(n_vertices)
+              for w in rng.sample(range(n_vertices), rng.randint(0, 2))}
+    if kind == "priority":
+        colors = [rng.randrange(n_colors) for _ in range(n_vertices)]
+    else:
+        colors = [u % n_colors for u in range(n_vertices)]
+        rng.shuffle(colors)
+    arena = et.Arena(n_vertices, [u for u in range(n_vertices)
+                                  if rng.random() < 0.5], sorted(edges), colors)
+    rankings = [rng.sample(range(n_out), n_out) for _ in range(2)]
+    prefs = et.PreferenceProfile(tuple(et.Preference.from_ranking(r)
+                                       for r in rankings))
+    occ = sorted(arena.color_set())
+    maps = ({"priority_map": {c: rng.randrange(n_out) for c in occ}}
+            if kind == "priority" else
+            {"muller_map": {frozenset(combo): rng.randrange(n_out)
+                            for r in range(1, len(occ) + 1)
+                            for combo in itertools.combinations(occ, r)}})
+    return et.MultiOutcomeGraphGame(
+        arena=arena, start=rng.randrange(n_vertices), kind=kind,
+        outcomes=et.OutcomeSet(n_out), preferences=prefs, **maps)
+
+
+def arena_oracle(game):
+    return (et.PriorityOracle(game) if game.kind == "priority"
+            else et.MullerOracle(game))
+
+
+class TestDeviationSearch:
+    """The nested SCC decomposition against one Tarjan run per colour or
+    colour subset (``reference_deviation_outcomes``)."""
+
+    @staticmethod
+    def check(oracle, fixed, deviator, rng):
+        game = oracle.game
+        reference = reference_deviation_outcomes(game, fixed, deviator)
+        assert et.achievable_deviation_outcomes(game, fixed, deviator) == reference
+        n = game.outcomes.size
+        betters = [set(), set(range(n))] + [{o} for o in range(n)]
+        betters += [{o for o in range(n) if rng.random() < 0.5}
+                    for _ in range(3)]
+        for better in betters:
+            found = oracle.better_deviation(fixed, deviator, better)
+            if reference & better:
+                assert found in reference & better
+            else:
+                assert found is None
+        return reference
+
+    def test_random_games_against_memory_machines(self, rng):
+        sizes = []
+        for i in range(1200):
+            game = (random_priority_game(rng, max_vertices=10, max_outcomes=6)
+                    if i % 2 else
+                    random_muller_game(rng, max_vertices=6, max_color=3,
+                                       max_outcomes=6))
+            fixed_player = rng.choice((1, 2))
+            fixed = random_memory_machine(rng, game.arena, fixed_player,
+                                          rng.randint(1, 4))
+            sizes.append(len(self.check(arena_oracle(game), fixed,
+                                        3 - fixed_player, rng)))
+        assert min(sizes) >= 1 and sum(s > 2 for s in sizes) > 100
+
+    def test_benchmark_sized_arenas(self, rng):
+        for kind, n_vertices, n_colors in (("priority", 600, 16),
+                                           ("muller", 20, 6)):
+            for _ in range(2):
+                game = sized_game(rng, kind, n_vertices, n_colors)
+                oracle = arena_oracle(game)
+                eq = et.multi_outcome_ne(game)
+                for deviator, fixed in ((1, eq.strategy_2), (2, eq.strategy_1)):
+                    assert eq.outcome in self.check(oracle, fixed, deviator, rng)
+                fixed = random_memory_machine(rng, game.arena, 1, 3)
+                self.check(oracle, fixed, 2, rng)
+
+    def test_arbitrary_positional_strategy_certificate(self, rng):
+        """An oracle that hands out arbitrary positional strategies: the
+        verifier accepts exactly the profiles no deviation improves, and a
+        rejection names a deviator and an outcome they reach and prefer."""
+
+        class Arbitrary(et.PriorityOracle):
+            def strategy(self, label):
+                player = super().strategy(label).player
+                arena = self.game.arena
+                moves = {v: rng.choice(arena.succ[v])
+                         for v in range(arena.num_vertices)
+                         if arena.owner(v) == player}
+                self.handed[player] = et.PositionalStrategy(player, moves)
+                return et.OracleStrategy(player, self.handed[player], True)
+
+        certificates = 0
+        for _ in range(300):
+            game = sized_game(rng, "priority", 12, 5, n_out=5)
+            oracle = Arbitrary(game)
+            oracle.handed = {}
+            try:
+                eq = et.equilibrium(oracle, game.preferences)
+            except et.NotDeterminedError as exc:
+                if exc.deviator is None:
+                    continue
+                certificates += 1
+                fixed = oracle.handed[3 - exc.deviator]
+                played = game.outcome_of_play(et.play_of(
+                    game.arena, game.start, oracle.handed[1], oracle.handed[2]))
+                assert game.preferences[exc.deviator - 1].less(played,
+                                                               exc.outcome)
+                assert exc.outcome in reference_deviation_outcomes(
+                    game, fixed, exc.deviator)
+                assert f"player {exc.deviator}" in str(exc)
+                assert f"outcome {exc.outcome}" in str(exc)
+                continue
+            for deviator, fixed in ((1, eq.strategy_2.handle),
+                                    (2, eq.strategy_1.handle)):
+                pref = game.preferences[deviator - 1]
+                assert not any(pref.less(eq.outcome, o) for o in
+                               reference_deviation_outcomes(game, fixed,
+                                                            deviator))
+        assert certificates > 20
 
 
 class TestMultiOutcomeNE:

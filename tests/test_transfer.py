@@ -59,6 +59,23 @@ class TestTransferEquilibrium:
         with pytest.raises(et.NotDeterminedError):
             et.transfer_equilibrium(et.NormalFormGame(st, prefs))
 
+    def test_matching_pennies_certificate(self):
+        st = et.GameStructure((2, 2), et.OutcomeSet(2), [[0, 1], [1, 0]])
+        prefs = et.PreferenceProfile((
+            et.Preference.from_pairs(2, [(0, 1)]),
+            et.Preference.from_pairs(2, [(1, 0)]),
+        ))
+        # the profile (0, 0) plays the promised 0; player 1 switches rows
+        with pytest.raises(et.NotDeterminedError, match="player 1") as info:
+            et.equilibrium(et.StructureOracle(st), prefs)
+        assert (info.value.deviator, info.value.outcome) == (1, 1)
+        # with the preferences swapped the profile misses the promised
+        # outcome, which is no deviation and carries no certificate
+        with pytest.raises(et.NotDeterminedError, match="promised") as info:
+            et.equilibrium(et.StructureOracle(st), et.PreferenceProfile(
+                tuple(reversed(prefs.prefs))))
+        assert (info.value.deviator, info.value.outcome) == (None, None)
+
     def test_cyclic_preferences_rejected(self):
         st = et.GameStructure((2, 2), et.OutcomeSet(2), [[0, 1], [1, 0]])
         cyc = et.Preference.from_pairs(2, [(0, 1), (1, 0)])
