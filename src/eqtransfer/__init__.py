@@ -29,8 +29,7 @@ from .extensive import (GameTree, Leaf, Node, TreeOracle, TreeStrategy,
                         strategy_to_index, to_normal_form)
 from .graph_games import (Arena, FiniteMemoryStrategy, GraphEquilibrium,
                           MullerOracle, MultiOutcomeGraphGame, Play,
-                          PositionalStrategy, PriorityOracle,
-                          achievable_deviation_outcomes, as_finite_memory,
+                          PriorityOracle, achievable_deviation_outcomes,
                           multi_outcome_ne, muller_memory_bound,
                           muller_winner_of_play, parity_regions,
                           parity_winner_of_play, play_of, solve_muller,

@@ -15,11 +15,10 @@ from . import corpus as corpus_mod
 from . import jsonio
 from .errors import (EqTransferError, NotDeterminedError, SchemaError,
                      TooLargeError, UnknownNameError)
-from .extensive import (GameTree, TreeOracle, TreeStrategy,
-                        strategy_from_index, to_normal_form)
+from .extensive import (GameTree, TreeOracle, strategy_from_index,
+                        to_normal_form)
 from .graph_games import (MullerOracle, MultiOutcomeGraphGame,
-                          PositionalStrategy, PriorityOracle, solve_muller,
-                          solve_parity)
+                          PriorityOracle, solve_muller, solve_parity)
 from .normal_form import (DEFAULT_OUTCOME_CAP, DEFAULT_PROFILE_CAP,
                           GameStructure, NormalFormGame, find_all_ne,
                           is_determined, is_nash_equilibrium)
@@ -143,7 +142,6 @@ def _cmd_transfer(args) -> int:
     backend, prefs, outcomes = _backend(_load(args.input), args.oracle)
     result = equilibrium(backend, prefs)
     label = outcomes.label(result.outcome)
-    restricted = result.strategy_1.restricted and result.strategy_2.restricted
     report = {
         "command": "transfer",
         "oracle": args.oracle,
@@ -151,11 +149,9 @@ def _cmd_transfer(args) -> int:
         "outcome_label": label,
         "winner_calls": result.counter.winner_calls,
         "strategy_calls": result.counter.strategy_calls,
-        "restricted": restricted,
         "strategies": [_oracle_strategy_obj(backend, s)
                        for s in (result.strategy_1, result.strategy_2)],
-        "lines": [f"Nash equilibrium outcome: {label}",
-                  f"strategy class respected: {restricted}"]
+        "lines": [f"Nash equilibrium outcome: {label}"]
                  + _counter_lines(result.counter, outcomes.size),
     }
     _emit(report, args.json)
@@ -166,22 +162,31 @@ def _oracle_strategy_obj(backend, s: OracleStrategy) -> dict:
     """Tree handles are printed as per-node choices: as normal-form indices
     they run to thousands of digits on large trees."""
     if isinstance(backend, TreeOracle):
-        return _strategy_obj(strategy_from_index(backend.tree, s.player,
-                                                 s.handle))
+        tree = strategy_from_index(backend.tree, s.player, s.handle)
+        return {"type": "tree", "player": s.player,
+                "choices": {str(n): c for n, c in tree.choices}}
     if isinstance(s.handle, int):
         return {"type": "index", "player": s.player, "index": s.handle}
     return _strategy_obj(s.handle)
 
 
-def _strategy_obj(strategy) -> dict:
-    if isinstance(strategy, PositionalStrategy):
-        return {"type": "positional", "player": strategy.player,
-                "moves": {str(v): w for v, w in sorted(strategy.moves.items())}}
-    if isinstance(strategy, TreeStrategy):
-        return {"type": "tree", "player": strategy.player,
-                "choices": {str(n): c for n, c in strategy.choices}}
-    return {"type": "finite-memory", "player": strategy.player,
-            "memory_bound": strategy.num_states}
+def _strategy_obj(s) -> dict:
+    """An arena strategy: its moves when it has one state per vertex, its
+    graph otherwise."""
+    if len(set(s.vertex)) == s.num_states:
+        return {"type": "positional", "player": s.player,
+                "moves": {str(v): w for v, w in sorted(_moves(s).items())}}
+    return {"type": "finite-memory", "player": s.player,
+            "states": s.num_states, "vertex": list(s.vertex),
+            "succ": [list(out) for out in s.succ], "move": list(s.move),
+            "entry": {str(v): e for v, e in s.entry.items()}}
+
+
+def _moves(s) -> dict[int, int]:
+    """The successor each state of the player's vertices moves to, by
+    vertex: a positional strategy's moves."""
+    return {s.vertex[i]: s.vertex[s.succ[i][k]]
+            for i, k in enumerate(s.move) if k >= 0}
 
 
 def _cmd_solve_parity(args) -> int:
@@ -195,8 +200,7 @@ def _cmd_solve_parity(args) -> int:
         "winner": winner,
         "strategy": _strategy_obj(strat),
         "lines": [f"player {winner} wins from vertex {start}",
-                  f"positional strategy: "
-                  f"{dict(sorted(strat.moves.items()))}"],
+                  f"positional strategy: {dict(sorted(_moves(strat).items()))}"],
     }
     _emit(report, args.json)
     return EXIT_OK
@@ -219,7 +223,7 @@ def _cmd_solve_muller(args) -> int:
         "winner": winner,
         "strategy": _strategy_obj(machine),
         "lines": [f"player {winner} wins from vertex {start}",
-                  f"finite-memory strategy, <= {machine.num_states} states"],
+                  f"finite-memory strategy, {machine.num_states} states"],
     }
     _emit(report, args.json)
     return EXIT_OK
@@ -367,14 +371,18 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (SchemaError, UnknownNameError, TooLargeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except NotDeterminedError as exc:
-        print(f"not determined: {exc}", file=sys.stderr)
-        return EXIT_FAIL
     except EqTransferError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        prefix = ("not determined" if isinstance(exc, NotDeterminedError)
+                  else "error")
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        if args.json:
+            report = {"command": args.command, "error": type(exc).__name__,
+                      "message": str(exc)}
+            if getattr(exc, "deviator", None) is not None:
+                report.update(deviator=exc.deviator, outcome=exc.outcome)
+            _emit(report, True)
+        if isinstance(exc, (SchemaError, UnknownNameError, TooLargeError)):
+            return EXIT_INPUT
         return EXIT_FAIL
 
 

@@ -204,7 +204,7 @@ class TreeOracle(GameBackend):
                                   if winner(c) == champion), 0))
                         for i in t.owned_nodes(champion))
         strat = TreeStrategy(champion, choices)
-        return OracleStrategy(champion, strategy_to_index(t, strat), True)
+        return OracleStrategy(champion, strategy_to_index(t, strat))
 
     def play_outcome(self, h1: int, h2: int) -> int:
         t = self.tree

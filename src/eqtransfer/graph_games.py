@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import BadIndexError, NotDeterminedError, UnboundedHeightError
 from .normal_form import SubsetWord
@@ -57,52 +57,42 @@ class Arena:
         return frozenset(self.colors)
 
 
-@dataclass(eq=True)
-class PositionalStrategy:
-    """History-free choice: one successor per vertex of the strategy's player."""
+@dataclass(frozen=True, eq=False)
+class FiniteMemoryStrategy:
+    """A player's strategy as a finite graph over its states.
+
+    State ``s`` sits at arena vertex ``vertex[s]``, and ``succ[s][k]`` is the
+    state reached along the k-th edge of ``arena.succ[vertex[s]]``, in the
+    same order.  At the states of the player's vertices ``move[s]`` is the
+    k taken; it is -1 elsewhere.  A play from vertex v begins in state
+    ``entry[v]``.  The strategy is positional iff no vertex has two states.
+    """
 
     player: int
-    moves: dict[int, int]
+    vertex: Sequence[int]
+    succ: Sequence[Sequence[int]]
+    move: Sequence[int]
+    entry: Union[Mapping[int, int], Sequence[int]]
 
-
-class FiniteMemoryStrategy:
-    """A strategy machine: memory updates on every visited vertex (including
-    the start), the move depends on memory and current vertex only."""
-
-    def __init__(self, player: int, initial: Hashable,
-                 update: Callable[[Hashable, int], Hashable],
-                 choice: Callable[[Hashable, int], int],
-                 num_states: Optional[int] = None):
-        self.player = player
-        self.initial = initial
-        self.update = update
-        self.choice = choice
-        self.num_states = num_states
+    @property
+    def num_states(self) -> int:
+        return len(self.vertex)
 
     @staticmethod
-    def from_positional(pos: PositionalStrategy) -> "FiniteMemoryStrategy":
-        return FiniteMemoryStrategy(
-            pos.player, 0, lambda m, v: 0,
-            lambda m, v: pos.moves[v], num_states=1)
-
-    @staticmethod
-    def from_tables(player: int, n_states: int, initial: int,
-                    update_table: Mapping[tuple[int, int], int],
-                    choice_table: Mapping[tuple[int, int], int]
-                    ) -> "FiniteMemoryStrategy":
-        return FiniteMemoryStrategy(
-            player, initial,
-            lambda m, v: update_table[(m, v)],
-            lambda m, v: choice_table[(m, v)],
-            num_states=n_states)
-
-
-def as_finite_memory(s) -> FiniteMemoryStrategy:
-    if isinstance(s, FiniteMemoryStrategy):
-        return s
-    if isinstance(s, PositionalStrategy):
-        return FiniteMemoryStrategy.from_positional(s)
-    raise TypeError(f"not a strategy: {s!r}")
+    def positional(arena: Arena, player: int, moves: Mapping[int, int]
+                   ) -> "FiniteMemoryStrategy":
+        """One state per vertex: the arena's own successor lists, with
+        ``moves`` naming the successor taken at each vertex of the player;
+        a vertex it leaves out takes its first edge."""
+        move = [-1] * arena.num_vertices
+        for v, out in enumerate(arena.succ):
+            if arena.owner(v) == player:
+                w = moves.get(v, out[0])
+                if w not in out:
+                    raise ValueError(f"strategy moves along a non-edge ({v}, {w})")
+                move[v] = out.index(w)
+        states = range(arena.num_vertices)
+        return FiniteMemoryStrategy(player, states, arena.succ, move, states)
 
 
 @dataclass(frozen=True)
@@ -116,24 +106,36 @@ class Play:
         return frozenset(arena.colors[v] for v in self.cycle)
 
 
-def play_of(arena: Arena, start: int, s1, s2) -> Play:
-    """Walk the strategy-product graph until a state repeats."""
-    f1, f2 = as_finite_memory(s1), as_finite_memory(s2)
-    if f1.player != 1 or f2.player != 2:
+def play_of(arena: Arena, start: int, s1: FiniteMemoryStrategy,
+            s2: FiniteMemoryStrategy) -> Play:
+    """Walk both strategy graphs in lockstep from their entry states at
+    ``start`` until a pair of states repeats: at each vertex the owner's
+    ``move`` names the edge, and both strategies follow it."""
+    if s1.player != 1 or s2.player != 2:
         raise ValueError("play_of expects a player-1 and a player-2 strategy")
-    state = (start, f1.update(f1.initial, start), f2.update(f2.initial, start))
-    seen: dict[tuple, int] = {}
+    _check_start(arena, start)
+    pair = (_entry(s1, start), _entry(s2, start))
+    seen: dict[tuple[int, int], int] = {}
     trail: list[int] = []
-    while state not in seen:
-        seen[state] = len(trail)
-        v, m1, m2 = state
+    while pair not in seen:
+        seen[pair] = len(trail)
+        a, b = pair
+        v = s1.vertex[a]
         trail.append(v)
-        nxt = f1.choice(m1, v) if arena.owner(v) == 1 else f2.choice(m2, v)
-        if nxt not in arena.succ[v]:
-            raise ValueError(f"strategy moved along a non-edge ({v}, {nxt})")
-        state = (nxt, f1.update(m1, nxt), f2.update(m2, nxt))
-    cut = seen[state]
+        k = s1.move[a] if v in arena.owned else s2.move[b]
+        if k < 0:
+            raise ValueError(f"the owner's strategy has no move at vertex {v}")
+        pair = (s1.succ[a][k], s2.succ[b][k])
+    cut = seen[pair]
     return Play(tuple(trail[:cut]), tuple(trail[cut:]))
+
+
+def _entry(strategy: FiniteMemoryStrategy, start: int) -> int:
+    try:
+        return strategy.entry[start]
+    except KeyError:
+        raise ValueError(f"player {strategy.player}'s strategy has no entry "
+                         f"state at vertex {start}") from None
 
 
 def _predecessors(succ) -> tuple[tuple[int, ...], ...]:
@@ -252,21 +254,12 @@ def parity_regions(arena: Arena) -> tuple[set[int], set[int],
     return _zielonka(arena.succ, arena.pred, arena.owned, arena.colors)
 
 
-def _solve_parity_colored(arena: Arena, start: int, colors
-                          ) -> tuple[int, PositionalStrategy]:
-    w1, w2, s1, s2 = _zielonka(arena.succ, arena.pred, arena.owned, colors)
-    winner = 1 if start in w1 else 2
-    moves = s1 if winner == 1 else s2
-    for v in range(arena.num_vertices):
-        if arena.owner(v) == winner:
-            moves.setdefault(v, arena.succ[v][0])
-    return winner, PositionalStrategy(winner, moves)
-
-
-def solve_parity(arena: Arena, start: int) -> tuple[int, PositionalStrategy]:
+def solve_parity(arena: Arena, start: int) -> tuple[int, FiniteMemoryStrategy]:
     """Winner from ``start`` plus a positional winning strategy for them."""
     _check_start(arena, start)
-    return _solve_parity_colored(arena, start, arena.colors)
+    w1, _, s1, s2 = parity_regions(arena)
+    winner, moves = (1, s1) if start in w1 else (2, s2)
+    return winner, FiniteMemoryStrategy.positional(arena, winner, moves)
 
 
 def parity_winner_of_play(arena: Arena, play: Play) -> int:
@@ -288,74 +281,64 @@ def muller_memory_bound(arena: Arena) -> int:
     return math.factorial(c) * c
 
 
-def _explore(init, step) -> tuple[list, list[list[int]]]:
-    """Nodes reachable from ``init``, numbered breadth first from 0, and
-    their successor lists; ``step(node)`` lists a node's successors."""
+def _lar_product(arena: Arena, start: int):
+    """Reachable LAR product: nodes ``(vertex, (perm, hit))`` numbered
+    breadth first from 0, their vertices, successor lists in the order of
+    ``arena.succ`` and player-1 nodes; it does not depend on the win sets."""
+    base = tuple(sorted(arena.color_set()))
+    init = (start, lar_update(base, arena.colors[start]))
     index = {init: 0}
     nodes = [init]
     succ: list[list[int]] = []
-    for node in nodes:  # grows while it is read
+    for v, (perm, _) in nodes:  # grows while it is read
         out = []
-        for nxt in step(node):
-            if nxt not in index:
-                index[nxt] = len(nodes)
-                nodes.append(nxt)
-            out.append(index[nxt])
+        for w in arena.succ[v]:
+            node = (w, lar_update(perm, arena.colors[w]))
+            if node not in index:
+                index[node] = len(nodes)
+                nodes.append(node)
+            out.append(index[node])
         succ.append(out)
-    return nodes, succ
+    vertex = [v for v, _ in nodes]
+    owned = frozenset(i for i, v in enumerate(vertex) if v in arena.owned)
+    return nodes, vertex, succ, owned
 
 
-def _lar_product(arena: Arena, start: int):
-    """Reachable LAR product: nodes ``(vertex, (perm, hit))`` from node 0,
-    successor lists and player-1 nodes; it does not depend on the win sets."""
-    def step(node):
-        v, (perm, _) = node
-        return [(w, lar_update(perm, arena.colors[w])) for w in arena.succ[v]]
-
-    base = tuple(sorted(arena.color_set()))
-    nodes, succ = _explore((start, lar_update(base, arena.colors[start])), step)
-    owned = frozenset(i for i, (v, _) in enumerate(nodes) if v in arena.owned)
-    return nodes, succ, owned
-
-
-def _solve_lar(arena: Arena, product, win_sets: frozenset[frozenset[int]]
-               ) -> tuple[int, FiniteMemoryStrategy]:
-    """Colour the LAR product for ``win_sets``, solve it from node 0 and
-    project the winner's positional product strategy onto a memory machine."""
-    nodes, succ, owned = product
+def _lar_winner(product, win_sets: frozenset[frozenset[int]]
+                ) -> tuple[int, dict[int, int]]:
+    """Colour the LAR product for ``win_sets`` and solve it from node 0:
+    the winner and their partial moves on the product."""
+    nodes, _, succ, owned = product
     colors = []
     for v, (perm, hit) in nodes:
         suffix = frozenset(perm[hit - 1:])
         colors.append(2 * hit if suffix in win_sets else 2 * hit + 1)
     w1, w2, s1, s2 = _zielonka(succ, _predecessors(succ), owned, colors)
-    winner = 1 if 0 in w1 else 2
-    partial = s1 if winner == 1 else s2
-    move_of: dict[tuple, int] = {}
-    for i, (v, lar) in enumerate(nodes):
+    return (1, s1) if 0 in w1 else (2, s2)
+
+
+def _lar_machine(product, winner: int, partial: Mapping[int, int]
+                 ) -> FiniteMemoryStrategy:
+    """The LAR product itself, with the winner's moves, as their strategy."""
+    _, vertex, succ, owned = product
+    move = [-1] * len(succ)
+    for i, out in enumerate(succ):
         if (i in owned) == (winner == 1):
-            move_of[(lar, v)] = nodes[partial.get(i, succ[i][0])][0]
-    base = tuple(sorted(arena.color_set()))
-
-    def update(mem, vertex):
-        perm = mem[0] if mem is not None else base
-        return lar_update(perm, arena.colors[vertex])
-
-    def choice(mem, vertex):
-        return move_of.get((mem, vertex), arena.succ[vertex][0])
-
-    machine = FiniteMemoryStrategy(winner, None, update, choice,
-                                   num_states=muller_memory_bound(arena) + 1)
-    return winner, machine
+            move[i] = out.index(partial[i]) if i in partial else 0
+    return FiniteMemoryStrategy(winner, vertex, succ, move, {vertex[0]: 0})
 
 
 def solve_muller(arena: Arena, start: int,
                  win_sets: Iterable[Iterable[int]]
                  ) -> tuple[int, FiniteMemoryStrategy]:
     """Winner (player 1 wins iff the cluster set is a winning set) and a
-    finite-memory winning strategy with at most |C|!*|C| states."""
+    finite-memory winning strategy for plays from ``start``: the LAR product
+    reachable from there, at most |C|!*|C| states per vertex."""
     _check_start(arena, start)
-    wsets = frozenset(frozenset(s) for s in win_sets)
-    return _solve_lar(arena, _lar_product(arena, start), wsets)
+    product = _lar_product(arena, start)
+    winner, partial = _lar_winner(
+        product, frozenset(frozenset(s) for s in win_sets))
+    return winner, _lar_machine(product, winner, partial)
 
 
 def muller_winner_of_play(arena: Arena, play: Play,
@@ -424,7 +407,8 @@ class MultiOutcomeGraphGame:
 
 class _ArenaOracle(GameBackend):
     """Queries shared by the arena oracles; ``_solve`` answers one label
-    with the winner and their winning strategy."""
+    with the winner and their partial moves, and ``_strategy`` turns those
+    into the winner's strategy."""
 
     game: MultiOutcomeGraphGame
 
@@ -436,8 +420,8 @@ class _ArenaOracle(GameBackend):
         return self._solve(label)[0]
 
     def strategy(self, label: SubsetWord) -> OracleStrategy:
-        winner, strat = self._solve(label)
-        return OracleStrategy(winner, strat, True)
+        winner, partial = self._solve(label)
+        return OracleStrategy(winner, self._strategy(winner, partial))
 
     def play_outcome(self, h1, h2) -> int:
         game = self.game
@@ -462,11 +446,15 @@ class PriorityOracle(_ArenaOracle):
             raise ValueError("priority oracle needs a priority game")
         self.game = game
 
-    def _solve(self, label: SubsetWord) -> tuple[int, PositionalStrategy]:
-        pmap = self.game.priority_map
+    def _solve(self, label: SubsetWord) -> tuple[int, dict[int, int]]:
+        pmap, arena = self.game.priority_map, self.game.arena
         renamed = [2 * c if pmap[c] in label else 2 * c + 1
-                   for c in self.game.arena.colors]
-        return _solve_parity_colored(self.game.arena, self.game.start, renamed)
+                   for c in arena.colors]
+        w1, _, s1, s2 = _zielonka(arena.succ, arena.pred, arena.owned, renamed)
+        return (1, s1) if self.game.start in w1 else (2, s2)
+
+    def _strategy(self, winner: int, partial) -> FiniteMemoryStrategy:
+        return FiniteMemoryStrategy.positional(self.game.arena, winner, partial)
 
 
 class MullerOracle(_ArenaOracle):
@@ -483,27 +471,35 @@ class MullerOracle(_ArenaOracle):
         self.game = game
         self._product = _lar_product(game.arena, game.start)
 
-    def _solve(self, label: SubsetWord) -> tuple[int, FiniteMemoryStrategy]:
+    def _solve(self, label: SubsetWord) -> tuple[int, dict[int, int]]:
         win_sets = frozenset(s for s, o in self.game.muller_map.items()
                              if o in label)
-        return _solve_lar(self.game.arena, self._product, win_sets)
+        return _lar_winner(self._product, win_sets)
+
+    def _strategy(self, winner: int, partial) -> FiniteMemoryStrategy:
+        return _lar_machine(self._product, winner, partial)
 
 
-def _residual_graph(game: MultiOutcomeGraphGame, fixed, deviator: int):
-    """One-player product graph: the fixed player's moves are forced by their
-    machine, every other choice belongs to the deviator."""
-    arena = game.arena
-    fm = as_finite_memory(fixed)
-    if fm.player == deviator:
+def _residual_graph(game: MultiOutcomeGraphGame, fixed: FiniteMemoryStrategy,
+                    deviator: int) -> tuple[list[int], list]:
+    """The fixed strategy's own graph with each of its states cut to the
+    edge it chooses; every other edge is the deviator's choice.  Returns the
+    states reachable from the entry state at the game's start, that state
+    first, and the cut successor lists of all states."""
+    if fixed.player == deviator:
         raise ValueError("fixed player and deviator must differ")
-
-    def step(node):
-        v, mem = node
-        targets = ((fm.choice(mem, v),) if arena.owner(v) == fm.player
-                   else arena.succ[v])
-        return [(w, fm.update(mem, w)) for w in targets]
-
-    return _explore((game.start, fm.update(fm.initial, game.start)), step)
+    succ = [out if k < 0 else (out[k],)
+            for out, k in zip(fixed.succ, fixed.move)]
+    root = _entry(fixed, game.start)
+    seen = bytearray(len(succ))
+    seen[root] = 1
+    reach = [root]
+    for s in reach:  # grows while it is read
+        for t in succ[s]:
+            if not seen[t]:
+                seen[t] = 1
+                reach.append(t)
+    return reach, succ
 
 
 def _cyclic_sccs(succ, part):
@@ -555,10 +551,10 @@ def _reachable_outcomes(game: MultiOutcomeGraphGame, fixed, deviator: int,
     sets are visited largest first, once each, on the union of the
     components that lead there, and only while a colour set inside maps to
     an outcome still wanted."""
-    nodes, succ = _residual_graph(game, fixed, deviator)
+    reach, succ = _residual_graph(game, fixed, deviator)
     arena = game.arena
     bit = {c: 1 << i for i, c in enumerate(sorted(arena.color_set()))}
-    mask = [bit[arena.colors[v]] for v, _ in nodes]
+    mask = [bit[arena.colors[v]] for v in fixed.vertex]
     priority = game.kind == PRIORITY
     if priority:
         outcome_of = {b: game.priority_map[c] for c, b in bit.items()}
@@ -566,7 +562,7 @@ def _reachable_outcomes(game: MultiOutcomeGraphGame, fixed, deviator: int,
         outcome_of = {sum(bit[c] for c in s): o
                       for s, o in game.muller_map.items() if s <= bit.keys()}
     wanted = set(wanted)
-    pending: dict[int, list[int]] = {2 ** len(bit) - 1: list(range(len(nodes)))}
+    pending: dict[int, list[int]] = {2 ** len(bit) - 1: reach}
     while pending:
         allowed = max(pending, key=int.bit_count)
         part = pending.pop(allowed)
@@ -600,11 +596,10 @@ def achievable_deviation_outcomes(game: MultiOutcomeGraphGame, fixed,
 
 @dataclass
 class GraphEquilibrium:
-    strategy_1: FiniteMemoryStrategy | PositionalStrategy
-    strategy_2: FiniteMemoryStrategy | PositionalStrategy
+    strategy_1: FiniteMemoryStrategy
+    strategy_2: FiniteMemoryStrategy
     outcome: int
     counter: CallCounter
-    restricted: bool
 
 
 def multi_outcome_ne(game: MultiOutcomeGraphGame) -> GraphEquilibrium:
@@ -621,6 +616,4 @@ def multi_outcome_ne(game: MultiOutcomeGraphGame) -> GraphEquilibrium:
             "priority transfer needs finite-height preferences")
     oracle = PriorityOracle(game) if game.kind == PRIORITY else MullerOracle(game)
     result = equilibrium(oracle, game.preferences)
-    restricted = result.strategy_1.restricted and result.strategy_2.restricted
-    return GraphEquilibrium(*result.profile, result.outcome, result.counter,
-                            restricted)
+    return GraphEquilibrium(*result.profile, result.outcome, result.counter)

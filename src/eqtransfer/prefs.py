@@ -116,30 +116,29 @@ def _adjacency(p: Preference) -> list[list[int]]:
     return adj
 
 
+def _kahn_order(p: Preference) -> list[int]:
+    """Kahn's topological order, the least ready outcome first; it misses
+    every outcome on or behind a cycle (self-loops included)."""
+    indeg = [0] * p.outcomes.size
+    adj = _adjacency(p)
+    for x, y in p.pairs:
+        indeg[y] += 1
+    ready = [v for v, d in enumerate(indeg) if d == 0]
+    heapq.heapify(ready)
+    out: list[int] = []
+    while ready:
+        v = heapq.heappop(ready)
+        out.append(v)
+        for w in adj[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                heapq.heappush(ready, w)
+    return out
+
+
 def is_acyclic(p: Preference) -> bool:
     """True iff the directed graph of the relation has no cycle (self-loops count)."""
-    n = p.outcomes.size
-    adj = _adjacency(p)
-    state = [0] * n  # 0 unvisited, 1 on stack, 2 done
-    for root in range(n):
-        if state[root]:
-            continue
-        stack: list[tuple[int, int]] = [(root, 0)]
-        state[root] = 1
-        while stack:
-            v, i = stack[-1]
-            if i < len(adj[v]):
-                stack[-1] = (v, i + 1)
-                w = adj[v][i]
-                if state[w] == 1:
-                    return False
-                if state[w] == 0:
-                    state[w] = 1
-                    stack.append((w, 0))
-            else:
-                state[v] = 2
-                stack.pop()
-    return True
+    return len(_kahn_order(p)) == p.outcomes.size
 
 
 def height(p: Preference) -> Optional[int]:
@@ -147,23 +146,17 @@ def height(p: Preference) -> Optional[int]:
 
     An empty relation (antichain) has height 1; a single edge gives height 2.
     """
-    if not is_acyclic(p):
+    try:
+        return max(rank(p).ranks) + 1
+    except CyclicPreferenceError:
         return None
-    order = linear_extension(p)
-    chain = {v: 1 for v in order}
-    adj = _adjacency(p)
-    for v in order:
-        for w in adj[v]:
-            if chain[v] + 1 > chain[w]:
-                chain[w] = chain[v] + 1
-    return max(chain.values())
 
 
 def rank(p: Preference) -> RankFunction:
     """Minimal monotone ranks: rank(x) = longest chain ending at x, in edges."""
-    if not is_acyclic(p):
+    order = _kahn_order(p)
+    if len(order) != p.outcomes.size:
         raise CyclicPreferenceError("rank requires an acyclic preference")
-    order = linear_extension(p)
     ranks = [0] * p.outcomes.size
     adj = _adjacency(p)
     for v in order:
@@ -175,22 +168,8 @@ def rank(p: Preference) -> RankFunction:
 
 def linear_extension(p: Preference) -> list[int]:
     """Stable topological order: ties broken by ascending outcome index."""
-    n = p.outcomes.size
-    indeg = [0] * n
-    adj = _adjacency(p)
-    for x, y in p.pairs:
-        indeg[y] += 1
-    ready = [v for v in range(n) if indeg[v] == 0]
-    heapq.heapify(ready)
-    out: list[int] = []
-    while ready:
-        v = heapq.heappop(ready)
-        out.append(v)
-        for w in adj[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                heapq.heappush(ready, w)
-    if len(out) != n:
+    out = _kahn_order(p)
+    if len(out) != p.outcomes.size:
         raise CyclicPreferenceError("linear extension requires an acyclic preference")
     return out
 

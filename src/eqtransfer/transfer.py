@@ -24,15 +24,11 @@ from .prefs import (OutcomeSet, Preference, PreferenceProfile, height,
 
 @dataclass(frozen=True)
 class OracleStrategy:
-    """A winning strategy as reported by an oracle.
-
-    ``restricted`` asserts membership in the oracle's distinguished strategy
-    class (positional, finite-memory, ...).
-    """
+    """A winning strategy as reported by an oracle: the winner and a handle
+    that the oracle's game backend can play."""
 
     player: int
     handle: Any
-    restricted: bool
 
 
 @dataclass
@@ -118,9 +114,9 @@ class StructureOracle(GameBackend):
     def strategy(self, label: SubsetWord) -> OracleStrategy:
         row = enforcing_strategy(self.structure, 1, label)
         if row is not None:
-            return OracleStrategy(1, row, True)
+            return OracleStrategy(1, row)
         col = enforcing_strategy(self.structure, 2, label.complement())
-        return OracleStrategy(2, col if col is not None else 0, True)
+        return OracleStrategy(2, col if col is not None else 0)
 
     def play_outcome(self, h1: int, h2: int) -> int:
         return self.structure.outcome((h1, h2))

@@ -72,14 +72,34 @@ def random_arena(rng: random.Random, max_vertices: int,
     return et.Arena(nv, owned, edges, colors)
 
 
+def memory_machine(arena: et.Arena, player: int, n_states: int,
+                   update, choice) -> et.FiniteMemoryStrategy:
+    """The strategy graph of a table-driven memory machine: memory starts at
+    0 and is updated on every visited vertex, the start included, and the
+    move depends on the memory and the current vertex.  Its states are all
+    (vertex, memory) pairs, state v * n_states + m, and a play from any
+    vertex may begin."""
+    def state(v, m):
+        return v * n_states + m
+
+    vertex, succ, move = [], [], []
+    for v, out in enumerate(arena.succ):
+        for m in range(n_states):
+            vertex.append(v)
+            succ.append([state(w, update[(m, w)]) for w in out])
+            move.append(out.index(choice[(m, v)])
+                        if arena.owner(v) == player else -1)
+    entry = {v: state(v, update[(0, v)]) for v in range(arena.num_vertices)}
+    return et.FiniteMemoryStrategy(player, vertex, succ, move, entry)
+
+
 def random_memory_machine(rng: random.Random, arena: et.Arena, player: int,
                           n_states: int) -> et.FiniteMemoryStrategy:
     update = {(m, v): rng.randrange(n_states)
               for m in range(n_states) for v in range(arena.num_vertices)}
     choice = {(m, v): rng.choice(arena.succ[v])
               for m in range(n_states) for v in range(arena.num_vertices)}
-    return et.FiniteMemoryStrategy.from_tables(player, n_states, 0,
-                                               update, choice)
+    return memory_machine(arena, player, n_states, update, choice)
 
 
 @pytest.fixture

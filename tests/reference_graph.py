@@ -2,9 +2,10 @@
 and the recursive form of Zielonka's algorithm, with no priority
 compression, plus a certificate that checks claimed winning regions and
 strategies without trusting any solver, the enumeration of positional
-strategies that the brute-force checks range over, and the deviation
-outcomes of a residual graph found by one Tarjan run per colour (priority)
-or per colour subset (Muller)."""
+strategies that the brute-force checks range over, plays and residual
+graphs walked over (vertex, state) pairs, and the deviation outcomes of a
+residual graph found by one Tarjan run per colour (priority) or per colour
+subset (Muller)."""
 
 from __future__ import annotations
 
@@ -12,15 +13,68 @@ import itertools
 from typing import Iterator
 
 import eqtransfer as et
-from eqtransfer.graph_games import _residual_graph
 
 
 def all_positional_strategies(arena: et.Arena, player: int
-                              ) -> Iterator[et.PositionalStrategy]:
+                              ) -> Iterator[et.FiniteMemoryStrategy]:
     mine = sorted(arena.owned if player == 1 else
                   set(range(arena.num_vertices)) - arena.owned)
     for picks in itertools.product(*(arena.succ[v] for v in mine)):
-        yield et.PositionalStrategy(player, dict(zip(mine, picks)))
+        yield et.FiniteMemoryStrategy.positional(arena, player,
+                                                 dict(zip(mine, picks)))
+
+
+def _step(arena: et.Arena, machine, v: int, s: int, k: int) -> tuple[int, int]:
+    """The (vertex, state) pair that the k-th edge at ``v`` leads to, after
+    checking that the machine's state sits at that vertex."""
+    w, t = arena.succ[v][k], machine.succ[s][k]
+    assert machine.vertex[s] == v and machine.vertex[t] == w
+    return w, t
+
+
+def reference_play(arena: et.Arena, start: int, s1, s2) -> et.Play:
+    """The play of two strategy machines, walked over (vertex, state, state)
+    triples until one repeats."""
+    node = (start, s1.entry[start], s2.entry[start])
+    trail: list[tuple[int, int, int]] = []
+    seen: dict[tuple[int, int, int], int] = {}
+    while node not in seen:
+        seen[node] = len(trail)
+        trail.append(node)
+        v, a, b = node
+        k = s1.move[a] if arena.owner(v) == 1 else s2.move[b]
+        assert k >= 0
+        (w, a2), (_, b2) = _step(arena, s1, v, a, k), _step(arena, s2, v, b, k)
+        node = (w, a2, b2)
+    cut = seen[node]
+    return et.Play(tuple(v for v, _, _ in trail[:cut]),
+                   tuple(v for v, _, _ in trail[cut:]))
+
+
+def residual_graph(game: et.MultiOutcomeGraphGame, fixed, deviator: int
+                   ) -> tuple[list[tuple[int, int]], list[list[int]]]:
+    """The deviator's one-player graph against the fixed machine, explored
+    from the game's start: nodes are (vertex, state) pairs numbered breadth
+    first, the fixed player moves by the machine, the deviator along every
+    edge."""
+    arena = game.arena
+    assert fixed.player != deviator
+    init = (game.start, fixed.entry[game.start])
+    index = {init: 0}
+    nodes = [init]
+    succ: list[list[int]] = []
+    for v, s in nodes:  # grows while it is read
+        ks = ([fixed.move[s]] if arena.owner(v) == fixed.player
+              else range(len(arena.succ[v])))
+        out = []
+        for k in ks:
+            nxt = _step(arena, fixed, v, s, k)
+            if nxt not in index:
+                index[nxt] = len(nodes)
+                nodes.append(nxt)
+            out.append(index[nxt])
+        succ.append(out)
+    return nodes, succ
 
 
 def fixed_point_attractor(succ, owned, region: set[int], target: set[int],
@@ -213,7 +267,7 @@ def reference_deviation_outcomes(game: et.MultiOutcomeGraphGame, fixed,
     colour c is a reachable minimum iff the subgraph on the colours >= c
     has a cycle through c, and a colour set K is a reachable cluster set
     iff the subgraph on K has a cycle through all of K."""
-    nodes, succ = _residual_graph(game, fixed, deviator)
+    nodes, succ = residual_graph(game, fixed, deviator)
     arena = game.arena
     node_colors = [arena.colors[v] for v, _ in nodes]
     achievable: set[int] = set()

@@ -5,14 +5,30 @@ from pathlib import Path
 
 import pytest
 
-from eqtransfer import cli
-from conftest import fixture_path
+import eqtransfer as et
+from eqtransfer import cli, jsonio
+from conftest import FIXTURES, fixture_path
+from reference_graph import all_positional_strategies
 
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def machine_from_obj(obj) -> et.FiniteMemoryStrategy:
+    """A strategy rebuilt from its printed ``finite-memory`` form."""
+    assert obj["type"] == "finite-memory"
+    assert obj["states"] == len(obj["vertex"])
+    return et.FiniteMemoryStrategy(
+        obj["player"], obj["vertex"], obj["succ"], obj["move"],
+        {int(v): s for v, s in obj["entry"].items()})
+
+
+MATCHING_PENNIES = {
+    "format": 1, "strategies": [2, 2], "v": [0, 1, 1, 0], "outcomes": 2,
+    "preferences": [{"pairs": [[1, 0]]}, {"pairs": [[0, 1]]}]}
 
 
 def caterpillar_text(depth: int) -> str:
@@ -95,7 +111,6 @@ class TestTransfer:
                            fixture_path("priority_game.json"))
         assert code == cli.EXIT_OK
         report = json.loads(out)
-        assert report["restricted"] is True
         assert report["strategies"][0]["type"] == "positional"
 
     def test_muller_oracle(self, capsys):
@@ -113,14 +128,43 @@ class TestTransfer:
 
     def test_not_determined_input(self, capsys, tmp_path):
         # matching pennies with opposed preferences over the two outcomes
-        doc = {"format": 1, "strategies": [2, 2], "v": [0, 1, 1, 0],
-               "outcomes": 2,
-               "preferences": [{"pairs": [[1, 0]]}, {"pairs": [[0, 1]]}]}
         path = tmp_path / "mp.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(MATCHING_PENNIES))
         code, _, err = run(capsys, "transfer", str(path))
         assert code == cli.EXIT_FAIL
         assert "not determined" in err
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_not_determined_json_report(self, capsys, tmp_path, swap):
+        """With the preferences one way round the profile misses its
+        promised outcome; the other way round a deviation is found, and the
+        report names its deviator and outcome."""
+        doc = dict(MATCHING_PENNIES)
+        if swap:
+            doc["preferences"] = doc["preferences"][::-1]
+        path = tmp_path / "mp.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "--json", "transfer", str(path))
+        assert code == cli.EXIT_FAIL
+        report = json.loads(out)
+        assert report["command"] == "transfer"
+        assert report["error"] == "NotDeterminedError"
+        if swap:
+            assert (report["deviator"], report["outcome"]) == (1, 1)
+            assert "player 1" in report["message"]
+        else:
+            assert "deviator" not in report and "outcome" not in report
+
+    def test_malformed_input_json_report(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("{not json")
+        code, out, _ = run(capsys, "--json", "transfer", str(path))
+        assert code == cli.EXIT_INPUT
+        report = json.loads(out)
+        assert report["command"] == "transfer"
+        assert report["error"] == "SchemaError"
+        assert "malformed JSON" in report["message"]
+        assert "deviator" not in report and "outcome" not in report
 
 
 class TestArenaCommands:
@@ -139,6 +183,31 @@ class TestArenaCommands:
         report = json.loads(out)
         assert report["winner"] in (1, 2)
         assert report["strategy"]["type"] == "finite-memory"
+
+    def test_strategies_serialize(self, capsys):
+        """Machines rebuilt from the printed graphs play as the ones the
+        library returned."""
+        code, out, _ = run(capsys, "--json", "transfer", "--oracle", "muller",
+                           fixture_path("muller_game.json"))
+        assert code == cli.EXIT_OK
+        s1, s2 = map(machine_from_obj, json.loads(out)["strategies"])
+        game = jsonio.load(fixture_path("muller_game.json"))
+        eq = et.multi_outcome_ne(game)
+        assert (et.play_of(game.arena, game.start, s1, s2)
+                == et.play_of(game.arena, game.start, eq.strategy_1,
+                              eq.strategy_2))
+
+        code, out, _ = run(capsys, "--json", "solve-muller",
+                           fixture_path("arena_small.json"))
+        assert code == cli.EXIT_OK
+        printed = machine_from_obj(json.loads(out)["strategy"])
+        doc = json.loads(Path(fixture_path("arena_small.json")).read_text())
+        arena, start = jsonio.from_obj(doc), doc["start"]
+        _, machine = et.solve_muller(arena, start, doc["win_sets"])
+        assert printed.player == machine.player == 1
+        for other in all_positional_strategies(arena, 2):
+            assert (et.play_of(arena, start, printed, other)
+                    == et.play_of(arena, start, machine, other))
 
     @pytest.mark.parametrize("win_sets", [[1], "12", [[1, "2"]], None])
     def test_solve_muller_malformed_win_sets(self, capsys, tmp_path, win_sets):
@@ -234,3 +303,26 @@ class TestErrorPaths:
     def test_help_exits_0(self, capsys):
         code, _, _ = run(capsys, "--help")
         assert code == cli.EXIT_OK
+
+
+class TestFixtures:
+    COMMANDS = (["solve"], ["check-determinacy"],
+                ["transfer", "--oracle", "brute"],
+                ["transfer", "--oracle", "tree"],
+                ["transfer", "--oracle", "parity"],
+                ["transfer", "--oracle", "muller"],
+                ["solve-parity"], ["solve-muller"],
+                ["verify-ne", "--profile", "0,0"])
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in
+                                            FIXTURES.glob("*.json")))
+    def test_every_command_exits_cleanly(self, capsys, name):
+        """No subcommand raises on any fixture; under ``--json`` each one
+        prints one JSON report, whatever its exit code."""
+        for command in self.COMMANDS:
+            argv = [command[0], fixture_path(name), *command[1:]]
+            code, out, err = run(capsys, *argv)
+            assert code in (cli.EXIT_OK, cli.EXIT_FAIL, cli.EXIT_INPUT)
+            code_json, out, _ = run(capsys, "--json", *argv)
+            assert code_json == code
+            assert isinstance(json.loads(out), dict), argv

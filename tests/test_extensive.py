@@ -100,7 +100,6 @@ class TestTreeOracle:
             st = oracle.structure
             for label in et.all_labels(3):
                 s = oracle.strategy(label)
-                assert s.restricted
                 word = label if s.player == 1 else label.complement()
                 enforced = (st.table[s.handle, :] if s.player == 1
                             else st.table[:, s.handle])
@@ -129,7 +128,7 @@ class TestTreeBackend:
         class NonWinning(et.TreeOracle):
             def strategy(self, label):
                 s = super().strategy(label)
-                return et.OracleStrategy(1, 1, True) if s.player == 1 else s
+                return et.OracleStrategy(1, 1) if s.player == 1 else s
 
         t = et.GameTree(et.Node(2, (et.Node(1, (et.Leaf(0), et.Leaf(2))),
                                     et.Leaf(1))), et.OutcomeSet(3))

@@ -8,10 +8,15 @@ import pytest
 
 import eqtransfer as et
 from eqtransfer import graph_games
-from conftest import random_acyclic_preference, random_arena, random_memory_machine
+from conftest import (memory_machine, random_acyclic_preference, random_arena,
+                      random_memory_machine)
 from reference_graph import (all_positional_strategies, recursive_regions,
-                             reference_deviation_outcomes,
+                             reference_deviation_outcomes, reference_play,
                              region_certificate)
+
+
+def one_state_per_vertex(strategy):
+    return len(set(strategy.vertex)) == strategy.num_states
 
 
 def brute_parity_winner(arena, start):
@@ -72,8 +77,8 @@ class TestArena:
 class TestPlayOf:
     def test_lasso_shape(self):
         a = et.Arena(3, [0, 1, 2], [(0, 1), (1, 2), (2, 1)], [0, 1, 2])
-        s1 = et.PositionalStrategy(1, {0: 1, 1: 2, 2: 1})
-        s2 = et.PositionalStrategy(2, {})
+        s1 = et.FiniteMemoryStrategy.positional(a, 1, {0: 1, 1: 2, 2: 1})
+        s2 = et.FiniteMemoryStrategy.positional(a, 2, {})
         play = et.play_of(a, 0, s1, s2)
         assert play.prefix == (0,)
         assert play.cycle == (1, 2)
@@ -81,17 +86,16 @@ class TestPlayOf:
 
     def test_rejects_non_edges(self):
         a = et.Arena(2, [0, 1], [(0, 1), (1, 0)], [0, 0])
-        s1 = et.PositionalStrategy(1, {0: 0, 1: 0})
         with pytest.raises(ValueError):
-            et.play_of(a, 0, s1, et.PositionalStrategy(2, {}))
+            et.FiniteMemoryStrategy.positional(a, 1, {0: 0, 1: 0})
 
     def test_memory_machine_walk(self):
         # alternate between self-loop and move, driven by a two-state machine
         a = et.Arena(2, [0, 1], [(0, 0), (0, 1), (1, 0)], [0, 1])
         update = {(m, v): (m + 1) % 2 for m in range(2) for v in range(2)}
         choice = {(0, 0): 0, (1, 0): 1, (0, 1): 0, (1, 1): 0}
-        s1 = et.FiniteMemoryStrategy.from_tables(1, 2, 0, update, choice)
-        play = et.play_of(a, 0, s1, et.PositionalStrategy(2, {}))
+        s1 = memory_machine(a, 1, 2, update, choice)
+        play = et.play_of(a, 0, s1, et.FiniteMemoryStrategy.positional(a, 2, {}))
         assert play.cluster_colors(a) == {0, 1}
 
 
@@ -99,7 +103,7 @@ class TestParity:
     def test_single_vertex_even(self):
         a = et.Arena(1, [0], [(0, 0)], [2])
         winner, strat = et.solve_parity(a, 0)
-        assert winner == 1 and strat.moves == {0: 0}
+        assert winner == 1 and list(strat.move) == [0]
 
     def test_single_vertex_odd(self):
         a = et.Arena(1, [0], [(0, 0)], [1])
@@ -243,10 +247,46 @@ class TestStartVertex:
                 priority_map={0: 0, 1: 0})
 
 
+def lar_product_size(arena, start):
+    """Number of (vertex, colour order, hit) nodes reachable from ``start``:
+    each visit moves the vertex's colour to the back of the order, and the
+    hit is the colour's old position, counted from 1."""
+    def visit(perm, v):
+        c = arena.colors[v]
+        return (v, tuple(x for x in perm if x != c) + (c,), perm.index(c) + 1)
+
+    seen = {visit(tuple(sorted(arena.color_set())), start)}
+    todo = list(seen)
+    while todo:
+        v, perm, _ = todo.pop()
+        for w in arena.succ[v]:
+            node = visit(perm, w)
+            if node not in seen:
+                seen.add(node)
+                todo.append(node)
+    return len(seen)
+
+
 class TestMuller:
     def test_memory_bound(self):
         a = et.Arena(2, [0], [(0, 1), (1, 0)], [0, 1])
         assert et.muller_memory_bound(a) == 4
+
+    def test_states_within_reachable_lar_product(self, rng):
+        for _ in range(60):
+            arena = random_arena(rng, 5, max_color=3)
+            start = rng.randrange(arena.num_vertices)
+            _, machine = et.solve_muller(arena, start, [arena.color_set()])
+            assert machine.num_states <= lar_product_size(arena, start)
+
+    def test_start_without_entry_state_rejected(self):
+        a = et.Arena(2, [0], [(0, 1), (1, 0), (0, 0)], [1, 2])
+        winner, machine = et.solve_muller(a, 0, [[1, 2]])
+        other = et.FiniteMemoryStrategy.positional(a, 2, {1: 0})
+        assert winner == 1
+        assert et.play_of(a, 0, machine, other).cluster_colors(a) == {1, 2}
+        with pytest.raises(ValueError, match="no entry state at vertex 1"):
+            et.play_of(a, 1, machine, other)
 
     def test_winner_beats_positional_and_sampled_machines(self, rng):
         for _ in range(60):
@@ -370,6 +410,11 @@ class TestDeviationSearch:
                                           rng.randint(1, 4))
             sizes.append(len(self.check(arena_oracle(game), fixed,
                                         3 - fixed_player, rng)))
+            other = random_memory_machine(random.Random(i), game.arena,
+                                          3 - fixed_player, 2)
+            pair = (fixed, other) if fixed_player == 1 else (other, fixed)
+            assert (et.play_of(game.arena, game.start, *pair)
+                    == reference_play(game.arena, game.start, *pair))
         assert min(sizes) >= 1 and sum(s > 2 for s in sizes) > 100
 
     def test_benchmark_sized_arenas(self, rng):
@@ -379,6 +424,11 @@ class TestDeviationSearch:
                 game = sized_game(rng, kind, n_vertices, n_colors)
                 oracle = arena_oracle(game)
                 eq = et.multi_outcome_ne(game)
+                play = et.play_of(game.arena, game.start, eq.strategy_1,
+                                  eq.strategy_2)
+                assert play == reference_play(game.arena, game.start,
+                                              eq.strategy_1, eq.strategy_2)
+                assert game.outcome_of_play(play) == eq.outcome
                 for deviator, fixed in ((1, eq.strategy_2), (2, eq.strategy_1)):
                     assert eq.outcome in self.check(oracle, fixed, deviator, rng)
                 fixed = random_memory_machine(rng, game.arena, 1, 3)
@@ -396,8 +446,9 @@ class TestDeviationSearch:
                 moves = {v: rng.choice(arena.succ[v])
                          for v in range(arena.num_vertices)
                          if arena.owner(v) == player}
-                self.handed[player] = et.PositionalStrategy(player, moves)
-                return et.OracleStrategy(player, self.handed[player], True)
+                self.handed[player] = et.FiniteMemoryStrategy.positional(
+                    arena, player, moves)
+                return et.OracleStrategy(player, self.handed[player])
 
         certificates = 0
         for _ in range(300):
@@ -446,9 +497,8 @@ class TestMultiOutcomeNE:
         for _ in range(25):
             game = random_priority_game(rng)
             eq = et.multi_outcome_ne(game)
-            assert isinstance(eq.strategy_1, et.PositionalStrategy)
-            assert isinstance(eq.strategy_2, et.PositionalStrategy)
-            assert eq.restricted
+            assert one_state_per_vertex(eq.strategy_1)
+            assert one_state_per_vertex(eq.strategy_2)
             assert eq.counter.winner_calls <= game.outcomes.size
             assert eq.counter.strategy_calls <= 2
             self.check_stability(game, eq, rng)
