@@ -14,10 +14,9 @@ from .prefs import (OutcomeSet, Preference, PreferenceProfile, RankFunction,
                     height, is_acyclic, is_strict_linear, lift_less,
                     lift_less_existential, linear_extension, rank, upward_cone)
 from .normal_form import (DEFAULT_OUTCOME_CAP, DEFAULT_PROFILE_CAP,
-                          GameStructure, NormalFormGame, Profile, SubsetWord,
-                          all_labels, enforcing_strategy, find_all_ne,
-                          is_determined, is_nash_equilibrium, merge_players,
-                          slice_structure)
+                          GameStructure, NormalFormGame, Profile,
+                          enforcing_strategy, find_all_ne, is_determined,
+                          is_nash_equilibrium, merge_players, slice_structure)
 from .transfer import (CallCounter, CountingOracle, GameBackend,
                        OracleStrategy, StructureOracle, TransferResult,
                        WinLoseOracle, eliminate_dominated_outcomes,
@@ -41,5 +40,8 @@ from .corpus import (PROP_5_6_NE_TABLE, PROP_5_6_PROOF_PREFS,
                      prop_5_6_structure, remark_5_3_game,
                      remark_5_3_structure, unit_vector_game, verify)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+from types import ModuleType as _ModuleType
+
+__all__ = [name for name in dir() if not name.startswith("_")
+           and not isinstance(globals()[name], _ModuleType)]
 __version__ = "0.1.0"

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import AbstractSet, Callable, Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .errors import TooLargeError
-from .normal_form import (DEFAULT_PROFILE_CAP, GameStructure, Profile,
-                          SubsetWord)
+from .normal_form import DEFAULT_PROFILE_CAP, GameStructure, Profile
 from .prefs import OutcomeSet, PreferenceProfile
 from .transfer import CallCounter, GameBackend, OracleStrategy, equilibrium
 
@@ -158,13 +157,12 @@ def to_normal_form(t: GameTree, cap: int = DEFAULT_PROFILE_CAP) -> GameStructure
     return GameStructure((n1, n2), t.outcomes, table)
 
 
-def _backward_induction(t: GameTree, label: SubsetWord) -> Callable[[int], int]:
+def _backward_induction(t: GameTree, label: int) -> Callable[[int], int]:
     """One reverse preorder sweep; returns the winner at each node code."""
-    bits = label.bits
     won = [0] * len(t.owners)
 
     def winner(code: int) -> int:
-        return won[code] if code >= 0 else 2 - bits[~code]
+        return won[code] if code >= 0 else 2 - (label >> ~code & 1)
 
     for i in range(len(won) - 1, -1, -1):
         me = t.owners[i]
@@ -191,10 +189,10 @@ class TreeOracle(GameBackend):
     def n_outcomes(self) -> int:
         return self.tree.outcomes.size
 
-    def winner(self, label: SubsetWord) -> int:
+    def winner(self, label: int) -> int:
         return _backward_induction(self.tree, label)(self.tree.root_code)
 
-    def strategy(self, label: SubsetWord) -> OracleStrategy:
+    def strategy(self, label: int) -> OracleStrategy:
         """Full strategy for the root winner: at each owned node move to the
         first child they win, or to the first child where they win none."""
         t = self.tree
@@ -212,7 +210,7 @@ class TreeOracle(GameBackend):
                          strategy_from_index(t, 2, h2))
 
     def better_deviation(self, fixed: int, deviator: int,
-                         better: AbstractSet[int]) -> Optional[int]:
+                         better: int) -> Optional[int]:
         """One sweep from the root, every child at the deviator's nodes and
         the fixed strategy's choice elsewhere, up to a leaf in ``better``."""
         t = self.tree
@@ -221,7 +219,7 @@ class TreeOracle(GameBackend):
         while stack:
             code = stack.pop()
             if code < 0:
-                if ~code in better:
+                if better >> ~code & 1:
                     return ~code
             elif t.owners[code] == deviator:
                 stack.extend(t.children[code])

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import BadIndexError, NotDeterminedError, UnboundedHeightError
-from .normal_form import SubsetWord
 from .prefs import OutcomeSet, PreferenceProfile, height
 from .transfer import CallCounter, GameBackend, OracleStrategy, equilibrium
 
@@ -284,7 +283,8 @@ def muller_memory_bound(arena: Arena) -> int:
 def _lar_product(arena: Arena, start: int):
     """Reachable LAR product: nodes ``(vertex, (perm, hit))`` numbered
     breadth first from 0, their vertices, successor lists in the order of
-    ``arena.succ`` and player-1 nodes; it does not depend on the win sets."""
+    ``arena.succ``, predecessor lists and player-1 nodes; it does not depend
+    on the win sets."""
     base = tuple(sorted(arena.color_set()))
     init = (start, lar_update(base, arena.colors[start]))
     index = {init: 0}
@@ -301,26 +301,26 @@ def _lar_product(arena: Arena, start: int):
         succ.append(out)
     vertex = [v for v, _ in nodes]
     owned = frozenset(i for i, v in enumerate(vertex) if v in arena.owned)
-    return nodes, vertex, succ, owned
+    return nodes, vertex, succ, _predecessors(succ), owned
 
 
 def _lar_winner(product, win_sets: frozenset[frozenset[int]]
                 ) -> tuple[int, dict[int, int]]:
     """Colour the LAR product for ``win_sets`` and solve it from node 0:
     the winner and their partial moves on the product."""
-    nodes, _, succ, owned = product
+    nodes, _, succ, pred, owned = product
     colors = []
     for v, (perm, hit) in nodes:
         suffix = frozenset(perm[hit - 1:])
         colors.append(2 * hit if suffix in win_sets else 2 * hit + 1)
-    w1, w2, s1, s2 = _zielonka(succ, _predecessors(succ), owned, colors)
+    w1, w2, s1, s2 = _zielonka(succ, pred, owned, colors)
     return (1, s1) if 0 in w1 else (2, s2)
 
 
 def _lar_machine(product, winner: int, partial: Mapping[int, int]
                  ) -> FiniteMemoryStrategy:
     """The LAR product itself, with the winner's moves, as their strategy."""
-    _, vertex, succ, owned = product
+    _, vertex, succ, _, owned = product
     move = [-1] * len(succ)
     for i, out in enumerate(succ):
         if (i in owned) == (winner == 1):
@@ -359,9 +359,8 @@ class MultiOutcomeGraphGame:
     """A two-player graph game whose plays map to abstract outcomes.
 
     Priority kind: the outcome is read off the minimum colour occurring
-    infinitely often (the bottom outcome stands in for an empty cluster set,
-    which never happens on finite arenas).  Muller kind: the outcome is read
-    off the cluster set itself.
+    infinitely often.  Muller kind: the outcome is read off the cluster set
+    itself.  Every mapped outcome is an index into ``outcomes``.
     """
 
     arena: Arena
@@ -370,7 +369,6 @@ class MultiOutcomeGraphGame:
     outcomes: OutcomeSet
     preferences: PreferenceProfile
     priority_map: Optional[dict[int, int]] = None
-    bottom_outcome: Optional[int] = None
     muller_map: Optional[dict[frozenset[int], int]] = None
 
     def __post_init__(self):
@@ -381,18 +379,25 @@ class MultiOutcomeGraphGame:
         _check_start(self.arena, self.start)
         occurring = self.arena.color_set()
         if self.kind == PRIORITY:
-            if self.priority_map is None:
+            mapped = self.priority_map
+            if mapped is None:
                 raise ValueError("priority games need a colour-to-outcome map")
-            missing = occurring - set(self.priority_map)
+            missing = occurring - set(mapped)
             if missing:
                 raise ValueError(f"no outcome for colours {sorted(missing)}")
         else:
-            if self.muller_map is None:
+            mapped = self.muller_map
+            if mapped is None:
                 raise ValueError("Muller games need a cluster-set-to-outcome map")
             for r in range(1, len(occurring) + 1):
                 for combo in itertools.combinations(sorted(occurring), r):
-                    if frozenset(combo) not in self.muller_map:
+                    if frozenset(combo) not in mapped:
                         raise ValueError(f"no outcome for cluster set {set(combo)}")
+        n = self.outcomes.size
+        for o in mapped.values():
+            if not isinstance(o, int) or not 0 <= o < n:
+                raise ValueError(f"mapped outcome {o!r} is not an outcome "
+                                 f"index 0..{n - 1}")
 
     def outcome_of_cluster(self, cluster: frozenset[int]) -> int:
         if not cluster:
@@ -416,10 +421,10 @@ class _ArenaOracle(GameBackend):
     def n_outcomes(self) -> int:
         return self.game.outcomes.size
 
-    def winner(self, label: SubsetWord) -> int:
+    def winner(self, label: int) -> int:
         return self._solve(label)[0]
 
-    def strategy(self, label: SubsetWord) -> OracleStrategy:
+    def strategy(self, label: int) -> OracleStrategy:
         winner, partial = self._solve(label)
         return OracleStrategy(winner, self._strategy(winner, partial))
 
@@ -427,7 +432,8 @@ class _ArenaOracle(GameBackend):
         game = self.game
         return game.outcome_of_play(play_of(game.arena, game.start, h1, h2))
 
-    def better_deviation(self, fixed, deviator: int, better) -> Optional[int]:
+    def better_deviation(self, fixed, deviator: int,
+                         better: int) -> Optional[int]:
         return next(_reachable_outcomes(self.game, fixed, deviator, better),
                     None)
 
@@ -446,9 +452,9 @@ class PriorityOracle(_ArenaOracle):
             raise ValueError("priority oracle needs a priority game")
         self.game = game
 
-    def _solve(self, label: SubsetWord) -> tuple[int, dict[int, int]]:
+    def _solve(self, label: int) -> tuple[int, dict[int, int]]:
         pmap, arena = self.game.priority_map, self.game.arena
-        renamed = [2 * c if pmap[c] in label else 2 * c + 1
+        renamed = [2 * c if label >> pmap[c] & 1 else 2 * c + 1
                    for c in arena.colors]
         w1, _, s1, s2 = _zielonka(arena.succ, arena.pred, arena.owned, renamed)
         return (1, s1) if self.game.start in w1 else (2, s2)
@@ -471,9 +477,9 @@ class MullerOracle(_ArenaOracle):
         self.game = game
         self._product = _lar_product(game.arena, game.start)
 
-    def _solve(self, label: SubsetWord) -> tuple[int, dict[int, int]]:
+    def _solve(self, label: int) -> tuple[int, dict[int, int]]:
         win_sets = frozenset(s for s, o in self.game.muller_map.items()
-                             if o in label)
+                             if label >> o & 1)
         return _lar_winner(self._product, win_sets)
 
     def _strategy(self, winner: int, partial) -> FiniteMemoryStrategy:
@@ -542,15 +548,16 @@ def _cyclic_sccs(succ, part):
 
 
 def _reachable_outcomes(game: MultiOutcomeGraphGame, fixed, deviator: int,
-                        wanted: Iterable[int]):
-    """Yield, once each, the outcomes in ``wanted`` that the deviator can
-    reach against the fixed strategy, by one nested SCC decomposition of the
-    residual graph: a component with a cycle realises its colour set K, and
-    every other cycle in it misses a colour of K (for priority games, K's
-    minimum), so it lies in the subgraph on K without that colour.  Colour
-    sets are visited largest first, once each, on the union of the
-    components that lead there, and only while a colour set inside maps to
-    an outcome still wanted."""
+                        wanted: int):
+    """Yield, once each, the outcomes in the mask ``wanted`` that the
+    deviator can reach against the fixed strategy, by one nested SCC
+    decomposition of the residual graph: a component with a cycle realises
+    its colour set K, and every other cycle in it misses a colour of K (for
+    priority games, K's minimum), so it lies in the subgraph on K without
+    that colour.  Colour sets are visited largest first, once each, on the
+    union of the components that lead there, and only while a colour set
+    inside maps to an outcome still wanted; a found outcome's bit is
+    cleared."""
     reach, succ = _residual_graph(game, fixed, deviator)
     arena = game.arena
     bit = {c: 1 << i for i, c in enumerate(sorted(arena.color_set()))}
@@ -561,19 +568,18 @@ def _reachable_outcomes(game: MultiOutcomeGraphGame, fixed, deviator: int,
     else:
         outcome_of = {sum(bit[c] for c in s): o
                       for s, o in game.muller_map.items() if s <= bit.keys()}
-    wanted = set(wanted)
     pending: dict[int, list[int]] = {2 ** len(bit) - 1: reach}
     while pending:
         allowed = max(pending, key=int.bit_count)
         part = pending.pop(allowed)
-        if not any(o in wanted and k & ~allowed == 0
+        if not any(wanted >> o & 1 and k & ~allowed == 0
                    for k, o in outcome_of.items()):
             continue
         for comp in _cyclic_sccs(succ, part):
             k = sum({mask[v] for v in comp})  # distinct bits: sum is OR
             o = outcome_of[k & -k if priority else k]
-            if o in wanted:
-                wanted.discard(o)
+            if wanted >> o & 1:
+                wanted ^= 1 << o
                 yield o
             for drop in (k & -k,) if priority else (b for b in bit.values()
                                                     if k & b):
@@ -591,7 +597,7 @@ def achievable_deviation_outcomes(game: MultiOutcomeGraphGame, fixed,
     iff some reachable cycle of the residual one-player graph induces it.
     """
     return set(_reachable_outcomes(game, fixed, deviator,
-                                   range(game.outcomes.size)))
+                                   (1 << game.outcomes.size) - 1))
 
 
 @dataclass

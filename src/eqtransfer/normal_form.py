@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -19,40 +19,6 @@ Profile = tuple[int, ...]
 
 DEFAULT_PROFILE_CAP = 1_000_000
 DEFAULT_OUTCOME_CAP = 20
-
-
-@dataclass(frozen=True)
-class SubsetWord:
-    """Characteristic bit word over the outcome set: bit i set iff outcome i is in."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("bits must be 0 or 1")
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-    @staticmethod
-    def from_indices(n: int, members: Iterable[int]) -> "SubsetWord":
-        bits = [0] * n
-        for i in members:
-            bits[i] = 1
-        return SubsetWord(tuple(bits))
-
-    @staticmethod
-    def full(n: int) -> "SubsetWord":
-        return SubsetWord((1,) * n)
-
-    def indices(self) -> tuple[int, ...]:
-        return tuple(i for i, b in enumerate(self.bits) if b)
-
-    def complement(self) -> "SubsetWord":
-        return SubsetWord(tuple(1 - b for b in self.bits))
-
-    def __contains__(self, outcome: int) -> bool:
-        return self.bits[outcome] == 1
 
 
 class GameStructure:
@@ -194,21 +160,18 @@ def find_all_ne(g: NormalFormGame, cap: int = DEFAULT_PROFILE_CAP) -> list[Profi
 
 
 def enforcing_strategy(st: GameStructure, player: int,
-                       subset: SubsetWord) -> Optional[int]:
-    """Lowest-index strategy of the player enforcing the subset, or None."""
+                       subset: int) -> Optional[int]:
+    """Lowest-index strategy of the player enforcing the subset (bit o for
+    outcome o), or None."""
     if st.players != 2:
         raise ValueError("enforcement is defined for two-player structures")
     if player not in (1, 2):
         raise BadIndexError(f"player must be 1 or 2, got {player}")
-    inside = np.asarray(subset.bits, dtype=bool)[st.table]
+    inside = np.array([subset >> o & 1 for o in range(st.outcomes.size)],
+                      dtype=bool)[st.table]
     axis_ok = inside.all(axis=1) if player == 1 else inside.all(axis=0)
     hits = np.flatnonzero(axis_ok)
     return int(hits[0]) if hits.size else None
-
-
-def all_labels(n: int) -> Iterator[SubsetWord]:
-    for bits in itertools.product((0, 1), repeat=n):
-        yield SubsetWord(bits)
 
 
 def is_determined(st: GameStructure, cap: int = DEFAULT_OUTCOME_CAP) -> bool:

@@ -175,22 +175,14 @@ def linear_extension(p: Preference) -> list[int]:
 
 
 def is_strict_linear(p: Preference) -> bool:
-    """True iff the relation is a strict linear order (irreflexive, transitive, total)."""
+    """True iff the relation is a strict linear order (irreflexive, transitive, total).
+
+    An acyclic relation holds at most one pair per two distinct outcomes, so
+    it is total iff it holds n(n-1)/2 pairs; and an acyclic total relation
+    is transitive, as x < y < z with z < x would be a cycle.
+    """
     n = p.outcomes.size
-    if not is_acyclic(p):
-        return False
-    for x in range(n):
-        for y in range(n):
-            if x == y:
-                continue
-            if ((x, y) in p.pairs) == ((y, x) in p.pairs):
-                return False
-    # acyclic + total on distinct elements forces transitivity, but check anyway
-    for x, y in p.pairs:
-        for z in range(n):
-            if (y, z) in p.pairs and (x, z) not in p.pairs:
-                return False
-    return True
+    return len(p.pairs) == n * (n - 1) // 2 and is_acyclic(p)
 
 
 def lift_less(linear: Sequence[int], a: Iterable[int], b: Iterable[int]) -> bool:

@@ -1,21 +1,22 @@
 """The equilibrium-transfer algorithm and its companion reductions.
 
-A pluggable win-lose oracle answers, for any subset of the outcomes, which
-player wins the derived win-lose game and with which strategy.  The transfer
-routine turns such an oracle into a Nash equilibrium of the multi-outcome
-game using at most n winner queries and 2 strategy queries; ``equilibrium``
-verifies the result through any game backend (normal form, tree, arena).
+A pluggable win-lose oracle answers, for any subset of the outcomes (an int
+bit mask, bit o for outcome o), which player wins the derived win-lose game
+and with which strategy.  The transfer routine turns such an oracle into a
+Nash equilibrium of the multi-outcome game using at most n winner queries
+and 2 strategy queries; ``equilibrium`` verifies the result through any
+game backend (normal form, tree, arena).
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import AbstractSet, Any, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from .errors import (CyclicPreferenceError, HypothesisViolatedError,
                      NotDeterminedError, NotZeroSumError, UnboundedHeightError)
-from .normal_form import (GameStructure, NormalFormGame, Profile, SubsetWord,
+from .normal_form import (GameStructure, NormalFormGame, Profile,
                           enforcing_strategy, is_nash_equilibrium)
 from .prefs import (OutcomeSet, Preference, PreferenceProfile, height,
                     is_acyclic, is_strict_linear, linear_extension, rank,
@@ -39,7 +40,8 @@ class CallCounter:
 
 class WinLoseOracle(abc.ABC):
     """Winner and winning strategy of every win-lose game derived from one
-    fixed two-player structure."""
+    fixed two-player structure.  A query's label is an int mask over the
+    outcomes: player 1 wins the plays whose outcome o has bit o set."""
 
     @property
     @abc.abstractmethod
@@ -47,11 +49,11 @@ class WinLoseOracle(abc.ABC):
         ...
 
     @abc.abstractmethod
-    def winner(self, label: SubsetWord) -> int:
-        """1 or 2: who wins the derived game where bit 1 means player 1 wins."""
+    def winner(self, label: int) -> int:
+        """1 or 2: who wins the derived game of the label."""
 
     @abc.abstractmethod
-    def strategy(self, label: SubsetWord) -> OracleStrategy:
+    def strategy(self, label: int) -> OracleStrategy:
         """A winning strategy for the winner of the derived game."""
 
 
@@ -66,11 +68,11 @@ class CountingOracle(WinLoseOracle):
     def n_outcomes(self) -> int:
         return self.inner.n_outcomes
 
-    def winner(self, label: SubsetWord) -> int:
+    def winner(self, label: int) -> int:
         self.counter.winner_calls += 1
         return self.inner.winner(label)
 
-    def strategy(self, label: SubsetWord) -> OracleStrategy:
+    def strategy(self, label: int) -> OracleStrategy:
         self.counter.strategy_calls += 1
         return self.inner.strategy(label)
 
@@ -78,7 +80,8 @@ class CountingOracle(WinLoseOracle):
 class GameBackend(WinLoseOracle):
     """A win-lose oracle that can also play its own strategy handles in the
     multi-outcome game and search for a profitable deviation, which is all
-    that verifying a transfer needs."""
+    that verifying a transfer needs.  Outcome sets are int bit masks, as in
+    the oracle's labels."""
 
     @abc.abstractmethod
     def play_outcome(self, h1: Any, h2: Any) -> int:
@@ -86,9 +89,10 @@ class GameBackend(WinLoseOracle):
 
     @abc.abstractmethod
     def better_deviation(self, fixed: Any, deviator: int,
-                         better: AbstractSet[int]) -> Optional[int]:
-        """An outcome in ``better`` that the deviator reaches against the
-        fixed handle, by a search that stops at the first; else None."""
+                         better: int) -> Optional[int]:
+        """An outcome in the mask ``better`` that the deviator reaches
+        against the fixed handle, by a search that stops at the first; else
+        None."""
 
 
 class StructureOracle(GameBackend):
@@ -108,48 +112,42 @@ class StructureOracle(GameBackend):
     def n_outcomes(self) -> int:
         return self.structure.outcomes.size
 
-    def winner(self, label: SubsetWord) -> int:
+    def winner(self, label: int) -> int:
         return 1 if enforcing_strategy(self.structure, 1, label) is not None else 2
 
-    def strategy(self, label: SubsetWord) -> OracleStrategy:
+    def strategy(self, label: int) -> OracleStrategy:
         row = enforcing_strategy(self.structure, 1, label)
         if row is not None:
             return OracleStrategy(1, row)
-        col = enforcing_strategy(self.structure, 2, label.complement())
+        full = (1 << self.n_outcomes) - 1
+        col = enforcing_strategy(self.structure, 2, label ^ full)
         return OracleStrategy(2, col if col is not None else 0)
 
     def play_outcome(self, h1: int, h2: int) -> int:
         return self.structure.outcome((h1, h2))
 
     def better_deviation(self, fixed: int, deviator: int,
-                         better: AbstractSet[int]) -> Optional[int]:
+                         better: int) -> Optional[int]:
         table = self.structure.table
         line = table[:, fixed] if deviator == 1 else table[fixed]
-        return next((o for o in line.tolist() if o in better), None)
-
-
-def _label_from_linear_bits(linear: Sequence[int], bits: Sequence[int]) -> SubsetWord:
-    n = len(linear)
-    out = [0] * n
-    for pos, b in enumerate(bits):
-        out[linear[pos]] = b
-    return SubsetWord(tuple(out))
+        return next((o for o in line.tolist() if better >> o & 1), None)
 
 
 def max_enforceable_word(oracle: WinLoseOracle, n: int,
-                         linear: Sequence[int]) -> SubsetWord:
-    """Lift-greatest subset player 1 can enforce, in exactly n winner calls.
+                         linear: Sequence[int]) -> int:
+    """Lift-greatest subset player 1 can enforce, as an outcome mask, in
+    exactly n winner calls.
 
-    Bits are decided from the least linear-order position upward: a position
-    is dropped whenever player 1 still wins with it dropped and every later
-    position kept.
+    Starting from the full mask, outcomes are tried from the least
+    linear-order position upward: outcome ``linear[k]`` is cleared whenever
+    player 1 still wins without it and with every later outcome kept.
     """
-    bits: list[int] = []
+    word = (1 << n) - 1
     for k in range(n):
-        probe = bits + [0] + [1] * (n - k - 1)
-        won = oracle.winner(_label_from_linear_bits(linear, probe)) == 1
-        bits.append(0 if won else 1)
-    return _label_from_linear_bits(linear, bits)
+        probe = word & ~(1 << linear[k])
+        if oracle.winner(probe) == 1:
+            word = probe
+    return word
 
 
 @dataclass(frozen=True)
@@ -159,7 +157,7 @@ class TransferResult:
     strategy_1: OracleStrategy
     strategy_2: OracleStrategy
     outcome: int
-    enforced: SubsetWord
+    enforced: int
     counter: CallCounter
 
     @property
@@ -185,18 +183,16 @@ def run_transfer(oracle: WinLoseOracle, prefs: PreferenceProfile) -> TransferRes
     counting = CountingOracle(oracle)
     linear = linear_extension(prefs[0])
     enforced = max_enforceable_word(counting, n, linear)
-    members = enforced.indices()
+    members = [o for o in range(n) if enforced >> o & 1]
     if not members:
         raise NotDeterminedError("oracle claims player 1 enforces the empty set")
     pref2 = prefs[1]
     maximal = [x for x in members
                if not any(pref2.less(x, y) for y in members)]
     m = min(maximal)
-    pos = {o: i for i, o in enumerate(linear)}
-    j = pos[m]
-    bits = [enforced.bits[linear[i]] for i in range(n)]
-    drop_bits = bits[:j] + [0] + [1] * (n - j - 1)
-    drop = _label_from_linear_bits(linear, drop_bits)
+    # linear lists distinct outcomes: the sum of their bits is their OR
+    later = sum(1 << o for o in linear[linear.index(m) + 1:])
+    drop = enforced & ~(1 << m) | later
     s1 = counting.strategy(enforced)
     s2 = counting.strategy(drop)
     if s1.player != 1 or s2.player != 2:
@@ -211,7 +207,8 @@ def equilibrium(backend: GameBackend, prefs: PreferenceProfile) -> TransferResul
     Determinacy is not re-checked (that would cost 2^n oracle calls);
     NotDeterminedError is raised instead when the profile misses the promised
     outcome or a player can deviate to an outcome they strictly prefer: one
-    stop-early ``better_deviation`` query per player looks for such an
+    stop-early ``better_deviation`` query per player, on the mask of the
+    outcomes the player prefers to the played one, looks for such an
     outcome, and the error carries the deviator and it as a certificate.
     """
     result = run_transfer(backend, prefs)
@@ -221,7 +218,8 @@ def equilibrium(backend: GameBackend, prefs: PreferenceProfile) -> TransferResul
         raise NotDeterminedError(
             f"profile plays outcome {played}, transfer promised {result.outcome}")
     for deviator, fixed in ((1, h2), (2, h1)):
-        better = set(prefs[deviator - 1].successors(played))
+        # successors are distinct: the sum of their bits is their OR
+        better = sum(1 << o for o in prefs[deviator - 1].successors(played))
         alt = backend.better_deviation(fixed, deviator, better) if better else None
         if alt is not None:
             raise NotDeterminedError(
@@ -320,17 +318,15 @@ def minimax_transfer(g: NormalFormGame) -> Profile:
     if p2.pairs != p1.inverse().pairs:
         raise NotZeroSumError("player 2's preference must be the inverse of player 1's")
     ranking = linear_extension(p1)  # least to most preferred for player 1
-    n = st.outcomes.size
-    chosen = 0
-    for k in range(n - 1, -1, -1):
-        top = SubsetWord.from_indices(n, ranking[k:])
-        if enforcing_strategy(st, 1, top) is not None:
-            chosen = k
+    full = (1 << st.outcomes.size) - 1
+    top = 0
+    for o in reversed(ranking):  # top: the outcomes from o up, as a mask
+        top |= 1 << o
+        s1 = enforcing_strategy(st, 1, top)
+        if s1 is not None:  # at the latest on the full mask
             break
-    s1 = enforcing_strategy(st, 1, SubsetWord.from_indices(n, ranking[chosen:]))
-    assert s1 is not None
-    above = SubsetWord.from_indices(n, ranking[chosen + 1:])
-    s2 = enforcing_strategy(st, 2, above.complement())
+    # player 2 keeps the play out of the interval above the chosen minimum o
+    s2 = enforcing_strategy(st, 2, full ^ top | 1 << o)
     if s2 is None:
         raise NotDeterminedError("player 2 cannot exclude the unenforceable interval")
     profile = (s1, s2)

@@ -18,19 +18,20 @@ import eqtransfer as et
 
 @dataclass(frozen=True)
 class WinLoseGame:
-    """Two-player structure plus a label word: bit 1 marks a player-1 win."""
+    """Two-player structure plus a label mask: bit o set marks outcome o as
+    a player-1 win."""
 
     structure: et.GameStructure
-    label: et.SubsetWord
+    label: int
 
     def __post_init__(self):
         if self.structure.players != 2:
             raise ValueError("win-lose games have exactly two players")
-        if len(self.label) != self.structure.outcomes.size:
-            raise ValueError("label length must equal the outcome count")
+        if not 0 <= self.label < 1 << self.structure.outcomes.size:
+            raise ValueError("label names an outcome outside the outcome set")
 
 
-def derive_win_lose(st: et.GameStructure, label: et.SubsetWord) -> WinLoseGame:
+def derive_win_lose(st: et.GameStructure, label: int) -> WinLoseGame:
     return WinLoseGame(st, label)
 
 
@@ -40,7 +41,8 @@ def winning_strategy(w: WinLoseGame) -> Optional[tuple[int, int]]:
     Scans player 1's strategies in ascending index order first, then player 2's.
     """
     table = w.structure.table
-    bits = np.asarray(w.label.bits, dtype=bool)
+    n = w.structure.outcomes.size
+    bits = np.array([w.label >> o & 1 for o in range(n)], dtype=bool)
     wins = bits[table]  # True where player 1 wins
     for i in range(w.structure.strategy_counts[0]):
         if wins[i, :].all():
@@ -52,7 +54,7 @@ def winning_strategy(w: WinLoseGame) -> Optional[tuple[int, int]]:
 
 
 def can_enforce(st: et.GameStructure, player: int,
-                subset: et.SubsetWord) -> bool:
+                subset: int) -> bool:
     """True iff the player has a strategy keeping the outcome inside the subset."""
     return et.enforcing_strategy(st, player, subset) is not None
 
@@ -64,14 +66,15 @@ def is_determined_by_enforcement(st: et.GameStructure,
     n = st.outcomes.size
     if n > cap:
         raise et.TooLargeError(f"{n} outcomes exceed determinacy cap {cap}")
-    return all(can_enforce(st, 1, lab) or can_enforce(st, 2, lab.complement())
-               for lab in et.all_labels(n))
+    full = (1 << n) - 1
+    return all(can_enforce(st, 1, lab) or can_enforce(st, 2, lab ^ full)
+               for lab in range(1 << n))
 
 
 def brute_is_determined(st: et.GameStructure) -> bool:
     """Every label has a winner, found by scanning rows and columns."""
     return all(winning_strategy(derive_win_lose(st, lab)) is not None
-               for lab in et.all_labels(st.outcomes.size))
+               for lab in range(1 << st.outcomes.size))
 
 
 def backward_induction_oracle(t: et.GameTree) -> et.TreeOracle:

@@ -74,7 +74,7 @@ def test_c03_winning_strategy_iff_ne():
         et.Preference.from_pairs(2, [(0, 1)])))
     for _ in range(200):
         st = random_structure(rng, (rng.randint(1, 5), rng.randint(1, 5)), 2)
-        w = derive_win_lose(st, et.SubsetWord((1, 0)))
+        w = derive_win_lose(st, 0b01)
         has_winner = winning_strategy(w) is not None
         assert has_winner == bool(
             et.find_all_ne(et.NormalFormGame(st, prefs)))
@@ -90,11 +90,11 @@ def test_c04_three_way_determinacy_equivalence():
         n = st.outcomes.size
         via_winners = all(
             winning_strategy(derive_win_lose(st, label)) is not None
-            for label in et.all_labels(n))
+            for label in range(1 << n))
         via_cones = all(
             can_enforce(st, 1, label)
-            or can_enforce(st, 2, label.complement())
-            for label in et.all_labels(n))
+            or can_enforce(st, 2, label ^ (1 << n) - 1)
+            for label in range(1 << n))
         assert et.is_determined(st) == via_winners == via_cones
         assert is_determined_by_enforcement(st) == via_cones
     report("criterion 4 — 100/100 structures: determinacy, per-label "
@@ -266,7 +266,7 @@ def test_c11_introduction_end_to_end():
 
     st = et.to_normal_form(jsonio.load(fixture_path("intro_structure.json")))
     assert et.is_determined(st)
-    for label in et.all_labels(3):
+    for label in range(1 << 3):
         assert winning_strategy(derive_win_lose(st, label)) is not None
     report("criterion 11 — introductory examples: transfer equilibrium "
            "verified, right-right equilibrium found, all 8 instantiations "

@@ -221,6 +221,21 @@ class TestArenaCommands:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("outcome", [99, "x", -1])
+    @pytest.mark.parametrize("fixture, oracle", [
+        ("priority_game.json", "parity"), ("muller_game.json", "muller")])
+    def test_transfer_rejects_bad_mapped_outcome(self, capsys, tmp_path,
+                                                 fixture, oracle, outcome):
+        doc = json.loads(Path(fixture_path(fixture)).read_text())
+        doc["r"][0][1] = outcome
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "transfer", "--oracle", oracle, str(path))
+        assert code == cli.EXIT_INPUT
+        assert f"mapped outcome {outcome!r} is not an outcome index" in err
+        assert "Traceback" not in err
+
+
 class TestVerifyNe:
     def test_equilibrium_profile(self, capsys):
         code, out, _ = run(capsys, "verify-ne", "--profile", "0,3",

@@ -88,7 +88,7 @@ class TestTreeOracle:
             t = random_tree(rng, rng.randint(1, 4))
             oracle = backward_induction_oracle(t)
             st = oracle.structure
-            for label in et.all_labels(t.outcomes.size):
+            for label in range(1 << t.outcomes.size):
                 winner = winning_strategy(derive_win_lose(st, label))
                 assert winner is not None, "tree games are determined"
                 assert oracle.winner(label) == winner[0]
@@ -98,12 +98,12 @@ class TestTreeOracle:
             t = random_tree(rng, 3)
             oracle = backward_induction_oracle(t)
             st = oracle.structure
-            for label in et.all_labels(3):
+            for label in range(1 << 3):
                 s = oracle.strategy(label)
-                word = label if s.player == 1 else label.complement()
+                word = label if s.player == 1 else label ^ 0b111
                 enforced = (st.table[s.handle, :] if s.player == 1
                             else st.table[:, s.handle])
-                assert all(int(o) in word for o in enforced)
+                assert all(word >> int(o) & 1 for o in enforced)
 
 
 class TestTreeBackend:
@@ -117,8 +117,9 @@ class TestTreeBackend:
             assert oracle.play_outcome(i, j) == st.outcome((i, j))
             column, row = set(st.table[:, j].tolist()), set(st.table[i].tolist())
             for o in range(st.outcomes.size):
-                assert (oracle.better_deviation(j, 1, {o}) == o) == (o in column)
-                assert (oracle.better_deviation(i, 2, {o}) == o) == (o in row)
+                bit = 1 << o
+                assert (oracle.better_deviation(j, 1, bit) == o) == (o in column)
+                assert (oracle.better_deviation(i, 2, bit) == o) == (o in row)
 
     def test_non_winning_strategy_certificate(self):
         # player 2 moves at the root to player 1's node or to outcome 1;
@@ -211,6 +212,6 @@ class TestIntroductionEndToEnd:
         tree = jsonio.load(fixture_path("intro_structure.json"))
         st = et.to_normal_form(tree)
         assert et.is_determined(st)
-        for label in et.all_labels(3):
+        for label in range(1 << 3):
             assert winning_strategy(derive_win_lose(st, label)) \
                 is not None

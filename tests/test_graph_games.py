@@ -179,18 +179,14 @@ class TestParityCrossCheck:
         assert certify(arena, regions) == []
 
 
-def all_label_words(n):
-    return [et.SubsetWord(bits) for bits in itertools.product((0, 1), repeat=n)]
-
-
 class TestOracles:
     def test_priority_oracle_matches_fresh_solves(self, rng):
         for _ in range(10):
             game = random_priority_game(rng)
             oracle = et.PriorityOracle(game)
             arena = game.arena
-            for label in all_label_words(game.outcomes.size):
-                colors = [2 * c if game.priority_map[c] in label else 2 * c + 1
+            for label in range(1 << game.outcomes.size):
+                colors = [2 * c + 1 - (label >> game.priority_map[c] & 1)
                           for c in arena.colors]
                 fresh = et.Arena(arena.num_vertices, arena.owned, arena.edges,
                                  colors)
@@ -203,8 +199,9 @@ class TestOracles:
             game = random_muller_game(rng)
             oracle = et.MullerOracle(game)
             arena = game.arena
-            for label in all_label_words(game.outcomes.size):
-                win_sets = [s for s, o in game.muller_map.items() if o in label]
+            for label in range(1 << game.outcomes.size):
+                win_sets = [s for s, o in game.muller_map.items()
+                            if label >> o & 1]
                 fresh = et.Arena(arena.num_vertices, arena.owned, arena.edges,
                                  arena.colors)
                 winner = et.solve_muller(fresh, game.start, win_sets)[0]
@@ -212,22 +209,41 @@ class TestOracles:
                 assert oracle.strategy(label).player == winner
 
     def test_lar_product_built_once_per_oracle(self, rng, monkeypatch):
-        builds = []
-        real = graph_games._lar_product
-
-        def counting(*args):
-            builds.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(graph_games, "_lar_product", counting)
         game = random_muller_game(rng)
+        calls = {"_lar_product": 0, "_predecessors": 0}
+        for name in calls:
+            real = getattr(graph_games, name)
+
+            def counting(*args, name=name, real=real):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(graph_games, name, counting)
         oracle = et.MullerOracle(game)
-        for label in all_label_words(game.outcomes.size):
+        for label in range(1 << game.outcomes.size):
             oracle.winner(label)
             oracle.strategy(label)
-        assert len(builds) == 1
+        assert calls == {"_lar_product": 1, "_predecessors": 1}
         et.multi_outcome_ne(game)
-        assert len(builds) == 2
+        assert calls == {"_lar_product": 2, "_predecessors": 2}
+
+
+class TestOutcomeMaps:
+    @pytest.mark.parametrize("outcome", [2, -1, "x", None])
+    def test_mapped_outcome_out_of_range_rejected(self, outcome):
+        arena = et.Arena(2, [0], [(0, 1), (1, 0)], [0, 1])
+        prefs = et.PreferenceProfile((
+            et.Preference.from_pairs(2, []), et.Preference.from_pairs(2, [])))
+        common = dict(arena=arena, start=0, outcomes=et.OutcomeSet(2),
+                      preferences=prefs)
+        with pytest.raises(ValueError, match="not an outcome index 0..1"):
+            et.MultiOutcomeGraphGame(kind="priority",
+                                     priority_map={0: 0, 1: outcome}, **common)
+        muller_map = {frozenset({0}): 0, frozenset({1}): 1,
+                      frozenset({0, 1}): outcome}
+        with pytest.raises(ValueError, match="not an outcome index 0..1"):
+            et.MultiOutcomeGraphGame(kind="muller", muller_map=muller_map,
+                                     **common)
 
 
 class TestStartVertex:
@@ -391,7 +407,8 @@ class TestDeviationSearch:
         betters += [{o for o in range(n) if rng.random() < 0.5}
                     for _ in range(3)]
         for better in betters:
-            found = oracle.better_deviation(fixed, deviator, better)
+            found = oracle.better_deviation(fixed, deviator,
+                                            sum(1 << o for o in better))
             if reference & better:
                 assert found in reference & better
             else:

@@ -31,21 +31,6 @@ def payoff_game(rows, payoffs):
     return et.NormalFormGame(st, et.PreferenceProfile(tuple(prefs)))
 
 
-class TestSubsetWord:
-    def test_roundtrip(self):
-        w = et.SubsetWord.from_indices(4, [0, 3])
-        assert w.bits == (1, 0, 0, 1)
-        assert w.indices() == (0, 3)
-        assert w.complement().bits == (0, 1, 1, 0)
-        assert 0 in w and 1 not in w
-        assert len(w) == 4
-        assert et.SubsetWord.full(3).bits == (1, 1, 1)
-
-    def test_rejects_non_bits(self):
-        with pytest.raises(ValueError):
-            et.SubsetWord((0, 2))
-
-
 class TestStructure:
     def test_tensor_shape_checks(self):
         with pytest.raises(ValueError):
@@ -151,7 +136,7 @@ class TestWinLose:
         # outcome 0 is the player-1 win
         outs = et.OutcomeSet(2, ("(1,0)", "(0,1)"))
         st = et.GameStructure((2, 2), outs, rows)
-        return derive_win_lose(st, et.SubsetWord((1, 0)))
+        return derive_win_lose(st, 0b01)
 
     def test_player_1_wins_with_second_row(self):
         assert winning_strategy(self.wl([[1, 1], [0, 0]])) == (1, 1)
@@ -171,7 +156,7 @@ class TestWinLose:
         ))
         for _ in range(200):
             st = random_structure(rng, (rng.randint(1, 4), rng.randint(1, 4)), 2)
-            w = derive_win_lose(st, et.SubsetWord((1, 0)))
+            w = derive_win_lose(st, 0b01)
             game = et.NormalFormGame(st, prefs)
             assert (winning_strategy(w) is not None) \
                 == bool(et.find_all_ne(game))
@@ -179,14 +164,14 @@ class TestWinLose:
     def test_label_length_checked(self):
         st = et.GameStructure((2, 2), et.OutcomeSet(3), [[0, 1], [2, 0]])
         with pytest.raises(ValueError):
-            derive_win_lose(st, et.SubsetWord((1, 0)))
+            derive_win_lose(st, 0b1001)
 
 
 class TestEnforcement:
     def test_lowest_index_strategy(self):
         outs = et.OutcomeSet(2)
         st = et.GameStructure((3, 2), outs, [[1, 1], [0, 0], [0, 0]])
-        target = et.SubsetWord((1, 0))
+        target = 0b01
         assert et.enforcing_strategy(st, 1, target) == 1
         assert can_enforce(st, 1, target)
         assert et.enforcing_strategy(st, 2, target) is None
@@ -194,7 +179,7 @@ class TestEnforcement:
     def test_bad_player_raises(self):
         st = et.GameStructure((2, 2), et.OutcomeSet(2), [[0, 1], [1, 0]])
         with pytest.raises(et.BadIndexError):
-            et.enforcing_strategy(st, 3, et.SubsetWord((1, 0)))
+            et.enforcing_strategy(st, 3, 0b01)
 
 
 class TestDeterminacy:

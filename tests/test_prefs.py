@@ -1,6 +1,7 @@
 """Preference relations, heights, linear extensions, and the power-set lift."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -113,6 +114,25 @@ class TestStrictLinear:
     def test_cyclic_is_not_linear(self):
         assert not et.is_strict_linear(
             et.Preference.from_pairs(2, [(0, 1), (1, 0)]))
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_matches_textbook_definition_exhaustive(self, n):
+        """Irreflexive, transitive and total, on every relation over n
+        outcomes."""
+        cells = list(itertools.product(range(n), repeat=2))
+        linear = 0
+        for chosen in itertools.product((False, True), repeat=len(cells)):
+            rel = {c for c, keep in zip(cells, chosen) if keep}
+            textbook = (
+                all((x, x) not in rel for x in range(n))
+                and all((x, z) in rel for x, y in rel
+                        for y2, z in rel if y == y2)
+                and all((x, y) in rel or (y, x) in rel
+                        for x, y in cells if x != y))
+            linear += textbook
+            assert et.is_strict_linear(et.Preference.from_pairs(n, rel)) \
+                == textbook
+        assert linear == math.factorial(n)
 
 
 class TestLift:

@@ -34,10 +34,11 @@ class TestMaxEnforceableWord:
             linear = list(range(n))
             word = et.max_enforceable_word(
                 et.StructureOracle(st), n, linear)
-            for label in et.all_labels(n):
+            members = [o for o in range(n) if word >> o & 1]
+            for label in range(1 << n):
                 if can_enforce(st, 1, label):
-                    assert not et.lift_less(linear, word.indices(),
-                                            label.indices())
+                    others = [o for o in range(n) if label >> o & 1]
+                    assert not et.lift_less(linear, members, others)
 
 
 class TestTransferEquilibrium:
@@ -99,7 +100,7 @@ class TestEnforceableFiniteCone:
                 assert cone is not None
                 pref = game.preferences[player - 1]
                 assert et.upward_cone(pref, cone) == cone
-                word = et.SubsetWord.from_indices(st.outcomes.size, cone)
+                word = sum(1 << o for o in cone)
                 assert et.enforcing_strategy(st, player, word) is not None
 
 
