@@ -83,15 +83,7 @@ class FiniteMemoryStrategy:
         """One state per vertex: the arena's own successor lists, with
         ``moves`` naming the successor taken at each vertex of the player;
         a vertex it leaves out takes its first edge."""
-        move = [-1] * arena.num_vertices
-        for v, out in enumerate(arena.succ):
-            if arena.owner(v) == player:
-                w = moves.get(v, out[0])
-                if w not in out:
-                    raise ValueError(f"strategy moves along a non-edge ({v}, {w})")
-                move[v] = out.index(w)
-        states = range(arena.num_vertices)
-        return FiniteMemoryStrategy(player, states, arena.succ, move, states)
+        return _machine(_arena_graph(arena), player, moves)
 
 
 @dataclass(frozen=True)
@@ -149,6 +141,40 @@ def _check_start(arena: Arena, start: int) -> None:
     if not 0 <= start < arena.num_vertices:
         raise BadIndexError(f"start vertex {start} out of range "
                             f"0..{arena.num_vertices - 1}")
+
+
+# ---------------------------------------------------------------------------
+# State graphs: ``(vertex, succ, pred, owned, entry)``, the shape of a
+# ``FiniteMemoryStrategy`` without its moves.  Parity and Muller games are
+# both solved on one: the arena itself, or the LAR product.
+
+def _arena_graph(arena: Arena):
+    """The arena as its own state graph, one state per vertex."""
+    states = range(arena.num_vertices)
+    return states, arena.succ, arena.pred, arena.owned, states
+
+
+def _solve_graph(graph, colors, start: int) -> tuple[int, dict[int, int]]:
+    """Parity game on the state graph coloured per state: the winner of the
+    play from vertex ``start`` and their partial moves on the states."""
+    _, succ, pred, owned, entry = graph
+    w1, _, s1, s2 = _zielonka(succ, pred, owned, colors)
+    return (1, s1) if entry[start] in w1 else (2, s2)
+
+
+def _machine(graph, player: int, moves: Mapping[int, int]
+             ) -> FiniteMemoryStrategy:
+    """The state graph with the player's moves as their strategy; a state
+    of theirs that ``moves`` leaves out takes its first edge."""
+    vertex, succ, _, owned, entry = graph
+    move = [-1] * len(succ)
+    for s, out in enumerate(succ):
+        if (s in owned) == (player == 1):
+            w = moves.get(s, out[0])
+            if w not in out:
+                raise ValueError(f"strategy moves along a non-edge ({s}, {w})")
+            move[s] = out.index(w)
+    return FiniteMemoryStrategy(player, vertex, succ, move, entry)
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +282,9 @@ def parity_regions(arena: Arena) -> tuple[set[int], set[int],
 def solve_parity(arena: Arena, start: int) -> tuple[int, FiniteMemoryStrategy]:
     """Winner from ``start`` plus a positional winning strategy for them."""
     _check_start(arena, start)
-    w1, _, s1, s2 = parity_regions(arena)
-    winner, moves = (1, s1) if start in w1 else (2, s2)
-    return winner, FiniteMemoryStrategy.positional(arena, winner, moves)
+    graph = _arena_graph(arena)
+    winner, moves = _solve_graph(graph, arena.colors, start)
+    return winner, _machine(graph, winner, moves)
 
 
 def parity_winner_of_play(arena: Arena, play: Play) -> int:
@@ -281,10 +307,12 @@ def muller_memory_bound(arena: Arena) -> int:
 
 
 def _lar_product(arena: Arena, start: int):
-    """Reachable LAR product: nodes ``(vertex, (perm, hit))`` numbered
-    breadth first from 0, their vertices, successor lists in the order of
-    ``arena.succ``, predecessor lists and player-1 nodes; it does not depend
-    on the win sets."""
+    """Reachable LAR product as a state graph: nodes ``(vertex, (perm,
+    hit))`` numbered breadth first from 0, successor lists in the order of
+    ``arena.succ``, and entry ``{start: 0}``; plus each node's hit, and an
+    iterator over the colour sets of the records from the hit on, made one
+    at a time because callers keep only what each maps to.  It does not
+    depend on the win sets."""
     base = tuple(sorted(arena.color_set()))
     init = (start, lar_update(base, arena.colors[start]))
     index = {init: 0}
@@ -301,31 +329,9 @@ def _lar_product(arena: Arena, start: int):
         succ.append(out)
     vertex = [v for v, _ in nodes]
     owned = frozenset(i for i, v in enumerate(vertex) if v in arena.owned)
-    return nodes, vertex, succ, _predecessors(succ), owned
-
-
-def _lar_winner(product, win_sets: frozenset[frozenset[int]]
-                ) -> tuple[int, dict[int, int]]:
-    """Colour the LAR product for ``win_sets`` and solve it from node 0:
-    the winner and their partial moves on the product."""
-    nodes, _, succ, pred, owned = product
-    colors = []
-    for v, (perm, hit) in nodes:
-        suffix = frozenset(perm[hit - 1:])
-        colors.append(2 * hit if suffix in win_sets else 2 * hit + 1)
-    w1, w2, s1, s2 = _zielonka(succ, pred, owned, colors)
-    return (1, s1) if 0 in w1 else (2, s2)
-
-
-def _lar_machine(product, winner: int, partial: Mapping[int, int]
-                 ) -> FiniteMemoryStrategy:
-    """The LAR product itself, with the winner's moves, as their strategy."""
-    _, vertex, succ, _, owned = product
-    move = [-1] * len(succ)
-    for i, out in enumerate(succ):
-        if (i in owned) == (winner == 1):
-            move[i] = out.index(partial[i]) if i in partial else 0
-    return FiniteMemoryStrategy(winner, vertex, succ, move, {vertex[0]: 0})
+    graph = (vertex, succ, _predecessors(succ), owned, {start: 0})
+    return (graph, [hit for _, (_, hit) in nodes],
+            (frozenset(perm[hit - 1:]) for _, (perm, hit) in nodes))
 
 
 def solve_muller(arena: Arena, start: int,
@@ -335,10 +341,11 @@ def solve_muller(arena: Arena, start: int,
     finite-memory winning strategy for plays from ``start``: the LAR product
     reachable from there, at most |C|!*|C| states per vertex."""
     _check_start(arena, start)
-    product = _lar_product(arena, start)
-    winner, partial = _lar_winner(
-        product, frozenset(frozenset(s) for s in win_sets))
-    return winner, _lar_machine(product, winner, partial)
+    graph, hit, suffix = _lar_product(arena, start)
+    wins = {frozenset(s) for s in win_sets}
+    colors = [2 * h + (k not in wins) for h, k in zip(hit, suffix)]
+    winner, moves = _solve_graph(graph, colors, start)
+    return winner, _machine(graph, winner, moves)
 
 
 def muller_winner_of_play(arena: Arena, play: Play,
@@ -358,9 +365,10 @@ MULLER = "muller"
 class MultiOutcomeGraphGame:
     """A two-player graph game whose plays map to abstract outcomes.
 
-    Priority kind: the outcome is read off the minimum colour occurring
-    infinitely often.  Muller kind: the outcome is read off the cluster set
-    itself.  Every mapped outcome is an index into ``outcomes``.
+    ``outcome_map`` gives each play's outcome, an index into ``outcomes``.
+    Priority kind: its keys are colours, and a play's outcome is that of the
+    minimum colour occurring infinitely often.  Muller kind: its keys are
+    frozensets of colours, and a play's outcome is that of its cluster set.
     """
 
     arena: Arena
@@ -368,8 +376,7 @@ class MultiOutcomeGraphGame:
     kind: str
     outcomes: OutcomeSet
     preferences: PreferenceProfile
-    priority_map: Optional[dict[int, int]] = None
-    muller_map: Optional[dict[frozenset[int], int]] = None
+    outcome_map: Union[dict[int, int], dict[frozenset[int], int]]
 
     def __post_init__(self):
         if self.kind not in (PRIORITY, MULLER):
@@ -378,17 +385,12 @@ class MultiOutcomeGraphGame:
             raise ValueError("two players required")
         _check_start(self.arena, self.start)
         occurring = self.arena.color_set()
+        mapped = self.outcome_map
         if self.kind == PRIORITY:
-            mapped = self.priority_map
-            if mapped is None:
-                raise ValueError("priority games need a colour-to-outcome map")
             missing = occurring - set(mapped)
             if missing:
                 raise ValueError(f"no outcome for colours {sorted(missing)}")
         else:
-            mapped = self.muller_map
-            if mapped is None:
-                raise ValueError("Muller games need a cluster-set-to-outcome map")
             for r in range(1, len(occurring) + 1):
                 for combo in itertools.combinations(sorted(occurring), r):
                     if frozenset(combo) not in mapped:
@@ -402,31 +404,38 @@ class MultiOutcomeGraphGame:
     def outcome_of_cluster(self, cluster: frozenset[int]) -> int:
         if not cluster:
             raise NotDeterminedError("empty cluster set on a finite arena")
-        if self.kind == PRIORITY:
-            return self.priority_map[min(cluster)]
-        return self.muller_map[cluster]
+        return self.outcome_map[min(cluster) if self.kind == PRIORITY
+                                else cluster]
 
     def outcome_of_play(self, play: Play) -> int:
         return self.outcome_of_cluster(play.cluster_colors(self.arena))
 
 
 class _ArenaOracle(GameBackend):
-    """Queries shared by the arena oracles; ``_solve`` answers one label
-    with the winner and their partial moves, and ``_strategy`` turns those
-    into the winner's strategy."""
+    """Queries shared by the arena oracles, on one state graph built once
+    per game with each state's rank and outcome.  A label colours state s
+    ``2*rank[s]`` when it grants player 1 the state's outcome and
+    ``2*rank[s]+1`` otherwise, and solves the parity game on the graph."""
 
-    game: MultiOutcomeGraphGame
+    def __init__(self, game: MultiOutcomeGraphGame, graph,
+                 rank: Sequence[int], outcome: Sequence[int]):
+        self.game, self._graph = game, graph
+        self._ranked = tuple(zip(rank, outcome))
 
     @property
     def n_outcomes(self) -> int:
         return self.game.outcomes.size
 
+    def _solve(self, label: int) -> tuple[int, dict[int, int]]:
+        colors = [2 * r + 1 - (label >> o & 1) for r, o in self._ranked]
+        return _solve_graph(self._graph, colors, self.game.start)
+
     def winner(self, label: int) -> int:
         return self._solve(label)[0]
 
     def strategy(self, label: int) -> OracleStrategy:
-        winner, partial = self._solve(label)
-        return OracleStrategy(winner, self._strategy(winner, partial))
+        winner, moves = self._solve(label)
+        return OracleStrategy(winner, _machine(self._graph, winner, moves))
 
     def play_outcome(self, h1, h2) -> int:
         game = self.game
@@ -439,51 +448,28 @@ class _ArenaOracle(GameBackend):
 
 
 class PriorityOracle(_ArenaOracle):
-    """Win-lose oracle for a multi-outcome priority game.
-
-    Renames each colour c to 2c or 2c+1 so that even colours are exactly the
-    ones whose outcome the label grants to player 1, then solves the parity
-    game on the game's own arena under the renamed colours; the topology is
-    shared by every query.  Strategies are positional.
-    """
+    """Win-lose oracle for a multi-outcome priority game, on the game's own
+    arena ranked by colour; strategies are positional."""
 
     def __init__(self, game: MultiOutcomeGraphGame):
         if game.kind != PRIORITY:
             raise ValueError("priority oracle needs a priority game")
-        self.game = game
-
-    def _solve(self, label: int) -> tuple[int, dict[int, int]]:
-        pmap, arena = self.game.priority_map, self.game.arena
-        renamed = [2 * c if label >> pmap[c] & 1 else 2 * c + 1
-                   for c in arena.colors]
-        w1, _, s1, s2 = _zielonka(arena.succ, arena.pred, arena.owned, renamed)
-        return (1, s1) if self.game.start in w1 else (2, s2)
-
-    def _strategy(self, winner: int, partial) -> FiniteMemoryStrategy:
-        return FiniteMemoryStrategy.positional(self.game.arena, winner, partial)
+        colors = game.arena.colors
+        super().__init__(game, _arena_graph(game.arena), colors,
+                         [game.outcome_map[c] for c in colors])
 
 
 class MullerOracle(_ArenaOracle):
-    """Win-lose oracle for a multi-outcome Muller game, via the LAR reduction.
-
-    The LAR product does not depend on the label, so it is built once here;
-    each query only recolours it from the label's winning sets.  Strategies
-    are finite-memory machines.
-    """
+    """Win-lose oracle for a multi-outcome Muller game, on the LAR product
+    ranked by hit, with the outcome of each node's record suffix; strategies
+    are finite-memory machines."""
 
     def __init__(self, game: MultiOutcomeGraphGame):
         if game.kind != MULLER:
             raise ValueError("Muller oracle needs a Muller game")
-        self.game = game
-        self._product = _lar_product(game.arena, game.start)
-
-    def _solve(self, label: int) -> tuple[int, dict[int, int]]:
-        win_sets = frozenset(s for s, o in self.game.muller_map.items()
-                             if label >> o & 1)
-        return _lar_winner(self._product, win_sets)
-
-    def _strategy(self, winner: int, partial) -> FiniteMemoryStrategy:
-        return _lar_machine(self._product, winner, partial)
+        graph, hit, suffix = _lar_product(game.arena, game.start)
+        super().__init__(game, graph, hit,
+                         [game.outcome_map[k] for k in suffix])
 
 
 def _residual_graph(game: MultiOutcomeGraphGame, fixed: FiniteMemoryStrategy,
@@ -564,10 +550,10 @@ def _reachable_outcomes(game: MultiOutcomeGraphGame, fixed, deviator: int,
     mask = [bit[arena.colors[v]] for v in fixed.vertex]
     priority = game.kind == PRIORITY
     if priority:
-        outcome_of = {b: game.priority_map[c] for c, b in bit.items()}
+        outcome_of = {b: game.outcome_map[c] for c, b in bit.items()}
     else:
         outcome_of = {sum(bit[c] for c in s): o
-                      for s, o in game.muller_map.items() if s <= bit.keys()}
+                      for s, o in game.outcome_map.items() if s <= bit.keys()}
     pending: dict[int, list[int]] = {2 ** len(bit) - 1: reach}
     while pending:
         allowed = max(pending, key=int.bit_count)

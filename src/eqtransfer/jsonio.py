@@ -195,26 +195,25 @@ def arena_from_obj(obj: dict) -> Union[Arena, MultiOutcomeGraphGame]:
     prefs = _profile_from_obj(obj.get("preferences"), outs)
     r = obj.get("r")
     _require(isinstance(r, list), "r must be a list of mapping entries")
-    priority_map = None
-    muller_map = None
-    if kind == "priority":
-        priority_map = {}
-        for entry in r:
-            _require(isinstance(entry, list) and len(entry) == 2,
-                     f"priority r entry must be [color, outcome], got {entry!r}")
-            priority_map[entry[0]] = entry[1]
-    else:
-        muller_map = {}
-        for entry in r:
-            _require(isinstance(entry, list) and len(entry) == 2
-                     and isinstance(entry[0], list),
-                     f"Muller r entry must be [[colors], outcome], got {entry!r}")
-            muller_map[frozenset(entry[0])] = entry[1]
+    priority = kind == "priority"
+    shape = ("priority r entry must be [color, outcome]" if priority
+             else "Muller r entry must be [[colors], outcome]")
+    outcome_map: dict = {}
+    for entry in r:
+        key = entry[0] if isinstance(entry, list) and len(entry) == 2 else None
+        colors = [key] if priority else key
+        _require(isinstance(colors, list)
+                 and all(isinstance(c, int) for c in colors),
+                 f"{shape}, got {entry!r}")
+        key = key if priority else frozenset(key)
+        _require(key not in outcome_map,
+                 f"r maps colour{'' if priority else ' set'} {entry[0]!r} "
+                 "more than once")
+        outcome_map[key] = entry[1]
     try:
         return MultiOutcomeGraphGame(
             arena=arena, start=start, kind=kind, outcomes=outs,
-            preferences=prefs, priority_map=priority_map,
-            muller_map=muller_map)
+            preferences=prefs, outcome_map=outcome_map)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 
@@ -237,12 +236,8 @@ def arena_to_obj(obj: Union[Arena, MultiOutcomeGraphGame],
         return doc
     doc["kind"] = game.kind
     doc["outcomes"] = _outcomes_obj(game.outcomes)
-    if game.kind == "priority":
-        doc["r"] = [[c, o] for c, o in sorted(game.priority_map.items())]
-    else:
-        doc["r"] = [[sorted(s), o]
-                    for s, o in sorted(game.muller_map.items(),
-                                       key=lambda kv: sorted(kv[0]))]
+    doc["r"] = sorted([k if game.kind == "priority" else sorted(k), o]
+                      for k, o in game.outcome_map.items())
     doc["preferences"] = _profile_obj(game.preferences)
     return doc
 

@@ -17,7 +17,7 @@ from typing import Any, Optional, Sequence
 from .errors import (CyclicPreferenceError, HypothesisViolatedError,
                      NotDeterminedError, NotZeroSumError, UnboundedHeightError)
 from .normal_form import (GameStructure, NormalFormGame, Profile,
-                          enforcing_strategy, is_nash_equilibrium)
+                          enforcing_strategy)
 from .prefs import (OutcomeSet, Preference, PreferenceProfile, height,
                     is_acyclic, is_strict_linear, linear_extension, rank,
                     upward_cone)
@@ -304,11 +304,12 @@ def eliminate_dominated_outcomes(g: NormalFormGame, e: int, o: int) -> NormalFor
 
 
 def minimax_transfer(g: NormalFormGame) -> Profile:
-    """Nash equilibrium of a determined game with inverse linear preferences.
-
-    The equilibrium outcome is the minimum of the smallest player-1-preferred
-    terminal interval player 1 can enforce; all Nash equilibria share it.
-    """
+    """Nash equilibrium of a determined game with inverse linear preferences,
+    by the verified transfer: the lift-greatest enforceable set has the
+    minimax outcome v as its minimum (player 1 enforces the interval from v
+    up but not the one above v), so v is player 2's maximum, and the drop
+    label is the interval above v, which player 2 keeps the play out of.
+    All Nash equilibria share the outcome v."""
     st = g.structure
     if st.players != 2:
         raise ValueError("minimax transfer works on two-player games")
@@ -317,23 +318,7 @@ def minimax_transfer(g: NormalFormGame) -> Profile:
         raise NotZeroSumError("player 1's preference must be a strict linear order")
     if p2.pairs != p1.inverse().pairs:
         raise NotZeroSumError("player 2's preference must be the inverse of player 1's")
-    ranking = linear_extension(p1)  # least to most preferred for player 1
-    full = (1 << st.outcomes.size) - 1
-    top = 0
-    for o in reversed(ranking):  # top: the outcomes from o up, as a mask
-        top |= 1 << o
-        s1 = enforcing_strategy(st, 1, top)
-        if s1 is not None:  # at the latest on the full mask
-            break
-    # player 2 keeps the play out of the interval above the chosen minimum o
-    s2 = enforcing_strategy(st, 2, full ^ top | 1 << o)
-    if s2 is None:
-        raise NotDeterminedError("player 2 cannot exclude the unenforceable interval")
-    profile = (s1, s2)
-    if not is_nash_equilibrium(g, profile):
-        raise NotDeterminedError("minimax profile failed verification; "
-                                 "the structure is not determined")
-    return profile
+    return equilibrium(StructureOracle(st), g.preferences).profile
 
 
 def finite_height_reduce(g: NormalFormGame) -> NormalFormGame:

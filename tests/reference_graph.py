@@ -277,7 +277,7 @@ def reference_deviation_outcomes(game: et.MultiOutcomeGraphGame, fixed,
             keep = [i for i, col in enumerate(node_colors) if col >= c]
             if _has_cycle_through_color(keep, succ, node_colors, {c},
                                         require_exact=False):
-                achievable.add(game.priority_map[c])
+                achievable.add(game.outcome_map[c])
         return achievable
     for r in range(1, len(occurring) + 1):
         for combo in itertools.combinations(occurring, r):
@@ -285,5 +285,5 @@ def reference_deviation_outcomes(game: et.MultiOutcomeGraphGame, fixed,
             keep = [i for i, col in enumerate(node_colors) if col in colors]
             if _has_cycle_through_color(keep, succ, node_colors, colors,
                                         require_exact=True):
-                achievable.add(game.muller_map[frozenset(colors)])
+                achievable.add(game.outcome_map[frozenset(colors)])
     return achievable

@@ -235,6 +235,26 @@ class TestArenaCommands:
         assert f"mapped outcome {outcome!r} is not an outcome index" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("fixture, oracle, entry, message", [
+        ("priority_game.json", "parity", [0, 2],
+         "r maps colour 0 more than once"),
+        ("priority_game.json", "parity", [[0], 0],
+         "priority r entry must be [color, outcome], got [[0], 0]"),
+        ("muller_game.json", "muller", [[1, 0], 0],
+         "r maps colour set [1, 0] more than once"),
+        ("muller_game.json", "muller", [[[0]], 0],
+         "Muller r entry must be [[colors], outcome], got [[[0]], 0]")])
+    def test_transfer_rejects_bad_map_key(self, capsys, tmp_path, fixture,
+                                          oracle, entry, message):
+        doc = json.loads(Path(fixture_path(fixture)).read_text())
+        doc["r"].append(entry)
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "transfer", "--oracle", oracle, str(path))
+        assert code == cli.EXIT_INPUT
+        assert message in err
+        assert "Traceback" not in err
+
 
 class TestVerifyNe:
     def test_equilibrium_profile(self, capsys):

@@ -31,21 +31,21 @@ def brute_parity_winner(arena, start):
 def random_priority_game(rng, max_vertices=6, max_outcomes=4):
     arena = random_arena(rng, max_vertices, max_color=4)
     n_out = rng.randint(1, max_outcomes)
-    priority_map = {c: rng.randrange(n_out) for c in arena.color_set()}
+    outcome_map = {c: rng.randrange(n_out) for c in arena.color_set()}
     prefs = et.PreferenceProfile((
         random_acyclic_preference(rng, n_out),
         random_acyclic_preference(rng, n_out)))
     return et.MultiOutcomeGraphGame(
         arena=arena, start=rng.randrange(arena.num_vertices), kind="priority",
         outcomes=et.OutcomeSet(n_out), preferences=prefs,
-        priority_map=priority_map)
+        outcome_map=outcome_map)
 
 
 def random_muller_game(rng, max_vertices=4, max_color=2, max_outcomes=4):
     arena = random_arena(rng, max_vertices, max_color=max_color)
     n_out = rng.randint(1, max_outcomes)
     occ = sorted(arena.color_set())
-    muller_map = {
+    outcome_map = {
         frozenset(combo): rng.randrange(n_out)
         for r in range(1, len(occ) + 1)
         for combo in itertools.combinations(occ, r)}
@@ -55,7 +55,7 @@ def random_muller_game(rng, max_vertices=4, max_color=2, max_outcomes=4):
     return et.MultiOutcomeGraphGame(
         arena=arena, start=rng.randrange(arena.num_vertices), kind="muller",
         outcomes=et.OutcomeSet(n_out), preferences=prefs,
-        muller_map=muller_map)
+        outcome_map=outcome_map)
 
 
 class TestArena:
@@ -179,6 +179,12 @@ class TestParityCrossCheck:
         assert certify(arena, regions) == []
 
 
+def same_strategy(a, b):
+    """Equal strategy graphs: states, edges, moves and entry states."""
+    return ((a.player, a.vertex, a.succ, a.move, a.entry)
+            == (b.player, b.vertex, b.succ, b.move, b.entry))
+
+
 class TestOracles:
     def test_priority_oracle_matches_fresh_solves(self, rng):
         for _ in range(10):
@@ -186,13 +192,15 @@ class TestOracles:
             oracle = et.PriorityOracle(game)
             arena = game.arena
             for label in range(1 << game.outcomes.size):
-                colors = [2 * c + 1 - (label >> game.priority_map[c] & 1)
+                colors = [2 * c + 1 - (label >> game.outcome_map[c] & 1)
                           for c in arena.colors]
                 fresh = et.Arena(arena.num_vertices, arena.owned, arena.edges,
                                  colors)
-                winner = et.solve_parity(fresh, game.start)[0]
+                winner, strategy = et.solve_parity(fresh, game.start)
                 assert oracle.winner(label) == winner
-                assert oracle.strategy(label).player == winner
+                answer = oracle.strategy(label)
+                assert answer.player == winner
+                assert same_strategy(answer.handle, strategy)
 
     def test_muller_oracle_matches_fresh_solves(self, rng):
         for _ in range(10):
@@ -200,13 +208,15 @@ class TestOracles:
             oracle = et.MullerOracle(game)
             arena = game.arena
             for label in range(1 << game.outcomes.size):
-                win_sets = [s for s, o in game.muller_map.items()
+                win_sets = [s for s, o in game.outcome_map.items()
                             if label >> o & 1]
                 fresh = et.Arena(arena.num_vertices, arena.owned, arena.edges,
                                  arena.colors)
-                winner = et.solve_muller(fresh, game.start, win_sets)[0]
+                winner, strategy = et.solve_muller(fresh, game.start, win_sets)
                 assert oracle.winner(label) == winner
-                assert oracle.strategy(label).player == winner
+                answer = oracle.strategy(label)
+                assert answer.player == winner
+                assert same_strategy(answer.handle, strategy)
 
     def test_lar_product_built_once_per_oracle(self, rng, monkeypatch):
         game = random_muller_game(rng)
@@ -238,11 +248,11 @@ class TestOutcomeMaps:
                       preferences=prefs)
         with pytest.raises(ValueError, match="not an outcome index 0..1"):
             et.MultiOutcomeGraphGame(kind="priority",
-                                     priority_map={0: 0, 1: outcome}, **common)
-        muller_map = {frozenset({0}): 0, frozenset({1}): 1,
+                                     outcome_map={0: 0, 1: outcome}, **common)
+        outcome_map = {frozenset({0}): 0, frozenset({1}): 1,
                       frozenset({0, 1}): outcome}
         with pytest.raises(ValueError, match="not an outcome index 0..1"):
-            et.MultiOutcomeGraphGame(kind="muller", muller_map=muller_map,
+            et.MultiOutcomeGraphGame(kind="muller", outcome_map=outcome_map,
                                      **common)
 
 
@@ -260,7 +270,7 @@ class TestStartVertex:
             et.MultiOutcomeGraphGame(
                 arena=arena, start=start, kind="priority",
                 outcomes=et.OutcomeSet(1), preferences=prefs,
-                priority_map={0: 0, 1: 0})
+                outcome_map={0: 0, 1: 0})
 
 
 def lar_product_size(arena, start):
@@ -378,14 +388,15 @@ def sized_game(rng, kind, n_vertices, n_colors, n_out=8):
     prefs = et.PreferenceProfile(tuple(et.Preference.from_ranking(r)
                                        for r in rankings))
     occ = sorted(arena.color_set())
-    maps = ({"priority_map": {c: rng.randrange(n_out) for c in occ}}
-            if kind == "priority" else
-            {"muller_map": {frozenset(combo): rng.randrange(n_out)
-                            for r in range(1, len(occ) + 1)
-                            for combo in itertools.combinations(occ, r)}})
+    outcome_map = ({c: rng.randrange(n_out) for c in occ}
+                   if kind == "priority" else
+                   {frozenset(combo): rng.randrange(n_out)
+                    for r in range(1, len(occ) + 1)
+                    for combo in itertools.combinations(occ, r)})
     return et.MultiOutcomeGraphGame(
         arena=arena, start=rng.randrange(n_vertices), kind=kind,
-        outcomes=et.OutcomeSet(n_out), preferences=prefs, **maps)
+        outcomes=et.OutcomeSet(n_out), preferences=prefs,
+        outcome_map=outcome_map)
 
 
 def arena_oracle(game):
@@ -538,7 +549,7 @@ class TestMultiOutcomeNE:
             arena=game.arena, start=game.start, kind="priority",
             outcomes=game.outcomes,
             preferences=et.PreferenceProfile((cyc, cyc)),
-            priority_map=game.priority_map)
+            outcome_map=game.outcome_map)
         with pytest.raises(et.UnboundedHeightError):
             et.multi_outcome_ne(bad)
 
@@ -550,9 +561,9 @@ class TestMultiOutcomeNE:
             et.MultiOutcomeGraphGame(
                 arena=arena, start=0, kind="priority",
                 outcomes=et.OutcomeSet(1), preferences=prefs,
-                priority_map={})  # colour 0 unmapped
+                outcome_map={})  # colour 0 unmapped
         with pytest.raises(ValueError):
             et.MultiOutcomeGraphGame(
                 arena=arena, start=0, kind="muller",
                 outcomes=et.OutcomeSet(1), preferences=prefs,
-                muller_map={})  # cluster {0} unmapped
+                outcome_map={})  # cluster {0} unmapped
