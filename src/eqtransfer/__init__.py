@@ -29,10 +29,8 @@ from .extensive import (GameTree, Leaf, Node, TreeOracle, TreeStrategy,
 from .graph_games import (Arena, FiniteMemoryStrategy, GraphEquilibrium,
                           MullerOracle, MultiOutcomeGraphGame, Play,
                           PriorityOracle, achievable_deviation_outcomes,
-                          multi_outcome_ne, muller_memory_bound,
-                          muller_winner_of_play, parity_regions,
-                          parity_winner_of_play, play_of, solve_muller,
-                          solve_parity)
+                          multi_outcome_ne, parity_regions, play_of,
+                          solve_muller, solve_parity)
 from .corpus import (PROP_5_6_NE_TABLE, PROP_5_6_PROOF_PREFS,
                      PROP_5_6_STATEMENT_PREFS, Claim, ClaimReport,
                      CorpusEntry, build, list_entries, prop_5_4_game,

@@ -17,7 +17,7 @@ from .errors import (EqTransferError, NotDeterminedError, SchemaError,
                      TooLargeError, UnknownNameError)
 from .extensive import (GameTree, TreeOracle, strategy_from_index,
                         to_normal_form)
-from .graph_games import (MullerOracle, MultiOutcomeGraphGame,
+from .graph_games import (Arena, MullerOracle, MultiOutcomeGraphGame,
                           PriorityOracle, solve_muller, solve_parity)
 from .normal_form import (DEFAULT_OUTCOME_CAP, DEFAULT_PROFILE_CAP,
                           GameStructure, NormalFormGame, find_all_ne,
@@ -51,38 +51,30 @@ def _load(path: str):
     return _load_doc(path)[1]
 
 
-def _require_game(value) -> NormalFormGame:
-    if isinstance(value, NormalFormGame):
-        return value
-    if isinstance(value, tuple) and isinstance(value[0], GameTree):
-        tree, prefs = value
-        return NormalFormGame(to_normal_form(tree), prefs)
-    raise SchemaError("input must be a game with preferences")
-
-
-def _require_structure(value) -> GameStructure:
-    if isinstance(value, GameStructure):
-        return value
-    if isinstance(value, NormalFormGame):
-        return value.structure
-    if isinstance(value, GameTree):
-        return to_normal_form(value)
-    if isinstance(value, tuple) and isinstance(value[0], GameTree):
-        return to_normal_form(value[0])
-    raise SchemaError("input must be a game structure")
+def _normal_form(value, prefs: bool = True, cap: int = DEFAULT_PROFILE_CAP):
+    """The input as a normal-form game, or as a bare structure when
+    ``prefs`` is false; a tree is converted under the profile cap."""
+    st, profile = value, None
+    if isinstance(value, tuple):
+        st, profile = value
+    elif isinstance(value, NormalFormGame):
+        st, profile = value.structure, value.preferences
+    if prefs and profile is None:
+        raise SchemaError("input must be a game with preferences")
+    if not isinstance(st, (GameStructure, GameTree)):
+        raise SchemaError("input must be a game structure")
+    if isinstance(st, GameTree):
+        st = to_normal_form(st, cap)
+    return NormalFormGame(st, profile) if prefs else st
 
 
 def _profile_cap(args) -> int:
     return args.cap if args.cap is not None else DEFAULT_PROFILE_CAP
 
 
-def _outcome_cap(args) -> int:
-    return args.cap if args.cap is not None else DEFAULT_OUTCOME_CAP
-
-
 def _cmd_solve(args) -> int:
-    game = _require_game(_load(args.input))
-    nes = find_all_ne(game, cap=_profile_cap(args))
+    cap = _profile_cap(args)
+    nes = find_all_ne(_normal_form(_load(args.input), cap=cap), cap=cap)
     report = {
         "command": "solve",
         "equilibria": [list(p) for p in nes],
@@ -95,8 +87,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_check_determinacy(args) -> int:
-    st = _require_structure(_load(args.input))
-    determined = is_determined(st, cap=_outcome_cap(args))
+    st = _normal_form(_load(args.input), prefs=False)
+    cap = args.cap if args.cap is not None else DEFAULT_OUTCOME_CAP
+    determined = is_determined(st, cap=cap)
     report = {
         "command": "check-determinacy",
         "determined": determined,
@@ -117,34 +110,31 @@ def _counter_lines(counter, n: int) -> list[str]:
     ]
 
 
-def _backend(value, oracle_kind: str):
-    """Game backend, preferences and outcome set for the chosen oracle."""
-    if oracle_kind == "brute":
-        game = _require_game(value)
-        return (StructureOracle(game.structure), game.preferences,
-                game.structure.outcomes)
-    if oracle_kind == "tree":
-        if not (isinstance(value, tuple) and isinstance(value[0], GameTree)):
-            raise SchemaError("tree oracle needs a tree with preferences")
-        tree, prefs = value
-        return TreeOracle(tree), prefs, tree.outcomes
-    if not isinstance(value, MultiOutcomeGraphGame):
-        raise SchemaError(f"{oracle_kind} oracle needs a graph game input")
-    wanted_kind = "priority" if oracle_kind == "parity" else "muller"
-    if value.kind != wanted_kind:
-        raise SchemaError(f"input is a {value.kind} game, oracle is "
-                          f"{oracle_kind}")
-    oracle = PriorityOracle if oracle_kind == "parity" else MullerOracle
-    return oracle(value), value.preferences, value.outcomes
+_ORACLE_NAMES = {StructureOracle: "brute", TreeOracle: "tree",
+                 PriorityOracle: "parity", MullerOracle: "muller"}
+
+
+def _backend(value):
+    """The game backend the input's kind calls for, and its preferences:
+    the table for a normal-form game, backward induction for a tree, and
+    the arena solvers for a priority or Muller game."""
+    if isinstance(value, NormalFormGame):
+        return StructureOracle(value.structure), value.preferences
+    if isinstance(value, tuple):
+        return TreeOracle(value[0]), value[1]
+    if isinstance(value, MultiOutcomeGraphGame):
+        oracle = PriorityOracle if value.kind == "priority" else MullerOracle
+        return oracle(value), value.preferences
+    raise SchemaError("input must be a game with preferences")
 
 
 def _cmd_transfer(args) -> int:
-    backend, prefs, outcomes = _backend(_load(args.input), args.oracle)
+    backend, prefs = _backend(_load(args.input))
     result = equilibrium(backend, prefs)
-    label = outcomes.label(result.outcome)
+    label = prefs.outcomes.label(result.outcome)
     report = {
         "command": "transfer",
-        "oracle": args.oracle,
+        "oracle": _ORACLE_NAMES[type(backend)],
         "outcome": result.outcome,
         "outcome_label": label,
         "winner_calls": result.counter.winner_calls,
@@ -152,7 +142,7 @@ def _cmd_transfer(args) -> int:
         "strategies": [_oracle_strategy_obj(backend, s)
                        for s in (result.strategy_1, result.strategy_2)],
         "lines": [f"Nash equilibrium outcome: {label}"]
-                 + _counter_lines(result.counter, outcomes.size),
+                 + _counter_lines(result.counter, prefs.outcomes.size),
     }
     _emit(report, args.json)
     return EXIT_OK
@@ -189,48 +179,35 @@ def _moves(s) -> dict[int, int]:
             for i, k in enumerate(s.move) if k >= 0}
 
 
-def _cmd_solve_parity(args) -> int:
+def _cmd_solve_arena(args) -> int:
     doc, value = _load_doc(args.input)
-    if not hasattr(value, "succ"):
-        raise SchemaError("solve-parity needs a plain arena input")
+    if not isinstance(value, Arena):
+        raise SchemaError(f"{args.command} needs a plain arena input")
     start = doc["start"]
-    winner, strat = solve_parity(value, start)
+    if args.command == "solve-parity":
+        winner, strat = solve_parity(value, start)
+        detail = f"positional strategy: {dict(sorted(_moves(strat).items()))}"
+    else:
+        win_sets = doc.get("win_sets")
+        if not (isinstance(win_sets, list) and all(
+                isinstance(s, list) and all(isinstance(c, int) for c in s)
+                for s in win_sets)):
+            raise SchemaError("solve-muller needs win_sets, a list of colour "
+                              "lists, in the input")
+        winner, strat = solve_muller(value, start, win_sets)
+        detail = f"finite-memory strategy, {strat.num_states} states"
     report = {
-        "command": "solve-parity",
+        "command": args.command,
         "winner": winner,
         "strategy": _strategy_obj(strat),
-        "lines": [f"player {winner} wins from vertex {start}",
-                  f"positional strategy: {dict(sorted(_moves(strat).items()))}"],
-    }
-    _emit(report, args.json)
-    return EXIT_OK
-
-
-def _cmd_solve_muller(args) -> int:
-    doc, value = _load_doc(args.input)
-    if not hasattr(value, "succ"):
-        raise SchemaError("solve-muller needs a plain arena input")
-    win_sets = doc.get("win_sets")
-    if not (isinstance(win_sets, list)
-            and all(isinstance(s, list) and all(isinstance(c, int) for c in s)
-                    for s in win_sets)):
-        raise SchemaError("solve-muller needs win_sets, a list of colour "
-                          "lists, in the input")
-    start = doc["start"]
-    winner, machine = solve_muller(value, start, [frozenset(s) for s in win_sets])
-    report = {
-        "command": "solve-muller",
-        "winner": winner,
-        "strategy": _strategy_obj(machine),
-        "lines": [f"player {winner} wins from vertex {start}",
-                  f"finite-memory strategy, {machine.num_states} states"],
+        "lines": [f"player {winner} wins from vertex {start}", detail],
     }
     _emit(report, args.json)
     return EXIT_OK
 
 
 def _cmd_verify_ne(args) -> int:
-    game = _require_game(_load(args.input))
+    game = _normal_form(_load(args.input), cap=_profile_cap(args))
     try:
         profile = tuple(int(x) for x in args.profile.split(","))
     except ValueError as exc:
@@ -316,7 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true",
                         help="emit a machine-readable JSON report")
     parser.add_argument("--cap", type=int, default=None,
-                        help="profile/outcome enumeration cap")
+                        help="profile cap of solve and verify-ne, tree "
+                             "conversion included; outcome cap of "
+                             "check-determinacy")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for sampled verification")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -331,19 +310,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check_determinacy)
 
     p = sub.add_parser("transfer",
-                       help="compute a Nash equilibrium via a win-lose oracle")
+                       help="compute a Nash equilibrium via the win-lose "
+                            "oracle of the input's kind")
     p.add_argument("input")
-    p.add_argument("--oracle", choices=("brute", "tree", "parity", "muller"),
-                   default="brute")
     p.set_defaults(func=_cmd_transfer)
 
     p = sub.add_parser("solve-parity", help="solve a parity game on an arena")
     p.add_argument("input")
-    p.set_defaults(func=_cmd_solve_parity)
+    p.set_defaults(func=_cmd_solve_arena)
 
     p = sub.add_parser("solve-muller", help="solve a Muller game on an arena")
     p.add_argument("input")
-    p.set_defaults(func=_cmd_solve_muller)
+    p.set_defaults(func=_cmd_solve_arena)
 
     p = sub.add_parser("verify-ne", help="check a profile for equilibrium")
     p.add_argument("input")

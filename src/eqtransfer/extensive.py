@@ -48,10 +48,8 @@ class GameTree:
     """
 
     def __init__(self, root: Union[Node, Leaf], outcomes: OutcomeSet):
-        self.root = root
         self.outcomes = outcomes
-        self._nodes: list[Node] = []
-        self._leaves: list[Leaf] = []
+        owners: list[int] = []
         kids: list[list[int]] = []
         # (subtree, (parent index, child slot) or None for the root)
         stack: list = [(root, None)]
@@ -60,11 +58,10 @@ class GameTree:
             if isinstance(sub, Leaf):
                 if not (0 <= sub.outcome < outcomes.size):
                     raise ValueError(f"leaf outcome {sub.outcome} out of range")
-                self._leaves.append(sub)
                 code = ~sub.outcome
             else:
                 code = len(kids)
-                self._nodes.append(sub)
+                owners.append(sub.owner)
                 kids.append([0] * len(sub.children))
                 stack.extend((child, (code, k)) for k, child
                              in reversed(list(enumerate(sub.children))))
@@ -72,19 +69,12 @@ class GameTree:
                 self.root_code = code
             else:
                 kids[slot[0]][slot[1]] = code
-        self.owners = tuple(n.owner for n in self._nodes)
+        self.owners = tuple(owners)
         self.children = tuple(map(tuple, kids))
-
-    def internal_nodes(self) -> list[Node]:
-        """Internal nodes in preorder."""
-        return list(self._nodes)
 
     def owned_nodes(self, player: int) -> list[int]:
         """Preorder indices of the internal nodes the player owns."""
         return [i for i, owner in enumerate(self.owners) if owner == player]
-
-    def leaves(self) -> list[Leaf]:
-        return list(self._leaves)
 
     def strategy_count(self, player: int) -> int:
         count = 1

@@ -8,7 +8,6 @@ reduction to parity, which yields explicit finite-memory machines.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -287,23 +286,13 @@ def solve_parity(arena: Arena, start: int) -> tuple[int, FiniteMemoryStrategy]:
     return winner, _machine(graph, winner, moves)
 
 
-def parity_winner_of_play(arena: Arena, play: Play) -> int:
-    cluster = play.cluster_colors(arena)
-    return 1 if min(cluster) % 2 == 0 else 2
-
-
 # ---------------------------------------------------------------------------
 # Muller: latest-appearance-record reduction to parity.
 
-def lar_update(perm: tuple[int, ...], color: int) -> tuple[tuple[int, ...], int]:
+def _lar_update(perm: tuple[int, ...], color: int) -> tuple[tuple[int, ...], int]:
     """Move the colour to the back; the hit is its old 1-based position."""
     j = perm.index(color)
     return perm[:j] + perm[j + 1:] + (color,), j + 1
-
-
-def muller_memory_bound(arena: Arena) -> int:
-    c = len(arena.color_set())
-    return math.factorial(c) * c
 
 
 def _lar_product(arena: Arena, start: int):
@@ -314,14 +303,14 @@ def _lar_product(arena: Arena, start: int):
     at a time because callers keep only what each maps to.  It does not
     depend on the win sets."""
     base = tuple(sorted(arena.color_set()))
-    init = (start, lar_update(base, arena.colors[start]))
+    init = (start, _lar_update(base, arena.colors[start]))
     index = {init: 0}
     nodes = [init]
     succ: list[list[int]] = []
     for v, (perm, _) in nodes:  # grows while it is read
         out = []
         for w in arena.succ[v]:
-            node = (w, lar_update(perm, arena.colors[w]))
+            node = (w, _lar_update(perm, arena.colors[w]))
             if node not in index:
                 index[node] = len(nodes)
                 nodes.append(node)
@@ -346,12 +335,6 @@ def solve_muller(arena: Arena, start: int,
     colors = [2 * h + (k not in wins) for h, k in zip(hit, suffix)]
     winner, moves = _solve_graph(graph, colors, start)
     return winner, _machine(graph, winner, moves)
-
-
-def muller_winner_of_play(arena: Arena, play: Play,
-                          win_sets: Iterable[Iterable[int]]) -> int:
-    wsets = {frozenset(s) for s in win_sets}
-    return 1 if play.cluster_colors(arena) in wsets else 2
 
 
 # ---------------------------------------------------------------------------

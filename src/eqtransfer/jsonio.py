@@ -1,9 +1,10 @@
 """Versioned JSON interchange for games, trees, and arenas.
 
 Every document carries ``"format": 1``.  Loaders raise SchemaError with a
-human-readable reason; syntactically broken JSON keeps the parser's
-line/column information, and JSON nested deeper than the parser can go
-raises TooLargeError.
+human-readable reason, and ``from_obj`` turns a model constructor's
+ValueError, TypeError or OverflowError into one; syntactically broken JSON
+keeps the parser's line/column information, and JSON nested deeper than
+the parser can go raises TooLargeError.
 """
 
 from __future__ import annotations
@@ -44,20 +45,15 @@ def _outcomes_obj(outs: OutcomeSet) -> Any:
     return list(outs.labels) if outs.labels is not None else outs.size
 
 
-def preference_from_obj(obj: Any,
-                        outcomes: Optional[OutcomeSet] = None) -> Preference:
+def _preference_from_obj(obj: Any, outs: OutcomeSet) -> Preference:
     _require(isinstance(obj, dict), "preference must be an object")
-    outs = outcomes if outcomes is not None else _outcome_set(obj.get("outcomes"))
     pairs = obj.get("pairs")
     _require(isinstance(pairs, list), "preference needs a pairs list")
     for pair in pairs:
         _require(isinstance(pair, list) and len(pair) == 2
                  and all(isinstance(x, int) for x in pair),
                  f"preference pair must be [x, y], got {pair!r}")
-    try:
-        return Preference(outs, frozenset((x, y) for x, y in pairs))
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    return Preference(outs, frozenset((x, y) for x, y in pairs))
 
 
 def _profile_obj(prefs: PreferenceProfile) -> list:
@@ -67,10 +63,10 @@ def _profile_obj(prefs: PreferenceProfile) -> list:
 def _profile_from_obj(obj: Any, outcomes: OutcomeSet) -> PreferenceProfile:
     _require(isinstance(obj, list) and obj, "preferences must be a list")
     return PreferenceProfile(tuple(
-        preference_from_obj(frag, outcomes) for frag in obj))
+        _preference_from_obj(frag, outcomes) for frag in obj))
 
 
-def game_from_obj(obj: dict) -> Union[GameStructure, NormalFormGame]:
+def _game_from_obj(obj: dict) -> Union[GameStructure, NormalFormGame]:
     strategies = obj.get("strategies")
     _require(isinstance(strategies, list) and strategies
              and all(isinstance(c, int) for c in strategies),
@@ -87,10 +83,7 @@ def game_from_obj(obj: dict) -> Union[GameStructure, NormalFormGame]:
         expected *= c
     _require(len(v) == expected,
              f"v has {len(v)} entries, expected {expected}")
-    try:
-        st = GameStructure(tuple(strategies), outs, v)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    st = GameStructure(tuple(strategies), outs, v)
     if "preferences" not in obj:
         return st
     return NormalFormGame(st, _profile_from_obj(obj["preferences"], outs))
@@ -127,7 +120,7 @@ def _tree_node_from_obj(obj: Any) -> Union[Node, Leaf]:
                      "leaf must hold an outcome index")
             continue
         owner = node.get("owner")
-        _require(owner in _OWNER_NAMES,
+        _require(isinstance(owner, str) and owner in _OWNER_NAMES,
                  f"node owner must be 'a' or 'b', got {owner!r}")
         children = node.get("children")
         _require(isinstance(children, list) and children,
@@ -141,12 +134,9 @@ def _tree_node_from_obj(obj: Any) -> Union[Node, Leaf]:
     return built[id(obj)]
 
 
-def tree_from_obj(obj: dict) -> tuple[GameTree, Optional[PreferenceProfile]]:
+def _tree_from_obj(obj: dict) -> tuple[GameTree, Optional[PreferenceProfile]]:
     outs = _outcome_set(obj.get("outcomes"))
-    try:
-        tree = GameTree(_tree_node_from_obj(obj.get("tree")), outs)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    tree = GameTree(_tree_node_from_obj(obj.get("tree")), outs)
     prefs = None
     if "preferences" in obj:
         prefs = _profile_from_obj(obj["preferences"], outs)
@@ -176,14 +166,11 @@ def tree_to_obj(tree: GameTree,
     return doc
 
 
-def arena_from_obj(obj: dict) -> Union[Arena, MultiOutcomeGraphGame]:
+def _arena_from_obj(obj: dict) -> Union[Arena, MultiOutcomeGraphGame]:
     for key in ("vertices", "owned", "edges", "colors", "start"):
         _require(key in obj, f"arena needs a {key!r} field")
-    try:
-        arena = Arena(obj["vertices"], obj["owned"],
-                      [tuple(e) for e in obj["edges"]], obj["colors"])
-    except (ValueError, TypeError) as exc:
-        raise SchemaError(str(exc)) from exc
+    arena = Arena(obj["vertices"], obj["owned"],
+                  [tuple(e) for e in obj["edges"]], obj["colors"])
     start = obj["start"]
     _require(isinstance(start, int) and 0 <= start < arena.num_vertices,
              f"start vertex {start!r} out of range")
@@ -210,12 +197,9 @@ def arena_from_obj(obj: dict) -> Union[Arena, MultiOutcomeGraphGame]:
                  f"r maps colour{'' if priority else ' set'} {entry[0]!r} "
                  "more than once")
         outcome_map[key] = entry[1]
-    try:
-        return MultiOutcomeGraphGame(
-            arena=arena, start=start, kind=kind, outcomes=outs,
-            preferences=prefs, outcome_map=outcome_map)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    return MultiOutcomeGraphGame(
+        arena=arena, start=start, kind=kind, outcomes=outs,
+        preferences=prefs, outcome_map=outcome_map)
 
 
 def arena_to_obj(obj: Union[Arena, MultiOutcomeGraphGame],
@@ -246,13 +230,16 @@ def from_obj(obj: Any) -> Loadable:
     _require(isinstance(obj, dict), "top-level JSON value must be an object")
     _require(obj.get("format") == FORMAT,
              f"unsupported format {obj.get('format')!r}, expected {FORMAT}")
-    if "tree" in obj:
-        tree, prefs = tree_from_obj(obj)
-        return (tree, prefs) if prefs is not None else tree
-    if "vertices" in obj:
-        return arena_from_obj(obj)
-    if "v" in obj:
-        return game_from_obj(obj)
+    try:
+        if "tree" in obj:
+            tree, prefs = _tree_from_obj(obj)
+            return (tree, prefs) if prefs is not None else tree
+        if "vertices" in obj:
+            return _arena_from_obj(obj)
+        if "v" in obj:
+            return _game_from_obj(obj)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise SchemaError(str(exc)) from exc
     raise SchemaError("document is neither a game, a tree, nor an arena")
 
 

@@ -3,13 +3,14 @@ and the recursive form of Zielonka's algorithm, with no priority
 compression, plus a certificate that checks claimed winning regions and
 strategies without trusting any solver, the enumeration of positional
 strategies that the brute-force checks range over, plays and residual
-graphs walked over (vertex, state) pairs, and the deviation outcomes of a
-residual graph found by one Tarjan run per colour (priority) or per colour
-subset (Muller)."""
+graphs walked over (vertex, state) pairs, the winner of a single play and
+the LAR memory bound, and the deviation outcomes of a residual graph found
+by one Tarjan run per colour (priority) or per colour subset (Muller)."""
 
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterator
 
 import eqtransfer as et
@@ -49,6 +50,24 @@ def reference_play(arena: et.Arena, start: int, s1, s2) -> et.Play:
     cut = seen[node]
     return et.Play(tuple(v for v, _, _ in trail[:cut]),
                    tuple(v for v, _, _ in trail[cut:]))
+
+
+def parity_winner_of_play(arena: et.Arena, play: et.Play) -> int:
+    cluster = play.cluster_colors(arena)
+    return 1 if min(cluster) % 2 == 0 else 2
+
+
+def muller_winner_of_play(arena: et.Arena, play: et.Play, win_sets) -> int:
+    wsets = {frozenset(s) for s in win_sets}
+    return 1 if play.cluster_colors(arena) in wsets else 2
+
+
+def muller_memory_bound(arena: et.Arena) -> int:
+    """|C|! * |C|: the latest appearance records over the arena's colours
+    times the hit positions, a bound on a Muller machine's states per
+    vertex."""
+    c = len(arena.color_set())
+    return math.factorial(c) * c
 
 
 def residual_graph(game: et.MultiOutcomeGraphGame, fixed, deviator: int

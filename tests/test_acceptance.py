@@ -11,7 +11,7 @@ import eqtransfer as et
 from conftest import (random_acyclic_preference, random_arena,
                       random_determined_structure, random_memory_machine,
                       random_structure)
-from reference_graph import all_positional_strategies
+from reference_graph import all_positional_strategies, parity_winner_of_play
 from reference_normal_form import (can_enforce, derive_win_lose,
                                    is_determined_by_enforcement,
                                    winning_strategy)
@@ -164,7 +164,7 @@ def test_c07_parity_solver_against_brute_force():
         for other in all_positional_strategies(arena, opp):
             play = (et.play_of(arena, start, strat, other) if winner == 1
                     else et.play_of(arena, start, other, strat))
-            assert et.parity_winner_of_play(arena, play) == winner
+            assert parity_winner_of_play(arena, play) == winner
     report("criterion 7 — 200/200 arenas (plus 1-vertex even/odd): parity "
            "winner matches brute force and the strategy defeats all opponents")
 

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, text output, and JSON reports."""
 
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -44,6 +45,23 @@ def caterpillar_text(depth: int) -> str:
             f'"preferences": {prefs}}}')
 
 
+def wide_caterpillar(spine: int) -> dict:
+    """``spine`` binary player-a nodes over one binary player-b node, two
+    outcomes: 2**spine * 2 strategy profiles."""
+    tree = {"owner": "b", "children": [{"leaf": 0}, {"leaf": 1}]}
+    for d in range(spine):
+        tree = {"owner": "a", "children": [{"leaf": d % 2}, tree]}
+    return {"format": 1, "outcomes": 2, "tree": tree,
+            "preferences": [{"pairs": [[0, 1]]}, {"pairs": [[1, 0]]}]}
+
+
+def transfer_oracle(capsys, path: str) -> str:
+    """The backend ``transfer`` names for the input."""
+    code, out, _ = run(capsys, "--json", "transfer", path)
+    assert code == cli.EXIT_OK
+    return json.loads(out)["oracle"]
+
+
 class TestSolve:
     def test_solve_tree_with_preferences(self, capsys):
         code, out, _ = run(capsys, "solve", fixture_path("intro_payoff_tree.json"))
@@ -80,7 +98,7 @@ class TestCheckDeterminacy:
 
 class TestTransfer:
     def test_tree_oracle(self, capsys):
-        code, out, _ = run(capsys, "transfer", "--oracle", "tree",
+        code, out, _ = run(capsys, "transfer",
                            fixture_path("intro_payoff_tree.json"))
         assert code == cli.EXIT_OK
         assert "Nash equilibrium" in out
@@ -89,8 +107,7 @@ class TestTransfer:
     def test_deep_tree_prints_per_node_choices(self, capsys, tmp_path):
         path = tmp_path / "caterpillar.json"
         path.write_text(caterpillar_text(300))
-        code, out, _ = run(capsys, "--json", "transfer", "--oracle", "tree",
-                           str(path))
+        code, out, _ = run(capsys, "--json", "transfer", str(path))
         assert code == cli.EXIT_OK
         report = json.loads(out)
         for player, strategy in enumerate(report["strategies"], 1):
@@ -98,33 +115,67 @@ class TestTransfer:
             assert strategy["player"] == player
             assert len(strategy["choices"]) == 150
 
-    def test_brute_oracle_json(self, capsys):
-        code, out, _ = run(capsys, "--json", "transfer",
-                           fixture_path("intro_payoff_tree.json"))
+    def test_brute_oracle_json(self, capsys, tmp_path):
+        """A tree runs through backward induction and its normal form,
+        written out as a game, through the table; both find the same
+        outcome with the same calls."""
+        tree, prefs = jsonio.load(fixture_path("intro_payoff_tree.json"))
+        path = tmp_path / "normal_form.json"
+        jsonio.dump(et.NormalFormGame(et.to_normal_form(tree), prefs), path)
+        reports = []
+        for source in (fixture_path("intro_payoff_tree.json"), str(path)):
+            code, out, _ = run(capsys, "--json", "transfer", source)
+            assert code == cli.EXIT_OK
+            reports.append(json.loads(out))
+        assert [r["oracle"] for r in reports] == ["tree", "brute"]
+        assert reports[1]["strategies"][0]["type"] == "index"
+        fields = ("outcome", "outcome_label", "winner_calls", "strategy_calls")
+        assert ([reports[0][f] for f in fields]
+                == [reports[1][f] for f in fields])
+        assert reports[1]["winner_calls"] <= 3
+        assert reports[1]["strategy_calls"] <= 2
+
+    @pytest.mark.parametrize("name, oracle", [
+        ("intro_payoff_tree.json", "tree"), ("intro_winlose_tree.json", "tree"),
+        ("priority_game.json", "parity"), ("muller_game.json", "muller")])
+    def test_backend_follows_input_kind(self, capsys, name, oracle):
+        assert transfer_oracle(capsys, fixture_path(name)) == oracle
+
+    def test_transfer_has_no_oracle_option(self, capsys):
+        code, out, _ = run(capsys, "transfer", "--help")
+        assert code == cli.EXIT_OK
+        assert "--oracle" not in out
+        code, _, _ = run(capsys, "transfer", "--oracle", "brute",
+                         fixture_path("intro_payoff_tree.json"))
+        assert code == cli.EXIT_INPUT
+
+    def test_large_tree_needs_no_normal_form(self, capsys, tmp_path):
+        """4,194,304 profiles, over the conversion cap: transfer runs on
+        the tree, and solve refuses to build its normal form."""
+        path = tmp_path / "caterpillar.json"
+        path.write_text(json.dumps(wide_caterpillar(21)))
+        code, out, _ = run(capsys, "--json", "transfer", str(path))
         assert code == cli.EXIT_OK
         report = json.loads(out)
-        assert report["winner_calls"] <= 3
-        assert report["strategy_calls"] <= 2
+        assert report["oracle"] == "tree"
+        assert report["winner_calls"] <= 2
+        code, _, err = run(capsys, "solve", str(path))
+        assert code == cli.EXIT_INPUT
+        assert "4194304 strategy profiles exceed cap 1000000" in err
 
     def test_parity_oracle(self, capsys):
-        code, out, _ = run(capsys, "--json", "transfer", "--oracle", "parity",
+        code, out, _ = run(capsys, "--json", "transfer",
                            fixture_path("priority_game.json"))
         assert code == cli.EXIT_OK
         report = json.loads(out)
         assert report["strategies"][0]["type"] == "positional"
 
     def test_muller_oracle(self, capsys):
-        code, out, _ = run(capsys, "--json", "transfer", "--oracle", "muller",
+        code, out, _ = run(capsys, "--json", "transfer",
                            fixture_path("muller_game.json"))
         assert code == cli.EXIT_OK
         report = json.loads(out)
         assert report["strategies"][0]["type"] == "finite-memory"
-
-    def test_oracle_kind_mismatch(self, capsys):
-        code, _, err = run(capsys, "transfer", "--oracle", "muller",
-                           fixture_path("priority_game.json"))
-        assert code == cli.EXIT_INPUT
-        assert "priority" in err
 
     def test_not_determined_input(self, capsys, tmp_path):
         # matching pennies with opposed preferences over the two outcomes
@@ -187,7 +238,7 @@ class TestArenaCommands:
     def test_strategies_serialize(self, capsys):
         """Machines rebuilt from the printed graphs play as the ones the
         library returned."""
-        code, out, _ = run(capsys, "--json", "transfer", "--oracle", "muller",
+        code, out, _ = run(capsys, "--json", "transfer",
                            fixture_path("muller_game.json"))
         assert code == cli.EXIT_OK
         s1, s2 = map(machine_from_obj, json.loads(out)["strategies"])
@@ -226,11 +277,14 @@ class TestArenaCommands:
         ("priority_game.json", "parity"), ("muller_game.json", "muller")])
     def test_transfer_rejects_bad_mapped_outcome(self, capsys, tmp_path,
                                                  fixture, oracle, outcome):
+        """The fixture runs through its backend; the mutated copy is
+        refused."""
+        assert transfer_oracle(capsys, fixture_path(fixture)) == oracle
         doc = json.loads(Path(fixture_path(fixture)).read_text())
         doc["r"][0][1] = outcome
         path = tmp_path / "game.json"
         path.write_text(json.dumps(doc))
-        code, _, err = run(capsys, "transfer", "--oracle", oracle, str(path))
+        code, _, err = run(capsys, "transfer", str(path))
         assert code == cli.EXIT_INPUT
         assert f"mapped outcome {outcome!r} is not an outcome index" in err
         assert "Traceback" not in err
@@ -246,11 +300,12 @@ class TestArenaCommands:
          "Muller r entry must be [[colors], outcome], got [[[0]], 0]")])
     def test_transfer_rejects_bad_map_key(self, capsys, tmp_path, fixture,
                                           oracle, entry, message):
+        assert transfer_oracle(capsys, fixture_path(fixture)) == oracle
         doc = json.loads(Path(fixture_path(fixture)).read_text())
         doc["r"].append(entry)
         path = tmp_path / "game.json"
         path.write_text(json.dumps(doc))
-        code, _, err = run(capsys, "transfer", "--oracle", oracle, str(path))
+        code, _, err = run(capsys, "transfer", str(path))
         assert code == cli.EXIT_INPUT
         assert message in err
         assert "Traceback" not in err
@@ -278,6 +333,15 @@ class TestVerifyNe:
         code, _, err = run(capsys, "verify-ne", "--profile", "0,9",
                            fixture_path("intro_winlose_tree.json"))
         assert code == cli.EXIT_INPUT
+
+    @pytest.mark.parametrize("command", [["verify-ne", "--profile", "0,3"],
+                                         ["solve"]])
+    def test_cap_bounds_tree_conversion(self, capsys, command):
+        code, _, err = run(capsys, "--cap", "1", command[0],
+                           fixture_path("intro_winlose_tree.json"),
+                           *command[1:])
+        assert code == cli.EXIT_INPUT
+        assert "8 strategy profiles exceed cap 1" in err
 
 
 class TestCorpus:
@@ -326,10 +390,43 @@ class TestErrorPaths:
     def test_too_deeply_nested_json(self, capsys, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text(caterpillar_text(600))
-        code, _, err = run(capsys, "transfer", "--oracle", "tree", str(path))
+        code, _, err = run(capsys, "transfer", str(path))
         assert code == cli.EXIT_INPUT
         assert "nested deeper" in err
         assert "Traceback" not in err
+
+    def run_mutated(self, capsys, tmp_path, fixture, mutate):
+        """Exit code and stderr of ``transfer`` on a mutated fixture, after
+        checking that its JSON report names a SchemaError."""
+        doc = json.loads(Path(fixture_path(fixture)).read_text())
+        mutate(doc)
+        path = tmp_path / fixture
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "--json", "transfer", str(path))
+        assert json.loads(out)["error"] == "SchemaError"
+        code, _, err = run(capsys, "transfer", str(path))
+        assert "Traceback" not in err
+        return code, err
+
+    def test_list_valued_tree_owner(self, capsys, tmp_path):
+        code, err = self.run_mutated(
+            capsys, tmp_path, "intro_payoff_tree.json",
+            lambda doc: doc["tree"].update(owner=["a"]))
+        assert code == cli.EXIT_INPUT
+        assert "node owner must be 'a' or 'b', got ['a']" in err
+
+    def test_zero_outcomes(self, capsys, tmp_path):
+        code, err = self.run_mutated(
+            capsys, tmp_path, "xz_yy.json",
+            lambda doc: doc.update(outcomes=0))
+        assert code == cli.EXIT_INPUT
+        assert "outcome set must be non-empty" in err
+
+    def test_huge_table_entry(self, capsys, tmp_path):
+        code, err = self.run_mutated(
+            capsys, tmp_path, "xz_yy.json",
+            lambda doc: doc["v"].__setitem__(0, 10 ** 30))
+        assert code == cli.EXIT_INPUT
 
     def test_bad_subcommand(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
@@ -341,11 +438,7 @@ class TestErrorPaths:
 
 
 class TestFixtures:
-    COMMANDS = (["solve"], ["check-determinacy"],
-                ["transfer", "--oracle", "brute"],
-                ["transfer", "--oracle", "tree"],
-                ["transfer", "--oracle", "parity"],
-                ["transfer", "--oracle", "muller"],
+    COMMANDS = (["solve"], ["check-determinacy"], ["transfer"],
                 ["solve-parity"], ["solve-muller"],
                 ["verify-ne", "--profile", "0,0"])
 
@@ -361,3 +454,19 @@ class TestFixtures:
             code_json, out, _ = run(capsys, "--json", *argv)
             assert code_json == code
             assert isinstance(json.loads(out), dict), argv
+
+
+def readme_commands() -> list[list[str]]:
+    """The ``eqtransfer`` lines of the README's "Command line" section, as
+    argument lists."""
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    return [shlex.split(line)[1:] for line in section.splitlines()
+            if line.startswith("eqtransfer ")]
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_commands(capsys, monkeypatch, argv):
+    monkeypatch.chdir(Path(__file__).parent.parent)
+    code, _, _ = run(capsys, *argv)
+    assert code in (cli.EXIT_OK, cli.EXIT_FAIL)

@@ -27,12 +27,14 @@ def intro_tree(leaves, n_outcomes, labels=None):
 class TestTreeBasics:
     def test_preorder_indexing(self):
         t = intro_tree([0, 1, 2, 1], 3)
-        assert len(t.internal_nodes()) == 3
+        assert t.owners == (2, 1, 2)
+        assert t.root_code == 0
+        # leaf codes ~o: the leaves read 0, 1, 2, 1 in preorder
+        assert t.children == ((1, ~1), (2, ~2), (~0, ~1))
         assert t.owned_nodes(1) == [1]
         assert t.owned_nodes(2) == [0, 2]
         assert t.strategy_count(1) == 2
         assert t.strategy_count(2) == 4
-        assert [leaf.outcome for leaf in t.leaves()] == [0, 1, 2, 1]
 
     def test_leaf_outcome_range_checked(self):
         with pytest.raises(ValueError):

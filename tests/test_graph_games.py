@@ -10,9 +10,10 @@ import eqtransfer as et
 from eqtransfer import graph_games
 from conftest import (memory_machine, random_acyclic_preference, random_arena,
                       random_memory_machine)
-from reference_graph import (all_positional_strategies, recursive_regions,
-                             reference_deviation_outcomes, reference_play,
-                             region_certificate)
+from reference_graph import (all_positional_strategies, muller_memory_bound,
+                             muller_winner_of_play, parity_winner_of_play,
+                             recursive_regions, reference_deviation_outcomes,
+                             reference_play, region_certificate)
 
 
 def one_state_per_vertex(strategy):
@@ -21,7 +22,7 @@ def one_state_per_vertex(strategy):
 
 def brute_parity_winner(arena, start):
     for s1 in all_positional_strategies(arena, 1):
-        if all(et.parity_winner_of_play(
+        if all(parity_winner_of_play(
                 arena, et.play_of(arena, start, s1, s2)) == 1
                for s2 in all_positional_strategies(arena, 2)):
             return 1
@@ -120,7 +121,7 @@ class TestParity:
             for other in all_positional_strategies(arena, opp):
                 play = (et.play_of(arena, start, strat, other) if winner == 1
                         else et.play_of(arena, start, other, strat))
-                assert et.parity_winner_of_play(arena, play) == winner
+                assert parity_winner_of_play(arena, play) == winner
 
     def test_regions_partition_vertices(self, rng):
         for _ in range(50):
@@ -296,7 +297,7 @@ def lar_product_size(arena, start):
 class TestMuller:
     def test_memory_bound(self):
         a = et.Arena(2, [0], [(0, 1), (1, 0)], [0, 1])
-        assert et.muller_memory_bound(a) == 4
+        assert muller_memory_bound(a) == 4
 
     def test_states_within_reachable_lar_product(self, rng):
         for _ in range(60):
@@ -331,7 +332,7 @@ class TestMuller:
                 play = (et.play_of(arena, start, machine, other)
                         if winner == 1
                         else et.play_of(arena, start, other, machine))
-                assert et.muller_winner_of_play(arena, play, win_sets) == winner
+                assert muller_winner_of_play(arena, play, win_sets) == winner
 
     def test_dual_game_swaps_the_winner(self, rng):
         # complementing the winning sets AND swapping vertex ownership gives
