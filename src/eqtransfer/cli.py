@@ -1,13 +1,14 @@
 """Command-line front end: load JSON games, solve, transfer, verify.
 
-Exit codes: 0 success / claims hold; 1 claim failure or not determined;
-2 malformed input or usage error.
+Exit codes: 0 success / claims hold; 1 claim failure, not determined or
+standard output closed early; 2 malformed input or usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional
 
@@ -342,6 +343,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    try:
+        code = _main(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (``| head``): devnull takes the
+        # interpreter's last flush, which would fail again.
+        if sys.stdout is sys.__stdout__:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAIL
+
+
+def _main(argv: Optional[list[str]]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

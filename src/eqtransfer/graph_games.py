@@ -1,13 +1,14 @@
 """Arenas, parity and Muller solvers, and multi-outcome graph-game equilibria.
 
 Player 1 wins a parity play iff the minimum colour occurring infinitely
-often is even.  Muller games are solved through a latest-appearance-record
-reduction to parity, which yields explicit finite-memory machines.
+often is even.  Muller winners come from McNaughton's algorithm on the
+arena, Muller strategies from a latest-appearance-record (LAR) reduction
+to parity, which yields explicit finite-memory machines.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -144,8 +145,8 @@ def _check_start(arena: Arena, start: int) -> None:
 
 # ---------------------------------------------------------------------------
 # State graphs: ``(vertex, succ, pred, owned, entry)``, the shape of a
-# ``FiniteMemoryStrategy`` without its moves.  Parity and Muller games are
-# both solved on one: the arena itself, or the LAR product.
+# ``FiniteMemoryStrategy`` without its moves.  Parity games and Muller
+# strategies are both solved on one: the arena itself, or the LAR product.
 
 def _arena_graph(arena: Arena):
     """The arena as its own state graph, one state per vertex."""
@@ -352,6 +353,8 @@ class MultiOutcomeGraphGame:
     Priority kind: its keys are colours, and a play's outcome is that of the
     minimum colour occurring infinitely often.  Muller kind: its keys are
     frozensets of colours, and a play's outcome is that of its cluster set.
+    ``_bits`` holds each vertex's colour as a bit (bit i for the i-th
+    smallest), ``_outcome_of`` the outcome of each bit or colour-set mask.
     """
 
     arena: Arena
@@ -367,17 +370,22 @@ class MultiOutcomeGraphGame:
         if self.preferences.players != 2:
             raise ValueError("two players required")
         _check_start(self.arena, self.start)
-        occurring = self.arena.color_set()
+        bit = {c: 1 << i for i, c in enumerate(sorted(self.arena.color_set()))}
         mapped = self.outcome_map
         if self.kind == PRIORITY:
-            missing = occurring - set(mapped)
+            missing = sorted(bit.keys() - mapped.keys())
             if missing:
-                raise ValueError(f"no outcome for colours {sorted(missing)}")
+                raise ValueError(f"no outcome for colours {missing}")
+            outcome_of = {b: mapped[c] for c, b in bit.items()}
         else:
-            for r in range(1, len(occurring) + 1):
-                for combo in itertools.combinations(sorted(occurring), r):
-                    if frozenset(combo) not in mapped:
-                        raise ValueError(f"no outcome for cluster set {set(combo)}")
+            outcome_of = {sum(bit[c] for c in s): o
+                          for s, o in mapped.items() if s <= bit.keys()}
+            for k in range(1, 1 << len(bit)):
+                if k not in outcome_of:
+                    cluster = {c for c, b in bit.items() if k & b}
+                    raise ValueError(f"no outcome for cluster set {cluster}")
+        self._bits = [bit[c] for c in self.arena.colors]
+        self._outcome_of = outcome_of
         n = self.outcomes.size
         for o in mapped.values():
             if not isinstance(o, int) or not 0 <= o < n:
@@ -395,30 +403,33 @@ class MultiOutcomeGraphGame:
 
 
 class _ArenaOracle(GameBackend):
-    """Queries shared by the arena oracles, on one state graph built once
-    per game with each state's rank and outcome.  A label colours state s
-    ``2*rank[s]`` when it grants player 1 the state's outcome and
-    ``2*rank[s]+1`` otherwise, and solves the parity game on the graph."""
+    """Queries shared by the arena oracles.  ``_product``, built on first
+    use, is the state graph they solve on, with each state's rank and
+    outcome: a label colours state s ``2*rank[s]`` when it grants player 1
+    the state's outcome and ``2*rank[s]+1`` otherwise, and solves the
+    parity game on the graph."""
 
-    def __init__(self, game: MultiOutcomeGraphGame, graph,
-                 rank: Sequence[int], outcome: Sequence[int]):
-        self.game, self._graph = game, graph
-        self._ranked = tuple(zip(rank, outcome))
+    def __init__(self, game: MultiOutcomeGraphGame):
+        if game.kind != self.kind:
+            raise ValueError(f"{self.kind} oracle needs a {self.kind} game")
+        self.game = game
 
     @property
     def n_outcomes(self) -> int:
         return self.game.outcomes.size
 
     def _solve(self, label: int) -> tuple[int, dict[int, int]]:
-        colors = [2 * r + 1 - (label >> o & 1) for r, o in self._ranked]
-        return _solve_graph(self._graph, colors, self.game.start)
+        graph, ranked = self._product
+        colors = [2 * r + 1 - (label >> o & 1) for r, o in ranked]
+        return _solve_graph(graph, colors, self.game.start)
 
     def winner(self, label: int) -> int:
         return self._solve(label)[0]
 
     def strategy(self, label: int) -> OracleStrategy:
         winner, moves = self._solve(label)
-        return OracleStrategy(winner, _machine(self._graph, winner, moves))
+        return OracleStrategy(winner,
+                              _machine(self._product[0], winner, moves))
 
     def play_outcome(self, h1, h2) -> int:
         game = self.game
@@ -434,25 +445,72 @@ class PriorityOracle(_ArenaOracle):
     """Win-lose oracle for a multi-outcome priority game, on the game's own
     arena ranked by colour; strategies are positional."""
 
-    def __init__(self, game: MultiOutcomeGraphGame):
-        if game.kind != PRIORITY:
-            raise ValueError("priority oracle needs a priority game")
-        colors = game.arena.colors
-        super().__init__(game, _arena_graph(game.arena), colors,
-                         [game.outcome_map[c] for c in colors])
+    kind = PRIORITY
+
+    @functools.cached_property
+    def _product(self):
+        arena, outcome_map = self.game.arena, self.game.outcome_map
+        return _arena_graph(arena), tuple((c, outcome_map[c])
+                                          for c in arena.colors)
 
 
 class MullerOracle(_ArenaOracle):
-    """Win-lose oracle for a multi-outcome Muller game, on the LAR product
-    ranked by hit, with the outcome of each node's record suffix; strategies
-    are finite-memory machines."""
+    """Win-lose oracle for a multi-outcome Muller game: winners on the arena
+    itself, finite-memory strategies on the LAR product ranked by hit, with
+    the outcome of each node's record suffix, built on the first of them."""
 
-    def __init__(self, game: MultiOutcomeGraphGame):
-        if game.kind != MULLER:
-            raise ValueError("Muller oracle needs a Muller game")
-        graph, hit, suffix = _lar_product(game.arena, game.start)
-        super().__init__(game, graph, hit,
-                         [game.outcome_map[k] for k in suffix])
+    kind = MULLER
+
+    @functools.cached_property
+    def _product(self):
+        graph, hit, suffix = _lar_product(self.game.arena, self.game.start)
+        outcome_map = self.game.outcome_map
+        return graph, tuple(zip(hit, [outcome_map[k] for k in suffix]))
+
+    def winner(self, label: int) -> int:
+        """McNaughton's algorithm as Zielonka (1998) states it, on colour bit
+        masks.  In a subgame with colours K, player i wins K; below each
+        child D (a maximal subset of K that the opponent wins: the subgame
+        left without i's attractor to the colours outside D), the
+        opponent's part and their attractor to it are theirs, and the rest
+        is solved again.  If they win below no child, i wins it all.  The
+        recursion is at most |C| deep."""
+        game = self.game
+        succ, pred, owned = game.arena.succ, game.arena.pred, game.arena.owned
+        vbits, outcome_of = game._bits, game._outcome_of
+
+        @functools.cache
+        def split(k: int) -> tuple[int, list[int]]:
+            wins = label >> outcome_of[k] & 1
+            children: list[int] = []
+            for d in sorted(range(k - 1, 0, -1), key=int.bit_count,
+                            reverse=True):
+                if (d & k == d and label >> outcome_of[d] & 1 != wins
+                        and all(d & ~e for e in children)):
+                    children.append(d)
+            return 2 - wins, children
+
+        def won_by_1(region: set[int]) -> set[int]:
+            w1: set[int] = set()
+            while region:
+                # distinct bits: the sum is their OR
+                i, children = split(sum({vbits[v] for v in region}))
+                for d in children:
+                    sub = region - _attractor(succ, pred, owned, region, {
+                        v for v in region if vbits[v] & ~d}, i)[0]
+                    lost = won_by_1(sub) if i == 2 else sub - won_by_1(sub)
+                    if lost:
+                        lost = _attractor(succ, pred, owned, region, lost,
+                                          3 - i)[0]
+                        break
+                else:
+                    return w1 | region if i == 1 else w1
+                if i == 2:
+                    w1 |= lost
+                region = region - lost
+            return w1
+
+        return 1 if game.start in won_by_1(set(range(len(succ)))) else 2
 
 
 def _residual_graph(game: MultiOutcomeGraphGame, fixed: FiniteMemoryStrategy,
@@ -528,16 +586,11 @@ def _reachable_outcomes(game: MultiOutcomeGraphGame, fixed, deviator: int,
     inside maps to an outcome still wanted; a found outcome's bit is
     cleared."""
     reach, succ = _residual_graph(game, fixed, deviator)
-    arena = game.arena
-    bit = {c: 1 << i for i, c in enumerate(sorted(arena.color_set()))}
-    mask = [bit[arena.colors[v]] for v in fixed.vertex]
+    outcome_of = game._outcome_of
+    mask = [game._bits[v] for v in fixed.vertex]
     priority = game.kind == PRIORITY
-    if priority:
-        outcome_of = {b: game.outcome_map[c] for c, b in bit.items()}
-    else:
-        outcome_of = {sum(bit[c] for c in s): o
-                      for s, o in game.outcome_map.items() if s <= bit.keys()}
-    pending: dict[int, list[int]] = {2 ** len(bit) - 1: reach}
+    full = 2 * max(game._bits) - 1  # every colour's bit
+    pending: dict[int, list[int]] = {full: reach}
     while pending:
         allowed = max(pending, key=int.bit_count)
         part = pending.pop(allowed)
@@ -550,8 +603,8 @@ def _reachable_outcomes(game: MultiOutcomeGraphGame, fixed, deviator: int,
             if wanted >> o & 1:
                 wanted ^= 1 << o
                 yield o
-            for drop in (k & -k,) if priority else (b for b in bit.values()
-                                                    if k & b):
+            for drop in (k & -k,) if priority else (
+                    1 << i for i in range(k.bit_length()) if k >> i & 1):
                 rest = k ^ drop
                 if rest:
                     pending.setdefault(rest, []).extend(

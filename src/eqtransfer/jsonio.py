@@ -4,7 +4,8 @@ Every document carries ``"format": 1``.  Loaders raise SchemaError with a
 human-readable reason, and ``from_obj`` turns a model constructor's
 ValueError, TypeError or OverflowError into one; syntactically broken JSON
 keeps the parser's line/column information, and JSON nested deeper than
-the parser can go raises TooLargeError.
+the parser can go raises TooLargeError, as do more than ``MAX_OUTCOMES``
+outcomes (the transfer makes one winner query per outcome).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .normal_form import GameStructure, NormalFormGame
 from .prefs import OutcomeSet, Preference, PreferenceProfile
 
 FORMAT = 1
+MAX_OUTCOMES = 4096
 
 Loadable = Union[GameStructure, NormalFormGame, GameTree,
                  tuple[GameTree, PreferenceProfile],
@@ -32,6 +34,9 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _outcome_set(obj: Any) -> OutcomeSet:
+    count = len(obj) if isinstance(obj, list) else obj
+    if isinstance(count, int) and count > MAX_OUTCOMES:
+        raise TooLargeError(f"outcome count above the cap of {MAX_OUTCOMES}")
     if isinstance(obj, int):
         return OutcomeSet(obj)
     if isinstance(obj, list):
@@ -269,6 +274,10 @@ def parse(text: str) -> Any:
         raise TooLargeError(
             "JSON nested deeper than the parser's limit of about "
             f"{sys.getrecursionlimit()} levels") from exc
+    except ValueError as exc:  # an integer literal too long to convert
+        raise TooLargeError(
+            "JSON number longer than the parser's limit of "
+            f"{sys.get_int_max_str_digits()} digits") from exc
 
 
 def loads(text: str) -> Loadable:

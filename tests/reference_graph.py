@@ -3,9 +3,10 @@ and the recursive form of Zielonka's algorithm, with no priority
 compression, plus a certificate that checks claimed winning regions and
 strategies without trusting any solver, the enumeration of positional
 strategies that the brute-force checks range over, plays and residual
-graphs walked over (vertex, state) pairs, the winner of a single play and
-the LAR memory bound, and the deviation outcomes of a residual graph found
-by one Tarjan run per colour (priority) or per colour subset (Muller)."""
+graphs walked over (vertex, state) pairs, the winner of a single play, the
+LAR product with its Muller winners and memory bound, and the deviation
+outcomes of a residual graph found by one Tarjan run per colour (priority)
+or per colour subset (Muller)."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import math
 from typing import Iterator
 
 import eqtransfer as et
+from eqtransfer import graph_games
 
 
 def all_positional_strategies(arena: et.Arena, player: int
@@ -68,6 +70,56 @@ def muller_memory_bound(arena: et.Arena) -> int:
     vertex."""
     c = len(arena.color_set())
     return math.factorial(c) * c
+
+
+def lar_product(arena: et.Arena, start: int
+                ) -> tuple[list[tuple[int, tuple[int, ...], int]],
+                           list[list[int]]]:
+    """The latest-appearance-record product reachable from ``start``: nodes
+    (vertex, colour order, hit) numbered breadth first, and their successor
+    lists.  Each visit moves the vertex's colour to the back of the order,
+    and the hit is the colour's old position, counted from 1."""
+    def visit(perm, v):
+        c = arena.colors[v]
+        j = perm.index(c)
+        return v, perm[:j] + perm[j + 1:] + (c,), j + 1
+
+    init = visit(tuple(sorted(arena.color_set())), start)
+    index = {init: 0}
+    nodes = [init]
+    succ: list[list[int]] = []
+    for v, perm, _ in nodes:  # grows while it is read
+        out = []
+        for w in arena.succ[v]:
+            node = visit(perm, w)
+            if node not in index:
+                index[node] = len(nodes)
+                nodes.append(node)
+            out.append(index[node])
+        succ.append(out)
+    return nodes, succ
+
+
+def lar_muller_winners(game: et.MultiOutcomeGraphGame, labels
+                       ) -> list[int]:
+    """Winner from the game's start for each label (player 1 wins the
+    outcomes in the mask), by the arena solver's Zielonka run (cross-checked
+    against ``recursive_regions`` in the tests) on one LAR product: a
+    node is coloured 2*hit, plus 1 when player 1 loses the set of colours
+    from the hit on.  The least hit seen infinitely often is the one whose
+    colours are exactly the play's cluster set."""
+    nodes, succ = lar_product(game.arena, game.start)
+    pred = graph_games._predecessors(succ)
+    owned = {i for i, (v, _, _) in enumerate(nodes) if game.arena.owner(v) == 1}
+    outcome = [game.outcome_map[frozenset(perm[hit - 1:])]
+               for _, perm, hit in nodes]
+    winners = []
+    for label in labels:
+        colors = [2 * hit + 1 - (label >> o & 1)
+                  for (_, _, hit), o in zip(nodes, outcome)]
+        w1 = graph_games._zielonka(succ, pred, owned, colors)[0]
+        winners.append(1 if 0 in w1 else 2)
+    return winners
 
 
 def residual_graph(game: et.MultiOutcomeGraphGame, fixed, deviator: int

@@ -1,7 +1,9 @@
 """Command-line interface: exit codes, text output, and JSON reports."""
 
+import io
 import json
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -427,6 +429,59 @@ class TestErrorPaths:
             capsys, tmp_path, "xz_yy.json",
             lambda doc: doc["v"].__setitem__(0, 10 ** 30))
         assert code == cli.EXIT_INPUT
+
+    def run_outcome_count(self, capsys, tmp_path, command, count):
+        """Exit code and stderr of ``command`` on a 2-leaf tree game with
+        ``count`` (a JSON literal) outcomes, after checking its JSON
+        report."""
+        doc = {"format": 1, "outcomes": None,
+               "tree": {"owner": "a", "children": [{"leaf": 0}, {"leaf": 1}]},
+               "preferences": [{"pairs": []}, {"pairs": []}]}
+        path = tmp_path / "outcomes.json"
+        path.write_text(json.dumps(doc).replace("null", count))
+        code, out, _ = run(capsys, "--json", command, str(path))
+        assert json.loads(out)["error"] == "TooLargeError"
+        code, _, err = run(capsys, command, str(path))
+        assert "Traceback" not in err
+        return code, err
+
+    @pytest.mark.parametrize("count", ["1000000", "1" + "0" * 30])
+    def test_solve_huge_outcome_count(self, capsys, tmp_path, count):
+        """Once a MemoryError while building the outcome masks of ``solve``."""
+        code, err = self.run_outcome_count(capsys, tmp_path, "solve", count)
+        assert code == cli.EXIT_INPUT
+        assert f"above the cap of {jsonio.MAX_OUTCOMES}" in err
+
+    @pytest.mark.parametrize("count", ["1000000", "1" + "0" * 30])
+    def test_transfer_huge_outcome_count(self, capsys, tmp_path, count):
+        """Once an OverflowError in the preference check (10**30), or one
+        probe per outcome without bound (10**6)."""
+        code, err = self.run_outcome_count(capsys, tmp_path, "transfer", count)
+        assert code == cli.EXIT_INPUT
+        assert f"above the cap of {jsonio.MAX_OUTCOMES}" in err
+
+    def test_integer_literal_too_long(self, capsys, tmp_path):
+        code, err = self.run_outcome_count(capsys, tmp_path, "transfer",
+                                           "1" + "0" * 5000)
+        assert code == cli.EXIT_INPUT
+        assert "JSON number longer than the parser's limit" in err
+
+    @pytest.mark.parametrize("argv, err", [
+        (["solve", fixture_path("intro_payoff_tree.json")], ""),
+        (["--json", "transfer", "/nonexistent/game.json"],
+         "error: cannot read /nonexistent/game.json"),
+    ])
+    def test_closed_stdout_exits_quietly(self, capsys, monkeypatch, argv, err):
+        """A reader that stops early (``| head``) ends the run with exit 1,
+        a report or an error report alike, and no traceback."""
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert cli.main(argv) == cli.EXIT_FAIL
+        lines = capsys.readouterr().err.splitlines()
+        assert [line[:len(err)] for line in lines] == ([err] if err else [])
 
     def test_bad_subcommand(self, capsys):
         code, _, _ = run(capsys, "frobnicate")

@@ -1,5 +1,6 @@
 """Arenas, parity and Muller solving, and multi-outcome graph equilibria."""
 
+import dataclasses
 import itertools
 import random
 import sys
@@ -10,7 +11,8 @@ import eqtransfer as et
 from eqtransfer import graph_games
 from conftest import (memory_machine, random_acyclic_preference, random_arena,
                       random_memory_machine)
-from reference_graph import (all_positional_strategies, muller_memory_bound,
+from reference_graph import (all_positional_strategies, lar_muller_winners,
+                             lar_product, muller_memory_bound,
                              muller_winner_of_play, parity_winner_of_play,
                              recursive_regions, reference_deviation_outcomes,
                              reference_play, region_certificate)
@@ -220,6 +222,8 @@ class TestOracles:
                 assert same_strategy(answer.handle, strategy)
 
     def test_lar_product_built_once_per_oracle(self, rng, monkeypatch):
+        """Winner queries run on the arena; the LAR product is built on the
+        first strategy query and kept."""
         game = random_muller_game(rng)
         calls = {"_lar_product": 0, "_predecessors": 0}
         for name in calls:
@@ -231,12 +235,41 @@ class TestOracles:
 
             monkeypatch.setattr(graph_games, name, counting)
         oracle = et.MullerOracle(game)
-        for label in range(1 << game.outcomes.size):
+        labels = range(1 << game.outcomes.size)
+        for label in labels:
+            oracle.winner(label)
+        assert calls == {"_lar_product": 0, "_predecessors": 0}
+        oracle.strategy(0)
+        assert calls == {"_lar_product": 1, "_predecessors": 1}
+        for label in labels:
             oracle.winner(label)
             oracle.strategy(label)
         assert calls == {"_lar_product": 1, "_predecessors": 1}
         et.multi_outcome_ne(game)
         assert calls == {"_lar_product": 2, "_predecessors": 2}
+
+
+class TestMullerWinner:
+    """McNaughton's algorithm on the arena against Zielonka's algorithm on
+    the LAR product (``lar_muller_winners``), on every label."""
+
+    @staticmethod
+    def check(game):
+        oracle = et.MullerOracle(game)
+        labels = range(1 << game.outcomes.size)
+        assert ([oracle.winner(label) for label in labels]
+                == lar_muller_winners(game, labels))
+
+    def test_random_games_from_every_start(self, rng):
+        for _ in range(300):
+            game = random_muller_game(rng, max_vertices=6, max_color=4)
+            for start in range(game.arena.num_vertices):
+                self.check(dataclasses.replace(game, start=start))
+
+    @pytest.mark.parametrize("n_vertices, n_colors", [(20, 6), (40, 5)])
+    def test_benchmark_sized_games(self, rng, n_vertices, n_colors):
+        for _ in range(2):
+            self.check(sized_game(rng, "muller", n_vertices, n_colors))
 
 
 class TestOutcomeMaps:
@@ -274,26 +307,6 @@ class TestStartVertex:
                 outcome_map={0: 0, 1: 0})
 
 
-def lar_product_size(arena, start):
-    """Number of (vertex, colour order, hit) nodes reachable from ``start``:
-    each visit moves the vertex's colour to the back of the order, and the
-    hit is the colour's old position, counted from 1."""
-    def visit(perm, v):
-        c = arena.colors[v]
-        return (v, tuple(x for x in perm if x != c) + (c,), perm.index(c) + 1)
-
-    seen = {visit(tuple(sorted(arena.color_set())), start)}
-    todo = list(seen)
-    while todo:
-        v, perm, _ = todo.pop()
-        for w in arena.succ[v]:
-            node = visit(perm, w)
-            if node not in seen:
-                seen.add(node)
-                todo.append(node)
-    return len(seen)
-
-
 class TestMuller:
     def test_memory_bound(self):
         a = et.Arena(2, [0], [(0, 1), (1, 0)], [0, 1])
@@ -304,7 +317,7 @@ class TestMuller:
             arena = random_arena(rng, 5, max_color=3)
             start = rng.randrange(arena.num_vertices)
             _, machine = et.solve_muller(arena, start, [arena.color_set()])
-            assert machine.num_states <= lar_product_size(arena, start)
+            assert machine.num_states <= len(lar_product(arena, start)[0])
 
     def test_start_without_entry_state_rejected(self):
         a = et.Arena(2, [0], [(0, 1), (1, 0), (0, 0)], [1, 2])

@@ -86,6 +86,15 @@ class TestErrors:
         with pytest.raises(et.SchemaError, match="outcomes"):
             jsonio._outcome_set({"bogus": True})
 
+    def test_outcome_cap_is_inclusive(self):
+        cap = jsonio.MAX_OUTCOMES
+        assert jsonio._outcome_set(cap).size == cap
+        labels = [str(o) for o in range(cap + 1)]
+        assert jsonio._outcome_set(labels[:cap]).size == cap
+        for above in (cap + 1, labels):
+            with pytest.raises(et.TooLargeError, match=f"cap of {cap}"):
+                jsonio._outcome_set(above)
+
     def test_arena_missing_field(self):
         obj = json.loads((FIXTURES / "arena_small.json").read_text())
         del obj["edges"]
