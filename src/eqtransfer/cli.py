@@ -190,9 +190,8 @@ def _cmd_solve_arena(args) -> int:
         detail = f"positional strategy: {dict(sorted(_moves(strat).items()))}"
     else:
         win_sets = doc.get("win_sets")
-        if not (isinstance(win_sets, list) and all(
-                isinstance(s, list) and all(isinstance(c, int) for c in s)
-                for s in win_sets)):
+        if not (isinstance(win_sets, list)
+                and all(map(jsonio.int_list, win_sets))):
             raise SchemaError("solve-muller needs win_sets, a list of colour "
                               "lists, in the input")
         winner, strat = solve_muller(value, start, win_sets)

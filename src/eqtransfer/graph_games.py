@@ -1,9 +1,11 @@
 """Arenas, parity and Muller solvers, and multi-outcome graph-game equilibria.
 
 Player 1 wins a parity play iff the minimum colour occurring infinitely
-often is even.  Muller winners come from McNaughton's algorithm on the
-arena, Muller strategies from a latest-appearance-record (LAR) reduction
-to parity, which yields explicit finite-memory machines.
+often is even; it is solved by Zielonka's algorithm after the self-cycle
+rule, and an arena oracle keeps each label's solve for its strategy query.
+Muller winners come from McNaughton's algorithm on the arena, Muller
+strategies from a latest-appearance-record (LAR) reduction to parity,
+which yields explicit finite-memory machines.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import BadIndexError, NotDeterminedError, UnboundedHeightError
-from .prefs import OutcomeSet, PreferenceProfile, height
+from .prefs import OutcomeSet, PreferenceProfile, height, is_int
 from .transfer import CallCounter, GameBackend, OracleStrategy, equilibrium
 
 
@@ -224,13 +226,32 @@ def _compress(colors) -> list[int]:
 def _zielonka(succ, pred, owned, colors):
     """Winning regions and partial positional strategies of both players.
 
-    Each frame of the explicit stack is one call of the recursive algorithm.
+    First the self-cycle rule (Friedmann & Lange 2009): a self-loop bad for
+    its owner is cut where its vertex has another edge; player 1's
+    attractor to its vertices with a good self-loop, then player 2's in the
+    rest, are won, and each player can leave the rest only into a loss.
+    On the rest, each frame of the explicit stack is one call of Zielonka's.
     The frames share ``region``: a frame removes an attractor from it before
     its child runs and puts it back when the child returns, so memory stays
     linear in the arena however deep the recursion goes.
     """
     colors = _compress(colors)
+    succ = list(succ)  # per solve, bad self-loops cut; pred keeps them, as
+    # an attractor reaches v in pred[v] only after v has joined it
+    good: list[set[int]] = [set(), set()]  # self-loops good for player i+1
+    for v in [v for v, out in enumerate(succ) if v in out]:
+        i = int(v not in owned)
+        if colors[v] % 2 == i:
+            good[i].add(v)
+        elif len(succ[v]) > 1:
+            succ[v] = [w for w in succ[v] if w != v]
     region = set(range(len(succ)))
+    won = [set(), set(), {}, {}]  # regions and moves settled by good loops
+    for i, loops in enumerate(good, 1):
+        loops &= region
+        attr, moves = _attractor(succ, pred, owned, region, loops, i)
+        won[i - 1], won[i + 1] = attr, {**moves, **dict(zip(loops, loops))}
+        region -= attr
     # [player, attractor, its moves, opponent's attractor, opponent's moves]
     frames: list[list] = []
     result = None
@@ -249,7 +270,7 @@ def _zielonka(succ, pred, owned, colors):
                 continue
             result = (set(), set(), {}, {})
         if not frames:
-            return result
+            return tuple(r | w for r, w in zip(result, won))
         i, attr, astrat, battr, so = frames[-1]
         w1, w2, s1, s2 = result
         if battr is None:
@@ -388,7 +409,7 @@ class MultiOutcomeGraphGame:
         self._outcome_of = outcome_of
         n = self.outcomes.size
         for o in mapped.values():
-            if not isinstance(o, int) or not 0 <= o < n:
+            if not is_int(o) or not 0 <= o < n:
                 raise ValueError(f"mapped outcome {o!r} is not an outcome "
                                  f"index 0..{n - 1}")
 
@@ -407,21 +428,25 @@ class _ArenaOracle(GameBackend):
     use, is the state graph they solve on, with each state's rank and
     outcome: a label colours state s ``2*rank[s]`` when it grants player 1
     the state's outcome and ``2*rank[s]+1`` otherwise, and solves the
-    parity game on the graph."""
+    parity game on the graph.  ``_solved`` keeps each label's solve while
+    the oracle lives, so a strategy query on a probed label costs no solve."""
 
     def __init__(self, game: MultiOutcomeGraphGame):
         if game.kind != self.kind:
             raise ValueError(f"{self.kind} oracle needs a {self.kind} game")
         self.game = game
+        self._solved: dict[int, tuple[int, dict[int, int]]] = {}
 
     @property
     def n_outcomes(self) -> int:
         return self.game.outcomes.size
 
     def _solve(self, label: int) -> tuple[int, dict[int, int]]:
-        graph, ranked = self._product
-        colors = [2 * r + 1 - (label >> o & 1) for r, o in ranked]
-        return _solve_graph(graph, colors, self.game.start)
+        if label not in self._solved:
+            graph, ranked = self._product
+            colors = [2 * r + 1 - (label >> o & 1) for r, o in ranked]
+            self._solved[label] = _solve_graph(graph, colors, self.game.start)
+        return self._solved[label]
 
     def winner(self, label: int) -> int:
         return self._solve(label)[0]

@@ -18,7 +18,7 @@ from .errors import SchemaError, TooLargeError
 from .extensive import GameTree, Leaf, Node
 from .graph_games import Arena, MultiOutcomeGraphGame
 from .normal_form import GameStructure, NormalFormGame
-from .prefs import OutcomeSet, Preference, PreferenceProfile
+from .prefs import OutcomeSet, Preference, PreferenceProfile, is_int
 
 FORMAT = 1
 MAX_OUTCOMES = 4096
@@ -33,11 +33,16 @@ def _require(cond: bool, message: str) -> None:
         raise SchemaError(message)
 
 
+def int_list(obj: Any) -> bool:
+    """A list whose every item passes ``is_int``."""
+    return isinstance(obj, list) and set(map(type, obj)) <= {int}
+
+
 def _outcome_set(obj: Any) -> OutcomeSet:
     count = len(obj) if isinstance(obj, list) else obj
-    if isinstance(count, int) and count > MAX_OUTCOMES:
+    if is_int(count) and count > MAX_OUTCOMES:
         raise TooLargeError(f"outcome count above the cap of {MAX_OUTCOMES}")
-    if isinstance(obj, int):
+    if is_int(obj):
         return OutcomeSet(obj)
     if isinstance(obj, list):
         _require(all(isinstance(s, str) for s in obj),
@@ -55,8 +60,7 @@ def _preference_from_obj(obj: Any, outs: OutcomeSet) -> Preference:
     pairs = obj.get("pairs")
     _require(isinstance(pairs, list), "preference needs a pairs list")
     for pair in pairs:
-        _require(isinstance(pair, list) and len(pair) == 2
-                 and all(isinstance(x, int) for x in pair),
+        _require(int_list(pair) and len(pair) == 2,
                  f"preference pair must be [x, y], got {pair!r}")
     return Preference(outs, frozenset((x, y) for x, y in pairs))
 
@@ -73,16 +77,14 @@ def _profile_from_obj(obj: Any, outcomes: OutcomeSet) -> PreferenceProfile:
 
 def _game_from_obj(obj: dict) -> Union[GameStructure, NormalFormGame]:
     strategies = obj.get("strategies")
-    _require(isinstance(strategies, list) and strategies
-             and all(isinstance(c, int) for c in strategies),
+    _require(int_list(strategies) and strategies,
              "strategies must be a non-empty list of counts")
     players = obj.get("players", len(strategies))
-    _require(players == len(strategies),
+    _require(is_int(players) and players == len(strategies),
              "players must match the strategy-count list length")
     outs = _outcome_set(obj.get("outcomes"))
     v = obj.get("v")
-    _require(isinstance(v, list) and all(isinstance(x, int) for x in v),
-             "v must be a flat list of outcome indices")
+    _require(int_list(v), "v must be a flat list of outcome indices")
     expected = 1
     for c in strategies:
         expected *= c
@@ -121,8 +123,7 @@ def _tree_node_from_obj(obj: Any) -> Union[Node, Leaf]:
         _require(isinstance(node, dict), "tree node must be an object")
         order.append(node)
         if "leaf" in node:
-            _require(isinstance(node["leaf"], int),
-                     "leaf must hold an outcome index")
+            _require(is_int(node["leaf"]), "leaf must hold an outcome index")
             continue
         owner = node.get("owner")
         _require(isinstance(owner, str) and owner in _OWNER_NAMES,
@@ -174,10 +175,17 @@ def tree_to_obj(tree: GameTree,
 def _arena_from_obj(obj: dict) -> Union[Arena, MultiOutcomeGraphGame]:
     for key in ("vertices", "owned", "edges", "colors", "start"):
         _require(key in obj, f"arena needs a {key!r} field")
-    arena = Arena(obj["vertices"], obj["owned"],
-                  [tuple(e) for e in obj["edges"]], obj["colors"])
+    edges = obj["edges"]
+    _require(is_int(obj["vertices"]), "vertices must be a count")
+    _require(isinstance(edges, list) and set(map(type, edges)) <= {list}
+             and set(map(len, edges)) <= {2}
+             and int_list([x for e in edges for x in e]),
+             "edges must be a list of [u, v] vertex pairs")
+    for key in ("owned", "colors"):
+        _require(int_list(obj[key]), f"{key} must be a list of integers")
+    arena = Arena(obj["vertices"], obj["owned"], edges, obj["colors"])
     start = obj["start"]
-    _require(isinstance(start, int) and 0 <= start < arena.num_vertices,
+    _require(is_int(start) and 0 <= start < arena.num_vertices,
              f"start vertex {start!r} out of range")
     if "kind" not in obj:
         return arena
@@ -194,9 +202,7 @@ def _arena_from_obj(obj: dict) -> Union[Arena, MultiOutcomeGraphGame]:
     for entry in r:
         key = entry[0] if isinstance(entry, list) and len(entry) == 2 else None
         colors = [key] if priority else key
-        _require(isinstance(colors, list)
-                 and all(isinstance(c, int) for c in colors),
-                 f"{shape}, got {entry!r}")
+        _require(int_list(colors), f"{shape}, got {entry!r}")
         key = key if priority else frozenset(key)
         _require(key not in outcome_map,
                  f"r maps colour{'' if priority else ' set'} {entry[0]!r} "
@@ -233,7 +239,7 @@ def arena_to_obj(obj: Union[Arena, MultiOutcomeGraphGame],
 
 def from_obj(obj: Any) -> Loadable:
     _require(isinstance(obj, dict), "top-level JSON value must be an object")
-    _require(obj.get("format") == FORMAT,
+    _require(is_int(obj.get("format")) and obj["format"] == FORMAT,
              f"unsupported format {obj.get('format')!r}, expected {FORMAT}")
     try:
         if "tree" in obj:

@@ -14,6 +14,11 @@ from typing import Iterable, Optional, Sequence
 from .errors import CyclicPreferenceError
 
 
+def is_int(x) -> bool:
+    """An int and not a bool, which JSON's true and false decode to."""
+    return type(x) is int
+
+
 @dataclass(frozen=True)
 class OutcomeSet:
     """A finite, non-empty set of outcomes, indexed 0..size-1."""

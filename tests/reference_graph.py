@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from typing import Iterator
 
 import eqtransfer as et
@@ -146,6 +147,27 @@ def residual_graph(game: et.MultiOutcomeGraphGame, fixed, deviator: int
             out.append(index[nxt])
         succ.append(out)
     return nodes, succ
+
+
+def shuffled_chain_arena(n: int, rng: random.Random) -> et.Arena:
+    """A cycle plus self-loops with the colours 0..n-1 shuffled and random
+    owners: Zielonka's worst case without the self-cycle rule."""
+    edges = [(u, (u + 1) % n) for u in range(n)] + [(u, u) for u in range(n)]
+    colors = list(range(n))
+    rng.shuffle(colors)
+    return et.Arena(n, [u for u in range(n) if rng.random() < 0.5], edges,
+                    colors)
+
+
+def two_cycle_chain_arena(n: int, rng: random.Random) -> et.Arena:
+    """The shuffled chain with each self-loop at u replaced by a 2-cycle
+    through a private vertex n+u that has u's owner and the colour n, above
+    every real colour; no self-loop is left for the self-cycle rule."""
+    chain = shuffled_chain_arena(n, rng)
+    edges = [e for e in chain.edges if e[0] != e[1]]
+    edges += [e for u in range(n) for e in ((u, n + u), (n + u, u))]
+    return et.Arena(2 * n, chain.owned | {n + u for u in chain.owned}, edges,
+                    chain.colors + (n,) * n)
 
 
 def fixed_point_attractor(succ, owned, region: set[int], target: set[int],

@@ -430,6 +430,46 @@ class TestErrorPaths:
             lambda doc: doc["v"].__setitem__(0, 10 ** 30))
         assert code == cli.EXIT_INPUT
 
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("fixture, command, where, message", [
+        ("arena_small.json", "solve-parity", ["start"], "start vertex"),
+        ("arena_small.json", "solve-parity", ["vertices"], "vertices"),
+        ("arena_small.json", "solve-parity", ["owned", 0], "owned"),
+        ("arena_small.json", "solve-parity", ["colors", 1], "colors"),
+        ("arena_small.json", "solve-parity", ["edges", 0, 1], "edges"),
+        ("arena_small.json", "solve-parity", ["format"], "format"),
+        ("arena_small.json", "solve-muller", ["win_sets", 0, 0], "win_sets"),
+        ("priority_game.json", "transfer", ["r", 1, 0], "r entry"),
+        ("priority_game.json", "transfer", ["r", 1, 1], "mapped outcome"),
+        ("muller_game.json", "transfer", ["r", 1, 0, 0], "r entry"),
+        ("muller_game.json", "transfer", ["r", 1, 1], "mapped outcome"),
+        ("priority_game.json", "transfer",
+         ["preferences", 0, "pairs", 0, 1], "preference pair"),
+        ("xz_yy.json", "check-determinacy", ["v", 2], "v must be"),
+        ("xz_yy.json", "check-determinacy", ["strategies", 0], "strategies"),
+        ("intro_payoff_tree.json", "transfer", ["tree", "children", 1, "leaf"],
+         "leaf"),
+        ("intro_payoff_tree.json", "transfer", ["outcomes"], "outcomes"),
+    ])
+    def test_boolean_is_not_an_integer(self, capsys, tmp_path, fixture,
+                                       command, where, message, value):
+        """JSON true and false are refused wherever an integer belongs,
+        with a SchemaError that names the field."""
+        doc = json.loads(Path(fixture_path(fixture)).read_text())
+        inner = doc
+        for key in where[:-1]:
+            inner = inner[key]
+        inner[where[-1]] = value
+        path = tmp_path / fixture
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "--json", command, str(path))
+        assert (code, json.loads(out)["error"]) == (cli.EXIT_INPUT,
+                                                     "SchemaError")
+        code, _, err = run(capsys, command, str(path))
+        assert code == cli.EXIT_INPUT
+        assert message in err
+        assert "Traceback" not in err
+
     def run_outcome_count(self, capsys, tmp_path, command, count):
         """Exit code and stderr of ``command`` on a 2-leaf tree game with
         ``count`` (a JSON literal) outcomes, after checking its JSON

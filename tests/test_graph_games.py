@@ -15,7 +15,8 @@ from reference_graph import (all_positional_strategies, lar_muller_winners,
                              lar_product, muller_memory_bound,
                              muller_winner_of_play, parity_winner_of_play,
                              recursive_regions, reference_deviation_outcomes,
-                             reference_play, region_certificate)
+                             reference_play, region_certificate,
+                             shuffled_chain_arena, two_cycle_chain_arena)
 
 
 def one_state_per_vertex(strategy):
@@ -181,6 +182,33 @@ class TestParityCrossCheck:
             sys.setrecursionlimit(limit)
         assert certify(arena, regions) == []
 
+    def test_chains_match_recursive_reference(self):
+        """Shuffled self-loop chains, where the self-cycle rule settles
+        most vertices, and two-cycle chains, where it never fires."""
+        rng = random.Random(4243)
+        arenas = [shuffled_chain_arena(rng.randint(2, 80), rng)
+                  for _ in range(100)]
+        arenas += [two_cycle_chain_arena(rng.randint(1, 15), rng)
+                   for _ in range(20)]
+        for arena in arenas:
+            regions = et.parity_regions(arena)
+            reference = recursive_regions(arena.succ, arena.owned, arena.colors)
+            assert regions[:2] == reference[:2]
+            assert certify(arena, regions) == []
+            assert certify(arena, reference) == []
+
+    @pytest.mark.parametrize("arena", [
+        shuffled_chain_arena(5000, random.Random(5000)), chain_arena(1000)],
+        ids=["shuffled-5000", "sorted-1000"])
+    def test_large_chains_are_certified(self, arena):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(150)
+        try:
+            regions = et.parity_regions(arena)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert certify(arena, regions) == []
+
 
 def same_strategy(a, b):
     """Equal strategy graphs: states, edges, moves and entry states."""
@@ -247,6 +275,41 @@ class TestOracles:
         assert calls == {"_lar_product": 1, "_predecessors": 1}
         et.multi_outcome_ne(game)
         assert calls == {"_lar_product": 2, "_predecessors": 2}
+
+    def test_strategy_queries_reuse_probe_solves(self, rng, monkeypatch):
+        """A transfer solves each distinct label once: both strategy labels
+        were probed, except a full mask that no probe accepted, and the
+        strategies equal fresh solves of their labels."""
+        solves, queried = [0], {"winner": [], "strategy": []}
+        real_solve = graph_games._solve_graph
+
+        def counting_solve(*args):
+            solves[0] += 1
+            return real_solve(*args)
+
+        monkeypatch.setattr(graph_games, "_solve_graph", counting_solve)
+        for name in queried:
+            real = getattr(et.PriorityOracle, name)
+
+            def recording(oracle, label, name=name, real=real):
+                queried[name].append(label)
+                return real(oracle, label)
+
+            monkeypatch.setattr(et.PriorityOracle, name, recording)
+        for _ in range(40):
+            game = random_priority_game(rng, max_vertices=10, max_outcomes=6)
+            solves[0] = 0
+            for labels in queried.values():
+                labels.clear()
+            eq = et.multi_outcome_ne(game)
+            full = (1 << game.outcomes.size) - 1
+            probed, labels = set(queried["winner"]), list(queried["strategy"])
+            assert len(probed) <= game.outcomes.size
+            assert set(labels) <= probed | {full}
+            assert solves[0] == len(probed | set(labels))
+            fresh = et.PriorityOracle(game)
+            for label, machine in zip(labels, (eq.strategy_1, eq.strategy_2)):
+                assert same_strategy(fresh.strategy(label).handle, machine)
 
 
 class TestMullerWinner:
