@@ -2,15 +2,16 @@
 
 Player 1 wins a parity play iff the minimum colour occurring infinitely
 often is even; it is solved by Zielonka's algorithm after the self-cycle
-rule, and an arena oracle keeps each label's solve for its strategy query.
-Muller winners come from McNaughton's algorithm on the arena, Muller
-strategies from a latest-appearance-record (LAR) reduction to parity,
-which yields explicit finite-memory machines.
+rule.  Muller winners and finite-memory strategies both come from one run
+of McNaughton's recursion on the arena; there is no latest-appearance-
+record product.  An arena oracle keeps each label's solve for its
+strategy query.
 """
 
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -29,10 +30,11 @@ class Arena:
 
     def __init__(self, num_vertices: int, owned: Iterable[int],
                  edges: Iterable[tuple[int, int]], colors: Iterable[int]):
-        self.num_vertices = int(num_vertices)
-        self.owned = frozenset(int(v) for v in owned)
-        self.edges = tuple((int(u), int(v)) for u, v in edges)
-        self.colors = tuple(int(c) for c in colors)
+        (self.num_vertices,) = _ints([num_vertices], "vertex count")
+        self.owned = frozenset(_ints(owned, "owned"))
+        ends = _ints([w for u, v in edges for w in (u, v)], "edges")
+        self.edges = tuple(zip(ends[::2], ends[1::2]))
+        self.colors = tuple(_ints(colors, "colors"))
         if self.num_vertices < 1:
             raise ValueError("arena needs at least one vertex")
         if len(self.colors) != self.num_vertices:
@@ -65,8 +67,10 @@ class FiniteMemoryStrategy:
     State ``s`` sits at arena vertex ``vertex[s]``, and ``succ[s][k]`` is the
     state reached along the k-th edge of ``arena.succ[vertex[s]]``, in the
     same order.  At the states of the player's vertices ``move[s]`` is the
-    k taken; it is -1 elsewhere.  A play from vertex v begins in state
-    ``entry[v]``.  The strategy is positional iff no vertex has two states.
+    k taken, and it is -1 elsewhere.  At the player's own states only
+    ``move[s]`` is followed, and the other edges lead to some state at
+    their vertex.  A play from vertex v begins in state ``entry[v]``.  The
+    strategy is positional iff no vertex has two states.
     """
 
     player: int
@@ -85,7 +89,16 @@ class FiniteMemoryStrategy:
         """One state per vertex: the arena's own successor lists, with
         ``moves`` naming the successor taken at each vertex of the player;
         a vertex it leaves out takes its first edge."""
-        return _machine(_arena_graph(arena), player, moves)
+        move = [-1] * arena.num_vertices
+        for v, out in enumerate(arena.succ):
+            if (v in arena.owned) == (player == 1):
+                w = moves.get(v, out[0])
+                if w not in out:
+                    raise ValueError(f"strategy moves along a non-edge "
+                                     f"({v}, {w})")
+                move[v] = out.index(w)
+        states = range(arena.num_vertices)
+        return FiniteMemoryStrategy(player, states, arena.succ, move, states)
 
 
 @dataclass(frozen=True)
@@ -131,6 +144,18 @@ def _entry(strategy: FiniteMemoryStrategy, start: int) -> int:
                          f"state at vertex {start}") from None
 
 
+def _ints(values, field: str) -> list[int]:
+    """The values as ints: bools, floats and strings are refused rather
+    than truncated, and numpy integers pass."""
+    values = list(values)
+    if set(map(type, values)) - {int}:
+        for x in values:
+            if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+                raise ValueError(f"arena {field}: {x!r} is not an integer")
+        values = [int(x) for x in values]
+    return values
+
+
 def _predecessors(succ) -> tuple[tuple[int, ...], ...]:
     pred: list[list[int]] = [[] for _ in succ]
     for u, out in enumerate(succ):
@@ -145,38 +170,12 @@ def _check_start(arena: Arena, start: int) -> None:
                             f"0..{arena.num_vertices - 1}")
 
 
-# ---------------------------------------------------------------------------
-# State graphs: ``(vertex, succ, pred, owned, entry)``, the shape of a
-# ``FiniteMemoryStrategy`` without its moves.  Parity games and Muller
-# strategies are both solved on one: the arena itself, or the LAR product.
-
-def _arena_graph(arena: Arena):
-    """The arena as its own state graph, one state per vertex."""
-    states = range(arena.num_vertices)
-    return states, arena.succ, arena.pred, arena.owned, states
-
-
-def _solve_graph(graph, colors, start: int) -> tuple[int, dict[int, int]]:
-    """Parity game on the state graph coloured per state: the winner of the
-    play from vertex ``start`` and their partial moves on the states."""
-    _, succ, pred, owned, entry = graph
-    w1, _, s1, s2 = _zielonka(succ, pred, owned, colors)
-    return (1, s1) if entry[start] in w1 else (2, s2)
-
-
-def _machine(graph, player: int, moves: Mapping[int, int]
-             ) -> FiniteMemoryStrategy:
-    """The state graph with the player's moves as their strategy; a state
-    of theirs that ``moves`` leaves out takes its first edge."""
-    vertex, succ, _, owned, entry = graph
-    move = [-1] * len(succ)
-    for s, out in enumerate(succ):
-        if (s in owned) == (player == 1):
-            w = moves.get(s, out[0])
-            if w not in out:
-                raise ValueError(f"strategy moves along a non-edge ({s}, {w})")
-            move[s] = out.index(w)
-    return FiniteMemoryStrategy(player, vertex, succ, move, entry)
+def _solve_graph(arena: Arena, colors, start: int
+                 ) -> tuple[int, dict[int, int]]:
+    """Parity game on the arena coloured ``colors``: the winner of the play
+    from ``start`` and their partial positional moves."""
+    w1, _, s1, s2 = _zielonka(arena.succ, arena.pred, arena.owned, colors)
+    return (1, s1) if start in w1 else (2, s2)
 
 
 # ---------------------------------------------------------------------------
@@ -303,60 +302,163 @@ def parity_regions(arena: Arena) -> tuple[set[int], set[int],
 def solve_parity(arena: Arena, start: int) -> tuple[int, FiniteMemoryStrategy]:
     """Winner from ``start`` plus a positional winning strategy for them."""
     _check_start(arena, start)
-    graph = _arena_graph(arena)
-    winner, moves = _solve_graph(graph, arena.colors, start)
-    return winner, _machine(graph, winner, moves)
+    winner, moves = _solve_graph(arena, arena.colors, start)
+    return winner, FiniteMemoryStrategy.positional(arena, winner, moves)
 
 
 # ---------------------------------------------------------------------------
-# Muller: latest-appearance-record reduction to parity.
+# Muller: McNaughton's recursion on the arena, each player's winning region
+# cut into pieces that carry a finite-memory strategy.
 
-def _lar_update(perm: tuple[int, ...], color: int) -> tuple[tuple[int, ...], int]:
-    """Move the colour to the back; the hit is its old 1-based position."""
-    j = perm.index(color)
-    return perm[:j] + perm[j + 1:] + (color,), j + 1
+def _mcnaughton(arena: Arena, vbits, wins, start: int):
+    """McNaughton's algorithm as Zielonka (1998) states it, on what
+    ``start`` reaches (``vbits[v]`` is v's colour bit; ``wins(K)`` is 1 iff
+    player 1 wins cluster set K).  Returns the winner and each player's
+    region as ordered pieces ``(piece, moves, core, children)``, ``moves``
+    attracting to the core.  Where player i wins the colours K of a
+    subgame, each child D is a maximal subset of K the opponent wins, and G
+    the subgame without i's attractor (``moves``) to the colours outside
+    D.  If the opponent wins some X in G, their attractor to X is their
+    piece, with core X and child ``(-1, {}, X, their pieces in G)``, and
+    the rest is solved again; else i wins it all, with children ``(D,
+    moves, G, i's pieces in G)``.  An opponent leaves a piece only into an
+    earlier piece of the player."""
+    succ, pred, owned = arena.succ, arena.pred, arena.owned
+
+    @functools.cache
+    def split(k: int) -> tuple[int, list[int]]:
+        won = wins(k)
+        children: list[int] = []
+        for d in sorted(range(k - 1, 0, -1), key=int.bit_count,
+                        reverse=True):
+            if (d & k == d and wins(d) != won
+                    and all(d & ~e for e in children)):
+                children.append(d)
+        return 2 - won, children
+
+    def solve(region: set[int]) -> tuple[list, list]:
+        pieces: tuple[list, list] = ([], [])
+        while region:
+            # distinct bits: the sum is their OR
+            i, children = split(sum({vbits[v] for v in region}))
+            counter = []
+            for d in children:
+                attr, moves = _attractor(succ, pred, owned, region, {
+                    v for v in region if vbits[v] & ~d}, i)
+                sub = solve(g := region - attr)
+                lost = set().union(*(p[0] for p in sub[2 - i]))
+                if lost:
+                    piece, moves = _attractor(succ, pred, owned, region,
+                                              lost, 3 - i)
+                    pieces[2 - i].append(
+                        (piece, moves, lost, [(-1, {}, lost, sub[2 - i])]))
+                    region = region - piece
+                    break
+                counter.append((d, moves, g, sub[i - 1]))
+            else:
+                pieces[i - 1].append((region, {}, region, counter))
+                break
+        return pieces
+
+    pieces = solve(set(_reachable(succ, start)))
+    return 1 if any(start in p[0] for p in pieces[0]) else 2, pieces
 
 
-def _lar_product(arena: Arena, start: int):
-    """Reachable LAR product as a state graph: nodes ``(vertex, (perm,
-    hit))`` numbered breadth first from 0, successor lists in the order of
-    ``arena.succ``, and entry ``{start: 0}``; plus each node's hit, and an
-    iterator over the colour sets of the records from the hit on, made one
-    at a time because callers keep only what each maps to.  It does not
-    depend on the win sets."""
-    base = tuple(sorted(arena.color_set()))
-    init = (start, _lar_update(base, arena.colors[start]))
-    index = {init: 0}
-    nodes = [init]
-    succ: list[list[int]] = []
-    for v, (perm, _) in nodes:  # grows while it is read
-        out = []
-        for w in arena.succ[v]:
-            node = (w, _lar_update(perm, arena.colors[w]))
-            if node not in index:
-                index[node] = len(nodes)
+def _muller_machine(arena: Arena, vbits, start: int, player: int,
+                    pieces) -> FiniteMemoryStrategy:
+    """The player's strategy on their ``_mcnaughton`` pieces.  Its memory
+    is the piece and, in the core, a counter j over the children that moves
+    on when play enters a colour outside D_j.  In G_j the child's pieces
+    play, with memory from when play entered G_j; elsewhere the child's
+    moves attract to those colours, or any edge that stays in the core
+    does.  Moving to another, earlier, piece resets the memory.  States are
+    the (vertex, memory) pairs reached along the opponent's edges and the
+    chosen ones, merged where their futures agree (Moore's refinement);
+    the player's other edges lead to the first state at their vertex, or
+    to a memoryless one made for it."""
+    succ = arena.succ
+    mine = arena.owned if player == 1 else frozenset(
+        range(arena.num_vertices)) - arena.owned
+
+    def enter(pieces, v, mem=None):
+        """Memory on entering v, after ``mem`` in the same pieces."""
+        k, cm = mem or (None, None)
+        if k is None or v not in pieces[k][0]:
+            k, cm = next(k for k, p in enumerate(pieces) if v in p[0]), None
+        _, _, core, children = pieces[k]
+        if v not in core or not children:
+            return k, None if v not in core else ()
+        j, sm = cm or (0, None)
+        if cm and vbits[v] & ~children[j][0]:
+            j, sm = (j + 1) % len(children), None
+        g, sub = children[j][2:]
+        return k, (j, enter(sub, v, sm) if v in g else None)
+
+    def choose(pieces, mem, v):
+        k, cm = mem
+        _, moves, core, children = pieces[k]
+        if cm:
+            _, moves, _, sub = children[cm[0]]
+            if cm[1] is not None:
+                return choose(sub, cm[1], v)
+        return moves[v] if v in moves else next(w for w in succ[v]
+                                                if w in core)
+
+    index = {(start, enter(pieces, start)): 0}
+    nodes = list(index)
+    out, move = [], []
+    for v, mem in nodes:  # grows while it is read
+        edges = [None] * len(succ[v])
+        k = succ[v].index(choose(pieces, mem, v)) if v in mine else -1
+        for e in (k,) if k >= 0 else range(len(edges)):
+            node = (succ[v][e], enter(pieces, succ[v][e], mem))
+            edges[e] = index.setdefault(node, len(nodes))
+            if edges[e] == len(nodes):
                 nodes.append(node)
-            out.append(index[node])
-        succ.append(out)
-    vertex = [v for v, _ in nodes]
-    owned = frozenset(i for i, v in enumerate(vertex) if v in arena.owned)
-    graph = (vertex, succ, _predecessors(succ), owned, {start: 0})
-    return (graph, [hit for _, (_, hit) in nodes],
-            (frozenset(perm[hit - 1:]) for _, (perm, hit) in nodes))
+        out.append(edges)
+        move.append(k)
+    ids: dict = {}  # blocks numbered by first state: state 0 stays first
+    block = [ids.setdefault(vk, len(ids))
+             for vk in zip((v for v, _ in nodes), move)]
+    count = 0
+    while count < len(ids) < len(nodes):
+        count, ids = len(ids), {}
+        block = [ids.setdefault((b, *(block[t] for t in edges
+                                      if t is not None)), len(ids))
+                 for b, edges in zip(block, out)]
+    keep = list({b: s for s, b in enumerate(block)}.values())
+    vertex = [nodes[s][0] for s in keep]
+    move = [move[s] for s in keep]
+    out = [[t if t is None else block[t] for t in out[s]] for s in keep]
+    at = {v: s for s, v in reversed(list(enumerate(vertex)))}
+    for edges, v in zip(out, vertex):  # grows while it is read
+        for e, w in enumerate(succ[v]):
+            if edges[e] is None:
+                if w not in at:
+                    at[w] = len(vertex)
+                    vertex.append(w)
+                    out.append([None] * len(succ[w]))
+                    move.append(0 if w in mine else -1)
+                edges[e] = at[w]
+    return FiniteMemoryStrategy(player, vertex, out, move, {start: 0})
 
 
 def solve_muller(arena: Arena, start: int,
                  win_sets: Iterable[Iterable[int]]
                  ) -> tuple[int, FiniteMemoryStrategy]:
     """Winner (player 1 wins iff the cluster set is a winning set) and a
-    finite-memory winning strategy for plays from ``start``: the LAR product
-    reachable from there, at most |C|!*|C| states per vertex."""
+    finite-memory winning strategy for plays from ``start``, from
+    McNaughton's recursion on the arena, with no latest-appearance-record
+    product."""
     _check_start(arena, start)
-    graph, hit, suffix = _lar_product(arena, start)
-    wins = {frozenset(s) for s in win_sets}
-    colors = [2 * h + (k not in wins) for h, k in zip(hit, suffix)]
-    winner, moves = _solve_graph(graph, colors, start)
-    return winner, _machine(graph, winner, moves)
+    bit = {c: 1 << i for i, c in enumerate(sorted(arena.color_set()))}
+    vbits = [bit[c] for c in arena.colors]
+    wins = {sum(bit[c] for c in s) for s in map(set, win_sets)
+            if s <= bit.keys()}
+    winner, pieces = _mcnaughton(arena, vbits, lambda k: int(k in wins),
+                                 start)
+    return winner, _muller_machine(arena, vbits, start, winner,
+                                   pieces[winner - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -424,37 +526,31 @@ class MultiOutcomeGraphGame:
 
 
 class _ArenaOracle(GameBackend):
-    """Queries shared by the arena oracles.  ``_product``, built on first
-    use, is the state graph they solve on, with each state's rank and
-    outcome: a label colours state s ``2*rank[s]`` when it grants player 1
-    the state's outcome and ``2*rank[s]+1`` otherwise, and solves the
-    parity game on the graph.  ``_solved`` keeps each label's solve while
-    the oracle lives, so a strategy query on a probed label costs no solve."""
+    """Queries shared by the arena oracles.  ``_solved`` keeps each label's
+    solve (``_solve_label``) while the oracle lives, so a strategy query on
+    a probed label costs only its machine (``_strategy``)."""
 
     def __init__(self, game: MultiOutcomeGraphGame):
         if game.kind != self.kind:
             raise ValueError(f"{self.kind} oracle needs a {self.kind} game")
         self.game = game
-        self._solved: dict[int, tuple[int, dict[int, int]]] = {}
+        self._solved: dict[int, tuple] = {}
 
     @property
     def n_outcomes(self) -> int:
         return self.game.outcomes.size
 
-    def _solve(self, label: int) -> tuple[int, dict[int, int]]:
+    def _solve(self, label: int) -> tuple:
         if label not in self._solved:
-            graph, ranked = self._product
-            colors = [2 * r + 1 - (label >> o & 1) for r, o in ranked]
-            self._solved[label] = _solve_graph(graph, colors, self.game.start)
+            self._solved[label] = self._solve_label(label)
         return self._solved[label]
 
     def winner(self, label: int) -> int:
         return self._solve(label)[0]
 
     def strategy(self, label: int) -> OracleStrategy:
-        winner, moves = self._solve(label)
-        return OracleStrategy(winner,
-                              _machine(self._product[0], winner, moves))
+        winner, solution = self._solve(label)
+        return OracleStrategy(winner, self._strategy(winner, solution))
 
     def play_outcome(self, h1, h2) -> int:
         game = self.game
@@ -467,75 +563,38 @@ class _ArenaOracle(GameBackend):
 
 
 class PriorityOracle(_ArenaOracle):
-    """Win-lose oracle for a multi-outcome priority game, on the game's own
-    arena ranked by colour; strategies are positional."""
+    """Win-lose oracle for a multi-outcome priority game: a label colours
+    each colour c ``2*c``, or ``2*c+1`` if it denies player 1 c's outcome,
+    and Zielonka's algorithm solves the arena; strategies are positional."""
 
     kind = PRIORITY
 
-    @functools.cached_property
-    def _product(self):
+    def _solve_label(self, label: int) -> tuple[int, dict[int, int]]:
         arena, outcome_map = self.game.arena, self.game.outcome_map
-        return _arena_graph(arena), tuple((c, outcome_map[c])
-                                          for c in arena.colors)
+        colors = [2 * c + 1 - (label >> outcome_map[c] & 1)
+                  for c in arena.colors]
+        return _solve_graph(arena, colors, self.game.start)
+
+    def _strategy(self, winner: int, moves) -> FiniteMemoryStrategy:
+        return FiniteMemoryStrategy.positional(self.game.arena, winner, moves)
 
 
 class MullerOracle(_ArenaOracle):
-    """Win-lose oracle for a multi-outcome Muller game: winners on the arena
-    itself, finite-memory strategies on the LAR product ranked by hit, with
-    the outcome of each node's record suffix, built on the first of them."""
+    """Win-lose oracle for a multi-outcome Muller game: one McNaughton
+    recursion on the arena per label gives the winner and both players'
+    pieces, and the winner's finite-memory machine is built on theirs;
+    there is no latest-appearance-record product."""
 
     kind = MULLER
 
-    @functools.cached_property
-    def _product(self):
-        graph, hit, suffix = _lar_product(self.game.arena, self.game.start)
-        outcome_map = self.game.outcome_map
-        return graph, tuple(zip(hit, [outcome_map[k] for k in suffix]))
+    def _solve_label(self, label: int) -> tuple[int, tuple[list, list]]:
+        game, outcome_of = self.game, self.game._outcome_of
+        return _mcnaughton(game.arena, game._bits,
+                           lambda k: label >> outcome_of[k] & 1, game.start)
 
-    def winner(self, label: int) -> int:
-        """McNaughton's algorithm as Zielonka (1998) states it, on colour bit
-        masks.  In a subgame with colours K, player i wins K; below each
-        child D (a maximal subset of K that the opponent wins: the subgame
-        left without i's attractor to the colours outside D), the
-        opponent's part and their attractor to it are theirs, and the rest
-        is solved again.  If they win below no child, i wins it all.  The
-        recursion is at most |C| deep."""
-        game = self.game
-        succ, pred, owned = game.arena.succ, game.arena.pred, game.arena.owned
-        vbits, outcome_of = game._bits, game._outcome_of
-
-        @functools.cache
-        def split(k: int) -> tuple[int, list[int]]:
-            wins = label >> outcome_of[k] & 1
-            children: list[int] = []
-            for d in sorted(range(k - 1, 0, -1), key=int.bit_count,
-                            reverse=True):
-                if (d & k == d and label >> outcome_of[d] & 1 != wins
-                        and all(d & ~e for e in children)):
-                    children.append(d)
-            return 2 - wins, children
-
-        def won_by_1(region: set[int]) -> set[int]:
-            w1: set[int] = set()
-            while region:
-                # distinct bits: the sum is their OR
-                i, children = split(sum({vbits[v] for v in region}))
-                for d in children:
-                    sub = region - _attractor(succ, pred, owned, region, {
-                        v for v in region if vbits[v] & ~d}, i)[0]
-                    lost = won_by_1(sub) if i == 2 else sub - won_by_1(sub)
-                    if lost:
-                        lost = _attractor(succ, pred, owned, region, lost,
-                                          3 - i)[0]
-                        break
-                else:
-                    return w1 | region if i == 1 else w1
-                if i == 2:
-                    w1 |= lost
-                region = region - lost
-            return w1
-
-        return 1 if game.start in won_by_1(set(range(len(succ)))) else 2
+    def _strategy(self, winner: int, pieces) -> FiniteMemoryStrategy:
+        return _muller_machine(self.game.arena, self.game._bits,
+                               self.game.start, winner, pieces[winner - 1])
 
 
 def _residual_graph(game: MultiOutcomeGraphGame, fixed: FiniteMemoryStrategy,
@@ -548,7 +607,11 @@ def _residual_graph(game: MultiOutcomeGraphGame, fixed: FiniteMemoryStrategy,
         raise ValueError("fixed player and deviator must differ")
     succ = [out if k < 0 else (out[k],)
             for out, k in zip(fixed.succ, fixed.move)]
-    root = _entry(fixed, game.start)
+    return _reachable(succ, _entry(fixed, game.start)), succ
+
+
+def _reachable(succ, root: int) -> list[int]:
+    """The nodes reachable from ``root``, breadth first."""
     seen = bytearray(len(succ))
     seen[root] = 1
     reach = [root]
@@ -557,7 +620,7 @@ def _residual_graph(game: MultiOutcomeGraphGame, fixed: FiniteMemoryStrategy,
             if not seen[t]:
                 seen[t] = 1
                 reach.append(t)
-    return reach, succ
+    return reach
 
 
 def _cyclic_sccs(succ, part):

@@ -20,13 +20,28 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def machine_from_obj(obj) -> et.FiniteMemoryStrategy:
-    """A strategy rebuilt from its printed ``finite-memory`` form."""
+def machine_from_obj(obj, arena) -> et.FiniteMemoryStrategy:
+    """A strategy rebuilt from its printed ``finite-memory`` or
+    ``positional`` form."""
+    if obj["type"] == "positional":
+        return et.FiniteMemoryStrategy.positional(
+            arena, obj["player"], {int(v): w for v, w in obj["moves"].items()})
     assert obj["type"] == "finite-memory"
     assert obj["states"] == len(obj["vertex"])
     return et.FiniteMemoryStrategy(
         obj["player"], obj["vertex"], obj["succ"], obj["move"],
         {int(v): s for v, s in obj["entry"].items()})
+
+
+# A Muller game where player 1 wins outcome 1, all three colours, only by
+# alternating between vertices 1 and 2, so their strategy needs memory.
+MEMORY_MULLER = {
+    "format": 1, "vertices": 3, "owned": [0],
+    "edges": [[0, 1], [0, 2], [1, 0], [2, 0]], "colors": [0, 1, 2],
+    "start": 0, "kind": "muller", "outcomes": 2,
+    "r": [[s, int(len(s) == 3)] for s in
+          ([0], [1], [2], [0, 1], [0, 2], [1, 2], [0, 1, 2])],
+    "preferences": [{"pairs": [[0, 1]]}, {"pairs": [[1, 0]]}]}
 
 
 MATCHING_PENNIES = {
@@ -172,11 +187,17 @@ class TestTransfer:
         report = json.loads(out)
         assert report["strategies"][0]["type"] == "positional"
 
-    def test_muller_oracle(self, capsys):
+    def test_muller_oracle(self, capsys, tmp_path):
         code, out, _ = run(capsys, "--json", "transfer",
                            fixture_path("muller_game.json"))
         assert code == cli.EXIT_OK
+        assert json.loads(out)["oracle"] == "muller"
+        path = tmp_path / "memory.json"
+        path.write_text(json.dumps(MEMORY_MULLER))
+        code, out, _ = run(capsys, "--json", "transfer", str(path))
+        assert code == cli.EXIT_OK
         report = json.loads(out)
+        assert report["outcome"] == 1
         assert report["strategies"][0]["type"] == "finite-memory"
 
     def test_not_determined_input(self, capsys, tmp_path):
@@ -229,33 +250,45 @@ class TestArenaCommands:
         assert report["winner"] in (1, 2)
         assert report["strategy"]["type"] == "positional"
 
-    def test_solve_muller(self, capsys):
+    def test_solve_muller(self, capsys, tmp_path):
         code, out, _ = run(capsys, "--json", "solve-muller",
                            fixture_path("arena_small.json"))
         assert code == cli.EXIT_OK
         report = json.loads(out)
         assert report["winner"] in (1, 2)
+        path = tmp_path / "memory.json"
+        keys = ("format", "vertices", "owned", "edges", "colors", "start")
+        path.write_text(json.dumps(
+            {**{key: MEMORY_MULLER[key] for key in keys},
+             "win_sets": [[0, 1, 2]]}))
+        code, out, _ = run(capsys, "--json", "solve-muller", str(path))
+        assert code == cli.EXIT_OK
+        report = json.loads(out)
+        assert report["winner"] == 1
         assert report["strategy"]["type"] == "finite-memory"
 
-    def test_strategies_serialize(self, capsys):
+    def test_strategies_serialize(self, capsys, tmp_path):
         """Machines rebuilt from the printed graphs play as the ones the
         library returned."""
-        code, out, _ = run(capsys, "--json", "transfer",
-                           fixture_path("muller_game.json"))
-        assert code == cli.EXIT_OK
-        s1, s2 = map(machine_from_obj, json.loads(out)["strategies"])
-        game = jsonio.load(fixture_path("muller_game.json"))
-        eq = et.multi_outcome_ne(game)
-        assert (et.play_of(game.arena, game.start, s1, s2)
-                == et.play_of(game.arena, game.start, eq.strategy_1,
-                              eq.strategy_2))
+        memory = tmp_path / "memory.json"
+        memory.write_text(json.dumps(MEMORY_MULLER))
+        for path in (fixture_path("muller_game.json"), str(memory)):
+            code, out, _ = run(capsys, "--json", "transfer", path)
+            assert code == cli.EXIT_OK
+            game = jsonio.load(path)
+            s1, s2 = (machine_from_obj(obj, game.arena)
+                      for obj in json.loads(out)["strategies"])
+            eq = et.multi_outcome_ne(game)
+            assert (et.play_of(game.arena, game.start, s1, s2)
+                    == et.play_of(game.arena, game.start, eq.strategy_1,
+                                  eq.strategy_2))
 
         code, out, _ = run(capsys, "--json", "solve-muller",
                            fixture_path("arena_small.json"))
         assert code == cli.EXIT_OK
-        printed = machine_from_obj(json.loads(out)["strategy"])
         doc = json.loads(Path(fixture_path("arena_small.json")).read_text())
         arena, start = jsonio.from_obj(doc), doc["start"]
+        printed = machine_from_obj(json.loads(out)["strategy"], arena)
         _, machine = et.solve_muller(arena, start, doc["win_sets"])
         assert printed.player == machine.player == 1
         for other in all_positional_strategies(arena, 2):

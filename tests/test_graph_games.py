@@ -73,6 +73,29 @@ class TestArena:
         with pytest.raises(ValueError):
             et.Arena(2, [5], [(0, 1), (1, 0)], [0, 0])
 
+    @pytest.mark.parametrize("field, args", [
+        ("owned", (2, [True], [(0, 1), (1, 0)], [0, 1])),
+        ("owned", (2, [0.0], [(0, 1), (1, 0)], [0, 1])),
+        ("edges", (2, [0], [(0, 1.9), (1, 0)], [0, 1])),
+        ("edges", (2, [0], [(0, 1), ("1", 0)], [0, 1])),
+        ("edges", (2, [0], [(0, 1), (1, False)], [0, 1])),
+        ("colors", (2, [0], [(0, 1), (1, 0)], [0.5, 1])),
+        ("colors", (2, [0], [(0, 1), (1, 0)], [0, "1"])),
+        ("colors", (2, [0], [(0, 1), (1, 0)], [True, 1])),
+        ("vertex count", (2.0, [0], [(0, 1), (1, 0)], [0, 1])),
+    ])
+    def test_rejects_non_integers(self, field, args):
+        with pytest.raises(ValueError, match=f"arena {field}: .* is not an "
+                                             "integer"):
+            et.Arena(*args)
+
+    def test_accepts_numpy_integers(self):
+        import numpy as np
+        a = et.Arena(np.int64(2), [np.int32(0)],
+                     [(np.int64(0), np.int64(1)), (1, 0)], np.arange(2))
+        assert (a.owned, a.edges, a.colors) == ({0}, ((0, 1), (1, 0)), (0, 1))
+        assert all(type(x) is int for x in (a.num_vertices, *a.colors))
+
     def test_owner_partition(self):
         a = et.Arena(3, [1], [(0, 1), (1, 2), (2, 0)], [0, 1, 2])
         assert a.owner(1) == 1 and a.owner(0) == 2 and a.owner(2) == 2
@@ -249,32 +272,42 @@ class TestOracles:
                 assert answer.player == winner
                 assert same_strategy(answer.handle, strategy)
 
-    def test_lar_product_built_once_per_oracle(self, rng, monkeypatch):
-        """Winner queries run on the arena; the LAR product is built on the
-        first strategy query and kept."""
-        game = random_muller_game(rng)
-        calls = {"_lar_product": 0, "_predecessors": 0}
-        for name in calls:
-            real = getattr(graph_games, name)
+    def test_muller_strategy_queries_reuse_probe_solves(self, rng,
+                                                       monkeypatch):
+        """A Muller transfer runs McNaughton's recursion once per distinct
+        label queried, and the strategies equal fresh solves of their
+        labels."""
+        solves, queried = [0], {"winner": [], "strategy": []}
+        real_solve = graph_games._mcnaughton
 
-            def counting(*args, name=name, real=real):
-                calls[name] += 1
-                return real(*args)
+        def counting_solve(*args):
+            solves[0] += 1
+            return real_solve(*args)
 
-            monkeypatch.setattr(graph_games, name, counting)
-        oracle = et.MullerOracle(game)
-        labels = range(1 << game.outcomes.size)
-        for label in labels:
-            oracle.winner(label)
-        assert calls == {"_lar_product": 0, "_predecessors": 0}
-        oracle.strategy(0)
-        assert calls == {"_lar_product": 1, "_predecessors": 1}
-        for label in labels:
-            oracle.winner(label)
-            oracle.strategy(label)
-        assert calls == {"_lar_product": 1, "_predecessors": 1}
-        et.multi_outcome_ne(game)
-        assert calls == {"_lar_product": 2, "_predecessors": 2}
+        monkeypatch.setattr(graph_games, "_mcnaughton", counting_solve)
+        for name in queried:
+            real = getattr(et.MullerOracle, name)
+
+            def recording(oracle, label, name=name, real=real):
+                queried[name].append(label)
+                return real(oracle, label)
+
+            monkeypatch.setattr(et.MullerOracle, name, recording)
+        for _ in range(40):
+            game = random_muller_game(rng, max_vertices=8, max_color=3,
+                                      max_outcomes=6)
+            solves[0] = 0
+            for labels in queried.values():
+                labels.clear()
+            eq = et.multi_outcome_ne(game)
+            full = (1 << game.outcomes.size) - 1
+            probed, labels = set(queried["winner"]), list(queried["strategy"])
+            assert len(probed) <= game.outcomes.size
+            assert set(labels) <= probed | {full}
+            assert solves[0] == len(probed | set(labels))
+            fresh = et.MullerOracle(game)
+            for label, machine in zip(labels, (eq.strategy_1, eq.strategy_2)):
+                assert same_strategy(fresh.strategy(label).handle, machine)
 
     def test_strategy_queries_reuse_probe_solves(self, rng, monkeypatch):
         """A transfer solves each distinct label once: both strategy labels
@@ -314,14 +347,23 @@ class TestOracles:
 
 class TestMullerWinner:
     """McNaughton's algorithm on the arena against Zielonka's algorithm on
-    the LAR product (``lar_muller_winners``), on every label."""
+    the LAR product (``lar_muller_winners``), on every label: winner and
+    strategy queries name the LAR winner, and the strategy wins, by the
+    reference deviation sets of its residual graph."""
 
     @staticmethod
     def check(game):
         oracle = et.MullerOracle(game)
         labels = range(1 << game.outcomes.size)
-        assert ([oracle.winner(label) for label in labels]
-                == lar_muller_winners(game, labels))
+        winners = lar_muller_winners(game, labels)
+        assert [oracle.winner(label) for label in labels] == winners
+        for label, winner in zip(labels, winners):
+            answer = oracle.strategy(label)
+            assert answer.player == winner
+            reached = reference_deviation_outcomes(game, answer.handle,
+                                                   3 - winner)
+            granted = {o for o in reached if label >> o & 1}
+            assert (granted == reached) if winner == 1 else not granted
 
     def test_random_games_from_every_start(self, rng):
         for _ in range(300):
@@ -381,6 +423,24 @@ class TestMuller:
             start = rng.randrange(arena.num_vertices)
             _, machine = et.solve_muller(arena, start, [arena.color_set()])
             assert machine.num_states <= len(lar_product(arena, start)[0])
+        for _ in range(100):
+            game = random_muller_game(rng, max_vertices=6, max_color=4)
+            bound = len(lar_product(game.arena, game.start)[0])
+            oracle = et.MullerOracle(game)
+            for label in range(1 << game.outcomes.size):
+                assert oracle.strategy(label).handle.num_states <= bound
+
+    def test_unreachable_colours_add_no_memory(self):
+        """The recursion runs on what the start reaches: on the whole
+        arena, colour 3 at vertex 4 would make player 2 circle twice before
+        staying at vertex 1 (9 states; the LAR product has 7)."""
+        a = et.Arena(5, [3], [(0, 1), (1, 1), (1, 3), (2, 1), (2, 3), (2, 4),
+                              (3, 0), (4, 3)], [2, 1, 2, 0, 3])
+        win_sets = [[0], [3], [0, 1], [0, 3], [1, 3], [2, 3], [0, 1, 2],
+                    [0, 1, 3], [0, 2, 3], [1, 2, 3]]
+        winner, machine = et.solve_muller(a, 3, win_sets)
+        assert (winner, machine.num_states) == (2, 3)
+        assert len(lar_product(a, 3)[0]) == 7
 
     def test_start_without_entry_state_rejected(self):
         a = et.Arena(2, [0], [(0, 1), (1, 0), (0, 0)], [1, 2])
