@@ -244,6 +244,10 @@ def _cmd_corpus(args) -> int:
         return EXIT_OK
     if not args.name:
         raise SchemaError("corpus build/verify needs an entry name")
+    if args.n is not None and args.n < 2:
+        raise SchemaError(f"--n must be at least 2, got {args.n}")
+    if args.samples < 1:
+        raise SchemaError(f"--samples must be at least 1, got {args.samples}")
     entry = corpus_mod.build(args.name, n=args.n)
     if args.action == "build":
         lines = [f"{entry.name}: {entry.description}"]
@@ -333,9 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=("list", "build", "verify"))
     p.add_argument("name", nargs="?")
     p.add_argument("--n", type=int, default=None,
-                   help="size parameter for parametric entries")
+                   help="size parameter for parametric entries, 2 to 100")
     p.add_argument("--samples", type=int, default=1000,
-                   help="sample count for non-exhaustive claims")
+                   help="sample count for non-exhaustive claims, at least 1")
     p.set_defaults(func=_cmd_corpus)
 
     return parser

@@ -16,16 +16,17 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import UnknownNameError
-from .normal_form import (GameStructure, NormalFormGame, _better_masks,
-                          _deviation_lines, _ne_mask, _words, find_all_ne,
-                          is_determined, is_nash_equilibrium, merge_players,
-                          slice_structure)
+from .errors import TooLargeError, UnknownNameError
+from .normal_form import (DEFAULT_PROFILE_CAP, GameStructure, NormalFormGame,
+                          _better_masks, _deviation_lines, _ne_mask, _words,
+                          find_all_ne, is_determined, is_nash_equilibrium,
+                          merge_players, slice_structure)
 from .prefs import (OutcomeSet, Preference, PreferenceProfile, height,
                     is_acyclic)
 
 X, Y, Z = 0, 1, 2
 XYZ = OutcomeSet(3, ("X", "Y", "Z"))
+_WITNESS_CELLS = 8
 
 
 @dataclass(frozen=True)
@@ -121,6 +122,9 @@ def _remark_5_3_claims(game: NormalFormGame) -> tuple[Claim, ...]:
 def prop_5_4_structure(n: int) -> GameStructure:
     if n < 2:
         raise ValueError("the ladder game needs n >= 2")
+    if n ** 3 > DEFAULT_PROFILE_CAP:
+        raise TooLargeError(f"the ladder game with n = {n} has {n ** 3} "
+                            f"profiles, above the cap of {DEFAULT_PROFILE_CAP}")
     outcomes = OutcomeSet(n + 1, tuple(str(i) for i in range(n + 1)))
 
     def val(a: int, b: int, c: int) -> int:  # 1-indexed strategies
@@ -192,19 +196,37 @@ def _short_chain_claim(st: GameStructure, max_height: int) -> Claim:
     def check(rng, samples):
         exhaustive = size <= 3
         if exhaustive:
-            rels = [_words(_better_masks(Preference(st.outcomes, r)), size)
+            rels = [_better_masks(Preference(st.outcomes, r))
                     for r in _short_chain_relations(size, max_height)]
             triples = itertools.product(rels, repeat=3)
         else:
             pairs = [(i, j) for i in range(size) for j in range(i + 1, size)]
-            triples = ([_words(_random_short_chain(rng, pairs, size,
-                                                   max_height), size)
+            triples = ([_random_short_chain(rng, pairs, size, max_height)
                         for _ in range(3)] for _ in range(samples))
         lines = _deviation_lines(st.table, size, st.players)
+        # the last _WITNESS_CELLS distinct equilibrium cells, most recently
+        # used first, as (outcome, per-player deviation lines) in ints: a
+        # triple that one of them serves needs no pass over the table
+        cells = []
         total = ok = 0
         for triple in triples:
             total += 1
-            ok += bool(_ne_mask(st.table, lines, triple).any())
+            for i, (o, line) in enumerate(cells):
+                if not any(b[o] & d for b, d in zip(triple, line)):
+                    cells.insert(0, cells.pop(i))
+                    ok += 1
+                    break
+            else:
+                ne = _ne_mask(st.table, lines,
+                              [_words(b, size) for b in triple])
+                first = int(ne.argmax())
+                if ne.flat[first]:
+                    at = np.unravel_index(first, ne.shape)
+                    cells.insert(0, (int(st.table[at]), tuple(
+                        sum(int(w[at]) << 64 * k for k, w in enumerate(ws))
+                        for ws in lines)))
+                    del cells[_WITNESS_CELLS:]
+                    ok += 1
         return ClaimReport("short-chain-ne", ok == total, exhaustive,
                            f"{ok}/{total} {'' if exhaustive else 'sampled '}"
                            f"short-chain preference triples have an "

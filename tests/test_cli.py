@@ -4,6 +4,7 @@ import io
 import json
 import shlex
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -407,6 +408,35 @@ class TestCorpus:
         code, _, err = run(capsys, "corpus", "build", "nonsense")
         assert code == cli.EXIT_INPUT
         assert "error:" in err
+
+    def run_promptly(self, capsys, *argv):
+        """Exit code and stderr of ``corpus verify prop_5_4 *argv``, which
+        must return within a few seconds and print no traceback."""
+        start = time.perf_counter()
+        code, _, err = run(capsys, "corpus", "verify", "prop_5_4", *argv)
+        assert time.perf_counter() - start < 5
+        assert "Traceback" not in err
+        return code, err
+
+    def test_verify_n_below_2(self, capsys):
+        """Once a ValueError traceback from the ladder constructor."""
+        code, err = self.run_promptly(capsys, "--n", "1")
+        assert code == cli.EXIT_INPUT
+        assert "--n must be at least 2" in err
+
+    def test_verify_n_above_cap(self, capsys):
+        """101**3 profiles exceed the profile cap; once the table was
+        allocated without a bound."""
+        code, err = self.run_promptly(capsys, "--n", "101")
+        assert code == cli.EXIT_INPUT
+        assert "above the cap of 1000000" in err
+
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_verify_samples_below_1(self, capsys, samples):
+        """Once a sampled claim confirmed on no samples (0/0)."""
+        code, err = self.run_promptly(capsys, "--samples", samples)
+        assert code == cli.EXIT_INPUT
+        assert "--samples must be at least 1" in err
 
 
 class TestErrorPaths:

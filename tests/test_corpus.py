@@ -76,6 +76,13 @@ class TestLadderGame:
         with pytest.raises(ValueError):
             et.prop_5_4_structure(1)
 
+    @pytest.mark.parametrize("n", [101, 10 ** 6])
+    def test_caps_n_before_building(self, n):
+        """n**3 profiles above DEFAULT_PROFILE_CAP: refused before the
+        table is allocated."""
+        with pytest.raises(et.TooLargeError):
+            et.prop_5_4_structure(n)
+
     def test_n2_claims_exhaustive(self):
         reports = et.verify(et.build("prop_5_4", n=2))
         assert all(r.passed for r in reports)
@@ -210,3 +217,55 @@ class TestMaskKernelParity:
             assert sampled == short_chain_report(st, 3, random.Random(1), 100)
             failing += not sampled.passed
         assert failing == 2
+
+
+class TestWitnessCells:
+    """The short-chain claim tests each triple against its recent
+    equilibrium cells first, and runs the mask kernel only when none
+    serves."""
+
+    def test_kernel_runs_on_few_triples(self, monkeypatch):
+        calls = []
+        kernel = et.corpus._ne_mask
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(et.corpus, "_ne_mask", counted)
+        reports = {r.claim: r for r in et.verify(et.build("prop_5_4", 5),
+                                                 seed=0, samples=300)}
+        assert reports["short-chain-ne"].detail.startswith("300/300")
+        assert len(calls) <= 30
+
+    def test_multi_word_lines_match_reference(self):
+        # 70 outcomes take two 64-bit words; the parity tables switch
+        # between two outcomes at every unilateral deviation, so some
+        # sampled triples have no equilibrium and a wrong witness shows
+        rng = random.Random(70)
+        structures = [random_structure(rng, (2, 2, 2), 70) for _ in range(6)]
+        parity = np.indices((2, 2, 2)).sum(axis=0) % 2
+        structures += [et.GameStructure((2, 2, 2), et.OutcomeSet(70),
+                                        np.where(parity, v, u))
+                       for u, v in ((63, 64), (0, 69), (64, 65))]
+        failing = 0
+        for st in structures:
+            claim = et.corpus._short_chain_claim(st, max_height=69)
+            report = claim.check(random.Random(2), 60)
+            assert report == short_chain_report(st, 69, random.Random(2), 60)
+            failing += not report.passed
+        assert failing == 3
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_rng_state_follows_the_draws(self, n):
+        """The claim draws three relations per sample and nothing else;
+        the exhaustive case (n = 2, three outcomes) draws nothing."""
+        claim = et.build("prop_5_4", n).claims[-1]
+        assert claim.name == "short-chain-ne"
+        size = n + 1
+        pairs = [(i, j) for i in range(size) for j in range(i + 1, size)]
+        checked, drawn = random.Random(n), random.Random(n)
+        claim.check(checked, 100)
+        for _ in range(3 * 100 if size > 3 else 0):
+            et.corpus._random_short_chain(drawn, pairs, size, n)
+        assert checked.getstate() == drawn.getstate()
