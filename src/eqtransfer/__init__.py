@@ -10,8 +10,8 @@ from .errors import (BadIndexError, CyclicPreferenceError, EqTransferError,
                      HypothesisViolatedError, NotDeterminedError,
                      NotZeroSumError, SchemaError, TooLargeError,
                      UnboundedHeightError, UnknownNameError)
-from .prefs import (OutcomeSet, Preference, PreferenceProfile, RankFunction,
-                    height, is_acyclic, is_strict_linear, lift_less,
+from .prefs import (OutcomeSet, Preference, PreferenceProfile, height,
+                    is_acyclic, is_strict_linear, lift_less,
                     lift_less_existential, linear_extension, rank, upward_cone)
 from .normal_form import (DEFAULT_OUTCOME_CAP, DEFAULT_PROFILE_CAP,
                           GameStructure, NormalFormGame, Profile,
@@ -23,14 +23,13 @@ from .transfer import (CallCounter, CountingOracle, GameBackend,
                        enforceable_finite_cone, equilibrium,
                        finite_height_reduce, max_enforceable_word,
                        minimax_transfer, run_transfer, transfer_equilibrium)
-from .extensive import (GameTree, Leaf, Node, TreeOracle, TreeStrategy,
-                        kuhn_via_transfer, play_tree, strategy_from_index,
-                        strategy_to_index, to_normal_form)
-from .graph_games import (Arena, FiniteMemoryStrategy, GraphEquilibrium,
-                          MullerOracle, MultiOutcomeGraphGame, Play,
-                          PriorityOracle, achievable_deviation_outcomes,
-                          multi_outcome_ne, parity_regions, play_of,
-                          solve_muller, solve_parity)
+from .extensive import (GameTree, Leaf, Node, TreeOracle, kuhn_via_transfer,
+                        play_tree, strategy_from_index, strategy_to_index,
+                        to_normal_form)
+from .graph_games import (Arena, FiniteMemoryStrategy, MullerOracle,
+                          MultiOutcomeGraphGame, Play, PriorityOracle,
+                          achievable_deviation_outcomes, multi_outcome_ne,
+                          parity_regions, play_of, solve_muller, solve_parity)
 from .corpus import (PROP_5_6_NE_TABLE, PROP_5_6_PROOF_PREFS,
                      PROP_5_6_STATEMENT_PREFS, Claim, ClaimReport,
                      CorpusEntry, build, list_entries, prop_5_4_game,

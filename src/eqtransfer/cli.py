@@ -19,7 +19,8 @@ from .errors import (EqTransferError, NotDeterminedError, SchemaError,
 from .extensive import (GameTree, TreeOracle, strategy_from_index,
                         to_normal_form)
 from .graph_games import (Arena, MullerOracle, MultiOutcomeGraphGame,
-                          PriorityOracle, solve_muller, solve_parity)
+                          PriorityOracle, arena_oracle, solve_muller,
+                          solve_parity)
 from .normal_form import (DEFAULT_OUTCOME_CAP, DEFAULT_PROFILE_CAP,
                           GameStructure, NormalFormGame, find_all_ne,
                           is_determined, is_nash_equilibrium)
@@ -124,8 +125,7 @@ def _backend(value):
     if isinstance(value, tuple):
         return TreeOracle(value[0]), value[1]
     if isinstance(value, MultiOutcomeGraphGame):
-        oracle = PriorityOracle if value.kind == "priority" else MullerOracle
-        return oracle(value), value.preferences
+        return arena_oracle(value), value.preferences
     raise SchemaError("input must be a game with preferences")
 
 
@@ -153,9 +153,9 @@ def _oracle_strategy_obj(backend, s: OracleStrategy) -> dict:
     """Tree handles are printed as per-node choices: as normal-form indices
     they run to thousands of digits on large trees."""
     if isinstance(backend, TreeOracle):
-        tree = strategy_from_index(backend.tree, s.player, s.handle)
+        choice = strategy_from_index(backend.tree, s.player, s.handle)
         return {"type": "tree", "player": s.player,
-                "choices": {str(n): c for n, c in tree.choices}}
+                "choices": {str(n): c for n, c in choice.items()}}
     if isinstance(s.handle, int):
         return {"type": "index", "player": s.player, "index": s.handle}
     return _strategy_obj(s.handle)
@@ -337,9 +337,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=("list", "build", "verify"))
     p.add_argument("name", nargs="?")
     p.add_argument("--n", type=int, default=None,
-                   help="size parameter for parametric entries, 2 to 100")
+                   help="size parameter of prop_5_4, 2 to 100; the other "
+                        "entries take none")
     p.add_argument("--samples", type=int, default=1000,
-                   help="sample count for non-exhaustive claims, at least 1")
+                   help="sample count for non-exhaustive claims, 1 to "
+                        f"{corpus_mod.MAX_SAMPLES}")
     p.set_defaults(func=_cmd_corpus)
 
     return parser

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import TooLargeError, UnknownNameError
+from .errors import SchemaError, TooLargeError, UnknownNameError
 from .normal_form import (DEFAULT_PROFILE_CAP, GameStructure, NormalFormGame,
                           _better_masks, _deviation_lines, _ne_mask, _words,
                           find_all_ne, is_determined, is_nash_equilibrium,
@@ -27,6 +27,8 @@ from .prefs import (OutcomeSet, Preference, PreferenceProfile, height,
 X, Y, Z = 0, 1, 2
 XYZ = OutcomeSet(3, ("X", "Y", "Z"))
 _WITNESS_CELLS = 8
+# Most samples a sampled claim may draw: about 3 s at ~30 us a sample.
+MAX_SAMPLES = 100_000
 
 
 @dataclass(frozen=True)
@@ -459,8 +461,11 @@ def list_entries() -> list[tuple[str, str]]:
 
 
 def build(name: str, n: Optional[int] = None) -> CorpusEntry:
+    """The entry of that name; only ``prop_5_4`` takes a size ``n``."""
     if name not in _DESCRIPTIONS:
         raise UnknownNameError(f"unknown corpus entry {name!r}")
+    if n is not None and name != "prop_5_4":
+        raise SchemaError(f"corpus entry {name} takes no size n")
     desc = _DESCRIPTIONS[name]
     if name in ("prop_5_1", "prop_5_2"):
         return CorpusEntry(name, desc, False, None, None, ())
@@ -485,7 +490,11 @@ def build(name: str, n: Optional[int] = None) -> CorpusEntry:
 
 def verify(entry: CorpusEntry, seed: int = 0,
            samples: int = 1000) -> list[ClaimReport]:
-    """Run every claim; sampled checks draw from a generator seeded per claim."""
+    """Run every claim; sampled checks draw from a generator seeded per
+    claim, at most MAX_SAMPLES samples each."""
+    if samples > MAX_SAMPLES:
+        raise TooLargeError(f"{samples} samples exceed the cap of "
+                            f"{MAX_SAMPLES}")
     reports = []
     for i, claim in enumerate(entry.claims):
         rng = random.Random(f"{seed}:{entry.name}:{i}")

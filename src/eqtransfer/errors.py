@@ -9,8 +9,9 @@ class CyclicPreferenceError(EqTransferError):
     """An operation requiring an acyclic preference got a cyclic one."""
 
 
-class UnboundedHeightError(EqTransferError):
-    """A preference has no finite chain-height bound (it is cyclic)."""
+# Over finitely many outcomes a preference has unbounded chain height
+# exactly when it is cyclic.
+UnboundedHeightError = CyclicPreferenceError
 
 
 class TooLargeError(EqTransferError):
@@ -45,4 +46,4 @@ class UnknownNameError(EqTransferError, KeyError):
 
 
 class SchemaError(EqTransferError):
-    """A JSON document does not match the expected schema."""
+    """A JSON document or an argument does not match the expected schema."""

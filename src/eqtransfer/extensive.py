@@ -1,9 +1,10 @@
 """Finite two-player extensive-form games: trees, backward induction, transfer.
 
-Strategies are full choice functions: one child per owned internal node,
-including nodes the play never reaches.  Nodes are numbered by preorder
-traversal so strategy enumeration is reproducible; every traversal runs on
-the preorder arrays without recursion, so depth is bounded only by memory.
+Strategies are full choice functions, plain ``{node: child}`` dicts: one
+child per owned internal node, including nodes the play never reaches.
+Nodes are numbered by preorder traversal so strategy enumeration is
+reproducible; every traversal runs on the preorder arrays without
+recursion, so depth is bounded only by memory.
 """
 
 from __future__ import annotations
@@ -83,16 +84,10 @@ class GameTree:
         return count
 
 
-@dataclass(frozen=True)
-class TreeStrategy:
-    """One child index per owned node, keyed by preorder node index."""
-
-    player: int
-    choices: tuple[tuple[int, int], ...]  # (node index, child index) pairs
-
-
-def strategy_from_index(t: GameTree, player: int, index: int) -> TreeStrategy:
-    """Decode a strategy index (mixed radix, first owned node most significant)."""
+def strategy_from_index(t: GameTree, player: int, index: int
+                        ) -> dict[int, int]:
+    """Decode a strategy index (mixed radix, first owned node most
+    significant) into its ``{node: child}`` choices."""
     owned = t.owned_nodes(player)
     digits = [0] * len(owned)
     rest = index
@@ -100,23 +95,23 @@ def strategy_from_index(t: GameTree, player: int, index: int) -> TreeStrategy:
         rest, digits[pos] = divmod(rest, len(t.children[owned[pos]]))
     if rest:
         raise ValueError(f"strategy index {index} out of range")
-    return TreeStrategy(player, tuple(zip(owned, digits)))
+    return dict(zip(owned, digits))
 
 
-def strategy_to_index(t: GameTree, s: TreeStrategy) -> int:
-    choice = dict(s.choices)
+def strategy_to_index(t: GameTree, player: int, choice: dict[int, int]
+                      ) -> int:
     index = 0
-    for node in t.owned_nodes(s.player):
+    for node in t.owned_nodes(player):
         index = index * len(t.children[node]) + choice[node]
     return index
 
 
-def play_tree(t: GameTree, s1: TreeStrategy, s2: TreeStrategy) -> int:
-    """Outcome at the unique leaf reached by following both strategies."""
-    choice = {1: dict(s1.choices), 2: dict(s2.choices)}
+def play_tree(t: GameTree, choice: dict[int, int]) -> int:
+    """Outcome at the unique leaf reached by following ``choice``, one
+    child per internal node on the way: both players' choices merged."""
     code = t.root_code
     while code >= 0:
-        code = t.children[code][choice[t.owners[code]][code]]
+        code = t.children[code][choice[code]]
     return ~code
 
 
@@ -164,7 +159,8 @@ class TreeOracle(GameBackend):
     """Backward-induction game backend over a game tree, linear in its size.
 
     Strategy handles are indices into the tree's normal-form embedding, so
-    transfer results plug directly into the converted game; the embedding
+    transfer results plug directly into the converted game, and
+    ``strategy_from_index`` decodes one into its choices; the embedding
     itself is built only when ``structure`` is read.
     """
 
@@ -188,23 +184,22 @@ class TreeOracle(GameBackend):
         t = self.tree
         winner = _backward_induction(t, label)
         champion = winner(t.root_code)
-        choices = tuple((i, next((k for k, c in enumerate(t.children[i])
-                                  if winner(c) == champion), 0))
-                        for i in t.owned_nodes(champion))
-        strat = TreeStrategy(champion, choices)
-        return OracleStrategy(champion, strategy_to_index(t, strat))
+        choice = {i: next((k for k, c in enumerate(t.children[i])
+                           if winner(c) == champion), 0)
+                  for i in t.owned_nodes(champion)}
+        return OracleStrategy(champion, strategy_to_index(t, champion, choice))
 
     def play_outcome(self, h1: int, h2: int) -> int:
         t = self.tree
-        return play_tree(t, strategy_from_index(t, 1, h1),
-                         strategy_from_index(t, 2, h2))
+        return play_tree(t, {**strategy_from_index(t, 1, h1),
+                             **strategy_from_index(t, 2, h2)})
 
     def better_deviation(self, fixed: int, deviator: int,
                          better: int) -> Optional[int]:
         """One sweep from the root, every child at the deviator's nodes and
         the fixed strategy's choice elsewhere, up to a leaf in ``better``."""
         t = self.tree
-        forced = dict(strategy_from_index(t, 3 - deviator, fixed).choices)
+        forced = strategy_from_index(t, 3 - deviator, fixed)
         stack = [t.root_code]
         while stack:
             code = stack.pop()

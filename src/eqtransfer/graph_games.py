@@ -15,9 +15,10 @@ import numbers
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .errors import BadIndexError, NotDeterminedError, UnboundedHeightError
-from .prefs import OutcomeSet, PreferenceProfile, height, is_int
-from .transfer import CallCounter, GameBackend, OracleStrategy, equilibrium
+from .errors import BadIndexError, NotDeterminedError
+from .prefs import OutcomeSet, PreferenceProfile, is_int
+from .transfer import (GameBackend, OracleStrategy, TransferResult,
+                       equilibrium)
 
 
 class Arena:
@@ -328,11 +329,13 @@ def _mcnaughton(arena: Arena, vbits, wins, start: int):
     @functools.cache
     def split(k: int) -> tuple[int, list[int]]:
         won = wins(k)
+        subsets, d = [], (k - 1) & k  # K's proper subsets, descending
+        while d:
+            subsets.append(d)
+            d = (d - 1) & k
         children: list[int] = []
-        for d in sorted(range(k - 1, 0, -1), key=int.bit_count,
-                        reverse=True):
-            if (d & k == d and wins(d) != won
-                    and all(d & ~e for e in children)):
+        for d in sorted(subsets, key=int.bit_count, reverse=True):
+            if wins(d) != won and all(d & ~e for e in children):
                 children.append(d)
         return 2 - won, children
 
@@ -515,14 +518,12 @@ class MultiOutcomeGraphGame:
                 raise ValueError(f"mapped outcome {o!r} is not an outcome "
                                  f"index 0..{n - 1}")
 
-    def outcome_of_cluster(self, cluster: frozenset[int]) -> int:
+    def outcome_of_play(self, play: Play) -> int:
+        cluster = play.cluster_colors(self.arena)
         if not cluster:
             raise NotDeterminedError("empty cluster set on a finite arena")
         return self.outcome_map[min(cluster) if self.kind == PRIORITY
                                 else cluster]
-
-    def outcome_of_play(self, play: Play) -> int:
-        return self.outcome_of_cluster(play.cluster_colors(self.arena))
 
 
 class _ArenaOracle(GameBackend):
@@ -710,26 +711,17 @@ def achievable_deviation_outcomes(game: MultiOutcomeGraphGame, fixed,
                                    (1 << game.outcomes.size) - 1))
 
 
-@dataclass
-class GraphEquilibrium:
-    strategy_1: FiniteMemoryStrategy
-    strategy_2: FiniteMemoryStrategy
-    outcome: int
-    counter: CallCounter
+def arena_oracle(game: MultiOutcomeGraphGame) -> _ArenaOracle:
+    """The win-lose oracle of the game's kind."""
+    return (PriorityOracle if game.kind == PRIORITY else MullerOracle)(game)
 
 
-def multi_outcome_ne(game: MultiOutcomeGraphGame) -> GraphEquilibrium:
-    """Nash equilibrium of a multi-outcome priority or Muller game.
-
-    Priority games yield positional profiles (preferences of finite height);
-    Muller games yield finite-memory profiles (acyclic preferences).  The
-    result is verified against all deviations by a nested SCC decomposition
-    of each residual graph that stops at the first preferred outcome.
+def multi_outcome_ne(game: MultiOutcomeGraphGame) -> TransferResult:
+    """Nash equilibrium of a multi-outcome priority or Muller game, as the
+    verified transfer result: the machines are ``strategy_1.handle`` and
+    ``strategy_2.handle``, positional for priority games and finite-memory
+    for Muller games.  Preferences must be acyclic.  The result is verified
+    against all deviations by a nested SCC decomposition of each residual
+    graph that stops at the first preferred outcome.
     """
-    if game.kind == PRIORITY and any(height(p) is None
-                                     for p in game.preferences.prefs):
-        raise UnboundedHeightError(
-            "priority transfer needs finite-height preferences")
-    oracle = PriorityOracle(game) if game.kind == PRIORITY else MullerOracle(game)
-    result = equilibrium(oracle, game.preferences)
-    return GraphEquilibrium(*result.profile, result.outcome, result.counter)
+    return equilibrium(arena_oracle(game), game.preferences)

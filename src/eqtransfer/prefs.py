@@ -104,16 +104,6 @@ class PreferenceProfile:
         return self.prefs[player]
 
 
-@dataclass(frozen=True)
-class RankFunction:
-    """Monotone labelling of outcomes: x less-preferred than y forces a lower rank."""
-
-    ranks: tuple[int, ...]
-
-    def __call__(self, outcome: int) -> int:
-        return self.ranks[outcome]
-
-
 def _adjacency(p: Preference) -> list[list[int]]:
     adj: list[list[int]] = [[] for _ in range(p.outcomes.size)]
     for x, y in p.pairs:
@@ -152,13 +142,14 @@ def height(p: Preference) -> Optional[int]:
     An empty relation (antichain) has height 1; a single edge gives height 2.
     """
     try:
-        return max(rank(p).ranks) + 1
+        return max(rank(p)) + 1
     except CyclicPreferenceError:
         return None
 
 
-def rank(p: Preference) -> RankFunction:
-    """Minimal monotone ranks: rank(x) = longest chain ending at x, in edges."""
+def rank(p: Preference) -> tuple[int, ...]:
+    """Minimal monotone ranks, by outcome: the rank of x is the longest
+    chain ending at x, in edges, so x below y forces a lower rank."""
     order = _kahn_order(p)
     if len(order) != p.outcomes.size:
         raise CyclicPreferenceError("rank requires an acyclic preference")
@@ -168,7 +159,7 @@ def rank(p: Preference) -> RankFunction:
         for w in adj[v]:
             if ranks[v] + 1 > ranks[w]:
                 ranks[w] = ranks[v] + 1
-    return RankFunction(tuple(ranks))
+    return tuple(ranks)
 
 
 def linear_extension(p: Preference) -> list[int]:

@@ -15,12 +15,11 @@ from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
 from .errors import (CyclicPreferenceError, HypothesisViolatedError,
-                     NotDeterminedError, NotZeroSumError, UnboundedHeightError)
+                     NotDeterminedError, NotZeroSumError)
 from .normal_form import (GameStructure, NormalFormGame, Profile,
                           enforcing_strategy)
-from .prefs import (OutcomeSet, Preference, PreferenceProfile, height,
-                    is_acyclic, is_strict_linear, linear_extension, rank,
-                    upward_cone)
+from .prefs import (OutcomeSet, Preference, PreferenceProfile, is_acyclic,
+                    is_strict_linear, linear_extension, rank, upward_cone)
 
 
 @dataclass(frozen=True)
@@ -152,7 +151,8 @@ def max_enforceable_word(oracle: WinLoseOracle, n: int,
 
 @dataclass(frozen=True)
 class TransferResult:
-    """Raw output of one transfer run, before any game-level verification."""
+    """Output of one transfer run: ``run_transfer`` returns it unverified,
+    ``equilibrium`` once the profile is verified in the game."""
 
     strategy_1: OracleStrategy
     strategy_2: OracleStrategy
@@ -170,7 +170,8 @@ def run_transfer(oracle: WinLoseOracle, prefs: PreferenceProfile) -> TransferRes
 
     The expected played outcome is the preferred-by-player-2 maximum of the
     lift-greatest enforceable set; ``equilibrium`` verifies the resulting
-    profile in the game.
+    profile in the game.  This is the one acyclicity check of every
+    transfer: a cyclic preference raises CyclicPreferenceError.
     """
     if prefs.players != 2:
         raise ValueError("transfer works on two-player games")
@@ -325,15 +326,12 @@ def finite_height_reduce(g: NormalFormGame) -> NormalFormGame:
     """Replace outcomes by rank pairs and preferences by coordinate comparisons.
 
     Any Nash equilibrium of the reduced game is one of the original game.
+    A cyclic preference has no ranks: ``rank`` raises CyclicPreferenceError.
     """
     st = g.structure
     if st.players != 2:
         raise ValueError("reduction works on two-player games")
-    p1, p2 = g.preferences[0], g.preferences[1]
-    if height(p1) is None or height(p2) is None:
-        raise UnboundedHeightError("both preferences need finite height")
-    r1, r2 = rank(p1), rank(p2)
-    pair_of = [(r1(o), r2(o)) for o in range(st.outcomes.size)]
+    pair_of = list(zip(rank(g.preferences[0]), rank(g.preferences[1])))
     distinct = sorted(set(pair_of))
     index = {pr: i for i, pr in enumerate(distinct)}
     outcomes = OutcomeSet(len(distinct),

@@ -170,7 +170,8 @@ def test_c07_parity_solver_against_brute_force():
 
 
 def _stable(game, eq, rng, sampled_machines):
-    for deviator, fixed in ((1, eq.strategy_2), (2, eq.strategy_1)):
+    for deviator, fixed in ((1, eq.strategy_2.handle),
+                            (2, eq.strategy_1.handle)):
         pref = game.preferences[deviator - 1]
         deviations = list(all_positional_strategies(game.arena, deviator))
         deviations += [random_memory_machine(rng, game.arena, deviator, 3)
@@ -189,8 +190,8 @@ def test_c08_priority_games_positional_equilibria():
     for _ in range(50):
         game = random_priority_game(rng, max_vertices=6, max_outcomes=4)
         eq = et.multi_outcome_ne(game)
-        assert one_state_per_vertex(eq.strategy_1)
-        assert one_state_per_vertex(eq.strategy_2)
+        assert one_state_per_vertex(eq.strategy_1.handle)
+        assert one_state_per_vertex(eq.strategy_2.handle)
         assert _stable(game, eq, rng, sampled_machines=250)
     report("criterion 8 — 50/50 priority games: positional profile stable "
            "against all positional and 500 sampled memory-3 deviations")
@@ -201,8 +202,8 @@ def test_c09_muller_games_finite_memory_equilibria():
     for _ in range(25):
         game = random_muller_game(rng, max_vertices=4, max_color=3)
         eq = et.multi_outcome_ne(game)
-        assert isinstance(eq.strategy_1, et.FiniteMemoryStrategy)
-        assert isinstance(eq.strategy_2, et.FiniteMemoryStrategy)
+        assert isinstance(eq.strategy_1.handle, et.FiniteMemoryStrategy)
+        assert isinstance(eq.strategy_2.handle, et.FiniteMemoryStrategy)
         assert _stable(game, eq, rng, sampled_machines=250)
     report("criterion 9 — 25/25 Muller games: finite-memory equilibrium "
            "stable under the same deviation regime")

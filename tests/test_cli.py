@@ -230,6 +230,19 @@ class TestTransfer:
         else:
             assert "deviator" not in report and "outcome" not in report
 
+    def test_cyclic_priority_preference_one_error(self, capsys, tmp_path):
+        """The library and the command report a cyclic preference alike;
+        the library once raised UnboundedHeightError, a separate class."""
+        doc = json.loads(Path(fixture_path("priority_game.json")).read_text())
+        doc["preferences"][0]["pairs"] = [[0, 1], [1, 0]]
+        path = tmp_path / "cyclic.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(et.CyclicPreferenceError):
+            et.multi_outcome_ne(jsonio.load(str(path)))
+        code, out, _ = run(capsys, "--json", "transfer", str(path))
+        assert code == cli.EXIT_FAIL
+        assert json.loads(out)["error"] == "CyclicPreferenceError"
+
     def test_malformed_input_json_report(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -281,8 +294,7 @@ class TestArenaCommands:
                       for obj in json.loads(out)["strategies"])
             eq = et.multi_outcome_ne(game)
             assert (et.play_of(game.arena, game.start, s1, s2)
-                    == et.play_of(game.arena, game.start, eq.strategy_1,
-                                  eq.strategy_2))
+                    == et.play_of(game.arena, game.start, *eq.profile))
 
         code, out, _ = run(capsys, "--json", "solve-muller",
                            fixture_path("arena_small.json"))
@@ -437,6 +449,22 @@ class TestCorpus:
         code, err = self.run_promptly(capsys, "--samples", samples)
         assert code == cli.EXIT_INPUT
         assert "--samples must be at least 1" in err
+
+    def test_verify_samples_above_cap(self, capsys):
+        """Once about an hour of sampling before any report."""
+        start = time.perf_counter()
+        code, err = self.run_promptly(capsys, "--samples", "100000000")
+        assert time.perf_counter() - start < 1
+        assert code == cli.EXIT_INPUT
+        assert "exceed the cap of 100000" in err
+
+    @pytest.mark.parametrize("action", ["build", "verify"])
+    def test_n_for_entry_without_size(self, capsys, action):
+        """Once ignored: the fixed entry's reports came out with exit 0."""
+        code, _, err = run(capsys, "corpus", action, "remark_5_3", "--n", "5")
+        assert code == cli.EXIT_INPUT
+        assert "takes no size n" in err
+        assert "Traceback" not in err
 
 
 class TestErrorPaths:

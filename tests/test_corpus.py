@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import eqtransfer as et
+from eqtransfer import corpus
 from conftest import random_structure
 from reference_normal_form import (bit_instantiations_report,
                                    brute_find_all_ne,
@@ -37,6 +38,17 @@ class TestRegistry:
         assert not entry.executable
         assert entry.claims == ()
         assert et.verify(entry) == []
+
+    @pytest.mark.parametrize("name", ["remark_5_3", "prop_5_5", "prop_5_6",
+                                      "prop_5_1"])
+    def test_size_only_for_the_ladder(self, name):
+        with pytest.raises(et.SchemaError, match="takes no size n"):
+            et.build(name, n=5)
+
+    def test_samples_capped(self):
+        entry = et.build("prop_5_4")
+        with pytest.raises(et.TooLargeError):
+            et.verify(entry, samples=corpus.MAX_SAMPLES + 1)
 
 
 class TestRotatingGame:

@@ -52,7 +52,7 @@ class TestTreeBasics:
             for player in (1, 2):
                 for i in range(t.strategy_count(player)):
                     s = et.strategy_from_index(t, player, i)
-                    assert et.strategy_to_index(t, s) == i
+                    assert et.strategy_to_index(t, player, s) == i
                 with pytest.raises(ValueError):
                     et.strategy_from_index(t, player, t.strategy_count(player))
 
@@ -76,7 +76,7 @@ class TestNormalFormConversion:
                 for j in range(st.strategy_counts[1]):
                     s1 = et.strategy_from_index(t, 1, i)
                     s2 = et.strategy_from_index(t, 2, j)
-                    assert et.play_tree(t, s1, s2) == st.outcome((i, j))
+                    assert et.play_tree(t, {**s1, **s2}) == st.outcome((i, j))
 
     def test_cap(self, rng):
         t = random_tree(rng, 3)

@@ -306,7 +306,7 @@ class TestOracles:
             assert set(labels) <= probed | {full}
             assert solves[0] == len(probed | set(labels))
             fresh = et.MullerOracle(game)
-            for label, machine in zip(labels, (eq.strategy_1, eq.strategy_2)):
+            for label, machine in zip(labels, eq.profile):
                 assert same_strategy(fresh.strategy(label).handle, machine)
 
     def test_strategy_queries_reuse_probe_solves(self, rng, monkeypatch):
@@ -341,7 +341,7 @@ class TestOracles:
             assert set(labels) <= probed | {full}
             assert solves[0] == len(probed | set(labels))
             fresh = et.PriorityOracle(game)
-            for label, machine in zip(labels, (eq.strategy_1, eq.strategy_2)):
+            for label, machine in zip(labels, eq.profile):
                 assert same_strategy(fresh.strategy(label).handle, machine)
 
 
@@ -495,7 +495,8 @@ class TestDeviationOutcomes:
         for _ in range(40):
             game = random_priority_game(rng, max_vertices=4)
             eq = et.multi_outcome_ne(game)
-            for deviator, fixed in ((1, eq.strategy_2), (2, eq.strategy_1)):
+            for deviator, fixed in ((1, eq.strategy_2.handle),
+                                    (2, eq.strategy_1.handle)):
                 reachable = et.achievable_deviation_outcomes(
                     game, fixed, deviator)
                 assert eq.outcome in reachable
@@ -589,12 +590,12 @@ class TestDeviationSearch:
                 game = sized_game(rng, kind, n_vertices, n_colors)
                 oracle = arena_oracle(game)
                 eq = et.multi_outcome_ne(game)
-                play = et.play_of(game.arena, game.start, eq.strategy_1,
-                                  eq.strategy_2)
+                play = et.play_of(game.arena, game.start, *eq.profile)
                 assert play == reference_play(game.arena, game.start,
-                                              eq.strategy_1, eq.strategy_2)
+                                              *eq.profile)
                 assert game.outcome_of_play(play) == eq.outcome
-                for deviator, fixed in ((1, eq.strategy_2), (2, eq.strategy_1)):
+                for deviator, fixed in ((1, eq.strategy_2.handle),
+                                        (2, eq.strategy_1.handle)):
                     assert eq.outcome in self.check(oracle, fixed, deviator, rng)
                 fixed = random_memory_machine(rng, game.arena, 1, 3)
                 self.check(oracle, fixed, 2, rng)
@@ -647,7 +648,8 @@ class TestDeviationSearch:
 
 class TestMultiOutcomeNE:
     def check_stability(self, game, eq, rng, n_machines=50):
-        for deviator, fixed in ((1, eq.strategy_2), (2, eq.strategy_1)):
+        for deviator, fixed in ((1, eq.strategy_2.handle),
+                                (2, eq.strategy_1.handle)):
             pref = game.preferences[deviator - 1]
             deviations = list(all_positional_strategies(game.arena, deviator))
             deviations += [random_memory_machine(rng, game.arena, deviator, 3)
@@ -662,8 +664,8 @@ class TestMultiOutcomeNE:
         for _ in range(25):
             game = random_priority_game(rng)
             eq = et.multi_outcome_ne(game)
-            assert one_state_per_vertex(eq.strategy_1)
-            assert one_state_per_vertex(eq.strategy_2)
+            assert one_state_per_vertex(eq.strategy_1.handle)
+            assert one_state_per_vertex(eq.strategy_2.handle)
             assert eq.counter.winner_calls <= game.outcomes.size
             assert eq.counter.strategy_calls <= 2
             self.check_stability(game, eq, rng)
@@ -672,8 +674,8 @@ class TestMultiOutcomeNE:
         for _ in range(15):
             game = random_muller_game(rng)
             eq = et.multi_outcome_ne(game)
-            assert isinstance(eq.strategy_1, et.FiniteMemoryStrategy)
-            assert isinstance(eq.strategy_2, et.FiniteMemoryStrategy)
+            assert isinstance(eq.strategy_1.handle, et.FiniteMemoryStrategy)
+            assert isinstance(eq.strategy_2.handle, et.FiniteMemoryStrategy)
             assert eq.counter.winner_calls <= game.outcomes.size
             self.check_stability(game, eq, rng)
 

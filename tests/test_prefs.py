@@ -67,8 +67,11 @@ class TestAcyclicityHeightRank:
     def test_rank_frozen_example(self):
         # both 0 and 1 sit below 2 and are mutually incomparable
         r = et.rank(et.Preference.from_pairs(3, [(0, 2), (1, 2)]))
-        assert r.ranks == (0, 0, 1)
-        assert r(2) == 1
+        assert r == (0, 0, 1)
+        assert r[2] == 1
+
+    def test_unbounded_height_is_cyclicity(self):
+        assert et.UnboundedHeightError is et.CyclicPreferenceError
 
     def test_rank_rejects_cycle(self):
         with pytest.raises(et.CyclicPreferenceError):
@@ -79,7 +82,7 @@ class TestAcyclicityHeightRank:
             p = random_acyclic_preference(rng, rng.randint(1, 7))
             r = et.rank(p)
             for x, y in p.pairs:
-                assert r(x) < r(y)
+                assert r[x] < r[y]
 
 
 class TestLinearExtension:
