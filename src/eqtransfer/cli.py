@@ -14,8 +14,8 @@ from typing import Optional
 
 from . import corpus as corpus_mod
 from . import jsonio
-from .errors import (EqTransferError, NotDeterminedError, SchemaError,
-                     TooLargeError, UnknownNameError)
+from .errors import (BadIndexError, EqTransferError, NotDeterminedError,
+                     SchemaError, TooLargeError, UnknownNameError)
 from .extensive import (GameTree, TreeOracle, strategy_from_index,
                         to_normal_form)
 from .graph_games import (Arena, MullerOracle, MultiOutcomeGraphGame,
@@ -39,25 +39,11 @@ def _emit(report: dict, as_json: bool) -> None:
         print(line)
 
 
-def _load_doc(path: str):
-    """The input's decoded JSON document and the value built from it."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = jsonio.parse(fh.read())
-    except OSError as exc:
-        raise SchemaError(f"cannot read {path}: {exc}") from exc
-    return doc, jsonio.from_obj(doc)
-
-
-def _load(path: str):
-    return _load_doc(path)[1]
-
-
 def _normal_form(value, prefs: bool = True, cap: int = DEFAULT_PROFILE_CAP):
     """The input as a normal-form game, or as a bare structure when
     ``prefs`` is false; a tree is converted under the profile cap."""
     st, profile = value, None
-    if isinstance(value, tuple):
+    if isinstance(value, tuple) and isinstance(value[0], GameTree):
         st, profile = value
     elif isinstance(value, NormalFormGame):
         st, profile = value.structure, value.preferences
@@ -76,7 +62,7 @@ def _profile_cap(args) -> int:
 
 def _cmd_solve(args) -> int:
     cap = _profile_cap(args)
-    nes = find_all_ne(_normal_form(_load(args.input), cap=cap), cap=cap)
+    nes = find_all_ne(_normal_form(jsonio.load(args.input), cap=cap), cap=cap)
     report = {
         "command": "solve",
         "equilibria": [list(p) for p in nes],
@@ -89,7 +75,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_check_determinacy(args) -> int:
-    st = _normal_form(_load(args.input), prefs=False)
+    st = _normal_form(jsonio.load(args.input), prefs=False)
     cap = args.cap if args.cap is not None else DEFAULT_OUTCOME_CAP
     determined = is_determined(st, cap=cap)
     report = {
@@ -122,7 +108,7 @@ def _backend(value):
     the arena solvers for a priority or Muller game."""
     if isinstance(value, NormalFormGame):
         return StructureOracle(value.structure), value.preferences
-    if isinstance(value, tuple):
+    if isinstance(value, tuple) and isinstance(value[0], GameTree):
         return TreeOracle(value[0]), value[1]
     if isinstance(value, MultiOutcomeGraphGame):
         return arena_oracle(value), value.preferences
@@ -130,7 +116,7 @@ def _backend(value):
 
 
 def _cmd_transfer(args) -> int:
-    backend, prefs = _backend(_load(args.input))
+    backend, prefs = _backend(jsonio.load(args.input))
     result = equilibrium(backend, prefs)
     label = prefs.outcomes.label(result.outcome)
     report = {
@@ -181,20 +167,15 @@ def _moves(s) -> dict[int, int]:
 
 
 def _cmd_solve_arena(args) -> int:
-    doc, value = _load_doc(args.input)
-    if not isinstance(value, Arena):
+    value = jsonio.load(args.input)
+    if not (isinstance(value, tuple) and isinstance(value[0], Arena)):
         raise SchemaError(f"{args.command} needs a plain arena input")
-    start = doc["start"]
+    arena, start, win_sets = value
     if args.command == "solve-parity":
-        winner, strat = solve_parity(value, start)
+        winner, strat = solve_parity(arena, start)
         detail = f"positional strategy: {dict(sorted(_moves(strat).items()))}"
     else:
-        win_sets = doc.get("win_sets")
-        if not (isinstance(win_sets, list)
-                and all(map(jsonio.int_list, win_sets))):
-            raise SchemaError("solve-muller needs win_sets, a list of colour "
-                              "lists, in the input")
-        winner, strat = solve_muller(value, start, win_sets)
+        winner, strat = solve_muller(arena, start, win_sets)
         detail = f"finite-memory strategy, {strat.num_states} states"
     report = {
         "command": args.command,
@@ -207,20 +188,12 @@ def _cmd_solve_arena(args) -> int:
 
 
 def _cmd_verify_ne(args) -> int:
-    game = _normal_form(_load(args.input), cap=_profile_cap(args))
+    game = _normal_form(jsonio.load(args.input), cap=_profile_cap(args))
     try:
         profile = tuple(int(x) for x in args.profile.split(","))
     except ValueError as exc:
         raise SchemaError(f"bad profile {args.profile!r}: "
                           "expected comma-separated indices") from exc
-    if len(profile) != game.structure.players:
-        raise SchemaError(f"profile has {len(profile)} entries for "
-                          f"{game.structure.players} players")
-    for player, (s, c) in enumerate(zip(profile,
-                                        game.structure.strategy_counts)):
-        if not (0 <= s < c):
-            raise SchemaError(f"strategy {s} of player {player + 1} "
-                              f"out of range 0..{c - 1}")
     ok = is_nash_equilibrium(game, profile)
     report = {
         "command": "verify-ne",
@@ -242,12 +215,6 @@ def _cmd_corpus(args) -> int:
         }
         _emit(report, args.json)
         return EXIT_OK
-    if not args.name:
-        raise SchemaError("corpus build/verify needs an entry name")
-    if args.n is not None and args.n < 2:
-        raise SchemaError(f"--n must be at least 2, got {args.n}")
-    if args.samples < 1:
-        raise SchemaError(f"--samples must be at least 1, got {args.samples}")
     entry = corpus_mod.build(args.name, n=args.n)
     if args.action == "build":
         lines = [f"{entry.name}: {entry.description}"]
@@ -334,15 +301,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify_ne)
 
     p = sub.add_parser("corpus", help="list, build, or verify corpus entries")
-    p.add_argument("action", choices=("list", "build", "verify"))
-    p.add_argument("name", nargs="?")
-    p.add_argument("--n", type=int, default=None,
-                   help="size parameter of prop_5_4, 2 to 100; the other "
-                        "entries take none")
-    p.add_argument("--samples", type=int, default=1000,
-                   help="sample count for non-exhaustive claims, 1 to "
-                        f"{corpus_mod.MAX_SAMPLES}")
     p.set_defaults(func=_cmd_corpus)
+    actions = p.add_subparsers(dest="action", required=True)
+    actions.add_parser("list", help="name and describe every entry")
+    build = actions.add_parser("build", help="build one entry")
+    verify = actions.add_parser("verify", help="check one entry's claims")
+    for p in (build, verify):
+        p.add_argument("name")
+        p.add_argument("--n", type=int, default=None,
+                       help="size parameter of prop_5_4, 2 to 100; the "
+                            "other entries take none")
+    verify.add_argument("--samples", type=int, default=1000,
+                        help="sample count for non-exhaustive claims, 1 to "
+                             f"{corpus_mod.MAX_SAMPLES}")
 
     return parser
 
@@ -378,7 +349,8 @@ def _main(argv: Optional[list[str]]) -> int:
             if getattr(exc, "deviator", None) is not None:
                 report.update(deviator=exc.deviator, outcome=exc.outcome)
             _emit(report, True)
-        if isinstance(exc, (SchemaError, UnknownNameError, TooLargeError)):
+        if isinstance(exc, (SchemaError, UnknownNameError, TooLargeError,
+                            BadIndexError)):
             return EXIT_INPUT
         return EXIT_FAIL
 

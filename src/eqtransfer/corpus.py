@@ -466,6 +466,8 @@ def build(name: str, n: Optional[int] = None) -> CorpusEntry:
         raise UnknownNameError(f"unknown corpus entry {name!r}")
     if n is not None and name != "prop_5_4":
         raise SchemaError(f"corpus entry {name} takes no size n")
+    if n is not None and n < 2:
+        raise SchemaError(f"n must be at least 2, got {n}")
     desc = _DESCRIPTIONS[name]
     if name in ("prop_5_1", "prop_5_2"):
         return CorpusEntry(name, desc, False, None, None, ())
@@ -491,7 +493,9 @@ def build(name: str, n: Optional[int] = None) -> CorpusEntry:
 def verify(entry: CorpusEntry, seed: int = 0,
            samples: int = 1000) -> list[ClaimReport]:
     """Run every claim; sampled checks draw from a generator seeded per
-    claim, at most MAX_SAMPLES samples each."""
+    claim, 1 to MAX_SAMPLES samples each."""
+    if samples < 1:
+        raise SchemaError(f"samples must be at least 1, got {samples}")
     if samples > MAX_SAMPLES:
         raise TooLargeError(f"{samples} samples exceed the cap of "
                             f"{MAX_SAMPLES}")

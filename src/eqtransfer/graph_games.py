@@ -15,7 +15,8 @@ import numbers
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .errors import BadIndexError, NotDeterminedError
+from .errors import (BadIndexError, NotDeterminedError, SchemaError,
+                     TooLargeError)
 from .prefs import OutcomeSet, PreferenceProfile, is_int
 from .transfer import (GameBackend, OracleStrategy, TransferResult,
                        equilibrium)
@@ -311,6 +312,11 @@ def solve_parity(arena: Arena, start: int) -> tuple[int, FiniteMemoryStrategy]:
 # Muller: McNaughton's recursion on the arena, each player's winning region
 # cut into pieces that carry a finite-memory strategy.
 
+# Most distinct colours a Muller solve may reach from its start: each split
+# lists every subset of a colour set, 2^20 of them in about half a second.
+MAX_MULLER_COLOURS = 20
+
+
 def _mcnaughton(arena: Arena, vbits, wins, start: int):
     """McNaughton's algorithm as Zielonka (1998) states it, on what
     ``start`` reaches (``vbits[v]`` is v's colour bit; ``wins(K)`` is 1 iff
@@ -323,7 +329,8 @@ def _mcnaughton(arena: Arena, vbits, wins, start: int):
     piece, with core X and child ``(-1, {}, X, their pieces in G)``, and
     the rest is solved again; else i wins it all, with children ``(D,
     moves, G, i's pieces in G)``.  An opponent leaves a piece only into an
-    earlier piece of the player."""
+    earlier piece of the player.  More than MAX_MULLER_COLOURS colours
+    reachable from ``start`` raise TooLargeError."""
     succ, pred, owned = arena.succ, arena.pred, arena.owned
 
     @functools.cache
@@ -363,7 +370,11 @@ def _mcnaughton(arena: Arena, vbits, wins, start: int):
                 break
         return pieces
 
-    pieces = solve(set(_reachable(succ, start)))
+    region = set(_reachable(succ, start))
+    if len({vbits[v] for v in region}) > MAX_MULLER_COLOURS:
+        raise TooLargeError(f"more than {MAX_MULLER_COLOURS} colours "
+                            "reachable from the start of a Muller game")
+    pieces = solve(region)
     return 1 if any(start in p[0] for p in pieces[0]) else 2, pieces
 
 
@@ -447,13 +458,16 @@ def _muller_machine(arena: Arena, vbits, start: int, player: int,
 
 
 def solve_muller(arena: Arena, start: int,
-                 win_sets: Iterable[Iterable[int]]
+                 win_sets: Optional[Iterable[Iterable[int]]]
                  ) -> tuple[int, FiniteMemoryStrategy]:
     """Winner (player 1 wins iff the cluster set is a winning set) and a
     finite-memory winning strategy for plays from ``start``, from
     McNaughton's recursion on the arena, with no latest-appearance-record
-    product."""
+    product.  ``win_sets`` None (none given) raises SchemaError."""
     _check_start(arena, start)
+    if win_sets is None:
+        raise SchemaError("a Muller game needs win_sets, a list of colour "
+                          "lists")
     bit = {c: 1 << i for i, c in enumerate(sorted(arena.color_set()))}
     vbits = [bit[c] for c in arena.colors]
     wins = {sum(bit[c] for c in s) for s in map(set, win_sets)

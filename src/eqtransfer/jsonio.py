@@ -23,9 +23,11 @@ from .prefs import OutcomeSet, Preference, PreferenceProfile, is_int
 FORMAT = 1
 MAX_OUTCOMES = 4096
 
+# A plain arena loads as solve_parity's and solve_muller's arguments.
+PlainArena = tuple[Arena, int, Optional[tuple[frozenset[int], ...]]]
 Loadable = Union[GameStructure, NormalFormGame, GameTree,
                  tuple[GameTree, PreferenceProfile],
-                 Arena, MultiOutcomeGraphGame]
+                 PlainArena, MultiOutcomeGraphGame]
 
 
 def _require(cond: bool, message: str) -> None:
@@ -172,7 +174,7 @@ def tree_to_obj(tree: GameTree,
     return doc
 
 
-def _arena_from_obj(obj: dict) -> Union[Arena, MultiOutcomeGraphGame]:
+def _arena_from_obj(obj: dict) -> Union[PlainArena, MultiOutcomeGraphGame]:
     for key in ("vertices", "owned", "edges", "colors", "start"):
         _require(key in obj, f"arena needs a {key!r} field")
     edges = obj["edges"]
@@ -188,7 +190,12 @@ def _arena_from_obj(obj: dict) -> Union[Arena, MultiOutcomeGraphGame]:
     _require(is_int(start) and 0 <= start < arena.num_vertices,
              f"start vertex {start!r} out of range")
     if "kind" not in obj:
-        return arena
+        win_sets = obj.get("win_sets")
+        _require(win_sets is None or isinstance(win_sets, list)
+                 and all(map(int_list, win_sets)),
+                 "win_sets must be a list of colour lists")
+        return arena, start, (None if win_sets is None
+                              else tuple(map(frozenset, win_sets)))
     kind = obj["kind"]
     _require(kind in ("priority", "muller"), f"unknown kind {kind!r}")
     outs = _outcome_set(obj.get("outcomes"))
@@ -213,12 +220,11 @@ def _arena_from_obj(obj: dict) -> Union[Arena, MultiOutcomeGraphGame]:
         preferences=prefs, outcome_map=outcome_map)
 
 
-def arena_to_obj(obj: Union[Arena, MultiOutcomeGraphGame],
-                 start: int = 0) -> dict:
-    if isinstance(obj, Arena):
-        arena, game = obj, None
+def arena_to_obj(value: Union[PlainArena, MultiOutcomeGraphGame]) -> dict:
+    if isinstance(value, MultiOutcomeGraphGame):
+        arena, start, game = value.arena, value.start, value
     else:
-        arena, game, start = obj.arena, obj, obj.start
+        (arena, start, win_sets), game = value, None
     doc = {
         "format": FORMAT,
         "vertices": arena.num_vertices,
@@ -228,6 +234,8 @@ def arena_to_obj(obj: Union[Arena, MultiOutcomeGraphGame],
         "start": start,
     }
     if game is None:
+        if win_sets is not None:
+            doc["win_sets"] = [sorted(ws) for ws in win_sets]
         return doc
     doc["kind"] = game.kind
     doc["outcomes"] = _outcomes_obj(game.outcomes)
@@ -259,10 +267,10 @@ def to_obj(value: Loadable) -> dict:
         return game_to_obj(value)
     if isinstance(value, GameTree):
         return tree_to_obj(value)
-    if isinstance(value, tuple) and len(value) == 2 \
-            and isinstance(value[0], GameTree):
-        return tree_to_obj(value[0], value[1])
-    if isinstance(value, (Arena, MultiOutcomeGraphGame)):
+    if isinstance(value, tuple) and isinstance(value[0], GameTree):
+        return tree_to_obj(*value)
+    if isinstance(value, MultiOutcomeGraphGame) or (
+            isinstance(value, tuple) and isinstance(value[0], Arena)):
         return arena_to_obj(value)
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
@@ -291,8 +299,12 @@ def loads(text: str) -> Loadable:
 
 
 def load(path: str) -> Loadable:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"cannot read {path}: {exc}") from exc
+    return loads(text)
 
 
 def dumps(value: Loadable) -> str:

@@ -19,6 +19,8 @@ Profile = tuple[int, ...]
 
 DEFAULT_PROFILE_CAP = 1_000_000
 DEFAULT_OUTCOME_CAP = 20
+# Labels is_determined tests at once: 4 MB of uint32 labels per block.
+LABEL_BLOCK = 1 << 20
 
 
 class GameStructure:
@@ -137,8 +139,13 @@ def is_nash_equilibrium(g: NormalFormGame, s: Profile) -> bool:
 
     The kernel's deviation lines at the one profile s, the profile's own
     cell left out; for one profile, looking each distinct outcome up in the
-    relation is cheaper than building the better masks."""
+    relation is cheaper than building the better masks.  A profile of the
+    wrong length or with an index out of range raises BadIndexError."""
     st = g.structure
+    if len(s) != st.players or not all(
+            0 <= i < c for i, c in zip(s, st.strategy_counts)):
+        raise BadIndexError(f"profile {tuple(s)} does not fit strategy "
+                            f"counts {st.strategy_counts}")
     base = st.outcome(s)
     for player, pref in enumerate(g.preferences.prefs):
         line = st.table[tuple(s[:player]) + (slice(None),)
@@ -179,8 +186,9 @@ def is_determined(st: GameStructure, cap: int = DEFAULT_OUTCOME_CAP) -> bool:
 
     With outcome o as bit o, player 1 wins label L iff the outcome mask R of
     some row has R & ~L == 0, and player 2 iff the mask C of some column has
-    C & L == 0.  All 2^n labels are tested at once, one distinct mask at a
-    time; the cap, never above 31, keeps the labels within uint32.
+    C & L == 0.  The 2^n labels are tested LABEL_BLOCK at a time, one
+    distinct mask at a time, up to the first block with a label nobody
+    wins; the cap, never above 31, keeps the labels within uint32.
     """
     n = st.outcomes.size
     if st.players != 2:
@@ -189,13 +197,19 @@ def is_determined(st: GameStructure, cap: int = DEFAULT_OUTCOME_CAP) -> bool:
     if n > limit:
         raise TooLargeError(f"{n} outcomes exceed determinacy cap {limit}")
     reach = np.left_shift(np.uint32(1), st.table.astype(np.uint32))
-    labels = np.arange(1 << n, dtype=np.uint32)
-    won = np.zeros(1 << n, dtype=bool)
-    for row in np.unique(np.bitwise_or.reduce(reach, axis=1)):
-        won |= (labels & row) == row
-    for col in np.unique(np.bitwise_or.reduce(reach, axis=0)):
-        won |= (labels & col) == 0
-    return bool(won.all())
+    rows = np.unique(np.bitwise_or.reduce(reach, axis=1))
+    cols = np.unique(np.bitwise_or.reduce(reach, axis=0))
+    for low in range(0, 1 << n, LABEL_BLOCK):
+        labels = np.arange(low, min(low + LABEL_BLOCK, 1 << n),
+                           dtype=np.uint32)
+        won = np.zeros(labels.size, dtype=bool)
+        for row in rows:
+            won |= (labels & row) == row
+        for col in cols:
+            won |= (labels & col) == 0
+        if not won.all():
+            return False
+    return True
 
 
 def slice_structure(st: GameStructure, player: int, strategy: int) -> GameStructure:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import eqtransfer as et
-from eqtransfer import cli, jsonio
+from eqtransfer import cli, graph_games, jsonio
 from conftest import FIXTURES, fixture_path
 from reference_graph import all_positional_strategies
 
@@ -71,6 +71,14 @@ def wide_caterpillar(spine: int) -> dict:
         tree = {"owner": "a", "children": [{"leaf": d % 2}, tree]}
     return {"format": 1, "outcomes": 2, "tree": tree,
             "preferences": [{"pairs": [[0, 1]]}, {"pairs": [[1, 0]]}]}
+
+
+def colour_ring(n: int) -> dict:
+    """A plain arena of n vertices on a ring with chords, vertex u coloured
+    u, which player 2 wins from 0 under ``win_sets`` [[0]]."""
+    return {"format": 1, "vertices": n, "owned": list(range(0, n, 2)),
+            "edges": [[u, (u + d) % n] for u in range(n) for d in (1, 2)],
+            "colors": list(range(n)), "start": 0, "win_sets": [[0]]}
 
 
 def transfer_oracle(capsys, path: str) -> str:
@@ -299,10 +307,9 @@ class TestArenaCommands:
         code, out, _ = run(capsys, "--json", "solve-muller",
                            fixture_path("arena_small.json"))
         assert code == cli.EXIT_OK
-        doc = json.loads(Path(fixture_path("arena_small.json")).read_text())
-        arena, start = jsonio.from_obj(doc), doc["start"]
+        arena, start, win_sets = jsonio.load(fixture_path("arena_small.json"))
         printed = machine_from_obj(json.loads(out)["strategy"], arena)
-        _, machine = et.solve_muller(arena, start, doc["win_sets"])
+        _, machine = et.solve_muller(arena, start, win_sets)
         assert printed.player == machine.player == 1
         for other in all_positional_strategies(arena, 2):
             assert (et.play_of(arena, start, printed, other)
@@ -318,6 +325,58 @@ class TestArenaCommands:
         assert code == cli.EXIT_INPUT
         assert "win_sets" in err
         assert "Traceback" not in err
+
+    def test_dumped_plain_arena_solves_alike(self, capsys, tmp_path):
+        """Once dumped with start 0 and without win_sets, which
+        solve-muller then refused."""
+        path = tmp_path / "arena.json"
+        jsonio.dump(jsonio.load(fixture_path("arena_small.json")), str(path))
+        reports = [run(capsys, "--json", command, where)
+                   for where in (fixture_path("arena_small.json"), str(path))
+                   for command in ("solve-muller", "solve-parity")]
+        assert reports[:2] == reports[2:]
+        assert json.loads(reports[0][1])["lines"][0] == \
+            "player 1 wins from vertex 1"
+
+    @pytest.mark.parametrize("command", ["solve-parity", "solve-muller"])
+    def test_win_sets_checked_on_load(self, capsys, tmp_path, command):
+        """Once only solve-muller checked win_sets; solve-parity exited 0."""
+        doc = json.loads(Path(fixture_path("arena_small.json")).read_text())
+        doc["win_sets"] = [[1, "2"]]
+        path = tmp_path / "arena.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, command, str(path))
+        assert code == cli.EXIT_INPUT
+        assert "win_sets must be a list of colour lists" in err
+
+    def test_solve_muller_needs_win_sets(self, capsys, tmp_path):
+        doc = json.loads(Path(fixture_path("arena_small.json")).read_text())
+        del doc["win_sets"]
+        path = tmp_path / "arena.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "solve-parity", str(path))[0] == cli.EXIT_OK
+        code, _, err = run(capsys, "solve-muller", str(path))
+        assert code == cli.EXIT_INPUT
+        assert "needs win_sets" in err
+
+    def test_muller_colour_cap(self, capsys, tmp_path):
+        """Once still running when ``timeout 10`` killed it: 30 colours
+        would make each split list 2^30 subsets."""
+        path = tmp_path / "ring.json"
+        path.write_text(json.dumps(colour_ring(30)))
+        start = time.perf_counter()
+        code, _, err = run(capsys, "solve-muller", str(path))
+        assert time.perf_counter() - start < 1
+        assert code == cli.EXIT_INPUT
+        assert "more than 20 colours reachable" in err
+
+    def test_transfer_shares_colour_cap(self, capsys, monkeypatch):
+        """The Muller oracle runs the same recursion, so the same cap."""
+        monkeypatch.setattr(graph_games, "MAX_MULLER_COLOURS", 1)
+        code, _, err = run(capsys, "transfer",
+                           fixture_path("muller_game.json"))
+        assert code == cli.EXIT_INPUT
+        assert "more than 1 colours reachable" in err
 
 
     @pytest.mark.parametrize("outcome", [99, "x", -1])
@@ -382,6 +441,16 @@ class TestVerifyNe:
                            fixture_path("intro_winlose_tree.json"))
         assert code == cli.EXIT_INPUT
 
+    @pytest.mark.parametrize("profile", ["0,9", "-1,0", "0", "0,0,0"])
+    def test_profile_checked_by_the_library(self, capsys, profile):
+        code, out, err = run(capsys, "--json", "verify-ne",
+                             f"--profile={profile}",
+                             fixture_path("intro_winlose_tree.json"))
+        assert code == cli.EXIT_INPUT
+        assert json.loads(out)["error"] == "BadIndexError"
+        assert "does not fit strategy counts (2, 4)" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", [["verify-ne", "--profile", "0,3"],
                                          ["solve"]])
     def test_cap_bounds_tree_conversion(self, capsys, command):
@@ -434,7 +503,7 @@ class TestCorpus:
         """Once a ValueError traceback from the ladder constructor."""
         code, err = self.run_promptly(capsys, "--n", "1")
         assert code == cli.EXIT_INPUT
-        assert "--n must be at least 2" in err
+        assert "n must be at least 2, got 1" in err
 
     def test_verify_n_above_cap(self, capsys):
         """101**3 profiles exceed the profile cap; once the table was
@@ -448,7 +517,7 @@ class TestCorpus:
         """Once a sampled claim confirmed on no samples (0/0)."""
         code, err = self.run_promptly(capsys, "--samples", samples)
         assert code == cli.EXIT_INPUT
-        assert "--samples must be at least 1" in err
+        assert f"samples must be at least 1, got {samples}" in err
 
     def test_verify_samples_above_cap(self, capsys):
         """Once about an hour of sampling before any report."""
@@ -457,6 +526,20 @@ class TestCorpus:
         assert time.perf_counter() - start < 1
         assert code == cli.EXIT_INPUT
         assert "exceed the cap of 100000" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["list", "--n", "7"], ["list", "prop_5_4"],
+        ["build", "prop_5_4", "--samples", "0"],
+        ["build", "prop_5_4", "--samples", "100000000"], ["build"]])
+    def test_flag_the_action_cannot_use(self, capsys, argv):
+        """Once checked on actions that ignore it, or ignored: argparse
+        now refuses it."""
+        start = time.perf_counter()
+        code, out, err = run(capsys, "corpus", *argv)
+        assert time.perf_counter() - start < 1
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("action", ["build", "verify"])
     def test_n_for_entry_without_size(self, capsys, action):

@@ -45,6 +45,19 @@ class TestRegistry:
         with pytest.raises(et.SchemaError, match="takes no size n"):
             et.build(name, n=5)
 
+    def test_ladder_size_at_least_2(self):
+        """Once a ValueError from the ladder constructor."""
+        with pytest.raises(et.SchemaError,
+                           match="n must be at least 2, got 1"):
+            et.build("prop_5_4", 1)
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_samples_at_least_1(self, samples):
+        """Once a sampled claim confirmed on "0/0" samples."""
+        with pytest.raises(et.SchemaError,
+                           match=f"samples must be at least 1, got {samples}"):
+            et.verify(et.build("prop_5_4"), samples=samples)
+
     def test_samples_capped(self):
         entry = et.build("prop_5_4")
         with pytest.raises(et.TooLargeError):

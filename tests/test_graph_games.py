@@ -442,6 +442,27 @@ class TestMuller:
         assert (winner, machine.num_states) == (2, 3)
         assert len(lar_product(a, 3)[0]) == 7
 
+    def test_colour_cap(self):
+        """Each split lists every subset of its colours: 20 reachable
+        colours still solve, 21 raise TooLargeError at once, and colours
+        the start does not reach do not count."""
+        def ring(n, unreachable=0):
+            edges = [(u, (u + d) % n) for u in range(n) for d in (1, 2)]
+            edges += [(n + u, 0) for u in range(unreachable)]
+            return et.Arena(n + unreachable, range(0, n, 2), edges,
+                            range(n + unreachable))
+
+        assert graph_games.MAX_MULLER_COLOURS == 20
+        assert et.solve_muller(ring(20), 0, [[0]])[0] == 2
+        assert et.solve_muller(ring(3, unreachable=30), 0, [[0]])[0] == 2
+        with pytest.raises(et.TooLargeError, match="more than 20 colours"):
+            et.solve_muller(ring(21), 0, [[0]])
+
+    def test_missing_win_sets(self):
+        arena = et.Arena(2, [0], [(0, 1), (1, 0)], [1, 2])
+        with pytest.raises(et.SchemaError, match="win_sets"):
+            et.solve_muller(arena, 0, None)
+
     def test_start_without_entry_state_rejected(self):
         a = et.Arena(2, [0], [(0, 1), (1, 0), (0, 0)], [1, 2])
         winner, machine = et.solve_muller(a, 0, [[1, 2]])

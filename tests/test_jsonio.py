@@ -11,13 +11,27 @@ from conftest import FIXTURES, fixture_path
 ALL_FIXTURES = sorted(p.name for p in FIXTURES.glob("*.json"))
 
 
+def normalised(doc: dict) -> dict:
+    """The document with its preference pairs, ``r`` entries and
+    ``win_sets`` in sorted order, which a dump may change."""
+    doc = dict(doc)
+    if "preferences" in doc:
+        doc["preferences"] = [{**p, "pairs": sorted(p["pairs"])}
+                              for p in doc["preferences"]]
+    for key in ("r", "win_sets"):
+        if key in doc:
+            doc[key] = sorted(doc[key])
+    return doc
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("name", ALL_FIXTURES)
     def test_fixture_round_trips(self, name):
+        """Compared with the document itself, so that a field dropped on
+        load shows."""
         text = (FIXTURES / name).read_text()
-        value = jsonio.loads(text)
-        again = jsonio.loads(jsonio.dumps(value))
-        assert jsonio.to_obj(again) == jsonio.to_obj(value)
+        assert (normalised(json.loads(jsonio.dumps(jsonio.loads(text))))
+                == normalised(json.loads(text)))
 
     def test_fixture_types(self):
         tree, prefs = jsonio.load(fixture_path("intro_payoff_tree.json"))
@@ -27,12 +41,27 @@ class TestRoundTrip:
                           et.GameTree)
         assert isinstance(jsonio.load(fixture_path("xy_yx.json")),
                           et.GameStructure)
-        assert isinstance(jsonio.load(fixture_path("arena_small.json")), dict) \
-            is False  # plain arenas load as Arena objects
+        arena, start, win_sets = jsonio.load(fixture_path("arena_small.json"))
+        assert isinstance(arena, et.Arena)
+        assert (start, win_sets) == (1, (frozenset({1, 2}),))
         assert isinstance(jsonio.load(fixture_path("priority_game.json")),
                           et.MultiOutcomeGraphGame)
         assert isinstance(jsonio.load(fixture_path("muller_game.json")),
                           et.MultiOutcomeGraphGame)
+
+    def test_plain_arena_keeps_start_and_win_sets(self):
+        """Once written back with start 0 and without its win_sets."""
+        doc = json.loads((FIXTURES / "arena_small.json").read_text())
+        assert doc["start"] == 1
+        again = json.loads(jsonio.dumps(jsonio.from_obj(doc)))
+        assert (again["start"], again["win_sets"]) == (1, [[1, 2]])
+        del doc["win_sets"]
+        assert jsonio.from_obj(doc)[1:] == (1, None)
+        assert "win_sets" not in jsonio.to_obj(jsonio.from_obj(doc))
+        assert jsonio.from_obj({**doc, "win_sets": None})[2] is None
+        empty = jsonio.from_obj({**doc, "win_sets": []})
+        assert empty[2] == ()
+        assert jsonio.to_obj(empty)["win_sets"] == []
 
     def test_normal_form_game_round_trip(self):
         g = et.remark_5_3_game()
@@ -106,6 +135,22 @@ class TestErrors:
         obj["start"] = 99
         with pytest.raises(et.SchemaError, match="start"):
             jsonio.from_obj(obj)
+
+    @pytest.mark.parametrize("win_sets", [[1], "12", [[1, "2"]], [[1, True]],
+                                          {"1": [2]}])
+    def test_arena_bad_win_sets(self, win_sets):
+        obj = json.loads((FIXTURES / "arena_small.json").read_text())
+        obj["win_sets"] = win_sets
+        with pytest.raises(et.SchemaError, match="win_sets"):
+            jsonio.from_obj(obj)
+
+    def test_unreadable_file(self, tmp_path):
+        with pytest.raises(et.SchemaError, match="cannot read"):
+            jsonio.load(str(tmp_path / "missing.json"))
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"format": 1, "outcomes": ["\xe9"]}')
+        with pytest.raises(et.SchemaError, match="cannot read"):
+            jsonio.load(str(path))
 
     def test_unknown_kind(self):
         obj = json.loads((FIXTURES / "priority_game.json").read_text())

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import eqtransfer as et
-from conftest import random_determined_structure, random_structure, random_tree
+from eqtransfer import jsonio, normal_form
+from conftest import (fixture_path, random_determined_structure,
+                      random_structure, random_tree)
 from reference_normal_form import (brute_find_all_ne,
                                    brute_is_determined,
                                    brute_is_nash_equilibrium, can_enforce,
@@ -91,6 +93,16 @@ class TestNashEquilibrium:
         assert brute_find_all_ne(g) == everything
         assert et.find_all_ne(g) == everything
         assert all(et.is_nash_equilibrium(g, s) for s in everything)
+
+    @pytest.mark.parametrize("profile", [(-1, 0), (0, 99), (0, 4), (2, 0),
+                                         (0,), (0, 0, 0)])
+    def test_profile_must_fit_the_game(self, profile):
+        """Once (-1, 0) silently checked the last row."""
+        tree, prefs = jsonio.load(fixture_path("intro_payoff_tree.json"))
+        g = et.NormalFormGame(et.to_normal_form(tree), prefs)
+        assert g.structure.strategy_counts == (2, 4)
+        with pytest.raises(et.BadIndexError, match="does not fit"):
+            et.is_nash_equilibrium(g, profile)
 
 
 def random_relation_game(rng, players: int) -> et.NormalFormGame:
@@ -231,6 +243,32 @@ class TestDeterminacy:
             st = et.GameStructure((rows, cols), et.OutcomeSet(n), table)
             assert not et.is_determined(st)
             assert not brute_is_determined(st)
+
+    def test_label_blocks_match_one_pass(self, rng, monkeypatch):
+        """Labels tested LABEL_BLOCK at a time give the verdict of one pass
+        over all 2^n labels; so do blocks of 16 labels on up to 12
+        outcomes.  With 21 outcomes there are two blocks, and the planted
+        structure's only unwon labels hold outcome 20, so only the second
+        block finds them."""
+        small = [random_structure(rng, (rng.randint(1, 5), rng.randint(1, 5)),
+                                  rng.randint(1, 12)) for _ in range(300)]
+        small += [random_determined_structure(rng, max_outcomes=12)
+                  for _ in range(100)]
+        wide = et.OutcomeSet(21)
+        late = et.GameStructure((2, 3), wide, [[0, 1, 20], [1, 0, 20]])
+        diagonal = et.GameStructure((21, 1), wide, list(range(21)))
+        assert normal_form.LABEL_BLOCK == 1 << 20
+        verdicts = {}
+        for block in (1 << 4, 1 << 20, 1 << 31):
+            monkeypatch.setattr(normal_form, "LABEL_BLOCK", block)
+            wides = [late, diagonal] if block > 1 << 4 else []
+            verdicts[block] = [et.is_determined(st, cap=21)
+                               for st in small + wides]
+        one_pass = verdicts.pop(1 << 31)
+        assert verdicts.pop(1 << 20) == one_pass
+        assert verdicts.pop(1 << 4) == one_pass[:-2]
+        assert one_pass[-2:] == [False, True]
+        assert 0 < sum(one_pass) < len(small)
 
     def test_outcome_cap(self):
         st = random_structure(__import__("random").Random(0), (2, 2), 4)
