@@ -7,6 +7,7 @@ standard output closed early; 2 malformed input or usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -318,6 +319,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process: parsing leaves the
+    parser as it was, and building it costs more than most runs."""
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         code = _main(argv)
@@ -332,9 +340,8 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 def _main(argv: Optional[list[str]]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import SchemaError, TooLargeError, UnknownNameError
 from .normal_form import (DEFAULT_PROFILE_CAP, GameStructure, NormalFormGame,
-                          _better_masks, _deviation_lines, _ne_mask, _words,
+                          _deviation_lines, _ne_mask, _words,
                           find_all_ne, is_determined, is_nash_equilibrium,
                           merge_players, slice_structure)
 from .prefs import (OutcomeSet, Preference, PreferenceProfile, height,
@@ -198,7 +198,7 @@ def _short_chain_claim(st: GameStructure, max_height: int) -> Claim:
     def check(rng, samples):
         exhaustive = size <= 3
         if exhaustive:
-            rels = [_better_masks(Preference(st.outcomes, r))
+            rels = [Preference(st.outcomes, r).better_masks
                     for r in _short_chain_relations(size, max_height)]
             triples = itertools.product(rels, repeat=3)
         else:

@@ -11,13 +11,12 @@ strategy query.
 from __future__ import annotations
 
 import functools
-import numbers
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import (BadIndexError, NotDeterminedError, SchemaError,
                      TooLargeError)
-from .prefs import OutcomeSet, PreferenceProfile, is_int
+from .prefs import OutcomeSet, PreferenceProfile, int_values, is_int
 from .transfer import (GameBackend, OracleStrategy, TransferResult,
                        equilibrium)
 
@@ -32,11 +31,11 @@ class Arena:
 
     def __init__(self, num_vertices: int, owned: Iterable[int],
                  edges: Iterable[tuple[int, int]], colors: Iterable[int]):
-        (self.num_vertices,) = _ints([num_vertices], "vertex count")
-        self.owned = frozenset(_ints(owned, "owned"))
-        ends = _ints([w for u, v in edges for w in (u, v)], "edges")
+        (self.num_vertices,) = int_values([num_vertices], "arena vertex count")
+        self.owned = frozenset(int_values(owned, "arena owned"))
+        ends = int_values([w for u, v in edges for w in (u, v)], "arena edges")
         self.edges = tuple(zip(ends[::2], ends[1::2]))
-        self.colors = tuple(_ints(colors, "colors"))
+        self.colors = tuple(int_values(colors, "arena colors"))
         if self.num_vertices < 1:
             raise ValueError("arena needs at least one vertex")
         if len(self.colors) != self.num_vertices:
@@ -144,18 +143,6 @@ def _entry(strategy: FiniteMemoryStrategy, start: int) -> int:
     except KeyError:
         raise ValueError(f"player {strategy.player}'s strategy has no entry "
                          f"state at vertex {start}") from None
-
-
-def _ints(values, field: str) -> list[int]:
-    """The values as ints: bools, floats and strings are refused rather
-    than truncated, and numpy integers pass."""
-    values = list(values)
-    if set(map(type, values)) - {int}:
-        for x in values:
-            if isinstance(x, bool) or not isinstance(x, numbers.Integral):
-                raise ValueError(f"arena {field}: {x!r} is not an integer")
-        values = [int(x) for x in values]
-    return values
 
 
 def _predecessors(succ) -> tuple[tuple[int, ...], ...]:

@@ -61,10 +61,13 @@ def _preference_from_obj(obj: Any, outs: OutcomeSet) -> Preference:
     _require(isinstance(obj, dict), "preference must be an object")
     pairs = obj.get("pairs")
     _require(isinstance(pairs, list), "preference needs a pairs list")
-    for pair in pairs:
-        _require(int_list(pair) and len(pair) == 2,
-                 f"preference pair must be [x, y], got {pair!r}")
-    return Preference(outs, frozenset((x, y) for x, y in pairs))
+    # one check over the whole list; the loop only names the first bad pair
+    if not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}
+            and int_list([v for pair in pairs for v in pair])):
+        for pair in pairs:
+            _require(int_list(pair) and len(pair) == 2,
+                     f"preference pair must be [x, y], got {pair!r}")
+    return Preference(outs, frozenset(map(tuple, pairs)))
 
 
 def _profile_obj(prefs: PreferenceProfile) -> list:

@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .errors import BadIndexError, TooLargeError
-from .prefs import OutcomeSet, Preference, PreferenceProfile
+from .prefs import OutcomeSet, PreferenceProfile, int_values
 
 Profile = tuple[int, ...]
 
@@ -24,21 +25,26 @@ LABEL_BLOCK = 1 << 20
 
 
 class GameStructure:
-    """A game stripped of preferences: players, strategies, outcomes, outcome map."""
+    """A game stripped of preferences: players, strategies, outcomes, outcome map.
+
+    A two-player structure keeps the outcome mask of each row and of each
+    column once one is first asked for."""
 
     def __init__(self, strategy_counts: Sequence[int], outcomes: OutcomeSet,
                  table: np.ndarray | Sequence[int]):
-        counts = tuple(int(c) for c in strategy_counts)
+        counts = tuple(int_values(strategy_counts, "strategy counts"))
         if not counts or any(c < 1 for c in counts):
             raise ValueError("every player needs at least one strategy")
-        arr = np.asarray(table, dtype=np.int64)
+        arr = np.asarray(table)
+        if arr.size and arr.dtype.kind not in "iu":
+            raise ValueError(f"table entries must be 64-bit integers, got {arr.dtype}")
+        arr = arr.astype(np.int64)  # a copy: the caller's array stays theirs
         if arr.ndim == 1:
             arr = arr.reshape(counts)
         if arr.shape != counts:
             raise ValueError(f"tensor shape {arr.shape} != strategy counts {counts}")
         if arr.size and (arr.min() < 0 or arr.max() >= outcomes.size):
             raise ValueError("tensor entry out of outcome range")
-        arr = arr.copy()
         arr.setflags(write=False)
         self.strategy_counts = counts
         self.outcomes = outcomes
@@ -58,6 +64,16 @@ class GameStructure:
     def outcome(self, profile: Sequence[int]) -> int:
         return int(self.table[tuple(profile)])
 
+    @cached_property
+    def row_masks(self) -> tuple[int, ...]:
+        """Per player-1 strategy, bit o for each outcome o its row reaches."""
+        return _outcome_masks(self, self.table)
+
+    @cached_property
+    def column_masks(self) -> tuple[int, ...]:
+        """Per player-2 strategy, bit o for each outcome o its column reaches."""
+        return _outcome_masks(self, self.table.T)
+
     def profiles(self) -> Iterator[Profile]:
         return itertools.product(*(range(c) for c in self.strategy_counts))
 
@@ -70,6 +86,16 @@ class GameStructure:
     def __repr__(self) -> str:
         return (f"GameStructure(players={self.players}, "
                 f"strategies={self.strategy_counts}, outcomes={self.outcomes.size})")
+
+
+def _outcome_masks(st: GameStructure, lines: np.ndarray) -> tuple[int, ...]:
+    """Bit o for each outcome o on each row of ``lines``, the structure's
+    table or its transpose: an OR over an object array of Python ints, so
+    that any outcome count fits."""
+    if st.players != 2:
+        raise ValueError("outcome masks are defined for two-player structures")
+    bits = np.array([1 << o for o in range(st.outcomes.size)], dtype=object)
+    return tuple(np.bitwise_or.reduce(bits[lines], axis=1).tolist())
 
 
 @dataclass(frozen=True)
@@ -93,14 +119,6 @@ def _words(masks: Sequence[int], n: int) -> list[np.ndarray]:
         return [np.array(masks, dtype=np.uint64)]
     return [np.array([m >> k & 0xFFFF_FFFF_FFFF_FFFF for m in masks],
                      dtype=np.uint64) for k in range(0, n, 64)]
-
-
-def _better_masks(pref: Preference) -> list[int]:
-    """Entry o has bit y for every pair (o, y): the outcomes above o."""
-    masks = [0] * pref.outcomes.size
-    for x, y in pref.pairs:
-        masks[x] |= 1 << y
-    return masks
 
 
 def _deviation_lines(table: np.ndarray, n: int,
@@ -162,23 +180,22 @@ def find_all_ne(g: NormalFormGame, cap: int = DEFAULT_PROFILE_CAP) -> list[Profi
     if st.profile_count > cap:
         raise TooLargeError(f"{st.profile_count} profiles exceed cap {cap}")
     ok = _ne_mask(st.table, _deviation_lines(st.table, n, st.players),
-                  [_words(_better_masks(p), n) for p in g.preferences.prefs])
+                  [_words(p.better_masks, n) for p in g.preferences.prefs])
     return [tuple(p) for p in np.argwhere(ok).tolist()]
 
 
 def enforcing_strategy(st: GameStructure, player: int,
                        subset: int) -> Optional[int]:
     """Lowest-index strategy of the player enforcing the subset (bit o for
-    outcome o), or None."""
+    outcome o), or None: the first whose row (player 1) or column (player
+    2) outcome mask m has m & ~subset == 0."""
     if st.players != 2:
         raise ValueError("enforcement is defined for two-player structures")
     if player not in (1, 2):
         raise BadIndexError(f"player must be 1 or 2, got {player}")
-    inside = np.array([subset >> o & 1 for o in range(st.outcomes.size)],
-                      dtype=bool)[st.table]
-    axis_ok = inside.all(axis=1) if player == 1 else inside.all(axis=0)
-    hits = np.flatnonzero(axis_ok)
-    return int(hits[0]) if hits.size else None
+    outside = ~subset
+    masks = st.row_masks if player == 1 else st.column_masks
+    return next((i for i, m in enumerate(masks) if not m & outside), None)
 
 
 def is_determined(st: GameStructure, cap: int = DEFAULT_OUTCOME_CAP) -> bool:

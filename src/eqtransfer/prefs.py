@@ -8,7 +8,9 @@ A preference is an arbitrary binary relation over outcome indices, where
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import CyclicPreferenceError
@@ -19,6 +21,19 @@ def is_int(x) -> bool:
     return type(x) is int
 
 
+def int_values(values: Iterable, field: str) -> list[int]:
+    """The values as ints: bools, floats and strings are refused rather
+    than truncated, and numpy integers pass.  A list of plain ints is
+    returned as it is."""
+    values = values if type(values) is list else list(values)
+    if set(map(type, values)) - {int}:
+        for x in values:
+            if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+                raise ValueError(f"{field}: {x!r} is not an integer")
+        values = [int(x) for x in values]
+    return values
+
+
 @dataclass(frozen=True)
 class OutcomeSet:
     """A finite, non-empty set of outcomes, indexed 0..size-1."""
@@ -27,6 +42,8 @@ class OutcomeSet:
     labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
+        (size,) = int_values([self.size], "outcome count")
+        object.__setattr__(self, "size", size)
         if self.size < 1:
             raise ValueError("outcome set must be non-empty")
         if self.labels is not None:
@@ -43,22 +60,33 @@ class OutcomeSet:
 
 @dataclass(frozen=True)
 class Preference:
-    """A binary relation over the indices of an outcome set."""
+    """A binary relation over the indices of an outcome set.
+
+    What is derived from the relation (its Kahn order and its better
+    masks) is computed on first use and kept with it."""
 
     outcomes: OutcomeSet
     pairs: frozenset[tuple[int, int]]
 
     def __post_init__(self):
         n = self.outcomes.size
-        for x, y in self.pairs:
-            if not (0 <= x < n and 0 <= y < n):
-                raise ValueError(f"pair ({x}, {y}) out of range for {n} outcomes")
+        if set(map(len, self.pairs)) - {2}:
+            raise ValueError("preference pairs must be (x, y) pairs")
+        flat = [v for pair in self.pairs for v in pair]
+        values = int_values(flat, "preference pairs")
+        if values is not flat:  # numpy integers, now ints
+            object.__setattr__(self, "pairs",
+                               frozenset(zip(values[::2], values[1::2])))
+        if values and not (min(values) >= 0 and max(values) < n):
+            x, y = next((x, y) for x, y in self.pairs
+                        if not (0 <= x < n and 0 <= y < n))
+            raise ValueError(f"pair ({x}, {y}) out of range for {n} outcomes")
 
     @staticmethod
     def from_pairs(n: int, pairs: Iterable[tuple[int, int]],
                    labels: Optional[Sequence[str]] = None) -> "Preference":
         outs = OutcomeSet(n, tuple(labels) if labels is not None else None)
-        return Preference(outs, frozenset((int(x), int(y)) for x, y in pairs))
+        return Preference(outs, frozenset(map(tuple, pairs)))
 
     @staticmethod
     def from_ranking(ranking: Sequence[int],
@@ -73,6 +101,19 @@ class Preference:
 
     def successors(self, x: int) -> list[int]:
         return [y for (a, y) in self.pairs if a == x]
+
+    @cached_property
+    def kahn_order(self) -> tuple[int, ...]:
+        """``_kahn_order`` of the relation, computed once."""
+        return tuple(_kahn_order(self))
+
+    @cached_property
+    def better_masks(self) -> tuple[int, ...]:
+        """Entry o has bit y for every pair (o, y): the outcomes above o."""
+        masks = [0] * self.outcomes.size
+        for x, y in self.pairs:
+            masks[x] |= 1 << y
+        return tuple(masks)
 
     def inverse(self) -> "Preference":
         return Preference(self.outcomes, frozenset((y, x) for (x, y) in self.pairs))
@@ -133,7 +174,7 @@ def _kahn_order(p: Preference) -> list[int]:
 
 def is_acyclic(p: Preference) -> bool:
     """True iff the directed graph of the relation has no cycle (self-loops count)."""
-    return len(_kahn_order(p)) == p.outcomes.size
+    return len(p.kahn_order) == p.outcomes.size
 
 
 def height(p: Preference) -> Optional[int]:
@@ -150,7 +191,7 @@ def height(p: Preference) -> Optional[int]:
 def rank(p: Preference) -> tuple[int, ...]:
     """Minimal monotone ranks, by outcome: the rank of x is the longest
     chain ending at x, in edges, so x below y forces a lower rank."""
-    order = _kahn_order(p)
+    order = p.kahn_order
     if len(order) != p.outcomes.size:
         raise CyclicPreferenceError("rank requires an acyclic preference")
     ranks = [0] * p.outcomes.size
@@ -164,10 +205,9 @@ def rank(p: Preference) -> tuple[int, ...]:
 
 def linear_extension(p: Preference) -> list[int]:
     """Stable topological order: ties broken by ascending outcome index."""
-    out = _kahn_order(p)
-    if len(out) != p.outcomes.size:
+    if len(p.kahn_order) != p.outcomes.size:
         raise CyclicPreferenceError("linear extension requires an acyclic preference")
-    return out
+    return list(p.kahn_order)
 
 
 def is_strict_linear(p: Preference) -> bool:

@@ -187,10 +187,10 @@ def run_transfer(oracle: WinLoseOracle, prefs: PreferenceProfile) -> TransferRes
     members = [o for o in range(n) if enforced >> o & 1]
     if not members:
         raise NotDeterminedError("oracle claims player 1 enforces the empty set")
-    pref2 = prefs[1]
-    maximal = [x for x in members
-               if not any(pref2.less(x, y) for y in members)]
-    m = min(maximal)
+    # the least member that player 2 prefers no member to; acyclic, so
+    # some member is maximal
+    above = prefs[1].better_masks
+    m = next(x for x in members if not above[x] & enforced)
     # linear lists distinct outcomes: the sum of their bits is their OR
     later = sum(1 << o for o in linear[linear.index(m) + 1:])
     drop = enforced & ~(1 << m) | later
@@ -219,8 +219,7 @@ def equilibrium(backend: GameBackend, prefs: PreferenceProfile) -> TransferResul
         raise NotDeterminedError(
             f"profile plays outcome {played}, transfer promised {result.outcome}")
     for deviator, fixed in ((1, h2), (2, h1)):
-        # successors are distinct: the sum of their bits is their OR
-        better = sum(1 << o for o in prefs[deviator - 1].successors(played))
+        better = prefs[deviator - 1].better_masks[played]
         alt = backend.better_deviation(fixed, deviator, better) if better else None
         if alt is not None:
             raise NotDeterminedError(

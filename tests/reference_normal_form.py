@@ -53,6 +53,17 @@ def winning_strategy(w: WinLoseGame) -> Optional[tuple[int, int]]:
     return None
 
 
+def brute_enforcing_strategy(st: et.GameStructure, player: int,
+                             subset: int) -> Optional[int]:
+    """Lowest-index strategy of the player keeping every outcome of its row
+    or column inside the subset, from a boolean table of the subset."""
+    inside = np.array([subset >> o & 1 for o in range(st.outcomes.size)],
+                      dtype=bool)[st.table]
+    hits = np.flatnonzero(inside.all(axis=1) if player == 1
+                          else inside.all(axis=0))
+    return int(hits[0]) if hits.size else None
+
+
 def can_enforce(st: et.GameStructure, player: int,
                 subset: int) -> bool:
     """True iff the player has a strategy keeping the outcome inside the subset."""

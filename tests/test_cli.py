@@ -551,6 +551,25 @@ class TestCorpus:
 
 
 class TestErrorPaths:
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        """Runs in one process share one parser, and a usage error leaves
+        it as it was: the same error reads the same after a good run."""
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        try:
+            first = run(capsys, "solve")
+            good = run(capsys, "solve", fixture_path("intro_payoff_tree.json"))
+            again = run(capsys, "solve")
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+        assert first == again and first[0] == cli.EXIT_INPUT
+        assert "usage: eqtransfer solve" in first[2]
+        assert good[0] == cli.EXIT_OK
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "solve", "/nonexistent/game.json")
         assert code == cli.EXIT_INPUT

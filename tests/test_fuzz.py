@@ -83,13 +83,9 @@ def fuzz(seed: int, count: int) -> dict:
     """Run ``count`` mutations, cycling through the fixtures, each on the
     subcommands matching its fixture plus one random subcommand, with
     ``--json`` at random.  Returns exit-code counts and the escapes."""
-    import functools
     import signal
 
     from eqtransfer import cli
-
-    # one parser for every run: building it costs more than most runs
-    cli.build_parser = functools.cache(cli.build_parser)
 
     def alarm(signum, frame):
         raise Hang(f"no exit within {MUTATION_ALARM_S} s")

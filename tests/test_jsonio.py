@@ -1,6 +1,7 @@
 """JSON serialization: round-trips for every fixture and error reporting."""
 
 import json
+import random
 
 import pytest
 
@@ -151,6 +152,29 @@ class TestErrors:
         path.write_bytes(b'{"format": 1, "outcomes": ["\xe9"]}')
         with pytest.raises(et.SchemaError, match="cannot read"):
             jsonio.load(str(path))
+
+    def test_first_bad_preference_pair_is_named(self):
+        """The pair list is checked in one pass; the message still names
+        the first pair that is not two integers, as a check pair by pair
+        would."""
+        rng = random.Random(18)
+        good = [[0, 1], [1, 2], [0, 2]]
+        bad = [[1], [0, 1, 2], [0, 1.5], [0, True], ["0", 1], 5, None,
+               "ab", [], {"x": 0}, [[0], 1]]
+        for _ in range(300):
+            pairs = [list(rng.choice(good)) for _ in range(rng.randint(0, 4))]
+            for _ in range(rng.randint(1, 3)):
+                pairs.insert(rng.randint(0, len(pairs)), rng.choice(bad))
+            first = next(p for p in pairs if not (
+                isinstance(p, list) and len(p) == 2
+                and all(type(v) is int for v in p)))
+            doc = {"format": 1, "strategies": [1, 1], "outcomes": 3,
+                   "v": [0], "preferences": [{"pairs": []},
+                                             {"pairs": pairs}]}
+            with pytest.raises(et.SchemaError) as exc:
+                jsonio.from_obj(doc)
+            assert str(exc.value) == \
+                f"preference pair must be [x, y], got {first!r}"
 
     def test_unknown_kind(self):
         obj = json.loads((FIXTURES / "priority_game.json").read_text())

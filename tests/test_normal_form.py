@@ -9,7 +9,8 @@ import eqtransfer as et
 from eqtransfer import jsonio, normal_form
 from conftest import (fixture_path, random_determined_structure,
                       random_structure, random_tree)
-from reference_normal_form import (brute_find_all_ne,
+from reference_normal_form import (brute_enforcing_strategy,
+                                   brute_find_all_ne,
                                    brute_is_determined,
                                    brute_is_nash_equilibrium, can_enforce,
                                    derive_win_lose, deviations,
@@ -52,6 +53,27 @@ class TestStructure:
         st = et.GameStructure((2,), et.OutcomeSet(2), [0, 1])
         with pytest.raises(ValueError):
             st.table[0] = 1
+
+    @pytest.mark.parametrize("counts, table, field", [
+        ((2,), [0.5, 1.9], "table"),
+        ((2,), ["1", "0"], "table"),
+        ((2,), [True, False], "table"),
+        ((2,), [0, None], "table"),
+        ((2.9,), [0, 1], "strategy counts"),
+        ((True, 2), [0, 1], "strategy counts"),
+    ])
+    def test_non_integers_refused(self, counts, table, field):
+        with pytest.raises(ValueError, match=field):
+            et.GameStructure(counts, et.OutcomeSet(2), table)
+
+    def test_numpy_integers_pass(self):
+        st = et.GameStructure(np.array([2, 2], dtype=np.int32),
+                              et.OutcomeSet(np.int64(3)),
+                              np.array([[0, 1], [2, 0]], dtype=np.uint8))
+        assert st == et.GameStructure((2, 2), et.OutcomeSet(3),
+                                      [[0, 1], [2, 0]])
+        assert type(st.strategy_counts[0]) is int
+        assert st.table.dtype == np.int64
 
 
 class TestNashEquilibrium:
@@ -192,6 +214,35 @@ class TestEnforcement:
         st = et.GameStructure((2, 2), et.OutcomeSet(2), [[0, 1], [1, 0]])
         with pytest.raises(et.BadIndexError):
             et.enforcing_strategy(st, 3, 0b01)
+
+    def test_matches_reference_up_to_70_outcomes(self, rng):
+        """The row and column masks, wider than 64 bits from 65 outcomes
+        on, pick the strategy a boolean table of the subset picks."""
+        for _ in range(300):
+            n = rng.choice((1, 2, 5, 12, 63, 64, 65, 70))
+            st = random_structure(rng, (rng.randint(1, 7), rng.randint(1, 7)),
+                                  n)
+            reached = [sorted(set(row)) for row in st.table.tolist()]
+            for _ in range(6):
+                if rng.random() < 0.5:  # a label some row may fit
+                    subset = sum(1 << o for o in rng.choice(reached))
+                    subset |= rng.getrandbits(n)
+                else:
+                    subset = rng.getrandbits(n)
+                for player in (1, 2):
+                    assert et.enforcing_strategy(st, player, subset) == \
+                        brute_enforcing_strategy(st, player, subset)
+
+    def test_masks_are_kept(self):
+        st = et.GameStructure((2, 2), et.OutcomeSet(70), [[0, 69], [3, 3]])
+        assert st.row_masks == (1 | 1 << 69, 1 << 3)
+        assert st.column_masks == (1 | 1 << 3, 1 << 69 | 1 << 3)
+        assert st.row_masks is st.row_masks
+
+    def test_masks_need_two_players(self):
+        st = et.GameStructure((2,), et.OutcomeSet(2), [0, 1])
+        with pytest.raises(ValueError, match="two-player"):
+            st.row_masks
 
 
 class TestDeterminacy:

@@ -2,12 +2,15 @@
 
 import itertools
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import eqtransfer as et
+from eqtransfer import prefs
 from conftest import random_acyclic_preference
 
 
@@ -46,6 +49,68 @@ class TestBasics:
         b = et.Preference.from_pairs(3, [])
         with pytest.raises(ValueError):
             et.PreferenceProfile((a, b))
+
+    @pytest.mark.parametrize("size", [2.5, True, "2", None])
+    def test_outcome_count_must_be_an_integer(self, size):
+        with pytest.raises(ValueError, match="outcome count"):
+            et.OutcomeSet(size)
+
+    @pytest.mark.parametrize("pairs", [[(0, 1.7)], [(True, 2)], [(0, "1")],
+                                       [(0, 1), (1, None)]])
+    def test_pairs_must_be_integers(self, pairs):
+        with pytest.raises(ValueError, match="preference pairs"):
+            et.Preference.from_pairs(3, pairs)
+        with pytest.raises(ValueError, match="preference pairs"):
+            et.Preference(et.OutcomeSet(3), frozenset(pairs))
+
+    def test_pairs_must_be_pairs(self):
+        with pytest.raises(ValueError, match="pairs"):
+            et.Preference.from_pairs(3, [(0, 1, 2)])
+
+    def test_numpy_integers_pass(self):
+        p = et.Preference.from_pairs(np.int64(3), [(np.int32(0), np.uint8(1)),
+                                                   [np.int64(1), 2]])
+        assert p == et.Preference.from_pairs(3, [(0, 1), (1, 2)])
+        assert {type(v) for pair in p.pairs for v in pair} == {int}
+        assert type(p.outcomes.size) is int
+
+
+def random_relation(rng: random.Random) -> et.Preference:
+    """Any relation on up to 7 outcomes: cycles and self-loops included."""
+    n = rng.randint(1, 7)
+    density = rng.choice((0.05, 0.15, 0.3, 0.6))
+    return et.Preference.from_pairs(n, [
+        (x, y) for x in range(n) for y in range(n) if rng.random() < density])
+
+
+class TestDerivedOnce:
+    def test_kept_order_matches_a_fresh_one(self):
+        rng = random.Random(1000)
+        acyclic = 0
+        for _ in range(1000):
+            p = random_relation(rng)
+            fresh = et.Preference(p.outcomes, p.pairs)
+            assert p.kahn_order == tuple(prefs._kahn_order(fresh))
+            assert p.kahn_order is p.kahn_order
+            acyclic += et.is_acyclic(p)
+            assert et.is_acyclic(p) == (
+                len(prefs._kahn_order(fresh)) == p.outcomes.size)
+            if et.is_acyclic(p):
+                assert et.linear_extension(p) == prefs._kahn_order(fresh)
+        assert 0 < acyclic < 1000
+
+    def test_better_masks_hold_the_pairs(self):
+        rng = random.Random(1001)
+        for _ in range(200):
+            p = random_relation(rng)
+            assert p.better_masks == tuple(
+                sum(1 << y for y in range(p.outcomes.size) if p.less(x, y))
+                for x in range(p.outcomes.size))
+
+    def test_linear_extension_is_a_fresh_list(self):
+        p = et.Preference.from_pairs(3, [(2, 0)])
+        et.linear_extension(p).append(7)
+        assert et.linear_extension(p) == [1, 2, 0]
 
 
 class TestAcyclicityHeightRank:

@@ -6,7 +6,7 @@ import pytest
 
 import eqtransfer as et
 from conftest import (random_acyclic_preference, random_determined_structure,
-                      random_structure)
+                      random_structure, random_tree)
 from reference_normal_form import can_enforce
 
 
@@ -83,6 +83,28 @@ class TestTransferEquilibrium:
         prefs = et.PreferenceProfile((cyc, cyc))
         with pytest.raises(et.CyclicPreferenceError):
             et.transfer_equilibrium(et.NormalFormGame(st, prefs))
+
+    def test_one_kahn_run_per_preference(self, rng, monkeypatch):
+        """The acyclicity check and the linear extension read one order per
+        preference, kept with it; the tree backend is counted too."""
+        runs = []
+        kahn = et.prefs._kahn_order
+        monkeypatch.setattr(et.prefs, "_kahn_order",
+                            lambda p: runs.append(p) or kahn(p))
+        for _ in range(20):
+            st = random_determined_structure(rng)
+            prefs = profile_for(st, rng)
+            runs.clear()
+            et.equilibrium(et.StructureOracle(st), prefs)
+            assert len(runs) == 2 and runs[0] is prefs[0] \
+                and runs[1] is prefs[1]
+            et.equilibrium(et.StructureOracle(st), prefs)
+            assert len(runs) == 2
+        tree = random_tree(rng, 4)
+        prefs = profile_for(et.to_normal_form(tree), rng)
+        runs.clear()
+        et.kuhn_via_transfer(tree, prefs)
+        assert len(runs) == 2
 
     def test_three_players_rejected(self):
         game = et.remark_5_3_game()
