@@ -13,16 +13,17 @@ from .errors import (BadIndexError, CyclicPreferenceError, EqTransferError,
 from .prefs import (OutcomeSet, Preference, PreferenceProfile, height,
                     is_acyclic, is_strict_linear, lift_less,
                     lift_less_existential, linear_extension, rank, upward_cone)
+from .transfer import (CallCounter, CountingOracle, GameBackend,
+                       OracleStrategy, TransferResult, WinLoseOracle,
+                       equilibrium, max_enforceable_word, run_transfer)
 from .normal_form import (DEFAULT_OUTCOME_CAP, DEFAULT_PROFILE_CAP,
                           GameStructure, NormalFormGame, Profile,
-                          enforcing_strategy, find_all_ne, is_determined,
-                          is_nash_equilibrium, merge_players, slice_structure)
-from .transfer import (CallCounter, CountingOracle, GameBackend,
-                       OracleStrategy, StructureOracle, TransferResult,
-                       WinLoseOracle, eliminate_dominated_outcomes,
-                       enforceable_finite_cone, equilibrium,
-                       finite_height_reduce, max_enforceable_word,
-                       minimax_transfer, run_transfer, transfer_equilibrium)
+                          StructureOracle, eliminate_dominated_outcomes,
+                          enforceable_finite_cone, enforcing_strategy,
+                          find_all_ne, finite_height_reduce, is_determined,
+                          is_nash_equilibrium, merge_players,
+                          minimax_transfer, slice_structure,
+                          transfer_equilibrium)
 from .extensive import (GameTree, Leaf, Node, TreeOracle, kuhn_via_transfer,
                         play_tree, strategy_from_index, strategy_to_index,
                         to_normal_form)

@@ -23,9 +23,9 @@ from .graph_games import (Arena, MullerOracle, MultiOutcomeGraphGame,
                           PriorityOracle, arena_oracle, solve_muller,
                           solve_parity)
 from .normal_form import (DEFAULT_OUTCOME_CAP, DEFAULT_PROFILE_CAP,
-                          GameStructure, NormalFormGame, find_all_ne,
-                          is_determined, is_nash_equilibrium)
-from .transfer import OracleStrategy, StructureOracle, equilibrium
+                          GameStructure, NormalFormGame, StructureOracle,
+                          find_all_ne, is_determined, is_nash_equilibrium)
+from .transfer import OracleStrategy, equilibrium
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -77,6 +77,9 @@ def _cmd_solve(args) -> int:
 
 def _cmd_check_determinacy(args) -> int:
     st = _normal_form(jsonio.load(args.input), prefs=False)
+    if st.players != 2:
+        raise SchemaError("check-determinacy needs a two-player structure, "
+                          f"got {st.players} players")
     cap = args.cap if args.cap is not None else DEFAULT_OUTCOME_CAP
     determined = is_determined(st, cap=cap)
     report = {
@@ -108,6 +111,9 @@ def _backend(value):
     the table for a normal-form game, backward induction for a tree, and
     the arena solvers for a priority or Muller game."""
     if isinstance(value, NormalFormGame):
+        if value.structure.players != 2:
+            raise SchemaError("transfer needs a two-player game, "
+                              f"got {value.structure.players} players")
         return StructureOracle(value.structure), value.preferences
     if isinstance(value, tuple) and isinstance(value[0], GameTree):
         return TreeOracle(value[0]), value[1]

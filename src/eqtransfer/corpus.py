@@ -27,7 +27,8 @@ from .prefs import (OutcomeSet, Preference, PreferenceProfile, height,
 X, Y, Z = 0, 1, 2
 XYZ = OutcomeSet(3, ("X", "Y", "Z"))
 _WITNESS_CELLS = 8
-# Most samples a sampled claim may draw: about 3 s at ~30 us a sample.
+# Most samples a sampled claim may draw: 1,000 prop_5_4 samples took 0.03 s
+# at n = 8 and 2.4 s at n = 100 (2-core Xeon), so the cap costs 3 s to minutes.
 MAX_SAMPLES = 100_000
 
 

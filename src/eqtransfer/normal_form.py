@@ -1,4 +1,5 @@
-"""Games in normal form: structures, Nash checking, determinacy, slicing.
+"""Games in normal form: structures, Nash checking, determinacy, slicing,
+and the brute-force transfer backend with its companion reductions.
 
 The outcome function is stored as a dense row-major integer tensor whose
 shape equals the strategy counts; entries are outcome indices.
@@ -13,8 +14,11 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import BadIndexError, TooLargeError
-from .prefs import OutcomeSet, PreferenceProfile, int_values
+from .errors import (BadIndexError, HypothesisViolatedError, NotZeroSumError,
+                     TooLargeError)
+from .prefs import (OutcomeSet, Preference, PreferenceProfile, int_values,
+                    is_strict_linear, rank, upward_cone)
+from .transfer import CallCounter, GameBackend, OracleStrategy, equilibrium
 
 Profile = tuple[int, ...]
 
@@ -88,12 +92,17 @@ class GameStructure:
                 f"strategies={self.strategy_counts}, outcomes={self.outcomes.size})")
 
 
+def _two_players(st: GameStructure, what: str) -> None:
+    """Refuse a structure without two players: ``what`` needs them."""
+    if st.players != 2:
+        raise ValueError(f"{what} is defined for two-player structures")
+
+
 def _outcome_masks(st: GameStructure, lines: np.ndarray) -> tuple[int, ...]:
     """Bit o for each outcome o on each row of ``lines``, the structure's
     table or its transpose: an OR over an object array of Python ints, so
     that any outcome count fits."""
-    if st.players != 2:
-        raise ValueError("outcome masks are defined for two-player structures")
+    _two_players(st, "outcome masks")
     bits = np.array([1 << o for o in range(st.outcomes.size)], dtype=object)
     return tuple(np.bitwise_or.reduce(bits[lines], axis=1).tolist())
 
@@ -189,8 +198,7 @@ def enforcing_strategy(st: GameStructure, player: int,
     """Lowest-index strategy of the player enforcing the subset (bit o for
     outcome o), or None: the first whose row (player 1) or column (player
     2) outcome mask m has m & ~subset == 0."""
-    if st.players != 2:
-        raise ValueError("enforcement is defined for two-player structures")
+    _two_players(st, "enforcement")
     if player not in (1, 2):
         raise BadIndexError(f"player must be 1 or 2, got {player}")
     outside = ~subset
@@ -208,8 +216,7 @@ def is_determined(st: GameStructure, cap: int = DEFAULT_OUTCOME_CAP) -> bool:
     wins; the cap, never above 31, keeps the labels within uint32.
     """
     n = st.outcomes.size
-    if st.players != 2:
-        raise ValueError("determinacy is defined for two-player structures")
+    _two_players(st, "determinacy")
     limit = min(cap, 31)
     if n > limit:
         raise TooLargeError(f"{n} outcomes exceed determinacy cap {limit}")
@@ -258,3 +265,143 @@ def merge_players(st: GameStructure, pair: tuple[int, int]) -> GameStructure:
     merged = table.reshape(st.strategy_counts[a] * st.strategy_counts[b],
                            st.strategy_counts[other])
     return GameStructure(merged.shape, st.outcomes, merged)
+
+
+class StructureOracle(GameBackend):
+    """Brute-force oracle over a finite two-player game structure.
+
+    On a non-determined structure some derived games have no winner; this
+    oracle then reports player 2 with an arbitrary strategy, and the caller's
+    equilibrium verification catches the lie.
+    """
+
+    def __init__(self, structure: GameStructure):
+        _two_players(structure, "the brute-force oracle")
+        self.structure = structure
+
+    @property
+    def n_outcomes(self) -> int:
+        return self.structure.outcomes.size
+
+    def winner(self, label: int) -> int:
+        return 1 if enforcing_strategy(self.structure, 1, label) is not None else 2
+
+    def strategy(self, label: int) -> OracleStrategy:
+        row = enforcing_strategy(self.structure, 1, label)
+        if row is not None:
+            return OracleStrategy(1, row)
+        full = (1 << self.n_outcomes) - 1
+        col = enforcing_strategy(self.structure, 2, label ^ full)
+        return OracleStrategy(2, col if col is not None else 0)
+
+    def play_outcome(self, h1: int, h2: int) -> int:
+        return self.structure.outcome((h1, h2))
+
+    def better_deviation(self, fixed: int, deviator: int,
+                         better: int) -> Optional[int]:
+        table = self.structure.table
+        line = table[:, fixed] if deviator == 1 else table[fixed]
+        return next((o for o in line.tolist() if better >> o & 1), None)
+
+
+def transfer_equilibrium(g: NormalFormGame) -> tuple[Profile, CallCounter]:
+    """Nash equilibrium of a two-player game via the brute-force oracle."""
+    result = equilibrium(StructureOracle(g.structure), g.preferences)
+    return result.profile, result.counter
+
+
+def enforceable_finite_cone(g: NormalFormGame, player: int) -> Optional[set[int]]:
+    """Smallest-by-scan finite upward cone the player can enforce, or None.
+
+    On finite games some cone always exists (the full outcome set); exposed so
+    the general acyclic-preference applicability condition can be checked
+    explicitly.  Each distinct row or column outcome mask seeds one cone.
+    """
+    st, pref = g.structure, g.preferences[player - 1]
+    masks = dict.fromkeys(st.row_masks if player == 1 else st.column_masks)
+    return min((upward_cone(pref, (o for o in range(st.outcomes.size)
+                                   if m >> o & 1)) for m in masks), key=len)
+
+
+def eliminate_dominated_outcomes(g: NormalFormGame, e: int, o: int) -> NormalFormGame:
+    """Collapse the outcomes strictly below ``o`` for player 1, given a
+    player-1 strategy ``e`` excluding all of them.
+
+    Every Nash equilibrium of the reduced game is one of the original game.
+    One lookup array relabels the table, sending every outcome below ``o``
+    to ``o``, which becomes player 2's maximum.
+    """
+    st = g.structure
+    _two_players(st, "elimination")
+    p1, p2 = g.preferences[0], g.preferences[1]
+    if not (is_strict_linear(p1) and is_strict_linear(p2)):
+        raise HypothesisViolatedError("preferences must be strict linear orders")
+    if not (0 <= e < st.strategy_counts[0]):
+        raise HypothesisViolatedError(f"no player-1 strategy {e}")
+    if not (0 <= o < st.outcomes.size):
+        raise HypothesisViolatedError(f"no outcome {o}")
+    above = p1.better_masks[o]
+    low = next((x for x in st.table[e].tolist() if not above >> x & 1), None)
+    if low is not None:
+        raise HypothesisViolatedError(
+            f"strategy {e} reaches outcome {low} not above {o} for player 1")
+    keep = [x for x in range(st.outcomes.size) if x == o or above >> x & 1]
+    remap = {old: new for new, old in enumerate(keep)}
+    new_o = remap[o]
+    lookup = np.full(st.outcomes.size, new_o, dtype=np.int64)
+    lookup[keep] = np.arange(len(keep))
+    labels = st.outcomes.labels
+    new_outcomes = OutcomeSet(
+        len(keep), None if labels is None else tuple(labels[x] for x in keep))
+
+    def kept(pref: Preference, skip: int = -1) -> set[tuple[int, int]]:
+        return {(remap[x], remap[y]) for x, y in pref.pairs
+                if x in remap and y in remap and x != skip}
+
+    pairs2 = kept(p2, o) | {(x, new_o) for x in range(len(keep)) if x != new_o}
+    return _relabelled(st, lookup, new_outcomes, kept(p1), pairs2)
+
+
+def minimax_transfer(g: NormalFormGame) -> Profile:
+    """Nash equilibrium of a determined game with inverse linear preferences,
+    by the verified transfer: the lift-greatest enforceable set has the
+    minimax outcome v as its minimum (player 1 enforces the interval from v
+    up but not the one above v), so v is player 2's maximum, and the drop
+    label is the interval above v, which player 2 keeps the play out of.
+    All Nash equilibria share the outcome v."""
+    st = g.structure
+    _two_players(st, "the minimax transfer")
+    p1, p2 = g.preferences[0], g.preferences[1]
+    if not is_strict_linear(p1):
+        raise NotZeroSumError("player 1's preference must be a strict linear order")
+    if p2.pairs != p1.inverse().pairs:
+        raise NotZeroSumError("player 2's preference must be the inverse of player 1's")
+    return equilibrium(StructureOracle(st), g.preferences).profile
+
+
+def finite_height_reduce(g: NormalFormGame) -> NormalFormGame:
+    """Replace outcomes by rank pairs and preferences by coordinate comparisons.
+
+    Any Nash equilibrium of the reduced game is one of the original game.
+    A cyclic preference has no ranks: ``rank`` raises CyclicPreferenceError.
+    """
+    st = g.structure
+    _two_players(st, "the finite-height reduction")
+    pair_of = list(zip(rank(g.preferences[0]), rank(g.preferences[1])))
+    distinct = sorted(set(pair_of))
+    index = {pr: i for i, pr in enumerate(distinct)}
+    outcomes = OutcomeSet(len(distinct),
+                          tuple(f"({a},{b})" for a, b in distinct))
+    lookup = np.array([index[pr] for pr in pair_of], dtype=np.int64)
+    pairs1 = {(index[x], index[y]) for x in distinct for y in distinct if x[0] < y[0]}
+    pairs2 = {(index[x], index[y]) for x in distinct for y in distinct if x[1] < y[1]}
+    return _relabelled(st, lookup, outcomes, pairs1, pairs2)
+
+
+def _relabelled(st: GameStructure, lookup: np.ndarray, outcomes: OutcomeSet,
+                *pairs: set[tuple[int, int]]) -> NormalFormGame:
+    """The structure with outcome x relabelled ``lookup[x]`` in ``outcomes``,
+    and one preference per set of pairs over them."""
+    return NormalFormGame(
+        GameStructure(st.strategy_counts, outcomes, lookup[st.table]),
+        PreferenceProfile(tuple(Preference(outcomes, frozenset(p)) for p in pairs)))

@@ -1,8 +1,9 @@
 """Reference solvers for the tests, checked profile by profile and label
 by label: Nash equilibria by trying every unilateral deviation, determinacy
-by scanning for a winning row or column, and the corpus claims built on
-them.  The package decides all of these on outcome bit masks instead; these
-are what it is compared with."""
+by scanning for a winning row or column, the corpus claims built on them,
+and the companion reductions cell by cell.  The package decides all of
+these on outcome bit masks or lookup arrays instead; these are what it is
+compared with."""
 
 from __future__ import annotations
 
@@ -196,3 +197,89 @@ def bit_instantiations_report(st: et.GameStructure) -> et.ClaimReport:
         ok += brute_has_ne(bit_instantiation(st, wl))
     return et.ClaimReport("bit-instantiations-have-ne", ok == total, True,
                           f"{ok}/{total} instantiations have an equilibrium")
+
+
+def cellwise_eliminate_dominated_outcomes(g: et.NormalFormGame, e: int,
+                                          o: int) -> et.NormalFormGame:
+    """``eliminate_dominated_outcomes`` cell by cell: each cell's outcome
+    looked up on its own, player 2's pairs from a loop over every pair of
+    kept outcomes."""
+    st = g.structure
+    p1, p2 = g.preferences[0], g.preferences[1]
+    if not (et.is_strict_linear(p1) and et.is_strict_linear(p2)):
+        raise et.HypothesisViolatedError(
+            "preferences must be strict linear orders")
+    if not (0 <= e < st.strategy_counts[0]):
+        raise et.HypothesisViolatedError(f"no player-1 strategy {e}")
+    if not (0 <= o < st.outcomes.size):
+        raise et.HypothesisViolatedError(f"no outcome {o}")
+    for s2 in range(st.strategy_counts[1]):
+        if not p1.less(o, st.outcome((e, s2))):
+            raise et.HypothesisViolatedError(
+                f"strategy {e} reaches outcome {st.outcome((e, s2))} "
+                f"not above {o} for player 1")
+    keep = sorted({o} | {x for x in range(st.outcomes.size) if p1.less(o, x)})
+    remap = {old: new for new, old in enumerate(keep)}
+    labels = None
+    if st.outcomes.labels is not None:
+        labels = tuple(st.outcomes.labels[old] for old in keep)
+    new_outcomes = et.OutcomeSet(len(keep), labels)
+    new_table = [[remap.get(st.outcome((i, j)), remap[o])
+                  for j in range(st.strategy_counts[1])]
+                 for i in range(st.strategy_counts[0])]
+    new_o = remap[o]
+    pairs1 = {(remap[x], remap[y]) for (x, y) in p1.pairs
+              if x in remap and y in remap}
+    pairs2 = set()
+    for x in range(len(keep)):
+        for y in range(len(keep)):
+            if x == y:
+                continue
+            ox, oy = keep[x], keep[y]
+            if x != new_o and (p2.less(ox, oy) or y == new_o):
+                pairs2.add((x, y))
+    prefs = et.PreferenceProfile((
+        et.Preference(new_outcomes, frozenset(pairs1)),
+        et.Preference(new_outcomes, frozenset(pairs2)),
+    ))
+    return et.NormalFormGame(
+        et.GameStructure(st.strategy_counts, new_outcomes, new_table), prefs)
+
+
+def cellwise_finite_height_reduce(g: et.NormalFormGame) -> et.NormalFormGame:
+    """``finite_height_reduce`` cell by cell: each cell's rank pair looked
+    up on its own."""
+    st = g.structure
+    pair_of = list(zip(et.rank(g.preferences[0]), et.rank(g.preferences[1])))
+    distinct = sorted(set(pair_of))
+    index = {pr: i for i, pr in enumerate(distinct)}
+    outcomes = et.OutcomeSet(len(distinct),
+                             tuple(f"({a},{b})" for a, b in distinct))
+    table = [[index[pair_of[st.outcome((i, j))]]
+              for j in range(st.strategy_counts[1])]
+             for i in range(st.strategy_counts[0])]
+    pairs1 = {(index[x], index[y]) for x in distinct for y in distinct
+              if x[0] < y[0]}
+    pairs2 = {(index[x], index[y]) for x in distinct for y in distinct
+              if x[1] < y[1]}
+    prefs = et.PreferenceProfile((
+        et.Preference(outcomes, frozenset(pairs1)),
+        et.Preference(outcomes, frozenset(pairs2)),
+    ))
+    return et.NormalFormGame(
+        et.GameStructure(st.strategy_counts, outcomes, table), prefs)
+
+
+def rowset_enforceable_finite_cone(g: et.NormalFormGame,
+                                   player: int) -> Optional[set[int]]:
+    """``enforceable_finite_cone`` from a Python set of each row's (player
+    1) or column's (player 2) outcomes, every line scanned."""
+    st = g.structure
+    pref = g.preferences[player - 1]
+    best: Optional[set[int]] = None
+    table = st.table if player == 1 else st.table.T
+    for i in range(table.shape[0]):
+        cone = et.upward_cone(pref, {int(o) for o in table[i]})
+        if best is None or len(cone) < len(best):
+            best = cone
+    return best

@@ -122,6 +122,50 @@ class TestCheckDeterminacy:
         assert out.strip() == "determined"
 
 
+class TestPlayerCount:
+    """``transfer`` and ``check-determinacy`` need two players; any other
+    count is input error, not a traceback, while ``solve`` and
+    ``verify-ne`` take n players."""
+
+    @staticmethod
+    def game(tmp_path, counts: list[int]) -> str:
+        cells = 1
+        for c in counts:
+            cells *= c
+        prefs = [{"pairs": [[0, 1]]} for _ in counts]
+        path = tmp_path / f"players_{len(counts)}.json"
+        path.write_text(json.dumps({
+            "format": 1, "players": len(counts), "strategies": counts,
+            "outcomes": 2, "v": [i % 2 for i in range(cells)],
+            "preferences": prefs}))
+        return str(path)
+
+    @pytest.mark.parametrize("counts", [[2], [2, 2, 2]])
+    @pytest.mark.parametrize("command, what", [
+        ("transfer", "a two-player game"),
+        ("check-determinacy", "a two-player structure")])
+    def test_refused_with_exit_2(self, capsys, tmp_path, counts, command,
+                                 what):
+        path = self.game(tmp_path, counts)
+        code, out, err = run(capsys, command, path)
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        assert err == (f"error: {command} needs {what}, "
+                       f"got {len(counts)} players\n")
+        code, out, _ = run(capsys, "--json", command, path)
+        assert code == cli.EXIT_INPUT
+        assert json.loads(out)["error"] == "SchemaError"
+
+    @pytest.mark.parametrize("counts", [[2], [2, 2, 2]])
+    def test_solve_takes_n_players(self, capsys, tmp_path, counts):
+        path = self.game(tmp_path, counts)
+        code, _, err = run(capsys, "solve", path)
+        assert (code, err) == (cli.EXIT_OK, "")
+        profile = ",".join("0" * len(counts))
+        code, _, err = run(capsys, "verify-ne", path, "--profile", profile)
+        assert code in (cli.EXIT_OK, cli.EXIT_FAIL) and err == ""
+
+
 class TestTransfer:
     def test_tree_oracle(self, capsys):
         code, out, _ = run(capsys, "transfer",

@@ -7,14 +7,18 @@ import pytest
 
 import eqtransfer as et
 from eqtransfer import jsonio, normal_form
-from conftest import (fixture_path, random_determined_structure,
-                      random_structure, random_tree)
+from conftest import (fixture_path, random_acyclic_preference,
+                      random_determined_structure, random_structure,
+                      random_tree)
 from reference_normal_form import (brute_enforcing_strategy,
                                    brute_find_all_ne,
                                    brute_is_determined,
                                    brute_is_nash_equilibrium, can_enforce,
+                                   cellwise_eliminate_dominated_outcomes,
+                                   cellwise_finite_height_reduce,
                                    derive_win_lose, deviations,
                                    is_determined_by_enforcement,
+                                   rowset_enforceable_finite_cone,
                                    winning_strategy)
 
 PAYOFF_LABELS = ("(1,0)", "(5,0)", "(2,4)", "(5,3)")
@@ -369,3 +373,76 @@ class TestSliceMerge:
             et.slice_structure(st, 0, 9)
         with pytest.raises(et.BadIndexError):
             et.merge_players(st, (1, 1))
+
+
+class TestCompanionsMatchReference:
+    """The companion reductions relabel the table through one lookup array
+    and read the kept outcome masks; the references look each cell up on
+    its own.  Both must build the same games and cones."""
+
+    GAMES = 300
+
+    @staticmethod
+    def game(rng, linear: bool = True) -> et.NormalFormGame:
+        """A two-player game with 1 to 12 outcomes, labelled or not, and
+        strict linear preferences, or acyclic ones, whose cones and rank
+        pairs can tie."""
+        n = rng.randint(1, 12)
+        labels = (tuple(f"o{x}" for x in range(n)) if rng.random() < 0.5
+                  else None)
+        counts = (rng.randint(1, 5), rng.randint(1, 5))
+        table = [rng.randrange(n) for _ in range(counts[0] * counts[1])]
+        st = et.GameStructure(counts, et.OutcomeSet(n, labels), table)
+        prefs = []
+        for _ in range(2):
+            ranking = list(range(n))
+            rng.shuffle(ranking)
+            pref = (et.Preference.from_ranking(ranking) if linear
+                    else random_acyclic_preference(rng, n))
+            prefs.append(et.Preference(st.outcomes, pref.pairs))
+        return et.NormalFormGame(st, et.PreferenceProfile(tuple(prefs)))
+
+    @staticmethod
+    def result_or_error(call):
+        try:
+            return call()
+        except et.EqTransferError as exc:
+            return type(exc), str(exc)
+
+    def test_elimination(self, rng):
+        eligible = 0
+        for _ in range(self.GAMES):
+            game = self.game(rng)
+            st, p1 = game.structure, game.preferences[0]
+            n, cols = st.outcomes.size, st.strategy_counts[1]
+            # a row of outcomes above o makes (e, o) eligible when o has
+            # anything above it
+            o, e = rng.randrange(n), rng.randrange(st.strategy_counts[0])
+            above = [x for x in range(n) if p1.less(o, x)]
+            if above:
+                table = st.table.copy()
+                table[e] = [rng.choice(above) for _ in range(cols)]
+                game = et.NormalFormGame(
+                    et.GameStructure(st.strategy_counts, st.outcomes, table),
+                    game.preferences)
+                eligible += 1
+            for args in ((e, o), (rng.randrange(-1, 6), rng.randrange(-1, 13))):
+                got = self.result_or_error(
+                    lambda: et.eliminate_dominated_outcomes(game, *args))
+                want = self.result_or_error(
+                    lambda: cellwise_eliminate_dominated_outcomes(game, *args))
+                assert got == want, args
+        assert eligible >= self.GAMES // 2
+
+    def test_finite_height_reduction(self, rng):
+        for i in range(2 * self.GAMES):
+            game = self.game(rng, linear=i % 2 == 0)
+            assert (et.finite_height_reduce(game)
+                    == cellwise_finite_height_reduce(game))
+
+    def test_enforceable_cone(self, rng):
+        for i in range(2 * self.GAMES):
+            game = self.game(rng, linear=i % 2 == 0)
+            for player in (1, 2):
+                assert (et.enforceable_finite_cone(game, player)
+                        == rowset_enforceable_finite_cone(game, player))

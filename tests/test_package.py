@@ -1,11 +1,33 @@
-"""The package's public name list."""
+"""The package's public name list and its module layering."""
 
+import ast
+import sys
 import types
+from pathlib import Path
 
 import eqtransfer as et
+
+SRC = Path(et.__file__).resolve().parent
 
 
 def test_public_names_are_library_objects():
     assert et.__all__
     for name in et.__all__:
         assert not isinstance(getattr(et, name), types.ModuleType), name
+
+
+def test_transfer_imports_no_game_model():
+    """The transfer runs over an arbitrary game structure: its module
+    imports the standard library, the errors and the preferences, and no
+    game model, so every backend lives with its own model."""
+    tree = ast.parse((SRC / "transfer.py").read_text())
+    local, external = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            local.add(node.module)
+        elif isinstance(node, ast.ImportFrom):
+            external.add(node.module.split(".")[0])
+        elif isinstance(node, ast.Import):
+            external.update(a.name.split(".")[0] for a in node.names)
+    assert local <= {"errors", "prefs"}, local
+    assert external <= sys.stdlib_module_names, external
