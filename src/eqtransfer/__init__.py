@@ -31,12 +31,8 @@ from .graph_games import (Arena, FiniteMemoryStrategy, MullerOracle,
                           MultiOutcomeGraphGame, Play, PriorityOracle,
                           achievable_deviation_outcomes, multi_outcome_ne,
                           parity_regions, play_of, solve_muller, solve_parity)
-from .corpus import (PROP_5_6_NE_TABLE, PROP_5_6_PROOF_PREFS,
-                     PROP_5_6_STATEMENT_PREFS, Claim, ClaimReport,
-                     CorpusEntry, build, list_entries, prop_5_4_game,
-                     prop_5_4_structure, prop_5_5_structure,
-                     prop_5_6_structure, remark_5_3_game,
-                     remark_5_3_structure, unit_vector_game, verify)
+from .corpus import (Claim, ClaimReport, CorpusEntry, build, list_entries,
+                     verify)
 
 from types import ModuleType as _ModuleType
 

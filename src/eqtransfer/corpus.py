@@ -1,6 +1,6 @@
 """Executable corpus of three-player counterexample games.
 
-Each entry is a concrete game or structure together with machine-checkable
+Each executable entry is a concrete game together with machine-checkable
 claims (no equilibrium, determinacy of all slices and mergers, specific
 equilibrium lists, equilibrium existence under preference families).  Claims
 over preference spaces too large to enumerate are checked by seeded sampling,
@@ -22,7 +22,7 @@ from .normal_form import (DEFAULT_PROFILE_CAP, GameStructure, NormalFormGame,
                           find_all_ne, is_determined, is_nash_equilibrium,
                           merge_players, slice_structure)
 from .prefs import (OutcomeSet, Preference, PreferenceProfile, height,
-                    is_acyclic)
+                    int_values, is_acyclic)
 
 X, Y, Z = 0, 1, 2
 XYZ = OutcomeSet(3, ("X", "Y", "Z"))
@@ -49,39 +49,39 @@ class Claim:
 
 @dataclass(frozen=True)
 class CorpusEntry:
+    """A statement-only entry has no game and no claims."""
     name: str
     description: str
-    executable: bool
-    structure: Optional[GameStructure]
     game: Optional[NormalFormGame]
     claims: tuple[Claim, ...]
 
+    @property
+    def executable(self) -> bool:
+        return self.game is not None
 
-def _prefers_only(n: int, best: int, labels=None) -> Preference:
-    """Everything else strictly below ``best``; no other comparabilities."""
+    @property
+    def structure(self) -> Optional[GameStructure]:
+        return None if self.game is None else self.game.structure
+
+
+def _prefers_only(best: int) -> Preference:
+    """The other two of X, Y, Z below ``best``; nothing else compared."""
     return Preference.from_pairs(
-        n, [(o, best) for o in range(n) if o != best], labels)
+        3, [(o, best) for o in range(3) if o != best], XYZ.labels)
 
 
 # ---------------------------------------------------------------------------
 # The 2x2x2 game with rotating preferences.
 
-def remark_5_3_structure() -> GameStructure:
+def _rotating_game() -> NormalFormGame:
     t = np.empty((2, 2, 2), dtype=np.int64)
     l, r = 0, 1
     t[l, l, l] = t[l, r, l] = t[r, r, l] = Y
     t[r, l, l] = t[l, l, r] = t[l, r, r] = Z
     t[r, l, r] = t[r, r, r] = X
-    return GameStructure((2, 2, 2), XYZ, t)
-
-
-def remark_5_3_game() -> NormalFormGame:
-    prefs = PreferenceProfile((
-        Preference.from_ranking([Z, Y, X], XYZ.labels),
-        Preference.from_ranking([X, Y, Z], XYZ.labels),
-        Preference.from_ranking([X, Y, Z], XYZ.labels),
-    ))
-    return NormalFormGame(remark_5_3_structure(), prefs)
+    xyz = Preference.from_ranking([X, Y, Z], XYZ.labels)
+    prefs = PreferenceProfile((xyz.inverse(), xyz, xyz))
+    return NormalFormGame(GameStructure((2, 2, 2), XYZ, t), prefs)
 
 
 def _no_ne_claim(name: str, description: str, game: NormalFormGame) -> Claim:
@@ -122,9 +122,7 @@ def _remark_5_3_claims(game: NormalFormGame) -> tuple[Claim, ...]:
 # ---------------------------------------------------------------------------
 # The n-strategy ladder game without equilibrium.
 
-def prop_5_4_structure(n: int) -> GameStructure:
-    if n < 2:
-        raise ValueError("the ladder game needs n >= 2")
+def _ladder_game(n: int = 4) -> NormalFormGame:
     if n ** 3 > DEFAULT_PROFILE_CAP:
         raise TooLargeError(f"the ladder game with n = {n} has {n ** 3} "
                             f"profiles, above the cap of {DEFAULT_PROFILE_CAP}")
@@ -146,18 +144,9 @@ def prop_5_4_structure(n: int) -> GameStructure:
     t = np.array([[[val(a, b, c) for c in range(1, n + 1)]
                    for b in range(1, n + 1)]
                   for a in range(1, n + 1)], dtype=np.int64)
-    return GameStructure((n, n, n), outcomes, t)
-
-
-def prop_5_4_game(n: int) -> NormalFormGame:
-    st = prop_5_4_structure(n)
-    usual = list(range(n + 1))
-    prefs = PreferenceProfile((
-        Preference.from_ranking(usual[::-1], st.outcomes.labels),
-        Preference.from_ranking(usual, st.outcomes.labels),
-        Preference.from_ranking(usual, st.outcomes.labels),
-    ))
-    return NormalFormGame(st, prefs)
+    usual = Preference.from_ranking(range(n + 1), outcomes.labels)
+    prefs = PreferenceProfile((usual.inverse(), usual, usual))
+    return NormalFormGame(GameStructure((n, n, n), outcomes, t), prefs)
 
 
 def _short_chain_relations(size: int, max_height: int) -> list[frozenset]:
@@ -240,7 +229,9 @@ def _short_chain_claim(st: GameStructure, max_height: int) -> Claim:
                  f"chain yields a game with an equilibrium", check)
 
 
-def _prop_5_4_claims(n: int, game: NormalFormGame) -> tuple[Claim, ...]:
+def _prop_5_4_claims(game: NormalFormGame) -> tuple[Claim, ...]:
+    n = game.structure.outcomes.size - 1
+
     def zero_sum(rng, samples):
         # payoffs (-2o, o, o) sum to zero and order outcomes exactly like
         # the stated preferences, so the zero-sum variant has no equilibrium
@@ -270,7 +261,8 @@ def _prop_5_4_claims(n: int, game: NormalFormGame) -> tuple[Claim, ...]:
 # ---------------------------------------------------------------------------
 # The 6x6x6 structure: determined slices/mergers, yet no equilibrium.
 
-def prop_5_5_structure() -> GameStructure:
+def _six_cube_game() -> NormalFormGame:
+    """Under unit payoffs: player d prefers only outcome d."""
     t = np.full((6, 6, 6), -1, dtype=np.int64)
     latin_ab = {(1, 1): X, (2, 3): X, (3, 2): X,
                 (1, 2): Y, (2, 1): Y, (3, 3): Y,
@@ -300,14 +292,8 @@ def prop_5_5_structure() -> GameStructure:
     for (b, c), o in fill_bc.items():
         t[0:3, b - 1, c - 1] = o
     assert (t >= 0).all()
-    return GameStructure((6, 6, 6), XYZ, t)
-
-
-def unit_vector_game(st: GameStructure) -> NormalFormGame:
-    """Player d prefers the outcome whose payoff vector has d's coordinate 1."""
-    prefs = PreferenceProfile(tuple(
-        _prefers_only(3, best, st.outcomes.labels) for best in (X, Y, Z)))
-    return NormalFormGame(st, prefs)
+    prefs = PreferenceProfile(tuple(_prefers_only(best) for best in (X, Y, Z)))
+    return NormalFormGame(GameStructure((6, 6, 6), XYZ, t), prefs)
 
 
 def _all_slices(st: GameStructure):
@@ -342,18 +328,19 @@ def _determinacy_claims(st: GameStructure) -> tuple[Claim, Claim]:
     )
 
 
-def _prop_5_5_claims(st: GameStructure) -> tuple[Claim, ...]:
+def _prop_5_5_claims(game: NormalFormGame) -> tuple[Claim, ...]:
     return (
         _no_ne_claim("unit-vector-no-ne", "the unit-payoff instantiation has "
-                     "no equilibrium", unit_vector_game(st)),
-    ) + _determinacy_claims(st)
+                     "no equilibrium", game),
+    ) + _determinacy_claims(game.structure)
 
 
 # ---------------------------------------------------------------------------
 # The 4x7x7 structure: determined slices/mergers, equilibria only for
 # short-chain preferences.
 
-def prop_5_6_structure() -> GameStructure:
+def _cuboid_game() -> NormalFormGame:
+    """Under the three stated linear preferences."""
     t = np.full((4, 7, 7), -1, dtype=np.int64)
     tall_bc = {(5, 1): X, (6, 3): X, (7, 2): X,
                (5, 2): Y, (6, 1): Y, (7, 3): Y,
@@ -381,19 +368,18 @@ def prop_5_6_structure() -> GameStructure:
     for (a, c), o in short_ac.items():
         t[a - 1, 4:7, c - 1] = o
     assert (t >= 0).all()
-    return GameStructure((4, 7, 7), XYZ, t)
+    prefs = PreferenceProfile((
+        Preference.from_ranking([Z, Y, X], XYZ.labels),
+        Preference.from_ranking([X, Z, Y], XYZ.labels),
+        Preference.from_ranking([Y, X, Z], XYZ.labels),
+    ))
+    return NormalFormGame(GameStructure((4, 7, 7), XYZ, t), prefs)
 
-
-PROP_5_6_STATEMENT_PREFS = PreferenceProfile((
-    Preference.from_ranking([Z, Y, X], XYZ.labels),
-    Preference.from_ranking([X, Z, Y], XYZ.labels),
-    Preference.from_ranking([Y, X, Z], XYZ.labels),
-))
 
 PROP_5_6_PROOF_PREFS = PreferenceProfile((
     Preference.from_ranking([Z, Y, X], XYZ.labels),
-    _prefers_only(3, Y, XYZ.labels),
-    _prefers_only(3, Z, XYZ.labels),
+    _prefers_only(Y),
+    _prefers_only(Z),
 ))
 
 # six equilibria indexed by the players' distinct preferred outcomes
@@ -407,13 +393,14 @@ PROP_5_6_NE_TABLE: tuple[tuple[tuple[int, int, int], tuple[int, int, int]], ...]
 )
 
 
-def _prop_5_6_claims(st: GameStructure) -> tuple[Claim, ...]:
+def _prop_5_6_claims(game: NormalFormGame) -> tuple[Claim, ...]:
+    st = game.structure
+
     def ne_table(rng, samples):
         ok = 0
         details = []
         for favourites, profile in PROP_5_6_NE_TABLE:
-            prefs = PreferenceProfile(tuple(
-                _prefers_only(3, best, XYZ.labels) for best in favourites))
+            prefs = PreferenceProfile(tuple(map(_prefers_only, favourites)))
             indexed = tuple(s - 1 for s in profile)
             good = is_nash_equilibrium(NormalFormGame(st, prefs), indexed)
             ok += good
@@ -427,7 +414,7 @@ def _prop_5_6_claims(st: GameStructure) -> tuple[Claim, ...]:
     return (
         _no_ne_claim("statement-prefs-no-ne",
                      "no equilibrium under the three stated linear preferences",
-                     NormalFormGame(st, PROP_5_6_STATEMENT_PREFS)),
+                     game),
         _no_ne_claim("proof-prefs-no-ne",
                      "no equilibrium under the single-favourite variant for "
                      "players 2 and 3",
@@ -441,60 +428,62 @@ def _prop_5_6_claims(st: GameStructure) -> tuple[Claim, ...]:
 # ---------------------------------------------------------------------------
 # Registry.
 
-_DESCRIPTIONS = {
-    "remark_5_3": "2x2x2 three-player game with rotating preferences: "
-                  "no equilibrium, yet every win-bit relabelling has one",
-    "prop_5_4": "n-strategy ladder game: linear preferences give no "
-                "equilibrium, short-chain preferences always do",
-    "prop_5_5": "6x6x6 structure with all slices and mergers determined "
-                "but no equilibrium under unit payoffs",
-    "prop_5_6": "4x7x7 structure with determined slices and mergers, "
-                "equilibria exactly for short-chain preferences",
-    "prop_5_1": "statement only, not executable: infinite-strategy "
-                "two-player game without equilibrium",
-    "prop_5_2": "statement only, not executable: infinite-strategy "
-                "determinacy counterexample",
+# name: (description, game builder, claims builder), or no builders
+_ENTRIES = {
+    "remark_5_3": ("2x2x2 three-player game with rotating preferences: "
+                   "no equilibrium, yet every win-bit relabelling has one",
+                   _rotating_game, _remark_5_3_claims),
+    "prop_5_4": ("n-strategy ladder game: linear preferences give no "
+                 "equilibrium, short-chain preferences always do",
+                 _ladder_game, _prop_5_4_claims),
+    "prop_5_5": ("6x6x6 structure with all slices and mergers determined "
+                 "but no equilibrium under unit payoffs",
+                 _six_cube_game, _prop_5_5_claims),
+    "prop_5_6": ("4x7x7 structure with determined slices and mergers, "
+                 "equilibria exactly for short-chain preferences",
+                 _cuboid_game, _prop_5_6_claims),
+    "prop_5_1": ("statement only, not executable: infinite-strategy "
+                 "two-player game without equilibrium", None, None),
+    "prop_5_2": ("statement only, not executable: infinite-strategy "
+                 "determinacy counterexample", None, None),
 }
 
 
+def _integer(value, field: str) -> int:
+    """The value as an int; bools, floats and strings are refused."""
+    try:
+        return int_values([value], field)[0]
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from None
+
+
 def list_entries() -> list[tuple[str, str]]:
-    return sorted(_DESCRIPTIONS.items())
+    return sorted((name, e[0]) for name, e in _ENTRIES.items())
 
 
 def build(name: str, n: Optional[int] = None) -> CorpusEntry:
-    """The entry of that name; only ``prop_5_4`` takes a size ``n``."""
-    if name not in _DESCRIPTIONS:
+    """The entry of that name; only ``prop_5_4`` takes a size ``n``
+    (default 4)."""
+    if name not in _ENTRIES:
         raise UnknownNameError(f"unknown corpus entry {name!r}")
-    if n is not None and name != "prop_5_4":
-        raise SchemaError(f"corpus entry {name} takes no size n")
-    if n is not None and n < 2:
-        raise SchemaError(f"n must be at least 2, got {n}")
-    desc = _DESCRIPTIONS[name]
-    if name in ("prop_5_1", "prop_5_2"):
-        return CorpusEntry(name, desc, False, None, None, ())
-    if name == "remark_5_3":
-        game = remark_5_3_game()
-        return CorpusEntry(name, desc, True, game.structure, game,
-                           _remark_5_3_claims(game))
-    if name == "prop_5_4":
-        size = 4 if n is None else n
-        game = prop_5_4_game(size)
-        return CorpusEntry(name, desc, True, game.structure, game,
-                           _prop_5_4_claims(size, game))
-    if name == "prop_5_5":
-        st = prop_5_5_structure()
-        return CorpusEntry(name, desc, True, st, unit_vector_game(st),
-                           _prop_5_5_claims(st))
-    st = prop_5_6_structure()
-    return CorpusEntry(name, desc, True, st,
-                       NormalFormGame(st, PROP_5_6_STATEMENT_PREFS),
-                       _prop_5_6_claims(st))
+    description, make_game, make_claims = _ENTRIES[name]
+    if n is not None:
+        if make_game is not _ladder_game:
+            raise SchemaError(f"corpus entry {name} takes no size n")
+        n = _integer(n, "n")
+        if n < 2:
+            raise SchemaError(f"n must be at least 2, got {n}")
+    if make_game is None:
+        return CorpusEntry(name, description, None, ())
+    game = make_game() if n is None else make_game(n)
+    return CorpusEntry(name, description, game, make_claims(game))
 
 
 def verify(entry: CorpusEntry, seed: int = 0,
            samples: int = 1000) -> list[ClaimReport]:
     """Run every claim; sampled checks draw from a generator seeded per
     claim, 1 to MAX_SAMPLES samples each."""
+    samples = _integer(samples, "samples")
     if samples < 1:
         raise SchemaError(f"samples must be at least 1, got {samples}")
     if samples > MAX_SAMPLES:

@@ -193,16 +193,21 @@ def find_all_ne(g: NormalFormGame, cap: int = DEFAULT_PROFILE_CAP) -> list[Profi
     return [tuple(p) for p in np.argwhere(ok).tolist()]
 
 
+def _strategy_masks(st: GameStructure, player: int) -> tuple[int, ...]:
+    """Player 1's row or player 2's column outcome masks."""
+    _two_players(st, "enforcement")
+    if player not in (1, 2):
+        raise BadIndexError(f"player must be 1 or 2, got {player}")
+    return st.row_masks if player == 1 else st.column_masks
+
+
 def enforcing_strategy(st: GameStructure, player: int,
                        subset: int) -> Optional[int]:
     """Lowest-index strategy of the player enforcing the subset (bit o for
     outcome o), or None: the first whose row (player 1) or column (player
     2) outcome mask m has m & ~subset == 0."""
-    _two_players(st, "enforcement")
-    if player not in (1, 2):
-        raise BadIndexError(f"player must be 1 or 2, got {player}")
+    masks = _strategy_masks(st, player)
     outside = ~subset
-    masks = st.row_masks if player == 1 else st.column_masks
     return next((i for i, m in enumerate(masks) if not m & outside), None)
 
 
@@ -317,8 +322,8 @@ def enforceable_finite_cone(g: NormalFormGame, player: int) -> Optional[set[int]
     the general acyclic-preference applicability condition can be checked
     explicitly.  Each distinct row or column outcome mask seeds one cone.
     """
+    masks = dict.fromkeys(_strategy_masks(g.structure, player))
     st, pref = g.structure, g.preferences[player - 1]
-    masks = dict.fromkeys(st.row_masks if player == 1 else st.column_masks)
     return min((upward_cone(pref, (o for o in range(st.outcomes.size)
                                    if m >> o & 1)) for m in masks), key=len)
 

@@ -220,7 +220,7 @@ def test_c10_counterexample_corpus():
         assert all(r.passed for r in rs.values())
         assert rs["no-ne"].exhaustive
         assert rs["short-chain-ne"].exhaustive == (n == 2)
-    st4 = et.prop_5_4_structure(4)
+    st4 = et.build("prop_5_4", 4).structure
     want = [
         [[1, 1, 1, 1], [1, 1, 1, 1], [1, 1, 1, 1], [4, 1, 1, 1]],
         [[1, 2, 1, 1], [2, 2, 2, 2], [1, 2, 1, 1], [4, 2, 1, 1]],
@@ -232,7 +232,7 @@ def test_c10_counterexample_corpus():
 
     assert all(r.passed and r.exhaustive
                for r in et.verify(et.build("prop_5_5")))
-    st5 = et.prop_5_5_structure()
+    st5 = et.build("prop_5_5").structure
     assert st5.table[:, :, 0].tolist() == letters(
         ["X Y Z X Y Z", "Y Z X X Y Z", "Z X Y X Y Z",
          "X Y Z X Y Z", "Y Z X X Y Z", "Z X Y X Y Z"])
@@ -240,8 +240,9 @@ def test_c10_counterexample_corpus():
     rs6 = {r.claim: r for r in et.verify(et.build("prop_5_6"))}
     assert all(r.passed for r in rs6.values())
     assert "6/6" in rs6["ne-table"].detail
-    assert {tuple(p) for _, p in et.PROP_5_6_NE_TABLE} >= {(1, 1, 1), (4, 7, 7)}
-    st6 = et.prop_5_6_structure()
+    assert {tuple(p) for _, p in et.corpus.PROP_5_6_NE_TABLE} \
+        >= {(1, 1, 1), (4, 7, 7)}
+    st6 = et.build("prop_5_6").structure
     assert st6.table[:, :, 0].tolist() == letters(
         ["X Y X Z X Y Z", "Y X Z X X Y Z",
          "X Y X Z X Y Z", "Y X Z X X Y Z"])

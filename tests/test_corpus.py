@@ -58,6 +58,35 @@ class TestRegistry:
                            match=f"samples must be at least 1, got {samples}"):
             et.verify(et.build("prop_5_4"), samples=samples)
 
+    @pytest.mark.parametrize("name", [name for name, _ in et.list_entries()])
+    def test_derived_fields(self, name):
+        entry = et.build(name)
+        assert entry.executable == (entry.game is not None)
+        if entry.executable:
+            assert entry.structure is entry.game.structure
+        else:
+            assert entry.structure is None
+            assert entry.claims == ()
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, "3"])
+    def test_ladder_size_is_an_integer(self, n):
+        """Once a TypeError from range() for 2.5."""
+        with pytest.raises(et.SchemaError, match="n: .* is not an integer"):
+            et.build("prop_5_4", n)
+
+    @pytest.mark.parametrize("samples", [2.5, 1.0, True, "10"])
+    def test_samples_is_an_integer(self, samples):
+        """Once a TypeError for 2.5, and one sample for True."""
+        with pytest.raises(et.SchemaError,
+                           match="samples: .* is not an integer"):
+            et.verify(et.build("prop_5_4"), samples=samples)
+
+    def test_numpy_integers_pass(self):
+        entry = et.build("prop_5_4", np.int64(3))
+        assert entry.structure.strategy_counts == (3, 3, 3)
+        reports = et.verify(entry, samples=np.int32(20))
+        assert reports == et.verify(et.build("prop_5_4", 3), samples=20)
+
     def test_samples_capped(self):
         entry = et.build("prop_5_4")
         with pytest.raises(et.TooLargeError):
@@ -66,7 +95,7 @@ class TestRegistry:
 
 class TestRotatingGame:
     def test_structure(self):
-        st = et.remark_5_3_structure()
+        st = et.build("remark_5_3").structure
         l, r = 0, 1
         assert st.outcome((l, l, l)) == Y
         assert st.outcome((l, r, l)) == Y
@@ -87,7 +116,7 @@ class TestRotatingGame:
 
 class TestLadderGame:
     def test_displayed_arrays_bit_exact(self):
-        st = et.prop_5_4_structure(4)
+        st = et.build("prop_5_4", 4).structure
         want = [
             [[1, 1, 1, 1], [1, 1, 1, 1], [1, 1, 1, 1], [4, 1, 1, 1]],
             [[1, 2, 1, 1], [2, 2, 2, 2], [1, 2, 1, 1], [4, 2, 1, 1]],
@@ -97,16 +126,12 @@ class TestLadderGame:
         for c in range(4):
             assert st.table[:, :, c].tolist() == want[c]
 
-    def test_rejects_tiny_n(self):
-        with pytest.raises(ValueError):
-            et.prop_5_4_structure(1)
-
     @pytest.mark.parametrize("n", [101, 10 ** 6])
     def test_caps_n_before_building(self, n):
         """n**3 profiles above DEFAULT_PROFILE_CAP: refused before the
         table is allocated."""
         with pytest.raises(et.TooLargeError):
-            et.prop_5_4_structure(n)
+            et.build("prop_5_4", n)
 
     def test_n2_claims_exhaustive(self):
         reports = et.verify(et.build("prop_5_4", n=2))
@@ -131,7 +156,7 @@ class TestLadderGame:
 
 class TestSixCubeGame:
     def test_displayed_section_bit_exact(self):
-        st = et.prop_5_5_structure()
+        st = et.build("prop_5_5").structure
         want = letters(["X Y Z X Y Z",
                         "Y Z X X Y Z",
                         "Z X Y X Y Z",
@@ -148,7 +173,7 @@ class TestSixCubeGame:
 
 class TestCuboidGame:
     def test_displayed_sections_bit_exact(self):
-        st = et.prop_5_6_structure()
+        st = et.build("prop_5_6").structure
         first = letters(["X Y X Z X Y Z",
                          "Y X Z X X Y Z",
                          "X Y X Z X Y Z",
@@ -166,8 +191,8 @@ class TestCuboidGame:
         assert "6/6" in reports["ne-table"].detail
 
     def test_listed_profiles_explicitly(self):
-        st = et.prop_5_6_structure()
-        for favourites, profile in et.PROP_5_6_NE_TABLE:
+        st = et.build("prop_5_6").structure
+        for favourites, profile in corpus.PROP_5_6_NE_TABLE:
             prefs = et.PreferenceProfile(tuple(
                 et.Preference.from_pairs(
                     3, [(o, best) for o in range(3) if o != best])
@@ -228,7 +253,7 @@ class TestMaskKernelParity:
         # the rotating game lacks equilibria under 24 of the 15,625 triples,
         # and a few small random structures under some sampled triples, so
         # the counts in the detail strings fall below their totals
-        st = et.remark_5_3_structure()
+        st = et.build("remark_5_3").structure
         claim = et.corpus._short_chain_claim(st, max_height=3)
         exhaustive = claim.check(random.Random(0), 0)
         assert exhaustive == short_chain_report(st, 3, random.Random(0), 0)

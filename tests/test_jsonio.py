@@ -65,14 +65,14 @@ class TestRoundTrip:
         assert jsonio.to_obj(empty)["win_sets"] == []
 
     def test_normal_form_game_round_trip(self):
-        g = et.remark_5_3_game()
+        g = et.build("remark_5_3").game
         again = jsonio.loads(jsonio.dumps(g))
         assert isinstance(again, et.NormalFormGame)
         assert again.structure == g.structure
         assert again.preferences == g.preferences
 
     def test_dump_and_load_file(self, tmp_path):
-        st = et.prop_5_5_structure()
+        st = et.build("prop_5_5").structure
         path = tmp_path / "out.json"
         jsonio.dump(st, str(path))
         assert jsonio.load(str(path)) == st

@@ -337,7 +337,7 @@ class TestDeterminacy:
 
 class TestSliceMerge:
     def test_slice_preserves_outcomes_pointwise(self):
-        st = et.remark_5_3_structure()
+        st = et.build("remark_5_3").structure
         for player in range(3):
             for strat in range(st.strategy_counts[player]):
                 sliced = et.slice_structure(st, player, strat)
@@ -347,7 +347,7 @@ class TestSliceMerge:
                     assert sliced.outcome(profile) == st.outcome(tuple(full))
 
     def test_merge_preserves_outcomes_pointwise(self):
-        st = et.prop_5_6_structure()
+        st = et.build("prop_5_6").structure
         for pair in ((0, 1), (0, 2), (1, 2)):
             merged = et.merge_players(st, pair)
             other = ({0, 1, 2} - set(pair)).pop()
@@ -368,7 +368,7 @@ class TestSliceMerge:
             et.merge_players(st, (0, 1))
 
     def test_bad_indices(self):
-        st = et.remark_5_3_structure()
+        st = et.build("remark_5_3").structure
         with pytest.raises(et.BadIndexError):
             et.slice_structure(st, 0, 9)
         with pytest.raises(et.BadIndexError):

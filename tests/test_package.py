@@ -16,6 +16,13 @@ def test_public_names_are_library_objects():
         assert not isinstance(getattr(et, name), types.ModuleType), name
 
 
+def test_corpus_games_only_through_build():
+    """The corpus's games and claim data are reached through
+    ``build(name, n)``, not through per-entry names."""
+    prefixes = ("prop_", "remark_", "unit_vector_", "PROP_")
+    assert not [name for name in et.__all__ if name.startswith(prefixes)]
+
+
 def test_transfer_imports_no_game_model():
     """The transfer runs over an arbitrary game structure: its module
     imports the standard library, the errors and the preferences, and no

@@ -107,7 +107,7 @@ class TestTransferEquilibrium:
         assert len(runs) == 2
 
     def test_three_players_rejected(self):
-        game = et.remark_5_3_game()
+        game = et.build("remark_5_3").game
         with pytest.raises(ValueError):
             et.transfer_equilibrium(game)
 
@@ -124,6 +124,20 @@ class TestEnforceableFiniteCone:
                 assert et.upward_cone(pref, cone) == cone
                 word = sum(1 << o for o in cone)
                 assert et.enforcing_strategy(st, player, word) is not None
+
+    @pytest.mark.parametrize("player", [0, 3])
+    def test_players_other_than_1_and_2_refused(self, player):
+        """Once player 0 answered with player 2's preference and columns,
+        and player 3 ended in an IndexError from the preference tuple."""
+        st = et.GameStructure((2, 2), et.OutcomeSet(3), [[0, 1], [2, 0]])
+        game = et.NormalFormGame(st, et.PreferenceProfile((
+            et.Preference.from_ranking([0, 1, 2]),
+            et.Preference.from_ranking([2, 1, 0]))))
+        for call in (lambda: et.enforceable_finite_cone(game, player),
+                     lambda: et.enforcing_strategy(st, player, 0b111)):
+            with pytest.raises(et.BadIndexError,
+                               match=f"player must be 1 or 2, got {player}"):
+                call()
 
 
 class TestMinimaxTransfer:
