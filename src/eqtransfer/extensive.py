@@ -10,8 +10,11 @@ recursion, so depth is bounded only by memory.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from itertools import repeat
+from operator import indexOf
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -49,50 +52,63 @@ class GameTree:
     """
 
     def __init__(self, root: Union[Node, Leaf], outcomes: OutcomeSet):
-        self.outcomes = outcomes
-        owners: list[int] = []
-        kids: list[list[int]] = []
-        # (subtree, (parent index, child slot) or None for the root)
-        stack: list = [(root, None)]
+        owners, kids, top = [], [], []
+        # (subtree, child codes of its parent); popped in preorder, so each
+        # parent's codes are appended in child order
+        stack: list = [(root, top)]
         while stack:
-            sub, slot = stack.pop()
+            sub, row = stack.pop()
             if isinstance(sub, Leaf):
                 if not (0 <= sub.outcome < outcomes.size):
                     raise ValueError(f"leaf outcome {sub.outcome} out of range")
-                code = ~sub.outcome
-            else:
-                code = len(kids)
-                owners.append(sub.owner)
-                kids.append([0] * len(sub.children))
-                stack.extend((child, (code, k)) for k, child
-                             in reversed(list(enumerate(sub.children))))
-            if slot is None:
-                self.root_code = code
-            else:
-                kids[slot[0]][slot[1]] = code
-        self.owners = tuple(owners)
-        self.children = tuple(map(tuple, kids))
+                row.append(~sub.outcome)
+                continue
+            row.append(len(kids))
+            owners.append(sub.owner)
+            kids.append([])
+            stack.extend(zip(reversed(sub.children), repeat(kids[-1])))
+        self.outcomes, self.root_code = outcomes, top[0]
+        self.owners, self.children = tuple(owners), tuple(map(tuple, kids))
+
+    @classmethod
+    def from_arrays(cls, owners: Sequence[int],
+                    children: Sequence[Sequence[int]], root_code: int,
+                    outcomes: OutcomeSet) -> GameTree:
+        """The tree of preorder arrays as above, unchecked: ``jsonio``
+        builds them in the same pass that checks a document."""
+        tree = cls.__new__(cls)
+        tree.outcomes, tree.root_code = outcomes, root_code
+        tree.owners, tree.children = tuple(owners), tuple(map(tuple, children))
+        return tree
+
+    @functools.cached_property
+    def _digits(self) -> tuple[tuple, tuple]:
+        """Per player: the owned nodes in preorder, their child counts (the
+        radices of a strategy index's digits) and the strategy count."""
+        per_player = []
+        for player in (1, 2):
+            nodes = tuple(i for i, o in enumerate(self.owners) if o == player)
+            radices = tuple(len(self.children[i]) for i in nodes)
+            per_player.append((nodes, radices, math.prod(radices)))
+        return tuple(per_player)
 
     def owned_nodes(self, player: int) -> list[int]:
         """Preorder indices of the internal nodes the player owns."""
-        return [i for i, owner in enumerate(self.owners) if owner == player]
+        return list(self._digits[player - 1][0])
 
     def strategy_count(self, player: int) -> int:
-        count = 1
-        for i in self.owned_nodes(player):
-            count *= len(self.children[i])
-        return count
+        return self._digits[player - 1][2]
 
 
 def strategy_from_index(t: GameTree, player: int, index: int
                         ) -> dict[int, int]:
     """Decode a strategy index (mixed radix, first owned node most
     significant) into its ``{node: child}`` choices."""
-    owned = t.owned_nodes(player)
-    digits = [0] * len(owned)
+    owned, radices, _ = t._digits[player - 1]
+    digits = [0] * len(radices)
     rest = index
-    for pos in range(len(owned) - 1, -1, -1):
-        rest, digits[pos] = divmod(rest, len(t.children[owned[pos]]))
+    for pos in range(len(radices) - 1, -1, -1):
+        rest, digits[pos] = divmod(rest, radices[pos])
     if rest:
         raise ValueError(f"strategy index {index} out of range")
     return dict(zip(owned, digits))
@@ -101,8 +117,9 @@ def strategy_from_index(t: GameTree, player: int, index: int
 def strategy_to_index(t: GameTree, player: int, choice: dict[int, int]
                       ) -> int:
     index = 0
-    for node in t.owned_nodes(player):
-        index = index * len(t.children[node]) + choice[node]
+    owned, radices, _ = t._digits[player - 1]
+    for node, radix in zip(owned, radices):
+        index = index * radix + choice[node]
     return index
 
 
@@ -142,17 +159,26 @@ def to_normal_form(t: GameTree, cap: int = DEFAULT_PROFILE_CAP) -> GameStructure
     return GameStructure((n1, n2), t.outcomes, table)
 
 
-def _backward_induction(t: GameTree, label: int) -> Callable[[int], int]:
-    """One reverse preorder sweep; returns the winner at each node code."""
-    won = [0] * len(t.owners)
+# A label's binary digits, as bytes, to leaf winners: b"1" to player 1
+_LEAF_WINNER = bytes.maketrans(b"01", b"\2\1")
 
-    def winner(code: int) -> int:
-        return won[code] if code >= 0 else 2 - (label >> ~code & 1)
 
-    for i in range(len(won) - 1, -1, -1):
-        me = t.owners[i]
-        won[i] = me if any(winner(c) == me for c in t.children[i]) else 3 - me
-    return winner
+def _backward_induction(t: GameTree, label: int) -> list[int]:
+    """The winner at every node code, by one reverse preorder sweep: the
+    list ends with the leaves' winners, outcome 0 last, so that a leaf code
+    ~o indexes its outcome's winner from the end."""
+    n, owners, children = t.outcomes.size, t.owners, t.children
+    won = [0] * len(owners)
+    won += format(label & ((1 << n) - 1), f"0{n}b").encode().translate(
+        _LEAF_WINNER)
+    for i in range(len(owners) - 1, -1, -1):
+        me = won[i] = owners[i]
+        for code in children[i]:
+            if won[code] == me:
+                break
+        else:
+            won[i] = 3 - me
+    return won
 
 
 class TreeOracle(GameBackend):
@@ -176,17 +202,17 @@ class TreeOracle(GameBackend):
         return self.tree.outcomes.size
 
     def winner(self, label: int) -> int:
-        return _backward_induction(self.tree, label)(self.tree.root_code)
+        return _backward_induction(self.tree, label)[self.tree.root_code]
 
     def strategy(self, label: int) -> OracleStrategy:
         """Full strategy for the root winner: at each owned node move to the
         first child they win, or to the first child where they win none."""
         t = self.tree
-        winner = _backward_induction(t, label)
-        champion = winner(t.root_code)
-        choice = {i: next((k for k, c in enumerate(t.children[i])
-                           if winner(c) == champion), 0)
-                  for i in t.owned_nodes(champion)}
+        won = _backward_induction(t, label)
+        champion = won[t.root_code]
+        choice = {i: indexOf(map(won.__getitem__, t.children[i]), champion)
+                  if won[i] == champion else 0
+                  for i in t._digits[champion - 1][0]}
         return OracleStrategy(champion, strategy_to_index(t, champion, choice))
 
     def play_outcome(self, h1: int, h2: int) -> int:

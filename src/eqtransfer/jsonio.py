@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import json
 import sys
+from itertools import repeat
 from typing import Any, Optional, Union
 
 from .errors import SchemaError, TooLargeError
-from .extensive import GameTree, Leaf, Node
+from .extensive import GameTree
 from .graph_games import Arena, MultiOutcomeGraphGame
 from .normal_form import GameStructure, NormalFormGame
 from .prefs import OutcomeSet, Preference, PreferenceProfile, is_int
@@ -119,35 +120,37 @@ _OWNER_NAMES = {"a": 1, "b": 2}
 _OWNER_LABELS = {1: "a", 2: "b"}
 
 
-def _tree_node_from_obj(obj: Any) -> Union[Node, Leaf]:
-    """Check every node, parents before children, then build the nodes
-    children before parents; no recursion, so depth is not limited."""
-    order, stack = [], [obj]
+def _tree_from_obj(obj: dict) -> tuple[GameTree, Optional[PreferenceProfile]]:
+    """Check the tree document and index its nodes in the same pass: one
+    walk in preorder, without recursion, straight into ``GameTree``'s
+    arrays."""
+    outs = _outcome_set(obj.get("outcomes"))
+    owners, kids, top = [], [], []
+    # (JSON node, child codes of its parent), as in GameTree.__init__; the
+    # checks are inlined, since this loop runs once per node
+    stack: list = [(obj.get("tree"), top)]
     while stack:
-        node = stack.pop()
-        _require(isinstance(node, dict), "tree node must be an object")
-        order.append(node)
+        node, row = stack.pop()
+        if not isinstance(node, dict):
+            raise SchemaError("tree node must be an object")
         if "leaf" in node:
-            _require(is_int(node["leaf"]), "leaf must hold an outcome index")
+            o = node["leaf"]
+            if not (is_int(o) and 0 <= o < outs.size):
+                _require(is_int(o), "leaf must hold an outcome index")
+                raise SchemaError(f"leaf outcome {o} out of range")
+            row.append(~o)
             continue
         owner = node.get("owner")
-        _require(isinstance(owner, str) and owner in _OWNER_NAMES,
-                 f"node owner must be 'a' or 'b', got {owner!r}")
+        if owner not in ("a", "b"):
+            raise SchemaError(f"node owner must be 'a' or 'b', got {owner!r}")
         children = node.get("children")
-        _require(isinstance(children, list) and children,
-                 "internal node needs a non-empty children list")
-        stack.extend(children)
-    built: dict[int, Union[Node, Leaf]] = {}  # id(JSON object) -> subtree
-    for node in reversed(order):
-        built[id(node)] = (Leaf(node["leaf"]) if "leaf" in node else Node(
-            _OWNER_NAMES[node["owner"]],
-            tuple(built[id(c)] for c in node["children"])))
-    return built[id(obj)]
-
-
-def _tree_from_obj(obj: dict) -> tuple[GameTree, Optional[PreferenceProfile]]:
-    outs = _outcome_set(obj.get("outcomes"))
-    tree = GameTree(_tree_node_from_obj(obj.get("tree")), outs)
+        if not (isinstance(children, list) and children):
+            raise SchemaError("internal node needs a non-empty children list")
+        row.append(len(kids))
+        owners.append(_OWNER_NAMES[owner])
+        kids.append([])
+        stack.extend(zip(reversed(children), repeat(kids[-1])))
+    tree = GameTree.from_arrays(owners, kids, top[0], outs)
     prefs = None
     if "preferences" in obj:
         prefs = _profile_from_obj(obj["preferences"], outs)

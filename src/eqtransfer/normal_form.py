@@ -278,21 +278,51 @@ class StructureOracle(GameBackend):
     On a non-determined structure some derived games have no winner; this
     oracle then reports player 2 with an arbitrary strategy, and the caller's
     equilibrium verification catches the lie.
+
+    A row whose mask leaves the last label answered 1 fails every subset
+    of it, as each of the transfer's probes is: scans for such subsets
+    unlink that row from the ``_next`` chain of live rows as they pass it.
+    Any other label relinks every row first.
     """
 
     def __init__(self, structure: GameStructure):
         _two_players(structure, "the brute-force oracle")
         self.structure = structure
+        self._relink()
 
     @property
     def n_outcomes(self) -> int:
         return self.structure.outcomes.size
 
+    def _relink(self) -> None:
+        self._won = (1 << self.n_outcomes) - 1
+        # _next[i]: the live row after row i; _next[-1], the first one
+        self._next = [*range(1, self.structure.strategy_counts[0] + 1), 0]
+
+    def _first_row(self, label: int) -> Optional[int]:
+        """The lowest-index row enforcing the label, or None."""
+        if label & ~self._won:
+            self._relink()
+        masks, nxt, outside, dead = (self.structure.row_masks, self._next,
+                                     ~label, ~self._won)
+        prev = end = len(nxt) - 1
+        i = nxt[end]
+        while i != end:
+            m = masks[i]
+            if m & dead:
+                i = nxt[prev] = nxt[i]
+            elif m & outside:
+                prev, i = i, nxt[i]
+            else:
+                self._won = label
+                return i
+        return None
+
     def winner(self, label: int) -> int:
-        return 1 if enforcing_strategy(self.structure, 1, label) is not None else 2
+        return 1 if self._first_row(label) is not None else 2
 
     def strategy(self, label: int) -> OracleStrategy:
-        row = enforcing_strategy(self.structure, 1, label)
+        row = self._first_row(label)
         if row is not None:
             return OracleStrategy(1, row)
         full = (1 << self.n_outcomes) - 1

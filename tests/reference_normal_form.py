@@ -283,3 +283,21 @@ def rowset_enforceable_finite_cone(g: et.NormalFormGame,
         if best is None or len(cone) < len(best):
             best = cone
     return best
+
+
+class FullScanOracle(et.StructureOracle):
+    """The brute-force oracle answering each query from a scan of every
+    row, or every column, through ``brute_enforcing_strategy``: no state
+    is kept between queries."""
+
+    def winner(self, label: int) -> int:
+        row = brute_enforcing_strategy(self.structure, 1, label)
+        return 1 if row is not None else 2
+
+    def strategy(self, label: int) -> et.OracleStrategy:
+        row = brute_enforcing_strategy(self.structure, 1, label)
+        if row is not None:
+            return et.OracleStrategy(1, row)
+        full = (1 << self.n_outcomes) - 1
+        col = brute_enforcing_strategy(self.structure, 2, label ^ full)
+        return et.OracleStrategy(2, col if col is not None else 0)

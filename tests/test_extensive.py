@@ -1,5 +1,6 @@
 """Game trees, backward induction, and transfer over tree oracles."""
 
+import random
 import sys
 
 import pytest
@@ -7,7 +8,10 @@ import pytest
 import eqtransfer as et
 from conftest import random_tree
 from eqtransfer import jsonio
+from eqtransfer.extensive import _backward_induction
 from conftest import fixture_path
+from reference_extensive import (caterpillar_pair, random_tree_pair,
+                                 recursive_strategy, recursive_winners)
 from reference_normal_form import (backward_induction_oracle, derive_win_lose,
                                    winning_strategy)
 
@@ -173,6 +177,37 @@ class TestTreeBackend:
         assert result.counter.winner_calls <= 4
         assert result.counter.strategy_calls == 2
         assert (copy.owners, copy.children) == (tree.owners, tree.children)
+
+
+class TestBackwardInductionSweep:
+    def test_matches_recursion_on_every_label(self):
+        """300 seeded trees, a third of them beyond the normal-form profile
+        cap, which a brute-force comparison cannot reach: the sweep's winner
+        at every node, the oracle's winner and its strategy equal plain
+        recursion's on every label."""
+        rng = random.Random(21001)
+        beyond_cap = 0
+        for k in range(300):
+            n = rng.randint(1, 5)
+            if k % 10 == 0:
+                root, _ = caterpillar_pair(rng, rng.randint(1, 120), n)
+            else:
+                root, _ = random_tree_pair(rng, rng.randint(0, 50), n)
+            t = et.GameTree(root, et.OutcomeSet(n))
+            counts = t.strategy_count(1) * t.strategy_count(2)
+            beyond_cap += counts > et.DEFAULT_PROFILE_CAP
+            oracle = et.TreeOracle(t)
+            m = len(t.owners)
+            for label in range(1 << n):
+                won = recursive_winners(t, label)
+                assert _backward_induction(t, label)[:m] == won
+                champion = oracle.winner(label)
+                assert champion == (won[t.root_code] if m else
+                                    2 - (label >> ~t.root_code & 1))
+                # bits beyond the outcomes are ignored
+                assert oracle.winner(label | 1 << n + 2) == champion
+                assert oracle.strategy(label) == recursive_strategy(t, label)
+        assert beyond_cap >= 100
 
 
 class TestKuhnViaTransfer:

@@ -1,15 +1,26 @@
 """JSON serialization: round-trips for every fixture and error reporting."""
 
+import copy
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import eqtransfer as et
 from eqtransfer import jsonio
 from conftest import FIXTURES, fixture_path
+from reference_extensive import (caterpillar_pair, random_tree_pair,
+                                 reference_from_obj, tree_document)
+from test_cli import caterpillar_text
+from test_fuzz import VALUES, slots
 
 ALL_FIXTURES = sorted(p.name for p in FIXTURES.glob("*.json"))
+TREE_FIXTURES = [name for name in ALL_FIXTURES
+                 if "tree" in json.loads((FIXTURES / name).read_text())]
 
 
 def normalised(doc: dict) -> dict:
@@ -181,3 +192,103 @@ class TestErrors:
         obj["kind"] = "buechi"
         with pytest.raises(et.SchemaError, match="kind"):
             jsonio.from_obj(obj)
+
+
+def load_result(load, doc) -> tuple:
+    """What a loader makes of the document: its tree's arrays and its
+    preferences, or its error's type and message."""
+    try:
+        value = load(doc)
+    except et.EqTransferError as exc:
+        return type(exc), str(exc)
+    tree, prefs = value if isinstance(value, tuple) else (value, None)
+    return (tree.owners, tree.children, tree.root_code, tree.outcomes,
+            prefs)
+
+
+DROP = object()
+
+
+def single_defects(doc: dict):
+    """The document with one value swapped for each of the fuzzer's
+    values or for the outcome count and the one below it, or one object
+    key dropped, at every position in turn."""
+    outcomes = doc["outcomes"]
+    n = len(outcomes) if isinstance(outcomes, list) else outcomes
+    for k in range(len(slots(doc))):
+        for value in VALUES + (n - 1, n, DROP):
+            mutated = copy.deepcopy(doc)
+            container, key = slots(mutated)[k]
+            if value is DROP:
+                if isinstance(container, list):
+                    continue
+                del container[key]
+            else:
+                container[key] = copy.deepcopy(value)
+            yield mutated
+
+
+class TestTreeLoading:
+    """Documents load straight into ``GameTree``'s preorder arrays; the
+    reference builds ``Node`` objects first and indexes them after."""
+
+    def test_arrays_match_node_trees(self):
+        rng = random.Random(21002)
+        for k in range(500):
+            n = rng.randint(1, 8)
+            root, obj = (caterpillar_pair(rng, 495, n) if k % 25 == 0
+                         else random_tree_pair(rng, rng.randint(0, 40), n))
+            expected = et.GameTree(root, et.OutcomeSet(n))
+            doc = tree_document(obj, n)
+            for tree in (jsonio.from_obj(doc), reference_from_obj(doc)):
+                assert tree.owners == expected.owners
+                assert tree.children == expected.children
+                assert tree.root_code == expected.root_code
+                assert tree.outcomes == expected.outcomes
+
+    @pytest.mark.parametrize("name", TREE_FIXTURES)
+    def test_single_defects_give_the_reference_message(self, name):
+        doc = json.loads((FIXTURES / name).read_text())
+        errors = 0
+        for mutated in single_defects(doc):
+            result = load_result(jsonio.from_obj, mutated)
+            assert result == load_result(reference_from_obj, mutated), \
+                mutated
+            errors += result[0] is et.SchemaError
+        assert errors >= 50
+
+    def test_deep_caterpillar_loads_without_recursion(self):
+        """The object json.loads makes of a 495-level caterpillar, built
+        here directly: parsing it takes nearly all of the default limit,
+        more than a test's stack leaves."""
+        root, obj = caterpillar_pair(random.Random(21003), 495, 3)
+        doc = tree_document(obj, 3, [{"pairs": [[0, 1], [1, 2]]},
+                                     {"pairs": [[2, 1]]}])
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(150)
+        try:
+            tree, prefs = jsonio.from_obj(doc)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert prefs.players == 2
+        assert tree.children == et.GameTree(root, et.OutcomeSet(3)).children
+
+    def test_about_500_levels_parse(self):
+        """Each tree level nests two JSON levels, the node and its children
+        list, so a fresh interpreter's parser takes about 500 of them."""
+        code = ("import sys\n"
+                "from eqtransfer import jsonio, TooLargeError\n"
+                "texts = sys.stdin.read().split('\\n')\n"
+                "jsonio.loads(texts[0])\n"
+                "try:\n"
+                "    jsonio.loads(texts[1])\n"
+                "except TooLargeError:\n"
+                "    print('refused')\n")
+        src = str(Path(jsonio.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            input=caterpillar_text(490) + "\n" + caterpillar_text(500),
+            env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout == "refused\n"

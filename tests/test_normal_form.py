@@ -1,6 +1,7 @@
 """Normal-form games: equilibria, win-lose derivation, determinacy, slicing."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from eqtransfer import jsonio, normal_form
 from conftest import (fixture_path, random_acyclic_preference,
                       random_determined_structure, random_structure,
                       random_tree)
-from reference_normal_form import (brute_enforcing_strategy,
+from reference_normal_form import (FullScanOracle, brute_enforcing_strategy,
                                    brute_find_all_ne,
                                    brute_is_determined,
                                    brute_is_nash_equilibrium, can_enforce,
@@ -247,6 +248,102 @@ class TestEnforcement:
         st = et.GameStructure((2,), et.OutcomeSet(2), [0, 1])
         with pytest.raises(ValueError, match="two-player"):
             st.row_masks
+
+
+class CountingMasks(tuple):
+    """Outcome masks that count how many of them are read."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+    def __iter__(self):
+        for m in super().__iter__():
+            self.reads += 1
+            yield m
+
+
+def transfer_result(oracle: et.StructureOracle, prefs) -> tuple:
+    """The verified transfer's result, or its error's type, message and
+    certificate."""
+    try:
+        r = et.equilibrium(oracle, prefs)
+    except et.EqTransferError as exc:
+        return (type(exc), str(exc), getattr(exc, "deviator", None),
+                getattr(exc, "outcome", None))
+    return r.profile, r.outcome, r.enforced, r.counter
+
+
+class TestStructureOracle:
+    """The oracle unlinks rows that leave the last label answered 1; a
+    full scan of every row on every query is the reference."""
+
+    def test_any_query_order_matches_full_scan(self):
+        rng = random.Random(21004)
+        for _ in range(300):
+            n = rng.randint(1, 8)
+            st = (random_determined_structure(rng, max_outcomes=n)
+                  if rng.random() < 0.5 else random_structure(
+                      rng, (rng.randint(1, 9), rng.randint(1, 4)), n))
+            n = st.outcomes.size
+            oracle, reference = et.StructureOracle(st), FullScanOracle(st)
+            won = (1 << n) - 1
+            for _ in range(30):
+                pick = rng.random()
+                if pick < 0.4:  # a subset of the last label answered 1
+                    label = won & rng.getrandbits(n)
+                elif pick < 0.6:  # a probe: that label less one outcome
+                    label = won & ~(1 << rng.randrange(n))
+                else:  # any label, a subset or not
+                    label = rng.getrandbits(n)
+                if rng.random() < 0.5:
+                    answer = oracle.winner(label)
+                    assert answer == reference.winner(label)
+                else:
+                    s = oracle.strategy(label)
+                    assert s == reference.strategy(label)
+                    answer = s.player
+                if answer == 1:
+                    won = label
+
+    def test_transfers_match_full_scan(self):
+        """Profile, enforced set, call counts and NotDeterminedError
+        messages, on determined and arbitrary games alike."""
+        rng = random.Random(21005)
+        for _ in range(1000):
+            if rng.random() < 0.5:
+                st = random_determined_structure(rng, max_outcomes=7)
+            else:
+                st = random_structure(rng, (rng.randint(1, 8),
+                                            rng.randint(1, 8)),
+                                      rng.randint(1, 7))
+            n = st.outcomes.size
+            prefs = et.PreferenceProfile(
+                (random_acyclic_preference(rng, n),
+                 random_acyclic_preference(rng, n)))
+            assert transfer_result(et.StructureOracle(st), prefs) == \
+                transfer_result(FullScanOracle(st), prefs)
+
+    def test_wide_game_reads_linearly_many_masks(self):
+        """Row o reaches only outcome o, and player 1 prefers higher
+        outcomes: each of the 4,096 probes drops one more row, which the
+        next scan unlinks instead of rereading every row before it."""
+        n = 4096
+        st = et.GameStructure((n, 2), et.OutcomeSet(n),
+                              [o for o in range(n) for _ in range(2)])
+        chain = [(o, o + 1) for o in range(n - 1)]
+        prefs = et.PreferenceProfile((
+            et.Preference.from_pairs(n, chain),
+            et.Preference.from_pairs(n, [p[::-1] for p in chain])))
+        masks = CountingMasks(st.row_masks)
+        st.__dict__["row_masks"] = masks
+        result = et.equilibrium(et.StructureOracle(st), prefs)
+        assert result.counter.winner_calls == n
+        assert result.counter.strategy_calls == 2
+        assert result.profile == (n - 1, 0)
+        assert masks.reads <= 4 * n
 
 
 class TestDeterminacy:
