@@ -12,6 +12,7 @@ import pytest
 import eqtransfer as et
 from eqtransfer import cli, graph_games, jsonio
 from conftest import FIXTURES, fixture_path
+from limits import caterpillar_text, colour_ring, wide_caterpillar
 from reference_graph import all_positional_strategies
 
 
@@ -48,37 +49,6 @@ MEMORY_MULLER = {
 MATCHING_PENNIES = {
     "format": 1, "strategies": [2, 2], "v": [0, 1, 1, 0], "outcomes": 2,
     "preferences": [{"pairs": [[1, 0]]}, {"pairs": [[0, 1]]}]}
-
-
-def caterpillar_text(depth: int) -> str:
-    """A tree game whose spine of ``depth`` nodes nests twice as deep in
-    JSON; built as text, since the encoder is recursive too."""
-    tree = '{"leaf": 0}'
-    for d in range(depth):
-        tree = (f'{{"owner": "{"ab"[d % 2]}", '
-                f'"children": [{{"leaf": {1 + d % 2}}}, {tree}]}}')
-    prefs = ('[{"pairs": [[0, 1], [1, 2], [0, 2]]}, '
-             '{"pairs": [[2, 0], [0, 1], [2, 1]]}]')
-    return (f'{{"format": 1, "outcomes": 3, "tree": {tree}, '
-            f'"preferences": {prefs}}}')
-
-
-def wide_caterpillar(spine: int) -> dict:
-    """``spine`` binary player-a nodes over one binary player-b node, two
-    outcomes: 2**spine * 2 strategy profiles."""
-    tree = {"owner": "b", "children": [{"leaf": 0}, {"leaf": 1}]}
-    for d in range(spine):
-        tree = {"owner": "a", "children": [{"leaf": d % 2}, tree]}
-    return {"format": 1, "outcomes": 2, "tree": tree,
-            "preferences": [{"pairs": [[0, 1]]}, {"pairs": [[1, 0]]}]}
-
-
-def colour_ring(n: int) -> dict:
-    """A plain arena of n vertices on a ring with chords, vertex u coloured
-    u, which player 2 wins from 0 under ``win_sets`` [[0]]."""
-    return {"format": 1, "vertices": n, "owned": list(range(0, n, 2)),
-            "edges": [[u, (u + d) % n] for u in range(n) for d in (1, 2)],
-            "colors": list(range(n)), "start": 0, "win_sets": [[0]]}
 
 
 def transfer_oracle(capsys, path: str) -> str:
@@ -625,14 +595,6 @@ class TestErrorPaths:
         code, _, err = run(capsys, "solve", str(path))
         assert code == cli.EXIT_INPUT
         assert "malformed JSON" in err
-
-    def test_too_deeply_nested_json(self, capsys, tmp_path):
-        path = tmp_path / "deep.json"
-        path.write_text(caterpillar_text(600))
-        code, _, err = run(capsys, "transfer", str(path))
-        assert code == cli.EXIT_INPUT
-        assert "nested deeper" in err
-        assert "Traceback" not in err
 
     def run_mutated(self, capsys, tmp_path, fixture, mutate):
         """Exit code and stderr of ``transfer`` on a mutated fixture, after

@@ -11,6 +11,7 @@ import eqtransfer as et
 from eqtransfer import graph_games
 from conftest import (memory_machine, random_acyclic_preference, random_arena,
                       random_memory_machine)
+from limits import chain_arena
 from reference_graph import (all_positional_strategies, lar_muller_winners,
                              lar_product, muller_memory_bound,
                              muller_winner_of_play, parity_winner_of_play,
@@ -157,13 +158,6 @@ class TestParity:
             assert not (w1 & w2)
             for v, target in s1.items():
                 assert target in arena.succ[v]
-
-
-def chain_arena(n):
-    """A cycle plus self-loops with sorted colours 0..n-1: Zielonka peels
-    one colour per level, so the solver goes n levels deep."""
-    edges = [(u, (u + 1) % n) for u in range(n)] + [(u, u) for u in range(n)]
-    return et.Arena(n, range(0, n, 2), edges, range(n))
 
 
 def certify(arena, regions):

@@ -13,9 +13,9 @@ import pytest
 import eqtransfer as et
 from eqtransfer import jsonio
 from conftest import FIXTURES, fixture_path
+from limits import caterpillar_text
 from reference_extensive import (caterpillar_pair, random_tree_pair,
                                  reference_from_obj, tree_document)
-from test_cli import caterpillar_text
 from test_fuzz import VALUES, slots
 
 ALL_FIXTURES = sorted(p.name for p in FIXTURES.glob("*.json"))

@@ -1,6 +1,7 @@
 """The package's public name list and its module layering."""
 
 import ast
+import re
 import sys
 import types
 from pathlib import Path
@@ -8,6 +9,8 @@ from pathlib import Path
 import eqtransfer as et
 
 SRC = Path(et.__file__).resolve().parent
+WORKFLOW = (Path(__file__).resolve().parent.parent
+            / ".github" / "workflows" / "tests.yml")
 
 
 def test_public_names_are_library_objects():
@@ -38,3 +41,9 @@ def test_transfer_imports_no_game_model():
             external.update(a.name.split(".")[0] for a in node.names)
     assert local <= {"errors", "prefs"}, local
     assert external <= sys.stdlib_module_names, external
+
+
+def test_workflow_has_no_heredoc():
+    """CI's inputs are rows of ``tests/limits.py``, which tier-1 runs
+    too, not scripts inlined in the workflow."""
+    assert not re.search(r"<<-?\s*['\"]?\w+", WORKFLOW.read_text())
