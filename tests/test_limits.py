@@ -1,25 +1,13 @@
 """Every row of ``limits.py`` in-process, and the caps README names."""
 
-import sys
 from pathlib import Path
 
 import pytest
 
-from eqtransfer import cli, corpus, graph_games, jsonio, normal_form
+from eqtransfer import cli
 import limits
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-
-# Each cap README names, and its value.
-CAPS = {
-    "normal_form.DEFAULT_PROFILE_CAP": normal_form.DEFAULT_PROFILE_CAP,
-    "normal_form.DEFAULT_OUTCOME_CAP": normal_form.DEFAULT_OUTCOME_CAP,
-    "normal_form.LABEL_BLOCK": normal_form.LABEL_BLOCK,
-    "graph_games.MAX_MULLER_COLOURS": graph_games.MAX_MULLER_COLOURS,
-    "corpus.MAX_SAMPLES": corpus.MAX_SAMPLES,
-    "jsonio.MAX_OUTCOMES": jsonio.MAX_OUTCOMES,
-    "sys.getrecursionlimit()": sys.getrecursionlimit(),
-}
 
 
 @pytest.mark.parametrize("row", limits.ROWS, ids=lambda row: row.name)
@@ -39,19 +27,17 @@ def test_row(capsys, tmp_path, row):
 def test_rows_are_named_once_and_the_corpus_is_listed():
     assert len(limits.ROW) == len(limits.ROWS)
     assert limits.CORPUS
-    assert set(limits.LOADS) == set(CAPS)
     names = [row.name for row in limits.ROWS]
     for row in limits.ROWS:
-        assert set(row.caps) <= set(limits.LOADS), row.name
+        assert set(row.caps) <= set(limits.CAPS), row.name
         if row.same_as:
             assert names.index(row.same_as) < names.index(row.name)
 
 
-@pytest.mark.parametrize("name", CAPS)
+@pytest.mark.parametrize("name", limits.CAPS)
 def test_cap_in_readme_and_probed_from_both_sides(name):
-    value = CAPS[name]
+    value, load = limits.CAPS[name]
     assert f"`{name}` = {value:,}" in README
-    loads = [limits.LOADS[name](row.size) for row in limits.ROWS
-             if name in row.caps]
-    assert any(load <= value for load in loads)
-    assert any(load > value for load in loads)
+    counts = [load(row.size) for row in limits.ROWS if name in row.caps]
+    assert any(count <= value for count in counts)
+    assert any(count > value for count in counts)
