@@ -24,9 +24,8 @@ from .normal_form import (DEFAULT_OUTCOME_CAP, DEFAULT_PROFILE_CAP,
                           is_nash_equilibrium, merge_players,
                           minimax_transfer, slice_structure,
                           transfer_equilibrium)
-from .extensive import (GameTree, Leaf, Node, TreeOracle, kuhn_via_transfer,
-                        play_tree, strategy_from_index, strategy_to_index,
-                        to_normal_form)
+from .extensive import (GameTree, TreeOracle, kuhn_via_transfer, play_tree,
+                        strategy_from_index, strategy_to_index, to_normal_form)
 from .graph_games import (Arena, FiniteMemoryStrategy, MullerOracle,
                           MultiOutcomeGraphGame, Play, PriorityOracle,
                           achievable_deviation_outcomes, multi_outcome_ne,

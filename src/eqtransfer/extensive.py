@@ -2,88 +2,78 @@
 
 Strategies are full choice functions, plain ``{node: child}`` dicts: one
 child per owned internal node, including nodes the play never reaches.
-Nodes are numbered by preorder traversal so strategy enumeration is
-reproducible; every traversal runs on the preorder arrays without
-recursion, so depth is bounded only by memory.
+A tree is two arrays, each node's owner and child codes, where every child
+comes after its parent; strategy indices follow that numbering.  Every
+traversal runs on the arrays without recursion, so depth is bounded only
+by memory.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain
 from operator import indexOf
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import TooLargeError
 from .normal_form import DEFAULT_PROFILE_CAP, GameStructure, Profile
-from .prefs import OutcomeSet, PreferenceProfile
+from .prefs import OutcomeSet, PreferenceProfile, int_values
 from .transfer import CallCounter, GameBackend, OracleStrategy, equilibrium
-
-
-@dataclass(frozen=True)
-class Leaf:
-    outcome: int
-
-
-@dataclass(frozen=True)
-class Node:
-    owner: int  # 1 or 2
-    children: tuple[Union["Node", Leaf], ...]
-
-    def __post_init__(self):
-        if self.owner not in (1, 2):
-            raise ValueError("nodes are owned by player 1 or 2")
-        if not self.children:
-            raise ValueError("internal nodes need at least one child")
 
 
 class GameTree:
     """A finite rooted tree with owned internal nodes and outcome-bearing leaves.
 
-    The tree is indexed once, in preorder: ``owners[i]`` is the owner of
-    internal node i and ``children[i]`` its child codes, where a code k >= 0
-    names internal node k and a code ~o (that is, -1 - o) a leaf with outcome
-    o.  ``root_code`` codes the root the same way.  Children come after their
-    parent in preorder, so a reverse sweep visits them first.
+    ``owners[i]`` is the owner (1 or 2) of internal node i and
+    ``children[i]`` its child codes, where a code k >= 0 names internal node
+    k and a code ~o (that is, -1 - o) a leaf with outcome o.  ``root_code``
+    codes the root the same way: node 0, or a leaf when there is no internal
+    node.  Every child comes after its parent, so a reverse sweep visits
+    children first (``jsonio`` numbers nodes in preorder).  A cycle, a node
+    with two parents or none, or a code out of range raises ValueError.
     """
 
-    def __init__(self, root: Union[Node, Leaf], outcomes: OutcomeSet):
-        owners, kids, top = [], [], []
-        # (subtree, child codes of its parent); popped in preorder, so each
-        # parent's codes are appended in child order
-        stack: list = [(root, top)]
-        while stack:
-            sub, row = stack.pop()
-            if isinstance(sub, Leaf):
-                if not (0 <= sub.outcome < outcomes.size):
-                    raise ValueError(f"leaf outcome {sub.outcome} out of range")
-                row.append(~sub.outcome)
-                continue
-            row.append(len(kids))
-            owners.append(sub.owner)
-            kids.append([])
-            stack.extend(zip(reversed(sub.children), repeat(kids[-1])))
-        self.outcomes, self.root_code = outcomes, top[0]
-        self.owners, self.children = tuple(owners), tuple(map(tuple, kids))
-
-    @classmethod
-    def from_arrays(cls, owners: Sequence[int],
-                    children: Sequence[Sequence[int]], root_code: int,
-                    outcomes: OutcomeSet) -> GameTree:
-        """The tree of preorder arrays as above, unchecked: ``jsonio``
-        builds them in the same pass that checks a document."""
-        tree = cls.__new__(cls)
-        tree.outcomes, tree.root_code = outcomes, root_code
-        tree.owners, tree.children = tuple(owners), tuple(map(tuple, children))
-        return tree
+    def __init__(self, owners: Sequence[int],
+                 children: Sequence[Sequence[int]], root_code: int,
+                 outcomes: OutcomeSet):
+        owners = tuple(int_values(owners, "node owners"))
+        children = tuple(map(tuple, children))
+        (root_code,) = int_values([root_code], "root code")
+        size, n = len(owners), outcomes.size
+        codes = list(chain.from_iterable(children))
+        if int_values(codes, "child codes") is not codes:  # numpy integers
+            children = tuple(tuple(map(int, row)) for row in children)
+        if len(children) != size:
+            raise ValueError("one children list per owner is needed")
+        if not set(owners) <= {1, 2}:
+            raise ValueError("nodes are owned by player 1 or 2")
+        if not all(children):
+            raise ValueError("internal nodes need at least one child")
+        if root_code != 0 if size else root_code >= 0:
+            raise ValueError(f"root code {root_code} is neither node 0 nor, "
+                             "in a tree with no internal node, a leaf")
+        has_parent = bytearray(size)
+        # the root is the one child of a node -1 before node 0
+        for i, row in enumerate(((root_code,),) + children, -1):
+            for k in row:
+                if i < k < size and not has_parent[k]:
+                    has_parent[k] = 1
+                elif not -n <= k < 0:
+                    raise ValueError(
+                        f"leaf outcome {~k} out of range" if k < 0 else
+                        f"node {k} has two parents" if i < k < size else
+                        f"child code {k} of node {i} is not a node after it")
+        if 0 in has_parent:
+            raise ValueError(f"node {has_parent.index(0)} has no parent")
+        self.outcomes, self.root_code = outcomes, root_code
+        self.owners, self.children = owners, children
 
     @functools.cached_property
     def _digits(self) -> tuple[tuple, tuple]:
-        """Per player: the owned nodes in preorder, their child counts (the
+        """Per player: the owned nodes in order, their child counts (the
         radices of a strategy index's digits) and the strategy count."""
         per_player = []
         for player in (1, 2):
@@ -164,7 +154,7 @@ _LEAF_WINNER = bytes.maketrans(b"01", b"\2\1")
 
 
 def _backward_induction(t: GameTree, label: int) -> list[int]:
-    """The winner at every node code, by one reverse preorder sweep: the
+    """The winner at every node code, by one reverse sweep over the nodes: the
     list ends with the leaves' winners, outcome 0 last, so that a leaf code
     ~o indexes its outcome's winner from the end."""
     n, owners, children = t.outcomes.size, t.owners, t.children

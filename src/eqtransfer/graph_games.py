@@ -444,6 +444,12 @@ def _muller_machine(arena: Arena, vbits, start: int, player: int,
     return FiniteMemoryStrategy(player, vertex, out, move, {start: 0})
 
 
+def _color_bits(arena: Arena) -> tuple[dict[int, int], list[int]]:
+    """Each colour's bit (bit i for the i-th smallest) and each vertex's."""
+    bit = {c: 1 << i for i, c in enumerate(sorted(arena.color_set()))}
+    return bit, [bit[c] for c in arena.colors]
+
+
 def solve_muller(arena: Arena, start: int,
                  win_sets: Optional[Iterable[Iterable[int]]]
                  ) -> tuple[int, FiniteMemoryStrategy]:
@@ -455,8 +461,7 @@ def solve_muller(arena: Arena, start: int,
     if win_sets is None:
         raise SchemaError("a Muller game needs win_sets, a list of colour "
                           "lists")
-    bit = {c: 1 << i for i, c in enumerate(sorted(arena.color_set()))}
-    vbits = [bit[c] for c in arena.colors]
+    bit, vbits = _color_bits(arena)
     wins = {sum(bit[c] for c in s) for s in map(set, win_sets)
             if s <= bit.keys()}
     winner, pieces = _mcnaughton(arena, vbits, lambda k: int(k in wins),
@@ -497,7 +502,7 @@ class MultiOutcomeGraphGame:
         if self.preferences.players != 2:
             raise ValueError("two players required")
         _check_start(self.arena, self.start)
-        bit = {c: 1 << i for i, c in enumerate(sorted(self.arena.color_set()))}
+        bit, self._bits = _color_bits(self.arena)
         mapped = self.outcome_map
         if self.kind == PRIORITY:
             missing = sorted(bit.keys() - mapped.keys())
@@ -511,7 +516,6 @@ class MultiOutcomeGraphGame:
                 if k not in outcome_of:
                     cluster = {c for c, b in bit.items() if k & b}
                     raise ValueError(f"no outcome for cluster set {cluster}")
-        self._bits = [bit[c] for c in self.arena.colors]
         self._outcome_of = outcome_of
         n = self.outcomes.size
         for o in mapped.values():

@@ -121,12 +121,12 @@ _OWNER_LABELS = {1: "a", 2: "b"}
 
 
 def _tree_from_obj(obj: dict) -> tuple[GameTree, Optional[PreferenceProfile]]:
-    """Check the tree document and index its nodes in the same pass: one
-    walk in preorder, without recursion, straight into ``GameTree``'s
-    arrays."""
+    """Check the tree document's JSON shape and number its nodes in the
+    same pass: one walk in preorder, without recursion, straight into
+    ``GameTree``'s arrays, which the constructor checks."""
     outs = _outcome_set(obj.get("outcomes"))
     owners, kids, top = [], [], []
-    # (JSON node, child codes of its parent), as in GameTree.__init__; the
+    # (JSON node, child codes of its parent), popped in preorder; the
     # checks are inlined, since this loop runs once per node
     stack: list = [(obj.get("tree"), top)]
     while stack:
@@ -135,7 +135,8 @@ def _tree_from_obj(obj: dict) -> tuple[GameTree, Optional[PreferenceProfile]]:
             raise SchemaError("tree node must be an object")
         if "leaf" in node:
             o = node["leaf"]
-            if not (is_int(o) and 0 <= o < outs.size):
+            # ~o of a negative o would code a node; GameTree checks o < n
+            if not (is_int(o) and o >= 0):
                 _require(is_int(o), "leaf must hold an outcome index")
                 raise SchemaError(f"leaf outcome {o} out of range")
             row.append(~o)
@@ -150,7 +151,7 @@ def _tree_from_obj(obj: dict) -> tuple[GameTree, Optional[PreferenceProfile]]:
         owners.append(_OWNER_NAMES[owner])
         kids.append([])
         stack.extend(zip(reversed(children), repeat(kids[-1])))
-    tree = GameTree.from_arrays(owners, kids, top[0], outs)
+    tree = GameTree(owners, kids, top[0], outs)
     prefs = None
     if "preferences" in obj:
         prefs = _profile_from_obj(obj["preferences"], outs)
@@ -158,8 +159,9 @@ def _tree_from_obj(obj: dict) -> tuple[GameTree, Optional[PreferenceProfile]]:
     return tree, prefs
 
 
-def _tree_node_to_obj(tree: GameTree) -> dict:
-    made: dict[int, dict] = {}
+def tree_to_obj(tree: GameTree,
+                prefs: Optional[PreferenceProfile] = None) -> dict:
+    made: dict[int, dict] = {}  # node -> JSON node, built children first
 
     def obj(code: int) -> dict:
         return made.pop(code) if code >= 0 else {"leaf": ~code}
@@ -167,13 +169,8 @@ def _tree_node_to_obj(tree: GameTree) -> dict:
     for i in range(len(tree.owners) - 1, -1, -1):
         made[i] = {"owner": _OWNER_LABELS[tree.owners[i]],
                    "children": [obj(c) for c in tree.children[i]]}
-    return obj(tree.root_code)
-
-
-def tree_to_obj(tree: GameTree,
-                prefs: Optional[PreferenceProfile] = None) -> dict:
     doc = {"format": FORMAT,
-           "tree": _tree_node_to_obj(tree),
+           "tree": obj(tree.root_code),
            "outcomes": _outcomes_obj(tree.outcomes)}
     if prefs is not None:
         doc["preferences"] = _profile_obj(prefs)

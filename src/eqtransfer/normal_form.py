@@ -39,6 +39,9 @@ class GameStructure:
         counts = tuple(int_values(strategy_counts, "strategy counts"))
         if not counts or any(c < 1 for c in counts):
             raise ValueError("every player needs at least one strategy")
+        if isinstance(table, (list, tuple)):  # numpy reads True as 1
+            int_values(np.asarray(table, dtype=object).ravel().tolist(),
+                       "table entries")
         arr = np.asarray(table)
         if arr.size and arr.dtype.kind not in "iu":
             raise ValueError(f"table entries must be 64-bit integers, got {arr.dtype}")

@@ -86,7 +86,10 @@ class Preference:
     def from_pairs(n: int, pairs: Iterable[tuple[int, int]],
                    labels: Optional[Sequence[str]] = None) -> "Preference":
         outs = OutcomeSet(n, tuple(labels) if labels is not None else None)
-        return Preference(outs, frozenset(map(tuple, pairs)))
+        pairs = list(map(tuple, pairs))
+        # before a frozenset merges (0, True) into an equal (0, 1)
+        int_values([v for pair in pairs for v in pair], "preference pairs")
+        return Preference(outs, frozenset(pairs))
 
     @staticmethod
     def from_ranking(ranking: Sequence[int],

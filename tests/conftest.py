@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import eqtransfer as et
+from reference_extensive import Leaf, Node, index_tree
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -20,12 +21,11 @@ def random_tree(rng: random.Random, n_outcomes: int,
                 max_depth: int = 3) -> et.GameTree:
     def gen(depth):
         if depth >= max_depth or (depth > 0 and rng.random() < 0.45):
-            return et.Leaf(rng.randrange(n_outcomes))
+            return Leaf(rng.randrange(n_outcomes))
         k = rng.randint(2, 3)
-        return et.Node(rng.choice((1, 2)),
-                       tuple(gen(depth + 1) for _ in range(k)))
+        return Node(rng.choice((1, 2)), tuple(gen(depth + 1) for _ in range(k)))
 
-    return et.GameTree(gen(0), et.OutcomeSet(n_outcomes))
+    return index_tree(gen(0), et.OutcomeSet(n_outcomes))
 
 
 def random_determined_structure(rng: random.Random, max_strategies: int = 5,

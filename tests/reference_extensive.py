@@ -1,18 +1,58 @@
-"""Reference tree code for the tests: the loader that builds ``Node`` and
-``Leaf`` objects before ``GameTree`` indexes them, backward induction by
-plain recursion, and seeded trees built as objects and as JSON together.
-The package loads a document straight into preorder arrays and runs
-backward induction as one flat sweep instead; these are what it is
-compared with."""
+"""Reference tree code for the tests.
+
+The library has one tree form, ``GameTree``'s checked arrays, and loads a
+nested document straight into them.  This module keeps the nested form as
+objects: ``Node`` and ``Leaf``, the preorder indexer ``index_tree`` that
+turns them into a ``GameTree``, and the loader that builds them from a
+document before indexing them, which ``jsonio``'s one-pass walk is
+compared with.  It also holds backward induction by plain recursion, which
+the flat sweep is compared with, and seeded trees built as objects and as
+JSON together."""
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
+from itertools import repeat
 from typing import Any, Optional, Union
 
 import eqtransfer as et
 from eqtransfer import jsonio
 from eqtransfer.prefs import is_int
+
+
+@dataclass(frozen=True)
+class Leaf:
+    outcome: int
+
+
+@dataclass(frozen=True)
+class Node:
+    owner: int  # 1 or 2
+    children: tuple[Union["Node", Leaf], ...]
+
+
+def index_tree(root: Union[Node, Leaf], outcomes: et.OutcomeSet
+               ) -> et.GameTree:
+    """The tree of nested objects, its internal nodes numbered in preorder
+    by one walk without recursion."""
+    owners, kids, top = [], [], []
+    # (subtree, child codes of its parent); popped in preorder, so each
+    # parent's codes are appended in child order
+    stack: list = [(root, top)]
+    while stack:
+        sub, row = stack.pop()
+        if isinstance(sub, Leaf):
+            if not (0 <= sub.outcome < outcomes.size):
+                raise ValueError(f"leaf outcome {sub.outcome} out of range")
+            row.append(~sub.outcome)
+            continue
+        row.append(len(kids))
+        owners.append(sub.owner)
+        kids.append([])
+        stack.extend(zip(reversed(sub.children), repeat(kids[-1])))
+    return et.GameTree(owners, kids, top[0], outcomes)
+
 
 OWNERS = {"a": 1, "b": 2}
 
@@ -22,7 +62,7 @@ def _require(cond: bool, message: str) -> None:
         raise et.SchemaError(message)
 
 
-def node_from_obj(obj: Any) -> Union[et.Node, et.Leaf]:
+def node_from_obj(obj: Any) -> Union[Node, Leaf]:
     """Check every node, parents before children, then build the nodes
     children before parents; no recursion, so depth is not limited."""
     order, stack = [], [obj]
@@ -40,9 +80,9 @@ def node_from_obj(obj: Any) -> Union[et.Node, et.Leaf]:
         _require(isinstance(children, list) and children,
                  "internal node needs a non-empty children list")
         stack.extend(children)
-    built: dict[int, Union[et.Node, et.Leaf]] = {}  # id(JSON node) -> subtree
+    built: dict[int, Union[Node, Leaf]] = {}  # id(JSON node) -> subtree
     for node in reversed(order):
-        built[id(node)] = (et.Leaf(node["leaf"]) if "leaf" in node else et.Node(
+        built[id(node)] = (Leaf(node["leaf"]) if "leaf" in node else Node(
             OWNERS[node["owner"]],
             tuple(built[id(c)] for c in node["children"])))
     return built[id(obj)]
@@ -50,7 +90,7 @@ def node_from_obj(obj: Any) -> Union[et.Node, et.Leaf]:
 
 def reference_from_obj(obj: Any):
     """``jsonio.from_obj`` on a tree document, through ``node_from_obj`` and
-    ``GameTree(root)``; any other document goes to ``jsonio.from_obj``."""
+    ``index_tree``; any other document goes to ``jsonio.from_obj``."""
     if not (isinstance(obj, dict) and "tree" in obj):
         return jsonio.from_obj(obj)
     _require(is_int(obj.get("format")) and obj["format"] == jsonio.FORMAT,
@@ -58,7 +98,7 @@ def reference_from_obj(obj: Any):
              f"expected {jsonio.FORMAT}")
     try:
         outs = jsonio._outcome_set(obj.get("outcomes"))
-        tree = et.GameTree(node_from_obj(obj.get("tree")), outs)
+        tree = index_tree(node_from_obj(obj.get("tree")), outs)
         if "preferences" not in obj:
             return tree
         prefs = jsonio._profile_from_obj(obj["preferences"], outs)
@@ -104,13 +144,13 @@ def recursive_strategy(t: et.GameTree, label: int) -> et.OracleStrategy:
 
 
 def random_tree_pair(rng: random.Random, internal: int, n_outcomes: int
-                     ) -> tuple[Union[et.Node, et.Leaf], dict]:
+                     ) -> tuple[Union[Node, Leaf], dict]:
     """A random tree with ``internal`` internal nodes of 1 to 3 children,
     as a ``Node`` and as the JSON node of the same tree: subtrees from a
     pool, leaves included, are joined under new nodes until one is left."""
     def leaf():
         o = rng.randrange(n_outcomes)
-        return et.Leaf(o), {"leaf": o}
+        return Leaf(o), {"leaf": o}
 
     pool = [leaf() for _ in range(rng.randint(1, 3))]
     for k in range(internal):
@@ -119,7 +159,7 @@ def random_tree_pair(rng: random.Random, internal: int, n_outcomes: int
         picked = [pool.pop(rng.randrange(len(pool))) for _ in range(take)]
         picked += [leaf() for _ in range(rng.randint(0 if picked else 1, 1))]
         owner = rng.choice("ab")
-        pool.append((et.Node(OWNERS[owner], tuple(p[0] for p in picked)),
+        pool.append((Node(OWNERS[owner], tuple(p[0] for p in picked)),
                      {"owner": owner, "children": [p[1] for p in picked]}))
         if not last:
             pool += [leaf() for _ in range(rng.randint(0, 2))]
@@ -127,17 +167,17 @@ def random_tree_pair(rng: random.Random, internal: int, n_outcomes: int
 
 
 def caterpillar_pair(rng: random.Random, levels: int, n_outcomes: int
-                     ) -> tuple[Union[et.Node, et.Leaf], dict]:
+                     ) -> tuple[Union[Node, Leaf], dict]:
     """A spine of ``levels`` internal nodes with random owners, each with a
     leaf on a random side of the spine, as a ``Node`` and as JSON."""
-    node: tuple = (et.Leaf(0), {"leaf": 0})
+    node: tuple = (Leaf(0), {"leaf": 0})
     for _ in range(levels):
         o = rng.randrange(n_outcomes)
-        kids = [(et.Leaf(o), {"leaf": o}), node]
+        kids = [(Leaf(o), {"leaf": o}), node]
         if rng.random() < 0.5:
             kids.reverse()
         owner = rng.choice("ab")
-        node = (et.Node(OWNERS[owner], tuple(k[0] for k in kids)),
+        node = (Node(OWNERS[owner], tuple(k[0] for k in kids)),
                 {"owner": owner, "children": [k[1] for k in kids]})
     return node
 

@@ -1,8 +1,10 @@
 """Game trees, backward induction, and transfer over tree oracles."""
 
 import random
+import signal
 import sys
 
+import numpy as np
 import pytest
 
 import eqtransfer as et
@@ -10,22 +12,24 @@ from conftest import random_tree
 from eqtransfer import jsonio
 from eqtransfer.extensive import _backward_induction
 from conftest import fixture_path
-from reference_extensive import (caterpillar_pair, random_tree_pair,
-                                 recursive_strategy, recursive_winners)
+from reference_extensive import (Leaf, Node, caterpillar_pair, index_tree,
+                                 random_tree_pair, recursive_strategy,
+                                 recursive_winners)
+from test_fuzz import Hang
 from reference_normal_form import (backward_induction_oracle, derive_win_lose,
                                    winning_strategy)
 
 
 def intro_tree(leaves, n_outcomes, labels=None):
     """The four-leaf tree shape used by the introductory examples."""
-    root = et.Node(2, (
-        et.Node(1, (
-            et.Node(2, (et.Leaf(leaves[0]), et.Leaf(leaves[1]))),
-            et.Leaf(leaves[2]),
+    root = Node(2, (
+        Node(1, (
+            Node(2, (Leaf(leaves[0]), Leaf(leaves[1]))),
+            Leaf(leaves[2]),
         )),
-        et.Leaf(leaves[3]),
+        Leaf(leaves[3]),
     ))
-    return et.GameTree(root, et.OutcomeSet(n_outcomes, labels))
+    return index_tree(root, et.OutcomeSet(n_outcomes, labels))
 
 
 class TestTreeBasics:
@@ -42,13 +46,16 @@ class TestTreeBasics:
 
     def test_leaf_outcome_range_checked(self):
         with pytest.raises(ValueError):
-            et.GameTree(et.Leaf(5), et.OutcomeSet(2))
+            et.GameTree([], [], ~5, et.OutcomeSet(2))
 
     def test_node_validation(self):
-        with pytest.raises(ValueError):
-            et.Node(3, (et.Leaf(0),))
-        with pytest.raises(ValueError):
-            et.Node(1, ())
+        outs = et.OutcomeSet(2)
+        with pytest.raises(ValueError, match="player 1 or 2"):
+            et.GameTree([3], [[~0]], 0, outs)
+        with pytest.raises(ValueError, match="at least one child"):
+            et.GameTree([1], [[]], 0, outs)
+        with pytest.raises(ValueError, match="leaf outcome 5 out of range"):
+            et.GameTree([1], [[~0, ~5]], 0, outs)
 
     def test_strategy_index_roundtrip(self, rng):
         for _ in range(20):
@@ -59,6 +66,149 @@ class TestTreeBasics:
                     assert et.strategy_to_index(t, player, s) == i
                 with pytest.raises(ValueError):
                     et.strategy_from_index(t, player, t.strategy_count(player))
+
+
+def renumbering(a: et.GameTree, b: et.GameTree) -> dict[int, int]:
+    """Each internal node of ``a`` to the node of ``b`` at the same place,
+    for two trees of the same shape."""
+    found, stack = {}, [(a.root_code, b.root_code)]
+    while stack:
+        i, j = stack.pop()
+        if i >= 0:
+            found[i] = j
+            stack.extend(zip(a.children[i], b.children[j]))
+    return found
+
+
+class TestTreeArrays:
+    """``GameTree`` checks its arrays: every bad shape is a ValueError, and
+    every tree it takes is one that each traversal finishes on."""
+
+    @pytest.mark.parametrize("owners, children, root, message", [
+        ([1], [[0, ~1]], 0, "child code 0 of node 0 is not a node after it"),
+        ([1, 2], [[1], [0]], 0, "child code 0 of node 1"),
+        ([1, 1, 1], [[1, 2], [2, ~0], [~1]], 0, "node 2 has two parents"),
+        ([1, 1], [[~0], [~1]], 0, "node 1 has no parent"),
+        ([1], [[1, ~0]], 0, "child code 1 of node 0"),
+        ([1, 1], [[~0], [0]], 1, "root code 1 is neither node 0"),
+        ([], [], 0, "root code 0 is neither node 0"),
+        ([1], [[~0]], ~0, "root code -1 is neither node 0"),
+        ([1, 2], [[1]], 0, "one children list per owner"),
+        ([True], [[~0]], 0, "node owners: True is not an integer"),
+        ([1], [[~0, False]], 0, "child codes: False is not an integer"),
+        ([1], [[~0]], 0.0, "root code: 0.0 is not an integer"),
+    ])
+    def test_bad_arrays_refused(self, owners, children, root, message):
+        with pytest.raises(ValueError, match=message):
+            et.GameTree(owners, children, root, et.OutcomeSet(2))
+
+    def test_out_of_range_leaf_is_a_schema_error(self):
+        doc = {"format": 1, "outcomes": 2,
+               "tree": {"owner": "a", "children": [{"leaf": 0}, {"leaf": 5}]}}
+        with pytest.raises(et.SchemaError, match="leaf outcome 5 out of range"):
+            jsonio.from_obj(doc)
+
+    def test_numpy_arrays_pass(self):
+        t = et.GameTree(np.array([2, 1]), np.array([[1, ~1], [~0, ~2]]),
+                        np.int64(0), et.OutcomeSet(3))
+        assert t.owners == (2, 1)
+        assert t.children == ((1, ~1), (~0, ~2))
+        assert {type(k) for row in t.children for k in row} == {int}
+
+    def test_random_arrays(self):
+        """2,000 seeded (owners, children, root) arrays, half of them from
+        a tree with one value then changed.  Each either raises ValueError
+        or gives a tree on which backward induction, play and deviation
+        search finish and agree with brute force, and whose JSON round
+        trip plays every strategy pair to the same outcome."""
+        rng = random.Random(23001)
+
+        def on_alarm(signum, frame):
+            raise Hang("no answer within 2 s")
+
+        previous = signal.signal(signal.SIGALRM, on_alarm)
+        built = 0
+        try:
+            for _ in range(2000):
+                n = rng.randint(1, 3)
+                owners, children, root = random_arrays(rng, n)
+                signal.setitimer(signal.ITIMER_REAL, 2)
+                try:
+                    t = et.GameTree(owners, children, root, et.OutcomeSet(n))
+                except ValueError:
+                    continue
+                finally:
+                    signal.setitimer(signal.ITIMER_REAL, 0)
+                signal.setitimer(signal.ITIMER_REAL, 2)
+                try:
+                    check_tree(t)
+                finally:
+                    signal.setitimer(signal.ITIMER_REAL, 0)
+                built += 1
+        finally:
+            signal.signal(signal.SIGALRM, previous)
+        assert 500 <= built <= 1500
+
+
+def random_arrays(rng: random.Random, n: int) -> tuple[list, list, int]:
+    """A tree's arrays with at most 5 internal nodes, each child numbered
+    after a random earlier parent, not in preorder; half the time one
+    owner, child code or the root is then changed to a value near the
+    valid range, or one child code is dropped."""
+    size = rng.randint(0, 5)
+    children = [[] for _ in range(size)]
+    for k in range(1, size):
+        children[rng.randrange(k)].append(k)
+    for row in children:
+        row += [~rng.randrange(n) for _ in range(rng.randint(not row, 2))]
+        rng.shuffle(row)
+    owners = [rng.choice((1, 2)) for _ in range(size)]
+    root = 0 if size else ~rng.randrange(n)
+    if rng.random() < 0.5:
+        spot = rng.randrange(3)
+        if spot == 0 and size:
+            owners[rng.randrange(size)] = rng.randint(0, 3)
+        elif spot == 1 and size:
+            row = children[rng.randrange(size)]
+            if rng.random() < 0.2:
+                row.pop()
+            else:
+                row[rng.randrange(len(row))] = rng.randint(-n - 1, size)
+        else:
+            root = rng.randint(-n - 1, 1)
+    return owners, children, root
+
+
+def check_tree(t: et.GameTree) -> None:
+    """Winners and strategies against plain recursion, every strategy
+    pair's play against the JSON round trip's, whose nodes are numbered in
+    preorder, and ``better_deviation`` against what each deviation
+    reaches."""
+    n = t.outcomes.size
+    oracle = et.TreeOracle(t)
+    for label in range(1 << n):
+        expected = recursive_strategy(t, label)
+        assert oracle.winner(label) == expected.player
+        assert oracle.strategy(label) == expected
+    copy = jsonio.from_obj(jsonio.to_obj(t))
+    moved = renumbering(t, copy)
+    plays = {}
+    for h1 in range(t.strategy_count(1)):
+        for h2 in range(t.strategy_count(2)):
+            choice = {**et.strategy_from_index(t, 1, h1),
+                      **et.strategy_from_index(t, 2, h2)}
+            plays[h1, h2] = et.play_tree(t, choice)
+            assert et.play_tree(copy, {moved[i]: c for i, c in choice.items()}
+                                ) == plays[h1, h2]
+    for deviator in (1, 2):
+        for fixed in range(t.strategy_count(3 - deviator)):
+            reached = {plays[(h, fixed) if deviator == 1 else (fixed, h)]
+                       for h in range(t.strategy_count(deviator))}
+            for better in range(1 << n):
+                found = oracle.better_deviation(fixed, deviator, better)
+                assert (found is None) == (not any(better >> o & 1
+                                                   for o in reached))
+                assert found is None or found in reached and better >> found & 1
 
 
 class TestNormalFormConversion:
@@ -137,8 +287,7 @@ class TestTreeBackend:
                 s = super().strategy(label)
                 return et.OracleStrategy(1, 1) if s.player == 1 else s
 
-        t = et.GameTree(et.Node(2, (et.Node(1, (et.Leaf(0), et.Leaf(2))),
-                                    et.Leaf(1))), et.OutcomeSet(3))
+        t = et.GameTree([2, 1], [[1, ~1], [~0, ~2]], 0, et.OutcomeSet(3))
         prefs = et.PreferenceProfile((et.Preference.from_ranking([2, 1, 0]),
                                       et.Preference.from_ranking([0, 1, 2])))
         assert et.equilibrium(et.TreeOracle(t), prefs).outcome == 1
@@ -163,10 +312,10 @@ class TestTreeBackend:
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(150)
         try:
-            sub = et.Leaf(0)
+            sub = Leaf(0)
             for d in range(10_000):
-                sub = et.Node(1 + d % 2, (et.Leaf(1 + d % 3), sub))
-            tree = et.GameTree(sub, et.OutcomeSet(4))
+                sub = Node(1 + d % 2, (Leaf(1 + d % 3), sub))
+            tree = index_tree(sub, et.OutcomeSet(4))
             oracle = et.TreeOracle(tree)
             result = et.equilibrium(oracle, prefs)
             played = oracle.play_outcome(*result.profile)
@@ -193,7 +342,7 @@ class TestBackwardInductionSweep:
                 root, _ = caterpillar_pair(rng, rng.randint(1, 120), n)
             else:
                 root, _ = random_tree_pair(rng, rng.randint(0, 50), n)
-            t = et.GameTree(root, et.OutcomeSet(n))
+            t = index_tree(root, et.OutcomeSet(n))
             counts = t.strategy_count(1) * t.strategy_count(2)
             beyond_cap += counts > et.DEFAULT_PROFILE_CAP
             oracle = et.TreeOracle(t)

@@ -14,8 +14,9 @@ import eqtransfer as et
 from eqtransfer import jsonio
 from conftest import FIXTURES, fixture_path
 from limits import caterpillar_text
-from reference_extensive import (caterpillar_pair, random_tree_pair,
-                                 reference_from_obj, tree_document)
+from reference_extensive import (Leaf, Node, caterpillar_pair, index_tree,
+                                 random_tree_pair, reference_from_obj,
+                                 tree_document)
 from test_fuzz import VALUES, slots
 
 ALL_FIXTURES = sorted(p.name for p in FIXTURES.glob("*.json"))
@@ -91,10 +92,10 @@ class TestRoundTrip:
     def test_too_deep_tree_is_not_written(self, tmp_path):
         # a 600-deep spine nests 1,200 levels in JSON, past both the
         # encoder and the parser, so writing it fails as reading it would
-        sub = et.Leaf(0)
+        sub = Leaf(0)
         for d in range(600):
-            sub = et.Node(1 + d % 2, (et.Leaf(1), sub))
-        tree = et.GameTree(sub, et.OutcomeSet(2))
+            sub = Node(1 + d % 2, (Leaf(1), sub))
+        tree = index_tree(sub, et.OutcomeSet(2))
         with pytest.raises(et.TooLargeError, match="limit of about"):
             jsonio.dumps(tree)
         path = tmp_path / "deep.json"
@@ -238,7 +239,7 @@ class TestTreeLoading:
             n = rng.randint(1, 8)
             root, obj = (caterpillar_pair(rng, 495, n) if k % 25 == 0
                          else random_tree_pair(rng, rng.randint(0, 40), n))
-            expected = et.GameTree(root, et.OutcomeSet(n))
+            expected = index_tree(root, et.OutcomeSet(n))
             doc = tree_document(obj, n)
             for tree in (jsonio.from_obj(doc), reference_from_obj(doc)):
                 assert tree.owners == expected.owners
@@ -271,7 +272,7 @@ class TestTreeLoading:
         finally:
             sys.setrecursionlimit(limit)
         assert prefs.players == 2
-        assert tree.children == et.GameTree(root, et.OutcomeSet(3)).children
+        assert tree.children == index_tree(root, et.OutcomeSet(3)).children
 
     def test_about_500_levels_parse(self):
         """Each tree level nests two JSON levels, the node and its children

@@ -63,6 +63,8 @@ class TestStructure:
         ((2,), [0.5, 1.9], "table"),
         ((2,), ["1", "0"], "table"),
         ((2,), [True, False], "table"),
+        ((1, 2), [True, 0], "table"),
+        ((1, 2), ([0, False],), "table"),
         ((2,), [0, None], "table"),
         ((2.9,), [0, 1], "strategy counts"),
         ((True, 2), [0, 1], "strategy counts"),

@@ -63,6 +63,14 @@ class TestBasics:
         with pytest.raises(ValueError, match="preference pairs"):
             et.Preference(et.OutcomeSet(3), frozenset(pairs))
 
+    @pytest.mark.parametrize("twin", [(0, True), (0, 1.0)])
+    def test_twin_of_an_int_pair_refused_in_either_order(self, twin):
+        # (0, True) and (0, 1.0) equal (0, 1), so a set of the pairs keeps
+        # whichever comes first
+        for pairs in ([(0, 1), twin], [twin, (0, 1)]):
+            with pytest.raises(ValueError, match="preference pairs"):
+                et.Preference.from_pairs(3, pairs)
+
     def test_pairs_must_be_pairs(self):
         with pytest.raises(ValueError, match="pairs"):
             et.Preference.from_pairs(3, [(0, 1, 2)])
