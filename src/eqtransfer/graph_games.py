@@ -503,7 +503,8 @@ class MultiOutcomeGraphGame:
             raise ValueError("two players required")
         _check_start(self.arena, self.start)
         bit, self._bits = _color_bits(self.arena)
-        mapped = self.outcome_map
+        # a copy, so that a caller's later edit changes no answer
+        self.outcome_map = mapped = dict(self.outcome_map)
         if self.kind == PRIORITY:
             missing = sorted(bit.keys() - mapped.keys())
             if missing:

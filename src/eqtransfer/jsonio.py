@@ -1,11 +1,16 @@
 """Versioned JSON interchange for games, trees, and arenas.
 
-Every document carries ``"format": 1``.  Loaders raise SchemaError with a
+Every document carries ``"format": 1``.  A tree is written flat, as the
+arrays ``GameTree`` takes, so it reads back with its own numbering:
+``{"owners": [...], "children": [[...], ...], "root": r}``, owners 1 or 2,
+and a leaf of outcome o coded ~o = -1 - o.  The nested form, ``{"owner":
+"a", "children": [...]}`` and ``{"leaf": o}`` objects, is read (numbered
+in preorder) but never written.  Loaders raise SchemaError with a
 human-readable reason, and ``from_obj`` turns a model constructor's
-ValueError, TypeError or OverflowError into one; syntactically broken JSON
-keeps the parser's line/column information, and JSON nested deeper than
-the parser can go raises TooLargeError, as do more than ``MAX_OUTCOMES``
-outcomes (the transfer makes one winner query per outcome).
+ValueError, TypeError or OverflowError into one; broken JSON keeps the
+parser's line/column information, and JSON nested deeper than the parser
+can go (a nested tree of about 500 levels) raises TooLargeError, as do
+more than ``MAX_OUTCOMES`` outcomes (one winner query per outcome).
 """
 
 from __future__ import annotations
@@ -117,18 +122,22 @@ def game_to_obj(g: Union[GameStructure, NormalFormGame]) -> dict:
 
 
 _OWNER_NAMES = {"a": 1, "b": 2}
-_OWNER_LABELS = {1: "a", 2: "b"}
 
 
 def _tree_from_obj(obj: dict) -> tuple[GameTree, Optional[PreferenceProfile]]:
-    """Check the tree document's JSON shape and number its nodes in the
-    same pass: one walk in preorder, without recursion, straight into
-    ``GameTree``'s arrays, which the constructor checks."""
+    """A flat tree's arrays go to ``GameTree`` as they are; a nested tree is
+    checked and numbered in one walk in preorder, without recursion,
+    straight into the arrays, which the constructor checks."""
     outs = _outcome_set(obj.get("outcomes"))
-    owners, kids, top = [], [], []
-    # (JSON node, child codes of its parent), popped in preorder; the
-    # checks are inlined, since this loop runs once per node
-    stack: list = [(obj.get("tree"), top)]
+    node = obj.get("tree")
+    if isinstance(node, dict) and "owners" in node:
+        owners, kids = node["owners"], node.get("children")
+        top, stack = [node.get("root")], []
+    else:
+        owners, kids, top = [], [], []
+        # (JSON node, child codes of its parent), popped in preorder; the
+        # checks are inlined, since this loop runs once per node
+        stack = [(node, top)]
     while stack:
         node, row = stack.pop()
         if not isinstance(node, dict):
@@ -161,16 +170,12 @@ def _tree_from_obj(obj: dict) -> tuple[GameTree, Optional[PreferenceProfile]]:
 
 def tree_to_obj(tree: GameTree,
                 prefs: Optional[PreferenceProfile] = None) -> dict:
-    made: dict[int, dict] = {}  # node -> JSON node, built children first
-
-    def obj(code: int) -> dict:
-        return made.pop(code) if code >= 0 else {"leaf": ~code}
-
-    for i in range(len(tree.owners) - 1, -1, -1):
-        made[i] = {"owner": _OWNER_LABELS[tree.owners[i]],
-                   "children": [obj(c) for c in tree.children[i]]}
+    """The flat form: ``GameTree``'s own arrays, so the tree reads back
+    with its numbering."""
     doc = {"format": FORMAT,
-           "tree": obj(tree.root_code),
+           "tree": {"owners": list(tree.owners),
+                    "children": list(map(list, tree.children)),
+                    "root": tree.root_code},
            "outcomes": _outcomes_obj(tree.outcomes)}
     if prefs is not None:
         doc["preferences"] = _profile_obj(prefs)
@@ -311,14 +316,7 @@ def load(path: str) -> Loadable:
 
 
 def dumps(value: Loadable) -> str:
-    """JSON text of the value; a tree too deep for the encoder raises
-    TooLargeError, as reading it back would."""
-    try:
-        return json.dumps(to_obj(value), indent=2) + "\n"
-    except RecursionError as exc:
-        raise TooLargeError(
-            "value nested deeper than the JSON encoder's limit of about "
-            f"{sys.getrecursionlimit()} levels") from exc
+    return json.dumps(to_obj(value), indent=2) + "\n"
 
 
 def dump(value: Loadable, path: str) -> None:

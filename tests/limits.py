@@ -34,8 +34,8 @@ from reference_graph import shuffled_chain_arena
 
 
 def caterpillar_text(depth: int) -> str:
-    """A tree game whose spine of ``depth`` nodes nests twice as deep in
-    JSON; built as text, since the encoder is recursive too."""
+    """A nested tree game whose spine of ``depth`` nodes nests twice as
+    deep in JSON; built as text, since jsonio writes trees flat."""
     tree = '{"leaf": 0}'
     for d in range(depth):
         tree = (f'{{"owner": "{"ab"[d % 2]}", '
@@ -44,6 +44,17 @@ def caterpillar_text(depth: int) -> str:
              '{"pairs": [[2, 0], [0, 1], [2, 1]]}]')
     return (f'{{"format": 1, "outcomes": 3, "tree": {tree}, '
             f'"preferences": {prefs}}}')
+
+
+def caterpillar_game(depth: int) -> tuple[et.GameTree, et.PreferenceProfile]:
+    """``caterpillar_text``'s game as ``GameTree`` arrays: node i, at
+    level d = depth - 1 - i, has leaf 1 + d % 2 and then node i + 1, or
+    leaf 0 at level 0."""
+    levels = range(depth - 1, -1, -1)
+    tree = et.GameTree([1 + d % 2 for d in levels],
+                       [[~(1 + d % 2), i + 1 if d else ~0]
+                        for i, d in enumerate(levels)], 0, et.OutcomeSet(3))
+    return tree, jsonio.loads(caterpillar_text(0))[1]
 
 
 def wide_caterpillar(spine: int) -> dict:
@@ -260,6 +271,10 @@ ROWS = [
         caps=("sys.getrecursionlimit()",)),
     Row("caterpillar_600", ("transfer", "{input}"), caterpillar_text, 600,
         code=2, stderr="nested deeper", caps=("sys.getrecursionlimit()",)),
+    # Written flat, the same game nests four JSON levels at any depth.
+    Row("flat_caterpillar_100000", ("transfer", "{input}"),
+        lambda n: jsonio.dumps(caterpillar_game(n)), 100_000,
+        stdout="Nash equilibrium"),
 ]
 
 ROW = {row.name: row for row in ROWS}

@@ -750,6 +750,21 @@ class TestFixtures:
             assert isinstance(json.loads(out), dict), argv
 
 
+    def test_flat_fixture_is_the_nested_one(self, capsys):
+        """The same game in the two tree forms: equal arrays and
+        preferences, and the same transfer report."""
+        loaded, reports = [], []
+        for name in ("intro_payoff_tree.json", "intro_payoff_tree_flat.json"):
+            tree, prefs = jsonio.load(fixture_path(name))
+            loaded.append((tree.owners, tree.children, tree.root_code,
+                           tree.outcomes, prefs))
+            reports.append(run(capsys, "--json", "transfer",
+                               fixture_path(name)))
+        assert loaded[0] == loaded[1]
+        assert reports[0] == reports[1]
+        assert reports[0][0] == cli.EXIT_OK
+
+
 def readme_commands() -> list[list[str]]:
     """The ``eqtransfer`` lines of the README's "Command line" section, as
     argument lists."""

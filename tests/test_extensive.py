@@ -68,18 +68,6 @@ class TestTreeBasics:
                     et.strategy_from_index(t, player, t.strategy_count(player))
 
 
-def renumbering(a: et.GameTree, b: et.GameTree) -> dict[int, int]:
-    """Each internal node of ``a`` to the node of ``b`` at the same place,
-    for two trees of the same shape."""
-    found, stack = {}, [(a.root_code, b.root_code)]
-    while stack:
-        i, j = stack.pop()
-        if i >= 0:
-            found[i] = j
-            stack.extend(zip(a.children[i], b.children[j]))
-    return found
-
-
 class TestTreeArrays:
     """``GameTree`` checks its arrays: every bad shape is a ValueError, and
     every tree it takes is one that each traversal finishes on."""
@@ -180,9 +168,9 @@ def random_arrays(rng: random.Random, n: int) -> tuple[list, list, int]:
 
 
 def check_tree(t: et.GameTree) -> None:
-    """Winners and strategies against plain recursion, every strategy
-    pair's play against the JSON round trip's, whose nodes are numbered in
-    preorder, and ``better_deviation`` against what each deviation
+    """Winners and strategies against plain recursion, the JSON round
+    trip's arrays against the tree's, node for node, every strategy pair's
+    play on both, and ``better_deviation`` against what each deviation
     reaches."""
     n = t.outcomes.size
     oracle = et.TreeOracle(t)
@@ -190,16 +178,18 @@ def check_tree(t: et.GameTree) -> None:
         expected = recursive_strategy(t, label)
         assert oracle.winner(label) == expected.player
         assert oracle.strategy(label) == expected
-    copy = jsonio.from_obj(jsonio.to_obj(t))
-    moved = renumbering(t, copy)
+    copy = jsonio.loads(jsonio.dumps(t))
+    assert ((copy.owners, copy.children, copy.root_code, copy.outcomes)
+            == (t.owners, t.children, t.root_code, t.outcomes))
     plays = {}
     for h1 in range(t.strategy_count(1)):
         for h2 in range(t.strategy_count(2)):
             choice = {**et.strategy_from_index(t, 1, h1),
                       **et.strategy_from_index(t, 2, h2)}
             plays[h1, h2] = et.play_tree(t, choice)
-            assert et.play_tree(copy, {moved[i]: c for i, c in choice.items()}
-                                ) == plays[h1, h2]
+            assert et.play_tree(copy, {
+                **et.strategy_from_index(copy, 1, h1),
+                **et.strategy_from_index(copy, 2, h2)}) == plays[h1, h2]
     for deviator in (1, 2):
         for fixed in range(t.strategy_count(3 - deviator)):
             reached = {plays[(h, fixed) if deviator == 1 else (fixed, h)]

@@ -389,6 +389,22 @@ class TestOutcomeMaps:
                                      **common)
 
 
+    def test_caller_edit_after_construction_changes_no_answer(self):
+        """300 seeded priority games whose caller rewrites its dict after
+        building the game: each transfer is the one of the game built."""
+        rng = random.Random(24002)
+        for _ in range(300):
+            game = random_priority_game(rng)
+            mapping = dict(game.outcome_map)
+            built = dataclasses.replace(game, outcome_map=mapping)
+            for color in mapping:
+                mapping[color] = rng.randrange(game.outcomes.size)
+            eq, expected = et.multi_outcome_ne(built), et.multi_outcome_ne(game)
+            assert (eq.outcome, eq.enforced) == (expected.outcome,
+                                                 expected.enforced)
+            assert all(map(same_strategy, eq.profile, expected.profile))
+
+
 class TestStartVertex:
     @pytest.mark.parametrize("start", [2, 7, -1])
     def test_out_of_range_start_rejected(self, start):

@@ -13,15 +13,18 @@ import pytest
 import eqtransfer as et
 from eqtransfer import jsonio
 from conftest import FIXTURES, fixture_path
-from limits import caterpillar_text
-from reference_extensive import (Leaf, Node, caterpillar_pair, index_tree,
+from limits import caterpillar_game, caterpillar_text
+from reference_extensive import (caterpillar_pair, index_tree,
                                  random_tree_pair, reference_from_obj,
                                  tree_document)
 from test_fuzz import VALUES, slots
 
 ALL_FIXTURES = sorted(p.name for p in FIXTURES.glob("*.json"))
-TREE_FIXTURES = [name for name in ALL_FIXTURES
-                 if "tree" in json.loads((FIXTURES / name).read_text())]
+DOCS = {name: json.loads((FIXTURES / name).read_text())
+        for name in ALL_FIXTURES}
+# the nested ones, the only form reference_from_obj reads
+TREE_FIXTURES = [name for name, doc in DOCS.items()
+                 if "tree" in doc and "owners" not in doc["tree"]]
 
 
 def normalised(doc: dict) -> dict:
@@ -41,10 +44,34 @@ class TestRoundTrip:
     @pytest.mark.parametrize("name", ALL_FIXTURES)
     def test_fixture_round_trips(self, name):
         """Compared with the document itself, so that a field dropped on
-        load shows."""
+        load shows; a tree is written as the arrays it loaded to, and that
+        text loads to equal arrays and preferences."""
         text = (FIXTURES / name).read_text()
-        assert (normalised(json.loads(jsonio.dumps(jsonio.loads(text))))
-                == normalised(json.loads(text)))
+        value, expected = jsonio.loads(text), json.loads(text)
+        written = jsonio.dumps(value)
+        if "tree" in expected:
+            tree = value[0] if isinstance(value, tuple) else value
+            expected["tree"] = {"owners": list(tree.owners),
+                                "children": list(map(list, tree.children)),
+                                "root": tree.root_code}
+            assert (load_result(jsonio.loads, written)
+                    == load_result(jsonio.loads, text))
+        assert normalised(json.loads(written)) == normalised(expected)
+
+    def test_seeded_trees_round_trip(self):
+        """500 seeded trees numbered in preorder, with and without
+        preferences, load back from the written text as they were."""
+        rng = random.Random(24001)
+        for k in range(500):
+            n = rng.randint(1, 8)
+            root, _ = (caterpillar_pair(rng, 600, n) if k % 25 == 0
+                       else random_tree_pair(rng, rng.randint(0, 40), n))
+            tree = index_tree(root, et.OutcomeSet(n))
+            ranks = [rng.sample(range(n), n) for _ in range(2)]
+            value = tree if k % 2 else (tree, et.PreferenceProfile(tuple(
+                map(et.Preference.from_ranking, ranks))))
+            assert (load_result(jsonio.loads, jsonio.dumps(value))
+                    == load_result(same, value))
 
     def test_fixture_types(self):
         tree, prefs = jsonio.load(fixture_path("intro_payoff_tree.json"))
@@ -89,19 +116,17 @@ class TestRoundTrip:
         jsonio.dump(st, str(path))
         assert jsonio.load(str(path)) == st
 
-    def test_too_deep_tree_is_not_written(self, tmp_path):
-        # a 600-deep spine nests 1,200 levels in JSON, past both the
-        # encoder and the parser, so writing it fails as reading it would
-        sub = Leaf(0)
-        for d in range(600):
-            sub = Node(1 + d % 2, (Leaf(1), sub))
-        tree = index_tree(sub, et.OutcomeSet(2))
-        with pytest.raises(et.TooLargeError, match="limit of about"):
-            jsonio.dumps(tree)
+    def test_deep_caterpillar_round_trips(self, tmp_path):
+        """10^5 levels, which nested objects would write 2 * 10^5 JSON
+        levels deep; the flat text nests four at any depth."""
+        game = caterpillar_game(100_000)
         path = tmp_path / "deep.json"
-        with pytest.raises(et.TooLargeError, match="limit of about"):
-            jsonio.dump(tree, str(path))
-        assert not path.exists()
+        jsonio.dump(game, str(path))
+        assert load_result(jsonio.load, str(path)) == load_result(same, game)
+
+    def test_flat_caterpillar_is_the_nested_one(self):
+        assert (load_result(same, caterpillar_game(300))
+                == load_result(jsonio.loads, caterpillar_text(300)))
 
 
 class TestErrors:
@@ -205,6 +230,10 @@ def load_result(load, doc) -> tuple:
     tree, prefs = value if isinstance(value, tuple) else (value, None)
     return (tree.owners, tree.children, tree.root_code, tree.outcomes,
             prefs)
+
+
+def same(value):
+    return value
 
 
 DROP = object()
