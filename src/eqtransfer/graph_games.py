@@ -33,7 +33,14 @@ class Arena:
                  edges: Iterable[tuple[int, int]], colors: Iterable[int]):
         (self.num_vertices,) = int_values([num_vertices], "arena vertex count")
         self.owned = frozenset(int_values(owned, "arena owned"))
-        ends = int_values([w for u, v in edges for w in (u, v)], "arena edges")
+        ends: list = []
+        for edge in edges:
+            try:
+                u, v = edge
+            except (TypeError, ValueError):
+                raise ValueError(f"arena edge {edge!r} is not a pair") from None
+            ends += u, v
+        ends = int_values(ends, "arena edges")
         self.edges = tuple(zip(ends[::2], ends[1::2]))
         self.colors = tuple(int_values(colors, "arena colors"))
         if self.num_vertices < 1:
@@ -154,6 +161,10 @@ def _predecessors(succ) -> tuple[tuple[int, ...], ...]:
 
 
 def _check_start(arena: Arena, start: int) -> None:
+    try:
+        (start,) = int_values([start], "start vertex")
+    except ValueError as exc:
+        raise BadIndexError(str(exc)) from None
     if not 0 <= start < arena.num_vertices:
         raise BadIndexError(f"start vertex {start} out of range "
                             f"0..{arena.num_vertices - 1}")
@@ -461,9 +472,12 @@ def solve_muller(arena: Arena, start: int,
     if win_sets is None:
         raise SchemaError("a Muller game needs win_sets, a list of colour "
                           "lists")
+    try:
+        sets = [set(int_values(s, "win_sets")) for s in win_sets]
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(str(exc)) from None
     bit, vbits = _color_bits(arena)
-    wins = {sum(bit[c] for c in s) for s in map(set, win_sets)
-            if s <= bit.keys()}
+    wins = {sum(bit[c] for c in s) for s in sets if s <= bit.keys()}
     winner, pieces = _mcnaughton(arena, vbits, lambda k: int(k in wins),
                                  start)
     return winner, _muller_machine(arena, vbits, start, winner,

@@ -5,9 +5,10 @@ arrays ``GameTree`` takes, so it reads back with its own numbering:
 ``{"owners": [...], "children": [[...], ...], "root": r}``, owners 1 or 2,
 and a leaf of outcome o coded ~o = -1 - o.  The nested form, ``{"owner":
 "a", "children": [...]}`` and ``{"leaf": o}`` objects, is read (numbered
-in preorder) but never written.  Loaders raise SchemaError with a
-human-readable reason, and ``from_obj`` turns a model constructor's
-ValueError, TypeError or OverflowError into one; broken JSON keeps the
+in preorder) but never written.  Loaders check the JSON shape and the
+fields only a document has, and raise SchemaError with a human-readable
+reason; the model constructors check every value, and ``from_obj`` turns
+their ValueError, TypeError or OverflowError into one; broken JSON keeps the
 parser's line/column information, and JSON nested deeper than the parser
 can go (a nested tree of about 500 levels) raises TooLargeError, as do
 more than ``MAX_OUTCOMES`` outcomes (one winner query per outcome).
@@ -67,13 +68,7 @@ def _preference_from_obj(obj: Any, outs: OutcomeSet) -> Preference:
     _require(isinstance(obj, dict), "preference must be an object")
     pairs = obj.get("pairs")
     _require(isinstance(pairs, list), "preference needs a pairs list")
-    # one check over the whole list; the loop only names the first bad pair
-    if not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}
-            and int_list([v for pair in pairs for v in pair])):
-        for pair in pairs:
-            _require(int_list(pair) and len(pair) == 2,
-                     f"preference pair must be [x, y], got {pair!r}")
-    return Preference(outs, frozenset(map(tuple, pairs)))
+    return Preference(outs, pairs)
 
 
 def _profile_obj(prefs: PreferenceProfile) -> list:
@@ -87,24 +82,16 @@ def _profile_from_obj(obj: Any, outcomes: OutcomeSet) -> PreferenceProfile:
 
 
 def _game_from_obj(obj: dict) -> Union[GameStructure, NormalFormGame]:
-    strategies = obj.get("strategies")
-    _require(int_list(strategies) and strategies,
-             "strategies must be a non-empty list of counts")
-    players = obj.get("players", len(strategies))
-    _require(is_int(players) and players == len(strategies),
+    _require(isinstance(obj["v"], list), "v must be a list of outcome indices")
+    st = GameStructure(obj.get("strategies"), _outcome_set(obj.get("outcomes")),
+                       obj["v"])
+    players = obj.get("players", st.players)
+    _require(is_int(players) and players == st.players,
              "players must match the strategy-count list length")
-    outs = _outcome_set(obj.get("outcomes"))
-    v = obj.get("v")
-    _require(int_list(v), "v must be a flat list of outcome indices")
-    expected = 1
-    for c in strategies:
-        expected *= c
-    _require(len(v) == expected,
-             f"v has {len(v)} entries, expected {expected}")
-    st = GameStructure(tuple(strategies), outs, v)
     if "preferences" not in obj:
         return st
-    return NormalFormGame(st, _profile_from_obj(obj["preferences"], outs))
+    return NormalFormGame(st, _profile_from_obj(obj["preferences"],
+                                                st.outcomes))
 
 
 def game_to_obj(g: Union[GameStructure, NormalFormGame]) -> dict:
@@ -130,9 +117,11 @@ def _tree_from_obj(obj: dict) -> tuple[GameTree, Optional[PreferenceProfile]]:
     straight into the arrays, which the constructor checks."""
     outs = _outcome_set(obj.get("outcomes"))
     node = obj.get("tree")
-    if isinstance(node, dict) and "owners" in node:
-        owners, kids = node["owners"], node.get("children")
-        top, stack = [node.get("root")], []
+    if isinstance(node, dict) and ("owners" in node or "root" in node):
+        for key in ("owners", "children", "root"):
+            _require(key in node, f"flat tree needs a {key!r} field")
+        owners, kids = node["owners"], node["children"]
+        top, stack = [node["root"]], []
     else:
         owners, kids, top = [], [], []
         # (JSON node, child codes of its parent), popped in preorder; the
@@ -185,15 +174,8 @@ def tree_to_obj(tree: GameTree,
 def _arena_from_obj(obj: dict) -> Union[PlainArena, MultiOutcomeGraphGame]:
     for key in ("vertices", "owned", "edges", "colors", "start"):
         _require(key in obj, f"arena needs a {key!r} field")
-    edges = obj["edges"]
-    _require(is_int(obj["vertices"]), "vertices must be a count")
-    _require(isinstance(edges, list) and set(map(type, edges)) <= {list}
-             and set(map(len, edges)) <= {2}
-             and int_list([x for e in edges for x in e]),
-             "edges must be a list of [u, v] vertex pairs")
-    for key in ("owned", "colors"):
-        _require(int_list(obj[key]), f"{key} must be a list of integers")
-    arena = Arena(obj["vertices"], obj["owned"], edges, obj["colors"])
+    _require(isinstance(obj["edges"], list), "edges must be a list")
+    arena = Arena(obj["vertices"], obj["owned"], obj["edges"], obj["colors"])
     start = obj["start"]
     _require(is_int(start) and 0 <= start < arena.num_vertices,
              f"start vertex {start!r} out of range")
@@ -316,7 +298,7 @@ def load(path: str) -> Loadable:
 
 
 def dumps(value: Loadable) -> str:
-    return json.dumps(to_obj(value), indent=2) + "\n"
+    return json.dumps(to_obj(value)) + "\n"
 
 
 def dump(value: Loadable, path: str) -> None:

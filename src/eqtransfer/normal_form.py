@@ -8,6 +8,7 @@ shape equals the strategy counts; entries are outcome indices.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
@@ -47,6 +48,9 @@ class GameStructure:
             raise ValueError(f"table entries must be 64-bit integers, got {arr.dtype}")
         arr = arr.astype(np.int64)  # a copy: the caller's array stays theirs
         if arr.ndim == 1:
+            if arr.size != math.prod(counts):
+                raise ValueError(f"table has {arr.size} entries, expected "
+                                 f"{math.prod(counts)}")
             arr = arr.reshape(counts)
         if arr.shape != counts:
             raise ValueError(f"tensor shape {arr.shape} != strategy counts {counts}")
@@ -63,10 +67,7 @@ class GameStructure:
 
     @property
     def profile_count(self) -> int:
-        n = 1
-        for c in self.strategy_counts:
-            n *= c
-        return n
+        return math.prod(self.strategy_counts)
 
     def outcome(self, profile: Sequence[int]) -> int:
         return int(self.table[tuple(profile)])

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import heapq
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
@@ -24,8 +24,11 @@ def is_int(x) -> bool:
 def int_values(values: Iterable, field: str) -> list[int]:
     """The values as ints: bools, floats and strings are refused rather
     than truncated, and numpy integers pass.  A list of plain ints is
-    returned as it is."""
-    values = values if type(values) is list else list(values)
+    returned as it is; a string or a non-iterable is refused whole."""
+    if type(values) is not list:
+        if isinstance(values, str) or not isinstance(values, Iterable):
+            raise ValueError(f"{field}: {values!r} is not a list of integers")
+        values = list(values)
     if set(map(type, values)) - {int}:
         for x in values:
             if isinstance(x, bool) or not isinstance(x, numbers.Integral):
@@ -62,34 +65,41 @@ class OutcomeSet:
 class Preference:
     """A binary relation over the indices of an outcome set.
 
-    What is derived from the relation (its Kahn order and its better
-    masks) is computed on first use and kept with it."""
+    ``pairs`` may be any iterable of two-item sequences.  One pass checks
+    each pair and enters it in ``better_masks`` before the pairs become a
+    frozenset, so ``(0, True)`` or ``(0, 1.0)`` cannot merge into ``(0, 1)``.
+    The Kahn order is computed on first use and kept with the relation."""
 
     outcomes: OutcomeSet
     pairs: frozenset[tuple[int, int]]
+    # Entry o has bit y for every pair (o, y): the outcomes above o.
+    better_masks: tuple[int, ...] = field(init=False, repr=False,
+                                          compare=False)
 
     def __post_init__(self):
         n = self.outcomes.size
-        if set(map(len, self.pairs)) - {2}:
-            raise ValueError("preference pairs must be (x, y) pairs")
-        flat = [v for pair in self.pairs for v in pair]
-        values = int_values(flat, "preference pairs")
-        if values is not flat:  # numpy integers, now ints
-            object.__setattr__(self, "pairs",
-                               frozenset(zip(values[::2], values[1::2])))
-        if values and not (min(values) >= 0 and max(values) < n):
-            x, y = next((x, y) for x, y in self.pairs
-                        if not (0 <= x < n and 0 <= y < n))
-            raise ValueError(f"pair ({x}, {y}) out of range for {n} outcomes")
+        masks, pairs = [0] * n, []
+        for pair in self.pairs:
+            try:
+                x, y = pair
+                if not (type(x) is int and type(y) is int):  # numpy integers
+                    x, y = int_values((x, y), "preference pairs")
+            except (TypeError, ValueError):
+                raise ValueError(f"preference pairs: {pair!r} is not a pair "
+                                 "of integers") from None
+            if not (0 <= x < n and 0 <= y < n):
+                raise ValueError(f"pair ({x}, {y}) out of range for {n} "
+                                 "outcomes")
+            masks[x] |= 1 << y
+            pairs.append((x, y))
+        object.__setattr__(self, "pairs", frozenset(pairs))
+        object.__setattr__(self, "better_masks", tuple(masks))
 
     @staticmethod
     def from_pairs(n: int, pairs: Iterable[tuple[int, int]],
                    labels: Optional[Sequence[str]] = None) -> "Preference":
-        outs = OutcomeSet(n, tuple(labels) if labels is not None else None)
-        pairs = list(map(tuple, pairs))
-        # before a frozenset merges (0, True) into an equal (0, 1)
-        int_values([v for pair in pairs for v in pair], "preference pairs")
-        return Preference(outs, frozenset(pairs))
+        labels = tuple(labels) if labels is not None else None
+        return Preference(OutcomeSet(n, labels), pairs)
 
     @staticmethod
     def from_ranking(ranking: Sequence[int],
@@ -109,14 +119,6 @@ class Preference:
     def kahn_order(self) -> tuple[int, ...]:
         """``_kahn_order`` of the relation, computed once."""
         return tuple(_kahn_order(self))
-
-    @cached_property
-    def better_masks(self) -> tuple[int, ...]:
-        """Entry o has bit y for every pair (o, y): the outcomes above o."""
-        masks = [0] * self.outcomes.size
-        for x, y in self.pairs:
-            masks[x] |= 1 << y
-        return tuple(masks)
 
     def inverse(self) -> "Preference":
         return Preference(self.outcomes, frozenset((y, x) for (x, y) in self.pairs))

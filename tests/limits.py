@@ -271,6 +271,16 @@ ROWS = [
         caps=("sys.getrecursionlimit()",)),
     Row("caterpillar_600", ("transfer", "{input}"), caterpillar_text, 600,
         code=2, stderr="nested deeper", caps=("sys.getrecursionlimit()",)),
+    # Values jsonio leaves to the model constructors, still refused by name.
+    Row("pairs_float_twin", ("transfer", "{input}"),
+        lambda _: {**diagonal(2), "preferences": [
+            {"pairs": [[0, 1], [0, 1.0]]}, {"pairs": [[1, 0]]}]},
+        code=2, stderr="preference pairs"),
+    Row("flat_tree_no_root", ("transfer", "{input}"),
+        lambda _: {"format": 1, "outcomes": 1,
+                   "tree": {"owners": [1], "children": [[-1]]},
+                   "preferences": [{"pairs": []}, {"pairs": []}]},
+        code=2, stderr="'root'"),
     # Written flat, the same game nests four JSON levels at any depth.
     Row("flat_caterpillar_100000", ("transfer", "{input}"),
         lambda n: jsonio.dumps(caterpillar_game(n)), 100_000,

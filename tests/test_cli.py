@@ -632,7 +632,7 @@ class TestErrorPaths:
     @pytest.mark.parametrize("value", [True, False])
     @pytest.mark.parametrize("fixture, command, where, message", [
         ("arena_small.json", "solve-parity", ["start"], "start vertex"),
-        ("arena_small.json", "solve-parity", ["vertices"], "vertices"),
+        ("arena_small.json", "solve-parity", ["vertices"], "vertex count"),
         ("arena_small.json", "solve-parity", ["owned", 0], "owned"),
         ("arena_small.json", "solve-parity", ["colors", 1], "colors"),
         ("arena_small.json", "solve-parity", ["edges", 0, 1], "edges"),
@@ -644,8 +644,9 @@ class TestErrorPaths:
         ("muller_game.json", "transfer", ["r", 1, 1], "mapped outcome"),
         ("priority_game.json", "transfer",
          ["preferences", 0, "pairs", 0, 1], "preference pair"),
-        ("xz_yy.json", "check-determinacy", ["v", 2], "v must be"),
-        ("xz_yy.json", "check-determinacy", ["strategies", 0], "strategies"),
+        ("xz_yy.json", "check-determinacy", ["v", 2], "table entries"),
+        ("xz_yy.json", "check-determinacy", ["strategies", 0],
+         "strategy counts"),
         ("intro_payoff_tree.json", "transfer", ["tree", "children", 1, "leaf"],
          "leaf"),
         ("intro_payoff_tree.json", "transfer", ["outcomes"], "outcomes"),

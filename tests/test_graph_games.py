@@ -421,6 +421,16 @@ class TestStartVertex:
                 outcomes=et.OutcomeSet(1), preferences=prefs,
                 outcome_map={0: 0, 1: 0})
 
+    @pytest.mark.parametrize("start", [True, False, 1.0, "1"])
+    def test_non_integer_start_rejected(self, start):
+        """Once ``solve_parity(arena, True)`` solved from vertex 1."""
+        arena = et.Arena(2, [0], [(0, 1), (1, 0)], [0, 1])
+        for solve in (et.solve_parity,
+                      lambda a, s: et.solve_muller(a, s, [[0]])):
+            with pytest.raises(et.BadIndexError,
+                               match=f"start vertex: {start!r} is not"):
+                solve(arena, start)
+
 
 class TestMuller:
     def test_memory_bound(self):
@@ -472,6 +482,16 @@ class TestMuller:
         arena = et.Arena(2, [0], [(0, 1), (1, 0)], [1, 2])
         with pytest.raises(et.SchemaError, match="win_sets"):
             et.solve_muller(arena, 0, None)
+
+    @pytest.mark.parametrize("win_sets, bad", [
+        (["12"], "'12'"), ([[1.0, 2.0]], "1.0"), ([[True, 2]], "True"),
+        ([[1], 2], "2")])
+    def test_non_integer_win_sets_rejected(self, win_sets, bad):
+        """Once a string set was dropped (player 2 won) and 1.0 or True
+        read as colour 1."""
+        arena = et.Arena(2, [0], [(0, 1), (1, 0)], [1, 2])
+        with pytest.raises(et.SchemaError, match=f"win_sets: {bad} is not"):
+            et.solve_muller(arena, 0, win_sets)
 
     def test_start_without_entry_state_rejected(self):
         a = et.Arena(2, [0], [(0, 1), (1, 0), (0, 0)], [1, 2])

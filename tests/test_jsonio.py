@@ -40,6 +40,42 @@ def normalised(doc: dict) -> dict:
     return doc
 
 
+GAME = {"format": 1, "strategies": [2, 1], "outcomes": 2, "v": [0, 1],
+        "preferences": [{"pairs": [[0, 1]]}, {"pairs": [[1, 0]]}]}
+ARENA = {"format": 1, "vertices": 2, "owned": [0], "edges": [[0, 1], [1, 0]],
+         "colors": [0, 1], "start": 0}
+
+
+def build_game(doc):
+    return et.GameStructure(doc["strategies"], et.OutcomeSet(doc["outcomes"]),
+                            doc["v"])
+
+
+def build_arena(doc):
+    return et.Arena(doc["vertices"], doc["owned"], doc["edges"],
+                    doc["colors"])
+
+
+def build_preference(doc):
+    return et.Preference(et.OutcomeSet(doc["outcomes"]),
+                         doc["preferences"][0]["pairs"])
+
+
+# Each value check jsonio leaves to a constructor: the document, where
+# the bad value goes, the value, and the constructor call on the document.
+GIVEN_UP = {
+    "bad_pair": (GAME, ["preferences", 0, "pairs", 0], [0, 1.5],
+                 build_preference),
+    "bool_strategy_count": (GAME, ["strategies", 0], True, build_game),
+    "bool_in_v": (GAME, ["v", 1], True, build_game),
+    "entry_count": (GAME, ["v"], [0, 1, 1], build_game),
+    "bool_vertices": (ARENA, ["vertices"], True, build_arena),
+    "three_item_edge": (ARENA, ["edges", 0], [0, 1, 1], build_arena),
+    "float_owned": (ARENA, ["owned", 0], 0.0, build_arena),
+    "float_colour": (ARENA, ["colors", 1], 1.0, build_arena),
+}
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("name", ALL_FIXTURES)
     def test_fixture_round_trips(self, name):
@@ -123,6 +159,11 @@ class TestRoundTrip:
         path = tmp_path / "deep.json"
         jsonio.dump(game, str(path))
         assert load_result(jsonio.load, str(path)) == load_result(same, game)
+
+    def test_written_on_one_line(self):
+        """No indent, so a flat tree's codes are not one to a line."""
+        text = jsonio.dumps(caterpillar_game(50))
+        assert text == json.dumps(json.loads(text)) + "\n"
 
     def test_flat_caterpillar_is_the_nested_one(self):
         assert (load_result(same, caterpillar_game(300))
@@ -211,7 +252,45 @@ class TestErrors:
             with pytest.raises(et.SchemaError) as exc:
                 jsonio.from_obj(doc)
             assert str(exc.value) == \
-                f"preference pair must be [x, y], got {first!r}"
+                f"preference pairs: {first!r} is not a pair of integers"
+
+    @pytest.mark.parametrize("twin_first", [False, True])
+    @pytest.mark.parametrize("twin", [[0, 1.0], [0, True]])
+    def test_twin_of_an_int_pair_refused(self, twin, twin_first):
+        """A frozenset would merge the twin into [0, 1]; each pair is
+        checked before the set is built, in either order."""
+        pairs = [twin, [0, 1]] if twin_first else [[0, 1], twin]
+        doc = {"format": 1, "strategies": [1, 1], "outcomes": 2, "v": [0],
+               "preferences": [{"pairs": pairs}, {"pairs": []}]}
+        with pytest.raises(et.SchemaError,
+                           match=rf"preference pairs: \[0, {twin[1]}\]"):
+            jsonio.from_obj(doc)
+
+    @pytest.mark.parametrize("tree, missing", [
+        ({"owners": [1], "root": 0}, "children"),
+        ({"children": [[-1]], "root": 0}, "owners"),
+        ({"owners": [1], "children": [[-1]]}, "root")])
+    def test_flat_tree_names_a_missing_field(self, tree, missing):
+        doc = {"format": 1, "outcomes": 1, "tree": tree}
+        with pytest.raises(et.SchemaError,
+                           match=f"flat tree needs a '{missing}' field"):
+            jsonio.from_obj(doc)
+
+    @pytest.mark.parametrize("case", GIVEN_UP)
+    def test_constructor_names_what_the_loader_leaves_to_it(self, case):
+        """jsonio checks these values no more: the model constructor's
+        ValueError is the loader's SchemaError, word for word."""
+        base, where, value, build = GIVEN_UP[case]
+        doc = copy.deepcopy(base)
+        inner = doc
+        for key in where[:-1]:
+            inner = inner[key]
+        inner[where[-1]] = value
+        with pytest.raises(ValueError) as built:
+            build(doc)
+        with pytest.raises(et.SchemaError) as loaded:
+            jsonio.from_obj(doc)
+        assert str(loaded.value) == str(built.value)
 
     def test_unknown_kind(self):
         obj = json.loads((FIXTURES / "priority_game.json").read_text())
