@@ -19,13 +19,12 @@ from .errors import (BadIndexError, EqTransferError, NotDeterminedError,
                      SchemaError, TooLargeError, UnknownNameError)
 from .extensive import (GameTree, TreeOracle, strategy_from_index,
                         to_normal_form)
-from .graph_games import (Arena, MullerOracle, MultiOutcomeGraphGame,
-                          PriorityOracle, arena_oracle, solve_muller,
-                          solve_parity)
+from .graph_games import (MULLER, Arena, MullerOracle, MultiOutcomeGraphGame,
+                          PriorityOracle, solve_muller, solve_parity)
 from .normal_form import (DEFAULT_OUTCOME_CAP, DEFAULT_PROFILE_CAP,
                           GameStructure, NormalFormGame, StructureOracle,
                           find_all_ne, is_determined, is_nash_equilibrium)
-from .transfer import OracleStrategy, equilibrium
+from .transfer import OracleStrategy, _game_backend, equilibrium
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -40,7 +39,18 @@ def _emit(report: dict, as_json: bool) -> None:
         print(line)
 
 
-def _normal_form(value, prefs: bool = True, cap: int = DEFAULT_PROFILE_CAP):
+def _refused(command: str, needs: str, value) -> SchemaError:
+    """The error for an arena input, a graph game or a plain arena, given
+    to a command that cannot take it."""
+    if isinstance(value, MultiOutcomeGraphGame):
+        got = "a Muller game" if value.kind == MULLER else "a priority game"
+    else:
+        got = "a plain arena, which solve-parity and solve-muller take"
+    return SchemaError(f"{command} needs {needs}, got {got}")
+
+
+def _normal_form(value, command: str, prefs: bool = True,
+                 cap: int = DEFAULT_PROFILE_CAP):
     """The input as a normal-form game, or as a bare structure when
     ``prefs`` is false; a tree is converted under the profile cap."""
     st, profile = value, None
@@ -48,10 +58,10 @@ def _normal_form(value, prefs: bool = True, cap: int = DEFAULT_PROFILE_CAP):
         st, profile = value
     elif isinstance(value, NormalFormGame):
         st, profile = value.structure, value.preferences
+    if not isinstance(st, (GameStructure, GameTree)):
+        raise _refused(command, "a normal-form game or a game tree", value)
     if prefs and profile is None:
         raise SchemaError("input must be a game with preferences")
-    if not isinstance(st, (GameStructure, GameTree)):
-        raise SchemaError("input must be a game structure")
     if isinstance(st, GameTree):
         st = to_normal_form(st, cap)
     return NormalFormGame(st, profile) if prefs else st
@@ -63,7 +73,8 @@ def _profile_cap(args) -> int:
 
 def _cmd_solve(args) -> int:
     cap = _profile_cap(args)
-    nes = find_all_ne(_normal_form(jsonio.load(args.input), cap=cap), cap=cap)
+    nes = find_all_ne(_normal_form(jsonio.load(args.input), "solve", cap=cap),
+                      cap=cap)
     report = {
         "command": "solve",
         "equilibria": [list(p) for p in nes],
@@ -76,7 +87,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_check_determinacy(args) -> int:
-    st = _normal_form(jsonio.load(args.input), prefs=False)
+    st = _normal_form(jsonio.load(args.input), "check-determinacy",
+                      prefs=False)
     if st.players != 2:
         raise SchemaError("check-determinacy needs a two-player structure, "
                           f"got {st.players} players")
@@ -106,24 +118,11 @@ _ORACLE_NAMES = {StructureOracle: "brute", TreeOracle: "tree",
                  PriorityOracle: "parity", MullerOracle: "muller"}
 
 
-def _backend(value):
-    """The game backend the input's kind calls for, and its preferences:
-    the table for a normal-form game, backward induction for a tree, and
-    the arena solvers for a priority or Muller game."""
-    if isinstance(value, NormalFormGame):
-        if value.structure.players != 2:
-            raise SchemaError("transfer needs a two-player game, "
-                              f"got {value.structure.players} players")
-        return StructureOracle(value.structure), value.preferences
-    if isinstance(value, tuple) and isinstance(value[0], GameTree):
-        return TreeOracle(value[0]), value[1]
-    if isinstance(value, MultiOutcomeGraphGame):
-        return arena_oracle(value), value.preferences
-    raise SchemaError("input must be a game with preferences")
-
-
 def _cmd_transfer(args) -> int:
-    backend, prefs = _backend(jsonio.load(args.input))
+    value = jsonio.load(args.input)
+    if isinstance(value, tuple) and isinstance(value[0], Arena):
+        raise _refused("transfer", "a game with preferences", value)
+    backend, prefs = _game_backend(value)
     result = equilibrium(backend, prefs)
     label = prefs.outcomes.label(result.outcome)
     report = {
@@ -195,7 +194,8 @@ def _cmd_solve_arena(args) -> int:
 
 
 def _cmd_verify_ne(args) -> int:
-    game = _normal_form(jsonio.load(args.input), cap=_profile_cap(args))
+    game = _normal_form(jsonio.load(args.input), "verify-ne",
+                        cap=_profile_cap(args))
     try:
         profile = tuple(int(x) for x in args.profile.split(","))
     except ValueError as exc:
@@ -278,34 +278,20 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seed for sampled verification")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="enumerate all Nash equilibria")
-    p.add_argument("input")
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("check-determinacy",
-                       help="check every derived win-lose game has a winner")
-    p.add_argument("input")
-    p.set_defaults(func=_cmd_check_determinacy)
-
-    p = sub.add_parser("transfer",
-                       help="compute a Nash equilibrium via the win-lose "
-                            "oracle of the input's kind")
-    p.add_argument("input")
-    p.set_defaults(func=_cmd_transfer)
-
-    p = sub.add_parser("solve-parity", help="solve a parity game on an arena")
-    p.add_argument("input")
-    p.set_defaults(func=_cmd_solve_arena)
-
-    p = sub.add_parser("solve-muller", help="solve a Muller game on an arena")
-    p.add_argument("input")
-    p.set_defaults(func=_cmd_solve_arena)
-
-    p = sub.add_parser("verify-ne", help="check a profile for equilibrium")
-    p.add_argument("input")
-    p.add_argument("--profile", required=True,
+    for name, func, text in (
+            ("solve", _cmd_solve, "enumerate all Nash equilibria"),
+            ("check-determinacy", _cmd_check_determinacy,
+             "check every derived win-lose game has a winner"),
+            ("transfer", _cmd_transfer, "compute a Nash equilibrium via the "
+             "win-lose oracle of the input's kind"),
+            ("solve-parity", _cmd_solve_arena, "solve a parity game on an arena"),
+            ("solve-muller", _cmd_solve_arena, "solve a Muller game on an arena"),
+            ("verify-ne", _cmd_verify_ne, "check a profile for equilibrium")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("input")
+        p.set_defaults(func=func)
+    p.add_argument("--profile", required=True,  # p is the last: verify-ne
                    help="comma-separated strategy indices, 0-based")
-    p.set_defaults(func=_cmd_verify_ne)
 
     p = sub.add_parser("corpus", help="list, build, or verify corpus entries")
     p.set_defaults(func=_cmd_corpus)

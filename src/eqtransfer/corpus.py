@@ -269,27 +269,22 @@ def _six_cube_game() -> NormalFormGame:
                 (1, 3): Z, (2, 2): Z, (3, 1): Z}
     for (a, b), o in latin_ab.items():
         t[a - 1, b - 1, :] = o
-    latin_bc = {(4, 1): X, (5, 3): X, (6, 2): X,
+    # two more Latin squares, on index pairs (4..6, 1..3) and (4..6, 4..6)
+    high_low = {(4, 1): X, (5, 3): X, (6, 2): X,
                 (4, 2): Y, (5, 1): Y, (6, 3): Y,
                 (4, 3): Z, (5, 2): Z, (6, 1): Z}
-    for (b, c), o in latin_bc.items():
+    high_high = {(4, 4): X, (5, 6): X, (6, 5): X,
+                 (4, 5): Y, (5, 4): Y, (6, 6): Y,
+                 (4, 6): Z, (5, 5): Z, (6, 4): Z}
+    for (b, c), o in high_low.items():
         t[:, b - 1, c - 1] = o
-    latin_ac = {(4, 4): X, (5, 6): X, (6, 5): X,
-                (4, 5): Y, (5, 4): Y, (6, 6): Y,
-                (4, 6): Z, (5, 5): Z, (6, 4): Z}
-    for (a, c), o in latin_ac.items():
+    for (a, c), o in high_high.items():
         t[a - 1, :, c - 1] = o
-    corner_ab = {(4, 1): X, (5, 3): X, (6, 2): X,
-                 (4, 2): Y, (5, 1): Y, (6, 3): Y,
-                 (4, 3): Z, (5, 2): Z, (6, 1): Z}
-    for (a, b), o in corner_ab.items():
+    for (a, b), o in high_low.items():
         t[a - 1, b - 1, 0:3] = o
     # the remaining low-a, high-b, high-c corner gets its own Latin cylinder
     # so that every slice stays determined and no new equilibrium appears
-    fill_bc = {(4, 4): X, (5, 6): X, (6, 5): X,
-               (4, 5): Y, (5, 4): Y, (6, 6): Y,
-               (4, 6): Z, (5, 5): Z, (6, 4): Z}
-    for (b, c), o in fill_bc.items():
+    for (b, c), o in high_high.items():
         t[0:3, b - 1, c - 1] = o
     assert (t >= 0).all()
     prefs = PreferenceProfile(tuple(_prefers_only(best) for best in (X, Y, Z)))

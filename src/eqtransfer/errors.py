@@ -45,5 +45,5 @@ class UnknownNameError(EqTransferError, KeyError):
     """No corpus entry goes by the requested name."""
 
 
-class SchemaError(EqTransferError):
+class SchemaError(EqTransferError, ValueError):
     """A JSON document or an argument does not match the expected schema."""

@@ -89,6 +89,10 @@ class GameTree:
     def strategy_count(self, player: int) -> int:
         return self._digits[player - 1][2]
 
+    def backend(self) -> TreeOracle:
+        """The transfer's backend: backward induction on the tree."""
+        return TreeOracle(self)
+
 
 def strategy_from_index(t: GameTree, player: int, index: int
                         ) -> dict[int, int]:
@@ -231,6 +235,6 @@ class TreeOracle(GameBackend):
 
 def kuhn_via_transfer(t: GameTree, prefs: PreferenceProfile
                       ) -> tuple[Profile, CallCounter]:
-    """Nash equilibrium of the tree game via transfer with backward induction."""
-    result = equilibrium(TreeOracle(t), prefs)
+    """``equilibrium((t, prefs))``'s profile and call counts."""
+    result = equilibrium((t, prefs))
     return result.profile, result.counter

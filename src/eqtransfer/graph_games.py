@@ -545,6 +545,10 @@ class MultiOutcomeGraphGame:
         return self.outcome_map[min(cluster) if self.kind == PRIORITY
                                 else cluster]
 
+    def backend(self) -> _ArenaOracle:
+        """The transfer's backend: the oracle of the game's kind."""
+        return (PriorityOracle if self.kind == PRIORITY else MullerOracle)(self)
+
 
 class _ArenaOracle(GameBackend):
     """Queries shared by the arena oracles.  ``_solved`` keeps each label's
@@ -731,17 +735,8 @@ def achievable_deviation_outcomes(game: MultiOutcomeGraphGame, fixed,
                                    (1 << game.outcomes.size) - 1))
 
 
-def arena_oracle(game: MultiOutcomeGraphGame) -> _ArenaOracle:
-    """The win-lose oracle of the game's kind."""
-    return (PriorityOracle if game.kind == PRIORITY else MullerOracle)(game)
-
-
 def multi_outcome_ne(game: MultiOutcomeGraphGame) -> TransferResult:
-    """Nash equilibrium of a multi-outcome priority or Muller game, as the
-    verified transfer result: the machines are ``strategy_1.handle`` and
-    ``strategy_2.handle``, positional for priority games and finite-memory
-    for Muller games.  Preferences must be acyclic.  The result is verified
-    against all deviations by a nested SCC decomposition of each residual
-    graph that stops at the first preferred outcome.
-    """
-    return equilibrium(arena_oracle(game), game.preferences)
+    """``equilibrium(game)``: the machines ``strategy_1.handle`` and
+    ``strategy_2.handle`` are positional for priority games and
+    finite-memory for Muller games."""
+    return equilibrium(game)

@@ -16,7 +16,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import (BadIndexError, HypothesisViolatedError, NotZeroSumError,
-                     TooLargeError)
+                     SchemaError, TooLargeError)
 from .prefs import (OutcomeSet, Preference, PreferenceProfile, int_values,
                     is_strict_linear, rank, upward_cone)
 from .transfer import CallCounter, GameBackend, OracleStrategy, equilibrium
@@ -41,8 +41,10 @@ class GameStructure:
         if not counts or any(c < 1 for c in counts):
             raise ValueError("every player needs at least one strategy")
         if isinstance(table, (list, tuple)):  # numpy reads True as 1
-            int_values(np.asarray(table, dtype=object).ravel().tolist(),
-                       "table entries")
+            entries = table
+            if table and isinstance(table[0], (list, tuple, np.ndarray)):
+                entries = np.asarray(table, dtype=object).ravel().tolist()
+            int_values(entries, "table entries")
         arr = np.asarray(table)
         if arr.size and arr.dtype.kind not in "iu":
             raise ValueError(f"table entries must be 64-bit integers, got {arr.dtype}")
@@ -99,14 +101,15 @@ class GameStructure:
 def _two_players(st: GameStructure, what: str) -> None:
     """Refuse a structure without two players: ``what`` needs them."""
     if st.players != 2:
-        raise ValueError(f"{what} is defined for two-player structures")
+        raise SchemaError(f"{what} needs a two-player game, "
+                          f"got {st.players} players")
 
 
 def _outcome_masks(st: GameStructure, lines: np.ndarray) -> tuple[int, ...]:
     """Bit o for each outcome o on each row of ``lines``, the structure's
     table or its transpose: an OR over an object array of Python ints, so
     that any outcome count fits."""
-    _two_players(st, "outcome masks")
+    _two_players(st, "an outcome mask")
     bits = np.array([1 << o for o in range(st.outcomes.size)], dtype=object)
     return tuple(np.bitwise_or.reduce(bits[lines], axis=1).tolist())
 
@@ -123,6 +126,10 @@ class NormalFormGame:
             raise ValueError("one preference per player required")
         if self.preferences.outcomes.size != self.structure.outcomes.size:
             raise ValueError("preferences must range over the structure's outcomes")
+
+    def backend(self) -> StructureOracle:
+        """The transfer's backend: the brute-force oracle over the table."""
+        return StructureOracle(self.structure)
 
 
 def _words(masks: Sequence[int], n: int) -> list[np.ndarray]:
@@ -290,7 +297,7 @@ class StructureOracle(GameBackend):
     """
 
     def __init__(self, structure: GameStructure):
-        _two_players(structure, "the brute-force oracle")
+        _two_players(structure, "transfer")
         self.structure = structure
         self._relink()
 
@@ -344,8 +351,8 @@ class StructureOracle(GameBackend):
 
 
 def transfer_equilibrium(g: NormalFormGame) -> tuple[Profile, CallCounter]:
-    """Nash equilibrium of a two-player game via the brute-force oracle."""
-    result = equilibrium(StructureOracle(g.structure), g.preferences)
+    """``equilibrium(g)``'s profile and call counts."""
+    result = equilibrium(g)
     return result.profile, result.counter
 
 
@@ -415,7 +422,7 @@ def minimax_transfer(g: NormalFormGame) -> Profile:
         raise NotZeroSumError("player 1's preference must be a strict linear order")
     if p2.pairs != p1.inverse().pairs:
         raise NotZeroSumError("player 2's preference must be the inverse of player 1's")
-    return equilibrium(StructureOracle(st), g.preferences).profile
+    return equilibrium(g).profile
 
 
 def finite_height_reduce(g: NormalFormGame) -> NormalFormGame:

@@ -4,9 +4,9 @@ A pluggable win-lose oracle answers, for any subset of the outcomes (an int
 bit mask, bit o for outcome o), which player wins the derived win-lose game
 and with which strategy.  The transfer routine turns such an oracle into a
 Nash equilibrium of the multi-outcome game using at most n winner queries
-and 2 strategy queries; ``equilibrium`` verifies the result through any
-game backend; each backend lives with its game model (``normal_form``,
-``extensive``, ``graph_games``), which imports this module.
+and 2 strategy queries; ``equilibrium`` verifies the result through the
+backend that a game model (``normal_form``, ``extensive``, ``graph_games``)
+picks with its ``backend()``, or any other; the models import this module.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import abc
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
-from .errors import CyclicPreferenceError, NotDeterminedError
+from .errors import CyclicPreferenceError, NotDeterminedError, SchemaError
 from .prefs import PreferenceProfile, is_acyclic, linear_extension
 
 
@@ -161,8 +161,20 @@ def run_transfer(oracle: WinLoseOracle, prefs: PreferenceProfile) -> TransferRes
     return TransferResult(s1, s2, m, enforced, counting.counter)
 
 
-def equilibrium(backend: GameBackend, prefs: PreferenceProfile) -> TransferResult:
-    """Transfer, then verify the profile in the backend's own game.
+def _game_backend(game) -> tuple[GameBackend, PreferenceProfile]:
+    """The backend a loaded game's model picks, and the preferences."""
+    model, prefs = (game if isinstance(game, tuple) and len(game) == 2
+                    else (game, getattr(game, "preferences", None)))
+    if not (isinstance(prefs, PreferenceProfile) and hasattr(model, "backend")):
+        raise SchemaError("input must be a game with preferences")
+    return model.backend(), prefs
+
+
+def equilibrium(game, prefs=None) -> TransferResult:
+    """Nash equilibrium of a ``NormalFormGame``, a ``(GameTree,
+    PreferenceProfile)`` pair or a ``MultiOutcomeGraphGame``, through the
+    backend its model picks (anything else raises SchemaError); or, given
+    ``prefs``, of a custom ``GameBackend``: verified in the backend's game.
 
     Determinacy is not re-checked (that would cost 2^n oracle calls);
     NotDeterminedError is raised instead when the profile misses the promised
@@ -171,6 +183,7 @@ def equilibrium(backend: GameBackend, prefs: PreferenceProfile) -> TransferResul
     outcomes the player prefers to the played one, looks for such an
     outcome, and the error carries the deviator and it as a certificate.
     """
+    backend, prefs = (game, prefs) if prefs is not None else _game_backend(game)
     result = run_transfer(backend, prefs)
     h1, h2 = result.profile
     played = backend.play_outcome(h1, h2)

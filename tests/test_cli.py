@@ -584,6 +584,29 @@ class TestErrorPaths:
         assert "usage: eqtransfer solve" in first[2]
         assert good[0] == cli.EXIT_OK
 
+    @pytest.mark.parametrize("name, got", [
+        ("priority_game", "a priority game"),
+        ("muller_game", "a Muller game"),
+        ("arena_small",
+         "a plain arena, which solve-parity and solve-muller take")])
+    @pytest.mark.parametrize("command", [
+        "solve", "verify-ne", "check-determinacy", "transfer"])
+    def test_arena_input_names_command_and_kind(self, capsys, name, got,
+                                                command):
+        """An arena input refused by a command is named, with the command
+        and what it needs; ``transfer`` takes the two arena games."""
+        argv = [command, fixture_path(f"{name}.json")]
+        if command == "verify-ne":
+            argv += ["--profile", "0,0"]
+        code, out, err = run(capsys, *argv)
+        if command == "transfer" and name != "arena_small":
+            assert (code, err) == (cli.EXIT_OK, "")
+            return
+        needs = ("a game with preferences" if command == "transfer"
+                 else "a normal-form game or a game tree")
+        assert (code, out) == (cli.EXIT_INPUT, "")
+        assert err == f"error: {command} needs {needs}, got {got}\n"
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "solve", "/nonexistent/game.json")
         assert code == cli.EXIT_INPUT

@@ -74,11 +74,11 @@ def test_tree_normal_form_and_arena_agree():
     for _ in range(INSTANCES):
         t = random_small_tree(rng)
         prefs = random_prefs(rng, t.outcomes.size)
-        backends = (et.TreeOracle(t), et.StructureOracle(et.to_normal_form(t)),
-                    et.PriorityOracle(tree_as_arena(t, prefs)))
-        assert_same_winners(backends, t.outcomes.size)
-        results = {(r.enforced, r.outcome)
-                   for r in (et.equilibrium(b, prefs) for b in backends)}
+        games = ((t, prefs), et.NormalFormGame(et.to_normal_form(t), prefs),
+                 tree_as_arena(t, prefs))
+        assert_same_winners((t.backend(), games[1].backend(),
+                             games[2].backend()), t.outcomes.size)
+        results = {(r.enforced, r.outcome) for r in map(et.equilibrium, games)}
         assert len(results) == 1, results
 
 
@@ -90,5 +90,5 @@ def test_priority_and_induced_muller_agree():
         assert_same_winners((et.PriorityOracle(game), et.MullerOracle(muller)),
                             game.outcomes.size)
         results = {(r.enforced, r.outcome)
-                   for r in map(et.multi_outcome_ne, (game, muller))}
+                   for r in map(et.equilibrium, (game, muller))}
         assert len(results) == 1, results

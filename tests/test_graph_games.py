@@ -588,11 +588,6 @@ def sized_game(rng, kind, n_vertices, n_colors, n_out=8):
         outcome_map=outcome_map)
 
 
-def arena_oracle(game):
-    return (et.PriorityOracle(game) if game.kind == "priority"
-            else et.MullerOracle(game))
-
-
 class TestDeviationSearch:
     """The nested SCC decomposition against one Tarjan run per colour or
     colour subset (``reference_deviation_outcomes``)."""
@@ -625,7 +620,7 @@ class TestDeviationSearch:
             fixed_player = rng.choice((1, 2))
             fixed = random_memory_machine(rng, game.arena, fixed_player,
                                           rng.randint(1, 4))
-            sizes.append(len(self.check(arena_oracle(game), fixed,
+            sizes.append(len(self.check(game.backend(), fixed,
                                         3 - fixed_player, rng)))
             other = random_memory_machine(random.Random(i), game.arena,
                                           3 - fixed_player, 2)
@@ -639,7 +634,7 @@ class TestDeviationSearch:
                                            ("muller", 20, 6)):
             for _ in range(2):
                 game = sized_game(rng, kind, n_vertices, n_colors)
-                oracle = arena_oracle(game)
+                oracle = game.backend()
                 eq = et.multi_outcome_ne(game)
                 play = et.play_of(game.arena, game.start, *eq.profile)
                 assert play == reference_play(game.arena, game.start,

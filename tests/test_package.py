@@ -19,6 +19,12 @@ def test_public_names_are_library_objects():
         assert not isinstance(getattr(et, name), types.ModuleType), name
 
 
+def test_public_name_ceiling():
+    """The public API may not grow unnoticed: a change that adds names
+    raises this bound and says so in CHANGES.md."""
+    assert len(et.__all__) <= 72, len(et.__all__)
+
+
 def test_corpus_games_only_through_build():
     """The corpus's games and claim data are reached through
     ``build(name, n)``, not through per-entry names."""

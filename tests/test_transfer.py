@@ -5,8 +5,10 @@ import random
 import pytest
 
 import eqtransfer as et
-from conftest import (random_acyclic_preference, random_determined_structure,
-                      random_structure, random_tree)
+from eqtransfer import jsonio
+from conftest import (FIXTURES, fixture_path, random_acyclic_preference,
+                      random_determined_structure, random_structure,
+                      random_tree)
 from reference_normal_form import can_enforce
 
 
@@ -110,6 +112,63 @@ class TestTransferEquilibrium:
         game = et.build("remark_5_3").game
         with pytest.raises(ValueError):
             et.transfer_equilibrium(game)
+
+
+NOT_A_GAME = "input must be a game with preferences"
+# What ``equilibrium(game)`` refuses with SchemaError, and the message: the
+# plain arena, the bare tree and the bare structures among the fixtures,
+# the three-player game, and values that are no game at all.
+REFUSED = {"arena_small.json": NOT_A_GAME, "intro_structure.json": NOT_A_GAME,
+           "xy_yx.json": NOT_A_GAME, "xz_yy.json": NOT_A_GAME,
+           "remark_5_3.json": "transfer needs a two-player game, got 3 players",
+           "None": NOT_A_GAME, "7": NOT_A_GAME}
+NORMAL_FORM = "normal form of intro_payoff_tree.json"
+NO_GAME = {"None": None, "7": 7}
+
+
+def entry_point_input(name: str):
+    """A fixture as ``jsonio`` loads it, the payoff tree's normal form, or
+    a value that is no game."""
+    if name == NORMAL_FORM:
+        tree, prefs = jsonio.load(fixture_path("intro_payoff_tree.json"))
+        return et.NormalFormGame(et.to_normal_form(tree), prefs)
+    if name in NO_GAME:
+        return NO_GAME[name]
+    return jsonio.load(fixture_path(name))
+
+
+def backend_by_hand(game):
+    """The backend of each kind and its preferences, built directly."""
+    if isinstance(game, tuple):
+        return et.TreeOracle(game[0]), game[1]
+    if isinstance(game, et.NormalFormGame):
+        return et.StructureOracle(game.structure), game.preferences
+    oracle = et.PriorityOracle if game.kind == "priority" else et.MullerOracle
+    return oracle(game), game.preferences
+
+
+def handle_data(handle):
+    """A strategy handle as comparable data: an index, or a machine's
+    fields."""
+    return handle if isinstance(handle, int) else vars(handle)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.json"))
+                         + [NORMAL_FORM, *NO_GAME])
+def test_equilibrium_of_every_loaded_game(name):
+    """``equilibrium(game)`` runs the backend the game's kind calls for, as
+    ``equilibrium(backend, prefs)`` does with it built by hand; anything
+    else is refused with a typed SchemaError."""
+    game = entry_point_input(name)
+    if name in REFUSED:
+        with pytest.raises(et.SchemaError, match=f"^{REFUSED[name]}$"):
+            et.equilibrium(game)
+        return
+    want, got = et.equilibrium(*backend_by_hand(game)), et.equilibrium(game)
+    assert (got.outcome, got.enforced, got.counter) == (
+        want.outcome, want.enforced, want.counter)
+    assert [handle_data(h) for h in got.profile] == [
+        handle_data(h) for h in want.profile]
 
 
 class TestEnforceableFiniteCone:
