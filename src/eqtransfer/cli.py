@@ -51,8 +51,9 @@ def _refused(command: str, needs: str, value) -> SchemaError:
 
 def _normal_form(value, command: str, prefs: bool = True,
                  cap: int = DEFAULT_PROFILE_CAP):
-    """The input as a normal-form game, or as a bare structure when
-    ``prefs`` is false; a tree is converted under the profile cap."""
+    """The input as a normal-form game, or as a bare structure or tree
+    when ``prefs`` is false; a tree with preferences is converted under
+    the profile cap."""
     st, profile = value, None
     if isinstance(value, tuple) and isinstance(value[0], GameTree):
         st, profile = value
@@ -62,7 +63,7 @@ def _normal_form(value, command: str, prefs: bool = True,
         raise _refused(command, "a normal-form game or a game tree", value)
     if prefs and profile is None:
         raise SchemaError("input must be a game with preferences")
-    if isinstance(st, GameTree):
+    if prefs and isinstance(st, GameTree):
         st = to_normal_form(st, cap)
     return NormalFormGame(st, profile) if prefs else st
 
@@ -89,11 +90,13 @@ def _cmd_solve(args) -> int:
 def _cmd_check_determinacy(args) -> int:
     st = _normal_form(jsonio.load(args.input), "check-determinacy",
                       prefs=False)
-    if st.players != 2:
+    if not isinstance(st, GameTree) and st.players != 2:
         raise SchemaError("check-determinacy needs a two-player structure, "
                           f"got {st.players} players")
     cap = args.cap if args.cap is not None else DEFAULT_OUTCOME_CAP
-    determined = is_determined(st, cap=cap)
+    # Backward induction gives every label of a tree a winner (Zermelo,
+    # Kuhn), so a tree needs neither its normal form nor the outcome cap.
+    determined = isinstance(st, GameTree) or is_determined(st, cap=cap)
     report = {
         "command": "check-determinacy",
         "determined": determined,
@@ -132,8 +135,10 @@ def _cmd_transfer(args) -> int:
         "outcome_label": label,
         "winner_calls": result.counter.winner_calls,
         "strategy_calls": result.counter.strategy_calls,
+        # only --json prints them, and a tree's decode is quadratic in depth
         "strategies": [_oracle_strategy_obj(backend, s)
-                       for s in (result.strategy_1, result.strategy_2)],
+                       for s in (result.strategy_1, result.strategy_2)]
+                      if args.json else None,
         "lines": [f"Nash equilibrium outcome: {label}"]
                  + _counter_lines(result.counter, prefs.outcomes.size),
     }
@@ -273,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cap", type=int, default=None,
                         help="profile cap of solve and verify-ne, tree "
                              "conversion included; outcome cap of "
-                             "check-determinacy")
+                             "check-determinacy on a normal form")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for sampled verification")
     sub = parser.add_subparsers(dest="command", required=True)

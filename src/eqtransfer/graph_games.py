@@ -76,9 +76,10 @@ class FiniteMemoryStrategy:
     state reached along the k-th edge of ``arena.succ[vertex[s]]``, in the
     same order.  At the states of the player's vertices ``move[s]`` is the
     k taken, and it is -1 elsewhere.  At the player's own states only
-    ``move[s]`` is followed, and the other edges lead to some state at
-    their vertex.  A play from vertex v begins in state ``entry[v]``.  The
-    strategy is positional iff no vertex has two states.
+    ``move[s]`` is followed: a Muller machine stores -1 on the other edges,
+    and a positional strategy keeps the arena's successor lists.  A play
+    from vertex v begins in state ``entry[v]``.  The strategy is positional
+    iff no vertex has two states.
     """
 
     player: int
@@ -386,11 +387,8 @@ def _muller_machine(arena: Arena, vbits, start: int, player: int,
     does.  Moving to another, earlier, piece resets the memory.  States are
     the (vertex, memory) pairs reached along the opponent's edges and the
     chosen ones, merged where their futures agree (Moore's refinement);
-    the player's other edges lead to the first state at their vertex, or
-    to a memoryless one made for it."""
+    the player's other edges store -1, as no play follows them."""
     succ = arena.succ
-    mine = arena.owned if player == 1 else frozenset(
-        range(arena.num_vertices)) - arena.owned
 
     def enter(pieces, v, mem=None):
         """Memory on entering v, after ``mem`` in the same pieces."""
@@ -420,8 +418,9 @@ def _muller_machine(arena: Arena, vbits, start: int, player: int,
     nodes = list(index)
     out, move = [], []
     for v, mem in nodes:  # grows while it is read
-        edges = [None] * len(succ[v])
-        k = succ[v].index(choose(pieces, mem, v)) if v in mine else -1
+        edges = [-1] * len(succ[v])
+        k = (succ[v].index(choose(pieces, mem, v))
+             if arena.owner(v) == player else -1)
         for e in (k,) if k >= 0 else range(len(edges)):
             node = (succ[v][e], enter(pieces, succ[v][e], mem))
             edges[e] = index.setdefault(node, len(nodes))
@@ -435,24 +434,14 @@ def _muller_machine(arena: Arena, vbits, start: int, player: int,
     count = 0
     while count < len(ids) < len(nodes):
         count, ids = len(ids), {}
-        block = [ids.setdefault((b, *(block[t] for t in edges
-                                      if t is not None)), len(ids))
+        block = [ids.setdefault((b, *(block[t] for t in edges if t >= 0)),
+                                len(ids))
                  for b, edges in zip(block, out)]
     keep = list({b: s for s, b in enumerate(block)}.values())
-    vertex = [nodes[s][0] for s in keep]
-    move = [move[s] for s in keep]
-    out = [[t if t is None else block[t] for t in out[s]] for s in keep]
-    at = {v: s for s, v in reversed(list(enumerate(vertex)))}
-    for edges, v in zip(out, vertex):  # grows while it is read
-        for e, w in enumerate(succ[v]):
-            if edges[e] is None:
-                if w not in at:
-                    at[w] = len(vertex)
-                    vertex.append(w)
-                    out.append([None] * len(succ[w]))
-                    move.append(0 if w in mine else -1)
-                edges[e] = at[w]
-    return FiniteMemoryStrategy(player, vertex, out, move, {start: 0})
+    return FiniteMemoryStrategy(
+        player, [nodes[s][0] for s in keep],
+        [[t if t < 0 else block[t] for t in out[s]] for s in keep],
+        [move[s] for s in keep], {start: 0})
 
 
 def _color_bits(arena: Arena) -> tuple[dict[int, int], list[int]]:
@@ -515,6 +504,8 @@ class MultiOutcomeGraphGame:
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.preferences.players != 2:
             raise ValueError("two players required")
+        if self.preferences.outcomes != self.outcomes:
+            raise ValueError("preferences must range over the game's outcomes")
         _check_start(self.arena, self.start)
         bit, self._bits = _color_bits(self.arena)
         # a copy, so that a caller's later edit changes no answer

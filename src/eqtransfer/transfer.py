@@ -130,16 +130,19 @@ def run_transfer(oracle: WinLoseOracle, prefs: PreferenceProfile) -> TransferRes
     The expected played outcome is the preferred-by-player-2 maximum of the
     lift-greatest enforceable set; ``equilibrium`` verifies the resulting
     profile in the game.  This is the one acyclicity check of every
-    transfer: a cyclic preference raises CyclicPreferenceError.
+    transfer: a cyclic preference raises CyclicPreferenceError, and one
+    that does not fit the oracle's two-player game raises SchemaError.
     """
+    n = oracle.n_outcomes
     if prefs.players != 2:
-        raise ValueError("transfer works on two-player games")
+        raise SchemaError("transfer needs a two-player game, "
+                          f"got {prefs.players} players")
+    if n != prefs.outcomes.size:
+        raise SchemaError(f"transfer needs preferences over the game's {n} "
+                          f"outcomes, got {prefs.outcomes.size}")
     for p in prefs.prefs:
         if not is_acyclic(p):
             raise CyclicPreferenceError("transfer requires acyclic preferences")
-    n = oracle.n_outcomes
-    if n != prefs.outcomes.size:
-        raise ValueError("oracle and preferences disagree on the outcome count")
     counting = CountingOracle(oracle)
     linear = linear_extension(prefs[0])
     enforced = max_enforceable_word(counting, n, linear)

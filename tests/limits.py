@@ -240,12 +240,14 @@ ROWS = [
     Row("ladder_101", ("corpus", "build", "prop_5_4", "--n", "{size}"),
         size=101, code=2, stderr="1030301 profiles, above the cap of 1000000",
         caps=("normal_form.DEFAULT_PROFILE_CAP",)),
-    # 4,194,304 profiles: the tree transfer builds no normal form, solve
-    # refuses to.
+    # 4,194,304 profiles: the tree transfer and determinacy check build no
+    # normal form, solve refuses to.
     Row("wide_tree_21", ("transfer", "{input}"), wide_caterpillar, 21),
     Row("wide_tree_21_solve", ("solve", "{input}"), wide_caterpillar, 21,
         code=2,
         stderr="4194304 strategy profiles exceed cap 1000000"),
+    Row("wide_tree_21_determinacy", ("check-determinacy", "{input}"),
+        wide_caterpillar, 21, stdout="determined"),
     Row("diagonal_20", ("check-determinacy", "{input}"), diagonal, 20,
         caps=("normal_form.DEFAULT_OUTCOME_CAP", "normal_form.LABEL_BLOCK")),
     Row("diagonal_21", ("check-determinacy", "{input}"), diagonal, 21, code=2,

@@ -2,6 +2,7 @@
 
 import io
 import json
+import random
 import shlex
 import sys
 import time
@@ -11,7 +12,8 @@ import pytest
 
 import eqtransfer as et
 from eqtransfer import cli, graph_games, jsonio
-from conftest import FIXTURES, fixture_path
+from conftest import (FIXTURES, fixture_path, random_acyclic_preference,
+                      random_tree)
 from limits import caterpillar_text, colour_ring, wide_caterpillar
 from reference_graph import all_positional_strategies
 
@@ -90,6 +92,33 @@ class TestCheckDeterminacy:
                            fixture_path("xz_yy.json"))
         assert code == cli.EXIT_OK
         assert out.strip() == "determined"
+
+    def test_trees_agree_with_their_normal_forms(self, capsys, tmp_path):
+        """A tree is answered without its normal form, bare or with
+        preferences, as the table check answers the normal form."""
+        rng = random.Random(27001)
+        path = tmp_path / "tree.json"
+        for i in range(40):
+            tree = random_tree(rng, rng.randint(1, 5))
+            want = et.is_determined(et.to_normal_form(tree))
+            prefs = et.PreferenceProfile(tuple(
+                random_acyclic_preference(rng, tree.outcomes.size)
+                for _ in range(2)))
+            jsonio.dump(tree if i % 2 else (tree, prefs), path)
+            code, out, _ = run(capsys, "check-determinacy", str(path))
+            assert (code, out) == ((cli.EXIT_OK, "determined\n") if want
+                                   else (cli.EXIT_FAIL, "not determined\n"))
+
+    @pytest.mark.parametrize("cap", [[], ["--cap", "1"]])
+    def test_wide_tree_needs_no_normal_form(self, capsys, tmp_path, cap,
+                                            monkeypatch):
+        """4,194,304 profiles, over the conversion cap, and 2 outcomes,
+        over a cap of 1: neither bounds a tree."""
+        path = tmp_path / "caterpillar.json"
+        path.write_text(json.dumps(wide_caterpillar(21)))
+        monkeypatch.setattr(cli, "to_normal_form", None)
+        code, out, err = run(capsys, *cap, "check-determinacy", str(path))
+        assert (code, out, err) == (cli.EXIT_OK, "determined\n", "")
 
 
 class TestPlayerCount:
@@ -188,6 +217,24 @@ class TestTransfer:
         code, _, _ = run(capsys, "transfer", "--oracle", "brute",
                          fixture_path("intro_payoff_tree.json"))
         assert code == cli.EXIT_INPUT
+
+    @pytest.mark.parametrize("name", ["intro_payoff_tree.json",
+                                      "intro_payoff_tree_flat.json",
+                                      "priority_game.json",
+                                      "muller_game.json"])
+    def test_text_output_builds_no_strategy_objects(self, capsys,
+                                                    monkeypatch, name):
+        """Only ``--json`` prints the strategies, so only it builds them."""
+        def refuse(*_):
+            raise AssertionError("text output built a strategy object")
+
+        code, text, _ = run(capsys, "transfer", fixture_path(name))
+        code_json, out, _ = run(capsys, "--json", "transfer",
+                                fixture_path(name))
+        monkeypatch.setattr(cli, "_oracle_strategy_obj", refuse)
+        assert run(capsys, "transfer", fixture_path(name)) == (code, text, "")
+        assert (code, code_json) == (cli.EXIT_OK, cli.EXIT_OK)
+        assert len(json.loads(out)["strategies"]) == 2
 
     def test_large_tree_needs_no_normal_form(self, capsys, tmp_path):
         """4,194,304 profiles, over the conversion cap: transfer runs on

@@ -389,6 +389,23 @@ class TestOutcomeMaps:
                                      **common)
 
 
+    @pytest.mark.parametrize("kind, outcome_map", [
+        ("priority", {0: 0, 1: 1}),
+        ("muller", {frozenset({0}): 0, frozenset({1}): 1,
+                    frozenset({0, 1}): 1})])
+    @pytest.mark.parametrize("outcomes", [et.OutcomeSet(3),
+                                          et.OutcomeSet(2, ("x", "y"))])
+    def test_preferences_over_other_outcomes_rejected(self, kind,
+                                                      outcome_map, outcomes):
+        """As ``NormalFormGame`` does, the game refuses preferences over
+        another outcome set, also one that differs only in its labels."""
+        arena = et.Arena(2, [0], [(0, 1), (1, 0)], [0, 1])
+        prefs = et.PreferenceProfile((et.Preference(outcomes, []),) * 2)
+        with pytest.raises(ValueError, match="range over the game's outcomes"):
+            et.MultiOutcomeGraphGame(
+                arena=arena, start=0, kind=kind, outcomes=et.OutcomeSet(2),
+                preferences=prefs, outcome_map=outcome_map)
+
     def test_caller_edit_after_construction_changes_no_answer(self):
         """300 seeded priority games whose caller rewrites its dict after
         building the game: each transfer is the one of the game built."""
@@ -539,6 +556,53 @@ class TestMuller:
             w_direct, _ = et.solve_muller(arena, start, win_sets)
             w_dual, _ = et.solve_muller(swapped, start, complement)
             assert {w_direct, w_dual} == {1, 2}
+
+
+def muller_machines(rng, count):
+    """Seeded Muller games on ``random_arena``s, each with a ``solve_muller``
+    machine for win_sets drawn from its colour sets and a ``MullerOracle``
+    machine for every label."""
+    for _ in range(count):
+        game = random_muller_game(rng, max_vertices=6, max_color=3)
+        win_sets = [k for k in game.outcome_map if rng.random() < 0.5]
+        yield game, et.solve_muller(game.arena, game.start, win_sets)[1]
+        oracle = et.MullerOracle(game)
+        for label in range(1 << game.outcomes.size):
+            yield game, oracle.strategy(label).handle
+
+
+class TestMullerMachineContract:
+    """A Muller machine stores only what a play reads: at the player's
+    own states the edge it takes, -1 on every other edge."""
+
+    def test_own_states_store_only_their_move(self, rng):
+        unused = 0
+        for game, machine in muller_machines(rng, 80):
+            arena = game.arena
+            for v, out, k in zip(machine.vertex, machine.succ, machine.move):
+                assert len(out) == len(arena.succ[v])
+                own = arena.owner(v) == machine.player
+                assert (k >= 0) == own
+                for e, t in enumerate(out):
+                    if own and e != k:
+                        assert t == -1
+                        unused += 1
+                    else:
+                        assert 0 <= t < machine.num_states
+                        assert machine.vertex[t] == arena.succ[v][e]
+        assert unused > 100
+
+    def test_plays_and_deviations_match_the_references(self, rng):
+        for i, (game, machine) in enumerate(muller_machines(rng, 80)):
+            arena, deviator = game.arena, 3 - machine.player
+            opponent = random_memory_machine(random.Random(i), arena,
+                                             deviator, 1 + i % 3)
+            pair = ((machine, opponent) if machine.player == 1
+                    else (opponent, machine))
+            assert (et.play_of(arena, game.start, *pair)
+                    == reference_play(arena, game.start, *pair))
+            assert (et.achievable_deviation_outcomes(game, machine, deviator)
+                    == reference_deviation_outcomes(game, machine, deviator))
 
 
 class TestDeviationOutcomes:

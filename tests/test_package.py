@@ -25,6 +25,15 @@ def test_public_name_ceiling():
     assert len(et.__all__) <= 72, len(et.__all__)
 
 
+def test_source_line_ceiling():
+    """The source may not grow unnoticed either: ``wc -l
+    src/eqtransfer/*.py`` stays at most this bound, and a change that grows
+    it raises the bound and says so in CHANGES.md."""
+    lines = sum(len(path.read_bytes().splitlines())
+                for path in SRC.glob("*.py"))
+    assert lines <= 3146, lines
+
+
 def test_corpus_games_only_through_build():
     """The corpus's games and claim data are reached through
     ``build(name, n)``, not through per-entry names."""

@@ -113,6 +113,22 @@ class TestTransferEquilibrium:
         with pytest.raises(ValueError):
             et.transfer_equilibrium(game)
 
+    @pytest.mark.parametrize("players, outcomes, message", [
+        (3, 3, "transfer needs a two-player game, got 3 players"),
+        (2, 5, "transfer needs preferences over the game's 3 outcomes, "
+               "got 5")])
+    def test_unfit_tree_preferences_refused(self, players, outcomes,
+                                            message):
+        """A ``(tree, prefs)`` pair has no constructor of its own to check
+        it: the transfer refuses preferences that do not fit the tree."""
+        tree, _ = jsonio.load(fixture_path("intro_payoff_tree.json"))
+        prefs = et.PreferenceProfile(
+            (et.Preference.from_pairs(outcomes, [(0, 1)]),) * players)
+        with pytest.raises(et.SchemaError) as caught:
+            et.equilibrium((tree, prefs))
+        assert isinstance(caught.value, ValueError)
+        assert str(caught.value) == message
+
 
 NOT_A_GAME = "input must be a game with preferences"
 # What ``equilibrium(game)`` refuses with SchemaError, and the message: the
