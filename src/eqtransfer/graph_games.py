@@ -11,12 +11,14 @@ strategy query.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import (BadIndexError, NotDeterminedError, SchemaError,
                      TooLargeError)
-from .prefs import OutcomeSet, PreferenceProfile, int_values, is_int
+from .prefs import OutcomeSet, PreferenceProfile, int_values
 from .transfer import (GameBackend, OracleStrategy, TransferResult,
                        equilibrium)
 
@@ -117,9 +119,6 @@ class Play:
     prefix: tuple[int, ...]
     cycle: tuple[int, ...]
 
-    def cluster_colors(self, arena: Arena) -> frozenset[int]:
-        return frozenset(arena.colors[v] for v in self.cycle)
-
 
 def play_of(arena: Arena, start: int, s1: FiniteMemoryStrategy,
             s2: FiniteMemoryStrategy) -> Play:
@@ -161,7 +160,7 @@ def _predecessors(succ) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(p) for p in pred)
 
 
-def _check_start(arena: Arena, start: int) -> None:
+def _check_start(arena: Arena, start: int) -> int:
     try:
         (start,) = int_values([start], "start vertex")
     except ValueError as exc:
@@ -169,6 +168,7 @@ def _check_start(arena: Arena, start: int) -> None:
     if not 0 <= start < arena.num_vertices:
         raise BadIndexError(f"start vertex {start} out of range "
                             f"0..{arena.num_vertices - 1}")
+    return start
 
 
 def _solve_graph(arena: Arena, colors, start: int
@@ -480,7 +480,7 @@ PRIORITY = "priority"
 MULLER = "muller"
 
 
-@dataclass
+@dataclass(frozen=True)
 class MultiOutcomeGraphGame:
     """A two-player graph game whose plays map to abstract outcomes.
 
@@ -488,8 +488,8 @@ class MultiOutcomeGraphGame:
     Priority kind: its keys are colours, and a play's outcome is that of the
     minimum colour occurring infinitely often.  Muller kind: its keys are
     frozensets of colours, and a play's outcome is that of its cluster set.
-    ``_bits`` holds each vertex's colour as a bit (bit i for the i-th
-    smallest), ``_outcome_of`` the outcome of each bit or colour-set mask.
+    ``_bits`` holds each vertex's colour bit (bit i for the i-th smallest),
+    ``_outcome_of`` each bit's or colour-set mask's outcome, for ``_outcome``.
     """
 
     arena: Arena
@@ -506,13 +506,21 @@ class MultiOutcomeGraphGame:
             raise ValueError("two players required")
         if self.preferences.outcomes != self.outcomes:
             raise ValueError("preferences must range over the game's outcomes")
-        _check_start(self.arena, self.start)
-        bit, self._bits = _color_bits(self.arena)
-        # a copy, so that a caller's later edit changes no answer
-        self.outcome_map = mapped = dict(self.outcome_map)
+        start = _check_start(self.arena, self.start)
+        mapped, n = dict(self.outcome_map), self.outcomes.size
+        for o in mapped.values():
+            if not (type(o) is int or isinstance(o, numbers.Integral)
+                    and not isinstance(o, bool)) or not 0 <= o < n:
+                raise ValueError(f"mapped outcome {o!r} is not an outcome "
+                                 f"index 0..{n - 1}")
+        flat = [*mapped.values(), *(mapped if self.kind == PRIORITY else
+                                    (c for s in mapped for c in s))]
+        if int_values(flat, "outcome_map") is not flat:  # numpy integers
+            mapped = {(frozenset(map(int, k)) if self.kind == MULLER
+                       else int(k)): int(o) for k, o in mapped.items()}
+        bit, bits = _color_bits(self.arena)
         if self.kind == PRIORITY:
-            missing = sorted(bit.keys() - mapped.keys())
-            if missing:
+            if missing := sorted(bit.keys() - mapped.keys()):
                 raise ValueError(f"no outcome for colours {missing}")
             outcome_of = {b: mapped[c] for c, b in bit.items()}
         else:
@@ -522,19 +530,21 @@ class MultiOutcomeGraphGame:
                 if k not in outcome_of:
                     cluster = {c for c, b in bit.items() if k & b}
                     raise ValueError(f"no outcome for cluster set {cluster}")
-        self._outcome_of = outcome_of
-        n = self.outcomes.size
-        for o in mapped.values():
-            if not is_int(o) or not 0 <= o < n:
-                raise ValueError(f"mapped outcome {o!r} is not an outcome "
-                                 f"index 0..{n - 1}")
+        vars(self).update(start=start, _bits=bits, _outcome_of=outcome_of,
+                          outcome_map=MappingProxyType(mapped))  # read-only
+
+    def __reduce__(self):  # a mappingproxy does not pickle: rebuild the game
+        return type(self), (self.arena, self.start, self.kind, self.outcomes,
+                            self.preferences, dict(self.outcome_map))
+
+    def _outcome(self, k: int) -> int:
+        return self._outcome_of[k & -k if self.kind == PRIORITY else k]
 
     def outcome_of_play(self, play: Play) -> int:
-        cluster = play.cluster_colors(self.arena)
-        if not cluster:
+        k = sum({self._bits[v] for v in play.cycle})  # distinct bits: OR
+        if not k:
             raise NotDeterminedError("empty cluster set on a finite arena")
-        return self.outcome_map[min(cluster) if self.kind == PRIORITY
-                                else cluster]
+        return self._outcome(k)
 
     def backend(self) -> _ArenaOracle:
         """The transfer's backend: the oracle of the game's kind."""
@@ -579,17 +589,18 @@ class _ArenaOracle(GameBackend):
 
 
 class PriorityOracle(_ArenaOracle):
-    """Win-lose oracle for a multi-outcome priority game: a label colours
-    each colour c ``2*c``, or ``2*c+1`` if it denies player 1 c's outcome,
-    and Zielonka's algorithm solves the arena; strategies are positional."""
+    """Win-lose oracle for a multi-outcome priority game: a vertex of colour
+    bit ``1 << i`` gets ``2*i``, or ``2*i+1`` if the label denies player 1
+    its colour's outcome; Zielonka solves the arena, positionally."""
 
     kind = PRIORITY
 
     def _solve_label(self, label: int) -> tuple[int, dict[int, int]]:
-        arena, outcome_map = self.game.arena, self.game.outcome_map
-        colors = [2 * c + 1 - (label >> outcome_map[c] & 1)
-                  for c in arena.colors]
-        return _solve_graph(arena, colors, self.game.start)
+        game = self.game
+        color = {b: 2 * b.bit_length() - 1 - (label >> o & 1)
+                 for b, o in game._outcome_of.items()}
+        return _solve_graph(game.arena, [color[b] for b in game._bits],
+                            game.start)
 
     def _strategy(self, winner: int, moves) -> FiniteMemoryStrategy:
         return FiniteMemoryStrategy.positional(self.game.arena, winner, moves)
@@ -690,26 +701,22 @@ def _reachable_outcomes(game: MultiOutcomeGraphGame, fixed, deviator: int,
     inside maps to an outcome still wanted; a found outcome's bit is
     cleared."""
     reach, succ = _residual_graph(game, fixed, deviator)
-    outcome_of = game._outcome_of
     mask = [game._bits[v] for v in fixed.vertex]
-    priority = game.kind == PRIORITY
-    full = 2 * max(game._bits) - 1  # every colour's bit
-    pending: dict[int, list[int]] = {full: reach}
+    pending = {2 * max(game._bits) - 1: reach}  # every colour's bit
     while pending:
         allowed = max(pending, key=int.bit_count)
         part = pending.pop(allowed)
         if not any(wanted >> o & 1 and k & ~allowed == 0
-                   for k, o in outcome_of.items()):
+                   for k, o in game._outcome_of.items()):
             continue
         for comp in _cyclic_sccs(succ, part):
             k = sum({mask[v] for v in comp})  # distinct bits: sum is OR
-            o = outcome_of[k & -k if priority else k]
+            o = game._outcome(k)
             if wanted >> o & 1:
                 wanted ^= 1 << o
                 yield o
-            for drop in (k & -k,) if priority else (
-                    1 << i for i in range(k.bit_length()) if k >> i & 1):
-                rest = k ^ drop
+            for rest in [k & (k - 1)] if game.kind == PRIORITY else (
+                    k ^ 1 << i for i in range(k.bit_length()) if k >> i & 1):
                 if rest:
                     pending.setdefault(rest, []).extend(
                         v for v in comp if mask[v] & rest)

@@ -3,10 +3,10 @@ and the recursive form of Zielonka's algorithm, with no priority
 compression, plus a certificate that checks claimed winning regions and
 strategies without trusting any solver, the enumeration of positional
 strategies that the brute-force checks range over, plays and residual
-graphs walked over (vertex, state) pairs, the winner of a single play, the
-LAR product with its Muller winners and memory bound, and the deviation
-outcomes of a residual graph found by one Tarjan run per colour (priority)
-or per colour subset (Muller)."""
+graphs walked over (vertex, state) pairs, a play's cluster and the winner of
+a single play, the LAR product with its Muller winners and memory bound,
+and the deviation outcomes of a residual graph found by one Tarjan run per
+colour (priority) or per colour subset (Muller)."""
 
 from __future__ import annotations
 
@@ -55,14 +55,19 @@ def reference_play(arena: et.Arena, start: int, s1, s2) -> et.Play:
                    tuple(v for v, _, _ in trail[cut:]))
 
 
+def cluster_colors(arena: et.Arena, play: et.Play) -> frozenset[int]:
+    """The colours the play sees infinitely often: those of its cycle."""
+    return frozenset(arena.colors[v] for v in play.cycle)
+
+
 def parity_winner_of_play(arena: et.Arena, play: et.Play) -> int:
-    cluster = play.cluster_colors(arena)
+    cluster = cluster_colors(arena, play)
     return 1 if min(cluster) % 2 == 0 else 2
 
 
 def muller_winner_of_play(arena: et.Arena, play: et.Play, win_sets) -> int:
     wsets = {frozenset(s) for s in win_sets}
-    return 1 if play.cluster_colors(arena) in wsets else 2
+    return 1 if cluster_colors(arena, play) in wsets else 2
 
 
 def muller_memory_bound(arena: et.Arena) -> int:

@@ -1,19 +1,24 @@
 """Arenas, parity and Muller solving, and multi-outcome graph equilibria."""
 
+import copy
 import dataclasses
 import itertools
+import json
+import pickle
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
 import eqtransfer as et
-from eqtransfer import graph_games
-from conftest import (memory_machine, random_acyclic_preference, random_arena,
-                      random_memory_machine)
+from eqtransfer import graph_games, jsonio
+from conftest import (fixture_path, memory_machine, random_acyclic_preference,
+                      random_arena, random_memory_machine)
 from limits import chain_arena
-from reference_graph import (all_positional_strategies, lar_muller_winners,
-                             lar_product, muller_memory_bound,
+from reference_graph import (all_positional_strategies, cluster_colors,
+                             lar_muller_winners, lar_product,
+                             muller_memory_bound,
                              muller_winner_of_play, parity_winner_of_play,
                              recursive_regions, reference_deviation_outcomes,
                              reference_play, region_certificate,
@@ -110,7 +115,7 @@ class TestPlayOf:
         play = et.play_of(a, 0, s1, s2)
         assert play.prefix == (0,)
         assert play.cycle == (1, 2)
-        assert play.cluster_colors(a) == {1, 2}
+        assert cluster_colors(a, play) == {1, 2}
 
     def test_rejects_non_edges(self):
         a = et.Arena(2, [0, 1], [(0, 1), (1, 0)], [0, 0])
@@ -124,7 +129,7 @@ class TestPlayOf:
         choice = {(0, 0): 0, (1, 0): 1, (0, 1): 0, (1, 1): 0}
         s1 = memory_machine(a, 1, 2, update, choice)
         play = et.play_of(a, 0, s1, et.FiniteMemoryStrategy.positional(a, 2, {}))
-        assert play.cluster_colors(a) == {0, 1}
+        assert cluster_colors(a, play) == {0, 1}
 
 
 class TestParity:
@@ -407,19 +412,110 @@ class TestOutcomeMaps:
                 preferences=prefs, outcome_map=outcome_map)
 
     def test_caller_edit_after_construction_changes_no_answer(self):
-        """300 seeded priority games whose caller rewrites its dict after
-        building the game: each transfer is the one of the game built."""
+        """300 seeded priority games and 300 seeded Muller games whose
+        caller rewrites its dict after building the game: each transfer is
+        the one of the game built."""
         rng = random.Random(24002)
-        for _ in range(300):
-            game = random_priority_game(rng)
-            mapping = dict(game.outcome_map)
-            built = dataclasses.replace(game, outcome_map=mapping)
-            for color in mapping:
-                mapping[color] = rng.randrange(game.outcomes.size)
-            eq, expected = et.multi_outcome_ne(built), et.multi_outcome_ne(game)
-            assert (eq.outcome, eq.enforced) == (expected.outcome,
-                                                 expected.enforced)
-            assert all(map(same_strategy, eq.profile, expected.profile))
+        for make in (random_priority_game, random_muller_game):
+            for _ in range(300):
+                game = make(rng)
+                mapping = dict(game.outcome_map)
+                built = dataclasses.replace(game, outcome_map=mapping)
+                for key in mapping:
+                    mapping[key] = rng.randrange(game.outcomes.size)
+                eq = et.multi_outcome_ne(built)
+                expected = et.multi_outcome_ne(game)
+                assert (eq.outcome, eq.enforced) == (expected.outcome,
+                                                     expected.enforced)
+                assert all(map(same_strategy, eq.profile, expected.profile))
+
+    def test_game_is_frozen(self):
+        """No field can be set and the map cannot be edited, so the colour
+        table built with the game always answers for its fields; the game
+        still pickles and deep-copies, rebuilt from its fields."""
+        game = jsonio.load(fixture_path("priority_game.json"))
+        for field in dataclasses.fields(game):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(game, field.name, getattr(game, field.name))
+        with pytest.raises(TypeError):
+            game.outcome_map[0] = 1
+        with pytest.raises(TypeError):
+            hash(game)
+        assert dataclasses.replace(game) == game
+        for again in (pickle.loads(pickle.dumps(game)), copy.deepcopy(game)):
+            assert jsonio.dumps(again) == jsonio.dumps(game)
+            assert again.outcome_map == game.outcome_map
+            with pytest.raises(TypeError):
+                again.outcome_map[0] = 1
+
+    @pytest.mark.parametrize("name", ["priority_game.json",
+                                      "muller_game.json"])
+    def test_changed_map_gives_an_answer_or_a_value_error(self, name):
+        """A map rotated after loading, rebuilt with ``dataclasses.replace``,
+        transfers as the document with that map does; an empty map is
+        refused by name rather than ending in a KeyError."""
+        doc = json.loads(Path(fixture_path(name)).read_text())
+        game = jsonio.from_obj(doc)
+        n = game.outcomes.size
+        rotated = {k: (o + 1) % n for k, o in game.outcome_map.items()}
+        eq = et.equilibrium(dataclasses.replace(game, outcome_map=rotated))
+        expected = et.equilibrium(jsonio.from_obj(
+            {**doc, "r": [[k, (o + 1) % n] for k, o in doc["r"]]}))
+        assert (eq.outcome, eq.enforced) == (expected.outcome,
+                                             expected.enforced)
+        assert all(map(same_strategy, eq.profile, expected.profile))
+        with pytest.raises(ValueError, match="no outcome for"):
+            dataclasses.replace(game, outcome_map={})
+
+    def test_outcome_lookup_reads_the_map(self):
+        """On 300 seeded games of each kind, the one lookup ``_outcome(k)``
+        gives every non-empty colour set the outcome of its minimum colour
+        (priority) or of the set itself (Muller)."""
+        rng = random.Random(28001)
+        for make in (random_priority_game, random_muller_game):
+            for _ in range(300):
+                game = make(rng)
+                colors = sorted(game.arena.color_set())
+                for k in range(1, 1 << len(colors)):
+                    cluster = frozenset(c for i, c in enumerate(colors)
+                                        if k >> i & 1)
+                    key = min(cluster) if game.kind == "priority" else cluster
+                    assert game._outcome(k) == game.outcome_map[key]
+
+    def test_empty_cycle_is_not_a_play(self):
+        game = jsonio.load(fixture_path("priority_game.json"))
+        with pytest.raises(et.NotDeterminedError, match="empty cluster set"):
+            game.outcome_of_play(et.Play((game.start,), ()))
+
+    @pytest.mark.parametrize("kind", ["priority", "muller"])
+    def test_numpy_built_game_round_trips(self, kind):
+        """numpy integers for the start, the colours of the map's keys and
+        its outcomes are stored as Python ints, so the game writes as JSON
+        and loads back to the same game; bools, floats and strings are
+        still refused as outcomes."""
+        import numpy as np
+        arena = et.Arena(2, [0], [(0, 1), (1, 0), (1, 1)], [0, 1])
+        keys = ([np.int64(0), np.int64(1)] if kind == "priority" else
+                [frozenset({np.int64(0)}), frozenset({np.int64(1)}),
+                 frozenset(np.arange(2))])
+        prefs = et.PreferenceProfile((et.Preference.from_ranking([0, 1]),
+                                      et.Preference.from_ranking([1, 0])))
+        common = dict(arena=arena, start=np.int64(1), kind=kind,
+                      outcomes=et.OutcomeSet(2), preferences=prefs)
+        game = et.MultiOutcomeGraphGame(outcome_map=dict(
+            zip(keys, np.arange(len(keys)) % 2)), **common)
+        assert type(game.start) is int
+        assert all(type(o) is int for o in game.outcome_map.values())
+        assert all(type(c) is int for k in game.outcome_map
+                   for c in ([k] if kind == "priority" else k))
+        again = jsonio.loads(jsonio.dumps(game))
+        assert (again.start, again.outcome_map) == (1, game.outcome_map)
+        assert jsonio.dumps(again) == jsonio.dumps(game)
+        for bad in (True, 1.0, "1"):
+            with pytest.raises(ValueError, match=f"mapped outcome {bad!r} "
+                                                 "is not an outcome index"):
+                et.MultiOutcomeGraphGame(
+                    outcome_map=dict(zip(keys, [0, bad, 0])), **common)
 
 
 class TestStartVertex:
@@ -515,7 +611,7 @@ class TestMuller:
         winner, machine = et.solve_muller(a, 0, [[1, 2]])
         other = et.FiniteMemoryStrategy.positional(a, 2, {1: 0})
         assert winner == 1
-        assert et.play_of(a, 0, machine, other).cluster_colors(a) == {1, 2}
+        assert cluster_colors(a, et.play_of(a, 0, machine, other)) == {1, 2}
         with pytest.raises(ValueError, match="no entry state at vertex 1"):
             et.play_of(a, 1, machine, other)
 
