@@ -68,14 +68,9 @@ def _normal_form(value, command: str, prefs: bool = True,
     return NormalFormGame(st, profile) if prefs else st
 
 
-def _profile_cap(args) -> int:
-    return args.cap if args.cap is not None else DEFAULT_PROFILE_CAP
-
-
 def _cmd_solve(args) -> int:
-    cap = _profile_cap(args)
-    nes = find_all_ne(_normal_form(jsonio.load(args.input), "solve", cap=cap),
-                      cap=cap)
+    nes = find_all_ne(_normal_form(jsonio.load(args.input), "solve",
+                                   cap=args.cap), cap=args.cap)
     report = {
         "command": "solve",
         "equilibria": [list(p) for p in nes],
@@ -93,10 +88,9 @@ def _cmd_check_determinacy(args) -> int:
     if not isinstance(st, GameTree) and st.players != 2:
         raise SchemaError("check-determinacy needs a two-player structure, "
                           f"got {st.players} players")
-    cap = args.cap if args.cap is not None else DEFAULT_OUTCOME_CAP
     # Backward induction gives every label of a tree a winner (Zermelo,
     # Kuhn), so a tree needs neither its normal form nor the outcome cap.
-    determined = isinstance(st, GameTree) or is_determined(st, cap=cap)
+    determined = isinstance(st, GameTree) or is_determined(st, cap=args.cap)
     report = {
         "command": "check-determinacy",
         "determined": determined,
@@ -199,8 +193,7 @@ def _cmd_solve_arena(args) -> int:
 
 
 def _cmd_verify_ne(args) -> int:
-    game = _normal_form(jsonio.load(args.input), "verify-ne",
-                        cap=_profile_cap(args))
+    game = _normal_form(jsonio.load(args.input), "verify-ne", cap=args.cap)
     try:
         profile = tuple(int(x) for x in args.profile.split(","))
     except ValueError as exc:
@@ -275,28 +268,28 @@ def build_parser() -> argparse.ArgumentParser:
                     "Nash equilibria.")
     parser.add_argument("--json", action="store_true",
                         help="emit a machine-readable JSON report")
-    parser.add_argument("--cap", type=int, default=None,
-                        help="profile cap of solve and verify-ne, tree "
-                             "conversion included; outcome cap of "
-                             "check-determinacy on a normal form")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for sampled verification")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, func, text in (
-            ("solve", _cmd_solve, "enumerate all Nash equilibria"),
+    profile_cap = ("--cap", dict(type=int, default=DEFAULT_PROFILE_CAP, help=(
+        "profile cap, tree conversion included (default %(default)s)")))
+    for name, func, text, *options in (
+            ("solve", _cmd_solve, "enumerate all Nash equilibria",
+             profile_cap),
             ("check-determinacy", _cmd_check_determinacy,
-             "check every derived win-lose game has a winner"),
+             "check every derived win-lose game has a winner",
+             ("--cap", dict(type=int, default=DEFAULT_OUTCOME_CAP, help=(
+                 "outcome cap of a normal form (default %(default)s)")))),
             ("transfer", _cmd_transfer, "compute a Nash equilibrium via the "
              "win-lose oracle of the input's kind"),
             ("solve-parity", _cmd_solve_arena, "solve a parity game on an arena"),
             ("solve-muller", _cmd_solve_arena, "solve a Muller game on an arena"),
-            ("verify-ne", _cmd_verify_ne, "check a profile for equilibrium")):
+            ("verify-ne", _cmd_verify_ne, "check a profile for equilibrium",
+             profile_cap, ("--profile", dict(required=True, help=(
+                 "comma-separated strategy indices, 0-based"))))):
         p = sub.add_parser(name, help=text)
         p.add_argument("input")
         p.set_defaults(func=func)
-    p.add_argument("--profile", required=True,  # p is the last: verify-ne
-                   help="comma-separated strategy indices, 0-based")
+        for flag, settings in options:
+            p.add_argument(flag, **settings)
 
     p = sub.add_parser("corpus", help="list, build, or verify corpus entries")
     p.set_defaults(func=_cmd_corpus)
@@ -312,6 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--samples", type=int, default=1000,
                         help="sample count for non-exhaustive claims, 1 to "
                              f"{corpus_mod.MAX_SAMPLES}")
+    verify.add_argument("--seed", type=int, default=0,
+                        help="seed of the sampled claims (default 0)")
 
     return parser
 

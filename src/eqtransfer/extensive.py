@@ -20,11 +20,11 @@ import numpy as np
 
 from .errors import TooLargeError
 from .normal_form import DEFAULT_PROFILE_CAP, GameStructure, Profile
-from .prefs import OutcomeSet, PreferenceProfile, int_values
+from .prefs import OutcomeSet, PreferenceProfile, _Frozen, int_values
 from .transfer import CallCounter, GameBackend, OracleStrategy, equilibrium
 
 
-class GameTree:
+class GameTree(_Frozen):
     """A finite rooted tree with owned internal nodes and outcome-bearing leaves.
 
     ``owners[i]`` is the owner (1 or 2) of internal node i and
@@ -34,6 +34,7 @@ class GameTree:
     node.  Every child comes after its parent, so a reverse sweep visits
     children first (``jsonio`` numbers nodes in preorder).  A cycle, a node
     with two parents or none, or a code out of range raises ValueError.
+    The tree is frozen.
     """
 
     def __init__(self, owners: Sequence[int],
@@ -68,8 +69,8 @@ class GameTree:
                         f"child code {k} of node {i} is not a node after it")
         if 0 in has_parent:
             raise ValueError(f"node {has_parent.index(0)} has no parent")
-        self.outcomes, self.root_code = outcomes, root_code
-        self.owners, self.children = owners, children
+        vars(self).update(outcomes=outcomes, root_code=root_code,
+                          owners=owners, children=children)
 
     @functools.cached_property
     def _digits(self) -> tuple[tuple, tuple]:

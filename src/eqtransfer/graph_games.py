@@ -3,9 +3,8 @@
 Player 1 wins a parity play iff the minimum colour occurring infinitely
 often is even; it is solved by Zielonka's algorithm after the self-cycle
 rule.  Muller winners and finite-memory strategies both come from one run
-of McNaughton's recursion on the arena; there is no latest-appearance-
-record product.  An arena oracle keeps each label's solve for its
-strategy query.
+of McNaughton's recursion on the arena.  An arena oracle keeps each
+label's solve for its strategy query.
 """
 
 from __future__ import annotations
@@ -18,23 +17,23 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import (BadIndexError, NotDeterminedError, SchemaError,
                      TooLargeError)
-from .prefs import OutcomeSet, PreferenceProfile, int_values
+from .prefs import OutcomeSet, PreferenceProfile, _Frozen, int_values
 from .transfer import (GameBackend, OracleStrategy, TransferResult,
                        equilibrium)
 
 
-class Arena:
+class Arena(_Frozen):
     """A finite sink-free coloured graph with a vertex partition.
 
     ``owned`` lists the vertices where player 1 moves; everything else
     belongs to player 2.  ``succ`` and ``pred`` hold each vertex's distinct
-    successors and predecessors.
+    successors and predecessors.  The arena is frozen.
     """
 
     def __init__(self, num_vertices: int, owned: Iterable[int],
                  edges: Iterable[tuple[int, int]], colors: Iterable[int]):
-        (self.num_vertices,) = int_values([num_vertices], "arena vertex count")
-        self.owned = frozenset(int_values(owned, "arena owned"))
+        (n,) = int_values([num_vertices], "arena vertex count")
+        owned = frozenset(int_values(owned, "arena owned"))
         ends: list = []
         for edge in edges:
             try:
@@ -43,25 +42,26 @@ class Arena:
                 raise ValueError(f"arena edge {edge!r} is not a pair") from None
             ends += u, v
         ends = int_values(ends, "arena edges")
-        self.edges = tuple(zip(ends[::2], ends[1::2]))
-        self.colors = tuple(int_values(colors, "arena colors"))
-        if self.num_vertices < 1:
+        edges = tuple(zip(ends[::2], ends[1::2]))
+        colors = tuple(int_values(colors, "arena colors"))
+        if n < 1:
             raise ValueError("arena needs at least one vertex")
-        if len(self.colors) != self.num_vertices:
+        if len(colors) != n:
             raise ValueError("one colour per vertex required")
-        if any(not (0 <= v < self.num_vertices) for v in self.owned):
+        if any(not (0 <= v < n) for v in owned):
             raise ValueError("owned vertex out of range")
-        succ: list[list[int]] = [[] for _ in range(self.num_vertices)]
-        for u, v in self.edges:
-            if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices):
+        succ: list[list[int]] = [[] for _ in range(n)]
+        for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range")
             if v not in succ[u]:
                 succ[u].append(v)
         for u, out in enumerate(succ):
             if not out:
                 raise ValueError(f"vertex {u} is a sink; arenas must be sink-free")
-        self.succ = tuple(tuple(s) for s in succ)
-        self.pred = _predecessors(self.succ)
+        succ = tuple(tuple(s) for s in succ)
+        vars(self).update(num_vertices=n, owned=owned, edges=edges,
+                          colors=colors, succ=succ, pred=_predecessors(succ))
 
     def owner(self, v: int) -> int:
         return 1 if v in self.owned else 2
@@ -455,8 +455,8 @@ def solve_muller(arena: Arena, start: int,
                  ) -> tuple[int, FiniteMemoryStrategy]:
     """Winner (player 1 wins iff the cluster set is a winning set) and a
     finite-memory winning strategy for plays from ``start``, from
-    McNaughton's recursion on the arena, with no latest-appearance-record
-    product.  ``win_sets`` None (none given) raises SchemaError."""
+    McNaughton's recursion on the arena.  ``win_sets`` None (none given)
+    raises SchemaError."""
     _check_start(arena, start)
     if win_sets is None:
         raise SchemaError("a Muller game needs win_sets, a list of colour "
@@ -508,6 +508,9 @@ class MultiOutcomeGraphGame:
             raise ValueError("preferences must range over the game's outcomes")
         start = _check_start(self.arena, self.start)
         mapped, n = dict(self.outcome_map), self.outcomes.size
+        for k in mapped if self.kind == MULLER else ():
+            if not isinstance(k, frozenset):
+                raise ValueError(f"outcome_map key {k!r} is not a colour set")
         for o in mapped.values():
             if not (type(o) is int or isinstance(o, numbers.Integral)
                     and not isinstance(o, bool)) or not 0 <= o < n:
@@ -609,8 +612,7 @@ class PriorityOracle(_ArenaOracle):
 class MullerOracle(_ArenaOracle):
     """Win-lose oracle for a multi-outcome Muller game: one McNaughton
     recursion on the arena per label gives the winner and both players'
-    pieces, and the winner's finite-memory machine is built on theirs;
-    there is no latest-appearance-record product."""
+    pieces, and the winner's finite-memory machine is built on theirs."""
 
     kind = MULLER
 

@@ -257,10 +257,10 @@ def to_obj(value: Loadable) -> dict:
         return game_to_obj(value)
     if isinstance(value, GameTree):
         return tree_to_obj(value)
-    if isinstance(value, tuple) and isinstance(value[0], GameTree):
+    if isinstance(value, tuple) and value and isinstance(value[0], GameTree):
         return tree_to_obj(*value)
     if isinstance(value, MultiOutcomeGraphGame) or (
-            isinstance(value, tuple) and isinstance(value[0], Arena)):
+            isinstance(value, tuple) and value and isinstance(value[0], Arena)):
         return arena_to_obj(value)
     raise TypeError(f"cannot serialize {type(value).__name__}")
 

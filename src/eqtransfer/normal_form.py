@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import (BadIndexError, HypothesisViolatedError, NotZeroSumError,
                      SchemaError, TooLargeError)
-from .prefs import (OutcomeSet, Preference, PreferenceProfile, int_values,
-                    is_strict_linear, rank, upward_cone)
+from .prefs import (OutcomeSet, Preference, PreferenceProfile, _Frozen,
+                    int_values, is_strict_linear, rank, upward_cone)
 from .transfer import CallCounter, GameBackend, OracleStrategy, equilibrium
 
 Profile = tuple[int, ...]
@@ -29,11 +29,11 @@ DEFAULT_OUTCOME_CAP = 20
 LABEL_BLOCK = 1 << 20
 
 
-class GameStructure:
+class GameStructure(_Frozen):
     """A game stripped of preferences: players, strategies, outcomes, outcome map.
 
     A two-player structure keeps the outcome mask of each row and of each
-    column once one is first asked for."""
+    column once one is first asked for.  The structure is frozen."""
 
     def __init__(self, strategy_counts: Sequence[int], outcomes: OutcomeSet,
                  table: np.ndarray | Sequence[int]):
@@ -59,9 +59,7 @@ class GameStructure:
         if arr.size and (arr.min() < 0 or arr.max() >= outcomes.size):
             raise ValueError("tensor entry out of outcome range")
         arr.setflags(write=False)
-        self.strategy_counts = counts
-        self.outcomes = outcomes
-        self.table = arr
+        vars(self).update(strategy_counts=counts, outcomes=outcomes, table=arr)
 
     @property
     def players(self) -> int:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import heapq
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
@@ -35,6 +35,16 @@ def int_values(values: Iterable, field: str) -> list[int]:
                 raise ValueError(f"{field}: {x!r} is not an integer")
         values = [int(x) for x in values]
     return values
+
+
+class _Frozen:
+    """Fields set once, by the constructor's ``vars(self).update``: then
+    assigning or deleting one raises, as on a frozen dataclass."""
+
+    def __setattr__(self, name, *value):
+        raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
 
 
 @dataclass(frozen=True)

@@ -176,8 +176,9 @@ def _game_backend(game) -> tuple[GameBackend, PreferenceProfile]:
 def equilibrium(game, prefs=None) -> TransferResult:
     """Nash equilibrium of a ``NormalFormGame``, a ``(GameTree,
     PreferenceProfile)`` pair or a ``MultiOutcomeGraphGame``, through the
-    backend its model picks (anything else raises SchemaError); or, given
-    ``prefs``, of a custom ``GameBackend``: verified in the backend's game.
+    backend its model picks (anything else raises SchemaError); given
+    ``prefs``, of a custom ``GameBackend``, or else of the pair ``(game,
+    prefs)``: verified in the backend's game.
 
     Determinacy is not re-checked (that would cost 2^n oracle calls);
     NotDeterminedError is raised instead when the profile misses the promised
@@ -186,7 +187,9 @@ def equilibrium(game, prefs=None) -> TransferResult:
     outcomes the player prefers to the played one, looks for such an
     outcome, and the error carries the deviator and it as a certificate.
     """
-    backend, prefs = (game, prefs) if prefs is not None else _game_backend(game)
+    backend = game
+    if prefs is None or not isinstance(game, GameBackend):
+        backend, prefs = _game_backend(game if prefs is None else (game, prefs))
     result = run_transfer(backend, prefs)
     h1, h2 = result.profile
     played = backend.play_outcome(h1, h2)

@@ -220,7 +220,7 @@ ROWS = [
     Row("ring_30", ("solve-muller", "{input}"), colour_ring, 30, code=2,
         stderr="more than 20 colours reachable",
         caps=("graph_games.MAX_MULLER_COLOURS",)),
-    Row("diagonal_28", ("--cap", "31", "check-determinacy", "{input}"),
+    Row("diagonal_28", ("check-determinacy", "--cap", "31", "{input}"),
         diagonal, 28, caps=("normal_form.LABEL_BLOCK",),
         tier1_size=24, memory_kb=2_000_000),
     Row("list_n", ("corpus", "list", "--n", "7"), code=2),
@@ -253,7 +253,7 @@ ROWS = [
     Row("diagonal_21", ("check-determinacy", "{input}"), diagonal, 21, code=2,
         stderr="21 outcomes exceed determinacy cap 20",
         caps=("normal_form.DEFAULT_OUTCOME_CAP",)),
-    Row("diagonal_21_cap_21", ("--cap", "21", "check-determinacy", "{input}"),
+    Row("diagonal_21_cap_21", ("check-determinacy", "--cap", "21", "{input}"),
         diagonal, 21, caps=("normal_form.LABEL_BLOCK",)),
     Row("ring_20", ("solve-muller", "{input}"), colour_ring, 20,
         stdout="player 2 wins", caps=("graph_games.MAX_MULLER_COLOURS",)),

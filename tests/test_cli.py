@@ -117,7 +117,7 @@ class TestCheckDeterminacy:
         path = tmp_path / "caterpillar.json"
         path.write_text(json.dumps(wide_caterpillar(21)))
         monkeypatch.setattr(cli, "to_normal_form", None)
-        code, out, err = run(capsys, *cap, "check-determinacy", str(path))
+        code, out, err = run(capsys, "check-determinacy", str(path), *cap)
         assert (code, out, err) == (cli.EXIT_OK, "determined\n", "")
 
 
@@ -515,7 +515,7 @@ class TestVerifyNe:
     @pytest.mark.parametrize("command", [["verify-ne", "--profile", "0,3"],
                                          ["solve"]])
     def test_cap_bounds_tree_conversion(self, capsys, command):
-        code, _, err = run(capsys, "--cap", "1", command[0],
+        code, _, err = run(capsys, command[0], "--cap", "1",
                            fixture_path("intro_winlose_tree.json"),
                            *command[1:])
         assert code == cli.EXIT_INPUT
@@ -609,6 +609,55 @@ class TestCorpus:
         assert code == cli.EXIT_INPUT
         assert "takes no size n" in err
         assert "Traceback" not in err
+
+    def test_verify_seed(self, capsys, monkeypatch):
+        """``--seed`` reaches the sampled claims: the report is the
+        library's for that seed."""
+        library, seeds = et.corpus.verify, []
+        want = [{"claim": r.claim, "passed": r.passed,
+                 "exhaustive": r.exhaustive, "detail": r.detail}
+                for r in library(et.build("prop_5_4"), seed=3)]
+        monkeypatch.setattr(et.corpus, "verify", lambda entry, seed=0, **kw:
+                            seeds.append(seed) or library(entry, seed, **kw))
+        code, out, _ = run(capsys, "--json", "corpus", "verify", "prop_5_4",
+                           "--seed", "3")
+        assert (code, seeds) == (cli.EXIT_OK, [3])
+        assert json.loads(out)["claims"] == want
+
+
+class TestOptions:
+    """Each option can be set on exactly the commands that read it, 17
+    (command, option) pairs with ``--json``: anywhere else, before the
+    command included, it is a usage error."""
+
+    OPTIONS = {"--cap": "100", "--profile": "0,0", "--n": "3",
+               "--samples": "5", "--seed": "3"}
+    # every command path, with an input it takes, and the options it reads
+    PATHS = [
+        (["solve", "intro_payoff_tree.json"], {"--cap"}),
+        (["check-determinacy", "xz_yy.json"], {"--cap"}),
+        (["transfer", "intro_payoff_tree.json"], set()),
+        (["solve-parity", "arena_small.json"], set()),
+        (["solve-muller", "arena_small.json"], set()),
+        (["verify-ne", "intro_payoff_tree.json", "--profile", "0,0"],
+         {"--cap", "--profile"}),
+        (["corpus", "list"], set()),
+        (["corpus", "build", "prop_5_4"], {"--n"}),
+        (["corpus", "verify", "prop_5_4"], {"--n", "--samples", "--seed"})]
+
+    @pytest.mark.parametrize("argv, read", PATHS,
+                             ids=[" ".join(a[:2]) for a, _ in PATHS])
+    def test_option_only_where_read(self, capsys, argv, read):
+        argv = [fixture_path(a) if a.endswith(".json") else a for a in argv]
+        assert run(capsys, *argv)[0] == cli.EXIT_OK
+        for option, value in self.OPTIONS.items():
+            for placed in ([*argv, option, value], [option, value, *argv]):
+                code, out, err = run(capsys, *placed)
+                if placed[0] != option and option in read:
+                    assert code == cli.EXIT_OK, placed
+                    continue
+                assert (code, out) == (cli.EXIT_INPUT, ""), placed
+                assert "usage:" in err and "Traceback" not in err
 
 
 class TestErrorPaths:

@@ -912,3 +912,51 @@ class TestMultiOutcomeNE:
                 arena=arena, start=0, kind="muller",
                 outcomes=et.OutcomeSet(1), preferences=prefs,
                 outcome_map={})  # cluster {0} unmapped
+
+
+def refused_graph_call(case):
+    """The call that ``case`` names, on the fixtures' games or a one-vertex
+    arena."""
+    priority = jsonio.load(fixture_path("priority_game.json"))
+    muller = jsonio.load(fixture_path("muller_game.json"))
+    loop = et.Arena(1, [0], [(0, 0)], [0])
+    s1 = et.FiniteMemoryStrategy.positional(loop, 1, {})
+    s2 = et.FiniteMemoryStrategy.positional(loop, 2, {})
+    return {
+        "no vertex": lambda: et.Arena(0, [], [], []),
+        "colour count": lambda: et.Arena(1, [0], [(0, 0)], [0, 1]),
+        "play players": lambda: et.play_of(loop, 0, s2, s1),
+        "play move": lambda: et.play_of(loop, 0, et.FiniteMemoryStrategy(
+            1, [0], [[0]], [-1], {0: 0}), s2),
+        "kind": lambda: dataclasses.replace(priority, kind="parity"),
+        "players": lambda: dataclasses.replace(priority, preferences=(
+            et.PreferenceProfile(priority.preferences.prefs * 2))),
+        "oracle kind": lambda: et.PriorityOracle(muller),
+        "deviator": lambda: et.achievable_deviation_outcomes(
+            priority, et.FiniteMemoryStrategy.positional(
+                priority.arena, 1, {}), 1),
+        "int key": lambda: dataclasses.replace(
+            muller, outcome_map={3: 0, **muller.outcome_map}),
+        "tuple key": lambda: dataclasses.replace(
+            muller, outcome_map={(0, 1): 0, **muller.outcome_map}),
+    }[case]
+
+
+@pytest.mark.parametrize("case, message", [
+    ("no vertex", "arena needs at least one vertex"),
+    ("colour count", "one colour per vertex required"),
+    ("play players", "play_of expects a player-1 and a player-2 strategy"),
+    ("play move", "the owner's strategy has no move at vertex 0"),
+    ("kind", "unknown kind 'parity'"),
+    ("players", "two players required"),
+    ("oracle kind", "priority oracle needs a priority game"),
+    ("deviator", "fixed player and deviator must differ"),
+    ("int key", "outcome_map key 3 is not a colour set"),
+    ("tuple key", "outcome_map key (0, 1) is not a colour set")])
+def test_refused_inputs(case, message):
+    """Each a ValueError naming what is wrong; the two keys once ended in
+    a bare TypeError."""
+    with pytest.raises(ValueError) as caught:
+        refused_graph_call(case)()
+    assert (type(caught.value), str(caught.value)) == (ValueError, message)
+

@@ -182,6 +182,12 @@ class TestErrors:
         with pytest.raises(et.SchemaError, match="unsupported format"):
             jsonio.loads('{"format": 2, "v": [0], "players": [1]}')
 
+    @pytest.mark.parametrize("value", ["x", (), (et.OutcomeSet(1),)])
+    def test_only_games_serialize(self, value):
+        with pytest.raises(TypeError) as caught:
+            jsonio.to_obj(value)
+        assert str(caught.value) == f"cannot serialize {type(value).__name__}"
+
     def test_unrecognized_document(self):
         with pytest.raises(et.SchemaError, match="neither"):
             jsonio.loads('{"format": 1}')

@@ -545,3 +545,33 @@ class TestCompanionsMatchReference:
             for player in (1, 2):
                 assert (et.enforceable_finite_cone(game, player)
                         == rowset_enforceable_finite_cone(game, player))
+
+
+def two_by_two(*prefs):
+    return et.NormalFormGame(
+        et.GameStructure((2, 2), et.OutcomeSet(2), [[0, 1], [1, 0]]),
+        et.PreferenceProfile(prefs))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: et.GameStructure((2, 0), et.OutcomeSet(2), []), ValueError,
+     "every player needs at least one strategy"),
+    (lambda: et.GameStructure((3, 2), et.OutcomeSet(2),
+                              np.zeros((2, 3), dtype=np.int64)), ValueError,
+     "tensor shape (2, 3) != strategy counts (3, 2)"),
+    (lambda: two_by_two(*[et.Preference.from_pairs(2, [])] * 3), ValueError,
+     "one preference per player required"),
+    (lambda: two_by_two(*[et.Preference.from_pairs(3, [])] * 2), ValueError,
+     "preferences must range over the structure's outcomes"),
+    (lambda: et.slice_structure(et.build("remark_5_3").structure, 3, 0),
+     et.BadIndexError, "player index 3 out of range"),
+    (lambda: et.eliminate_dominated_outcomes(
+        two_by_two(*[et.Preference.from_pairs(2, [])] * 2), 0, 0),
+     et.HypothesisViolatedError, "preferences must be strict linear orders")],
+    ids=["no strategy", "tensor shape", "preference count",
+         "preference outcomes", "slice player", "elimination non-linear"])
+def test_refused_inputs(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert str(caught.value) == message
+

@@ -50,6 +50,12 @@ class TestBasics:
         with pytest.raises(ValueError):
             et.PreferenceProfile((a, b))
 
+    def test_profile_needs_a_preference(self):
+        with pytest.raises(ValueError) as caught:
+            et.PreferenceProfile(())
+        assert str(caught.value) == ("profile must contain at least one "
+                                     "preference")
+
     @pytest.mark.parametrize("size", [2.5, True, "2", None])
     def test_outcome_count_must_be_an_integer(self, size):
         with pytest.raises(ValueError, match="outcome count"):

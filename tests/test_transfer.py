@@ -1,7 +1,11 @@
 """The oracle-driven transfer and its companion reductions."""
 
+import copy
+import dataclasses
+import pickle
 import random
 
+import numpy as np
 import pytest
 
 import eqtransfer as et
@@ -108,6 +112,28 @@ class TestTransferEquilibrium:
         et.kuhn_via_transfer(tree, prefs)
         assert len(runs) == 2
 
+    @pytest.mark.parametrize("winner, player, message", [
+        (1, 1, "oracle claims player 1 enforces the empty set"),
+        (2, 2, "oracle answers are inconsistent with a determined "
+               "structure")])
+    def test_lying_oracle_refused(self, winner, player, message):
+        """An oracle that says player 1 wins every label, and one whose
+        strategies are all player 2's."""
+
+        class Lying(et.WinLoseOracle):
+            n_outcomes = 2
+
+            def winner(self, label):
+                return winner
+
+            def strategy(self, label):
+                return et.OracleStrategy(player, 0)
+
+        prefs = et.PreferenceProfile((et.Preference.from_pairs(2, []),) * 2)
+        with pytest.raises(et.NotDeterminedError) as caught:
+            et.run_transfer(Lying(), prefs)
+        assert str(caught.value) == message
+
     def test_three_players_rejected(self):
         game = et.build("remark_5_3").game
         with pytest.raises(ValueError):
@@ -185,6 +211,64 @@ def test_equilibrium_of_every_loaded_game(name):
         want.outcome, want.enforced, want.counter)
     assert [handle_data(h) for h in got.profile] == [
         handle_data(h) for h in want.profile]
+
+
+@pytest.mark.parametrize("name", ["intro_payoff_tree.json",
+                                  "intro_payoff_tree_flat.json",
+                                  "intro_winlose_tree.json"])
+def test_tree_and_preferences_as_two_arguments(name):
+    """Once an AttributeError: ``equilibrium(tree, prefs)`` is the pair's
+    transfer, in outcome, enforced set, call counts and handles."""
+    tree, prefs = jsonio.load(fixture_path(name))
+    assert et.equilibrium(tree, prefs) == et.equilibrium((tree, prefs))
+
+
+@pytest.mark.parametrize("value", ["x", None, 7])
+def test_no_game_with_preferences_refused(value):
+    """Once an AttributeError: with preferences, what is no backend is
+    taken as a model and refused when it is none."""
+    _, prefs = jsonio.load(fixture_path("intro_payoff_tree.json"))
+    with pytest.raises(et.SchemaError, match=f"^{NOT_A_GAME}$"):
+        et.equilibrium(value, prefs)
+
+
+def frozen_cases():
+    """Per model: a game, the model in it, and an edit that once broke the
+    game's transfer.  The tree's cycle hung it, the arena's reversed
+    successors made a strategy move along a non-edge, and the table no
+    longer matched the structure's kept row masks."""
+    outcomes = et.OutcomeSet(2)
+    prefs = et.PreferenceProfile((et.Preference.from_pairs(2, [(0, 1)]),
+                                  et.Preference.from_pairs(2, [(1, 0)])))
+    tree = et.GameTree((1, 2), ((1, ~0), (~0, ~1)), 0, outcomes)
+    arena_game = jsonio.load(fixture_path("priority_game.json"))
+    st = et.GameStructure((2, 2), outcomes, [0, 0, 1, 1])
+    return [((tree, prefs), tree, "children", ((1, ~0), (0, ~1))),
+            (arena_game, arena_game.arena, "succ",
+             tuple(reversed(arena_game.arena.succ))),
+            (et.NormalFormGame(st, prefs), st, "table",
+             np.ones((2, 2), dtype=np.int64))]
+
+
+@pytest.mark.parametrize("game, model, field, value", frozen_cases(),
+                         ids=["tree", "arena", "structure"])
+def test_models_are_frozen(game, model, field, value):
+    """Assignment and deletion raise, after a transfer has filled the
+    model's kept values too, and the copies are frozen as well."""
+    def answer():
+        result = et.equilibrium(game)
+        return result.outcome, result.enforced, result.counter, [
+            handle_data(h) for h in result.profile]
+
+    want = answer()
+    for again in (model, pickle.loads(pickle.dumps(model)),
+                  copy.deepcopy(model)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(again, field, value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(again, field)
+        assert vars(again).keys() == vars(model).keys()
+    assert answer() == want
 
 
 class TestEnforceableFiniteCone:
