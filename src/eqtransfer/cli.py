@@ -261,6 +261,13 @@ def _cmd_corpus(args) -> int:
     return EXIT_OK if all_ok else EXIT_FAIL
 
 
+class _BeforeCommand(argparse.Action):
+    """An option written before the commands that take it, ``const``."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        parser.error(f"{option_string} goes after the command: {self.const}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eqtransfer",
@@ -269,6 +276,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true",
                         help="emit a machine-readable JSON report")
     sub = parser.add_subparsers(dest="command", required=True)
+    takes: dict[str, list[str]] = {}  # each option's commands
+
+    def option(p, flag, **settings):
+        p.add_argument(flag, **settings)
+        takes.setdefault(flag, []).append(p.prog.partition(" ")[2])
+
     profile_cap = ("--cap", dict(type=int, default=DEFAULT_PROFILE_CAP, help=(
         "profile cap, tree conversion included (default %(default)s)")))
     for name, func, text, *options in (
@@ -289,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("input")
         p.set_defaults(func=func)
         for flag, settings in options:
-            p.add_argument(flag, **settings)
+            option(p, flag, **settings)
 
     p = sub.add_parser("corpus", help="list, build, or verify corpus entries")
     p.set_defaults(func=_cmd_corpus)
@@ -299,14 +312,17 @@ def build_parser() -> argparse.ArgumentParser:
     verify = actions.add_parser("verify", help="check one entry's claims")
     for p in (build, verify):
         p.add_argument("name")
-        p.add_argument("--n", type=int, default=None,
-                       help="size parameter of prop_5_4, 2 to 100; the "
-                            "other entries take none")
-    verify.add_argument("--samples", type=int, default=1000,
-                        help="sample count for non-exhaustive claims, 1 to "
-                             f"{corpus_mod.MAX_SAMPLES}")
-    verify.add_argument("--seed", type=int, default=0,
-                        help="seed of the sampled claims (default 0)")
+        option(p, "--n", type=int, default=None,
+               help="size parameter of prop_5_4, 2 to 100; the other "
+                    "entries take none")
+    option(verify, "--samples", type=int, default=1000,
+           help="sample count for non-exhaustive claims, 1 to "
+                f"{corpus_mod.MAX_SAMPLES}")
+    option(verify, "--seed", type=int, default=0,
+           help="seed of the sampled claims (default 0)")
+    for flag, names in takes.items():
+        parser.add_argument(flag, action=_BeforeCommand,
+                            const=", ".join(names), help=argparse.SUPPRESS)
 
     return parser
 

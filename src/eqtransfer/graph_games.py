@@ -25,9 +25,9 @@ from .transfer import (GameBackend, OracleStrategy, TransferResult,
 class Arena(_Frozen):
     """A finite sink-free coloured graph with a vertex partition.
 
-    ``owned`` lists the vertices where player 1 moves; everything else
-    belongs to player 2.  ``succ`` and ``pred`` hold each vertex's distinct
-    successors and predecessors.  The arena is frozen.
+    ``owned`` lists the vertices where player 1 moves, ``_owner_flags``
+    flags them; the rest belong to player 2.  ``succ`` and ``pred`` hold
+    each vertex's distinct successors and predecessors.  The arena is frozen.
     """
 
     def __init__(self, num_vertices: int, owned: Iterable[int],
@@ -61,7 +61,8 @@ class Arena(_Frozen):
                 raise ValueError(f"vertex {u} is a sink; arenas must be sink-free")
         succ = tuple(tuple(s) for s in succ)
         vars(self).update(num_vertices=n, owned=owned, edges=edges,
-                          colors=colors, succ=succ, pred=_predecessors(succ))
+                          colors=colors, succ=succ, pred=_predecessors(succ),
+                          _owner_flags=tuple(v in owned for v in range(n)))
 
     def owner(self, v: int) -> int:
         return 1 if v in self.owned else 2
@@ -171,39 +172,54 @@ def _check_start(arena: Arena, start: int) -> int:
     return start
 
 
-def _solve_graph(arena: Arena, colors, start: int
+def _solve_graph(prep: _Prepared, start: int, colors=None
                  ) -> tuple[int, dict[int, int]]:
-    """Parity game on the arena coloured ``colors``: the winner of the play
-    from ``start`` and their partial positional moves."""
-    w1, _, s1, s2 = _zielonka(arena.succ, arena.pred, arena.owned, colors)
+    """Parity game on the prepared arena coloured as ``_zielonka`` reads
+    ``colors``: the winner of the play from ``start`` and their moves."""
+    w1, _, s1, s2 = _zielonka(prep, colors)
     return (1, s1) if start in w1 else (2, s2)
 
 
 # ---------------------------------------------------------------------------
-# Parity: Zielonka's attractor decomposition on bare successor and
-# predecessor lists, so that oracles reuse one topology for many colourings.
+# Parity: Zielonka's attractor decomposition on an arena prepared once, so
+# that oracles reuse one topology for many colourings.
+
+class _Prepared:
+    """What a parity solve reads of an arena that no colouring changes: owner
+    flags, out-degrees, self-loop vertices, each vertex's key, and
+    ``groups``, the vertices of each key, keys in order of first use."""
+
+    def __init__(self, arena: Arena, keys):
+        self.arena, self.keys, self.groups = arena, keys, {}
+        self.owned = arena._owner_flags
+        self.degree = [len(out) for out in arena.succ]
+        self.loops = [v for v, out in enumerate(arena.succ) if v in out]
+        for v, k in enumerate(keys):
+            self.groups.setdefault(k, []).append(v)
+
 
 def _attractor(succ, pred, owned, region: set[int], target: set[int],
-               player: int) -> tuple[set[int], dict[int, int]]:
+               player: int, count=None) -> tuple[set[int], dict[int, int]]:
     """Player's attractor to ``target`` inside ``region``, with the forced
-    moves for the player's vertices outside the target.  A worklist over
-    predecessors; an opponent vertex joins once none of its successors in
-    the region is left outside, so the cost is linear in the region."""
+    moves for the player's vertices outside the target (``owned[v]`` flags
+    player 1's).  A worklist over predecessors; an opponent vertex joins
+    once none of its successors in the region is left outside.  ``count``
+    holds these successor counts for the region and loses one per edge read;
+    None counts them as vertices are met, at a cost linear in the region."""
     mine = player == 1
     attr = set(target)
     strategy: dict[int, int] = {}
-    left: dict[int, int] = {}
+    left = {} if count is None else count
     queue = list(target)
     for w in queue:
         for v in pred[w]:
             if v in attr or v not in region:
                 continue
-            if (v in owned) == mine:
+            if owned[v] == mine:
                 strategy[v] = w
             else:
-                n = left.get(v)
-                if n is None:
-                    n = sum(1 for x in succ[v] if x in region)
+                n = left[v] if count is not None else left.get(v) or sum(
+                    1 for x in succ[v] if x in region)
                 left[v] = n = n - 1
                 if n:
                     continue
@@ -223,8 +239,10 @@ def _compress(colors) -> list[int]:
     return [rank[c] for c in colors]
 
 
-def _zielonka(succ, pred, owned, colors):
-    """Winning regions and partial positional strategies of both players.
+def _zielonka(prep: _Prepared, colors=None):
+    """Winning regions and partial positional strategies of both players,
+    the vertices of the g-th key in ``prep.groups`` coloured ``colors[g]``,
+    or the key itself where ``colors`` is None.
 
     First the self-cycle rule (Friedmann & Lange 2009): a self-loop bad for
     its owner is cut where its vertex has another edge; player 1's
@@ -232,54 +250,72 @@ def _zielonka(succ, pred, owned, colors):
     rest, are won, and each player can leave the rest only into a loss.
     On the rest, each frame of the explicit stack is one call of Zielonka's.
     The frames share ``region``: a frame removes an attractor from it before
-    its child runs and puts it back when the child returns, so memory stays
-    linear in the arena however deep the recursion goes.
+    its child runs and puts it back when the child returns.  The first 16
+    frames on the stack whose region is a quarter of the arena or more keep
+    each vertex's count of successors in the region (with a copy for their
+    second attractor) and read the least priority off the colour groups;
+    smaller frames scan their region, and memory stays linear in the arena.
     """
-    colors = _compress(colors)
-    succ = list(succ)  # per solve, bad self-loops cut; pred keeps them, as
-    # an attractor reaches v in pred[v] only after v has joined it
+    rank = dict(zip(prep.groups, _compress(colors or list(prep.groups))))
+    colors = [rank[k] for k in prep.keys]
+    ranked: list[list[int]] = [[] for _ in range(max(colors) + 1)]
+    for k, members in prep.groups.items():
+        ranked[rank[k]] += members
+    succ, pred, owned = list(prep.arena.succ), prep.arena.pred, prep.owned
+    count = prep.degree[:]  # per solve, bad self-loops cut; pred keeps them,
+    # as an attractor reaches v in pred[v] only after v has joined it
     good: list[set[int]] = [set(), set()]  # self-loops good for player i+1
-    for v in [v for v, out in enumerate(succ) if v in out]:
-        i = int(v not in owned)
+    for v in prep.loops:
+        i = int(not owned[v])
         if colors[v] % 2 == i:
             good[i].add(v)
-        elif len(succ[v]) > 1:
+        elif count[v] > 1:
             succ[v] = [w for w in succ[v] if w != v]
+            count[v] -= 1
     region = set(range(len(succ)))
+    attract = functools.partial(_attractor, succ, pred, owned, region)
     won = [set(), set(), {}, {}]  # regions and moves settled by good loops
     for i, loops in enumerate(good, 1):
         loops &= region
-        attr, moves = _attractor(succ, pred, owned, region, loops, i)
+        attr, moves = attract(loops, i, count)
         won[i - 1], won[i + 1] = attr, {**moves, **dict(zip(loops, loops))}
         region -= attr
-    # [player, attractor, its moves, opponent's attractor, opponent's moves]
+    # [player, attractor, moves, opponent's attractor, moves, counts copy]
     frames: list[list] = []
     result = None
     while True:
         if result is None:
             if region:
-                p = min(colors[v] for v in region)
-                i = 1 if p % 2 == 0 else 2
-                target = {v for v in region if colors[v] == p}
-                attr, astrat = _attractor(succ, pred, owned, region, target, i)
+                saved = None
+                if 4 * len(region) >= len(succ) and len(frames) < 16:
+                    saved = count[:]
+                    p = next(r for r, vs in enumerate(ranked)
+                             if not region.isdisjoint(vs))
+                    target = region.intersection(ranked[p])
+                else:
+                    p = min(colors[v] for v in region)
+                    target = {v for v in region if colors[v] == p}
+                i = 1 + p % 2
+                attr, astrat = attract(target, i, saved and count)
                 for v in target:
-                    if (v in owned) == (i == 1):
+                    if owned[v] == (i == 1):
                         astrat[v] = next(w for w in succ[v] if w in region)
                 region -= attr
-                frames.append([i, attr, astrat, None, None])
+                frames.append([i, attr, astrat, None, None, saved])
                 continue
             result = (set(), set(), {}, {})
         if not frames:
             return tuple(r | w for r, w in zip(result, won))
-        i, attr, astrat, battr, so = frames[-1]
+        i, attr, astrat, battr, so, saved = frames[-1]
         w1, w2, s1, s2 = result
         if battr is None:
             region |= attr
             wo, so, si = (w2, s2, s1) if i == 1 else (w1, s1, s2)
-            if wo:
-                battr, bstrat = _attractor(succ, pred, owned, region, wo, 3 - i)
+            if wo:  # the counts of the region again; a parent restores its own
+                count = saved or count
+                battr, bstrat = attract(wo, 3 - i, saved and count)
                 so |= bstrat
-                frames[-1][3:] = [battr, so]
+                frames[-1][3:5] = [battr, so]
                 region -= battr
                 result = None
                 continue
@@ -297,13 +333,13 @@ def _zielonka(succ, pred, owned, colors):
 def parity_regions(arena: Arena) -> tuple[set[int], set[int],
                                           dict[int, int], dict[int, int]]:
     """Winning regions and positional winning strategies for both players."""
-    return _zielonka(arena.succ, arena.pred, arena.owned, arena.colors)
+    return _zielonka(_Prepared(arena, arena.colors))
 
 
 def solve_parity(arena: Arena, start: int) -> tuple[int, FiniteMemoryStrategy]:
     """Winner from ``start`` plus a positional winning strategy for them."""
     _check_start(arena, start)
-    winner, moves = _solve_graph(arena, arena.colors, start)
+    winner, moves = _solve_graph(_Prepared(arena, arena.colors), start)
     return winner, FiniteMemoryStrategy.positional(arena, winner, moves)
 
 
@@ -330,7 +366,7 @@ def _mcnaughton(arena: Arena, vbits, wins, start: int):
     moves, G, i's pieces in G)``.  An opponent leaves a piece only into an
     earlier piece of the player.  More than MAX_MULLER_COLOURS colours
     reachable from ``start`` raise TooLargeError."""
-    succ, pred, owned = arena.succ, arena.pred, arena.owned
+    succ, pred, owned = arena.succ, arena.pred, arena._owner_flags
 
     @functools.cache
     def split(k: int) -> tuple[int, list[int]]:
@@ -598,12 +634,14 @@ class PriorityOracle(_ArenaOracle):
 
     kind = PRIORITY
 
+    @functools.cached_property
+    def _prepared(self) -> _Prepared:
+        return _Prepared(self.game.arena, self.game._bits)
+
     def _solve_label(self, label: int) -> tuple[int, dict[int, int]]:
-        game = self.game
-        color = {b: 2 * b.bit_length() - 1 - (label >> o & 1)
-                 for b, o in game._outcome_of.items()}
-        return _solve_graph(game.arena, [color[b] for b in game._bits],
-                            game.start)
+        return _solve_graph(self._prepared, self.game.start, [
+            2 * b.bit_length() - 1 - (label >> self.game._outcome_of[b] & 1)
+            for b in self._prepared.groups])
 
     def _strategy(self, winner: int, moves) -> FiniteMemoryStrategy:
         return FiniteMemoryStrategy.positional(self.game.arena, winner, moves)

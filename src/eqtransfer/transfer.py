@@ -134,6 +134,9 @@ def run_transfer(oracle: WinLoseOracle, prefs: PreferenceProfile) -> TransferRes
     that does not fit the oracle's two-player game raises SchemaError.
     """
     n = oracle.n_outcomes
+    if not isinstance(prefs, PreferenceProfile):
+        raise SchemaError("transfer needs a PreferenceProfile, got "
+                          f"{type(prefs).__name__}")
     if prefs.players != 2:
         raise SchemaError("transfer needs a two-player game, "
                           f"got {prefs.players} players")

@@ -118,6 +118,33 @@ def muller_docs(v: int) -> dict[str, dict]:
             "arena": {**arena, "win_sets": [c for c, o in r if o % 2 == 0]}}
 
 
+def priority_game(v: int) -> dict:
+    """A random priority game on ``v`` vertices, seeded by ``v``: a
+    shuffled cycle plus up to two random edges a vertex, 16 colours mapped
+    to 8 outcomes, and opposed linear preferences."""
+    rng = random.Random(v)
+    n_colors, n_out = 16, 8
+    order = list(range(v))
+    rng.shuffle(order)
+    succ = [set() for _ in range(v)]
+    for i in range(v):
+        succ[order[i]].add(order[(i + 1) % v])
+    for u in range(v):
+        succ[u].update(rng.sample(range(v), rng.randint(0, 2)))
+    ranking = list(range(n_out))
+    rng.shuffle(ranking)
+    pairs = [[ranking[i], ranking[j]]
+             for i in range(n_out) for j in range(i + 1, n_out)]
+    return {"format": 1, "vertices": v,
+            "owned": [u for u in range(v) if rng.random() < 0.5],
+            "edges": [[u, w] for u in range(v) for w in sorted(succ[u])],
+            "colors": [rng.randrange(n_colors) for _ in range(v)],
+            "start": 0, "kind": "priority", "outcomes": n_out,
+            "r": [[c, rng.randrange(n_out)] for c in range(n_colors)],
+            "preferences": [{"pairs": pairs},
+                            {"pairs": [p[::-1] for p in pairs]}]}
+
+
 def wide_normal_form(n: int) -> dict:
     """n rows, row o reaching only outcome o, against two columns that
     reach all n outcomes, with opposed chain preferences: at n = 4,096
@@ -192,6 +219,8 @@ ROWS = [
         5000),
     Row("sorted_chain_1000", ("solve-parity", "{input}"),
         lambda n: plain_arena(chain_arena(n)), 1000),
+    Row("priority_game_10000", ("transfer", "{input}"), priority_game, 10_000,
+        stdout="Nash equilibrium"),
     Row("muller_game_200", ("transfer", "{input}"),
         lambda v: muller_docs(v)["game"], 200),
     Row("muller_arena_200", ("solve-muller", "{input}"),

@@ -110,20 +110,23 @@ def lar_muller_winners(game: et.MultiOutcomeGraphGame, labels
                        ) -> list[int]:
     """Winner from the game's start for each label (player 1 wins the
     outcomes in the mask), by the arena solver's Zielonka run (cross-checked
-    against ``recursive_regions`` in the tests) on one LAR product: a
-    node is coloured 2*hit, plus 1 when player 1 loses the set of colours
-    from the hit on.  The least hit seen infinitely often is the one whose
+    against ``recursive_regions`` in the tests) on one LAR product,
+    prepared once with its nodes grouped by (hit, outcome): a node is
+    coloured 2*hit, plus 1 when player 1 loses the set of colours from the
+    hit on.  The least hit seen infinitely often is the one whose
     colours are exactly the play's cluster set."""
     nodes, succ = lar_product(game.arena, game.start)
-    pred = graph_games._predecessors(succ)
-    owned = {i for i, (v, _, _) in enumerate(nodes) if game.arena.owner(v) == 1}
+    lar = et.Arena(len(nodes), [i for i, (v, _, _) in enumerate(nodes)
+                                if game.arena.owner(v) == 1],
+                   [(i, j) for i, out in enumerate(succ) for j in out],
+                   [hit for _, _, hit in nodes])
     outcome = [game.outcome_map[frozenset(perm[hit - 1:])]
                for _, perm, hit in nodes]
+    prepared = graph_games._Prepared(lar, list(zip(lar.colors, outcome)))
     winners = []
     for label in labels:
-        colors = [2 * hit + 1 - (label >> o & 1)
-                  for (_, _, hit), o in zip(nodes, outcome)]
-        w1 = graph_games._zielonka(succ, pred, owned, colors)[0]
+        colors = [2 * hit + 1 - (label >> o & 1) for hit, o in prepared.groups]
+        w1 = graph_games._zielonka(prepared, colors)[0]
         winners.append(1 if 0 in w1 else 2)
     return winners
 

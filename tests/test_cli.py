@@ -659,6 +659,26 @@ class TestOptions:
                 assert (code, out) == (cli.EXIT_INPUT, ""), placed
                 assert "usage:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, commands", [
+        (["--cap", "31", "check-determinacy", "xz_yy.json"],
+         "solve, check-determinacy, verify-ne"),
+        (["--json", "--profile", "0,0", "verify-ne",
+          "intro_payoff_tree.json"], "verify-ne"),
+        (["--n", "3", "corpus", "build", "prop_5_4"],
+         "corpus build, corpus verify"),
+        (["--seed", "5", "corpus", "verify", "prop_5_4"], "corpus verify")])
+    def test_option_before_command_names_its_commands(self, capsys, argv,
+                                                      commands):
+        """Once "argument command: invalid choice: '31'", naming the value:
+        an option written before the command is still a usage error, and
+        its message says where the option goes."""
+        argv = [fixture_path(a) if a.endswith(".json") else a for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (cli.EXIT_INPUT, "")
+        option = next(a for a in argv if a != "--json")
+        assert err.endswith(f"error: {option} goes after the command: "
+                            f"{commands}\n")
+
 
 class TestErrorPaths:
     def test_parser_is_built_once(self, capsys, monkeypatch):

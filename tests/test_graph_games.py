@@ -231,6 +231,93 @@ class TestParityCrossCheck:
             sys.setrecursionlimit(limit)
         assert certify(arena, regions) == []
 
+    @staticmethod
+    def attractor_calls(monkeypatch):
+        """Record each parity attractor call as (region size, whether it
+        keeps successor counts), after checking that kept counts are each
+        region vertex's successors in the region."""
+        calls, real = [], graph_games._attractor
+
+        def spy(succ, pred, owned, region, target, player, count=None):
+            calls.append((len(region), count is not None))
+            if count is not None:
+                assert all(count[v] == sum(w in region for w in succ[v])
+                           for v in region)
+            return real(succ, pred, owned, region, target, player, count)
+
+        monkeypatch.setattr(graph_games, "_attractor", spy)
+        return calls
+
+    def test_regions_across_the_count_split(self, monkeypatch):
+        """Arenas of 200 to 1,000 vertices, sparse or built on a cycle:
+        their recursions run frames that keep successor counts and frames,
+        on under a quarter of the arena, that count afresh."""
+        calls = self.attractor_calls(monkeypatch)
+        rng = random.Random(3001)
+        crossed = 0
+        for k in range(40):
+            nv = rng.randint(200, 1000)
+            edges = {(u, w) for u in range(nv)
+                     for w in rng.sample(range(nv), rng.randint(k % 2, 2))}
+            if k % 2 == 0:
+                order = rng.sample(range(nv), nv)
+                edges |= set(zip(order, order[1:] + order[:1]))
+            arena = et.Arena(nv, [v for v in range(nv) if rng.random() < 0.5],
+                             sorted(edges),
+                             [rng.randrange(16) for _ in range(nv)])
+            calls.clear()
+            regions = et.parity_regions(arena)
+            reference = recursive_regions(arena.succ, arena.owned, arena.colors)
+            assert regions[:2] == reference[:2]
+            assert certify(arena, regions) == []
+            assert all(kept for size, kept in calls if 4 * size >= nv)
+            crossed += {kept for _, kept in calls} == {True, False}
+        assert crossed >= 20
+
+    def test_deep_recursion_past_the_counting_frames(self, monkeypatch):
+        """A path walked both ways, colour u at vertex u, player 1 owning
+        the even vertices: each frame peels one vertex, so past the 16
+        frames that keep counts, frames on large regions count afresh."""
+        calls = self.attractor_calls(monkeypatch)
+        n = 200
+        edges = [(u, u + d) for u in range(n) for d in (-1, 1)
+                 if 0 <= u + d < n]
+        arena = et.Arena(n, range(0, n, 2), edges, range(n))
+        regions = et.parity_regions(arena)
+        assert regions[:2] == recursive_regions(arena.succ, arena.owned,
+                                                arena.colors)[:2]
+        assert certify(arena, regions) == []
+        assert sum(kept for _, kept in calls) >= 16
+        assert any(4 * size >= n and not kept for size, kept in calls)
+
+    def test_self_loops_cut_and_kept(self, monkeypatch):
+        """Self-loops good for their owner, bad ones that the self-cycle
+        rule cuts, and bad ones kept as their vertex's only edge, in one
+        arena, at sizes on both sides of the count split."""
+        calls = self.attractor_calls(monkeypatch)
+        rng = random.Random(3002)
+        kinds = set()
+        for _ in range(150):
+            nv = rng.choice([rng.randint(2, 30), rng.randint(200, 400)])
+            edges = {(u, u) for u in range(nv) if rng.random() < 0.5}
+            alone = {u for u, _ in edges if rng.random() < 0.3}
+            edges |= {(u, w) for u in range(nv) if u not in alone
+                      for w in rng.sample(range(nv), rng.randint(1, 2))}
+            arena = et.Arena(nv, [v for v in range(nv) if rng.random() < 0.5],
+                             sorted(edges),
+                             [rng.randrange(8) for _ in range(nv)])
+            for v, out in enumerate(arena.succ):
+                if v in out:
+                    good = arena.colors[v] % 2 == (v not in arena.owned)
+                    kinds.add("good" if good else
+                              "kept" if out == (v,) else "cut")
+            regions = et.parity_regions(arena)
+            reference = recursive_regions(arena.succ, arena.owned, arena.colors)
+            assert regions[:2] == reference[:2]
+            assert certify(arena, regions) == []
+        assert kinds == {"good", "cut", "kept"}
+        assert {kept for _, kept in calls} == {True, False}
+
 
 def same_strategy(a, b):
     """Equal strategy graphs: states, edges, moves and entry states."""
@@ -240,11 +327,20 @@ def same_strategy(a, b):
 
 class TestOracles:
     def test_priority_oracle_matches_fresh_solves(self, rng):
-        for _ in range(10):
-            game = random_priority_game(rng)
+        """One oracle asked every label, in a shuffled order, answers as a
+        fresh ``solve_parity`` of each label's colouring, in winner and
+        positional strategy: on small random games and on benchmark-shaped
+        games of 6 to 300 vertices."""
+        games = [random_priority_game(rng) for _ in range(10)]
+        games += [sized_game(rng, "priority", rng.randint(6, 300),
+                             rng.randint(2, 16), n_out=rng.randint(1, 6))
+                  for _ in range(12)]
+        for game in games:
             oracle = et.PriorityOracle(game)
             arena = game.arena
-            for label in range(1 << game.outcomes.size):
+            labels = list(range(1 << game.outcomes.size))
+            rng.shuffle(labels)
+            for label in labels:
                 colors = [2 * c + 1 - (label >> game.outcome_map[c] & 1)
                           for c in arena.colors]
                 fresh = et.Arena(arena.num_vertices, arena.owned, arena.edges,
@@ -309,17 +405,22 @@ class TestOracles:
                 assert same_strategy(fresh.strategy(label).handle, machine)
 
     def test_strategy_queries_reuse_probe_solves(self, rng, monkeypatch):
-        """A transfer solves each distinct label once: both strategy labels
-        were probed, except a full mask that no probe accepted, and the
-        strategies equal fresh solves of their labels."""
-        solves, queried = [0], {"winner": [], "strategy": []}
+        """A transfer prepares its arena once and solves each distinct label
+        once: both strategy labels were probed, except a full mask that no
+        probe accepted, and the strategies equal fresh solves of their
+        labels."""
+        solves, prepared = [0], []
+        queried = {"winner": [], "strategy": []}
         real_solve = graph_games._solve_graph
+        real_prepare = graph_games._Prepared
 
         def counting_solve(*args):
             solves[0] += 1
             return real_solve(*args)
 
         monkeypatch.setattr(graph_games, "_solve_graph", counting_solve)
+        monkeypatch.setattr(graph_games, "_Prepared", lambda *args:
+                            prepared.append(args) or real_prepare(*args))
         for name in queried:
             real = getattr(et.PriorityOracle, name)
 
@@ -331,6 +432,7 @@ class TestOracles:
         for _ in range(40):
             game = random_priority_game(rng, max_vertices=10, max_outcomes=6)
             solves[0] = 0
+            prepared.clear()
             for labels in queried.values():
                 labels.clear()
             eq = et.multi_outcome_ne(game)
@@ -339,6 +441,7 @@ class TestOracles:
             assert len(probed) <= game.outcomes.size
             assert set(labels) <= probed | {full}
             assert solves[0] == len(probed | set(labels))
+            assert len(prepared) == 1
             fresh = et.PriorityOracle(game)
             for label, machine in zip(labels, eq.profile):
                 assert same_strategy(fresh.strategy(label).handle, machine)

@@ -232,6 +232,20 @@ def test_no_game_with_preferences_refused(value):
         et.equilibrium(value, prefs)
 
 
+@pytest.mark.parametrize("prefs", ["x", 7, ("a", "b")])
+def test_backend_with_no_preference_profile_refused(prefs):
+    """Once an AttributeError ('str' object has no attribute 'players'):
+    ``run_transfer``, and ``equilibrium`` with a backend, refuse
+    preferences that are no ``PreferenceProfile``, naming what they got."""
+    game = jsonio.load(fixture_path("priority_game.json"))
+    backend = et.PriorityOracle(game)
+    message = ("^transfer needs a PreferenceProfile, got "
+               f"{type(prefs).__name__}$")
+    for call in (et.run_transfer, et.equilibrium):
+        with pytest.raises(et.SchemaError, match=message):
+            call(backend, prefs)
+
+
 def frozen_cases():
     """Per model: a game, the model in it, and an edit that once broke the
     game's transfer.  The tree's cycle hung it, the arena's reversed
