@@ -13,9 +13,9 @@ from .errors import (BadIndexError, CyclicPreferenceError, EqTransferError,
 from .prefs import (OutcomeSet, Preference, PreferenceProfile, height,
                     is_acyclic, is_strict_linear, lift_less,
                     lift_less_existential, linear_extension, rank, upward_cone)
-from .transfer import (CallCounter, CountingOracle, GameBackend,
-                       OracleStrategy, TransferResult, WinLoseOracle,
-                       equilibrium, max_enforceable_word, run_transfer)
+from .transfer import (CallCounter, GameBackend, OracleStrategy,
+                       TransferResult, WinLoseOracle, equilibrium,
+                       max_enforceable_word, run_transfer)
 from .normal_form import (DEFAULT_OUTCOME_CAP, DEFAULT_PROFILE_CAP,
                           GameStructure, NormalFormGame, Profile,
                           StructureOracle, eliminate_dominated_outcomes,

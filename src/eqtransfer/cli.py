@@ -129,15 +129,29 @@ def _cmd_transfer(args) -> int:
         "outcome_label": label,
         "winner_calls": result.counter.winner_calls,
         "strategy_calls": result.counter.strategy_calls,
-        # only --json prints them, and a tree's decode is quadratic in depth
-        "strategies": [_oracle_strategy_obj(backend, s)
-                       for s in (result.strategy_1, result.strategy_2)]
-                      if args.json else None,
+        **(_json_only(backend, result, prefs.outcomes) if args.json else {}),
         "lines": [f"Nash equilibrium outcome: {label}"]
                  + _counter_lines(result.counter, prefs.outcomes.size),
     }
     _emit(report, args.json)
     return EXIT_OK
+
+
+def _json_only(backend, result, outcomes) -> dict:
+    """What only --json prints: the strategies, as a tree's decode is
+    quadratic in its depth, and the transfer's queries as outcome labels,
+    each winner probe by the outcome it tries to drop (linear in n)."""
+    name, n = outcomes.label, outcomes.size
+    word, probes = (1 << n) - 1, []
+    for label, winner in result.probes:
+        probes.append({"without": name((word ^ label).bit_length() - 1),
+                       "winner": winner})
+        word = label if winner == 1 else word
+    return {"strategies": [_oracle_strategy_obj(backend, s)
+                           for s in (result.strategy_1, result.strategy_2)],
+            "probes": probes,
+            "enforced": [name(o) for o in range(n) if result.enforced >> o & 1],
+            "drop": [name(o) for o in range(n) if result.drop >> o & 1]}
 
 
 def _oracle_strategy_obj(backend, s: OracleStrategy) -> dict:
@@ -310,9 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     actions.add_parser("list", help="name and describe every entry")
     build = actions.add_parser("build", help="build one entry")
     verify = actions.add_parser("verify", help="check one entry's claims")
-    for p in (build, verify):
-        p.add_argument("name")
-        option(p, "--n", type=int, default=None,
+    for action in (build, verify):
+        action.add_argument("name")
+        option(action, "--n", type=int, default=None,
                help="size parameter of prop_5_4, 2 to 100; the other "
                     "entries take none")
     option(verify, "--samples", type=int, default=1000,
@@ -321,8 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
     option(verify, "--seed", type=int, default=0,
            help="seed of the sampled claims (default 0)")
     for flag, names in takes.items():
-        parser.add_argument(flag, action=_BeforeCommand,
-                            const=", ".join(names), help=argparse.SUPPRESS)
+        for before in (parser, p):  # before the command or a corpus action
+            before.add_argument(flag, action=_BeforeCommand,
+                                const=", ".join(names), help=argparse.SUPPRESS)
 
     return parser
 

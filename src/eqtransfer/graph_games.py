@@ -51,17 +51,21 @@ class Arena(_Frozen):
         if any(not (0 <= v < n) for v in owned):
             raise ValueError("owned vertex out of range")
         succ: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
+        # distinct edges in first-occurrence order, in linear time
+        for u, v in dict.fromkeys(edges):
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range")
-            if v not in succ[u]:
-                succ[u].append(v)
+            succ[u].append(v)
+        succ = tuple(map(tuple, succ))
+        pred: list[list[int]] = [[] for _ in range(n)]
         for u, out in enumerate(succ):
             if not out:
                 raise ValueError(f"vertex {u} is a sink; arenas must be sink-free")
-        succ = tuple(tuple(s) for s in succ)
+            for w in out:
+                pred[w].append(u)
         vars(self).update(num_vertices=n, owned=owned, edges=edges,
-                          colors=colors, succ=succ, pred=_predecessors(succ),
+                          colors=colors, succ=succ,
+                          pred=tuple(map(tuple, pred)),
                           _owner_flags=tuple(v in owned for v in range(n)))
 
     def owner(self, v: int) -> int:
@@ -151,14 +155,6 @@ def _entry(strategy: FiniteMemoryStrategy, start: int) -> int:
     except KeyError:
         raise ValueError(f"player {strategy.player}'s strategy has no entry "
                          f"state at vertex {start}") from None
-
-
-def _predecessors(succ) -> tuple[tuple[int, ...], ...]:
-    pred: list[list[int]] = [[] for _ in succ]
-    for u, out in enumerate(succ):
-        for w in out:
-            pred[w].append(u)
-    return tuple(tuple(p) for p in pred)
 
 
 def _check_start(arena: Arena, start: int) -> int:

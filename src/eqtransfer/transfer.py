@@ -28,7 +28,7 @@ class OracleStrategy:
     handle: Any
 
 
-@dataclass
+@dataclass(frozen=True)
 class CallCounter:
     winner_calls: int = 0
     strategy_calls: int = 0
@@ -53,26 +53,6 @@ class WinLoseOracle(abc.ABC):
         """A winning strategy for the winner of the derived game."""
 
 
-class CountingOracle(WinLoseOracle):
-    """Wrapper instrumenting the call counts of another oracle."""
-
-    def __init__(self, inner: WinLoseOracle):
-        self.inner = inner
-        self.counter = CallCounter()
-
-    @property
-    def n_outcomes(self) -> int:
-        return self.inner.n_outcomes
-
-    def winner(self, label: int) -> int:
-        self.counter.winner_calls += 1
-        return self.inner.winner(label)
-
-    def strategy(self, label: int) -> OracleStrategy:
-        self.counter.strategy_calls += 1
-        return self.inner.strategy(label)
-
-
 class GameBackend(WinLoseOracle):
     """A win-lose oracle that can also play its own strategy handles in the
     multi-outcome game and search for a profitable deviation, which is all
@@ -91,33 +71,43 @@ class GameBackend(WinLoseOracle):
         None."""
 
 
-def max_enforceable_word(oracle: WinLoseOracle, n: int,
-                         linear: Sequence[int]) -> int:
+def max_enforceable_word(oracle: WinLoseOracle, n: int, linear: Sequence[int]
+                         ) -> tuple[int, tuple[tuple[int, int], ...]]:
     """Lift-greatest subset player 1 can enforce, as an outcome mask, in
-    exactly n winner calls.
+    exactly n winner calls, and the log of those calls: one ``(label,
+    winner)`` pair each.
 
     Starting from the full mask, outcomes are tried from the least
     linear-order position upward: outcome ``linear[k]`` is cleared whenever
     player 1 still wins without it and with every later outcome kept.
     """
-    word = (1 << n) - 1
+    word, probes = (1 << n) - 1, []
     for k in range(n):
         probe = word & ~(1 << linear[k])
-        if oracle.winner(probe) == 1:
+        winner = oracle.winner(probe)
+        probes.append((probe, winner))
+        if winner == 1:
             word = probe
-    return word
+    return word, tuple(probes)
 
 
 @dataclass(frozen=True)
 class TransferResult:
     """Output of one transfer run: ``run_transfer`` returns it unverified,
-    ``equilibrium`` once the profile is verified in the game."""
+    ``equilibrium`` once the profile is verified in the game.  ``probes``
+    logs the winner queries as ``(label, winner)`` pairs; ``enforced`` and
+    ``drop`` are the labels of the two strategy queries."""
 
     strategy_1: OracleStrategy
     strategy_2: OracleStrategy
     outcome: int
     enforced: int
-    counter: CallCounter
+    drop: int
+    probes: tuple[tuple[int, int], ...]
+
+    @property
+    def counter(self) -> CallCounter:
+        return CallCounter(len(self.probes), 2)
 
     @property
     def profile(self) -> tuple[Any, Any]:
@@ -146,9 +136,8 @@ def run_transfer(oracle: WinLoseOracle, prefs: PreferenceProfile) -> TransferRes
     for p in prefs.prefs:
         if not is_acyclic(p):
             raise CyclicPreferenceError("transfer requires acyclic preferences")
-    counting = CountingOracle(oracle)
     linear = linear_extension(prefs[0])
-    enforced = max_enforceable_word(counting, n, linear)
+    enforced, probes = max_enforceable_word(oracle, n, linear)
     members = [o for o in range(n) if enforced >> o & 1]
     if not members:
         raise NotDeterminedError("oracle claims player 1 enforces the empty set")
@@ -159,12 +148,11 @@ def run_transfer(oracle: WinLoseOracle, prefs: PreferenceProfile) -> TransferRes
     # linear lists distinct outcomes: the sum of their bits is their OR
     later = sum(1 << o for o in linear[linear.index(m) + 1:])
     drop = enforced & ~(1 << m) | later
-    s1 = counting.strategy(enforced)
-    s2 = counting.strategy(drop)
+    s1, s2 = oracle.strategy(enforced), oracle.strategy(drop)
     if s1.player != 1 or s2.player != 2:
         raise NotDeterminedError(
             "oracle answers are inconsistent with a determined structure")
-    return TransferResult(s1, s2, m, enforced, counting.counter)
+    return TransferResult(s1, s2, m, enforced, drop, probes)
 
 
 def _game_backend(game) -> tuple[GameBackend, PreferenceProfile]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from pathlib import Path
 
@@ -70,6 +71,36 @@ def random_arena(rng: random.Random, max_vertices: int,
             edges.append((u, w))
     colors = [rng.randint(0, max_color) for _ in range(nv)]
     return et.Arena(nv, owned, edges, colors)
+
+
+def random_priority_game(rng, max_vertices=6, max_outcomes=4):
+    arena = random_arena(rng, max_vertices, max_color=4)
+    n_out = rng.randint(1, max_outcomes)
+    outcome_map = {c: rng.randrange(n_out) for c in arena.color_set()}
+    prefs = et.PreferenceProfile((
+        random_acyclic_preference(rng, n_out),
+        random_acyclic_preference(rng, n_out)))
+    return et.MultiOutcomeGraphGame(
+        arena=arena, start=rng.randrange(arena.num_vertices), kind="priority",
+        outcomes=et.OutcomeSet(n_out), preferences=prefs,
+        outcome_map=outcome_map)
+
+
+def random_muller_game(rng, max_vertices=4, max_color=2, max_outcomes=4):
+    arena = random_arena(rng, max_vertices, max_color=max_color)
+    n_out = rng.randint(1, max_outcomes)
+    occ = sorted(arena.color_set())
+    outcome_map = {
+        frozenset(combo): rng.randrange(n_out)
+        for r in range(1, len(occ) + 1)
+        for combo in itertools.combinations(occ, r)}
+    prefs = et.PreferenceProfile((
+        random_acyclic_preference(rng, n_out),
+        random_acyclic_preference(rng, n_out)))
+    return et.MultiOutcomeGraphGame(
+        arena=arena, start=rng.randrange(arena.num_vertices), kind="muller",
+        outcomes=et.OutcomeSet(n_out), preferences=prefs,
+        outcome_map=outcome_map)
 
 
 def memory_machine(arena: et.Arena, player: int, n_states: int,

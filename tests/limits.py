@@ -145,6 +145,18 @@ def priority_game(v: int) -> dict:
                             {"pairs": [p[::-1] for p in pairs]}]}
 
 
+def star_game(k: int) -> dict:
+    """A priority game on a star: player 1's centre has ``k`` successors,
+    each leading back to it, with two outcomes and opposed preferences."""
+    return {"format": 1, "vertices": k + 1, "owned": [0],
+            "edges": [[0, w] for w in range(1, k + 1)]
+                     + [[w, 0] for w in range(1, k + 1)],
+            "colors": [w % 4 for w in range(k + 1)], "start": 0,
+            "kind": "priority", "outcomes": 2,
+            "r": [[c, c % 2] for c in range(4)],
+            "preferences": [{"pairs": [[0, 1]]}, {"pairs": [[1, 0]]}]}
+
+
 def wide_normal_form(n: int) -> dict:
     """n rows, row o reaching only outcome o, against two columns that
     reach all n outcomes, with opposed chain preferences: at n = 4,096
@@ -221,6 +233,10 @@ ROWS = [
         lambda n: plain_arena(chain_arena(n)), 1000),
     Row("priority_game_10000", ("transfer", "{input}"), priority_game, 10_000,
         stdout="Nash equilibrium"),
+    # Arena construction must stay linear in the out-degree: a list-scan
+    # dedupe took 1.4 s at 20,000 successors, growing with their square.
+    Row("star_200000", ("transfer", "{input}"), star_game, 200_000,
+        stdout="Nash equilibrium", tier1_size=20_000),
     Row("muller_game_200", ("transfer", "{input}"),
         lambda v: muller_docs(v)["game"], 200),
     Row("muller_arena_200", ("solve-muller", "{input}"),
@@ -253,6 +269,11 @@ ROWS = [
         diagonal, 28, caps=("normal_form.LABEL_BLOCK",),
         tier1_size=24, memory_kb=2_000_000),
     Row("list_n", ("corpus", "list", "--n", "7"), code=2),
+    *(Row(f"corpus_{option[2:]}_before_action",
+          ("corpus", option, "3", action, "prop_5_4"), code=2,
+          stderr=f"{option} goes after the command")
+      for option, action in (("--n", "build"), ("--samples", "verify"),
+                             ("--seed", "verify"))),
     Row("build_samples", ("corpus", "build", "prop_5_4", "--samples", "0"),
         code=2),
     Row("arena_start_1", ("--json", "solve-muller", "{input}"),

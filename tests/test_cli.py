@@ -236,6 +236,29 @@ class TestTransfer:
         assert (code, code_json) == (cli.EXIT_OK, cli.EXIT_OK)
         assert len(json.loads(out)["strategies"]) == 2
 
+    @pytest.mark.parametrize("name", ["intro_payoff_tree.json",
+                                      "intro_winlose_tree.json",
+                                      "priority_game.json",
+                                      "muller_game.json"])
+    def test_json_prints_the_probe_log(self, capsys, name):
+        """``--json`` prints the transfer's log as outcome labels: probe k
+        tries to drop the k-th outcome of player 1's linear extension, and
+        ``enforced`` and ``drop`` are the two strategy queries' sets."""
+        game = jsonio.load(fixture_path(name))
+        prefs = game[1] if isinstance(game, tuple) else game.preferences
+        result, label = et.equilibrium(game), prefs.outcomes.label
+        code, out, _ = run(capsys, "--json", "transfer", fixture_path(name))
+        report = json.loads(out)
+        assert code == cli.EXIT_OK
+        assert report["probes"] == [
+            {"without": label(o), "winner": w} for o, (_, w) in
+            zip(et.linear_extension(prefs[0]), result.probes, strict=True)]
+        for key in ("enforced", "drop"):
+            mask = getattr(result, key)
+            assert report[key] == [label(o) for o in range(
+                prefs.outcomes.size) if mask >> o & 1]
+        assert label(result.outcome) in report["enforced"]
+
     def test_large_tree_needs_no_normal_form(self, capsys, tmp_path):
         """4,194,304 profiles, over the conversion cap: transfer runs on
         the tree, and solve refuses to build its normal form."""
@@ -666,16 +689,22 @@ class TestOptions:
           "intro_payoff_tree.json"], "verify-ne"),
         (["--n", "3", "corpus", "build", "prop_5_4"],
          "corpus build, corpus verify"),
-        (["--seed", "5", "corpus", "verify", "prop_5_4"], "corpus verify")])
+        (["--seed", "5", "corpus", "verify", "prop_5_4"], "corpus verify"),
+        (["corpus", "--seed", "3", "verify", "prop_5_4"], "corpus verify"),
+        (["corpus", "--n", "3", "build", "prop_5_4"],
+         "corpus build, corpus verify"),
+        (["corpus", "--cap", "3", "list"],
+         "solve, check-determinacy, verify-ne")])
     def test_option_before_command_names_its_commands(self, capsys, argv,
                                                       commands):
         """Once "argument command: invalid choice: '31'", naming the value:
-        an option written before the command is still a usage error, and
-        its message says where the option goes."""
+        an option written before the command, or before a corpus action,
+        is still a usage error, and its message says where the option
+        goes."""
         argv = [fixture_path(a) if a.endswith(".json") else a for a in argv]
         code, out, err = run(capsys, *argv)
         assert (code, out) == (cli.EXIT_INPUT, "")
-        option = next(a for a in argv if a != "--json")
+        option = next(a for a in argv if a.startswith("--") and a != "--json")
         assert err.endswith(f"error: {option} goes after the command: "
                             f"{commands}\n")
 

@@ -14,7 +14,8 @@ import pytest
 import eqtransfer as et
 from eqtransfer import graph_games, jsonio
 from conftest import (fixture_path, memory_machine, random_acyclic_preference,
-                      random_arena, random_memory_machine)
+                      random_arena, random_memory_machine, random_muller_game,
+                      random_priority_game)
 from limits import chain_arena
 from reference_graph import (all_positional_strategies, cluster_colors,
                              lar_muller_winners, lar_product,
@@ -36,36 +37,6 @@ def brute_parity_winner(arena, start):
                for s2 in all_positional_strategies(arena, 2)):
             return 1
     return 2
-
-
-def random_priority_game(rng, max_vertices=6, max_outcomes=4):
-    arena = random_arena(rng, max_vertices, max_color=4)
-    n_out = rng.randint(1, max_outcomes)
-    outcome_map = {c: rng.randrange(n_out) for c in arena.color_set()}
-    prefs = et.PreferenceProfile((
-        random_acyclic_preference(rng, n_out),
-        random_acyclic_preference(rng, n_out)))
-    return et.MultiOutcomeGraphGame(
-        arena=arena, start=rng.randrange(arena.num_vertices), kind="priority",
-        outcomes=et.OutcomeSet(n_out), preferences=prefs,
-        outcome_map=outcome_map)
-
-
-def random_muller_game(rng, max_vertices=4, max_color=2, max_outcomes=4):
-    arena = random_arena(rng, max_vertices, max_color=max_color)
-    n_out = rng.randint(1, max_outcomes)
-    occ = sorted(arena.color_set())
-    outcome_map = {
-        frozenset(combo): rng.randrange(n_out)
-        for r in range(1, len(occ) + 1)
-        for combo in itertools.combinations(occ, r)}
-    prefs = et.PreferenceProfile((
-        random_acyclic_preference(rng, n_out),
-        random_acyclic_preference(rng, n_out)))
-    return et.MultiOutcomeGraphGame(
-        arena=arena, start=rng.randrange(arena.num_vertices), kind="muller",
-        outcomes=et.OutcomeSet(n_out), preferences=prefs,
-        outcome_map=outcome_map)
 
 
 class TestArena:
@@ -101,6 +72,31 @@ class TestArena:
                      [(np.int64(0), np.int64(1)), (1, 0)], np.arange(2))
         assert (a.owned, a.edges, a.colors) == ({0}, ((0, 1), (1, 0)), (0, 1))
         assert all(type(x) is int for x in (a.num_vertices, *a.colors))
+
+    @pytest.mark.parametrize("kind", ["priority", "muller"])
+    def test_repeated_edges_keep_first_occurrences(self, kind):
+        """Construction drops repeated edges in time linear in the edges,
+        keeping each vertex's successors in first-occurrence order: the
+        game's equilibrium is its deduplicated twin's, strategies
+        included."""
+        prefs = et.PreferenceProfile((et.Preference.from_pairs(2, [(0, 1)]),
+                                      et.Preference.from_pairs(2, [(1, 0)])))
+        outcome_map = ({0: 0, 1: 1, 2: 0} if kind == "priority" else
+                       {frozenset(c): len(c) % 2 for r in (1, 2, 3)
+                        for c in itertools.combinations(range(3), r)})
+        results = []
+        for edges in ([(0, 2), (0, 1), (0, 2), (1, 0), (2, 2), (1, 0),
+                       (2, 0), (2, 2)],
+                      [(0, 2), (0, 1), (1, 0), (2, 2), (2, 0)]):
+            arena = et.Arena(3, [0], edges, [0, 1, 2])
+            assert arena.succ == ((2, 1), (0,), (2, 0))
+            results.append(et.equilibrium(et.MultiOutcomeGraphGame(
+                arena=arena, start=0, kind=kind, outcomes=et.OutcomeSet(2),
+                preferences=prefs, outcome_map=outcome_map)))
+        got, want = results
+        assert (got.outcome, got.enforced, got.drop, got.probes) == (
+            want.outcome, want.enforced, want.drop, want.probes)
+        assert all(map(same_strategy, got.profile, want.profile))
 
     def test_owner_partition(self):
         a = et.Arena(3, [1], [(0, 1), (1, 2), (2, 0)], [0, 1, 2])

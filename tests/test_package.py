@@ -22,7 +22,7 @@ def test_public_names_are_library_objects():
 def test_public_name_ceiling():
     """The public API may not grow unnoticed: a change that adds names
     raises this bound and says so in CHANGES.md."""
-    assert len(et.__all__) <= 72, len(et.__all__)
+    assert len(et.__all__) <= 71, len(et.__all__)
 
 
 def test_source_line_ceiling():
@@ -31,7 +31,7 @@ def test_source_line_ceiling():
     it raises the bound and says so in CHANGES.md."""
     lines = sum(len(path.read_bytes().splitlines())
                 for path in SRC.glob("*.py"))
-    assert lines <= 3219, lines
+    assert lines <= 3218, lines
 
 
 def test_corpus_games_only_through_build():

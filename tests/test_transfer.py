@@ -11,8 +11,8 @@ import pytest
 import eqtransfer as et
 from eqtransfer import jsonio
 from conftest import (FIXTURES, fixture_path, random_acyclic_preference,
-                      random_determined_structure, random_structure,
-                      random_tree)
+                      random_determined_structure, random_muller_game,
+                      random_priority_game, random_structure, random_tree)
 from reference_normal_form import can_enforce
 
 
@@ -22,15 +22,35 @@ def profile_for(st, rng):
         for _ in range(st.players)))
 
 
+class LoggingOracle(et.WinLoseOracle):
+    """A counting wrapper on the test side: it logs each winner query as
+    ``(label, winner)`` and each strategy query's label."""
+
+    def __init__(self, inner: et.WinLoseOracle):
+        self.inner, self.probes, self.strategies = inner, [], []
+
+    @property
+    def n_outcomes(self) -> int:
+        return self.inner.n_outcomes
+
+    def winner(self, label: int) -> int:
+        self.probes.append((label, self.inner.winner(label)))
+        return self.probes[-1][1]
+
+    def strategy(self, label: int) -> et.OracleStrategy:
+        self.strategies.append(label)
+        return self.inner.strategy(label)
+
+
 class TestMaxEnforceableWord:
     def test_exact_winner_call_count(self, rng):
         for _ in range(30):
             st = random_determined_structure(rng)
-            counting = et.CountingOracle(et.StructureOracle(st))
+            logging = LoggingOracle(et.StructureOracle(st))
             n = st.outcomes.size
-            word = et.max_enforceable_word(counting, n, list(range(n)))
-            assert counting.counter.winner_calls == n
-            assert counting.counter.strategy_calls == 0
+            word, probes = et.max_enforceable_word(logging, n, list(range(n)))
+            assert probes == tuple(logging.probes) and len(probes) == n
+            assert logging.strategies == []
             assert can_enforce(st, 1, word)
 
     def test_result_is_lift_greatest(self, rng):
@@ -38,13 +58,49 @@ class TestMaxEnforceableWord:
             st = random_determined_structure(rng, max_outcomes=4)
             n = st.outcomes.size
             linear = list(range(n))
-            word = et.max_enforceable_word(
+            word, _ = et.max_enforceable_word(
                 et.StructureOracle(st), n, linear)
             members = [o for o in range(n) if word >> o & 1]
             for label in range(1 << n):
                 if can_enforce(st, 1, label):
                     others = [o for o in range(n) if label >> o & 1]
                     assert not et.lift_less(linear, members, others)
+
+
+def random_game(kind: str, rng: random.Random):
+    """A small determined game of one backend's kind, with random acyclic
+    preferences."""
+    if kind == "normal form":
+        st = random_determined_structure(rng)
+        return et.NormalFormGame(st, profile_for(st, rng))
+    if kind == "tree":
+        tree = random_tree(rng, rng.randint(1, 5))
+        return tree, profile_for(et.to_normal_form(tree), rng)
+    if kind == "priority":
+        return random_priority_game(rng)
+    return random_muller_game(rng)
+
+
+@pytest.mark.parametrize("kind", ["normal form", "tree", "priority",
+                                  "Muller"])
+def test_probe_log_is_what_the_oracle_was_asked(kind):
+    """On 500 seeded games per backend, the verified result's log equals
+    a logging wrapper's record of the same transfer: n winner queries,
+    then strategy queries on ``enforced`` and ``drop``."""
+    rng = random.Random(kind)
+    for _ in range(500):
+        game = random_game(kind, rng)
+        result = et.equilibrium(game)
+        backend, prefs = backend_by_hand(game)
+        logging = LoggingOracle(backend)
+        again = et.run_transfer(logging, prefs)
+        assert (again.outcome, again.enforced, again.drop, again.probes) == (
+            result.outcome, result.enforced, result.drop, result.probes)
+        assert result.probes == tuple(logging.probes)
+        assert logging.strategies == [result.enforced, result.drop]
+        n = prefs.outcomes.size
+        assert (result.counter.winner_calls, result.counter.strategy_calls,
+                len(result.probes)) == (n, 2, n)
 
 
 class TestTransferEquilibrium:
