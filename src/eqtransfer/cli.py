@@ -68,21 +68,19 @@ def _normal_form(value, command: str, prefs: bool = True,
     return NormalFormGame(st, profile) if prefs else st
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> tuple[dict, int]:
     nes = find_all_ne(_normal_form(jsonio.load(args.input), "solve",
                                    cap=args.cap), cap=args.cap)
-    report = {
+    return {
         "command": "solve",
         "equilibria": [list(p) for p in nes],
         "count": len(nes),
         "lines": [f"{len(nes)} Nash equilibria"]
                  + [f"  {tuple(p)}" for p in nes],
-    }
-    _emit(report, args.json)
-    return EXIT_OK
+    }, EXIT_OK
 
 
-def _cmd_check_determinacy(args) -> int:
+def _cmd_check_determinacy(args) -> tuple[dict, int]:
     st = _normal_form(jsonio.load(args.input), "check-determinacy",
                       prefs=False)
     if not isinstance(st, GameTree) and st.players != 2:
@@ -91,38 +89,32 @@ def _cmd_check_determinacy(args) -> int:
     # Backward induction gives every label of a tree a winner (Zermelo,
     # Kuhn), so a tree needs neither its normal form nor the outcome cap.
     determined = isinstance(st, GameTree) or is_determined(st, cap=args.cap)
-    report = {
+    return {
         "command": "check-determinacy",
         "determined": determined,
         "lines": ["determined" if determined else "not determined"],
-    }
-    _emit(report, args.json)
-    return EXIT_OK if determined else EXIT_FAIL
+    }, EXIT_OK if determined else EXIT_FAIL
 
 
 def _counter_lines(counter, n: int) -> list[str]:
-    ok_w = counter.winner_calls <= n
-    ok_s = counter.strategy_calls <= 2
-    return [
-        f"winner_calls = {counter.winner_calls} "
-        f"({'<=' if ok_w else '>'} n = {n})",
-        f"strategy_calls = {counter.strategy_calls} "
-        f"({'<=' if ok_s else '>'} 2)",
-    ]
+    return [f"{name} = {calls} ({'<=' if calls <= bound else '>'} {shown})"
+            for name, calls, bound, shown in (
+                ("winner_calls", counter.winner_calls, n, f"n = {n}"),
+                ("strategy_calls", counter.strategy_calls, 2, "2"))]
 
 
 _ORACLE_NAMES = {StructureOracle: "brute", TreeOracle: "tree",
                  PriorityOracle: "parity", MullerOracle: "muller"}
 
 
-def _cmd_transfer(args) -> int:
+def _cmd_transfer(args) -> tuple[dict, int]:
     value = jsonio.load(args.input)
     if isinstance(value, tuple) and isinstance(value[0], Arena):
         raise _refused("transfer", "a game with preferences", value)
     backend, prefs = _game_backend(value)
     result = equilibrium(backend, prefs)
     label = prefs.outcomes.label(result.outcome)
-    report = {
+    return {
         "command": "transfer",
         "oracle": _ORACLE_NAMES[type(backend)],
         "outcome": result.outcome,
@@ -132,9 +124,7 @@ def _cmd_transfer(args) -> int:
         **(_json_only(backend, result, prefs.outcomes) if args.json else {}),
         "lines": [f"Nash equilibrium outcome: {label}"]
                  + _counter_lines(result.counter, prefs.outcomes.size),
-    }
-    _emit(report, args.json)
-    return EXIT_OK
+    }, EXIT_OK
 
 
 def _json_only(backend, result, outcomes) -> dict:
@@ -185,7 +175,7 @@ def _moves(s) -> dict[int, int]:
             for i, k in enumerate(s.move) if k >= 0}
 
 
-def _cmd_solve_arena(args) -> int:
+def _cmd_solve_arena(args) -> tuple[dict, int]:
     value = jsonio.load(args.input)
     if not (isinstance(value, tuple) and isinstance(value[0], Arena)):
         raise SchemaError(f"{args.command} needs a plain arena input")
@@ -196,17 +186,15 @@ def _cmd_solve_arena(args) -> int:
     else:
         winner, strat = solve_muller(arena, start, win_sets)
         detail = f"finite-memory strategy, {strat.num_states} states"
-    report = {
+    return {
         "command": args.command,
         "winner": winner,
         "strategy": _strategy_obj(strat),
         "lines": [f"player {winner} wins from vertex {start}", detail],
-    }
-    _emit(report, args.json)
-    return EXIT_OK
+    }, EXIT_OK
 
 
-def _cmd_verify_ne(args) -> int:
+def _cmd_verify_ne(args) -> tuple[dict, int]:
     game = _normal_form(jsonio.load(args.input), "verify-ne", cap=args.cap)
     try:
         profile = tuple(int(x) for x in args.profile.split(","))
@@ -214,55 +202,42 @@ def _cmd_verify_ne(args) -> int:
         raise SchemaError(f"bad profile {args.profile!r}: "
                           "expected comma-separated indices") from exc
     ok = is_nash_equilibrium(game, profile)
-    report = {
+    return {
         "command": "verify-ne",
         "profile": list(profile),
         "is_nash_equilibrium": ok,
         "lines": [f"{profile} is {'an equilibrium' if ok else 'not an equilibrium'}"],
-    }
-    _emit(report, args.json)
-    return EXIT_OK if ok else EXIT_FAIL
+    }, EXIT_OK if ok else EXIT_FAIL
 
 
-def _cmd_corpus(args) -> int:
+def _cmd_corpus(args) -> tuple[dict, int]:
     if args.action == "list":
         entries = corpus_mod.list_entries()
-        report = {
+        return {
             "command": "corpus-list",
             "entries": [{"name": n, "description": d} for n, d in entries],
             "lines": [f"{n}: {d}" for n, d in entries],
-        }
-        _emit(report, args.json)
-        return EXIT_OK
+        }, EXIT_OK
     entry = corpus_mod.build(args.name, n=args.n)
     if args.action == "build":
-        lines = [f"{entry.name}: {entry.description}"]
-        if entry.executable:
-            st = entry.structure
-            lines.append(f"strategies {st.strategy_counts}, "
-                         f"{st.outcomes.size} outcomes, "
-                         f"{len(entry.claims)} claims")
-        else:
-            lines.append("statement only, not executable")
-        report = {
+        st = entry.structure
+        return {
             "command": "corpus-build",
             "name": entry.name,
             "executable": entry.executable,
             "claims": [c.name for c in entry.claims],
-            "lines": lines,
-        }
-        _emit(report, args.json)
-        return EXIT_OK
+            "lines": [f"{entry.name}: {entry.description}",
+                      "statement only, not executable" if st is None else
+                      f"strategies {st.strategy_counts}, {st.outcomes.size} "
+                      f"outcomes, {len(entry.claims)} claims"],
+        }, EXIT_OK
     reports = corpus_mod.verify(entry, seed=args.seed, samples=args.samples)
     all_ok = all(r.passed for r in reports)
-    lines = []
-    for r in reports:
-        status = "confirmed" if r.passed else "FAILED"
-        mode = "exhaustive" if r.exhaustive else "sampled"
-        lines.append(f"{r.claim}: {status} ({mode}; {r.detail})")
-    if not entry.executable:
-        lines.append("statement only, not executable; nothing to verify")
-    report = {
+    lines = [f"{r.claim}: {'confirmed' if r.passed else 'FAILED'} "
+             f"({'exhaustive' if r.exhaustive else 'sampled'}; {r.detail})"
+             for r in reports] or [
+        "statement only, not executable; nothing to verify"]
+    return {
         "command": "corpus-verify",
         "name": entry.name,
         "passed": all_ok,
@@ -270,9 +245,7 @@ def _cmd_corpus(args) -> int:
                     "exhaustive": r.exhaustive, "detail": r.detail}
                    for r in reports],
         "lines": lines,
-    }
-    _emit(report, args.json)
-    return EXIT_OK if all_ok else EXIT_FAIL
+    }, EXIT_OK if all_ok else EXIT_FAIL
 
 
 class _BeforeCommand(argparse.Action):
@@ -368,7 +341,13 @@ def _main(argv: Optional[list[str]]) -> int:
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        try:
+            report, code = args.func(args)
+            _emit(report, args.json)
+            return code
+        except MemoryError:  # leaving the handler frees what the run built
+            pass
+        raise TooLargeError("input too large for available memory")
     except EqTransferError as exc:
         prefix = ("not determined" if isinstance(exc, NotDeterminedError)
                   else "error")

@@ -21,14 +21,15 @@ from .normal_form import (DEFAULT_PROFILE_CAP, GameStructure, NormalFormGame,
                           _deviation_lines, _ne_mask, _words,
                           find_all_ne, is_determined, is_nash_equilibrium,
                           merge_players, slice_structure)
-from .prefs import (OutcomeSet, Preference, PreferenceProfile, height,
-                    int_values, is_acyclic)
+from .prefs import OutcomeSet, Preference, PreferenceProfile, int_values
 
 X, Y, Z = 0, 1, 2
 XYZ = OutcomeSet(3, ("X", "Y", "Z"))
 _WITNESS_CELLS = 8
-# Most samples a sampled claim may draw: 1,000 prop_5_4 samples took 0.03 s
-# at n = 8 and 2.4 s at n = 100 (2-core Xeon), so the cap costs 3 s to minutes.
+# Coins (relations x position pairs) one chunk of short-chain samples draws.
+_CHUNK_ELEMENTS = 1024
+# Most samples a sampled claim may draw: 1,000 prop_5_4 samples took 0.008 s
+# at n = 8 and 0.6 s at n = 100 (2-core Xeon), so the cap costs 1 s to 1 min.
 MAX_SAMPLES = 100_000
 
 
@@ -149,83 +150,115 @@ def _ladder_game(n: int = 4) -> NormalFormGame:
     return NormalFormGame(GameStructure((n, n, n), outcomes, t), prefs)
 
 
-def _short_chain_relations(size: int, max_height: int) -> list[frozenset]:
-    """All acyclic relations on ``size`` outcomes with height <= max_height."""
-    universe = [(x, y) for x in range(size) for y in range(size) if x != y]
-    found = []
-    for mask in range(1 << len(universe)):
-        pairs = frozenset(p for i, p in enumerate(universe) if mask >> i & 1)
-        p = Preference.from_pairs(size, pairs)
-        if is_acyclic(p) and height(p) <= max_height:
-            found.append(pairs)
-    return found
+def _layout(size: int) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Each position pair i < j's j, pairs ordered by i, and where each
+    i's pairs start; each outcome's bit per word, in the narrowest type."""
+    low, high = np.triu_indices(size, 1)
+    return high, np.searchsorted(low, np.arange(size - 1)), [
+        w.astype(np.min_scalar_type(w.max()))
+        for w in _words([1 << o for o in range(size)], size)]
 
 
-def _random_short_chain(rng: random.Random, pairs: list[tuple[int, int]],
-                        size: int, max_height: int) -> list[int]:
-    """A random relation of height <= max_height as better masks: bit y of
-    entry x for each pair (x, y).  ``pairs`` lists the position pairs i < j
-    in the order their coins are tossed.  Every drawn pair points forward
-    along a shuffled order, so the longest chain is a DP along that order."""
-    while True:
-        order = list(range(size))
-        rng.shuffle(order)
-        better = [0] * size
-        chain = [1] * size
-        coins = [rng.random() < 0.3 for _ in pairs]
-        for i, j in itertools.compress(pairs, coins):
-            x, y = order[i], order[j]
-            better[x] |= 1 << y
-            if chain[y] <= chain[x]:
-                chain[y] = chain[x] + 1
-        if max(chain) <= max_height:
-            return better
+def _relations(coins: np.ndarray, order: np.ndarray,
+               layout) -> tuple[list[np.ndarray], np.ndarray]:
+    """Per word of ``_words``' layout, the (rows, size) better masks of the
+    relations that take position pair k of each row's ``order`` (the later
+    outcome above) where ``coins[:, k]`` is set, so that each is acyclic;
+    and which have a chain through all outcomes, that is, every step
+    i, i + 1.  The ``layout`` is ``_layout(size)``."""
+    rows, size = order.shape
+    high, starts, units = layout
+    words = []
+    for unit in units:  # each pair's upper bit, ORed by lower position
+        bits = np.take(unit[order], high, axis=1)
+        np.copyto(bits, 0, where=~coins)
+        bits = np.add.reduceat(bits, starts, axis=1, dtype=bits.dtype)
+        masks = np.zeros(rows * size, dtype=np.uint64)
+        masks[order[:, :-1] + size * np.arange(rows)[:, None]] = bits
+        words.append(masks.reshape(rows, size))
+    return words, coins[:, starts].all(axis=1)
 
 
-def _short_chain_claim(st: GameStructure, max_height: int) -> Claim:
+def _all_short_chains(size: int) -> list[list[np.ndarray]]:
+    """Every triple of relations on ``size`` outcomes without a chain
+    through all of them, as one chunk of ``_short_chain_samples``; each
+    relation is made from every order and set of coins."""
+    coins = np.array(list(itertools.product(
+        (False, True), repeat=size * (size - 1) // 2)), dtype=bool)
+    orders = np.array(list(itertools.permutations(range(size))))
+    (words,), tall = _relations(np.repeat(coins, len(orders), axis=0),
+                                np.tile(orders, (len(coins), 1)),
+                                _layout(size))
+    rels = np.unique(words[~tall], axis=0)
+    return [[rels[list(itertools.product(range(len(rels)), repeat=3))]]]
+
+
+def _short_chain_samples(rng: random.Random, size: int, samples: int):
+    """``samples`` random triples of relations without a chain through
+    all ``size`` outcomes, in chunks of about _CHUNK_ELEMENTS coins: per
+    word, a (triples, 3, size) array of better masks.  Each position pair
+    of a random order is taken with probability 0.3, and a triple with a
+    chain is drawn again, from a numpy generator seeded by ``rng`` once."""
+    gen = np.random.default_rng(rng.getrandbits(64))
+    layout, pairs = _layout(size), size * (size - 1) // 2
+    rows = 3 * max(1, _CHUNK_ELEMENTS // (3 * pairs))
+    while samples > 0:
+        words, tall = _relations(gen.random((rows, pairs)) < 0.3,
+                                 gen.random((rows, size)).argsort(axis=1),
+                                 layout)
+        keep = ~tall.reshape(-1, 3).any(axis=1)
+        chunk = [w.reshape(-1, 3, size)[keep][:samples] for w in words]
+        samples -= len(chunk[0])
+        yield chunk
+
+
+def _short_chain_claim(st: GameStructure) -> Claim:
     size = st.outcomes.size
+
+    def unserved(chunk, outs, cells):
+        """The chunk's triples that no cell serves as an equilibrium:
+        ``outs`` are the cells' outcomes, ``cells`` (words, players,
+        cells) their deviation lines."""
+        hit = 0
+        for word, lines in zip(chunk, cells):
+            hit = hit | word[:, :, outs] & lines
+        return hit.any(axis=1).all(axis=1)
 
     def check(rng, samples):
         exhaustive = size <= 3
-        if exhaustive:
-            rels = [Preference(st.outcomes, r).better_masks
-                    for r in _short_chain_relations(size, max_height)]
-            triples = itertools.product(rels, repeat=3)
-        else:
-            pairs = [(i, j) for i in range(size) for j in range(i + 1, size)]
-            triples = ([_random_short_chain(rng, pairs, size, max_height)
-                        for _ in range(3)] for _ in range(samples))
+        chunks = (_all_short_chains(size) if exhaustive else
+                  _short_chain_samples(rng, size, samples))
         lines = _deviation_lines(st.table, size, st.players)
-        # the last _WITNESS_CELLS distinct equilibrium cells, most recently
-        # used first, as (outcome, per-player deviation lines) in ints: a
-        # triple that one of them serves needs no pass over the table
-        cells = []
-        total = ok = 0
-        for triple in triples:
-            total += 1
-            for i, (o, line) in enumerate(cells):
-                if not any(b[o] & d for b, d in zip(triple, line)):
-                    cells.insert(0, cells.pop(i))
-                    ok += 1
-                    break
-            else:
-                ne = _ne_mask(st.table, lines,
-                              [_words(b, size) for b in triple])
+        # the last _WITNESS_CELLS equilibrium cells found: a triple that
+        # one of them serves needs no pass over the table
+        outs = np.zeros(0, dtype=np.intp)
+        cells = np.zeros((len(lines[0]), st.players, 0), dtype=np.uint64)
+        total = failed = 0
+        for chunk in chunks:
+            open_ = unserved(chunk, outs, cells)
+            total += len(open_)
+            for t in np.flatnonzero(open_):
+                if not open_[t]:  # served by a cell found in this chunk
+                    continue
+                ne = _ne_mask(st.table, lines, [[w[t, p] for w in chunk]
+                                                for p in range(st.players)])
                 first = int(ne.argmax())
-                if ne.flat[first]:
-                    at = np.unravel_index(first, ne.shape)
-                    cells.insert(0, (int(st.table[at]), tuple(
-                        sum(int(w[at]) << 64 * k for k, w in enumerate(ws))
-                        for ws in lines)))
-                    del cells[_WITNESS_CELLS:]
-                    ok += 1
-        return ClaimReport("short-chain-ne", ok == total, exhaustive,
-                           f"{ok}/{total} {'' if exhaustive else 'sampled '}"
-                           f"short-chain preference triples have an "
-                           f"equilibrium")
+                if not ne.flat[first]:
+                    failed += 1
+                    continue
+                at = np.unravel_index(first, ne.shape)
+                cell = np.array([[w[at] for w in line] for line in lines],
+                                dtype=np.uint64).T[:, :, None]
+                outs = np.append(st.table[at], outs)[:_WITNESS_CELLS]
+                cells = np.dstack([cell, cells])[:, :, :_WITNESS_CELLS]
+                open_ &= unserved(chunk, outs[:1], cell)
+        return ClaimReport("short-chain-ne", not failed, exhaustive,
+                           f"{total - failed}/{total} "
+                           f"{'' if exhaustive else 'sampled '}short-chain "
+                           f"preference triples have an equilibrium")
 
     return Claim("short-chain-ne",
-                 f"every preference triple without a {max_height + 1}-outcome "
+                 f"every preference triple without a {size}-outcome "
                  f"chain yields a game with an equilibrium", check)
 
 
@@ -237,13 +270,10 @@ def _prop_5_4_claims(game: NormalFormGame) -> tuple[Claim, ...]:
         # the stated preferences, so the zero-sum variant has no equilibrium
         payoffs = [(-2 * o, o, o) for o in range(n + 1)]
         balanced = all(sum(p) == 0 for p in payoffs)
-        prefs = []
-        for player in range(3):
-            pairs = {(o, p) for o in range(n + 1) for p in range(n + 1)
-                     if payoffs[o][player] < payoffs[p][player]}
-            prefs.append(Preference(game.structure.outcomes, frozenset(pairs)))
-        induced = NormalFormGame(game.structure, PreferenceProfile(tuple(prefs)))
-        nes = find_all_ne(induced)
+        prefs = PreferenceProfile(tuple(Preference(game.structure.outcomes, {
+            (o, p) for o in range(n + 1) for p in range(n + 1)
+            if payoffs[o][player] < payoffs[p][player]}) for player in range(3)))
+        nes = find_all_ne(NormalFormGame(game.structure, prefs))
         return ClaimReport("zero-sum-variant", balanced and not nes, True,
                            f"payoffs balanced: {balanced}; "
                            f"{len(nes)} equilibria found")
@@ -254,7 +284,7 @@ def _prop_5_4_claims(game: NormalFormGame) -> tuple[Claim, ...]:
         Claim("zero-sum-variant",
               "the payoff version (-2o, o, o) is zero-sum and still has "
               "no equilibrium", zero_sum),
-        _short_chain_claim(game.structure, max_height=n),
+        _short_chain_claim(game.structure),
     )
 
 
@@ -291,16 +321,10 @@ def _six_cube_game() -> NormalFormGame:
     return NormalFormGame(GameStructure((6, 6, 6), XYZ, t), prefs)
 
 
-def _all_slices(st: GameStructure):
-    for player in range(3):
-        for strategy in range(st.strategy_counts[player]):
-            yield player, strategy, slice_structure(st, player, strategy)
-
-
 def _determinacy_claims(st: GameStructure) -> tuple[Claim, Claim]:
     def slices(rng, samples):
-        bad = [(p, s) for p, s, sliced in _all_slices(st)
-               if not is_determined(sliced)]
+        bad = [(p, s) for p in range(3) for s in range(st.strategy_counts[p])
+               if not is_determined(slice_structure(st, p, s))]
         total = sum(st.strategy_counts)
         return ClaimReport("slices-determined", not bad, True,
                            f"{total - len(bad)}/{total} slices determined"
@@ -392,19 +416,14 @@ def _prop_5_6_claims(game: NormalFormGame) -> tuple[Claim, ...]:
     st = game.structure
 
     def ne_table(rng, samples):
-        ok = 0
-        details = []
-        for favourites, profile in PROP_5_6_NE_TABLE:
-            prefs = PreferenceProfile(tuple(map(_prefers_only, favourites)))
-            indexed = tuple(s - 1 for s in profile)
-            good = is_nash_equilibrium(NormalFormGame(st, prefs), indexed)
-            ok += good
-            if not good:
-                details.append(profile)
-        return ClaimReport("ne-table", ok == len(PROP_5_6_NE_TABLE), True,
-                           f"{ok}/{len(PROP_5_6_NE_TABLE)} listed profiles "
-                           f"are equilibria"
-                           + (f"; failing: {details}" if details else ""))
+        bad = [profile for favourites, profile in PROP_5_6_NE_TABLE
+               if not is_nash_equilibrium(NormalFormGame(st, PreferenceProfile(
+                   tuple(map(_prefers_only, favourites)))),
+                   tuple(s - 1 for s in profile))]
+        total = len(PROP_5_6_NE_TABLE)
+        return ClaimReport("ne-table", not bad, True,
+                           f"{total - len(bad)}/{total} listed profiles are "
+                           "equilibria" + (f"; failing: {bad}" if bad else ""))
 
     return (
         _no_ne_claim("statement-prefs-no-ne",

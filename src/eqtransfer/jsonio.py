@@ -9,9 +9,9 @@ in preorder) but never written.  Loaders check the JSON shape and the
 fields only a document has, and raise SchemaError with a human-readable
 reason; the model constructors check every value, and ``from_obj`` turns
 their ValueError, TypeError or OverflowError into one; broken JSON keeps the
-parser's line/column information, and JSON nested deeper than the parser
-can go (a nested tree of about 500 levels) raises TooLargeError, as do
-more than ``MAX_OUTCOMES`` outcomes (one winner query per outcome).
+parser's line/column information, and a nested tree deeper than
+``MAX_TREE_DEPTH`` levels raises TooLargeError, as do more than
+``MAX_OUTCOMES`` outcomes (one winner query per outcome).
 """
 
 from __future__ import annotations
@@ -29,6 +29,9 @@ from .prefs import OutcomeSet, Preference, PreferenceProfile, is_int
 
 FORMAT = 1
 MAX_OUTCOMES = 4096
+# Levels of a nested tree document: the parser recurses twice a level, and
+# about 470 levels parse under the deepest caller stack seen (pytest).
+MAX_TREE_DEPTH = 400
 
 # A plain arena loads as solve_parity's and solve_muller's arguments.
 PlainArena = tuple[Arena, int, Optional[tuple[frozenset[int], ...]]]
@@ -124,11 +127,16 @@ def _tree_from_obj(obj: dict) -> tuple[GameTree, Optional[PreferenceProfile]]:
         top, stack = [node["root"]], []
     else:
         owners, kids, top = [], [], []
-        # (JSON node, child codes of its parent), popped in preorder; the
-        # checks are inlined, since this loop runs once per node
+        # (JSON node, child codes of its parent), popped in preorder, and
+        # (None, None) after a node's children; the checks are inlined,
+        # since this loop runs once a node
         stack = [(node, top)]
+    level = 0
     while stack:
         node, row = stack.pop()
+        if row is None:
+            level -= 1
+            continue
         if not isinstance(node, dict):
             raise SchemaError("tree node must be an object")
         if "leaf" in node:
@@ -145,9 +153,14 @@ def _tree_from_obj(obj: dict) -> tuple[GameTree, Optional[PreferenceProfile]]:
         children = node.get("children")
         if not (isinstance(children, list) and children):
             raise SchemaError("internal node needs a non-empty children list")
+        if level == MAX_TREE_DEPTH:
+            raise TooLargeError(f"tree nested deeper than {MAX_TREE_DEPTH} "
+                                "levels; the flat form has no such cap")
+        level += 1
         row.append(len(kids))
         owners.append(_OWNER_NAMES[owner])
         kids.append([])
+        stack.append((None, None))
         stack.extend(zip(reversed(children), repeat(kids[-1])))
     tree = GameTree(owners, kids, top[0], outs)
     prefs = None

@@ -66,9 +66,7 @@ class OutcomeSet:
                 raise ValueError("labels must be distinct")
 
     def label(self, index: int) -> str:
-        if self.labels is not None:
-            return self.labels[index]
-        return str(index)
+        return str(index) if self.labels is None else self.labels[index]
 
 
 @dataclass(frozen=True)
@@ -143,10 +141,8 @@ class PreferenceProfile:
     def __post_init__(self):
         if not self.prefs:
             raise ValueError("profile must contain at least one preference")
-        first = self.prefs[0].outcomes
-        for p in self.prefs[1:]:
-            if p.outcomes != first:
-                raise ValueError("all preferences must share one outcome set")
+        if any(p.outcomes != self.prefs[0].outcomes for p in self.prefs):
+            raise ValueError("all preferences must share one outcome set")
 
     @property
     def outcomes(self) -> OutcomeSet:
@@ -197,10 +193,7 @@ def height(p: Preference) -> Optional[int]:
 
     An empty relation (antichain) has height 1; a single edge gives height 2.
     """
-    try:
-        return max(rank(p)) + 1
-    except CyclicPreferenceError:
-        return None
+    return max(rank(p)) + 1 if is_acyclic(p) else None
 
 
 def rank(p: Preference) -> tuple[int, ...]:
@@ -242,13 +235,9 @@ def lift_less(linear: Sequence[int], a: Iterable[int], b: Iterable[int]) -> bool
     ``linear`` lists the outcomes from least to most preferred.  A is below B
     iff they differ and the least element of the symmetric difference lies in A.
     """
-    sa, sb = set(a), set(b)
-    if sa == sb:
-        return False
-    diff = sa ^ sb
+    sa, diff = set(a), set(a) ^ set(b)
     position = {o: i for i, o in enumerate(linear)}
-    least = min(diff, key=position.__getitem__)
-    return least in sa
+    return bool(diff) and min(diff, key=position.__getitem__) in sa
 
 
 def lift_less_existential(p: Preference, a: Iterable[int], b: Iterable[int]) -> bool:

@@ -195,8 +195,7 @@ CAPS: dict[str, tuple[int, Callable[[int], int]]] = {
         (graph_games.MAX_MULLER_COLOURS, lambda n: n),
     "corpus.MAX_SAMPLES": (corpus.MAX_SAMPLES, lambda n: n),
     "jsonio.MAX_OUTCOMES": (jsonio.MAX_OUTCOMES, lambda n: n),
-    # JSON levels of a tree
-    "sys.getrecursionlimit()": (sys.getrecursionlimit(), lambda n: 2 * n),
+    "jsonio.MAX_TREE_DEPTH": (jsonio.MAX_TREE_DEPTH, lambda n: n),
 }
 
 TIMEOUT = 60  # seconds per row, through the console script
@@ -233,6 +232,12 @@ ROWS = [
         lambda n: plain_arena(chain_arena(n)), 1000),
     Row("priority_game_10000", ("transfer", "{input}"), priority_game, 10_000,
         stdout="Nash equilibrium"),
+    # Out of address space, the load is refused rather than crashed: the
+    # parse runs out at this limit, about a third of what a full run takes.
+    # In-process, where no limit can be set, the loader raises MemoryError.
+    Row("priority_game_1000000", ("transfer", "{input}"), priority_game,
+        1_000_000, code=2, stderr="input too large for available memory",
+        tier1_size=100, memory_kb=500_000),
     # Arena construction must stay linear in the out-degree: a list-scan
     # dedupe took 1.4 s at 20,000 successors, growing with their square.
     Row("star_200000", ("transfer", "{input}"), star_game, 200_000,
@@ -314,15 +319,21 @@ ROWS = [
                            "--samples", "{size}"), size=100_000,
         stdout="short-chain-ne: confirmed (sampled; 100000/100000 sampled",
         caps=("corpus.MAX_SAMPLES",)),
+    Row("samples_100000_n_8", ("corpus", "verify", "prop_5_4", "--n", "8",
+                               "--samples", "{size}"), size=100_000,
+        stdout="short-chain-ne: confirmed (sampled; 100000/100000 sampled",
+        caps=("corpus.MAX_SAMPLES",)),
     Row("samples_100001", ("corpus", "verify", "prop_5_4", "--n", "3",
                            "--samples", "{size}"), size=100_001, code=2,
         stderr="100001 samples exceed the cap of 100000",
         caps=("corpus.MAX_SAMPLES",)),
-    # The cut lies near 490 levels and moves with the caller's stack.
+    # Past the cap the loader refuses; from about 470 levels on, with the
+    # caller's stack, the parser refuses first.
     Row("caterpillar_400", ("transfer", "{input}"), caterpillar_text, 400,
-        caps=("sys.getrecursionlimit()",)),
-    Row("caterpillar_600", ("transfer", "{input}"), caterpillar_text, 600,
-        code=2, stderr="nested deeper", caps=("sys.getrecursionlimit()",)),
+        caps=("jsonio.MAX_TREE_DEPTH",)),
+    *(Row(f"caterpillar_{depth}", ("transfer", "{input}"), caterpillar_text,
+          depth, code=2, stderr="nested deeper",
+          caps=("jsonio.MAX_TREE_DEPTH",)) for depth in (401, 495, 600)),
     # Values jsonio leaves to the model constructors, still refused by name.
     Row("pairs_float_twin", ("transfer", "{input}"),
         lambda _: {**diagonal(2), "preferences": [
@@ -376,6 +387,15 @@ def address_space(kb: Optional[int]) -> Optional[Callable[[], None]]:
                                       (kb * 1024, kb * 1024))
 
 
+def child_env(row: Row) -> Optional[dict[str, str]]:
+    """Under an address-space limit, one BLAS thread: each thread reserves
+    its own buffers, so the default count would tie the limit to the
+    host's cores."""
+    if row.memory_kb is None:
+        return None
+    return {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+
+
 def main() -> int:
     exe = shutil.which("eqtransfer")
     if exe is None:
@@ -390,7 +410,7 @@ def main() -> int:
             try:
                 proc = subprocess.run(
                     [exe, *argv], capture_output=True, text=True,
-                    timeout=TIMEOUT,
+                    timeout=TIMEOUT, env=child_env(row),
                     preexec_fn=address_space(row.memory_kb))
             except subprocess.TimeoutExpired:
                 found, code, err = [f"no exit within {TIMEOUT} s"], "-", ""

@@ -126,28 +126,43 @@ def brute_has_ne(g: et.NormalFormGame) -> bool:
     return any(brute_is_nash_equilibrium(g, s) for s in g.structure.profiles())
 
 
-def random_short_chain(rng: random.Random, size: int,
-                       max_height: int) -> et.Preference:
-    """The corpus's short-chain sampler, built as a Preference and measured
-    with ``height``; the package emits the same draws as bit masks."""
-    while True:
-        order = list(range(size))
-        rng.shuffle(order)
-        pairs = [(order[i], order[j])
-                 for i in range(size) for j in range(i + 1, size)
-                 if rng.random() < 0.3]
+def short_chain_relations(size: int, max_height: int) -> list[frozenset]:
+    """All acyclic relations on ``size`` outcomes with height <= max_height."""
+    universe = [(x, y) for x in range(size) for y in range(size) if x != y]
+    found = []
+    for mask in range(1 << len(universe)):
+        pairs = frozenset(p for i, p in enumerate(universe) if mask >> i & 1)
         p = et.Preference.from_pairs(size, pairs)
-        if et.height(p) <= max_height:
-            return p
+        if et.is_acyclic(p) and et.height(p) <= max_height:
+            found.append(pairs)
+    return found
 
 
-def short_chain_report(st: et.GameStructure, max_height: int,
-                       rng: random.Random, samples: int) -> et.ClaimReport:
-    """The ``short-chain-ne`` claim, one Preference triple at a time; up to
-    three outcomes it runs over every relation of bounded height."""
+def relation_of(words, size: int) -> et.Preference:
+    """The relation whose better masks, cut into 64-bit words, are
+    ``words``: the pair (x, y) for bit y of entry x."""
+    return et.Preference.from_pairs(size, [
+        (x, y) for x in range(size) for y in range(size)
+        if int(words[y // 64][x]) >> y % 64 & 1])
+
+
+def sampled_relations(rng: random.Random, size: int,
+                      samples: int) -> Iterator[tuple[et.Preference, ...]]:
+    """The triples the corpus's short-chain sampler draws, as Preferences."""
+    for chunk in et.corpus._short_chain_samples(rng, size, samples):
+        for t in range(len(chunk[0])):
+            yield tuple(relation_of([w[t, p] for w in chunk], size)
+                        for p in range(3))
+
+
+def short_chain_report(st: et.GameStructure, rng: random.Random,
+                       samples: int) -> et.ClaimReport:
+    """The ``short-chain-ne`` claim, one Preference triple at a time, on
+    the triples the package's sampler draws; up to three outcomes it runs
+    over every relation of height below the outcome count."""
     size = st.outcomes.size
     if size <= 3:
-        rels = et.corpus._short_chain_relations(size, max_height)
+        rels = short_chain_relations(size, size - 1)
         total = ok = 0
         for triple in itertools.product(rels, repeat=3):
             total += 1
@@ -158,10 +173,8 @@ def short_chain_report(st: et.GameStructure, max_height: int,
                               f"{ok}/{total} short-chain preference triples "
                               f"have an equilibrium")
     ok = 0
-    for _ in range(samples):
-        prefs = et.PreferenceProfile(tuple(
-            random_short_chain(rng, size, max_height) for _ in range(3)))
-        ok += brute_has_ne(et.NormalFormGame(st, prefs))
+    for triple in sampled_relations(rng, size, samples):
+        ok += brute_has_ne(et.NormalFormGame(st, et.PreferenceProfile(triple)))
     return et.ClaimReport("short-chain-ne", ok == samples, False,
                           f"{ok}/{samples} sampled short-chain preference "
                           f"triples have an equilibrium")

@@ -729,6 +729,23 @@ class TestErrorPaths:
         assert "usage: eqtransfer solve" in first[2]
         assert good[0] == cli.EXIT_OK
 
+    @pytest.mark.parametrize("module, name", [(jsonio, "from_obj"),
+                                              (graph_games, "_zielonka")],
+                             ids=["load", "solve"])
+    def test_out_of_memory_is_refused(self, capsys, monkeypatch, module,
+                                      name):
+        """A MemoryError while loading, building or solving is exit 2 and
+        a TooLargeError report, not a traceback."""
+        def out_of_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(module, name, out_of_memory)
+        code, out, err = run(capsys, "--json", "transfer",
+                             fixture_path("priority_game.json"))
+        assert code == cli.EXIT_INPUT
+        assert err == "error: input too large for available memory\n"
+        assert json.loads(out)["error"] == "TooLargeError"
+
     @pytest.mark.parametrize("name, got", [
         ("priority_game", "a priority game"),
         ("muller_game", "a Muller game"),

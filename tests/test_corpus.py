@@ -1,17 +1,19 @@
 """The three-player counterexample corpus: constructors and claims."""
 
+import gc
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import eqtransfer as et
-from eqtransfer import corpus
+from eqtransfer import corpus, normal_form
 from conftest import random_structure
 from reference_normal_form import (bit_instantiations_report,
                                    brute_find_all_ne,
-                                   brute_is_nash_equilibrium,
-                                   random_short_chain, short_chain_report)
+                                   brute_is_nash_equilibrium, relation_of,
+                                   sampled_relations, short_chain_report)
 
 X, Y, Z = 0, 1, 2
 
@@ -211,9 +213,7 @@ def reference_verify(entry, seed, samples, monkeypatch):
     for i, claim in enumerate(entry.claims):
         rng = random.Random(f"{seed}:{entry.name}:{i}")
         if claim.name == "short-chain-ne":
-            st = entry.structure
-            reports.append(short_chain_report(st, st.outcomes.size - 1,
-                                              rng, samples))
+            reports.append(short_chain_report(entry.structure, rng, samples))
         elif claim.name == "bit-instantiations-have-ne":
             reports.append(bit_instantiations_report(entry.structure))
         else:
@@ -222,21 +222,68 @@ def reference_verify(entry, seed, samples, monkeypatch):
 
 
 class TestMaskKernelParity:
-    @pytest.mark.parametrize("seed", range(5))
-    def test_sampler_draws_the_reference_relations(self, seed):
-        for size in range(1, 10):
-            for max_height in {max(1, size - 2), max(1, size - 1), size}:
-                fast = random.Random(f"{seed}/{size}/{max_height}")
-                slow = random.Random(f"{seed}/{size}/{max_height}")
-                pairs = [(i, j) for i in range(size)
-                         for j in range(i + 1, size)]
-                for _ in range(20):
-                    better = et.corpus._random_short_chain(
-                        fast, pairs, size, max_height)
-                    pref = random_short_chain(slow, size, max_height)
-                    assert {(x, y) for x in range(size) for y in range(size)
-                            if better[x] >> y & 1} == pref.pairs
-                assert fast.getstate() == slow.getstate()
+    @pytest.mark.parametrize("size", [*range(2, 10), 70])
+    def test_sampled_relations_are_short_and_acyclic(self, size):
+        """Each drawn relation is a strict partial order without a chain
+        through all outcomes, and its word masks are its pairs in
+        ``_words``' layout; at 70 outcomes the masks take two words.  (One
+        outcome is a chain by itself, so it has no such relation.)"""
+        chunks = list(corpus._short_chain_samples(random.Random(size), size,
+                                                  40))
+        assert sum(len(chunk[0]) for chunk in chunks) == 40
+        for chunk in chunks:
+            assert len(chunk) == (size + 63) // 64
+            for t in range(len(chunk[0])):
+                for p in range(3):
+                    words = [w[t, p] for w in chunk]
+                    pref = relation_of(words, size)
+                    assert et.is_acyclic(pref)
+                    assert et.height(pref) <= size - 1
+                    expected = normal_form._words(pref.better_masks, size)
+                    assert all(w.dtype == np.uint64 for w in words)
+                    assert all(np.array_equal(w, e)
+                               for w, e in zip(words, expected))
+
+    def test_pair_frequency(self):
+        """Each pair of positions is taken with probability 0.3; at nine
+        outcomes almost no relation is redrawn for its height."""
+        prefs = [pref for triple in sampled_relations(random.Random(9), 9,
+                                                      1000)
+                 for pref in triple]
+        share = sum(len(p.pairs) for p in prefs) / (len(prefs) * 36)
+        assert 0.28 <= share <= 0.32
+
+    def test_orders_are_uniform(self):
+        """The order is a uniform permutation: at four outcomes each
+        ordered pair (x, y) is drawn about 0.3 / 2 of the time, in both
+        directions, and each outcome is maximal (nothing drawn above it)
+        equally often.  An order fixed to the identity would draw no pair
+        downwards and leave outcome 3 always maximal."""
+        prefs = [pref for triple in sampled_relations(random.Random(4), 4,
+                                                      3000)
+                 for pref in triple]
+        for x in range(4):
+            for y in range(4):
+                if x != y:
+                    share = sum(p.less(x, y) for p in prefs) / len(prefs)
+                    assert 0.12 <= share <= 0.18, (x, y, share)
+        maximal = [sum(not p.better_masks[o] for p in prefs) / len(prefs)
+                   for o in range(4)]
+        mean = sum(maximal) / 4
+        assert all(abs(m - mean) <= 0.03 for m in maximal), maximal
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_claim_takes_one_draw(self, n):
+        """A sampled claim seeds its numpy generator with one draw from
+        its ``rng`` and takes nothing else from it; the exhaustive case
+        (n = 2, three outcomes) draws nothing."""
+        claim = et.build("prop_5_4", n).claims[-1]
+        assert claim.name == "short-chain-ne"
+        checked, drawn = random.Random(n), random.Random(n)
+        claim.check(checked, 100)
+        if n > 2:
+            drawn.getrandbits(64)
+        assert checked.getstate() == drawn.getstate()
 
     @pytest.mark.parametrize("name,n", [("remark_5_3", None),
                                         ("prop_5_5", None),
@@ -250,21 +297,24 @@ class TestMaskKernelParity:
             monkeypatch.undo()
 
     def test_short_chain_counts_match_reference_below_total(self):
-        # the rotating game lacks equilibria under 24 of the 15,625 triples,
-        # and a few small random structures under some sampled triples, so
-        # the counts in the detail strings fall below their totals
-        st = et.build("remark_5_3").structure
-        claim = et.corpus._short_chain_claim(st, max_height=3)
+        # a parity table, where every unilateral deviation switches
+        # between outcomes 0 and 1, lacks equilibria under 540 of the 2,197
+        # triples of relations of height 2 on three outcomes, and a few
+        # small random structures under some sampled triples, so the
+        # counts in the detail strings fall below their totals
+        parity = np.indices((2, 2, 2)).sum(axis=0) % 2
+        st = et.GameStructure((2, 2, 2), et.OutcomeSet(3), parity)
+        claim = et.corpus._short_chain_claim(st)
         exhaustive = claim.check(random.Random(0), 0)
-        assert exhaustive == short_chain_report(st, 3, random.Random(0), 0)
-        assert exhaustive.detail.startswith("15601/15625")
+        assert exhaustive == short_chain_report(st, random.Random(0), 0)
+        assert exhaustive.detail.startswith("1657/2197")
         rng = random.Random(3)
         failing = 0
         for _ in range(30):
             st = random_structure(rng, (2, 2, 2), 4)
-            claim = et.corpus._short_chain_claim(st, max_height=3)
-            sampled = claim.check(random.Random(1), 100)
-            assert sampled == short_chain_report(st, 3, random.Random(1), 100)
+            claim = et.corpus._short_chain_claim(st)
+            sampled = claim.check(random.Random(1), 200)
+            assert sampled == short_chain_report(st, random.Random(1), 200)
             failing += not sampled.passed
         assert failing == 2
 
@@ -300,22 +350,44 @@ class TestWitnessCells:
                        for u, v in ((63, 64), (0, 69), (64, 65))]
         failing = 0
         for st in structures:
-            claim = et.corpus._short_chain_claim(st, max_height=69)
+            claim = et.corpus._short_chain_claim(st)
             report = claim.check(random.Random(2), 60)
-            assert report == short_chain_report(st, 69, random.Random(2), 60)
+            assert report == short_chain_report(st, random.Random(2), 60)
             failing += not report.passed
         assert failing == 3
 
-    @pytest.mark.parametrize("n", [2, 3, 5, 8])
-    def test_rng_state_follows_the_draws(self, n):
-        """The claim draws three relations per sample and nothing else;
-        the exhaustive case (n = 2, three outcomes) draws nothing."""
-        claim = et.build("prop_5_4", n).claims[-1]
-        assert claim.name == "short-chain-ne"
-        size = n + 1
-        pairs = [(i, j) for i in range(size) for j in range(i + 1, size)]
-        checked, drawn = random.Random(n), random.Random(n)
-        claim.check(checked, 100)
-        for _ in range(3 * 100 if size > 3 else 0):
-            et.corpus._random_short_chain(drawn, pairs, size, n)
-        assert checked.getstate() == drawn.getstate()
+
+class TestShortChainMemory:
+    """The sampler draws in chunks of a fixed number of coins, so its
+    memory stays flat in n."""
+
+    @staticmethod
+    def traced_peak_mb(run) -> float:
+        run()  # pays one-time costs
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run()
+            return (tracemalloc.get_traced_memory()[1] - base) / 2 ** 20
+        finally:
+            tracemalloc.stop()
+
+    def test_claim_peak_at_the_bench_size(self):
+        # n = 7 with 300 samples is the benchmark's peak-memory corpus op,
+        # whose other steps peak near 0.08 MB: chunks of 1,024 coins read
+        # 0.038-0.039 MB here and raise that op's peak by 0.2%, while
+        # chunks of 1,536 read 0.046 MB and raise it by 9%
+        claim = et.build("prop_5_4", 7).claims[-1]
+        peak = self.traced_peak_mb(
+            lambda: claim.check(random.Random(0), 300))
+        assert peak <= 0.042
+
+    def test_sampler_peak_flat_in_n(self):
+        def draw(n):
+            return lambda: sum(len(chunk[0]) for chunk in
+                               corpus._short_chain_samples(
+                                   random.Random(n), n + 1, 1000))
+
+        assert self.traced_peak_mb(draw(30)) <= 1.5 * self.traced_peak_mb(
+            draw(8))

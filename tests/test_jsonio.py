@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import eqtransfer as et
-from eqtransfer import jsonio
+from eqtransfer import cli, jsonio
 from conftest import FIXTURES, fixture_path
 from limits import caterpillar_game, caterpillar_text
 from reference_extensive import (caterpillar_pair, index_tree,
@@ -351,7 +351,8 @@ class TestTreeLoading:
         rng = random.Random(21002)
         for k in range(500):
             n = rng.randint(1, 8)
-            root, obj = (caterpillar_pair(rng, 495, n) if k % 25 == 0
+            root, obj = (caterpillar_pair(rng, jsonio.MAX_TREE_DEPTH, n)
+                         if k % 25 == 0
                          else random_tree_pair(rng, rng.randint(0, 40), n))
             expected = index_tree(root, et.OutcomeSet(n))
             doc = tree_document(obj, n)
@@ -373,12 +374,13 @@ class TestTreeLoading:
         assert errors >= 50
 
     def test_deep_caterpillar_loads_without_recursion(self):
-        """The object json.loads makes of a 495-level caterpillar, built
-        here directly: parsing it takes nearly all of the default limit,
-        more than a test's stack leaves."""
-        root, obj = caterpillar_pair(random.Random(21003), 495, 3)
-        doc = tree_document(obj, 3, [{"pairs": [[0, 1], [1, 2]]},
-                                     {"pairs": [[2, 1]]}])
+        """The object json.loads makes of a caterpillar at the depth cap,
+        built here directly, loads with little stack; one level more is
+        refused."""
+        depth = jsonio.MAX_TREE_DEPTH
+        prefs = [{"pairs": [[0, 1], [1, 2]]}, {"pairs": [[2, 1]]}]
+        root, obj = caterpillar_pair(random.Random(21003), depth, 3)
+        doc = tree_document(obj, 3, prefs)
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(150)
         try:
@@ -387,23 +389,51 @@ class TestTreeLoading:
             sys.setrecursionlimit(limit)
         assert prefs.players == 2
         assert tree.children == index_tree(root, et.OutcomeSet(3)).children
+        _, obj = caterpillar_pair(random.Random(21003), depth + 1, 3)
+        with pytest.raises(et.TooLargeError, match="nested deeper than 400"):
+            jsonio.from_obj(tree_document(obj, 3))
 
-    def test_about_500_levels_parse(self):
-        """Each tree level nests two JSON levels, the node and its children
-        list, so a fresh interpreter's parser takes about 500 of them."""
-        code = ("import sys\n"
-                "from eqtransfer import jsonio, TooLargeError\n"
-                "texts = sys.stdin.read().split('\\n')\n"
-                "jsonio.loads(texts[0])\n"
+    def test_depth_cap_holds_at_every_entry_point(self, tmp_path):
+        """A 495-level caterpillar is refused with TooLargeError at a
+        script's top level, in a fresh thread, through ``cli.main`` and
+        under pytest, whichever layer refuses it there: the parser, whose
+        reach depends on the caller's stack and the Python version, or the
+        cap.  A caterpillar at the cap loads at all of them."""
+        code = ("import sys, threading\n"
+                "from eqtransfer import cli, jsonio, TooLargeError\n"
+                "inside, past = sys.stdin.read().split('\\n')\n"
+                "def refused(text):\n"
+                "    try:\n"
+                "        jsonio.loads(text)\n"
+                "    except TooLargeError as exc:\n"
+                "        print('refused:', exc)\n"
+                "jsonio.loads(inside)\n"
                 "try:\n"
-                "    jsonio.loads(texts[1])\n"
-                "except TooLargeError:\n"
-                "    print('refused')\n")
+                "    jsonio.loads(past)\n"
+                "except TooLargeError as exc:\n"
+                "    print('refused:', exc)\n"
+                "for text in (inside, past):\n"
+                "    thread = threading.Thread(target=refused, args=[text])\n"
+                "    thread.start()\n"
+                "    thread.join()\n"
+                "print('exit', cli.main(['transfer', sys.argv[1]]))\n")
         src = str(Path(jsonio.__file__).resolve().parents[1])
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+        inside = caterpillar_text(jsonio.MAX_TREE_DEPTH)
+        past = caterpillar_text(495)
+        (tmp_path / "past.json").write_text(past)
         proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True,
-            input=caterpillar_text(490) + "\n" + caterpillar_text(500),
+            [sys.executable, "-c", code, str(tmp_path / "past.json")],
+            capture_output=True, text=True, input=inside + "\n" + past,
             env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr[-2000:]
-        assert proc.stdout == "refused\n"
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 3 and lines[2] == "exit 2", lines
+        assert all(line.startswith("refused: ") and "nested deeper" in line
+                   for line in lines[:2]), lines
+        assert "nested deeper" in proc.stderr
+        path = tmp_path / "inside.json"
+        path.write_text(inside)
+        assert cli.main(["transfer", str(path)]) == 0
+        with pytest.raises(et.TooLargeError):
+            jsonio.loads(past)
