@@ -23,12 +23,12 @@ from .transfer import (GameBackend, OracleStrategy, TransferResult,
 
 
 class Arena(_Frozen):
-    """A finite sink-free coloured graph with a vertex partition.
+    """A finite sink-free coloured graph with a vertex partition, frozen.
 
-    ``owned`` lists the vertices where player 1 moves, ``_owner_flags``
-    flags them; the rest belong to player 2.  ``succ`` and ``pred`` hold
-    each vertex's distinct successors and predecessors.  The arena is frozen.
-    """
+    It stores ``num_vertices``, ``colors``, ``succ`` and ``pred`` (each
+    vertex's distinct successors and predecessors) and ``_owner_flags``,
+    true where player 1 moves and false at player 2's vertices; ``owned``,
+    the set of player 1's vertices, is built on first read."""
 
     def __init__(self, num_vertices: int, owned: Iterable[int],
                  edges: Iterable[tuple[int, int]], colors: Iterable[int]):
@@ -42,7 +42,6 @@ class Arena(_Frozen):
                 raise ValueError(f"arena edge {edge!r} is not a pair") from None
             ends += u, v
         ends = int_values(ends, "arena edges")
-        edges = tuple(zip(ends[::2], ends[1::2]))
         colors = tuple(int_values(colors, "arena colors"))
         if n < 1:
             raise ValueError("arena needs at least one vertex")
@@ -52,7 +51,7 @@ class Arena(_Frozen):
             raise ValueError("owned vertex out of range")
         succ: list[list[int]] = [[] for _ in range(n)]
         # distinct edges in first-occurrence order, in linear time
-        for u, v in dict.fromkeys(edges):
+        for u, v in dict.fromkeys(zip(ends[::2], ends[1::2])):
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range")
             succ[u].append(v)
@@ -63,13 +62,16 @@ class Arena(_Frozen):
                 raise ValueError(f"vertex {u} is a sink; arenas must be sink-free")
             for w in out:
                 pred[w].append(u)
-        vars(self).update(num_vertices=n, owned=owned, edges=edges,
-                          colors=colors, succ=succ,
+        vars(self).update(num_vertices=n, colors=colors, succ=succ,
                           pred=tuple(map(tuple, pred)),
                           _owner_flags=tuple(v in owned for v in range(n)))
 
+    @functools.cached_property
+    def owned(self) -> frozenset[int]:
+        return frozenset(v for v, mine in enumerate(self._owner_flags) if mine)
+
     def owner(self, v: int) -> int:
-        return 1 if v in self.owned else 2
+        return 1 if self._owner_flags[v] else 2
 
     def color_set(self) -> frozenset[int]:
         return frozenset(self.colors)
@@ -107,7 +109,7 @@ class FiniteMemoryStrategy:
         a vertex it leaves out takes its first edge."""
         move = [-1] * arena.num_vertices
         for v, out in enumerate(arena.succ):
-            if (v in arena.owned) == (player == 1):
+            if arena._owner_flags[v] == (player == 1):
                 w = moves.get(v, out[0])
                 if w not in out:
                     raise ValueError(f"strategy moves along a non-edge "
@@ -141,7 +143,7 @@ def play_of(arena: Arena, start: int, s1: FiniteMemoryStrategy,
         a, b = pair
         v = s1.vertex[a]
         trail.append(v)
-        k = s1.move[a] if v in arena.owned else s2.move[b]
+        k = s1.move[a] if arena._owner_flags[v] else s2.move[b]
         if k < 0:
             raise ValueError(f"the owner's strategy has no move at vertex {v}")
         pair = (s1.succ[a][k], s2.succ[b][k])
@@ -152,7 +154,7 @@ def play_of(arena: Arena, start: int, s1: FiniteMemoryStrategy,
 def _entry(strategy: FiniteMemoryStrategy, start: int) -> int:
     try:
         return strategy.entry[start]
-    except KeyError:
+    except (KeyError, IndexError):
         raise ValueError(f"player {strategy.player}'s strategy has no entry "
                          f"state at vertex {start}") from None
 
@@ -181,13 +183,12 @@ def _solve_graph(prep: _Prepared, start: int, colors=None
 # that oracles reuse one topology for many colourings.
 
 class _Prepared:
-    """What a parity solve reads of an arena that no colouring changes: owner
-    flags, out-degrees, self-loop vertices, each vertex's key, and
+    """What a parity solve reads of an arena that no colouring changes: the
+    arena, out-degrees, self-loop vertices, each vertex's key, and
     ``groups``, the vertices of each key, keys in order of first use."""
 
     def __init__(self, arena: Arena, keys):
         self.arena, self.keys, self.groups = arena, keys, {}
-        self.owned = arena._owner_flags
         self.degree = [len(out) for out in arena.succ]
         self.loops = [v for v, out in enumerate(arena.succ) if v in out]
         for v, k in enumerate(keys):
@@ -257,7 +258,8 @@ def _zielonka(prep: _Prepared, colors=None):
     ranked: list[list[int]] = [[] for _ in range(max(colors) + 1)]
     for k, members in prep.groups.items():
         ranked[rank[k]] += members
-    succ, pred, owned = list(prep.arena.succ), prep.arena.pred, prep.owned
+    succ, pred, owned = (list(prep.arena.succ), prep.arena.pred,
+                          prep.arena._owner_flags)
     count = prep.degree[:]  # per solve, bad self-loops cut; pred keeps them,
     # as an attractor reaches v in pred[v] only after v has joined it
     good: list[set[int]] = [set(), set()]  # self-loops good for player i+1

@@ -59,7 +59,7 @@ def _outcome_set(obj: Any) -> OutcomeSet:
     if isinstance(obj, list):
         _require(all(isinstance(s, str) for s in obj),
                  "outcome labels must be strings")
-        return OutcomeSet(len(obj), tuple(obj))
+        return OutcomeSet(len(obj), obj)
     raise SchemaError(f"outcomes must be a count or a label list, got {obj!r}")
 
 
@@ -228,14 +228,10 @@ def arena_to_obj(value: Union[PlainArena, MultiOutcomeGraphGame]) -> dict:
         arena, start, game = value.arena, value.start, value
     else:
         (arena, start, win_sets), game = value, None
-    doc = {
-        "format": FORMAT,
-        "vertices": arena.num_vertices,
-        "owned": sorted(arena.owned),
-        "edges": [list(e) for e in arena.edges],
-        "colors": list(arena.colors),
-        "start": start,
-    }
+    doc = {"format": FORMAT, "vertices": arena.num_vertices,
+           "owned": sorted(arena.owned),
+           "edges": [[u, v] for u, out in enumerate(arena.succ) for v in out],
+           "colors": list(arena.colors), "start": start}
     if game is None:
         if win_sets is not None:
             doc["win_sets"] = [sorted(ws) for ws in win_sets]

@@ -60,6 +60,9 @@ class OutcomeSet:
         if self.size < 1:
             raise ValueError("outcome set must be non-empty")
         if self.labels is not None:
+            if isinstance(self.labels, str):
+                raise ValueError(f"labels given as one string {self.labels!r}")
+            object.__setattr__(self, "labels", tuple(self.labels))
             if len(self.labels) != self.size:
                 raise ValueError("label count must equal size")
             if len(set(self.labels)) != self.size:
@@ -106,7 +109,6 @@ class Preference:
     @staticmethod
     def from_pairs(n: int, pairs: Iterable[tuple[int, int]],
                    labels: Optional[Sequence[str]] = None) -> "Preference":
-        labels = tuple(labels) if labels is not None else None
         return Preference(OutcomeSet(n, labels), pairs)
 
     @staticmethod
@@ -119,9 +121,6 @@ class Preference:
 
     def less(self, x: int, y: int) -> bool:
         return (x, y) in self.pairs
-
-    def successors(self, x: int) -> list[int]:
-        return [y for (a, y) in self.pairs if a == x]
 
     @cached_property
     def kahn_order(self) -> tuple[int, ...]:

@@ -167,12 +167,17 @@ def shuffled_chain_arena(n: int, rng: random.Random) -> et.Arena:
                     colors)
 
 
+def arena_edges(arena: et.Arena) -> list[tuple[int, int]]:
+    """The arena's distinct edges, grouped by source."""
+    return [(u, v) for u, out in enumerate(arena.succ) for v in out]
+
+
 def two_cycle_chain_arena(n: int, rng: random.Random) -> et.Arena:
     """The shuffled chain with each self-loop at u replaced by a 2-cycle
     through a private vertex n+u that has u's owner and the colour n, above
     every real colour; no self-loop is left for the self-cycle rule."""
     chain = shuffled_chain_arena(n, rng)
-    edges = [e for e in chain.edges if e[0] != e[1]]
+    edges = [e for e in arena_edges(chain) if e[0] != e[1]]
     edges += [e for u in range(n) for e in ((u, n + u), (n + u, u))]
     return et.Arena(2 * n, chain.owned | {n + u for u in chain.owned}, edges,
                     chain.colors + (n,) * n)

@@ -17,8 +17,8 @@ from conftest import (fixture_path, memory_machine, random_acyclic_preference,
                       random_arena, random_memory_machine, random_muller_game,
                       random_priority_game)
 from limits import chain_arena
-from reference_graph import (all_positional_strategies, cluster_colors,
-                             lar_muller_winners, lar_product,
+from reference_graph import (all_positional_strategies, arena_edges,
+                             cluster_colors, lar_muller_winners, lar_product,
                              muller_memory_bound,
                              muller_winner_of_play, parity_winner_of_play,
                              recursive_regions, reference_deviation_outcomes,
@@ -70,7 +70,7 @@ class TestArena:
         import numpy as np
         a = et.Arena(np.int64(2), [np.int32(0)],
                      [(np.int64(0), np.int64(1)), (1, 0)], np.arange(2))
-        assert (a.owned, a.edges, a.colors) == ({0}, ((0, 1), (1, 0)), (0, 1))
+        assert (a.owned, a.succ, a.colors) == ({0}, ((1,), (0,)), (0, 1))
         assert all(type(x) is int for x in (a.num_vertices, *a.colors))
 
     @pytest.mark.parametrize("kind", ["priority", "muller"])
@@ -97,6 +97,30 @@ class TestArena:
         assert (got.outcome, got.enforced, got.drop, got.probes) == (
             want.outcome, want.enforced, want.drop, want.probes)
         assert all(map(same_strategy, got.profile, want.profile))
+        # a dump writes each distinct edge once, grouped by source
+        game = et.MultiOutcomeGraphGame(
+            arena=et.Arena(3, [0], [(0, 2), (0, 1), (0, 2), (1, 0), (2, 2)],
+                           [0, 1, 2]),
+            start=0, kind=kind, outcomes=et.OutcomeSet(2), preferences=prefs,
+            outcome_map=outcome_map)
+        doc = json.loads(jsonio.dumps(game))
+        assert doc["edges"] == [[0, 2], [0, 1], [1, 0], [2, 2]]
+        again = jsonio.loads(json.dumps(doc)).arena
+        assert (again.succ, again.pred) == (game.arena.succ, game.arena.pred)
+
+    def test_stores_each_fact_once(self):
+        """An arena keeps its vertex count, colours, successor and
+        predecessor lists and owner flags, and builds ``owned`` only when it
+        is read: no transfer reads it."""
+        a = et.Arena(3, [1, 1], [(0, 1), (1, 2), (2, 0), (0, 1)], [0, 1, 2])
+        assert set(vars(a)) == {"num_vertices", "colors", "succ", "pred",
+                                "_owner_flags"}
+        assert a._owner_flags == (False, True, False)
+        assert a.owned == {1} and "owned" in vars(a)
+        for name in ("priority_game.json", "muller_game.json"):
+            game = jsonio.load(fixture_path(name))
+            et.equilibrium(game)  # verified, or it raises
+            assert "owned" not in vars(game.arena)
 
     def test_owner_partition(self):
         a = et.Arena(3, [1], [(0, 1), (1, 2), (2, 0)], [0, 1, 2])
@@ -339,8 +363,8 @@ class TestOracles:
             for label in labels:
                 colors = [2 * c + 1 - (label >> game.outcome_map[c] & 1)
                           for c in arena.colors]
-                fresh = et.Arena(arena.num_vertices, arena.owned, arena.edges,
-                                 colors)
+                fresh = et.Arena(arena.num_vertices, arena.owned,
+                                 arena_edges(arena), colors)
                 winner, strategy = et.solve_parity(fresh, game.start)
                 assert oracle.winner(label) == winner
                 answer = oracle.strategy(label)
@@ -355,8 +379,8 @@ class TestOracles:
             for label in range(1 << game.outcomes.size):
                 win_sets = [s for s, o in game.outcome_map.items()
                             if label >> o & 1]
-                fresh = et.Arena(arena.num_vertices, arena.owned, arena.edges,
-                                 arena.colors)
+                fresh = et.Arena(arena.num_vertices, arena.owned,
+                                 arena_edges(arena), arena.colors)
                 winner, strategy = et.solve_muller(fresh, game.start, win_sets)
                 assert oracle.winner(label) == winner
                 answer = oracle.strategy(label)
@@ -713,6 +737,17 @@ class TestMuller:
         assert cluster_colors(a, et.play_of(a, 0, machine, other)) == {1, 2}
         with pytest.raises(ValueError, match="no entry state at vertex 1"):
             et.play_of(a, 1, machine, other)
+        # a list entry too short to reach the start vertex
+        short = et.FiniteMemoryStrategy(1, [0], [[0]], [0], [0])
+        with pytest.raises(ValueError, match="no entry state at vertex 1"):
+            et.play_of(a, 1, short, other)
+        one = et.Preference.from_pairs(1, [])
+        game = et.MultiOutcomeGraphGame(
+            arena=a, start=1, kind="priority", outcomes=et.OutcomeSet(1),
+            preferences=et.PreferenceProfile((one, one)),
+            outcome_map={1: 0, 2: 0})
+        with pytest.raises(ValueError, match="no entry state at vertex 1"):
+            et.achievable_deviation_outcomes(game, short, 2)
 
     def test_winner_beats_positional_and_sampled_machines(self, rng):
         for _ in range(60):
@@ -747,7 +782,7 @@ class TestMuller:
             swapped = et.Arena(
                 arena.num_vertices,
                 set(range(arena.num_vertices)) - arena.owned,
-                arena.edges, arena.colors)
+                arena_edges(arena), arena.colors)
             w_direct, _ = et.solve_muller(arena, start, win_sets)
             w_dual, _ = et.solve_muller(swapped, start, complement)
             assert {w_direct, w_dual} == {1, 2}

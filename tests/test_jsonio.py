@@ -29,8 +29,11 @@ TREE_FIXTURES = [name for name, doc in DOCS.items()
 
 def normalised(doc: dict) -> dict:
     """The document with its preference pairs, ``r`` entries and
-    ``win_sets`` in sorted order, which a dump may change."""
+    ``win_sets`` in sorted order, and its arena edges grouped by source
+    (a stable sort), which a dump may change."""
     doc = dict(doc)
+    if "edges" in doc:
+        doc["edges"] = sorted(doc["edges"], key=lambda e: e[0])
     if "preferences" in doc:
         doc["preferences"] = [{**p, "pairs": sorted(p["pairs"])}
                               for p in doc["preferences"]]

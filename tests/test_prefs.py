@@ -30,6 +30,21 @@ class TestBasics:
         assert et.OutcomeSet(2).label(1) == "1"
         assert et.OutcomeSet(2, ("x", "y")).label(1) == "y"
 
+    def test_labels_kept_as_a_tuple(self):
+        """Labels given as a list equal, hash and share a profile like the
+        same labels given as a tuple; one string is refused, not split."""
+        listed = et.OutcomeSet(3, ["a", "b", "c"])
+        tupled = et.OutcomeSet(3, ("a", "b", "c"))
+        assert listed == tupled and listed.labels == ("a", "b", "c")
+        assert hash(listed) == hash(tupled)
+        profile = et.PreferenceProfile((et.Preference(listed, [(0, 1)]),
+                                        et.Preference(tupled, [(1, 0)])))
+        assert profile.outcomes == tupled
+        with pytest.raises(ValueError, match="one string 'ab'"):
+            et.OutcomeSet(2, "ab")
+        with pytest.raises(ValueError, match="one string 'ab'"):
+            et.Preference.from_pairs(2, [], "ab")
+
     def test_preference_range_check(self):
         with pytest.raises(ValueError):
             et.Preference.from_pairs(2, [(0, 2)])
@@ -287,5 +302,5 @@ class TestUpwardCone:
         cone = et.upward_cone(p, seeds)
         assert seeds <= cone
         for x in cone:
-            for y in p.successors(x):
+            for y in (b for a, b in p.pairs if a == x):
                 assert y in cone
