@@ -11,19 +11,15 @@ from .errors import (BadIndexError, CyclicPreferenceError, EqTransferError,
                      NotZeroSumError, SchemaError, TooLargeError,
                      UnboundedHeightError, UnknownNameError)
 from .prefs import (OutcomeSet, Preference, PreferenceProfile, height,
-                    is_acyclic, is_strict_linear, lift_less,
-                    lift_less_existential, linear_extension, rank, upward_cone)
+                    is_acyclic, is_strict_linear, linear_extension, rank)
 from .transfer import (CallCounter, GameBackend, OracleStrategy,
                        TransferResult, WinLoseOracle, equilibrium,
                        max_enforceable_word, run_transfer)
 from .normal_form import (DEFAULT_OUTCOME_CAP, DEFAULT_PROFILE_CAP,
                           GameStructure, NormalFormGame, Profile,
-                          StructureOracle, eliminate_dominated_outcomes,
-                          enforceable_finite_cone, enforcing_strategy,
-                          find_all_ne, finite_height_reduce, is_determined,
-                          is_nash_equilibrium, merge_players,
-                          minimax_transfer, slice_structure,
-                          transfer_equilibrium)
+                          StructureOracle, enforcing_strategy, find_all_ne,
+                          is_determined, is_nash_equilibrium, merge_players,
+                          slice_structure, transfer_equilibrium)
 from .extensive import (GameTree, TreeOracle, kuhn_via_transfer, play_tree,
                         strategy_from_index, strategy_to_index, to_normal_form)
 from .graph_games import (Arena, FiniteMemoryStrategy, MullerOracle,

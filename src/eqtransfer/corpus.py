@@ -26,10 +26,10 @@ from .prefs import OutcomeSet, Preference, PreferenceProfile, int_values
 X, Y, Z = 0, 1, 2
 XYZ = OutcomeSet(3, ("X", "Y", "Z"))
 _WITNESS_CELLS = 8
-# Coins (relations x position pairs) one chunk of short-chain samples draws.
+# Coins (relations x position pairs) per short-chain chunk; at least 8 triples.
 _CHUNK_ELEMENTS = 1024
-# Most samples a sampled claim may draw: 1,000 prop_5_4 samples took 0.008 s
-# at n = 8 and 0.6 s at n = 100 (2-core Xeon), so the cap costs 1 s to 1 min.
+# Most samples a sampled claim may draw: 1,000 prop_5_4 samples took 0.007 s
+# at n = 8 and 0.5 s at n = 100 (2-core Xeon), so the cap costs 1 s to 1 min.
 MAX_SAMPLES = 100_000
 
 
@@ -201,7 +201,7 @@ def _short_chain_samples(rng: random.Random, size: int, samples: int):
     chain is drawn again, from a numpy generator seeded by ``rng`` once."""
     gen = np.random.default_rng(rng.getrandbits(64))
     layout, pairs = _layout(size), size * (size - 1) // 2
-    rows = 3 * max(1, _CHUNK_ELEMENTS // (3 * pairs))
+    rows = 3 * max(8, _CHUNK_ELEMENTS // (3 * pairs))
     while samples > 0:
         words, tall = _relations(gen.random((rows, pairs)) < 0.3,
                                  gen.random((rows, size)).argsort(axis=1),

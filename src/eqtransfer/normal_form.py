@@ -1,5 +1,6 @@
-"""Games in normal form: structures, Nash checking, determinacy, slicing,
-and the brute-force transfer backend with its companion reductions.
+"""Games in normal form: structures, Nash checking, determinacy, slicing
+and the brute-force transfer backend; the paper's lemma constructions
+(finite cone, dominated outcomes, minimax, finite height) are internal.
 
 The outcome function is stored as a dense row-major integer tensor whose
 shape equals the strategy counts; entries are outcome indices.
@@ -18,7 +19,7 @@ import numpy as np
 from .errors import (BadIndexError, HypothesisViolatedError, NotZeroSumError,
                      SchemaError, TooLargeError)
 from .prefs import (OutcomeSet, Preference, PreferenceProfile, _Frozen,
-                    int_values, is_strict_linear, rank, upward_cone)
+                    _upward_cone, int_values, is_strict_linear, rank)
 from .transfer import CallCounter, GameBackend, OracleStrategy, equilibrium
 
 Profile = tuple[int, ...]
@@ -70,7 +71,14 @@ class GameStructure(_Frozen):
         return math.prod(self.strategy_counts)
 
     def outcome(self, profile: Sequence[int]) -> int:
-        return int(self.table[tuple(profile)])
+        """The profile's cell; BadIndexError if the profile does not fit."""
+        s = tuple(profile)
+        if len(s) != len(self.strategy_counts) or not all(
+                (type(i) is int or isinstance(i, np.integer)) and 0 <= i < c
+                for i, c in zip(s, self.strategy_counts)):
+            raise BadIndexError(f"profile {s} does not fit strategy "
+                                f"counts {self.strategy_counts}")
+        return int(self.table[s])
 
     @cached_property
     def row_masks(self) -> tuple[int, ...]:
@@ -174,20 +182,15 @@ def is_nash_equilibrium(g: NormalFormGame, s: Profile) -> bool:
     """No player can unilaterally reach a strictly preferred outcome.
 
     The kernel's deviation lines at the one profile s, the profile's own
-    cell left out; for one profile, looking each distinct outcome up in the
-    relation is cheaper than building the better masks.  A profile of the
-    wrong length or with an index out of range raises BadIndexError."""
-    st = g.structure
-    if len(s) != st.players or not all(
-            0 <= i < c for i, c in zip(s, st.strategy_counts)):
-        raise BadIndexError(f"profile {tuple(s)} does not fit strategy "
-                            f"counts {st.strategy_counts}")
+    cell left out, against the better mask of the profile's outcome.  A
+    profile that does not fit the game raises BadIndexError."""
+    st, s = g.structure, tuple(s)
     base = st.outcome(s)
     for player, pref in enumerate(g.preferences.prefs):
-        line = st.table[tuple(s[:player]) + (slice(None),)
-                        + tuple(s[player + 1:])].tolist()
+        line = st.table[s[:player] + (slice(None),) + s[player + 1:]].tolist()
         del line[s[player]]
-        if any(pref.less(base, o) for o in set(line)):
+        better = pref.better_masks[base]
+        if any(better >> o & 1 for o in set(line)):
             return False
     return True
 
@@ -354,20 +357,20 @@ def transfer_equilibrium(g: NormalFormGame) -> tuple[Profile, CallCounter]:
     return result.profile, result.counter
 
 
-def enforceable_finite_cone(g: NormalFormGame, player: int) -> Optional[set[int]]:
+def _enforceable_finite_cone(g: NormalFormGame, player: int) -> Optional[set[int]]:
     """Smallest-by-scan finite upward cone the player can enforce, or None.
 
-    On finite games some cone always exists (the full outcome set); exposed so
-    the general acyclic-preference applicability condition can be checked
-    explicitly.  Each distinct row or column outcome mask seeds one cone.
+    On finite games some cone always exists (the full outcome set): the
+    general acyclic-preference applicability condition, which the tests check.
+    Each distinct row or column outcome mask seeds one cone.
     """
     masks = dict.fromkeys(_strategy_masks(g.structure, player))
     st, pref = g.structure, g.preferences[player - 1]
-    return min((upward_cone(pref, (o for o in range(st.outcomes.size)
-                                   if m >> o & 1)) for m in masks), key=len)
+    return min((_upward_cone(pref, (o for o in range(st.outcomes.size)
+                                    if m >> o & 1)) for m in masks), key=len)
 
 
-def eliminate_dominated_outcomes(g: NormalFormGame, e: int, o: int) -> NormalFormGame:
+def _eliminate_dominated_outcomes(g: NormalFormGame, e: int, o: int) -> NormalFormGame:
     """Collapse the outcomes strictly below ``o`` for player 1, given a
     player-1 strategy ``e`` excluding all of them.
 
@@ -406,7 +409,7 @@ def eliminate_dominated_outcomes(g: NormalFormGame, e: int, o: int) -> NormalFor
     return _relabelled(st, lookup, new_outcomes, kept(p1), pairs2)
 
 
-def minimax_transfer(g: NormalFormGame) -> Profile:
+def _minimax_transfer(g: NormalFormGame) -> Profile:
     """Nash equilibrium of a determined game with inverse linear preferences,
     by the verified transfer: the lift-greatest enforceable set has the
     minimax outcome v as its minimum (player 1 enforces the interval from v
@@ -423,7 +426,7 @@ def minimax_transfer(g: NormalFormGame) -> Profile:
     return equilibrium(g).profile
 
 
-def finite_height_reduce(g: NormalFormGame) -> NormalFormGame:
+def _finite_height_reduce(g: NormalFormGame) -> NormalFormGame:
     """Replace outcomes by rank pairs and preferences by coordinate comparisons.
 
     Any Nash equilibrium of the reduced game is one of the original game.

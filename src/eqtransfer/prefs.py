@@ -228,7 +228,7 @@ def is_strict_linear(p: Preference) -> bool:
     return len(p.pairs) == n * (n - 1) // 2 and is_acyclic(p)
 
 
-def lift_less(linear: Sequence[int], a: Iterable[int], b: Iterable[int]) -> bool:
+def _lift_less(linear: Sequence[int], a: Iterable[int], b: Iterable[int]) -> bool:
     """Power-set lift of a strict linear order, finite-linear form.
 
     ``linear`` lists the outcomes from least to most preferred.  A is below B
@@ -239,7 +239,7 @@ def lift_less(linear: Sequence[int], a: Iterable[int], b: Iterable[int]) -> bool
     return bool(diff) and min(diff, key=position.__getitem__) in sa
 
 
-def lift_less_existential(p: Preference, a: Iterable[int], b: Iterable[int]) -> bool:
+def _lift_less_existential(p: Preference, a: Iterable[int], b: Iterable[int]) -> bool:
     """Power-set lift in its general existential form, on any relation.
 
     A is below B iff some element of A-minus-B sits below every element of
@@ -251,7 +251,7 @@ def lift_less_existential(p: Preference, a: Iterable[int], b: Iterable[int]) -> 
     return any(all((x, y) in p.pairs for y in only_b) for x in only_a)
 
 
-def upward_cone(p: Preference, seeds: Iterable[int]) -> set[int]:
+def _upward_cone(p: Preference, seeds: Iterable[int]) -> set[int]:
     """Closure of ``seeds`` under the reflexive-transitive preference relation."""
     cone = set(seeds)
     frontier = list(cone)

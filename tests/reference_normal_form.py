@@ -15,6 +15,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 import eqtransfer as et
+from eqtransfer.prefs import _upward_cone
 
 
 @dataclass(frozen=True)
@@ -292,7 +293,7 @@ def rowset_enforceable_finite_cone(g: et.NormalFormGame,
     best: Optional[set[int]] = None
     table = st.table if player == 1 else st.table.T
     for i in range(table.shape[0]):
-        cone = et.upward_cone(pref, {int(o) for o in table[i]})
+        cone = _upward_cone(pref, {int(o) for o in table[i]})
         if best is None or len(cone) < len(best):
             best = cone
     return best

@@ -8,6 +8,9 @@ import pytest
 
 import eqtransfer as et
 from eqtransfer import jsonio, normal_form
+from eqtransfer.normal_form import (_eliminate_dominated_outcomes,
+                                   _enforceable_finite_cone,
+                                   _finite_height_reduce)
 from conftest import (fixture_path, random_acyclic_preference,
                       random_determined_structure, random_structure,
                       random_tree)
@@ -124,14 +127,27 @@ class TestNashEquilibrium:
         assert all(et.is_nash_equilibrium(g, s) for s in everything)
 
     @pytest.mark.parametrize("profile", [(-1, 0), (0, 99), (0, 4), (2, 0),
-                                         (0,), (0, 0, 0)])
+                                         (0,), (0, 0, 0), (True, 0),
+                                         (1.0, 0)])
     def test_profile_must_fit_the_game(self, profile):
-        """Once (-1, 0) silently checked the last row."""
+        """Once (-1, 0) silently checked the last row, and (0,), (True, 0)
+        and (1.0, 0) raised a bare TypeError or IndexError."""
         tree, prefs = jsonio.load(fixture_path("intro_payoff_tree.json"))
         g = et.NormalFormGame(et.to_normal_form(tree), prefs)
         assert g.structure.strategy_counts == (2, 4)
         with pytest.raises(et.BadIndexError, match="does not fit"):
             et.is_nash_equilibrium(g, profile)
+        with pytest.raises(et.BadIndexError, match="does not fit"):
+            g.structure.outcome(profile)
+
+    def test_numpy_profile_fits(self):
+        tree, prefs = jsonio.load(fixture_path("intro_payoff_tree.json"))
+        g = et.NormalFormGame(et.to_normal_form(tree), prefs)
+        for profile in g.structure.profiles():
+            typed = [np.int64(profile[0]), np.int32(profile[1])]
+            assert g.structure.outcome(typed) == g.structure.outcome(profile)
+            assert (et.is_nash_equilibrium(g, typed)
+                    == et.is_nash_equilibrium(g, profile))
 
 
 def random_relation_game(rng, players: int) -> et.NormalFormGame:
@@ -527,7 +543,7 @@ class TestCompanionsMatchReference:
                 eligible += 1
             for args in ((e, o), (rng.randrange(-1, 6), rng.randrange(-1, 13))):
                 got = self.result_or_error(
-                    lambda: et.eliminate_dominated_outcomes(game, *args))
+                    lambda: _eliminate_dominated_outcomes(game, *args))
                 want = self.result_or_error(
                     lambda: cellwise_eliminate_dominated_outcomes(game, *args))
                 assert got == want, args
@@ -536,14 +552,14 @@ class TestCompanionsMatchReference:
     def test_finite_height_reduction(self, rng):
         for i in range(2 * self.GAMES):
             game = self.game(rng, linear=i % 2 == 0)
-            assert (et.finite_height_reduce(game)
+            assert (_finite_height_reduce(game)
                     == cellwise_finite_height_reduce(game))
 
     def test_enforceable_cone(self, rng):
         for i in range(2 * self.GAMES):
             game = self.game(rng, linear=i % 2 == 0)
             for player in (1, 2):
-                assert (et.enforceable_finite_cone(game, player)
+                assert (_enforceable_finite_cone(game, player)
                         == rowset_enforceable_finite_cone(game, player))
 
 
@@ -565,7 +581,7 @@ def two_by_two(*prefs):
      "preferences must range over the structure's outcomes"),
     (lambda: et.slice_structure(et.build("remark_5_3").structure, 3, 0),
      et.BadIndexError, "player index 3 out of range"),
-    (lambda: et.eliminate_dominated_outcomes(
+    (lambda: _eliminate_dominated_outcomes(
         two_by_two(*[et.Preference.from_pairs(2, [])] * 2), 0, 0),
      et.HypothesisViolatedError, "preferences must be strict linear orders")],
     ids=["no strategy", "tensor shape", "preference count",

@@ -11,6 +11,7 @@ from hypothesis import strategies as hst
 
 import eqtransfer as et
 from eqtransfer import prefs
+from eqtransfer.prefs import _lift_less, _lift_less_existential, _upward_cone
 from conftest import random_acyclic_preference
 
 
@@ -240,8 +241,8 @@ class TestLift:
         b = {1, 3}
         word = lambda s: "".join("0" if o in s else "1" for o in linear)
         assert word(a) == "10000" and word(b) == "10101"
-        assert et.lift_less(linear, a, b)
-        assert not et.lift_less(linear, b, a)
+        assert _lift_less(linear, a, b)
+        assert not _lift_less(linear, b, a)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_complement_lex_exhaustive(self, n):
@@ -250,21 +251,21 @@ class TestLift:
             for b in subsets(n):
                 lex = tuple(0 if o in a else 1 for o in linear) \
                     < tuple(0 if o in b else 1 for o in linear)
-                assert et.lift_less(linear, a, b) == lex
+                assert _lift_less(linear, a, b) == lex
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_strict_total_order_exhaustive(self, n):
         linear = list(range(n))
         subs = list(subsets(n))
         for a in subs:
-            assert not et.lift_less(linear, a, a)
+            assert not _lift_less(linear, a, a)
             for b in subs:
                 if set(a) != set(b):
-                    assert et.lift_less(linear, a, b) \
-                        != et.lift_less(linear, b, a)
+                    assert _lift_less(linear, a, b) \
+                        != _lift_less(linear, b, a)
                 for c in subs:
-                    if et.lift_less(linear, a, b) and et.lift_less(linear, b, c):
-                        assert et.lift_less(linear, a, c)
+                    if _lift_less(linear, a, b) and _lift_less(linear, b, c):
+                        assert _lift_less(linear, a, c)
 
     def test_existential_form_agrees_on_linear_input(self, rng):
         for _ in range(30):
@@ -275,20 +276,20 @@ class TestLift:
             subs = list(subsets(n))
             for _ in range(40):
                 a, b = rng.choice(subs), rng.choice(subs)
-                assert et.lift_less(ranking, a, b) \
-                    == et.lift_less_existential(p, a, b)
+                assert _lift_less(ranking, a, b) \
+                    == _lift_less_existential(p, a, b)
 
     def test_existential_form_on_partial_input(self):
         p = et.Preference.from_pairs(3, [(0, 2)])
-        assert et.lift_less_existential(p, {0}, {2})
-        assert not et.lift_less_existential(p, {0}, {1})
+        assert _lift_less_existential(p, {0}, {2})
+        assert not _lift_less_existential(p, {0}, {1})
 
 
 class TestUpwardCone:
     def test_cone_contains_seeds_and_successors(self):
         p = et.Preference.from_pairs(4, [(0, 1), (1, 2)])
-        assert et.upward_cone(p, {0}) == {0, 1, 2}
-        assert et.upward_cone(p, {3}) == {3}
+        assert _upward_cone(p, {0}) == {0, 1, 2}
+        assert _upward_cone(p, {3}) == {3}
 
     @settings(max_examples=50)
     @given(hst.data())
@@ -299,7 +300,7 @@ class TestUpwardCone:
             max_size=12))
         p = et.Preference.from_pairs(n, pairs)
         seeds = data.draw(hst.sets(hst.integers(0, n - 1), max_size=n))
-        cone = et.upward_cone(p, seeds)
+        cone = _upward_cone(p, seeds)
         assert seeds <= cone
         for x in cone:
             for y in (b for a, b in p.pairs if a == x):

@@ -10,6 +10,10 @@ import pytest
 
 import eqtransfer as et
 from eqtransfer import jsonio
+from eqtransfer.normal_form import (_eliminate_dominated_outcomes,
+                                   _enforceable_finite_cone,
+                                   _finite_height_reduce, _minimax_transfer)
+from eqtransfer.prefs import _lift_less, _upward_cone
 from conftest import (FIXTURES, fixture_path, random_acyclic_preference,
                       random_determined_structure, random_muller_game,
                       random_priority_game, random_structure, random_tree)
@@ -64,7 +68,7 @@ class TestMaxEnforceableWord:
             for label in range(1 << n):
                 if can_enforce(st, 1, label):
                     others = [o for o in range(n) if label >> o & 1]
-                    assert not et.lift_less(linear, members, others)
+                    assert not _lift_less(linear, members, others)
 
 
 def random_game(kind: str, rng: random.Random):
@@ -347,10 +351,10 @@ class TestEnforceableFiniteCone:
             st = random_determined_structure(rng)
             game = et.NormalFormGame(st, profile_for(st, rng))
             for player in (1, 2):
-                cone = et.enforceable_finite_cone(game, player)
+                cone = _enforceable_finite_cone(game, player)
                 assert cone is not None
                 pref = game.preferences[player - 1]
-                assert et.upward_cone(pref, cone) == cone
+                assert _upward_cone(pref, cone) == cone
                 word = sum(1 << o for o in cone)
                 assert et.enforcing_strategy(st, player, word) is not None
 
@@ -362,7 +366,7 @@ class TestEnforceableFiniteCone:
         game = et.NormalFormGame(st, et.PreferenceProfile((
             et.Preference.from_ranking([0, 1, 2]),
             et.Preference.from_ranking([2, 1, 0]))))
-        for call in (lambda: et.enforceable_finite_cone(game, player),
+        for call in (lambda: _enforceable_finite_cone(game, player),
                      lambda: et.enforcing_strategy(st, player, 0b111)):
             with pytest.raises(et.BadIndexError,
                                match=f"player must be 1 or 2, got {player}"):
@@ -380,7 +384,7 @@ class TestMinimaxTransfer:
         for _ in range(60):
             st = random_determined_structure(rng)
             game = self.inverse_game(rng, st)
-            profile = et.minimax_transfer(game)
+            profile = _minimax_transfer(game)
             assert et.is_nash_equilibrium(game, profile)
             value = st.outcome(profile)
             for other in et.find_all_ne(game):
@@ -390,14 +394,14 @@ class TestMinimaxTransfer:
         st = et.GameStructure((2, 2), et.OutcomeSet(2), [[0, 1], [1, 0]])
         p = et.Preference.from_ranking([0, 1])
         with pytest.raises(et.NotZeroSumError):
-            et.minimax_transfer(
+            _minimax_transfer(
                 et.NormalFormGame(st, et.PreferenceProfile((p, p))))
 
     def test_rejects_partial_order(self):
         st = et.GameStructure((2, 2), et.OutcomeSet(3), [[0, 1], [2, 0]])
         p = et.Preference.from_pairs(3, [(0, 1)])
         with pytest.raises(et.NotZeroSumError):
-            et.minimax_transfer(
+            _minimax_transfer(
                 et.NormalFormGame(st, et.PreferenceProfile((p, p.inverse()))))
 
 
@@ -426,7 +430,7 @@ class TestEliminateDominatedOutcomes:
     def test_reduced_ne_are_original_ne(self, rng):
         for _ in range(100):
             game, e, o = self.eligible_instance(rng)
-            reduced = et.eliminate_dominated_outcomes(game, e, o)
+            reduced = _eliminate_dominated_outcomes(game, e, o)
             assert reduced.structure.outcomes.size <= game.structure.outcomes.size
             for profile in et.find_all_ne(reduced):
                 assert et.is_nash_equilibrium(game, profile)
@@ -437,7 +441,7 @@ class TestEliminateDominatedOutcomes:
         game = et.NormalFormGame(st, et.PreferenceProfile((p, p)))
         # strategy 0 reaches outcomes {0, 1}, which are not all above 1
         with pytest.raises(et.HypothesisViolatedError):
-            et.eliminate_dominated_outcomes(game, 0, 1)
+            _eliminate_dominated_outcomes(game, 0, 1)
 
 
 class TestFiniteHeightReduce:
@@ -449,7 +453,7 @@ class TestFiniteHeightReduce:
                 random_acyclic_preference(rng, st.outcomes.size),
                 random_acyclic_preference(rng, st.outcomes.size)))
             game = et.NormalFormGame(st, prefs)
-            reduced = et.finite_height_reduce(game)
+            reduced = _finite_height_reduce(game)
             assert reduced.structure.strategy_counts == st.strategy_counts
             for profile in et.find_all_ne(reduced):
                 assert et.is_nash_equilibrium(game, profile)
@@ -459,4 +463,4 @@ class TestFiniteHeightReduce:
         cyc = et.Preference.from_pairs(2, [(0, 1), (1, 0)])
         game = et.NormalFormGame(st, et.PreferenceProfile((cyc, cyc)))
         with pytest.raises(et.UnboundedHeightError):
-            et.finite_height_reduce(game)
+            _finite_height_reduce(game)
