@@ -1,7 +1,9 @@
 """Command-line front end: load JSON games, solve, transfer, verify.
 
 Exit codes: 0 success / claims hold; 1 claim failure, not determined or
-standard output closed early; 2 malformed input or usage error.
+standard output closed early; 2 malformed input or usage error.  The
+normal-form model and the corpus, and numpy with them, are imported only
+by the commands and inputs that need them.
 """
 
 from __future__ import annotations
@@ -13,17 +15,14 @@ import os
 import sys
 from typing import Optional
 
-from . import corpus as corpus_mod
 from . import jsonio
-from .errors import (BadIndexError, EqTransferError, NotDeterminedError,
+from .errors import (DEFAULT_OUTCOME_CAP, DEFAULT_PROFILE_CAP, MAX_SAMPLES,
+                     BadIndexError, EqTransferError, NotDeterminedError,
                      SchemaError, TooLargeError, UnknownNameError)
 from .extensive import (GameTree, TreeOracle, strategy_from_index,
                         to_normal_form)
-from .graph_games import (MULLER, Arena, MullerOracle, MultiOutcomeGraphGame,
-                          PriorityOracle, solve_muller, solve_parity)
-from .normal_form import (DEFAULT_OUTCOME_CAP, DEFAULT_PROFILE_CAP,
-                          GameStructure, NormalFormGame, StructureOracle,
-                          find_all_ne, is_determined, is_nash_equilibrium)
+from .graph_games import (MULLER, Arena, MultiOutcomeGraphGame, solve_muller,
+                          solve_parity)
 from .transfer import OracleStrategy, _game_backend, equilibrium
 
 EXIT_OK = 0
@@ -53,11 +52,14 @@ def _normal_form(value, command: str, prefs: bool = True,
                  cap: int = DEFAULT_PROFILE_CAP):
     """The input as a normal-form game, or as a bare structure or tree
     when ``prefs`` is false; a tree with preferences is converted under
-    the profile cap."""
+    the profile cap; a bare tree needs no normal-form model."""
     st, profile = value, None
     if isinstance(value, tuple) and isinstance(value[0], GameTree):
         st, profile = value
-    elif isinstance(value, NormalFormGame):
+    if isinstance(st, GameTree) and not prefs:
+        return st
+    from .normal_form import GameStructure, NormalFormGame
+    if isinstance(value, NormalFormGame):
         st, profile = value.structure, value.preferences
     if not isinstance(st, (GameStructure, GameTree)):
         raise _refused(command, "a normal-form game or a game tree", value)
@@ -69,6 +71,7 @@ def _normal_form(value, command: str, prefs: bool = True,
 
 
 def _cmd_solve(args) -> tuple[dict, int]:
+    from .normal_form import find_all_ne
     nes = find_all_ne(_normal_form(jsonio.load(args.input), "solve",
                                    cap=args.cap), cap=args.cap)
     return {
@@ -88,7 +91,10 @@ def _cmd_check_determinacy(args) -> tuple[dict, int]:
                           f"got {st.players} players")
     # Backward induction gives every label of a tree a winner (Zermelo,
     # Kuhn), so a tree needs neither its normal form nor the outcome cap.
-    determined = isinstance(st, GameTree) or is_determined(st, cap=args.cap)
+    determined = True
+    if not isinstance(st, GameTree):
+        from .normal_form import is_determined
+        determined = is_determined(st, cap=args.cap)
     return {
         "command": "check-determinacy",
         "determined": determined,
@@ -103,8 +109,9 @@ def _counter_lines(counter, n: int) -> list[str]:
                 ("strategy_calls", counter.strategy_calls, 2, "2"))]
 
 
-_ORACLE_NAMES = {StructureOracle: "brute", TreeOracle: "tree",
-                 PriorityOracle: "parity", MullerOracle: "muller"}
+# by class name: the normal-form backend is imported only when a game needs it
+_ORACLE_NAMES = {"StructureOracle": "brute", "TreeOracle": "tree",
+                 "PriorityOracle": "parity", "MullerOracle": "muller"}
 
 
 def _cmd_transfer(args) -> tuple[dict, int]:
@@ -116,7 +123,7 @@ def _cmd_transfer(args) -> tuple[dict, int]:
     label = prefs.outcomes.label(result.outcome)
     return {
         "command": "transfer",
-        "oracle": _ORACLE_NAMES[type(backend)],
+        "oracle": _ORACLE_NAMES[type(backend).__name__],
         "outcome": result.outcome,
         "outcome_label": label,
         "winner_calls": result.counter.winner_calls,
@@ -195,6 +202,7 @@ def _cmd_solve_arena(args) -> tuple[dict, int]:
 
 
 def _cmd_verify_ne(args) -> tuple[dict, int]:
+    from .normal_form import is_nash_equilibrium
     game = _normal_form(jsonio.load(args.input), "verify-ne", cap=args.cap)
     try:
         profile = tuple(int(x) for x in args.profile.split(","))
@@ -211,14 +219,15 @@ def _cmd_verify_ne(args) -> tuple[dict, int]:
 
 
 def _cmd_corpus(args) -> tuple[dict, int]:
+    from . import corpus
     if args.action == "list":
-        entries = corpus_mod.list_entries()
+        entries = corpus.list_entries()
         return {
             "command": "corpus-list",
             "entries": [{"name": n, "description": d} for n, d in entries],
             "lines": [f"{n}: {d}" for n, d in entries],
         }, EXIT_OK
-    entry = corpus_mod.build(args.name, n=args.n)
+    entry = corpus.build(args.name, n=args.n)
     if args.action == "build":
         st = entry.structure
         return {
@@ -231,7 +240,7 @@ def _cmd_corpus(args) -> tuple[dict, int]:
                       f"strategies {st.strategy_counts}, {st.outcomes.size} "
                       f"outcomes, {len(entry.claims)} claims"],
         }, EXIT_OK
-    reports = corpus_mod.verify(entry, seed=args.seed, samples=args.samples)
+    reports = corpus.verify(entry, seed=args.seed, samples=args.samples)
     all_ok = all(r.passed for r in reports)
     lines = [f"{r.claim}: {'confirmed' if r.passed else 'FAILED'} "
              f"({'exhaustive' if r.exhaustive else 'sampled'}; {r.detail})"
@@ -304,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "entries take none")
     option(verify, "--samples", type=int, default=1000,
            help="sample count for non-exhaustive claims, 1 to "
-                f"{corpus_mod.MAX_SAMPLES}")
+                f"{MAX_SAMPLES}")
     option(verify, "--seed", type=int, default=0,
            help="seed of the sampled claims (default 0)")
     for flag, names in takes.items():

@@ -16,11 +16,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import SchemaError, TooLargeError, UnknownNameError
-from .normal_form import (DEFAULT_PROFILE_CAP, GameStructure, NormalFormGame,
-                          _deviation_lines, _ne_mask, _words,
-                          find_all_ne, is_determined, is_nash_equilibrium,
-                          merge_players, slice_structure)
+from .errors import (DEFAULT_PROFILE_CAP, MAX_SAMPLES, SchemaError,
+                     TooLargeError, UnknownNameError)
+from .normal_form import (GameStructure, NormalFormGame, _deviation_lines,
+                          _ne_mask, _words, find_all_ne, is_determined,
+                          is_nash_equilibrium, merge_players, slice_structure)
 from .prefs import OutcomeSet, Preference, PreferenceProfile, int_values
 
 X, Y, Z = 0, 1, 2
@@ -28,9 +28,6 @@ XYZ = OutcomeSet(3, ("X", "Y", "Z"))
 _WITNESS_CELLS = 8
 # Coins (relations x position pairs) per short-chain chunk; at least 8 triples.
 _CHUNK_ELEMENTS = 1024
-# Most samples a sampled claim may draw: 1,000 prop_5_4 samples took 0.007 s
-# at n = 8 and 0.5 s at n = 100 (2-core Xeon), so the cap costs 1 s to 1 min.
-MAX_SAMPLES = 100_000
 
 
 @dataclass(frozen=True)

@@ -14,14 +14,14 @@ import functools
 import math
 from itertools import chain
 from operator import indexOf
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-import numpy as np
-
-from .errors import TooLargeError
-from .normal_form import DEFAULT_PROFILE_CAP, GameStructure, Profile
+from .errors import DEFAULT_PROFILE_CAP, TooLargeError
 from .prefs import OutcomeSet, PreferenceProfile, _Frozen, int_values
 from .transfer import CallCounter, GameBackend, OracleStrategy, equilibrium
+
+if TYPE_CHECKING:
+    from .normal_form import GameStructure, Profile
 
 
 class GameTree(_Frozen):
@@ -132,6 +132,8 @@ def to_normal_form(t: GameTree, cap: int = DEFAULT_PROFILE_CAP) -> GameStructure
 
     Each internal node's outcome table over all profiles is composed from its
     children's tables, selected by the owner's digit at that node."""
+    import numpy as np
+    from .normal_form import GameStructure
     n1, n2 = t.strategy_count(1), t.strategy_count(2)
     if n1 * n2 > cap:
         raise TooLargeError(f"{n1 * n2} strategy profiles exceed cap {cap}")

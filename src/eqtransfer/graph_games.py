@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .errors import (BadIndexError, NotDeterminedError, SchemaError,
-                     TooLargeError)
+from .errors import (MAX_MULLER_COLOURS, BadIndexError, NotDeterminedError,
+                     SchemaError, TooLargeError)
 from .prefs import OutcomeSet, PreferenceProfile, _Frozen, int_values
 from .transfer import (GameBackend, OracleStrategy, TransferResult,
                        equilibrium)
@@ -344,10 +344,6 @@ def solve_parity(arena: Arena, start: int) -> tuple[int, FiniteMemoryStrategy]:
 # ---------------------------------------------------------------------------
 # Muller: McNaughton's recursion on the arena, each player's winning region
 # cut into pieces that carry a finite-memory strategy.
-
-# Most distinct colours a Muller solve may reach from its start: each split
-# lists every subset of a colour set, 2^20 of them in about half a second.
-MAX_MULLER_COLOURS = 20
 
 
 def _mcnaughton(arena: Arena, vbits, wins, start: int):

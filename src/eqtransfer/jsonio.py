@@ -19,25 +19,23 @@ from __future__ import annotations
 import json
 import sys
 from itertools import repeat
-from typing import Any, Optional, Union
+from typing import TYPE_CHECKING, Any, Optional, Union
 
-from .errors import SchemaError, TooLargeError
+from .errors import MAX_OUTCOMES, MAX_TREE_DEPTH, SchemaError, TooLargeError
 from .extensive import GameTree
 from .graph_games import Arena, MultiOutcomeGraphGame
-from .normal_form import GameStructure, NormalFormGame
 from .prefs import OutcomeSet, Preference, PreferenceProfile, is_int
 
+if TYPE_CHECKING:
+    from .normal_form import GameStructure, NormalFormGame
+
 FORMAT = 1
-MAX_OUTCOMES = 4096
-# Levels of a nested tree document: the parser recurses twice a level, and
-# about 470 levels parse under the deepest caller stack seen (pytest).
-MAX_TREE_DEPTH = 400
 
 # A plain arena loads as solve_parity's and solve_muller's arguments.
 PlainArena = tuple[Arena, int, Optional[tuple[frozenset[int], ...]]]
-Loadable = Union[GameStructure, NormalFormGame, GameTree,
-                 tuple[GameTree, PreferenceProfile],
-                 PlainArena, MultiOutcomeGraphGame]
+Loadable = ("Union[GameStructure, NormalFormGame, GameTree, "
+            "tuple[GameTree, PreferenceProfile], PlainArena, "
+            "MultiOutcomeGraphGame]")
 
 
 def _require(cond: bool, message: str) -> None:
@@ -85,6 +83,7 @@ def _profile_from_obj(obj: Any, outcomes: OutcomeSet) -> PreferenceProfile:
 
 
 def _game_from_obj(obj: dict) -> Union[GameStructure, NormalFormGame]:
+    from .normal_form import GameStructure, NormalFormGame
     _require(isinstance(obj["v"], list), "v must be a list of outcome indices")
     st = GameStructure(obj.get("strategies"), _outcome_set(obj.get("outcomes")),
                        obj["v"])
@@ -98,6 +97,7 @@ def _game_from_obj(obj: dict) -> Union[GameStructure, NormalFormGame]:
 
 
 def game_to_obj(g: Union[GameStructure, NormalFormGame]) -> dict:
+    from .normal_form import NormalFormGame
     st = g.structure if isinstance(g, NormalFormGame) else g
     doc = {
         "format": FORMAT,
@@ -262,8 +262,6 @@ def from_obj(obj: Any) -> Loadable:
 
 
 def to_obj(value: Loadable) -> dict:
-    if isinstance(value, (GameStructure, NormalFormGame)):
-        return game_to_obj(value)
     if isinstance(value, GameTree):
         return tree_to_obj(value)
     if isinstance(value, tuple) and value and isinstance(value[0], GameTree):
@@ -271,6 +269,9 @@ def to_obj(value: Loadable) -> dict:
     if isinstance(value, MultiOutcomeGraphGame) or (
             isinstance(value, tuple) and value and isinstance(value[0], Arena)):
         return arena_to_obj(value)
+    from .normal_form import GameStructure, NormalFormGame
+    if isinstance(value, (GameStructure, NormalFormGame)):
+        return game_to_obj(value)
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 

@@ -16,18 +16,14 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import (BadIndexError, HypothesisViolatedError, NotZeroSumError,
+from .errors import (DEFAULT_OUTCOME_CAP, DEFAULT_PROFILE_CAP, LABEL_BLOCK,
+                     BadIndexError, HypothesisViolatedError, NotZeroSumError,
                      SchemaError, TooLargeError)
 from .prefs import (OutcomeSet, Preference, PreferenceProfile, _Frozen,
                     _upward_cone, int_values, is_strict_linear, rank)
 from .transfer import CallCounter, GameBackend, OracleStrategy, equilibrium
 
 Profile = tuple[int, ...]
-
-DEFAULT_PROFILE_CAP = 1_000_000
-DEFAULT_OUTCOME_CAP = 20
-# Labels is_determined tests at once: 4 MB of uint32 labels per block.
-LABEL_BLOCK = 1 << 20
 
 
 class GameStructure(_Frozen):

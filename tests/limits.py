@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import eqtransfer as et
-from eqtransfer import corpus, graph_games, jsonio, normal_form
+from eqtransfer import corpus, errors, jsonio
 from conftest import fixture_path
 from reference_graph import shuffled_chain_arena
 
@@ -126,18 +126,20 @@ def priority_game(v: int) -> dict:
     n_colors, n_out = 16, 8
     order = list(range(v))
     rng.shuffle(order)
-    succ = [set() for _ in range(v)]
-    for i in range(v):
-        succ[order[i]].add(order[(i + 1) % v])
-    for u in range(v):
-        succ[u].update(rng.sample(range(v), rng.randint(0, 2)))
+    cycle = [0] * v  # each vertex's successor on the shuffled cycle
+    for u, w in zip(order, order[1:] + order[:1]):
+        cycle[u] = w
+    edges = []  # a vertex at a time: keeping a set a vertex took seconds
+    for u, w in enumerate(cycle):
+        edges += [[u, x] for x in sorted(
+            {w, *rng.sample(range(v), rng.randint(0, 2))})]
     ranking = list(range(n_out))
     rng.shuffle(ranking)
     pairs = [[ranking[i], ranking[j]]
              for i in range(n_out) for j in range(i + 1, n_out)]
     return {"format": 1, "vertices": v,
             "owned": [u for u in range(v) if rng.random() < 0.5],
-            "edges": [[u, w] for u in range(v) for w in sorted(succ[u])],
+            "edges": edges,
             "colors": [rng.randrange(n_colors) for _ in range(v)],
             "start": 0, "kind": "priority", "outcomes": n_out,
             "r": [[c, rng.randrange(n_out)] for c in range(n_colors)],
@@ -185,17 +187,17 @@ ARENA_START_1 = {"format": 1, "vertices": 3, "owned": [0],
 # Each cap README names: its value, and what a row's size counts against
 # it.
 CAPS: dict[str, tuple[int, Callable[[int], int]]] = {
-    "normal_form.DEFAULT_PROFILE_CAP":
-        (normal_form.DEFAULT_PROFILE_CAP, lambda n: n ** 3),  # ladder cells
-    "normal_form.DEFAULT_OUTCOME_CAP":
-        (normal_form.DEFAULT_OUTCOME_CAP, lambda n: n),
-    "normal_form.LABEL_BLOCK":
-        (normal_form.LABEL_BLOCK, lambda n: 2 ** n),  # labels to test
-    "graph_games.MAX_MULLER_COLOURS":
-        (graph_games.MAX_MULLER_COLOURS, lambda n: n),
-    "corpus.MAX_SAMPLES": (corpus.MAX_SAMPLES, lambda n: n),
-    "jsonio.MAX_OUTCOMES": (jsonio.MAX_OUTCOMES, lambda n: n),
-    "jsonio.MAX_TREE_DEPTH": (jsonio.MAX_TREE_DEPTH, lambda n: n),
+    "errors.DEFAULT_PROFILE_CAP":
+        (errors.DEFAULT_PROFILE_CAP, lambda n: n ** 3),  # ladder cells
+    "errors.DEFAULT_OUTCOME_CAP":
+        (errors.DEFAULT_OUTCOME_CAP, lambda n: n),
+    "errors.LABEL_BLOCK":
+        (errors.LABEL_BLOCK, lambda n: 2 ** n),  # labels to test
+    "errors.MAX_MULLER_COLOURS":
+        (errors.MAX_MULLER_COLOURS, lambda n: n),
+    "errors.MAX_SAMPLES": (errors.MAX_SAMPLES, lambda n: n),
+    "errors.MAX_OUTCOMES": (errors.MAX_OUTCOMES, lambda n: n),
+    "errors.MAX_TREE_DEPTH": (errors.MAX_TREE_DEPTH, lambda n: n),
 }
 
 TIMEOUT = 60  # seconds per row, through the console script
@@ -247,10 +249,10 @@ ROWS = [
     Row("muller_arena_200", ("solve-muller", "{input}"),
         lambda v: muller_docs(v)["arena"], 200),
     Row("wide_4096", ("transfer", "{input}"), wide_normal_form, 4096,
-        stdout="winner_calls = 4096 ", caps=("jsonio.MAX_OUTCOMES",)),
+        stdout="winner_calls = 4096 ", caps=("errors.MAX_OUTCOMES",)),
     Row("wide_4097", ("transfer", "{input}"), wide_normal_form, 4097, code=2,
         stderr="outcome count above the cap of 4096",
-        caps=("jsonio.MAX_OUTCOMES",)),
+        caps=("errors.MAX_OUTCOMES",)),
     Row("ladder_8", ("corpus", "verify", "prop_5_4", "--n", "8",
                      "--samples", "2000")),
     Row("corpus_list", ("corpus", "list"),
@@ -269,9 +271,9 @@ ROWS = [
         code=2, stderr="takes no size n"),
     Row("ring_30", ("solve-muller", "{input}"), colour_ring, 30, code=2,
         stderr="more than 20 colours reachable",
-        caps=("graph_games.MAX_MULLER_COLOURS",)),
+        caps=("errors.MAX_MULLER_COLOURS",)),
     Row("diagonal_28", ("check-determinacy", "--cap", "31", "{input}"),
-        diagonal, 28, caps=("normal_form.LABEL_BLOCK",),
+        diagonal, 28, caps=("errors.LABEL_BLOCK",),
         tier1_size=24, memory_kb=2_000_000),
     Row("list_n", ("corpus", "list", "--n", "7"), code=2),
     *(Row(f"corpus_{option[2:]}_before_action",
@@ -291,10 +293,10 @@ ROWS = [
           stderr="got 3 players")
       for command in ("transfer", "check-determinacy")),
     Row("ladder_100", ("corpus", "build", "prop_5_4", "--n", "{size}"),
-        size=100, caps=("normal_form.DEFAULT_PROFILE_CAP",)),
+        size=100, caps=("errors.DEFAULT_PROFILE_CAP",)),
     Row("ladder_101", ("corpus", "build", "prop_5_4", "--n", "{size}"),
         size=101, code=2, stderr="1030301 profiles, above the cap of 1000000",
-        caps=("normal_form.DEFAULT_PROFILE_CAP",)),
+        caps=("errors.DEFAULT_PROFILE_CAP",)),
     # 4,194,304 profiles: the tree transfer and determinacy check build no
     # normal form, solve refuses to.
     Row("wide_tree_21", ("transfer", "{input}"), wide_caterpillar, 21),
@@ -304,36 +306,36 @@ ROWS = [
     Row("wide_tree_21_determinacy", ("check-determinacy", "{input}"),
         wide_caterpillar, 21, stdout="determined"),
     Row("diagonal_20", ("check-determinacy", "{input}"), diagonal, 20,
-        caps=("normal_form.DEFAULT_OUTCOME_CAP", "normal_form.LABEL_BLOCK")),
+        caps=("errors.DEFAULT_OUTCOME_CAP", "errors.LABEL_BLOCK")),
     Row("diagonal_21", ("check-determinacy", "{input}"), diagonal, 21, code=2,
         stderr="21 outcomes exceed determinacy cap 20",
-        caps=("normal_form.DEFAULT_OUTCOME_CAP",)),
+        caps=("errors.DEFAULT_OUTCOME_CAP",)),
     Row("diagonal_21_cap_21", ("check-determinacy", "--cap", "21", "{input}"),
-        diagonal, 21, caps=("normal_form.LABEL_BLOCK",)),
+        diagonal, 21, caps=("errors.LABEL_BLOCK",)),
     Row("ring_20", ("solve-muller", "{input}"), colour_ring, 20,
-        stdout="player 2 wins", caps=("graph_games.MAX_MULLER_COLOURS",)),
+        stdout="player 2 wins", caps=("errors.MAX_MULLER_COLOURS",)),
     Row("ring_21", ("solve-muller", "{input}"), colour_ring, 21, code=2,
         stderr="more than 20 colours reachable",
-        caps=("graph_games.MAX_MULLER_COLOURS",)),
+        caps=("errors.MAX_MULLER_COLOURS",)),
     Row("samples_100000", ("corpus", "verify", "prop_5_4", "--n", "3",
                            "--samples", "{size}"), size=100_000,
         stdout="short-chain-ne: confirmed (sampled; 100000/100000 sampled",
-        caps=("corpus.MAX_SAMPLES",)),
+        caps=("errors.MAX_SAMPLES",)),
     Row("samples_100000_n_8", ("corpus", "verify", "prop_5_4", "--n", "8",
                                "--samples", "{size}"), size=100_000,
         stdout="short-chain-ne: confirmed (sampled; 100000/100000 sampled",
-        caps=("corpus.MAX_SAMPLES",)),
+        caps=("errors.MAX_SAMPLES",)),
     Row("samples_100001", ("corpus", "verify", "prop_5_4", "--n", "3",
                            "--samples", "{size}"), size=100_001, code=2,
         stderr="100001 samples exceed the cap of 100000",
-        caps=("corpus.MAX_SAMPLES",)),
+        caps=("errors.MAX_SAMPLES",)),
     # Past the cap the loader refuses; from about 470 levels on, with the
     # caller's stack, the parser refuses first.
     Row("caterpillar_400", ("transfer", "{input}"), caterpillar_text, 400,
-        caps=("jsonio.MAX_TREE_DEPTH",)),
+        caps=("errors.MAX_TREE_DEPTH",)),
     *(Row(f"caterpillar_{depth}", ("transfer", "{input}"), caterpillar_text,
           depth, code=2, stderr="nested deeper",
-          caps=("jsonio.MAX_TREE_DEPTH",)) for depth in (401, 495, 600)),
+          caps=("errors.MAX_TREE_DEPTH",)) for depth in (401, 495, 600)),
     # Values jsonio leaves to the model constructors, still refused by name.
     Row("pairs_float_twin", ("transfer", "{input}"),
         lambda _: {**diagonal(2), "preferences": [

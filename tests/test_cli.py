@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import eqtransfer as et
-from eqtransfer import cli, graph_games, jsonio
+from eqtransfer import cli, errors, graph_games, jsonio
 from conftest import (FIXTURES, fixture_path, random_acyclic_preference,
                       random_tree)
 from limits import caterpillar_text, colour_ring, wide_caterpillar
@@ -875,7 +875,7 @@ class TestErrorPaths:
         """Once a MemoryError while building the outcome masks of ``solve``."""
         code, err = self.run_outcome_count(capsys, tmp_path, "solve", count)
         assert code == cli.EXIT_INPUT
-        assert f"above the cap of {jsonio.MAX_OUTCOMES}" in err
+        assert f"above the cap of {errors.MAX_OUTCOMES}" in err
 
     @pytest.mark.parametrize("count", ["1000000", "1" + "0" * 30])
     def test_transfer_huge_outcome_count(self, capsys, tmp_path, count):
@@ -883,7 +883,7 @@ class TestErrorPaths:
         probe per outcome without bound (10**6)."""
         code, err = self.run_outcome_count(capsys, tmp_path, "transfer", count)
         assert code == cli.EXIT_INPUT
-        assert f"above the cap of {jsonio.MAX_OUTCOMES}" in err
+        assert f"above the cap of {errors.MAX_OUTCOMES}" in err
 
     def test_integer_literal_too_long(self, capsys, tmp_path):
         code, err = self.run_outcome_count(capsys, tmp_path, "transfer",

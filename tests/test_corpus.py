@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import eqtransfer as et
-from eqtransfer import corpus, normal_form
+from eqtransfer import corpus, errors, normal_form
 from conftest import random_structure
 from reference_normal_form import (bit_instantiations_report,
                                    brute_find_all_ne,
@@ -92,7 +92,7 @@ class TestRegistry:
     def test_samples_capped(self):
         entry = et.build("prop_5_4")
         with pytest.raises(et.TooLargeError):
-            et.verify(entry, samples=corpus.MAX_SAMPLES + 1)
+            et.verify(entry, samples=errors.MAX_SAMPLES + 1)
 
 
 class TestRotatingGame:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import eqtransfer as et
-from eqtransfer import graph_games, jsonio
+from eqtransfer import errors, graph_games, jsonio
 from conftest import (fixture_path, memory_machine, random_acyclic_preference,
                       random_arena, random_memory_machine, random_muller_game,
                       random_priority_game)
@@ -708,7 +708,7 @@ class TestMuller:
             return et.Arena(n + unreachable, range(0, n, 2), edges,
                             range(n + unreachable))
 
-        assert graph_games.MAX_MULLER_COLOURS == 20
+        assert errors.MAX_MULLER_COLOURS == 20
         assert et.solve_muller(ring(20), 0, [[0]])[0] == 2
         assert et.solve_muller(ring(3, unreachable=30), 0, [[0]])[0] == 2
         with pytest.raises(et.TooLargeError, match="more than 20 colours"):

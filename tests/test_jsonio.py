@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import eqtransfer as et
-from eqtransfer import cli, jsonio
+from eqtransfer import cli, errors, jsonio
 from conftest import FIXTURES, fixture_path
 from limits import caterpillar_game, caterpillar_text
 from reference_extensive import (caterpillar_pair, index_tree,
@@ -204,7 +204,7 @@ class TestErrors:
             jsonio._outcome_set({"bogus": True})
 
     def test_outcome_cap_is_inclusive(self):
-        cap = jsonio.MAX_OUTCOMES
+        cap = errors.MAX_OUTCOMES
         assert jsonio._outcome_set(cap).size == cap
         labels = [str(o) for o in range(cap + 1)]
         assert jsonio._outcome_set(labels[:cap]).size == cap
@@ -354,7 +354,7 @@ class TestTreeLoading:
         rng = random.Random(21002)
         for k in range(500):
             n = rng.randint(1, 8)
-            root, obj = (caterpillar_pair(rng, jsonio.MAX_TREE_DEPTH, n)
+            root, obj = (caterpillar_pair(rng, errors.MAX_TREE_DEPTH, n)
                          if k % 25 == 0
                          else random_tree_pair(rng, rng.randint(0, 40), n))
             expected = index_tree(root, et.OutcomeSet(n))
@@ -380,7 +380,7 @@ class TestTreeLoading:
         """The object json.loads makes of a caterpillar at the depth cap,
         built here directly, loads with little stack; one level more is
         refused."""
-        depth = jsonio.MAX_TREE_DEPTH
+        depth = errors.MAX_TREE_DEPTH
         prefs = [{"pairs": [[0, 1], [1, 2]]}, {"pairs": [[2, 1]]}]
         root, obj = caterpillar_pair(random.Random(21003), depth, 3)
         doc = tree_document(obj, 3, prefs)
@@ -422,7 +422,7 @@ class TestTreeLoading:
                 "print('exit', cli.main(['transfer', sys.argv[1]]))\n")
         src = str(Path(jsonio.__file__).resolve().parents[1])
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
-        inside = caterpillar_text(jsonio.MAX_TREE_DEPTH)
+        inside = caterpillar_text(errors.MAX_TREE_DEPTH)
         past = caterpillar_text(495)
         (tmp_path / "past.json").write_text(past)
         proc = subprocess.run(

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import eqtransfer as et
-from eqtransfer import jsonio, normal_form
+from eqtransfer import errors, jsonio, normal_form
 from eqtransfer.normal_form import (_eliminate_dominated_outcomes,
                                    _enforceable_finite_cone,
                                    _finite_height_reduce)
@@ -427,7 +427,7 @@ class TestDeterminacy:
         wide = et.OutcomeSet(21)
         late = et.GameStructure((2, 3), wide, [[0, 1, 20], [1, 0, 20]])
         diagonal = et.GameStructure((21, 1), wide, list(range(21)))
-        assert normal_form.LABEL_BLOCK == 1 << 20
+        assert errors.LABEL_BLOCK == 1 << 20
         verdicts = {}
         for block in (1 << 4, 1 << 20, 1 << 31):
             monkeypatch.setattr(normal_form, "LABEL_BLOCK", block)

@@ -1,7 +1,11 @@
 """The package's public name list and its module layering."""
 
 import ast
+import importlib
+import json
+import os
 import re
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -9,7 +13,8 @@ from pathlib import Path
 import pytest
 
 import eqtransfer as et
-from eqtransfer import normal_form, prefs
+from eqtransfer import cli, normal_form, prefs
+from conftest import fixture_path
 
 SRC = Path(et.__file__).resolve().parent
 WORKFLOW = (Path(__file__).resolve().parent.parent
@@ -20,6 +25,49 @@ def test_public_names_are_library_objects():
     assert et.__all__
     for name in et.__all__:
         assert not isinstance(getattr(et, name), types.ModuleType), name
+
+
+def test_public_names_are_listed_once():
+    """``__all__`` is a list of 64 names, each written once in the table
+    of the modules the package reads its names from."""
+    listed = [name for names in et._NAMES.values() for name in names]
+    assert type(et.__all__) is list and len(et.__all__) == 64
+    assert sorted(listed) == et.__all__
+
+
+@pytest.mark.parametrize("module", sorted(et._NAMES))
+def test_public_names_resolve_to_their_module(monkeypatch, module):
+    """Each name is its module's object; a module of the table is found
+    even where no import has set it on the package yet."""
+    home = importlib.import_module(f"eqtransfer.{module}")
+    monkeypatch.delitem(vars(et), module)
+    assert getattr(et, module) is home
+    for name in et._NAMES[module]:
+        assert getattr(et, name) is getattr(home, name), name
+
+
+def test_public_name_is_resolved_once(monkeypatch):
+    """The first read goes through the module ``__getattr__`` and keeps
+    the name in the package's globals; the second is a plain lookup."""
+    calls, resolve = [], et.__getattr__
+    monkeypatch.delitem(vars(et), "solve_parity", raising=False)
+    monkeypatch.setattr(et, "__getattr__",
+                        lambda name: calls.append(name) or resolve(name))
+    first = et.solve_parity
+    assert et.solve_parity is first and calls == ["solve_parity"]
+
+
+def test_unknown_name_and_listing(monkeypatch):
+    """An unknown name raises the standard error; ``dir`` lists every
+    public name, read or not, and ``import *`` binds each."""
+    with pytest.raises(AttributeError) as info:
+        et.no_such_name
+    assert str(info.value) == "module 'eqtransfer' has no attribute 'no_such_name'"
+    monkeypatch.delitem(vars(et), "solve_parity", raising=False)
+    assert set(et.__all__) <= set(dir(et))
+    namespace = {}
+    exec("from eqtransfer import *", namespace)
+    assert all(namespace[name] is getattr(et, name) for name in et.__all__)
 
 
 def test_public_name_ceiling():
@@ -52,7 +100,7 @@ def test_source_line_ceiling():
     it raises the bound and says so in CHANGES.md."""
     lines = sum(len(path.read_bytes().splitlines())
                 for path in SRC.glob("*.py"))
-    assert lines <= 3214, lines
+    assert lines <= 3253, lines
 
 
 def test_corpus_games_only_through_build():
@@ -102,3 +150,59 @@ def test_workflow_has_no_heredoc():
     """CI's inputs are rows of ``tests/limits.py``, which tier-1 runs
     too, not scripts inlined in the workflow."""
     assert not re.search(r"<<-?\s*['\"]?\w+", WORKFLOW.read_text())
+
+
+# Each line of the child's output: the command, its exit code, its
+# standard output, and whether numpy is loaded after it.
+_FRESH = """\
+import contextlib, io, json, sys
+import eqtransfer, eqtransfer.jsonio
+from eqtransfer import cli
+print(json.dumps(["import", 0, "", "numpy" in sys.modules]))
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(argv)
+    print(json.dumps([argv, code, out.getvalue(), "numpy" in sys.modules]))
+"""
+
+
+def fresh_runs(*argvs: list[str]) -> list[list]:
+    """``cli.main`` on each command in turn, in one fresh interpreter that
+    first imports the package and ``jsonio``."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", _FRESH, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return [json.loads(line) for line in proc.stdout.splitlines()]
+
+
+def in_process(capsys, argv: list[str]) -> tuple[int, str]:
+    code = cli.main(argv)
+    return code, capsys.readouterr().out
+
+
+NUMPY_FREE = [
+    ["transfer", fixture_path("priority_game.json")],
+    ["transfer", fixture_path("muller_game.json")],
+    ["transfer", fixture_path("intro_payoff_tree.json")],
+    ["--json", "transfer", fixture_path("intro_payoff_tree.json")],
+    ["solve-parity", fixture_path("arena_small.json")],
+    ["solve-muller", fixture_path("arena_small.json")],
+    # a tree: decided by backward induction, with no normal form
+    ["check-determinacy", fixture_path("intro_structure.json")],
+]
+
+
+def test_arena_and_tree_commands_load_no_numpy(capsys):
+    """Importing the package and ``jsonio`` loads no numpy, nor does any
+    arena or tree command after it; each prints what it prints here."""
+    runs = fresh_runs(*NUMPY_FREE)
+    assert runs[0] == ["import", 0, "", False]
+    for argv, run in zip(NUMPY_FREE, runs[1:]):
+        assert run == [argv, *in_process(capsys, argv), False]
+
+
+def test_normal_form_command_loads_numpy(capsys):
+    argv = ["check-determinacy", fixture_path("xz_yy.json")]
+    assert fresh_runs(argv)[1] == [argv, 0, "determined\n", True]
+    assert in_process(capsys, argv) == (0, "determined\n")
