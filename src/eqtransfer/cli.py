@@ -91,13 +91,18 @@ def _cmd_check_determinacy(args) -> tuple[dict, int]:
                           f"got {st.players} players")
     # Backward induction gives every label of a tree a winner (Zermelo,
     # Kuhn), so a tree needs neither its normal form nor the outcome cap.
-    determined = True
+    determined, witness = True, {}
     if not isinstance(st, GameTree):
-        from .normal_form import is_determined
+        from .normal_form import _undetermined_label, is_determined
         determined = is_determined(st, cap=args.cap)
+        if not determined and args.json:  # a label neither player wins
+            label = _undetermined_label(st.row_masks, st.column_masks)
+            witness["witness"] = [st.outcomes.label(o) for o in
+                                  range(st.outcomes.size) if label >> o & 1]
     return {
         "command": "check-determinacy",
         "determined": determined,
+        **witness,
         "lines": ["determined" if determined else "not determined"],
     }, EXIT_OK if determined else EXIT_FAIL
 

@@ -2,8 +2,6 @@
 
 DEFAULT_PROFILE_CAP = 1_000_000
 DEFAULT_OUTCOME_CAP = 20
-# Labels is_determined tests at once: 4 MB of uint32 labels per block.
-LABEL_BLOCK = 1 << 20
 # Most distinct colours a Muller solve may reach from its start: each split
 # lists every subset of a colour set, 2^20 of them in about half a second.
 MAX_MULLER_COLOURS = 20

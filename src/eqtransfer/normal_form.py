@@ -16,9 +16,9 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import (DEFAULT_OUTCOME_CAP, DEFAULT_PROFILE_CAP, LABEL_BLOCK,
-                     BadIndexError, HypothesisViolatedError, NotZeroSumError,
-                     SchemaError, TooLargeError)
+from .errors import (DEFAULT_OUTCOME_CAP, DEFAULT_PROFILE_CAP, BadIndexError,
+                     HypothesisViolatedError, NotZeroSumError, SchemaError,
+                     TooLargeError)
 from .prefs import (OutcomeSet, Preference, PreferenceProfile, _Frozen,
                     _upward_cone, int_values, is_strict_linear, rank)
 from .transfer import CallCounter, GameBackend, OracleStrategy, equilibrium
@@ -109,9 +109,11 @@ def _two_players(st: GameStructure, what: str) -> None:
 
 def _outcome_masks(st: GameStructure, lines: np.ndarray) -> tuple[int, ...]:
     """Bit o for each outcome o on each row of ``lines``, the structure's
-    table or its transpose: an OR over an object array of Python ints, so
-    that any outcome count fits."""
+    table or its transpose: an OR over int64 bits up to 63 outcomes, and
+    past that over an object array of Python ints, so that any count fits."""
     _two_players(st, "an outcome mask")
+    if st.outcomes.size < 64:
+        return tuple(np.bitwise_or.reduce(1 << lines, axis=1).tolist())
     bits = np.array([1 << o for o in range(st.outcomes.size)], dtype=object)
     return tuple(np.bitwise_or.reduce(bits[lines], axis=1).tolist())
 
@@ -222,31 +224,44 @@ def enforcing_strategy(st: GameStructure, player: int,
 def is_determined(st: GameStructure, cap: int = DEFAULT_OUTCOME_CAP) -> bool:
     """Every derived win-lose game has a winning strategy.
 
-    With outcome o as bit o, player 1 wins label L iff the outcome mask R of
-    some row has R & ~L == 0, and player 2 iff the mask C of some column has
-    C & L == 0.  The 2^n labels are tested LABEL_BLOCK at a time, one
-    distinct mask at a time, up to the first block with a label nobody
-    wins; the cap, never above 31, keeps the labels within uint32.
-    """
-    n = st.outcomes.size
+    With outcome o as bit o, player 1 wins label L iff a row's outcome mask lies
+    inside L, player 2 iff a column's misses L; so nobody wins L iff L meets
+    every column and contains no row, and no L does iff the minimal columns are
+    the minimal transversals of the rows (Edmonds & Fulkerson 1970; Gurvich
+    1973).  The cap bounds the outcome count, as the search is exponential."""
     _two_players(st, "determinacy")
-    limit = min(cap, 31)
-    if n > limit:
-        raise TooLargeError(f"{n} outcomes exceed determinacy cap {limit}")
-    reach = np.left_shift(np.uint32(1), st.table.astype(np.uint32))
-    rows = np.unique(np.bitwise_or.reduce(reach, axis=1))
-    cols = np.unique(np.bitwise_or.reduce(reach, axis=0))
-    for low in range(0, 1 << n, LABEL_BLOCK):
-        labels = np.arange(low, min(low + LABEL_BLOCK, 1 << n),
-                           dtype=np.uint32)
-        won = np.zeros(labels.size, dtype=bool)
-        for row in rows:
-            won |= (labels & row) == row
-        for col in cols:
-            won |= (labels & col) == 0
-        if not won.all():
-            return False
-    return True
+    if st.outcomes.size > cap:
+        raise TooLargeError(f"{st.outcomes.size} outcomes exceed determinacy cap {cap}")
+    return _undetermined_label(st.row_masks, st.column_masks) is None
+
+
+def _undetermined_label(rows: Sequence[int], cols: Sequence[int]) -> Optional[int]:
+    """A label meeting every column mask and containing no row mask, or None,
+    by depth-first search: an unmet line (a column with no outcome in, a row
+    with none out) with one free outcome forces it; else the first free one
+    of the unmet line with the fewest goes in the label, then out of it."""
+    stack = [([0, 0], [(m, 0) for m in set(cols)] + [(m, 1) for m in set(rows)])]
+    while stack:  # outcomes in the label and out of it, and the lines not met
+        sides, lines = stack.pop()
+        free, pick, forced, unmet = ~(sides[0] | sides[1]), None, False, []
+        for m, k in lines:
+            if not m & sides[k]:
+                f = m & free
+                if f and not f & (f - 1):  # one free outcome left
+                    sides[k], free, forced = sides[k] | f, free ^ f, True
+                    continue
+                unmet.append((m, k))
+                if pick is None or f.bit_count() < pick.bit_count():
+                    pick = f  # 0 if the line has no free outcome left
+        if forced:  # scan again with the forced outcomes placed
+            stack.append((sides, unmet))
+        elif pick is None:
+            return sides[0]
+        elif pick:
+            o = pick & -pick
+            stack += [([sides[0], sides[1] | o], unmet),
+                      ([sides[0] | o, sides[1]], unmet)]
+    return None
 
 
 def slice_structure(st: GameStructure, player: int, strategy: int) -> GameStructure:
@@ -338,7 +353,7 @@ class StructureOracle(GameBackend):
         return OracleStrategy(2, col if col is not None else 0)
 
     def play_outcome(self, h1: int, h2: int) -> int:
-        return self.structure.outcome((h1, h2))
+        return int(self.structure.table[h1, h2])  # the oracle's own handles
 
     def better_deviation(self, fixed: int, deviator: int,
                          better: int) -> Optional[int]:

@@ -170,9 +170,39 @@ def wide_normal_form(n: int) -> dict:
                             {"pairs": [p[::-1] for p in chain]}]}
 
 
+def transversal_pairs(k: int) -> dict:
+    """2^k rows against k columns over 2k outcomes, column j reaching the
+    pair {2j, 2j + 1} and row r the outcome 2j + bit j of r there: the
+    rows are every transversal of the pairs, so it is determined."""
+    return {"format": 1, "strategies": [1 << k, k], "outcomes": 2 * k,
+            "v": [2 * j + (r >> j & 1) for r in range(1 << k)
+                  for j in range(k)]}
+
+
+def all_pairs(n: int) -> dict:
+    """n rows against one column per pair a < b of n outcomes, the cell of
+    row r reaching a, or b when a = r: row r reaches every outcome but r,
+    so it is determined."""
+    pairs = list(itertools.combinations(range(n), 2))
+    return {"format": 1, "strategies": [n, len(pairs)], "outcomes": n,
+            "v": [b if a == r else a for r in range(n) for a, b in pairs]}
+
+
+def two_level_tree(k: int) -> et.GameTree:
+    """Player 1 takes one of k leaves, outcomes 0..k-1, or one of two
+    player-2 nodes of k leaves each, outcomes k..2k-1 and 0..k-1: a
+    normal form of k + 2 rows, k^2 columns and 2k outcomes."""
+    leaves = [{"leaf": o} for o in range(k)]
+    tree = {"owner": "a", "children": leaves + [
+        {"owner": "b", "children": [{"leaf": k + o} for o in range(k)]},
+        {"owner": "b", "children": leaves}]}
+    return jsonio.from_obj({"format": 1, "outcomes": 2 * k, "tree": tree})
+
+
 def diagonal(n: int) -> dict:
-    """n rows against one column, row o reaching outcome o: 2^n labels to
-    test, and determined."""
+    """n rows against one column, row o reaching outcome o: determined, as
+    a label holding outcome o holds row o, and the empty one misses the
+    column."""
     return {"format": 1, "strategies": [n, 1], "outcomes": n,
             "v": list(range(n))}
 
@@ -191,8 +221,6 @@ CAPS: dict[str, tuple[int, Callable[[int], int]]] = {
         (errors.DEFAULT_PROFILE_CAP, lambda n: n ** 3),  # ladder cells
     "errors.DEFAULT_OUTCOME_CAP":
         (errors.DEFAULT_OUTCOME_CAP, lambda n: n),
-    "errors.LABEL_BLOCK":
-        (errors.LABEL_BLOCK, lambda n: 2 ** n),  # labels to test
     "errors.MAX_MULLER_COLOURS":
         (errors.MAX_MULLER_COLOURS, lambda n: n),
     "errors.MAX_SAMPLES": (errors.MAX_SAMPLES, lambda n: n),
@@ -273,8 +301,7 @@ ROWS = [
         stderr="more than 20 colours reachable",
         caps=("errors.MAX_MULLER_COLOURS",)),
     Row("diagonal_28", ("check-determinacy", "--cap", "31", "{input}"),
-        diagonal, 28, caps=("errors.LABEL_BLOCK",),
-        tier1_size=24, memory_kb=2_000_000),
+        diagonal, 28, memory_kb=2_000_000),
     Row("list_n", ("corpus", "list", "--n", "7"), code=2),
     *(Row(f"corpus_{option[2:]}_before_action",
           ("corpus", option, "3", action, "prop_5_4"), code=2,
@@ -306,12 +333,21 @@ ROWS = [
     Row("wide_tree_21_determinacy", ("check-determinacy", "{input}"),
         wide_caterpillar, 21, stdout="determined"),
     Row("diagonal_20", ("check-determinacy", "{input}"), diagonal, 20,
-        caps=("errors.DEFAULT_OUTCOME_CAP", "errors.LABEL_BLOCK")),
+        caps=("errors.DEFAULT_OUTCOME_CAP",)),
     Row("diagonal_21", ("check-determinacy", "{input}"), diagonal, 21, code=2,
         stderr="21 outcomes exceed determinacy cap 20",
         caps=("errors.DEFAULT_OUTCOME_CAP",)),
     Row("diagonal_21_cap_21", ("check-determinacy", "--cap", "21", "{input}"),
-        diagonal, 21, caps=("errors.LABEL_BLOCK",)),
+        diagonal, 21),
+    # Determined, with far more labels than rows and columns: the search
+    # must rule out a label nobody wins among 2^20, and 2^60 on the tree.
+    Row("transversal_pairs_10", ("check-determinacy", "{input}"),
+        transversal_pairs, 10, stdout="determined"),
+    Row("all_pairs_20", ("check-determinacy", "{input}"), all_pairs, 20,
+        stdout="determined"),
+    Row("wide_tree_60", ("check-determinacy", "--cap", "64", "{input}"),
+        lambda n: jsonio.dumps(et.to_normal_form(two_level_tree(n))), 30,
+        stdout="determined"),
     Row("ring_20", ("solve-muller", "{input}"), colour_ring, 20,
         stdout="player 2 wins", caps=("errors.MAX_MULLER_COLOURS",)),
     Row("ring_21", ("solve-muller", "{input}"), colour_ring, 21, code=2,

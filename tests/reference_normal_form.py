@@ -1,9 +1,9 @@
 """Reference solvers for the tests, checked profile by profile and label
 by label: Nash equilibria by trying every unilateral deviation, determinacy
-by scanning for a winning row or column, the corpus claims built on them,
-and the companion reductions cell by cell.  The package decides all of
-these on outcome bit masks or lookup arrays instead; these are what it is
-compared with."""
+by scanning for a winning row or column or by testing every label at once,
+the corpus claims built on them, and the companion reductions cell by
+cell.  The package decides all of these on outcome bit masks or lookup
+arrays instead; these are what it is compared with."""
 
 from __future__ import annotations
 
@@ -88,6 +88,23 @@ def brute_is_determined(st: et.GameStructure) -> bool:
     """Every label has a winner, found by scanning rows and columns."""
     return all(winning_strategy(derive_win_lose(st, lab)) is not None
                for lab in range(1 << st.outcomes.size))
+
+
+def scan_is_determined(st: et.GameStructure, cap: int = 20) -> bool:
+    """Every label has a winner, all 2^n labels tested at once as uint32
+    bit masks against each distinct row and column outcome mask; the
+    labels of 20 outcomes take 4 MB."""
+    n = st.outcomes.size
+    if n > cap:
+        raise et.TooLargeError(f"{n} outcomes exceed the scan's cap {cap}")
+    reach = np.left_shift(np.uint32(1), st.table.astype(np.uint32))
+    labels = np.arange(1 << n, dtype=np.uint32)
+    won = np.zeros(labels.size, dtype=bool)
+    for row in np.unique(np.bitwise_or.reduce(reach, axis=1)):
+        won |= (labels & row) == row
+    for col in np.unique(np.bitwise_or.reduce(reach, axis=0)):
+        won |= (labels & col) == 0
+    return bool(won.all())
 
 
 def backward_induction_oracle(t: et.GameTree) -> et.TreeOracle:

@@ -16,6 +16,7 @@ from conftest import (FIXTURES, fixture_path, random_acyclic_preference,
                       random_tree)
 from limits import caterpillar_text, colour_ring, wide_caterpillar
 from reference_graph import all_positional_strategies
+from reference_normal_form import brute_enforcing_strategy
 
 
 def run(capsys, *argv):
@@ -92,6 +93,24 @@ class TestCheckDeterminacy:
                            fixture_path("xz_yy.json"))
         assert code == cli.EXIT_OK
         assert out.strip() == "determined"
+
+    def test_json_names_a_label_neither_player_wins(self, capsys):
+        """``--json`` on a structure that is not determined adds the
+        outcomes of a label that no row enforces and no column keeps out;
+        a determined one gets no witness."""
+        path = fixture_path("xy_yx.json")
+        code, out, _ = run(capsys, "--json", "check-determinacy", path)
+        report = json.loads(out)
+        assert (code, report["determined"]) == (cli.EXIT_FAIL, False)
+        st = jsonio.load(path)
+        names = [st.outcomes.label(o) for o in range(st.outcomes.size)]
+        label = sum(1 << names.index(name) for name in report["witness"])
+        full = (1 << st.outcomes.size) - 1
+        assert brute_enforcing_strategy(st, 1, label) is None
+        assert brute_enforcing_strategy(st, 2, label ^ full) is None
+        code, out, _ = run(capsys, "--json", "check-determinacy",
+                           fixture_path("xz_yy.json"))
+        assert code == cli.EXIT_OK and "witness" not in json.loads(out)
 
     def test_trees_agree_with_their_normal_forms(self, capsys, tmp_path):
         """A tree is answered without its normal form, bare or with

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import eqtransfer as et
-from eqtransfer import errors, jsonio, normal_form
+from eqtransfer import jsonio, normal_form
 from eqtransfer.normal_form import (_eliminate_dominated_outcomes,
                                    _enforceable_finite_cone,
                                    _finite_height_reduce)
@@ -23,7 +23,7 @@ from reference_normal_form import (FullScanOracle, brute_enforcing_strategy,
                                    derive_win_lose, deviations,
                                    is_determined_by_enforcement,
                                    rowset_enforceable_finite_cone,
-                                   winning_strategy)
+                                   scan_is_determined, winning_strategy)
 
 PAYOFF_LABELS = ("(1,0)", "(5,0)", "(2,4)", "(5,3)")
 
@@ -256,10 +256,13 @@ class TestEnforcement:
                     assert et.enforcing_strategy(st, player, subset) == \
                         brute_enforcing_strategy(st, player, subset)
 
-    def test_masks_are_kept(self):
-        st = et.GameStructure((2, 2), et.OutcomeSet(70), [[0, 69], [3, 3]])
-        assert st.row_masks == (1 | 1 << 69, 1 << 3)
-        assert st.column_masks == (1 | 1 << 3, 1 << 69 | 1 << 3)
+    @pytest.mark.parametrize("n", [63, 64, 70])
+    def test_masks_are_kept(self, n):
+        """On both sides of 63 outcomes, the most that int64 bits hold."""
+        top = n - 1
+        st = et.GameStructure((2, 2), et.OutcomeSet(n), [[0, top], [3, 3]])
+        assert st.row_masks == (1 | 1 << top, 1 << 3)
+        assert st.column_masks == (1 | 1 << 3, 1 << top | 1 << 3)
         assert st.row_masks is st.row_masks
 
     def test_masks_need_two_players(self):
@@ -414,40 +417,46 @@ class TestDeterminacy:
             assert not et.is_determined(st)
             assert not brute_is_determined(st)
 
-    def test_label_blocks_match_one_pass(self, rng, monkeypatch):
-        """Labels tested LABEL_BLOCK at a time give the verdict of one pass
-        over all 2^n labels; so do blocks of 16 labels on up to 12
-        outcomes.  With 21 outcomes there are two blocks, and the planted
-        structure's only unwon labels hold outcome 20, so only the second
-        block finds them."""
-        small = [random_structure(rng, (rng.randint(1, 5), rng.randint(1, 5)),
-                                  rng.randint(1, 12)) for _ in range(300)]
-        small += [random_determined_structure(rng, max_outcomes=12)
-                  for _ in range(100)]
+    def test_search_matches_label_scan(self, rng):
+        """The search's verdict is the 2^n label scan's on 3,000 seeded
+        structures: random tables from 1x1 to 7x7 over 1-12 outcomes,
+        determined tree normal forms, and 1xk and kx1 tables.  With 21
+        outcomes, the planted structure's only unwon labels hold outcome
+        20.  Each label it finds on a structure that is not determined is
+        one that neither player wins."""
+        structures = [random_structure(rng, (rng.randint(1, 7),
+                                             rng.randint(1, 7)),
+                                       rng.randint(1, 12))
+                      for _ in range(2400)]
+        structures += [random_determined_structure(rng, max_outcomes=12)
+                       for _ in range(400)]
+        for _ in range(200):
+            k = rng.randint(1, 12)
+            structures.append(random_structure(
+                rng, rng.choice([(1, k), (k, 1)]), rng.randint(1, 12)))
         wide = et.OutcomeSet(21)
         late = et.GameStructure((2, 3), wide, [[0, 1, 20], [1, 0, 20]])
         diagonal = et.GameStructure((21, 1), wide, list(range(21)))
-        assert errors.LABEL_BLOCK == 1 << 20
-        verdicts = {}
-        for block in (1 << 4, 1 << 20, 1 << 31):
-            monkeypatch.setattr(normal_form, "LABEL_BLOCK", block)
-            wides = [late, diagonal] if block > 1 << 4 else []
-            verdicts[block] = [et.is_determined(st, cap=21)
-                               for st in small + wides]
-        one_pass = verdicts.pop(1 << 31)
-        assert verdicts.pop(1 << 20) == one_pass
-        assert verdicts.pop(1 << 4) == one_pass[:-2]
-        assert one_pass[-2:] == [False, True]
-        assert 0 < sum(one_pass) < len(small)
+        verdicts = []
+        for st in structures + [late, diagonal]:
+            verdicts.append(et.is_determined(st, cap=21))
+            assert verdicts[-1] == scan_is_determined(st, cap=21)
+            if not verdicts[-1]:
+                label = normal_form._undetermined_label(st.row_masks,
+                                                        st.column_masks)
+                full = (1 << st.outcomes.size) - 1
+                assert brute_enforcing_strategy(st, 1, label) is None
+                assert brute_enforcing_strategy(st, 2, label ^ full) is None
+        assert verdicts[-2:] == [False, True]
+        assert 0.1 < sum(verdicts) / len(verdicts) < 0.9
 
     def test_outcome_cap(self):
         st = random_structure(__import__("random").Random(0), (2, 2), 4)
         with pytest.raises(et.TooLargeError):
             et.is_determined(st, cap=3)
-        # a raised cap still stops where the labels no longer fit in uint32
+        # a raised cap decides more outcomes than a uint32 label holds
         wide = et.GameStructure((1, 1), et.OutcomeSet(32), [[0]])
-        with pytest.raises(et.TooLargeError):
-            et.is_determined(wide, cap=40)
+        assert et.is_determined(wide, cap=40)
 
 
 class TestSliceMerge:
