@@ -659,16 +659,25 @@ class MullerOracle(_ArenaOracle):
 
 
 def _residual_graph(game: MultiOutcomeGraphGame, fixed: FiniteMemoryStrategy,
-                    deviator: int) -> tuple[list[int], list]:
-    """The fixed strategy's own graph with each of its states cut to the
-    edge it chooses; every other edge is the deviator's choice.  Returns the
-    states reachable from the entry state at the game's start, that state
-    first, and the cut successor lists of all states."""
+                    deviator: int) -> tuple[list[int], list, list[int]]:
+    """The fixed strategy's own graph on the states reachable from its
+    entry state at the game's start, its states cut to the edge they
+    choose; every other edge is the deviator's choice.  Returns the reached
+    states breadth first, the entry state first, and the cut successor
+    lists and colour bits of those states only, at their own numbers."""
     if fixed.player == deviator:
         raise ValueError("fixed player and deviator must differ")
-    succ = [out if k < 0 else (out[k],)
-            for out, k in zip(fixed.succ, fixed.move)]
-    return _reachable(succ, _entry(fixed, game.start)), succ
+    move, out, vertex, bits = fixed.move, fixed.succ, fixed.vertex, game._bits
+    order, succ = [_entry(fixed, game.start)], [None] * fixed.num_states
+    mask = [0] * fixed.num_states
+    for s in order:  # grows while it is read
+        succ[s] = out[s] if move[s] < 0 else (out[s][move[s]],)
+        mask[s] = bits[vertex[s]]
+        for t in succ[s]:
+            if succ[t] is None:
+                succ[t] = ()  # queued
+                order.append(t)
+    return order, succ, mask
 
 
 def _reachable(succ, root: int) -> list[int]:
@@ -684,32 +693,32 @@ def _reachable(succ, root: int) -> list[int]:
     return reach
 
 
-def _cyclic_sccs(succ, part):
+def _cyclic_sccs(succ, part, index: list[int], low: list[int]):
     """Tarjan's algorithm on the subgraph that ``part`` induces, on the
-    graph's own node numbers; yields every component that holds a cycle."""
-    inside = set(part)
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    stack: list[int] = []
-    done = len(succ)  # above every index, so a finished node lowers nothing
+    graph's own node numbers; yields every component that holds a cycle.
+    One search's calls share ``index`` and ``low``, a slot per node:
+    ``index`` is -1 outside the part, 0 on its unvisited nodes, then a
+    node's visit number, and -1 again once its component is done."""
+    for v in part:
+        index[v] = 0
+    count, stack = 0, []
     for root in part:
-        if root in index:
+        if index[root]:
             continue
-        index[root] = low[root] = len(index)
+        count = index[root] = low[root] = count + 1
         stack.append(root)
         work = [(root, iter(succ[root]))]
         while work:
             v, edges = work[-1]
             for w in edges:
-                if w not in inside:
-                    continue
-                if w not in index:
-                    index[w] = low[w] = len(index)
+                i = index[w]
+                if not i:
+                    count = index[w] = low[w] = count + 1
                     stack.append(w)
                     work.append((w, iter(succ[w])))
                     break
-                if index[w] < low[v]:
-                    low[v] = index[w]
+                if 0 < i < low[v]:
+                    low[v] = i
             else:
                 work.pop()
                 if work and low[v] < low[work[-1][0]]:
@@ -718,7 +727,8 @@ def _cyclic_sccs(succ, part):
                     comp = [stack.pop()]
                     while comp[-1] != v:
                         comp.append(stack.pop())
-                    index.update(dict.fromkeys(comp, done))
+                    for w in comp:
+                        index[w] = -1
                     if len(comp) > 1 or v in succ[v]:
                         yield comp
 
@@ -728,14 +738,18 @@ def _reachable_outcomes(game: MultiOutcomeGraphGame, fixed, deviator: int,
     """Yield, once each, the outcomes in the mask ``wanted`` that the
     deviator can reach against the fixed strategy, by one nested SCC
     decomposition of the residual graph: a component with a cycle realises
-    its colour set K, and every other cycle in it misses a colour of K (for
-    priority games, K's minimum), so it lies in the subgraph on K without
-    that colour.  Colour sets are visited largest first, once each, on the
-    union of the components that lead there, and only while a colour set
-    inside maps to an outcome still wanted; a found outcome's bit is
-    cleared."""
-    reach, succ = _residual_graph(game, fixed, deviator)
-    mask = [game._bits[v] for v in fixed.vertex]
+    its colour set K, and every other cycle in it misses a colour of K, so
+    it lies in the subgraph on K without that colour.  Muller games drop
+    each colour of K in turn.  Priority games drop K's minimum and, in the
+    same step, the run of K's next colours whose outcomes are not wanted,
+    as a cycle whose least colour is wanted holds no colour below it: a
+    stop-early query makes at most one pass over the reachable states per
+    run of unwanted colours, plus one.  Colour sets are visited largest
+    first, once each, on the union of the components that lead there, and
+    only while a colour set inside maps to an outcome still wanted; a found
+    outcome's bit is cleared."""
+    reach, succ, mask = _residual_graph(game, fixed, deviator)
+    index, low = [-1] * len(succ), [0] * len(succ)
     pending = {2 * max(game._bits) - 1: reach}  # every colour's bit
     while pending:
         allowed = max(pending, key=int.bit_count)
@@ -743,14 +757,21 @@ def _reachable_outcomes(game: MultiOutcomeGraphGame, fixed, deviator: int,
         if not any(wanted >> o & 1 and k & ~allowed == 0
                    for k, o in game._outcome_of.items()):
             continue
-        for comp in _cyclic_sccs(succ, part):
+        for comp in _cyclic_sccs(succ, part, index, low):
             k = sum({mask[v] for v in comp})  # distinct bits: sum is OR
             o = game._outcome(k)
             if wanted >> o & 1:
                 wanted ^= 1 << o
                 yield o
-            for rest in [k & (k - 1)] if game.kind == PRIORITY else (
-                    k ^ 1 << i for i in range(k.bit_length()) if k >> i & 1):
+            if game.kind == PRIORITY:
+                rest = k & (k - 1)
+                while rest and not wanted >> game._outcome(rest) & 1:
+                    rest &= rest - 1
+                rests = [rest]
+            else:
+                rests = [k ^ 1 << i for i in range(k.bit_length())
+                         if k >> i & 1]
+            for rest in rests:
                 if rest:
                     pending.setdefault(rest, []).extend(
                         v for v in comp if mask[v] & rest)

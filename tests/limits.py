@@ -262,6 +262,10 @@ ROWS = [
         lambda n: plain_arena(chain_arena(n)), 1000),
     Row("priority_game_10000", ("transfer", "{input}"), priority_game, 10_000,
         stdout="Nash equilibrium"),
+    # The deviation searches read residual components of up to 76,806
+    # states: one pass each, and one more per run of unwanted colours.
+    Row("priority_game_100000", ("transfer", "{input}"), priority_game,
+        100_000, stdout="Nash equilibrium", tier1_size=1_000),
     # Out of address space, the load is refused rather than crashed: the
     # parse runs out at this limit, about a third of what a full run takes.
     # In-process, where no limit can be set, the loader raises MemoryError.

@@ -23,6 +23,7 @@ from reference_graph import (all_positional_strategies, arena_edges,
                              muller_winner_of_play, parity_winner_of_play,
                              recursive_regions, reference_deviation_outcomes,
                              reference_play, region_certificate,
+                             residual_graph,
                              shuffled_chain_arena, two_cycle_chain_arena)
 
 
@@ -886,22 +887,43 @@ class TestDeviationSearch:
     """The nested SCC decomposition against one Tarjan run per colour or
     colour subset (``reference_deviation_outcomes``)."""
 
-    @staticmethod
-    def check(oracle, fixed, deviator, rng):
+    @pytest.fixture(autouse=True)
+    def visits(self, monkeypatch):
+        """Count the states the SCC kernel visits, summed over its calls."""
+        self.visits, real = [0], graph_games._cyclic_sccs
+
+        def spy(succ, part, *flags):
+            self.visits[0] += len(part)
+            return real(succ, part, *flags)
+
+        monkeypatch.setattr(graph_games, "_cyclic_sccs", spy)
+
+    def check(self, oracle, fixed, deviator, rng):
+        """Exact set and stop-early queries against the reference; a
+        priority query visits at most (runs of unwanted colours + 1) times
+        the reachable states."""
         game = oracle.game
         reference = reference_deviation_outcomes(game, fixed, deviator)
         assert et.achievable_deviation_outcomes(game, fixed, deviator) == reference
         n = game.outcomes.size
+        reached = len(residual_graph(game, fixed, deviator)[0])
+        colours = (sorted(game.arena.color_set())
+                   if game.kind == "priority" else [])
+        colour_outcomes = [game.outcome_map[c] for c in colours]
         betters = [set(), set(range(n))] + [{o} for o in range(n)]
         betters += [{o for o in range(n) if rng.random() < 0.5}
                     for _ in range(3)]
         for better in betters:
+            self.visits[0] = 0
             found = oracle.better_deviation(fixed, deviator,
                                             sum(1 << o for o in better))
             if reference & better:
                 assert found in reference & better
             else:
                 assert found is None
+            unwanted = [o not in better for o in colour_outcomes]
+            runs = sum(a > b for a, b in zip(unwanted, [False] + unwanted))
+            assert not colours or self.visits[0] <= (runs + 1) * reached
         return reference
 
     def test_random_games_against_memory_machines(self, rng):
@@ -922,6 +944,61 @@ class TestDeviationSearch:
             assert (et.play_of(game.arena, game.start, *pair)
                     == reference_play(game.arena, game.start, *pair))
         assert min(sizes) >= 1 and sum(s > 2 for s in sizes) > 100
+
+    def test_chain_families_against_memory_machines(self, rng):
+        """Both chain families at 10-60 vertices, each vertex its own colour
+        (the two-cycle family's private vertices recoloured n..2n-1, still
+        above every chain colour) mapped to a random outcome, against memory
+        machines that mostly move along the chain."""
+        sizes, reached = [], []
+        for i in range(40):
+            n = rng.randint(10, 60)
+            arena = (shuffled_chain_arena if i % 2 else two_cycle_chain_arena)(
+                n, rng)
+            arena = et.Arena(arena.num_vertices, arena.owned,
+                             arena_edges(arena), [*arena.colors[:n], *range(
+                                 n, arena.num_vertices)])
+            n_out = rng.randint(2, 6)
+            prefs = et.PreferenceProfile(tuple(
+                et.Preference.from_ranking(rng.sample(range(n_out), n_out))
+                for _ in range(2)))
+            game = et.MultiOutcomeGraphGame(
+                arena, rng.randrange(arena.num_vertices), "priority",
+                et.OutcomeSet(n_out), prefs,
+                {c: rng.randrange(n_out) for c in arena.colors})
+            fixed_player, states = rng.choice((1, 2)), rng.randint(1, 3)
+            fixed = memory_machine(arena, fixed_player, states, {
+                (m, v): rng.randrange(states) for m in range(states)
+                for v in range(arena.num_vertices)}, {  # mostly forward
+                (m, v): (v + 1) % n if v < n and rng.random() < 0.9
+                else rng.choice(arena.succ[v])
+                for m in range(states) for v in range(arena.num_vertices)})
+            reached.append(len(residual_graph(game, fixed,
+                                              3 - fixed_player)[0]))
+            sizes.append(len(self.check(game.backend(), fixed,
+                                        3 - fixed_player, rng)))
+        assert sum(s > 2 for s in sizes) > 10 and max(reached) > 60
+
+    def test_priority_search_drops_a_run_of_unwanted_colours_at_once(self):
+        """A bidirectional ring of n vertices, all the deviator's, whose n-1
+        lowest colours map to an unwanted outcome and whose top colour to
+        the wanted one: after the whole ring, one pass on the top vertex
+        alone settles the query.  Peeling one colour a level would visit
+        about n^2/2 states."""
+        n = 40
+        arena = et.Arena(n, range(n), [(u, (u + d) % n) for u in range(n)
+                                       for d in (1, -1)], range(n))
+        prefs = et.PreferenceProfile((et.Preference.from_ranking([0, 1]),
+                                      et.Preference.from_ranking([1, 0])))
+        game = et.MultiOutcomeGraphGame(arena, 0, "priority", et.OutcomeSet(2),
+                                        prefs, {c: int(c == n - 1)
+                                                for c in range(n)})
+        fixed = et.FiniteMemoryStrategy.positional(arena, 2, {})
+        assert game.backend().better_deviation(fixed, 1, 0b10) is None
+        assert self.visits[0] <= 2 * n
+        self.visits[0] = 0
+        assert et.achievable_deviation_outcomes(game, fixed, 1) == {0}
+        assert self.visits[0] <= 2 * n
 
     def test_benchmark_sized_arenas(self, rng):
         for kind, n_vertices, n_colors in (("priority", 600, 16),
