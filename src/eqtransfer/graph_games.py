@@ -3,8 +3,8 @@
 Player 1 wins a parity play iff the minimum colour occurring infinitely
 often is even; it is solved by Zielonka's algorithm after the self-cycle
 rule.  Muller winners and finite-memory strategies both come from one run
-of McNaughton's recursion on the arena.  An arena oracle keeps each
-label's solve for its strategy query.
+of McNaughton's recursion on the arena.  An arena oracle reuses a solve
+for any label equal on the label bits it read: no other bit steers it.
 """
 
 from __future__ import annotations
@@ -147,8 +147,16 @@ def play_of(arena: Arena, start: int, s1: FiniteMemoryStrategy,
         if k < 0:
             raise ValueError(f"the owner's strategy has no move at vertex {v}")
         pair = (s1.succ[a][k], s2.succ[b][k])
+        if min(pair) < 0:
+            raise _no_successor(arena, *[(s1, a), (s2, b)][pair[0] >= 0], k)
     cut = seen[pair]
     return Play(tuple(trail[:cut]), tuple(trail[cut:]))
+
+
+def _no_successor(arena: Arena, strategy, s: int, k: int) -> ValueError:
+    v = strategy.vertex[s]
+    return ValueError(f"player {strategy.player}'s strategy has no successor "
+                      f"of state {s} along edge ({v}, {arena.succ[v][k]})")
 
 
 def _entry(strategy: FiniteMemoryStrategy, start: int) -> int:
@@ -171,11 +179,12 @@ def _check_start(arena: Arena, start: int) -> int:
 
 
 def _solve_graph(prep: _Prepared, start: int, colors=None
-                 ) -> tuple[int, dict[int, int]]:
+                 ) -> tuple[int, tuple[int, dict[int, int]]]:
     """Parity game on the prepared arena coloured as ``_zielonka`` reads
-    ``colors``: the winner of the play from ``start`` and their moves."""
-    w1, _, s1, s2 = _zielonka(prep, colors)
-    return (1, s1) if start in w1 else (2, s2)
+    ``colors``: the groups whose parity the solve read, and the winner of
+    the play from ``start`` with their moves."""
+    w1, _, s1, s2, read = _zielonka(prep, colors)
+    return read, ((1, s1) if start in w1 else (2, s2))
 
 
 # ---------------------------------------------------------------------------
@@ -184,15 +193,19 @@ def _solve_graph(prep: _Prepared, start: int, colors=None
 
 class _Prepared:
     """What a parity solve reads of an arena that no colouring changes: the
-    arena, out-degrees, self-loop vertices, each vertex's key, and
-    ``groups``, the vertices of each key, keys in order of first use."""
+    arena, out-degrees, self-loop vertices, ``keys``, the distinct keys in
+    order of first use, ``groups``, the vertices of each, ``slot``, each
+    vertex's group, and ``looped``, a bit per group with a self-loop."""
 
     def __init__(self, arena: Arena, keys):
-        self.arena, self.keys, self.groups = arena, keys, {}
+        self.arena, index = arena, {}
+        self.slot = [index.setdefault(k, len(index)) for k in keys]
+        self.keys, self.groups = list(index), [[] for _ in index]
+        for v, g in enumerate(self.slot):
+            self.groups[g].append(v)
         self.degree = [len(out) for out in arena.succ]
         self.loops = [v for v, out in enumerate(arena.succ) if v in out]
-        for v, k in enumerate(keys):
-            self.groups.setdefault(k, []).append(v)
+        self.looped = sum({1 << self.slot[v] for v in self.loops})
 
 
 def _attractor(succ, pred, owned, region: set[int], target: set[int],
@@ -238,8 +251,9 @@ def _compress(colors) -> list[int]:
 
 def _zielonka(prep: _Prepared, colors=None):
     """Winning regions and partial positional strategies of both players,
-    the vertices of the g-th key in ``prep.groups`` coloured ``colors[g]``,
-    or the key itself where ``colors`` is None.
+    the vertices of the g-th key in ``prep.keys`` coloured ``colors[g]``,
+    or the key itself where ``colors`` is None, and a bit per group whose
+    parity the solve read.
 
     First the self-cycle rule (Friedmann & Lange 2009): a self-loop bad for
     its owner is cut where its vertex has another edge; player 1's
@@ -252,12 +266,17 @@ def _zielonka(prep: _Prepared, colors=None):
     each vertex's count of successors in the region (with a copy for their
     second attractor) and read the least priority off the colour groups;
     smaller frames scan their region, and memory stays linear in the arena.
+    The self-cycle rule reads the parity of each self-loop vertex's group,
+    a frame those of its least rank's groups and of the next rank's least
+    colour, which ends the run; no other step reads the colouring, so
+    colourings that agree there give the same regions and moves.
     """
-    rank = dict(zip(prep.groups, _compress(colors or list(prep.groups))))
-    colors = [rank[k] for k in prep.keys]
-    ranked: list[list[int]] = [[] for _ in range(max(colors) + 1)]
-    for k, members in prep.groups.items():
-        ranked[rank[k]] += members
+    given, read = colors or prep.keys, 0  # read: the ranks frames took
+    ranks = _compress(given)
+    colors = list(map(ranks.__getitem__, prep.slot))
+    ranked: list[list[int]] = [[] for _ in range(max(ranks) + 1)]
+    for r, members in zip(ranks, prep.groups):
+        ranked[r] += members
     succ, pred, owned = (list(prep.arena.succ), prep.arena.pred,
                           prep.arena._owner_flags)
     count = prep.degree[:]  # per solve, bad self-loops cut; pred keeps them,
@@ -293,17 +312,24 @@ def _zielonka(prep: _Prepared, colors=None):
                 else:
                     p = min(colors[v] for v in region)
                     target = {v for v in region if colors[v] == p}
-                i = 1 + p % 2
+                i, read = 1 + p % 2, read | 1 << p
                 attr, astrat = attract(target, i, saved and count)
                 for v in target:
                     if owned[v] == (i == 1):
-                        astrat[v] = next(w for w in succ[v] if w in region)
+                        astrat[v] = (w if (w := succ[v][0]) in region else
+                                     next(w for w in succ[v] if w in region))
                 region -= attr
                 frames.append([i, attr, astrat, None, None, saved])
                 continue
             result = (set(), set(), {}, {})
         if not frames:
-            return tuple(r | w for r, w in zip(result, won))
+            seen = (1 << len(ranks)) - 1  # every group, if each has a loop
+            if prep.looped != seen:
+                least = dict(sorted(zip(ranks, given), reverse=True))
+                seen = prep.looped | sum(1 << g for g, (c, r) in enumerate(
+                    zip(given, ranks)) if read >> r & 1
+                    or c == least[r] and read << 1 >> r & 1)
+            return (*(r | w for r, w in zip(result, won)), seen)
         i, attr, astrat, battr, so, saved = frames[-1]
         w1, w2, s1, s2 = result
         if battr is None:
@@ -331,13 +357,13 @@ def _zielonka(prep: _Prepared, colors=None):
 def parity_regions(arena: Arena) -> tuple[set[int], set[int],
                                           dict[int, int], dict[int, int]]:
     """Winning regions and positional winning strategies for both players."""
-    return _zielonka(_Prepared(arena, arena.colors))
+    return _zielonka(_Prepared(arena, arena.colors))[:4]
 
 
 def solve_parity(arena: Arena, start: int) -> tuple[int, FiniteMemoryStrategy]:
     """Winner from ``start`` plus a positional winning strategy for them."""
     _check_start(arena, start)
-    winner, moves = _solve_graph(_Prepared(arena, arena.colors), start)
+    _, (winner, moves) = _solve_graph(_Prepared(arena, arena.colors), start)
     return winner, FiniteMemoryStrategy.positional(arena, winner, moves)
 
 
@@ -585,24 +611,30 @@ class MultiOutcomeGraphGame:
 
 
 class _ArenaOracle(GameBackend):
-    """Queries shared by the arena oracles.  ``_solved`` keeps each label's
-    solve (``_solve_label``) while the oracle lives, so a strategy query on
-    a probed label costs only its machine (``_strategy``)."""
+    """Queries shared by the arena oracles.  ``_solve_label`` returns a
+    solve and the mask M of outcomes whose label bits it read; ``_solved``
+    keeps ``(M, label & M, solve)`` while the oracle lives, and a later
+    label that agrees on M gets that solve, which no other bit changes.  So
+    a strategy query on a probed label costs only its machine."""
 
     def __init__(self, game: MultiOutcomeGraphGame):
         if game.kind != self.kind:
             raise ValueError(f"{self.kind} oracle needs a {self.kind} game")
         self.game = game
-        self._solved: dict[int, tuple] = {}
+        self._solved: list[tuple[int, int, tuple]] = []
+        self._used = sum({1 << o for o in game._outcome_of.values()})
 
     @property
     def n_outcomes(self) -> int:
         return self.game.outcomes.size
 
     def _solve(self, label: int) -> tuple:
-        if label not in self._solved:
-            self._solved[label] = self._solve_label(label)
-        return self._solved[label]
+        for reads, bits, solved in self._solved:
+            if label & reads == bits:
+                return solved
+        reads, solved = self._solve_label(label)
+        self._solved.append((reads, label & reads, solved))
+        return solved
 
     def winner(self, label: int) -> int:
         return self._solve(label)[0]
@@ -629,13 +661,17 @@ class PriorityOracle(_ArenaOracle):
     kind = PRIORITY
 
     @functools.cached_property
-    def _prepared(self) -> _Prepared:
-        return _Prepared(self.game.arena, self.game._bits)
+    def _prepared(self) -> tuple[_Prepared, list[tuple[int, int]]]:
+        prep = _Prepared(self.game.arena, self.game._bits)
+        return prep, [(b, self.game._outcome_of[b]) for b in prep.keys]
 
-    def _solve_label(self, label: int) -> tuple[int, dict[int, int]]:
-        return _solve_graph(self._prepared, self.game.start, [
-            2 * b.bit_length() - 1 - (label >> self.game._outcome_of[b] & 1)
-            for b in self._prepared.groups])
+    def _solve_label(self, label: int) -> tuple[int, tuple]:
+        prep, groups = self._prepared
+        read, solved = _solve_graph(prep, self.game.start, [
+            2 * b.bit_length() - 1 - (label >> o & 1) for b, o in groups])
+        return (self._used if read + 1 == 1 << len(groups) else  # all read
+                sum({1 << o for g, (_, o) in enumerate(groups)
+                     if read >> g & 1})), solved
 
     def _strategy(self, winner: int, moves) -> FiniteMemoryStrategy:
         return FiniteMemoryStrategy.positional(self.game.arena, winner, moves)
@@ -648,10 +684,11 @@ class MullerOracle(_ArenaOracle):
 
     kind = MULLER
 
-    def _solve_label(self, label: int) -> tuple[int, tuple[list, list]]:
+    def _solve_label(self, label: int) -> tuple[int, tuple]:
         game, outcome_of = self.game, self.game._outcome_of
-        return _mcnaughton(game.arena, game._bits,
-                           lambda k: label >> outcome_of[k] & 1, game.start)
+        return self._used, _mcnaughton(  # ``split`` asks about every set
+            game.arena, game._bits, lambda k: label >> outcome_of[k] & 1,
+            game.start)
 
     def _strategy(self, winner: int, pieces) -> FiniteMemoryStrategy:
         return _muller_machine(self.game.arena, self.game._bits,
@@ -674,6 +711,9 @@ def _residual_graph(game: MultiOutcomeGraphGame, fixed: FiniteMemoryStrategy,
         succ[s] = out[s] if move[s] < 0 else (out[s][move[s]],)
         mask[s] = bits[vertex[s]]
         for t in succ[s]:
+            if t < 0:  # the edge followed: the chosen one, else the first
+                raise _no_successor(game.arena, fixed, s,
+                                    out[s].index(t, max(move[s], 0)))
             if succ[t] is None:
                 succ[t] = ()  # queued
                 order.append(t)

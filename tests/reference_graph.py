@@ -125,7 +125,7 @@ def lar_muller_winners(game: et.MultiOutcomeGraphGame, labels
     prepared = graph_games._Prepared(lar, list(zip(lar.colors, outcome)))
     winners = []
     for label in labels:
-        colors = [2 * hit + 1 - (label >> o & 1) for hit, o in prepared.groups]
+        colors = [2 * hit + 1 - (label >> o & 1) for hit, o in prepared.keys]
         w1 = graph_games._zielonka(prepared, colors)[0]
         winners.append(1 if 0 in w1 else 2)
     return winners

@@ -152,6 +152,38 @@ class TestPlayOf:
         play = et.play_of(a, 0, s1, et.FiniteMemoryStrategy.positional(a, 2, {}))
         assert cluster_colors(a, play) == {0, 1}
 
+    def test_negative_successor_is_refused(self):
+        """A machine whose state has a negative successor entry on an edge
+        that a play or a deviation follows is refused, naming the state and
+        the edge.  Read as a Python index, the entry made ``play_of`` report
+        the cycle (1,) while the deviation search reached only outcome 0."""
+        arena = et.Arena(2, [0], [(0, 1), (1, 0), (1, 1)], [0, 1])
+        game = et.MultiOutcomeGraphGame(
+            arena, 0, "priority", et.OutcomeSet(2), et.PreferenceProfile(
+                (et.Preference.from_ranking([0, 1]),
+                 et.Preference.from_ranking([1, 0]))), {0: 0, 1: 1})
+        cases = [  # the machine, the opponent's strategy, the refused edge
+            (et.FiniteMemoryStrategy(1, [0, 1], [[1], [0, -1]], [0, -1],
+                                     {0: 0}),
+             et.FiniteMemoryStrategy.positional(arena, 2, {1: 1}),
+             "player 1's strategy has no successor of state 1 along edge "
+             "(1, 1)"),
+            (et.FiniteMemoryStrategy(2, [0, 1], [[-3], [0, 1]], [-1, 1],
+                                     {0: 0}),
+             et.FiniteMemoryStrategy.positional(arena, 1, {}),
+             "player 2's strategy has no successor of state 0 along edge "
+             "(0, 1)")]
+        for machine, other, message in cases:
+            pair = (machine, other) if machine.player == 1 else (other, machine)
+            for call in (lambda: et.play_of(arena, 0, *pair),
+                         lambda: et.achievable_deviation_outcomes(
+                             game, machine, other.player),
+                         lambda: game.backend().better_deviation(
+                             machine, other.player, 0b11)):
+                with pytest.raises(ValueError) as caught:
+                    call()
+                assert str(caught.value) == message
+
 
 class TestParity:
     def test_single_vertex_even(self):
@@ -388,85 +420,173 @@ class TestOracles:
                 assert answer.player == winner
                 assert same_strategy(answer.handle, strategy)
 
+    def check_reuse(self, monkeypatch, oracle_type, solver, games):
+        """Run each game's transfer with ``oracle_type``, spying on its
+        ``_solve_label`` and on the module's ``solver``: each distinct label
+        is solved at most once, by one solver run; both strategy labels were
+        probed, except a full mask that no probe accepted; and every label
+        queried gets the winner and strategy of a fresh oracle's solve of
+        that label.  Returns the labels queried that no solve ran for."""
+        runs, solved, asked = [], [], []
+        real_solver = getattr(graph_games, solver)
+        monkeypatch.setattr(graph_games, solver, lambda *args: runs.append(
+            args) or real_solver(*args))
+        real_label = oracle_type._solve_label
+        monkeypatch.setattr(oracle_type, "_solve_label", lambda oracle, label:
+                            solved.append(label) or real_label(oracle, label))
+        for name in ("winner", "strategy"):
+            real = getattr(oracle_type, name)
+
+            def recording(oracle, label, name=name, real=real):
+                asked.append((name, label, answer := real(oracle, label)))
+                return answer
+
+            monkeypatch.setattr(oracle_type, name, recording)
+        unsolved = 0
+        for game in games:
+            for log in (runs, solved, asked):
+                log.clear()
+            eq = et.multi_outcome_ne(game)
+            queries, labels = list(asked), [label for _, label, _ in asked]
+            probed = {label for name, label, _ in asked if name == "winner"}
+            full = (1 << game.outcomes.size) - 1
+            assert len(probed) <= game.outcomes.size
+            assert set(labels) <= probed | {full}
+            assert len(runs) == len(solved) == len(set(solved))
+            assert set(solved) <= set(labels)
+            unsolved += len(set(labels) - set(solved))
+            for name, label, answer in queries:
+                fresh = getattr(oracle_type(game), name)(label)
+                assert (answer == fresh if name == "winner" else
+                        same_strategy(answer.handle, fresh.handle))
+            assert all(map(same_strategy, (strategy.handle for name, _, strategy
+                                           in queries if name == "strategy"),
+                           eq.profile))
+        return unsolved
+
     def test_muller_strategy_queries_reuse_probe_solves(self, rng,
                                                        monkeypatch):
-        """A Muller transfer runs McNaughton's recursion once per distinct
-        label queried, and the strategies equal fresh solves of their
-        labels."""
-        solves, queried = [0], {"winner": [], "strategy": []}
-        real_solve = graph_games._mcnaughton
-
-        def counting_solve(*args):
-            solves[0] += 1
-            return real_solve(*args)
-
-        monkeypatch.setattr(graph_games, "_mcnaughton", counting_solve)
-        for name in queried:
-            real = getattr(et.MullerOracle, name)
-
-            def recording(oracle, label, name=name, real=real):
-                queried[name].append(label)
-                return real(oracle, label)
-
-            monkeypatch.setattr(et.MullerOracle, name, recording)
-        for _ in range(40):
-            game = random_muller_game(rng, max_vertices=8, max_color=3,
-                                      max_outcomes=6)
-            solves[0] = 0
-            for labels in queried.values():
-                labels.clear()
-            eq = et.multi_outcome_ne(game)
-            full = (1 << game.outcomes.size) - 1
-            probed, labels = set(queried["winner"]), list(queried["strategy"])
-            assert len(probed) <= game.outcomes.size
-            assert set(labels) <= probed | {full}
-            assert solves[0] == len(probed | set(labels))
-            fresh = et.MullerOracle(game)
-            for label, machine in zip(labels, eq.profile):
-                assert same_strategy(fresh.strategy(label).handle, machine)
+        """A Muller transfer runs McNaughton's recursion at most once per
+        distinct label, and a label that agrees with a solved one on every
+        outcome of a cluster set is answered from it."""
+        games = [random_muller_game(rng, max_vertices=8, max_color=3,
+                                    max_outcomes=6) for _ in range(40)]
+        assert self.check_reuse(monkeypatch, et.MullerOracle, "_mcnaughton",
+                                games) > 0
 
     def test_strategy_queries_reuse_probe_solves(self, rng, monkeypatch):
-        """A transfer prepares its arena once and solves each distinct label
-        once: both strategy labels were probed, except a full mask that no
-        probe accepted, and the strategies equal fresh solves of their
-        labels."""
-        solves, prepared = [0], []
-        queried = {"winner": [], "strategy": []}
-        real_solve = graph_games._solve_graph
-        real_prepare = graph_games._Prepared
-
-        def counting_solve(*args):
-            solves[0] += 1
-            return real_solve(*args)
-
-        monkeypatch.setattr(graph_games, "_solve_graph", counting_solve)
+        """A priority transfer prepares its arena once and runs Zielonka's
+        solve at most once per distinct label; labels answered from an
+        earlier solve that read the same colours equal fresh solves."""
+        games = [random_priority_game(rng, max_vertices=10, max_outcomes=6)
+                 for _ in range(40)]
+        assert self.check_reuse(monkeypatch, et.PriorityOracle,
+                                "_solve_graph", games) > 0
+        prepared, real_prepare = [], graph_games._Prepared
         monkeypatch.setattr(graph_games, "_Prepared", lambda *args:
                             prepared.append(args) or real_prepare(*args))
-        for name in queried:
-            real = getattr(et.PriorityOracle, name)
+        for game in games:
+            et.multi_outcome_ne(game)
+        assert len(prepared) == len(games)
 
-            def recording(oracle, label, name=name, real=real):
-                queried[name].append(label)
-                return real(oracle, label)
+    def test_reused_probe_answers_equal_fresh_solves(self, rng):
+        """Along the exact label order a transfer probes, then its two
+        strategy labels, every winner and positional strategy equals a fresh
+        ``solve_parity`` of that label's colouring: on small random games,
+        benchmark-shaped games of 250-600 vertices and both chain families
+        (each vertex its own colour, the two-cycle family's private vertices
+        recoloured above the chain's), and some labels are answered from an
+        earlier solve."""
+        games = [random_priority_game(rng, max_vertices=10, max_outcomes=6)
+                 for _ in range(60)]
+        games += [sized_game(rng, "priority", rng.randint(250, 600), 16)
+                  for _ in range(4)]
+        for i in range(16):
+            n = rng.randint(10, 48)
+            chain = (shuffled_chain_arena if i % 2 else two_cycle_chain_arena)(
+                n, rng)
+            arena = et.Arena(chain.num_vertices, chain.owned,
+                             arena_edges(chain), [*chain.colors[:n], *range(
+                                 n, chain.num_vertices)])
+            n_out = rng.randint(2, 8)
+            games.append(et.MultiOutcomeGraphGame(
+                arena, rng.randrange(arena.num_vertices), "priority",
+                et.OutcomeSet(n_out), et.PreferenceProfile(tuple(
+                    et.Preference.from_ranking(rng.sample(range(n_out), n_out))
+                    for _ in range(2))),
+                {c: rng.randrange(n_out) for c in arena.colors}))
+        queried = solved = 0
+        for game in games:
+            oracle = et.PriorityOracle(game)
+            result = et.run_transfer(oracle, game.preferences)
+            labels = [label for label, _ in result.probes]
+            labels += [result.enforced, result.drop]
+            arena = game.arena
+            for label in labels:
+                colors = [2 * c + 1 - (label >> game.outcome_map[c] & 1)
+                          for c in arena.colors]
+                fresh = et.Arena(arena.num_vertices, arena.owned,
+                                 arena_edges(arena), colors)
+                winner, strategy = et.solve_parity(fresh, game.start)
+                assert oracle.winner(label) == winner
+                assert same_strategy(oracle.strategy(label).handle, strategy)
+            queried += len(set(labels))
+            solved += len(oracle._solved)
+        assert solved < queried
 
-            monkeypatch.setattr(et.PriorityOracle, name, recording)
-        for _ in range(40):
-            game = random_priority_game(rng, max_vertices=10, max_outcomes=6)
-            solves[0] = 0
-            prepared.clear()
-            for labels in queried.values():
-                labels.clear()
-            eq = et.multi_outcome_ne(game)
-            full = (1 << game.outcomes.size) - 1
-            probed, labels = set(queried["winner"]), list(queried["strategy"])
-            assert len(probed) <= game.outcomes.size
-            assert set(labels) <= probed | {full}
-            assert solves[0] == len(probed | set(labels))
-            assert len(prepared) == 1
-            fresh = et.PriorityOracle(game)
-            for label, machine in zip(labels, eq.profile):
-                assert same_strategy(fresh.strategy(label).handle, machine)
+    def test_probe_on_unread_colours_runs_no_solve(self, monkeypatch):
+        """Vertex 0 is player 1's, with only a self-loop of colour 0, and
+        the vertices of colours 1 and 2 lead only to it.  The first probe
+        (outcome 2 dropped) is won by the self-cycle rule, which reads only
+        colour 0; so the second probe, which also drops outcome 1, runs no
+        solve, and the third, which drops outcome 0, does."""
+        runs, real = [], graph_games._solve_graph
+        monkeypatch.setattr(graph_games, "_solve_graph",
+                            lambda *args: runs.append(args) or real(*args))
+        arena = et.Arena(3, [0], [(0, 0), (1, 0), (2, 0)], [0, 1, 2])
+        game = et.MultiOutcomeGraphGame(
+            arena, 1, "priority", et.OutcomeSet(3), et.PreferenceProfile((
+                et.Preference.from_ranking([2, 1, 0]),
+                et.Preference.from_ranking([0, 1, 2]))), {0: 0, 1: 1, 2: 2})
+        oracle = et.PriorityOracle(game)
+        solves = []
+        for label in (0b011, 0b001, 0b000):
+            winner = oracle.winner(label)
+            solves.append(len(runs))
+            assert winner == et.solve_parity(et.Arena(
+                3, [0], arena_edges(arena),
+                [2 * c + 1 - (label >> c & 1) for c in range(3)]), 1)[0]
+            runs.clear()
+        assert solves == [1, 0, 1]
+        result = et.run_transfer(et.PriorityOracle(game), game.preferences)
+        assert [label for label, _ in result.probes] == [0b011, 0b001, 0b000]
+        assert len(runs) == 2
 
+    def test_probe_on_run_ending_colour_is_solved_again(self, monkeypatch):
+        """On the cycle 0 -> 1 -> 2 -> 0 with the chord 1 -> 0, colours 0, 1
+        and 2 mapped to outcomes 0, 1 and 2, player 1 winning colour 0: when
+        colour 1's parity differs from colour 0's, the first frame's target
+        is vertex 0 and player 1 moves 1 -> 0; when it agrees, colour 1 joins
+        that run and player 1 moves 1 -> 2.  The first solve read colour 1
+        as the colour that ended its run, so a label that changes only
+        colour 1 runs a new solve, which a fresh solve confirms."""
+        runs, real = [], graph_games._solve_graph
+        monkeypatch.setattr(graph_games, "_solve_graph",
+                            lambda *args: runs.append(args) or real(*args))
+        arena = et.Arena(3, [0, 1], [(0, 1), (1, 2), (1, 0), (2, 0)],
+                         [0, 1, 2])
+        game = et.MultiOutcomeGraphGame(
+            arena, 0, "priority", et.OutcomeSet(3), et.PreferenceProfile((
+                et.Preference.from_ranking([2, 1, 0]),
+                et.Preference.from_ranking([0, 1, 2]))), {0: 0, 1: 1, 2: 2})
+        oracle = et.PriorityOracle(game)
+        for label, move in ((0b001, 0), (0b011, 2)):
+            strategy = oracle.strategy(label).handle
+            assert arena.succ[1][strategy.move[1]] == move
+            fresh = et.Arena(3, [0, 1], arena_edges(arena),
+                             [2 * c + 1 - (label >> c & 1) for c in range(3)])
+            assert same_strategy(strategy, et.solve_parity(fresh, 0)[1])
+        assert len(runs) == 4  # two oracle solves, two fresh ones
 
 class TestMullerWinner:
     """McNaughton's algorithm on the arena against Zielonka's algorithm on

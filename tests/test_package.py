@@ -100,7 +100,7 @@ def test_source_line_ceiling():
     it raises the bound and says so in CHANGES.md."""
     lines = sum(len(path.read_bytes().splitlines())
                 for path in SRC.glob("*.py"))
-    assert lines <= 3292, lines
+    assert lines <= 3332, lines
 
 
 def test_corpus_games_only_through_build():
