@@ -23,7 +23,9 @@ from .extensive import (GameTree, TreeOracle, strategy_from_index,
                         to_normal_form)
 from .graph_games import (MULLER, Arena, MultiOutcomeGraphGame, solve_muller,
                           solve_parity)
-from .transfer import OracleStrategy, _game_backend, equilibrium
+from .prefs import _check_profile
+from .transfer import (OracleStrategy, _game_backend, _verify_profile,
+                       equilibrium)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -93,10 +95,10 @@ def _cmd_check_determinacy(args) -> tuple[dict, int]:
     # Kuhn), so a tree needs neither its normal form nor the outcome cap.
     determined, witness = True, {}
     if not isinstance(st, GameTree):
-        from .normal_form import _undetermined_label, is_determined
-        determined = is_determined(st, cap=args.cap)
-        if not determined and args.json:  # a label neither player wins
-            label = _undetermined_label(st.row_masks, st.column_masks)
+        from .normal_form import _undetermined
+        label = _undetermined(st, args.cap)  # a label neither player wins
+        determined = label is None
+        if not determined and args.json:
             witness["witness"] = [st.outcomes.label(o) for o in
                                   range(st.outcomes.size) if label >> o & 1]
     return {
@@ -207,14 +209,21 @@ def _cmd_solve_arena(args) -> tuple[dict, int]:
 
 
 def _cmd_verify_ne(args) -> tuple[dict, int]:
-    from .normal_form import is_nash_equilibrium
-    game = _normal_form(jsonio.load(args.input), "verify-ne", cap=args.cap)
+    game = jsonio.load(args.input)
+    tree = isinstance(game, tuple) and isinstance(game[0], GameTree)
+    game = game if tree else _normal_form(game, "verify-ne")
     try:
         profile = tuple(int(x) for x in args.profile.split(","))
     except ValueError as exc:
         raise SchemaError(f"bad profile {args.profile!r}: "
                           "expected comma-separated indices") from exc
-    ok = is_nash_equilibrium(game, profile)
+    if tree:  # checked on the tree: the indices are TreeOracle's handles
+        t, prefs = game
+        _check_profile(profile, (t.strategy_count(1), t.strategy_count(2)))
+        ok = _verify_profile(t.backend(), prefs, *profile)[1] is None
+    else:
+        from .normal_form import is_nash_equilibrium
+        ok = is_nash_equilibrium(game, profile)
     return {
         "command": "verify-ne",
         "profile": list(profile),
@@ -283,11 +292,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(flag, **settings)
         takes.setdefault(flag, []).append(p.prog.partition(" ")[2])
 
-    profile_cap = ("--cap", dict(type=int, default=DEFAULT_PROFILE_CAP, help=(
-        "profile cap, tree conversion included (default %(default)s)")))
     for name, func, text, *options in (
             ("solve", _cmd_solve, "enumerate all Nash equilibria",
-             profile_cap),
+             ("--cap", dict(type=int, default=DEFAULT_PROFILE_CAP, help=(
+                 "profile cap, tree conversion included (default "
+                 "%(default)s)")))),
             ("check-determinacy", _cmd_check_determinacy,
              "check every derived win-lose game has a winner",
              ("--cap", dict(type=int, default=DEFAULT_OUTCOME_CAP, help=(
@@ -297,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("solve-parity", _cmd_solve_arena, "solve a parity game on an arena"),
             ("solve-muller", _cmd_solve_arena, "solve a Muller game on an arena"),
             ("verify-ne", _cmd_verify_ne, "check a profile for equilibrium",
-             profile_cap, ("--profile", dict(required=True, help=(
+             ("--profile", dict(required=True, help=(
                  "comma-separated strategy indices, 0-based"))))):
         p = sub.add_parser(name, help=text)
         p.add_argument("input")

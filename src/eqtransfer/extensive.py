@@ -17,7 +17,8 @@ from operator import indexOf
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import DEFAULT_PROFILE_CAP, TooLargeError
-from .prefs import OutcomeSet, PreferenceProfile, _Frozen, int_values
+from .prefs import (OutcomeSet, PreferenceProfile, _Frozen, _integral,
+                    _player, int_values)
 from .transfer import CallCounter, GameBackend, OracleStrategy, equilibrium
 
 if TYPE_CHECKING:
@@ -74,21 +75,19 @@ class GameTree(_Frozen):
 
     @functools.cached_property
     def _digits(self) -> tuple[tuple, tuple]:
-        """Per player: the owned nodes in order, their child counts (the
-        radices of a strategy index's digits) and the strategy count."""
-        per_player = []
-        for player in (1, 2):
-            nodes = tuple(i for i, o in enumerate(self.owners) if o == player)
-            radices = tuple(len(self.children[i]) for i in nodes)
-            per_player.append((nodes, radices, math.prod(radices)))
-        return tuple(per_player)
+        """Per player: the owned nodes in order and their child counts,
+        the radices of a strategy index's digits."""
+        owned = [tuple(i for i, o in enumerate(self.owners) if o == player)
+                 for player in (1, 2)]
+        return tuple((nodes, tuple(len(self.children[i]) for i in nodes))
+                     for nodes in owned)
 
     def owned_nodes(self, player: int) -> list[int]:
         """Preorder indices of the internal nodes the player owns."""
-        return list(self._digits[player - 1][0])
+        return list(self._digits[_player(player) - 1][0])
 
     def strategy_count(self, player: int) -> int:
-        return self._digits[player - 1][2]
+        return math.prod(self._digits[_player(player) - 1][1])
 
     def backend(self) -> TreeOracle:
         """The transfer's backend: backward induction on the tree."""
@@ -99,12 +98,12 @@ def strategy_from_index(t: GameTree, player: int, index: int
                         ) -> dict[int, int]:
     """Decode a strategy index (mixed radix, first owned node most
     significant) into its ``{node: child}`` choices."""
-    owned, radices, _ = t._digits[player - 1]
+    owned, radices = t._digits[_player(player) - 1]
     digits = [0] * len(radices)
     rest = index
     for pos in range(len(radices) - 1, -1, -1):
         rest, digits[pos] = divmod(rest, radices[pos])
-    if rest:
+    if rest or not _integral(index):
         raise ValueError(f"strategy index {index} out of range")
     return dict(zip(owned, digits))
 
@@ -112,7 +111,7 @@ def strategy_from_index(t: GameTree, player: int, index: int
 def strategy_to_index(t: GameTree, player: int, choice: dict[int, int]
                       ) -> int:
     index = 0
-    owned, radices, _ = t._digits[player - 1]
+    owned, radices = t._digits[_player(player) - 1]
     for node, radix in zip(owned, radices):
         index = index * radix + choice[node]
     return index

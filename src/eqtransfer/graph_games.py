@@ -147,8 +147,10 @@ def play_of(arena: Arena, start: int, s1: FiniteMemoryStrategy,
         if k < 0:
             raise ValueError(f"the owner's strategy has no move at vertex {v}")
         pair = (s1.succ[a][k], s2.succ[b][k])
-        if min(pair) < 0:
-            raise _no_successor(arena, *[(s1, a), (s2, b)][pair[0] >= 0], k)
+        w = arena.succ[v][k]
+        for s, state, t in ((s1, a, pair[0]), (s2, b, pair[1])):
+            if not (0 <= t < len(s.vertex) and s.vertex[t] == w):
+                raise _no_successor(arena, s, state, k)
     cut = seen[pair]
     return Play(tuple(trail[:cut]), tuple(trail[cut:]))
 
@@ -704,16 +706,18 @@ def _residual_graph(game: MultiOutcomeGraphGame, fixed: FiniteMemoryStrategy,
     lists and colour bits of those states only, at their own numbers."""
     if fixed.player == deviator:
         raise ValueError("fixed player and deviator must differ")
-    move, out, vertex, bits = fixed.move, fixed.succ, fixed.vertex, game._bits
-    order, succ = [_entry(fixed, game.start)], [None] * fixed.num_states
-    mask = [0] * fixed.num_states
+    move, out, bits = fixed.move, fixed.succ, game._bits
+    vertex = list(fixed.vertex)  # read faster than a positional range
+    n, targets = len(vertex), game.arena.succ
+    order, succ, mask = [_entry(fixed, game.start)], [None] * n, [0] * n
     for s in order:  # grows while it is read
-        succ[s] = out[s] if move[s] < 0 else (out[s][move[s]],)
-        mask[s] = bits[vertex[s]]
-        for t in succ[s]:
-            if t < 0:  # the edge followed: the chosen one, else the first
-                raise _no_successor(game.arena, fixed, s,
-                                    out[s].index(t, max(move[s], 0)))
+        v, m = vertex[s], move[s]
+        succ[s] = out[s] if m < 0 else (out[s][m],)
+        mask[s], edges, k = bits[v], targets[v], m if m > 0 else 0
+        for t in succ[s]:  # the edges followed: the chosen one, else all
+            if not (0 <= t < n and vertex[t] == edges[k]):
+                raise _no_successor(game.arena, fixed, s, k)
+            k += 1
             if succ[t] is None:
                 succ[t] = ()  # queued
                 order.append(t)

@@ -19,8 +19,9 @@ import numpy as np
 from .errors import (DEFAULT_OUTCOME_CAP, DEFAULT_PROFILE_CAP, BadIndexError,
                      HypothesisViolatedError, NotZeroSumError, SchemaError,
                      TooLargeError)
-from .prefs import (OutcomeSet, Preference, PreferenceProfile, _Frozen,
-                    _upward_cone, int_values, is_strict_linear, rank)
+from .prefs import (OutcomeSet, Preference, PreferenceProfile, _check_profile,
+                    _Frozen, _integral, _player, _upward_cone, int_values,
+                    is_strict_linear, rank)
 from .transfer import CallCounter, GameBackend, OracleStrategy, equilibrium
 
 Profile = tuple[int, ...]
@@ -69,11 +70,7 @@ class GameStructure(_Frozen):
     def outcome(self, profile: Sequence[int]) -> int:
         """The profile's cell; BadIndexError if the profile does not fit."""
         s = tuple(profile)
-        if len(s) != len(self.strategy_counts) or not all(
-                (type(i) is int or isinstance(i, np.integer)) and 0 <= i < c
-                for i, c in zip(s, self.strategy_counts)):
-            raise BadIndexError(f"profile {s} does not fit strategy "
-                                f"counts {self.strategy_counts}")
+        _check_profile(s, self.strategy_counts)
         return int(self.table[s])
 
     @cached_property
@@ -206,9 +203,7 @@ def find_all_ne(g: NormalFormGame, cap: int = DEFAULT_PROFILE_CAP) -> list[Profi
 def _strategy_masks(st: GameStructure, player: int) -> tuple[int, ...]:
     """Player 1's row or player 2's column outcome masks."""
     _two_players(st, "enforcement")
-    if player not in (1, 2):
-        raise BadIndexError(f"player must be 1 or 2, got {player}")
-    return st.row_masks if player == 1 else st.column_masks
+    return st.row_masks if _player(player) == 1 else st.column_masks
 
 
 def enforcing_strategy(st: GameStructure, player: int,
@@ -230,9 +225,14 @@ def is_determined(st: GameStructure, cap: int = DEFAULT_OUTCOME_CAP) -> bool:
     the minimal transversals of the rows (Edmonds & Fulkerson 1970; Gurvich
     1973).  The cap bounds the outcome count, as the search is exponential."""
     _two_players(st, "determinacy")
+    return _undetermined(st, cap) is None
+
+
+def _undetermined(st: GameStructure, cap: int) -> Optional[int]:
+    """``_undetermined_label`` of the rows and columns, within the cap."""
     if st.outcomes.size > cap:
         raise TooLargeError(f"{st.outcomes.size} outcomes exceed determinacy cap {cap}")
-    return _undetermined_label(st.row_masks, st.column_masks) is None
+    return _undetermined_label(st.row_masks, st.column_masks)
 
 
 def _undetermined_label(rows: Sequence[int], cols: Sequence[int]) -> Optional[int]:
@@ -268,9 +268,9 @@ def slice_structure(st: GameStructure, player: int, strategy: int) -> GameStruct
     """Fix one player's strategy in a three-player structure."""
     if st.players != 3:
         raise ValueError("slicing expects a three-player structure")
-    if not (0 <= player < 3):
+    if not (_integral(player) and 0 <= player < 3):
         raise BadIndexError(f"player index {player} out of range")
-    if not (0 <= strategy < st.strategy_counts[player]):
+    if not (_integral(strategy) and 0 <= strategy < st.strategy_counts[player]):
         raise BadIndexError(f"strategy index {strategy} out of range")
     table = np.take(st.table, strategy, axis=player)
     counts = tuple(c for i, c in enumerate(st.strategy_counts) if i != player)
@@ -286,7 +286,7 @@ def merge_players(st: GameStructure, pair: tuple[int, int]) -> GameStructure:
     if st.players != 3:
         raise ValueError("merging expects a three-player structure")
     a, b = pair
-    if a == b or not all(0 <= p < 3 for p in pair):
+    if a == b or not all(_integral(p) and 0 <= p < 3 for p in pair):
         raise BadIndexError(f"bad player pair {pair}")
     other = ({0, 1, 2} - {a, b}).pop()
     table = np.transpose(st.table, (a, b, other))

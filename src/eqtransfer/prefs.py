@@ -13,12 +13,33 @@ from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .errors import CyclicPreferenceError
+from .errors import BadIndexError, CyclicPreferenceError
 
 
 def is_int(x) -> bool:
     """An int and not a bool, which JSON's true and false decode to."""
     return type(x) is int
+
+
+def _integral(x) -> bool:
+    """An int or a numpy integer; not a bool, a float or a string."""
+    return type(x) is int or (isinstance(x, numbers.Integral)
+                              and not isinstance(x, bool))
+
+
+def _player(player) -> int:
+    """The player, 1 or 2; anything else raises BadIndexError."""
+    if not (_integral(player) and player in (1, 2)):
+        raise BadIndexError(f"player must be 1 or 2, got {player}")
+    return player
+
+
+def _check_profile(profile: tuple, counts: tuple[int, ...]) -> None:
+    """BadIndexError unless each index is an integer below its count."""
+    if len(profile) != len(counts) or not all(
+            _integral(i) and 0 <= i < c for i, c in zip(profile, counts)):
+        raise BadIndexError(
+            f"profile {profile} does not fit strategy counts {counts}")
 
 
 def int_values(values: Iterable, field: str) -> list[int]:
@@ -31,7 +52,7 @@ def int_values(values: Iterable, field: str) -> list[int]:
         values = list(values)
     if set(map(type, values)) - {int}:
         for x in values:
-            if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+            if not _integral(x):
                 raise ValueError(f"{field}: {x!r} is not an integer")
         values = [int(x) for x in values]
     return values

@@ -173,25 +173,33 @@ def equilibrium(game, prefs=None) -> TransferResult:
 
     Determinacy is not re-checked (that would cost 2^n oracle calls);
     NotDeterminedError is raised instead when the profile misses the promised
-    outcome or a player can deviate to an outcome they strictly prefer: one
-    stop-early ``better_deviation`` query per player, on the mask of the
-    outcomes the player prefers to the played one, looks for such an
-    outcome, and the error carries the deviator and it as a certificate.
+    outcome or ``_verify_profile`` finds a player a deviation to an outcome
+    they strictly prefer, which the error carries as a certificate.
     """
     backend = game
     if prefs is None or not isinstance(game, GameBackend):
         backend, prefs = _game_backend(game if prefs is None else (game, prefs))
     result = run_transfer(backend, prefs)
-    h1, h2 = result.profile
-    played = backend.play_outcome(h1, h2)
+    played, deviation = _verify_profile(backend, prefs, *result.profile)
     if played != result.outcome:
         raise NotDeterminedError(
             f"profile plays outcome {played}, transfer promised {result.outcome}")
+    if deviation is not None:
+        deviator, alt = deviation
+        raise NotDeterminedError(
+            f"player {deviator} can deviate to a preferred outcome {alt}",
+            deviator=deviator, outcome=alt)
+    return result
+
+
+def _verify_profile(backend: GameBackend, prefs: PreferenceProfile, h1, h2):
+    """The outcome that two handles play, and a ``(deviator, outcome)``
+    certificate that they are no equilibrium, or None: one stop-early
+    ``better_deviation`` per player, on the outcomes it prefers to that one."""
+    played = backend.play_outcome(h1, h2)
     for deviator, fixed in ((1, h2), (2, h1)):
         better = prefs[deviator - 1].better_masks[played]
         alt = backend.better_deviation(fixed, deviator, better) if better else None
         if alt is not None:
-            raise NotDeterminedError(
-                f"player {deviator} can deviate to a preferred outcome {alt}",
-                deviator=deviator, outcome=alt)
-    return result
+            return played, (deviator, alt)
+    return played, None

@@ -1,8 +1,8 @@
 """Work-or-refuse limits: inputs far beyond desk scale, one row each.
 
 A row is one ``eqtransfer`` command on a generated input or a fixture,
-with the exit code it must give: 0 where the input works, 2 where a
-documented cap refuses it with ``TooLargeError`` or the input is bad.  No
+with the exit code it must give: 0 where the input works, 1 where it
+works and the answer is no, 2 where a documented cap refuses it with ``TooLargeError`` or the input is bad.  No
 row may print a traceback.  ``tests/test_limits.py`` runs every row
 in-process through ``cli.main`` as part of tier-1.  Run as a script, this
 module runs every row at full size through the installed console script,
@@ -334,6 +334,13 @@ ROWS = [
     Row("wide_tree_21_solve", ("solve", "{input}"), wide_caterpillar, 21,
         code=2,
         stderr="4194304 strategy profiles exceed cap 1000000"),
+    # verify-ne checks a profile on the tree, at any profile count: 2^20
+    # here, 2^251 (about 3.6e75) below.
+    Row("wide_tree_19_verify", ("verify-ne", "--profile", "0,0", "{input}"),
+        wide_caterpillar, 19, code=1, stdout="(0, 0) is not an equilibrium"),
+    Row("wide_tree_250_verify", ("verify-ne", "--profile", "0,0",
+                                 "{input}"),
+        wide_caterpillar, 250, stdout="(0, 0) is an equilibrium"),
     Row("wide_tree_21_determinacy", ("check-determinacy", "{input}"),
         wide_caterpillar, 21, stdout="determined"),
     Row("diagonal_20", ("check-determinacy", "{input}"), diagonal, 20,

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, text output, and JSON reports."""
 
 import io
+import itertools
 import json
 import random
 import shlex
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import eqtransfer as et
-from eqtransfer import cli, errors, graph_games, jsonio
+from eqtransfer import cli, errors, extensive, graph_games, jsonio
 from conftest import (FIXTURES, fixture_path, random_acyclic_preference,
                       random_tree)
 from limits import caterpillar_text, colour_ring, wide_caterpillar
@@ -112,6 +113,20 @@ class TestCheckDeterminacy:
                            fixture_path("xz_yy.json"))
         assert code == cli.EXIT_OK and "witness" not in json.loads(out)
 
+    def test_json_witness_is_the_deciding_search(self, capsys, monkeypatch):
+        """``--json`` takes its witness from the search that decided: one
+        ``_undetermined_label`` run per input, determined or not."""
+        from eqtransfer import normal_form
+        search, calls = normal_form._undetermined_label, []
+        monkeypatch.setattr(normal_form, "_undetermined_label",
+                            lambda *masks: calls.append(1) or search(*masks))
+        for name, code in (("xy_yx.json", cli.EXIT_FAIL),
+                           ("xz_yy.json", cli.EXIT_OK)):
+            calls.clear()
+            assert run(capsys, "--json", "check-determinacy",
+                       fixture_path(name))[0] == code
+            assert calls == [1], name
+
     def test_trees_agree_with_their_normal_forms(self, capsys, tmp_path):
         """A tree is answered without its normal form, bare or with
         preferences, as the table check answers the normal form."""
@@ -132,12 +147,18 @@ class TestCheckDeterminacy:
     def test_wide_tree_needs_no_normal_form(self, capsys, tmp_path, cap,
                                             monkeypatch):
         """4,194,304 profiles, over the conversion cap, and 2 outcomes,
-        over a cap of 1: neither bounds a tree."""
+        over a cap of 1: neither bounds a tree, and ``verify-ne`` checks
+        a profile of it on the tree."""
         path = tmp_path / "caterpillar.json"
         path.write_text(json.dumps(wide_caterpillar(21)))
         monkeypatch.setattr(cli, "to_normal_form", None)
+        monkeypatch.setattr(extensive, "to_normal_form", None)
         code, out, err = run(capsys, "check-determinacy", str(path), *cap)
         assert (code, out, err) == (cli.EXIT_OK, "determined\n", "")
+        code, out, err = run(capsys, "verify-ne", "--profile", "0,0",
+                             str(path))
+        assert (code, out, err) == (
+            cli.EXIT_FAIL, "(0, 0) is not an equilibrium\n", "")
 
 
 class TestPlayerCount:
@@ -554,12 +575,35 @@ class TestVerifyNe:
         assert "does not fit strategy counts (2, 4)" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("command", [["verify-ne", "--profile", "0,3"],
-                                         ["solve"]])
-    def test_cap_bounds_tree_conversion(self, capsys, command):
-        code, _, err = run(capsys, command[0], "--cap", "1",
-                           fixture_path("intro_winlose_tree.json"),
-                           *command[1:])
+    def test_tree_verdicts_are_the_normal_form_ones(self, capsys, tmp_path):
+        """Checked on the tree, every profile of 200 seeded trees gets the
+        verdict that ``is_nash_equilibrium`` gives on the normal form."""
+        rng, path, trees = random.Random(39001), tmp_path / "tree.json", 0
+        while trees < 200:
+            tree = random_tree(rng, rng.randint(1, 4))
+            st = et.to_normal_form(tree)
+            if st.profile_count > 48:
+                continue
+            trees += 1
+            prefs = et.PreferenceProfile(tuple(
+                random_acyclic_preference(rng, tree.outcomes.size)
+                for _ in range(2)))
+            jsonio.dump((tree, prefs), path)
+            g = et.NormalFormGame(st, prefs)
+            for profile in itertools.product(*map(range,
+                                                  st.strategy_counts)):
+                ok = et.is_nash_equilibrium(g, profile)
+                code, out, err = run(capsys, "verify-ne", "--profile",
+                                     "%d,%d" % profile, str(path))
+                assert (code, out, err) == (
+                    cli.EXIT_OK if ok else cli.EXIT_FAIL,
+                    f"{profile} is {'an' if ok else 'not an'} "
+                    "equilibrium\n", "")
+
+    def test_cap_bounds_tree_conversion(self, capsys):
+        """Only ``solve`` converts a tree; ``verify-ne`` takes no cap."""
+        code, _, err = run(capsys, "solve", "--cap", "1",
+                           fixture_path("intro_winlose_tree.json"))
         assert code == cli.EXIT_INPUT
         assert "8 strategy profiles exceed cap 1" in err
 
@@ -668,7 +712,7 @@ class TestCorpus:
 
 
 class TestOptions:
-    """Each option can be set on exactly the commands that read it, 17
+    """Each option can be set on exactly the commands that read it, 16
     (command, option) pairs with ``--json``: anywhere else, before the
     command included, it is a usage error."""
 
@@ -682,7 +726,7 @@ class TestOptions:
         (["solve-parity", "arena_small.json"], set()),
         (["solve-muller", "arena_small.json"], set()),
         (["verify-ne", "intro_payoff_tree.json", "--profile", "0,0"],
-         {"--cap", "--profile"}),
+         {"--profile"}),
         (["corpus", "list"], set()),
         (["corpus", "build", "prop_5_4"], {"--n"}),
         (["corpus", "verify", "prop_5_4"], {"--n", "--samples", "--seed"})]
@@ -703,7 +747,7 @@ class TestOptions:
 
     @pytest.mark.parametrize("argv, commands", [
         (["--cap", "31", "check-determinacy", "xz_yy.json"],
-         "solve, check-determinacy, verify-ne"),
+         "solve, check-determinacy"),
         (["--json", "--profile", "0,0", "verify-ne",
           "intro_payoff_tree.json"], "verify-ne"),
         (["--n", "3", "corpus", "build", "prop_5_4"],
@@ -713,7 +757,7 @@ class TestOptions:
         (["corpus", "--n", "3", "build", "prop_5_4"],
          "corpus build, corpus verify"),
         (["corpus", "--cap", "3", "list"],
-         "solve, check-determinacy, verify-ne")])
+         "solve, check-determinacy")])
     def test_option_before_command_names_its_commands(self, capsys, argv,
                                                       commands):
         """Once "argument command: invalid choice: '31'", naming the value:

@@ -1,5 +1,6 @@
 """Game trees, backward induction, and transfer over tree oracles."""
 
+import math
 import random
 import signal
 import sys
@@ -293,6 +294,26 @@ class TestTreeBackend:
         et.equilibrium(oracle, prefs)
         assert "structure" not in vars(oracle)
         assert oracle.structure == et.to_normal_form(t)
+
+    def test_transfer_multiplies_out_no_strategy_count(self, rng,
+                                                      monkeypatch):
+        """Only ``strategy_count`` multiplies the radices, when it is
+        asked: a transfer and its verification call no ``math.prod``."""
+        prod, calls = math.prod, []
+        monkeypatch.setattr(math, "prod",
+                            lambda *a, **k: calls.append(a) or prod(*a, **k))
+        prefs = et.PreferenceProfile((et.Preference.from_ranking([0, 1, 2]),
+                                      et.Preference.from_ranking([2, 0, 1])))
+        trees = [random_tree(rng, 3) for _ in range(20)]
+        for t in trees:
+            et.equilibrium(t.backend(), prefs)
+        assert calls == []
+        for t in trees:
+            for player in (1, 2):
+                count = 1
+                for owner, children in zip(t.owners, t.children):
+                    count *= len(children) if owner == player else 1
+                assert t.strategy_count(player) == count
 
     def test_deep_caterpillar_needs_no_recursion(self):
         # 10^4 internal nodes; nodes are compared by preorder index only,

@@ -156,7 +156,10 @@ class TestPlayOf:
         """A machine whose state has a negative successor entry on an edge
         that a play or a deviation follows is refused, naming the state and
         the edge.  Read as a Python index, the entry made ``play_of`` report
-        the cycle (1,) while the deviation search reached only outcome 0."""
+        the cycle (1,) while the deviation search reached only outcome 0.
+        So is an entry past the last state, once a bare IndexError, and a
+        state at another vertex than the edge's target, once read as a
+        play (0, 0, ...) along a non-edge."""
         arena = et.Arena(2, [0], [(0, 1), (1, 0), (1, 1)], [0, 1])
         game = et.MultiOutcomeGraphGame(
             arena, 0, "priority", et.OutcomeSet(2), et.PreferenceProfile(
@@ -172,6 +175,16 @@ class TestPlayOf:
                                      {0: 0}),
              et.FiniteMemoryStrategy.positional(arena, 1, {}),
              "player 2's strategy has no successor of state 0 along edge "
+             "(0, 1)"),
+            (et.FiniteMemoryStrategy(1, [0, 1], [[1], [0, 5]], [0, -1],
+                                     {0: 0}),
+             et.FiniteMemoryStrategy.positional(arena, 2, {1: 1}),
+             "player 1's strategy has no successor of state 1 along edge "
+             "(1, 1)"),
+            (et.FiniteMemoryStrategy(1, [0, 0], [[1], [0, 1]], [0, 0],
+                                     {0: 0}),
+             et.FiniteMemoryStrategy.positional(arena, 2, {}),
+             "player 1's strategy has no successor of state 0 along edge "
              "(0, 1)")]
         for machine, other, message in cases:
             pair = (machine, other) if machine.player == 1 else (other, machine)

@@ -600,3 +600,49 @@ def test_refused_inputs(call, error, message):
         call()
     assert str(caught.value) == message
 
+
+PROP_5_5 = et.build("prop_5_5").structure
+TREE = jsonio.load(fixture_path("intro_winlose_tree.json"))[0]
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: et.slice_structure(PROP_5_5, 1.5, 0), et.BadIndexError,
+     "player index 1.5 out of range"),
+    (lambda: et.slice_structure(PROP_5_5, 0, True), et.BadIndexError,
+     "strategy index True out of range"),
+    (lambda: et.merge_players(PROP_5_5, (0.5, 1)), et.BadIndexError,
+     "bad player pair (0.5, 1)"),
+    (lambda: et.merge_players(PROP_5_5, (True, 2)), et.BadIndexError,
+     "bad player pair (True, 2)"),
+    (lambda: et.enforcing_strategy(et.to_normal_form(TREE), True, 1),
+     et.BadIndexError, "player must be 1 or 2, got True"),
+    (lambda: TREE.owned_nodes(0), et.BadIndexError,
+     "player must be 1 or 2, got 0"),
+    (lambda: TREE.strategy_count(0), et.BadIndexError,
+     "player must be 1 or 2, got 0"),
+    (lambda: TREE.strategy_count(3), et.BadIndexError,
+     "player must be 1 or 2, got 3"),
+    (lambda: et.strategy_from_index(TREE, 0, 0), et.BadIndexError,
+     "player must be 1 or 2, got 0"),
+    (lambda: et.strategy_to_index(TREE, 2.0, {}), et.BadIndexError,
+     "player must be 1 or 2, got 2.0"),
+    (lambda: et.strategy_from_index(TREE, 1, 1.5), ValueError,
+     "strategy index 1.5 out of range"),
+    (lambda: et.strategy_from_index(TREE, 2, True), ValueError,
+     "strategy index True out of range")],
+    ids=["slice player", "slice strategy", "merge float", "merge bool",
+         "enforce bool", "owned nodes", "count 0", "count 3", "decode player",
+         "encode player", "decode float", "decode bool"])
+def test_players_and_indices_are_integers(call, error, message):
+    """Once bare TypeErrors and IndexErrors, or a bool read as 1 and
+    player 0 as player 2; numpy integers still pass."""
+    with pytest.raises(error) as caught:
+        call()
+    assert str(caught.value) == message
+    one = np.int64(1)
+    assert et.slice_structure(PROP_5_5, one, one) == et.slice_structure(
+        PROP_5_5, 1, 1)
+    assert TREE.strategy_count(one + 1) == 4
+    assert et.strategy_from_index(TREE, one, one) == et.strategy_from_index(
+        TREE, 1, 1)
+

@@ -100,7 +100,7 @@ def test_source_line_ceiling():
     it raises the bound and says so in CHANGES.md."""
     lines = sum(len(path.read_bytes().splitlines())
                 for path in SRC.glob("*.py"))
-    assert lines <= 3332, lines
+    assert lines <= 3373, lines
 
 
 def test_corpus_games_only_through_build():
@@ -190,6 +190,8 @@ NUMPY_FREE = [
     ["solve-muller", fixture_path("arena_small.json")],
     # a tree: decided by backward induction, with no normal form
     ["check-determinacy", fixture_path("intro_structure.json")],
+    # a tree profile: checked on the tree, with no normal form
+    ["verify-ne", "--profile", "0,3", fixture_path("intro_winlose_tree.json")],
 ]
 
 
